@@ -88,16 +88,18 @@ def load_train_config(cfg: ExperimentConfig, seed: int) -> M.TrainConfig:
 
 
 def load_search_config(cfg: ExperimentConfig, seed: int) -> SearchConfig:
+    """The [search] section; every key it leaves out keeps SearchConfig's default."""
+    d = SearchConfig(seed=seed)
     return SearchConfig(
-        c0=cfg.get_float("search", "c0", 1.0),
-        eta_factor=cfg.get_float("search", "eta_factor", 1.5),
-        eta_every=cfg.get_int("search", "eta_every", 10),
-        gamma=cfg.get_float("search", "gamma", None),
-        steps=cfg.get_int("search", "steps", 100),
-        lr=cfg.get_float("search", "lr", 1e-2),
-        weight_decay=cfg.get_float("search", "weight_decay", 1e-3),
-        batch_size=cfg.get_int("search", "batch_size", None),
-        delta_scope=cfg.get_str("search", "delta_scope", "all_params"),
+        c0=cfg.get_float("search", "c0", d.c0),
+        eta_factor=cfg.get_float("search", "eta_factor", d.eta_factor),
+        eta_every=cfg.get_int("search", "eta_every", d.eta_every),
+        gamma=cfg.get_float("search", "gamma", d.gamma),
+        steps=cfg.get_int("search", "steps", d.steps),
+        lr=cfg.get_float("search", "lr", d.lr),
+        weight_decay=cfg.get_float("search", "weight_decay", d.weight_decay),
+        batch_size=cfg.get_int("search", "batch_size", d.batch_size),
+        delta_scope=cfg.get_str("search", "delta_scope", d.delta_scope),
         seed=seed,
     )
 

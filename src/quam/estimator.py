@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
-from .measures import UncertaintyBreakdown, decompose_a, decompose_b, entropy_cat, entropy_gauss
+from .measures import UncertaintyBreakdown, decompose_a, decompose_b, entropy_cat, entropy_gauss, quad
 from .models import Categorical, ModelParams, PredictiveDist, predict
 from .search import SearchConfig, SearchTrajectory, regression_search_pair, targeted_search_suite
 
@@ -131,15 +130,6 @@ def quam_score(
 
 def quam_score_setting_a(x, data, reference, config, temperature, return_trajectories=False):
     return quam_score(x, data, reference, config, temperature, setting="a", return_trajectories=return_trajectories)
-
-
-def bma_predictive(samples: Sequence[WeightedSample]) -> np.ndarray:
-    """Self-normalized weighted average of categorical predictions."""
-    if not all(isinstance(s.dist, Categorical) for s in samples):
-        raise ValueError("bma_predictive needs categorical samples")
-    w = _normalized_weights(samples)
-    probs = np.vstack([s.dist.probs for s in samples])
-    return w @ probs
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .models import Categorical, GaussianScalar, PredictiveDist
 
@@ -40,6 +39,17 @@ __all__ = [
 _CLAMP = 1e-300
 
 
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call.
+
+    Importing scipy.integrate takes most of a CLI command's start-up, and
+    only Gaussian-head splits and the variance study integrate.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
+
+
 @dataclass(frozen=True)
 class UncertaintyBreakdown:
     """Per-test-point total/aleatoric/epistemic record for one setting."""
@@ -52,11 +62,14 @@ class UncertaintyBreakdown:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
+        # total and aleatoric are differential entropies for Gaussian heads
+        # and may be negative; only the epistemic part is a divergence
+        if self.epistemic < -1e-12:
+            raise ValueError(f"epistemic must be nonnegative, got {self.epistemic}")
         for name in ("total", "aleatoric", "epistemic"):
-            v = getattr(self, name)
-            if v < -1e-12:
-                raise ValueError(f"{name} must be nonnegative, got {v}")
-            object.__setattr__(self, name, max(0.0, float(v)))
+            v = float(getattr(self, name))
+            # a value this close below zero is the roundoff of a zero
+            object.__setattr__(self, name, 0.0 if -1e-12 <= v <= 0.0 else v)
 
 
 def _simplex(p) -> np.ndarray:
@@ -159,11 +172,14 @@ def decompose_a(samples) -> UncertaintyBreakdown:
     """
     dists, w = _prep(samples)
     if isinstance(dists[0], Categorical):
-        probs = np.vstack([d.probs for d in dists])
+        probs = np.maximum(np.vstack([d.probs for d in dists]), 0.0)
         bma = w @ probs
-        total = entropy_cat(bma)
-        aleatoric = float(sum(wi * entropy_cat(p) for wi, p in zip(w, probs)))
-        epistemic = float(sum(wi * kl_cat(p, bma) for wi, p in zip(w, probs)))
+        log_bma = np.log(np.maximum(bma, _CLAMP))
+        # 0 log 0 := 0: log 1 stands in where a sample has no mass
+        neg_ent = (probs * np.log(np.where(probs > 0, probs, 1.0))).sum(axis=1)
+        total = float(-(bma @ log_bma))
+        aleatoric = float(-(w @ neg_ent))
+        epistemic = float(w @ (neg_ent - probs @ log_bma))
         return UncertaintyBreakdown("a", total, aleatoric, epistemic)
     means = np.array([d.mean for d in dists])
     variances = np.array([d.variance for d in dists])

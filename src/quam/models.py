@@ -34,6 +34,12 @@ __all__ = [
     "Adam",
     "FIXED_GAUSSIAN_VARIANCE",
     "init_params",
+    "forward",
+    "backward",
+    "head_predictions",
+    "predictive_dist",
+    "head_nll",
+    "head_nll_grad",
     "predict",
     "predict_batch",
     "train",
@@ -242,19 +248,49 @@ def flatten_layer_grads(arch: ArchSpec, layer_nodes, grads: dict[int, np.ndarray
     return flat
 
 
-def _raw_outputs(params: ModelParams, x: np.ndarray, dropout_masks=None) -> np.ndarray:
+def forward(params: ModelParams, x: np.ndarray, dropout_masks=None) -> list[np.ndarray]:
+    """The input of every layer, then the head outputs, at the rows of `x`.
+
+    The search backpropagates through the kept layer inputs (`backward`);
+    predictions and losses use the last entry.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != params.arch.widths[0]:
         raise ValueError(f"input width {x.shape[1]} does not match architecture input width {params.arch.widths[0]}")
-    h = x
+    acts = [x]
     n_layers = params.arch.n_layers
     for li, (w, b) in enumerate(params.layers()):
-        h = h @ w + b
+        h = acts[-1] @ w + b
         if li < n_layers - 1:
             h = np.maximum(h, 0.0)
             if dropout_masks is not None:
                 h = h * dropout_masks[li]
-    return h
+        acts.append(h)
+    return acts
+
+
+def backward(params: ModelParams, acts: Sequence[np.ndarray], grad_out: np.ndarray) -> np.ndarray:
+    """Flat gradient of sum_i grad_out[i] . out[i] with respect to the parameters.
+
+    `acts` comes from `forward` without dropout masks and `grad_out` holds
+    one output gradient per row.  A layer's flat slice (weights row-major,
+    then the bias) is a (fan_in + 1, fan_out) matrix, so each layer's
+    gradient is written straight into the flat vector.
+    """
+    arch = params.arch
+    slices = arch.layer_slices()
+    grad = np.empty(arch.param_count())
+    dz = grad_out
+    for li in range(arch.n_layers - 1, -1, -1):
+        ws, bs = slices[li]
+        fan_in, fan_out = arch.widths[li], arch.widths[li + 1]
+        g = grad[ws.start : bs.stop].reshape(fan_in + 1, fan_out)
+        h = acts[li]
+        np.matmul(h.T, dz, out=g[:fan_in])
+        g[fan_in] = dz.sum(axis=0)
+        if li:
+            dz = (dz @ params.values[ws].reshape(fan_in, fan_out).T) * (h > 0.0)
+    return grad
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -263,25 +299,33 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def predict_batch(params: ModelParams, x: np.ndarray, dropout_masks=None) -> np.ndarray:
-    """Vectorized predictions: (n, C) class probabilities, or (n, 2) mean/variance."""
-    out = _raw_outputs(params, x, dropout_masks)
-    if params.arch.head == "categorical":
+def head_predictions(arch: ArchSpec, out: np.ndarray) -> np.ndarray:
+    """Head outputs to (n, C) class probabilities, or (n, 2) mean/variance."""
+    if arch.head == "categorical":
         return _softmax(out)
     mean = out[:, 0]
-    if params.arch.widths[-1] == 2:
+    if arch.widths[-1] == 2:
         var = np.exp(out[:, 1])
     else:
         var = np.full_like(mean, FIXED_GAUSSIAN_VARIANCE)
     return np.column_stack([mean, var])
 
 
-def predict(params: ModelParams, x: np.ndarray, dropout_masks=None) -> PredictiveDist:
-    """Predictive distribution at a single input."""
-    row = predict_batch(params, np.atleast_2d(x), dropout_masks)[0]
-    if params.arch.head == "categorical":
+def predictive_dist(arch: ArchSpec, row: np.ndarray) -> PredictiveDist:
+    """One row of `head_predictions` as a distribution."""
+    if arch.head == "categorical":
         return Categorical(row)
     return GaussianScalar(mean=float(row[0]), variance=float(row[1]))
+
+
+def predict_batch(params: ModelParams, x: np.ndarray, dropout_masks=None) -> np.ndarray:
+    """Vectorized predictions: (n, C) class probabilities, or (n, 2) mean/variance."""
+    return head_predictions(params.arch, forward(params, x, dropout_masks)[-1])
+
+
+def predict(params: ModelParams, x: np.ndarray, dropout_masks=None) -> PredictiveDist:
+    """Predictive distribution at a single input."""
+    return predictive_dist(params.arch, predict_batch(params, np.atleast_2d(x), dropout_masks)[0])
 
 
 # --------------------------------------------------------------------------
@@ -332,19 +376,35 @@ def nll_graph(
     return tape.forward_op("add", loss, tape.constant(np.array(const)))
 
 
-def _pointwise_nll(params: ModelParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-point negative log-likelihood, fully vectorized (no tape)."""
-    out = _raw_outputs(params, x)
-    if params.arch.head == "categorical":
+def head_nll(arch: ArchSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row negative log-likelihood of targets `y` under head outputs `out`."""
+    if arch.head == "categorical":
         z = out - out.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         return -logp[np.arange(len(y)), np.asarray(y, dtype=int)]
     y = np.asarray(y, dtype=np.float64)
     mean = out[:, 0]
-    if params.arch.widths[-1] == 2:
+    if arch.widths[-1] == 2:
         logvar = out[:, 1]
         return 0.5 * (logvar + (y - mean) ** 2 * np.exp(-logvar) + np.log(2.0 * np.pi))
     return 0.5 * ((y - mean) ** 2 / FIXED_GAUSSIAN_VARIANCE + np.log(2.0 * np.pi * FIXED_GAUSSIAN_VARIANCE))
+
+
+def head_nll_grad(arch: ArchSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of each row's `head_nll` with respect to that row's outputs."""
+    if arch.head == "categorical":
+        g = _softmax(out)
+        g[np.arange(len(y)), np.asarray(y, dtype=int)] -= 1.0
+        return g
+    resid = out[:, 0] - np.asarray(y, dtype=np.float64)
+    if arch.widths[-1] == 2:
+        inv_var = np.exp(-out[:, 1])
+        return np.column_stack([resid * inv_var, 0.5 - 0.5 * resid**2 * inv_var])
+    return (resid / FIXED_GAUSSIAN_VARIANCE)[:, None]
+
+
+def _pointwise_nll(params: ModelParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return head_nll(params.arch, forward(params, x)[-1], y)
 
 
 def mean_train_loss(params: ModelParams, data) -> float:

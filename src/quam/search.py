@@ -5,50 +5,57 @@ test input while explaining the training data essentially as well (its
 mean training loss stays within a slack gamma of the reference's).  The
 search minimizes
 
-    L = L_adv + c * L_pen,      L_pen = batch_loss - (L_ref + gamma)
+    L = L_adv + c * relu(L_pen),      L_pen = batch_loss - (L_ref + gamma)
 
 with Adam, increasing the penalty weight c on a multiplicative schedule so
-late iterates are pushed back inside the feasible region.  Every visited
-model is recorded with its predictive distribution at the test point and
-its full-training-set loss; the returned best iterate maximizes divergence
-from the reference among iterates whose *full-data* penalty is <= 0 (the
-mini-batch estimate alone can be optimistic).
+late iterates are pushed back inside the feasible region.  Each Adam update
+takes one forward and one closed-form backward pass (`SearchObjective`):
+the gradient enters as per-row gradients at the head outputs of the data
+rows and of the test row.  Every visited model is recorded with its
+predictive distribution at the test point and its full-training-set loss;
+a full-batch search reads both from the update's own forward pass.  The
+returned best iterate maximizes divergence from the reference among
+iterates whose *full-data* penalty is <= 0 (the mini-batch estimate alone
+can be optimistic).
 
 Classification searches are run once per class, each maximizing that
 class's probability (targeted); untargeted divergence maximization tends
 to rediscover one solution.  Regression runs an upward and a downward
-search, seeded by nudging the output bias.
+search, seeded by nudging the output bias; a direction search also pays
+c * relu(violation) while its mean sits on the wrong side of the
+reference mean.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tape
 from .measures import entropy_cat, kl_cat, kl_gauss
 from .models import (
     Adam,
     ArchSpec,
     Categorical,
     FIXED_GAUSSIAN_VARIANCE,
-    GaussianScalar,
     ModelParams,
     PredictiveDist,
-    flatten_layer_grads,
-    forward_graph,
+    backward,
+    forward,
+    head_nll,
+    head_nll_grad,
+    head_predictions,
     mean_train_loss,
-    nll_graph,
-    param_leaves,
     predict,
+    predictive_dist,
 )
 from .rng import derive_rng
 
 __all__ = [
     "SearchConfig",
+    "SearchObjective",
     "TrajectoryRecord",
     "SearchTrajectory",
     "adversarial_model_search",
@@ -145,51 +152,104 @@ def _scope_mask(arch: ArchSpec, config: SearchConfig) -> np.ndarray:
     return mask
 
 
-def _dist_from_row(arch: ArchSpec, row: np.ndarray) -> PredictiveDist:
-    if arch.head == "categorical":
-        z = row - row.max()
-        p = np.exp(z)
-        return Categorical(p / p.sum())
-    mean = float(row[0])
-    var = float(np.exp(row[1])) if arch.widths[-1] == 2 else FIXED_GAUSSIAN_VARIANCE
-    return GaussianScalar(mean, var)
-
-
 def _divergence(arch: ArchSpec, ref: PredictiveDist, cand: PredictiveDist) -> float:
     if arch.head == "categorical":
         return kl_cat(ref.probs, cand.probs)
     return kl_gauss(ref, cand)
 
 
-def _adv_node(tape, out_x, arch, ref_dist, objective):
-    """Objective term L_adv to minimize, as a tape node (shape (1,1))."""
+def _target_term(arch: ArchSpec, out: np.ndarray, ref_dist: PredictiveDist, objective) -> tuple[float, np.ndarray]:
+    """L_adv at the test row's head outputs `out` (shape (1, k)) and its gradient there."""
     if arch.head == "categorical":
-        logp = tape.forward_op("log_softmax", out_x)
+        z = out - out.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        p = np.exp(logp)
         if objective == "divergence":
             # L_adv = -KL(ref || cand) = sum(ref * log cand) + H(ref)
-            picked = tape.forward_op("mul", logp, tape.constant(ref_dist.probs.reshape(1, -1)))
-            s = tape.forward_op("reduce_sum", picked)
-            return tape.forward_op("add", s, tape.constant(np.array(entropy_cat(ref_dist.probs))))
-        kind, cls = objective
-        onehot = np.zeros((1, arch.n_classes))
-        onehot[0, int(cls)] = 1.0
-        picked = tape.forward_op("mul", logp, tape.constant(onehot))
-        return tape.forward_op("scalar_mul", tape.forward_op("reduce_sum", picked), -1.0)
+            ref = ref_dist.probs.reshape(1, -1)
+            return float((ref * logp).sum()) + entropy_cat(ref_dist.probs), ref - p * ref.sum()
+        cls = int(objective[1])
+        p[0, cls] -= 1.0
+        return -float(logp[0, cls]), p
     # gaussian heads: L_adv = -KL(ref || cand)
-    mean_q = tape.forward_op("take_col", out_x, aux=0)
     mp, vp = ref_dist.mean, ref_dist.variance
+    shift = mp - out[0, 0]
     if arch.widths[-1] == 2:
-        logvar_q = tape.forward_op("take_col", out_x, aux=1)
-        inv_vq = tape.forward_op("exp", tape.forward_op("scalar_mul", logvar_q, -1.0))
-        shift = tape.forward_op("square", tape.forward_op("sub", tape.constant(np.array([[mp]])), mean_q))
-        num = tape.forward_op("add", shift, tape.constant(np.array([[vp]])))
-        quad = tape.forward_op("scalar_mul", tape.forward_op("mul", num, inv_vq), 0.5)
-        kl = tape.forward_op("add", tape.forward_op("scalar_mul", logvar_q, 0.5), quad)
-        kl = tape.forward_op("add", kl, tape.constant(np.array([[-0.5 * np.log(vp) - 0.5]])))
-        return tape.forward_op("scalar_mul", kl, -1.0)
-    shift = tape.forward_op("square", tape.forward_op("sub", tape.constant(np.array([[mp]])), mean_q))
-    kl = tape.forward_op("scalar_mul", shift, 0.5 / FIXED_GAUSSIAN_VARIANCE)
-    return tape.forward_op("scalar_mul", kl, -1.0)
+        logvar_q = out[0, 1]
+        inv_vq = np.exp(-logvar_q)
+        num = shift**2 + vp
+        kl = 0.5 * logvar_q + 0.5 * num * inv_vq - 0.5 * np.log(vp) - 0.5
+        return -float(kl), np.array([[shift * inv_vq, 0.5 * num * inv_vq - 0.5]])
+    return -0.5 * shift**2 / FIXED_GAUSSIAN_VARIANCE, np.array([[shift / FIXED_GAUSSIAN_VARIANCE]])
+
+
+class ObjectiveForward(NamedTuple):
+    """One forward pass of the search objective: the batch rows and the test row."""
+
+    batch_acts: list  # layer inputs, then head outputs, of the batch rows
+    batch_y: np.ndarray
+    batch_loss: float  # mean NLL of the batch
+    test_acts: list  # the same for the test row
+    adv: float  # L_adv
+    adv_grad: np.ndarray  # dL_adv / d(test-row head outputs)
+
+
+@dataclass(frozen=True)
+class SearchObjective:
+    """The objective one search minimizes, with its gradient by backprop.
+
+        L = L_adv(x) + c * relu(batch_loss - bound) + c * relu(direction * (ref_mean - mean(x)))
+
+    The last term exists for ("direction", +1 | -1) objectives only.  The
+    penalty weights the constraint *violation*: a signed term under a
+    growing c would collapse late iterates onto the loss minimum instead of
+    the constrained optimum.  The gradient enters the network as per-row
+    gradients at the head outputs: c * 1[pen > 0] * dNLL / n on the batch
+    rows, dL_adv plus the violation term on the test row.
+    """
+
+    x: np.ndarray  # the test input, shape (1, input width)
+    ref_dist: PredictiveDist
+    objective: object  # "divergence" | ("class", k) | ("direction", +1 | -1)
+    bound: float  # L_ref + gamma
+
+    @property
+    def direction(self) -> int:
+        if isinstance(self.objective, tuple) and self.objective[0] == "direction":
+            return int(self.objective[1])
+        return 0
+
+    def forward(self, params: ModelParams, bx: np.ndarray, by: np.ndarray) -> ObjectiveForward:
+        arch = params.arch
+        batch_acts = forward(params, bx)
+        batch_loss = float(head_nll(arch, batch_acts[-1], by).mean())
+        # the test row gets its own pass: stacked onto the batch GEMM its
+        # outputs can move by an ulp, and an unmoved iterate would then
+        # diverge from the reference by a spurious KL > 0
+        test_acts = forward(params, self.x)
+        adv, adv_grad = _target_term(arch, test_acts[-1], self.ref_dist, self.objective)
+        return ObjectiveForward(batch_acts, by, batch_loss, test_acts, adv, adv_grad)
+
+    def _violation(self, fwd: ObjectiveForward) -> float:
+        return self.direction * (self.ref_dist.mean - fwd.test_acts[-1][0, 0]) if self.direction else 0.0
+
+    def backward(self, params: ModelParams, fwd: ObjectiveForward, c: float) -> np.ndarray:
+        """Flat gradient of L at penalty weight c."""
+        grad_x = fwd.adv_grad
+        if self._violation(fwd) > 0.0:
+            grad_x = grad_x.copy()
+            grad_x[0, 0] -= c * self.direction
+        if fwd.batch_loss - self.bound > 0.0:
+            grad_b = (c / len(fwd.batch_y)) * head_nll_grad(params.arch, fwd.batch_acts[-1], fwd.batch_y)
+            acts = [np.vstack(pair) for pair in zip(fwd.batch_acts, fwd.test_acts)]
+            return backward(params, acts, np.vstack([grad_b, grad_x]))
+        # inside the slack the batch rows carry no gradient
+        return backward(params, fwd.test_acts, grad_x)
+
+    def loss_and_grad(self, params: ModelParams, bx: np.ndarray, by: np.ndarray, c: float) -> tuple[float, np.ndarray]:
+        fwd = self.forward(params, bx, by)
+        loss = fwd.adv + c * max(fwd.batch_loss - self.bound, 0.0) + c * max(self._violation(fwd), 0.0)
+        return loss, self.backward(params, fwd, c)
 
 
 def adversarial_model_search(
@@ -211,10 +271,8 @@ def adversarial_model_search(
     l_ref = mean_train_loss(reference, data)
     gamma = config.gamma if config.gamma is not None else 0.05 * abs(l_ref)
 
-    direction = 0
     if isinstance(objective, tuple) and objective[0] == "direction":
-        direction = int(objective[1])
-        target_tag = "direction:+" if direction > 0 else "direction:-"
+        target_tag = "direction:+" if int(objective[1]) > 0 else "direction:-"
     elif isinstance(objective, tuple) and objective[0] == "class":
         target_tag = f"class:{int(objective[1])}"
     else:
@@ -222,23 +280,23 @@ def adversarial_model_search(
 
     # Last-layer searches run on cached penultimate features: the frozen
     # layers never change, so the data only has to flow through them once.
-    work_arch, work_ref, work_x, work_data = arch, reference, x, data
+    work_ref, work_x, work_data = reference, x, data
     splice = None
     if config.delta_scope == "last_layer" and arch.n_layers > 1 and config.free_mask is None:
-        feats = _penultimate(reference, data.x)
+        feats = forward(reference, data.x)[-2]
         ws, bs = arch.layer_slices()[-1]
         sub_arch = ArchSpec(widths=arch.widths[-2:], head=arch.head)
         sub_values = np.concatenate([reference.values[ws], reference.values[bs]])
         work_ref = ModelParams(sub_arch, sub_values)
-        work_arch = sub_arch
-        work_x = _penultimate(reference, x)
+        work_x = forward(reference, x)[-2]
         work_data = _FeatureView(feats, data.y)
         splice = (ws, bs)
         inner = replace(config, delta_scope="all_params")
     else:
         inner = config
 
-    traj = _search_core(work_x, work_data, work_ref, inner, objective, direction, target_tag, ref_dist, l_ref, gamma, seed_keys)
+    objective_fn = SearchObjective(work_x, ref_dist, objective, l_ref + gamma)
+    traj = _search_core(work_data, work_ref, inner, objective_fn, target_tag, l_ref, gamma, seed_keys)
 
     if splice is not None:
         ws, bs = splice
@@ -262,16 +320,10 @@ class _FeatureView:
         return len(self.x)
 
 
-def _penultimate(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    h = x
-    for li, (w, b) in enumerate(params.layers()[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-    return h
-
-
-def _search_core(x, data, reference, config, objective, direction, target_tag, ref_dist, l_ref, gamma, seed_keys):
+def _search_core(data, reference, config, objective_fn: SearchObjective, target_tag, l_ref, gamma, seed_keys):
     arch = reference.arch
+    ref_dist = objective_fn.ref_dist
+    direction = objective_fn.direction
     rng = derive_rng(config.seed, *seed_keys)
     n = len(data)
     batch = n if config.batch_size is None else min(config.batch_size, n)
@@ -282,7 +334,7 @@ def _search_core(x, data, reference, config, objective, direction, target_tag, r
     if direction:
         ws, bs = arch.layer_slices()[-1]
         base[bs.start] += direction * config.bias_nudge  # mean-output bias
-    elif objective == "divergence" and config.bias_nudge:
+    elif objective_fn.objective == "divergence" and config.bias_nudge:
         # the divergence gradient vanishes at the exact reference; a tiny
         # seeded perturbation of the free parameters provides the first step
         base[mask] += config.bias_nudge * rng.standard_normal(int(mask.sum()))
@@ -300,55 +352,40 @@ def _search_core(x, data, reference, config, objective, direction, target_tag, r
             return dist.mean < ref_dist.mean
         return True
 
-    def add_record(step, c, adv_val, pen_val, vals) -> bool:
+    def add_record(step, c, cur, fwd) -> bool:
+        """Record iterate `cur`; `fwd` is its forward pass, over all data rows or a mini-batch."""
         nonlocal best_idx, best_div, best_values
-        cur = ModelParams(arch, vals.copy())
-        mtl = mean_train_loss(cur, data)
+        mtl = fwd.batch_loss if len(fwd.batch_y) == n else mean_train_loss(cur, data)
         if not np.isfinite(mtl):
             return False
-        row = _last_row(cur, x)
-        dist = _dist_from_row(arch, row)
+        dist = predictive_dist(arch, head_predictions(arch, fwd.test_acts[-1])[0])
         div = _divergence(arch, ref_dist, dist)
-        full_pen = mtl - (l_ref + gamma)
-        records.append(TrajectoryRecord(step, c, adv_val, pen_val, mtl, full_pen, div, dist))
+        full_pen = mtl - objective_fn.bound
+        records.append(TrajectoryRecord(step, c, fwd.adv, fwd.batch_loss - objective_fn.bound, mtl, full_pen, div, dist))
         if full_pen <= 0.0 and div > best_div and direction_ok(dist):
-            best_idx, best_div, best_values = len(records) - 1, div, vals.copy()
+            best_idx, best_div, best_values = len(records) - 1, div, cur.values.copy()
         return True
 
     # Record the exact reference first; for nudged regression searches the
     # loop below starts from a distinct (nudged) model.
     if not np.array_equal(base, reference.values):
-        add_record(0, config.c0, 0.0, -gamma, reference.values)
+        add_record(0, config.c0, reference, objective_fn.forward(reference, data.x, data.y))
 
     c = config.c0
     step0 = len(records)
     for m in range(1, config.steps + 1):
-        idx = rng.choice(n, size=batch, replace=False) if batch < n else np.arange(n)
-        tape = Tape()
+        if batch < n:
+            idx = rng.choice(n, size=batch, replace=False)
+            bx, by = data.x[idx], data.y[idx]
+        else:
+            bx, by = data.x, data.y
         cur = ModelParams(arch, values)
-        leaves = param_leaves(tape, cur)
-        batch_loss = nll_graph(tape, leaves, data.x[idx], data.y[idx], arch)
-        out_x = forward_graph(tape, leaves, x, arch)
-        adv = _adv_node(tape, out_x, arch, ref_dist, objective)
-        pen = tape.forward_op("sub", batch_loss, tape.constant(np.array(l_ref + gamma)))
-        # the penalty weights the constraint *violation*: a signed term under a
-        # growing c would collapse late iterates onto the loss minimum instead
-        # of the constrained optimum
-        total = tape.forward_op("add", adv, tape.forward_op("scalar_mul", tape.forward_op("relu", pen), c))
-        if direction:
-            mean_q = tape.forward_op("take_col", out_x, aux=0)
-            viol = tape.forward_op("sub", tape.constant(np.array([[ref_dist.mean]])), mean_q)
-            if direction < 0:
-                viol = tape.forward_op("scalar_mul", viol, -1.0)
-            total = tape.forward_op("add", total, tape.forward_op("scalar_mul", tape.forward_op("relu", viol), c))
-
-        adv_val, pen_val = adv.value.item(), pen.value.item()
-        if not (np.isfinite(adv_val) and np.isfinite(pen_val)) or not add_record(step0 + m - 1, c, adv_val, pen_val, values):
+        fwd = objective_fn.forward(cur, bx, by)
+        if not (np.isfinite(fwd.adv) and np.isfinite(fwd.batch_loss)) or not add_record(step0 + m - 1, c, cur, fwd):
             nan_abort = True
             break
 
-        grads = tape.backward(total)
-        g = flatten_layer_grads(arch, leaves, grads)
+        g = objective_fn.backward(cur, fwd, c)
         g[~mask] = 0.0
         if config.lr_decay_to < 1.0 and config.steps > 1:
             frac = (m - 1) / (config.steps - 1)
@@ -366,14 +403,10 @@ def _search_core(x, data, reference, config, objective, direction, target_tag, r
 
     if not nan_abort:
         # the final updated model was visited too
-        tape = Tape()
         cur = ModelParams(arch, values)
-        leaves = param_leaves(tape, cur)
-        batch_loss = nll_graph(tape, leaves, data.x, data.y, arch)
-        out_x = forward_graph(tape, leaves, x, arch)
-        adv = _adv_node(tape, out_x, arch, ref_dist, objective)
-        if np.isfinite(adv.value.item()):
-            add_record(step0 + config.steps, c, adv.value.item(), batch_loss.value.item() - (l_ref + gamma), values)
+        fwd = objective_fn.forward(cur, data.x, data.y)
+        if np.isfinite(fwd.adv):
+            add_record(step0 + config.steps, c, cur, fwd)
         else:
             nan_abort = True
 
@@ -412,16 +445,6 @@ def best_under_slack(traj: SearchTrajectory, gamma: float) -> TrajectoryRecord:
         if r.mean_train_loss <= bound and (best is None or r.divergence > best.divergence):
             best = r
     return best if best is not None else traj.records[0]
-
-
-def _last_row(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    h = np.atleast_2d(x)
-    n_layers = params.arch.n_layers
-    for li, (w, b) in enumerate(params.layers()):
-        h = h @ w + b
-        if li < n_layers - 1:
-            h = np.maximum(h, 0.0)
-    return h[0]
 
 
 def targeted_search_suite(x, data, reference: ModelParams, config: SearchConfig, classes=None) -> list[SearchTrajectory]:

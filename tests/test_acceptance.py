@@ -22,7 +22,7 @@ from quam.data import LabeledDataset, gen_three_gaussians, gen_two_moons, load_i
 from quam.measures import Categorical, GaussianScalar, decompose_a, entropy_cat, kl_cat, kl_gauss, cross_entropy_cat
 from quam.models import flatten_layer_grads, nll_graph, param_leaves
 from quam.rng import derive_rng
-from quam.search import FEASIBILITY_AUDIT, SearchConfig, adversarial_model_search, targeted_search_suite
+from quam.search import FEASIBILITY_AUDIT, SearchConfig, SearchObjective, adversarial_model_search, targeted_search_suite
 
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 
@@ -58,7 +58,52 @@ def test_criterion_01_gradient_correctness():
         result = grad_check(loss_fn, M.init_params(arch, trial).values, step=1e-5, tolerance=1e-4)
         worst = max(worst, result["max_rel_error"])
         assert result["passed"], (widths, result)
-    report(1, worst < 1e-4, f"50 random MLPs, worst elementwise relative error {worst:.2e} < 1e-4 ({time.time() - t0:.1f}s)")
+
+    # the search objective: each (output width, objective) case runs with the
+    # penalty and the direction violation each active and inactive
+    cases = [(2, "class"), (2, "divergence"), (1, "divergence_g"), (2, "divergence_g"), (1, +1), (1, -1), (2, +1), (2, -1)]
+    worst_search = 0.0
+    for trial in range(50):
+        out_width, target = cases[trial % len(cases)]
+        pen_active, viol_active = (trial // 8) % 2 == 0, (trial // 16) % 2 == 0
+        n_hidden = int(rng.integers(0, 4))
+        widths = [int(rng.integers(1, 6))] + [int(rng.integers(2, 17)) for _ in range(n_hidden)]
+        if target in ("class", "divergence"):
+            arch = M.ArchSpec(tuple(widths + [int(rng.integers(2, 5))]))
+        else:
+            arch = M.ArchSpec(tuple(widths + [out_width]), head="gaussian_scalar")
+        params = M.init_params(arch, 1000 + trial)
+        bx = rng.normal(size=(6, widths[0])) + 0.07
+        x = rng.normal(size=(1, widths[0])) + 0.07
+        by = rng.integers(0, arch.widths[-1], size=6) if arch.head == "categorical" else rng.normal(size=6)
+        out_x = M.forward(params, x)[-1]
+        if arch.head == "categorical":
+            ref = Categorical(rng.dirichlet(np.ones(arch.widths[-1])))
+            objective = ("class", int(rng.integers(0, arch.widths[-1]))) if target == "class" else "divergence"
+        else:
+            direction = 0 if target == "divergence_g" else target
+            # the violation direction * (ref_mean - mean(x)) sits 1 away from its kink
+            shift = 1.0 if viol_active else -1.0
+            ref = GaussianScalar(float(out_x[0, 0] + (direction or 1) * shift), float(rng.uniform(0.2, 2.0)))
+            objective = ("direction", direction) if direction else "divergence"
+        batch_loss = float(M.head_nll(arch, M.forward(params, bx)[-1], by).mean())
+        bound = batch_loss - 0.5 if pen_active else batch_loss + 0.5
+        obj = SearchObjective(x, ref, objective, bound)
+        c = float(rng.uniform(0.5, 3.0))
+
+        def search_loss(values, obj=obj, arch=arch, bx=bx, by=by, c=c):
+            return obj.loss_and_grad(M.ModelParams(arch, values), bx, by, c)
+
+        result = grad_check(search_loss, params.values, step=1e-5, tolerance=1e-4)
+        worst_search = max(worst_search, result["max_rel_error"])
+        assert result["passed"], (arch, objective, pen_active, viol_active, result)
+    ok = worst < 1e-4 and worst_search < 1e-4
+    report(
+        1,
+        ok,
+        f"50 random MLPs, worst elementwise relative error {worst:.2e} < 1e-4; "
+        f"search objective on 50 more, worst {worst_search:.2e} < 1e-4 ({time.time() - t0:.1f}s)",
+    )
 
 
 # -- criterion 2: uncertainty-calculus identities ------------------------------

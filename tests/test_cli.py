@@ -1,13 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from quam import models as M
-from quam.cli import main
+from quam.cli import load_search_config, main
 from quam.config import ConfigError, ExperimentConfig
 from quam.data import gen_two_moons, to_csv
+from quam.search import SearchConfig
 
 
 def write(path, text):
@@ -55,6 +58,19 @@ def test_config_errors():
         cfg.get_int("a", "x2") or cfg.require("a", "x2")
     with pytest.raises(ConfigError):
         ExperimentConfig.loads("[a]\nx = notanint\n").get_int("a", "x")
+
+
+def test_search_defaults_are_the_library_defaults():
+    cfg = ExperimentConfig.loads("[search]\n")
+    assert load_search_config(cfg, 7) == SearchConfig(seed=7)
+
+
+def test_import_cli_leaves_out_scipy_integrate():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, quam.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_cmd_train_round_trip(tmp_path, capsys):
@@ -258,3 +274,39 @@ def test_cmd_grid_row_count(tmp_path, capsys):
     lines = open(status["out"]).read().splitlines()
     assert lines[0] == "x,y,total,aleatoric,epistemic"
     assert len(lines) == 17
+
+
+SINE_INI = """
+[experiment]
+seed = 0
+[dataset]
+name = sine
+n = 200
+seed = 0
+[arch]
+widths = 1 16 2
+head = gaussian_scalar
+[train]
+epochs = 300
+[output]
+dir = {out}
+"""
+
+
+def test_cmd_quam_gaussian_negative_entropy(tmp_path, capsys):
+    # past the data the reference variance (about 0.0066 at x = -5) is far
+    # below 1/(2 pi e), so every pooled differential entropy is negative
+    cfgp = write(tmp_path / "t.ini", SINE_INI.format(out=tmp_path / "ref"))
+    _, s = run(capsys, "train", "--config", cfgp)
+    pts = write(tmp_path / "points.csv", "x0\n-5.0\n")
+    qcfg = write(
+        tmp_path / "q.ini",
+        SINE_INI.format(out=tmp_path / "q_out")
+        + f"[reference]\ncheckpoint = {s['checkpoint']}\n[test_inputs]\nfile = {pts}\n"
+        + "[search]\nsteps = 100\nlr = 0.01\n[estimator]\ntemperature = 0.1\nsetting = a\n",
+    )
+    code, status = run(capsys, "quam", "--config", qcfg)
+    assert code == 0 and status["status"] == "ok"
+    (row,) = [json.loads(l) for l in open(tmp_path / "q_out" / "scores.jsonl")]
+    assert row["total"] < 0.0
+    assert row["total"] == pytest.approx(row["aleatoric"] + row["epistemic"], abs=1e-12)

@@ -139,6 +139,24 @@ def test_decompose_a_epistemic_equals_mutual_information():
         assert abs(br.epistemic - mi) < 1e-10
 
 
+def test_decompose_a_matches_per_sample_formula_with_exact_zeros():
+    rng = derive_rng(6)
+    for _ in range(300):
+        k = int(rng.integers(2, 7))
+        n = int(rng.integers(1, 9))
+        probs = rng.dirichlet(np.ones(k), size=n)
+        probs[rng.random((n, k)) < 0.3] = 0.0  # exact zeros, some whole classes unsupported
+        probs[probs.sum(axis=1) == 0.0, 0] = 1.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        weights = rng.uniform(0.01, 2.0, n)
+        br = U.decompose_a([(Categorical(p), wt) for p, wt in zip(probs, weights)])
+        w = weights / weights.sum()
+        bma = w @ probs
+        assert abs(br.total - U.entropy_cat(bma)) < 1e-12
+        assert abs(br.aleatoric - sum(wi * U.entropy_cat(p) for wi, p in zip(w, probs))) < 1e-12
+        assert abs(br.epistemic - sum(wi * U.kl_cat(p, bma) for wi, p in zip(w, probs))) < 1e-12
+
+
 def test_decompose_a_rejects_empty():
     with pytest.raises(ValueError):
         U.decompose_a([])
@@ -183,5 +201,14 @@ def test_epistemic_homoscedastic():
 def test_breakdown_clamps_tiny_negative():
     br = U.UncertaintyBreakdown("a", 1.0, 1.0, -5e-13)
     assert br.epistemic == 0.0
+    br = U.UncertaintyBreakdown("a", -6e-16, -6e-16, 0.0)
+    assert br.total == 0.0 and br.aleatoric == 0.0
     with pytest.raises(ValueError):
         U.UncertaintyBreakdown("a", 1.0, 1.0, -1e-6)
+
+
+def test_breakdown_allows_negative_differential_entropy():
+    # a Gaussian with variance below 1/(2 pi e) has negative entropy
+    h = U.entropy_gauss(0.01)
+    br = U.UncertaintyBreakdown("b", h + 0.25, h, 0.25)
+    assert br.total < 0.0 and br.aleatoric == h

@@ -41,6 +41,8 @@ def test_far_point_search_flips_class_feasibly():
     # re-verify feasibility from the returned parameters themselves
     mtl = M.mean_train_loss(traj.best_params, data)
     assert mtl - (traj.reference_loss + traj.gamma) <= 1e-12
+    # a full-batch record reads its loss off the update's own forward pass
+    assert best.mean_train_loss == mtl
 
 
 def test_best_is_max_divergence_among_feasible():
@@ -138,6 +140,8 @@ def test_search_deterministic():
     b = adversarial_model_search(np.array([0.0, 1.5]), data, ref, cfg, objective=("class", 0), seed_keys=(0,))
     assert np.array_equal(a.best_params.values, b.best_params.values)
     assert [r.mean_train_loss for r in a.records] == [r.mean_train_loss for r in b.records]
+    # mini-batch records take their loss from a separate full-data pass
+    assert a.best.mean_train_loss == M.mean_train_loss(a.best_params, data)
 
 
 def test_trajectory_serialization(tmp_path):
@@ -181,6 +185,8 @@ def test_regression_pair_brackets_reference_outside_support():
     assert up.best.dist.mean > ref_mean
     assert down.best.dist.mean < ref_mean
     assert up.best.full_pen <= 0.0 and down.best.full_pen <= 0.0
+    for traj in (up, down):
+        assert traj.best.mean_train_loss == M.mean_train_loss(traj.best_params, data)
 
 
 def test_regression_divergence_larger_far_from_data():
