@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .measures import entropy_cat, kl_cat, kl_gauss
+from .measures import _kl_cat, entropy_cat, kl_gauss
 from .models import (
     Adam,
     ArchSpec,
@@ -154,7 +154,8 @@ def _scope_mask(arch: ArchSpec, config: SearchConfig) -> np.ndarray:
 
 def _divergence(arch: ArchSpec, ref: PredictiveDist, cand: PredictiveDist) -> float:
     if arch.head == "categorical":
-        return kl_cat(ref.probs, cand.probs)
+        # both come from a softmax: nonnegative and of one size, so kl_cat's checks are skipped
+        return _kl_cat(ref.probs, cand.probs)
     return kl_gauss(ref, cand)
 
 

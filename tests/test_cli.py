@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -65,11 +66,14 @@ def test_search_defaults_are_the_library_defaults():
     assert load_search_config(cfg, 7) == SearchConfig(seed=7)
 
 
-def test_import_cli_leaves_out_scipy_integrate():
+def _src_env():
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_import_cli_leaves_out_scipy_integrate():
     code = "import sys, quam.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
 
 
@@ -305,8 +309,32 @@ def test_cmd_quam_gaussian_negative_entropy(tmp_path, capsys):
         + f"[reference]\ncheckpoint = {s['checkpoint']}\n[test_inputs]\nfile = {pts}\n"
         + "[search]\nsteps = 100\nlr = 0.01\n[estimator]\ntemperature = 0.1\nsetting = a\n",
     )
-    code, status = run(capsys, "quam", "--config", qcfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, status = run(capsys, "quam", "--config", qcfg)
+    assert [str(w.message) for w in caught] == []
     assert code == 0 and status["status"] == "ok"
     (row,) = [json.loads(l) for l in open(tmp_path / "q_out" / "scores.jsonl")]
     assert row["total"] < 0.0
     assert row["total"] == pytest.approx(row["aleatoric"] + row["epistemic"], abs=1e-12)
+
+
+def test_cmd_quam_gaussian_leaves_out_scipy_integrate(tmp_path):
+    # a Gaussian-head split integrates on fixed nodes, without scipy.integrate
+    cfgp = write(tmp_path / "t.ini", SINE_INI.format(out=tmp_path / "ref"))
+    pts = write(tmp_path / "points.csv", "x0\n-5.0\n4.5\n")
+    qcfg = write(
+        tmp_path / "q.ini",
+        SINE_INI.format(out=tmp_path / "q_out")
+        + f"[reference]\ncheckpoint = {tmp_path / 'ref' / 'model.ckpt'}\n[test_inputs]\nfile = {pts}\n"
+        + "[search]\nsteps = 20\nlr = 0.01\n[estimator]\ntemperature = 0.1\nsetting = a\n",
+    )
+    code = (
+        "import json, sys\n"
+        "from quam.cli import main\n"
+        f"codes = [main(['train', '--config', {cfgp!r}]), main(['quam', '--config', {qcfg!r}])]\n"
+        "print(json.dumps([codes, 'scipy.integrate' in sys.modules]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [[0, 0], False]
+    assert len(open(tmp_path / "q_out" / "scores.jsonl").readlines()) == 2

@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from quam import measures as U
+from quam import models as M
+from quam.data import gen_sine
+from quam.estimator import pool_trajectories, quam_score
 from quam.models import Categorical, GaussianScalar
 from quam.rng import derive_rng
+from quam.search import SearchConfig
 
 
 def random_simplex(rng, k):
@@ -167,6 +173,154 @@ def test_decompose_a_gaussian_additivity():
     br = U.decompose_a(samples)
     assert br.total == pytest.approx(br.aleatoric + br.epistemic, abs=1e-10)
     assert br.epistemic > 0.1  # clearly separated means
+
+
+def _log_gauss_mixture(y, means, variances, w):
+    a = np.log(w) - 0.5 * (y - means) ** 2 / variances - 0.5 * np.log(2 * np.pi * variances)
+    top = a.max()
+    return top + np.log(np.exp(a - top).sum())
+
+
+def _mixture_entropy_quadrature(means, variances, w):
+    def integrand(y):
+        log_m = _log_gauss_mixture(y, means, variances, w)
+        return -np.exp(log_m) * log_m
+
+    sd = np.sqrt(variances)
+    lo, hi = (means - 12 * sd).min(), (means + 12 * sd).max()
+    val, _ = quad(integrand, lo, hi, points=np.sort(means), limit=100 * len(means), epsabs=0.0, epsrel=1e-12)
+    return val
+
+
+def _kl_vs_mixture_quadrature(mean, var, means, variances, w):
+    def integrand(y):
+        lp = -0.5 * (y - mean) ** 2 / var - 0.5 * np.log(2 * np.pi * var)
+        return np.exp(lp) * (lp - _log_gauss_mixture(y, means, variances, w))
+
+    sd = np.sqrt(var)
+    val, _ = quad(integrand, mean - 12 * sd, mean + 12 * sd, limit=400, epsabs=0.0, epsrel=1e-11)
+    return val
+
+
+def test_decompose_a_gaussian_matches_quadrature_on_random_mixtures():
+    # total = H[mixture], so its quadrature checks the epistemic part
+    rng = derive_rng(7)
+    for _ in range(200):
+        k = int(rng.integers(1, 41))
+        means = rng.uniform(-3, 3, k)
+        variances = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), k))
+        w = rng.uniform(0.01, 1.0, k)
+        w /= w.sum()
+        br = U.decompose_a([(GaussianScalar(m, v), wt) for m, v, wt in zip(means, variances, w)])
+        assert br.aleatoric == pytest.approx(sum(wt * U.entropy_gauss(v) for wt, v in zip(w, variances)), abs=1e-12)
+        err = abs(br.total - _mixture_entropy_quadrature(means, variances, w))
+        if k == 1:
+            assert br.epistemic == 0.0 and err < 1e-12
+        else:
+            assert err <= 1e-8 * br.epistemic
+
+
+def test_decompose_a_gaussian_matches_quadrature_on_sine_pooled_set():
+    # sine seed 0, 1-16-2 Gaussian head, x = -5: weights down to 1e-319,
+    # most of them exact zeros, and variances from 1e-24 up
+    data = gen_sine(200, seed=0)
+    ref = M.train(data, M.ArchSpec((1, 16, 2), head="gaussian_scalar"), M.TrainConfig(epochs=300, seed=0))
+    _, trajs = quam_score(np.array([-5.0]), data, ref, SearchConfig(steps=100, lr=0.01, seed=0), 0.1, setting="a", return_trajectories=True)
+    samples = pool_trajectories(trajs, 0.1)
+    logw = np.array([s.log_weight for s in samples])
+    w = np.exp(logw - logw.max())
+    w /= w.sum()
+    assert (w == 0.0).any()
+    br = U.decompose_a([(s.dist, wt) for s, wt in zip(samples, w)])
+    keep = w > 0
+    means = np.array([s.dist.mean for s in samples])[keep]
+    variances = np.array([s.dist.variance for s in samples])[keep]
+    kls = [_kl_vs_mixture_quadrature(m, v, means, variances, w[keep]) for m, v in zip(means, variances)]
+    expected = float(w[keep] @ kls)
+    assert abs(br.epistemic - expected) <= 1e-8 * expected
+    assert br.total == br.aleatoric + br.epistemic
+
+
+def test_decompose_a_gaussian_drops_zero_weight_samples_exactly():
+    rng = derive_rng(8)
+    kept = [(GaussianScalar(m, v), wt) for m, v, wt in zip(rng.normal(size=6), rng.uniform(0.1, 2.0, 6), rng.uniform(0.1, 1.0, 6))]
+    dropped = [(GaussianScalar(1e6, 1e-36), 0.0), (GaussianScalar(-3.0, 1e12), 0.0)]
+    assert U.decompose_a(dropped[:1] + kept + dropped[1:]) == U.decompose_a(kept)
+
+
+def test_decompose_a_gaussian_extreme_scales_use_component_nodes_in_bounded_memory():
+    # a uniform grid at a tenth of the narrowest scale would need about 1e14
+    # nodes; zero-weight components of variance 1e-36 must not size the grid
+    means = np.array([0.0, 0.3, 2.0, 5.0, -1.0, 0.7])
+    variances = np.array([1e-12, 1e12, 1.0, 1e-36, 1e-36, 1e-4])
+    w = np.array([0.2, 0.3, 0.3, 0.0, 0.0, 0.2])
+    keep = w > 0
+    y, _ = U._gauss_nodes(means[keep], np.sqrt(variances[keep]))
+    assert len(y) <= keep.sum() * 241  # the union of per-component grids
+    tracemalloc.start()
+    try:
+        br = U.decompose_a([(GaussianScalar(m, v), wt) for m, v, wt in zip(means, variances, w)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert np.isfinite([br.total, br.aleatoric, br.epistemic]).all()
+    assert br.epistemic > 0.0 and br.total == br.aleatoric + br.epistemic
+
+
+def test_decompose_a_gaussian_scales_below_float_spacing():
+    # the split is shift-invariant, also where a standard deviation is far
+    # below the spacing of floats at the component's mean
+    unit = U.decompose_a([(GaussianScalar(0.0, 1.0), 0.5), (GaussianScalar(0.0, 4.0), 0.5)]).epistemic
+    for c in (0.0, 5.0, 1e6):
+        br = U.decompose_a([(GaussianScalar(c, 1e-34), 0.5), (GaussianScalar(c, 4e-34), 0.5)])
+        assert br.epistemic == pytest.approx(unit, abs=1e-12)
+    # two components that do not overlap: epistemic = log 2
+    br = U.decompose_a([(GaussianScalar(5.0, 1e-36), 0.5), (GaussianScalar(0.0, 1.0), 0.5)])
+    assert br.epistemic == pytest.approx(np.log(2.0), abs=1e-12)
+
+
+def test_decompose_b_matches_per_sample_kl_with_exact_zeros():
+    rng = derive_rng(9)
+    violations = 0
+    for _ in range(300):
+        k = int(rng.integers(2, 7))
+        n = int(rng.integers(1, 9))
+        probs = rng.dirichlet(np.ones(k), size=n)
+        probs[rng.random((n, k)) < 0.15] = 0.0
+        probs[probs.sum(axis=1) == 0.0, 0] = 1.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        ref = rng.dirichlet(np.ones(k))
+        ref[rng.random(k) < 0.3] = 0.0
+        ref[0] += ref.sum() == 0.0
+        ref /= ref.sum()
+        weights = rng.uniform(0.01, 2.0, n)
+        br = U.decompose_b(Categorical(ref), [(Categorical(p), wt) for p, wt in zip(probs, weights)])
+        kls = np.array([U.kl_cat(ref, p) for p in probs])
+        assert abs(br.aleatoric - U.entropy_cat(ref)) < 1e-12
+        if np.isinf(kls).any():
+            violations += 1
+            assert br.support_violation and br.flags == ("support_violation",)
+            assert br.epistemic == float("inf") and br.total == float("inf")
+        else:
+            assert not br.support_violation
+            assert abs(br.epistemic - (weights / weights.sum()) @ kls) < 1e-12
+    assert 0 < violations < 300
+    with pytest.raises(ValueError):
+        U.decompose_b(Categorical([0.5, 0.5]), [(Categorical([0.2, 0.3, 0.5]), 1.0)])
+
+
+def test_decompose_b_gaussian_matches_per_sample_kl():
+    rng = derive_rng(10)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        ref = GaussianScalar(rng.uniform(-3, 3), rng.uniform(0.01, 5.0))
+        dists = [GaussianScalar(m, v) for m, v in zip(rng.uniform(-3, 3, n), rng.uniform(0.01, 5.0, n))]
+        weights = rng.uniform(0.01, 2.0, n)
+        br = U.decompose_b(ref, list(zip(dists, weights)))
+        expected = sum(wt * U.kl_gauss(ref, d) for wt, d in zip(weights / weights.sum(), dists))
+        assert abs(br.epistemic - expected) < 1e-12
+        assert br.aleatoric == U.entropy_gauss(ref.variance)
 
 
 def test_decompose_b_reference_equal_samples():

@@ -53,6 +53,18 @@ def test_best_is_max_divergence_among_feasible():
     assert traj.best.divergence == max(r.divergence for r in feas)
 
 
+def test_record_divergence_is_kl_cat_bit_for_bit():
+    data, ref = moons_reference()
+    x = np.array([-1.2, 1.2])
+    ref_probs = M.predict(ref, x).probs
+    cfg = SearchConfig(steps=40, lr=2e-2, seed=2)
+    for objective, keys in ((("class", 0), (0,)), (("class", 1), (1,)), ("divergence", ())):
+        traj = adversarial_model_search(x, data, ref, cfg, objective=objective, seed_keys=keys)
+        divs = [r.divergence for r in traj.records]
+        assert divs == [kl_cat(ref_probs, r.dist.probs) for r in traj.records]
+        assert max(divs) > 0.0
+
+
 def test_penalty_weight_strictly_increases():
     data, ref = moons_reference()
     cfg = SearchConfig(c0=2.0, eta_factor=1.5, eta_every=5, steps=30, lr=1e-2, seed=0)
