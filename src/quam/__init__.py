@@ -20,7 +20,7 @@ cli         experiment driver (`quam` entry point)
 """
 
 from .data import LabeledDataset, gen_sine, gen_three_gaussians, gen_two_moons, load_idx
-from .estimator import mis_estimate, mis_variance_estimate, mse_bound, quam_score, quam_score_setting_a
+from .estimator import mis_estimate, mis_variance_estimate, mse_bound, quam_score
 from .measures import (
     UncertaintyBreakdown,
     cross_entropy_cat,
@@ -44,7 +44,6 @@ __all__ = [
     "mis_variance_estimate",
     "mse_bound",
     "quam_score",
-    "quam_score_setting_a",
     "UncertaintyBreakdown",
     "cross_entropy_cat",
     "decompose_a",

@@ -20,7 +20,7 @@ from . import data as D
 from . import models as M
 from .config import ConfigError, ExperimentConfig
 from .estimator import quam_score, variance_sweep
-from .measures import decompose_a, decompose_b, entropy_cat, entropy_gauss
+from .measures import decompose_a, decompose_b
 from .metrics import ScoredLabels, aupr, auroc, ece, fpr_at_tpr, selective_auc, simplex_surface
 from .samplers import HMCAborted, deep_ensemble, hmc_posterior, mc_dropout, csghmc
 from .search import SearchConfig, trajectory_to_jsonl
@@ -114,6 +114,8 @@ def load_test_inputs(cfg: ExperimentConfig) -> np.ndarray:
         for line in f:
             if line.strip():
                 rows.append([float(c) for c in line.split(",")])
+    if not rows:
+        raise UsageError(f"test input file has no rows: {path}")
     return np.asarray(rows)
 
 
@@ -188,11 +190,14 @@ def cmd_baseline(args, cfg: ExperimentConfig) -> int:
     xs = load_test_inputs(cfg)
     arch = load_arch(cfg)
 
+    ref_ckpt = cfg.get_str("reference", "checkpoint", None)
+    reference = M.load_checkpoint(ref_ckpt) if ref_ckpt else None
+
     if method == "de":
         sampler = deep_ensemble(dataset, arch, cfg.get_int("baseline", "n_members", 5), load_train_config(cfg, seed))
     elif method == "mcd":
         cfg.require("reference", "checkpoint")  # dropout samples come from the reference
-        sampler = None
+        sampler = mc_dropout(reference, cfg.get_int("baseline", "n_samples", 500), seed=seed)
     elif method == "csghmc":
         sampler = csghmc(
             dataset,
@@ -218,31 +223,17 @@ def cmd_baseline(args, cfg: ExperimentConfig) -> int:
     else:
         raise UsageError(f"unknown baseline method {method!r}")
 
-    ref_ckpt = cfg.get_str("reference", "checkpoint", None)
-    reference = M.load_checkpoint(ref_ckpt) if ref_ckpt else None
-
-    rows = []
-    for i, x in enumerate(xs):
-        if method == "mcd":
-            samples = mc_dropout(reference, x, cfg.get_int("baseline", "n_samples", 500), seed=seed).predictive_samples()
-        else:
-            samples = sampler.predictive_samples(x)
-        br_a = decompose_a(samples)
-        if reference is not None:
-            br_b = decompose_b(M.predict(reference, x), samples)
-        else:
-            br_b = None
-        rows.append((i, br_a, br_b))
-    with open(os.path.join(out, "scores_a.jsonl"), "w") as f:
-        for i, br_a, _ in rows:
-            f.write(_breakdown_row(i, br_a) + "\n")
-    if all(r[2] is not None for r in rows):
-        with open(os.path.join(out, "scores_b.jsonl"), "w") as f:
-            for i, _, br_b in rows:
-                f.write(_breakdown_row(i, br_b) + "\n")
-    diag = {}
-    if sampler is not None:
-        diag = {k: v for k, v in sampler.diagnostics.items() if isinstance(v, (int, float, str))}
+    head = sampler.params[0].arch.head
+    preds = sampler.predictions(xs)
+    w = np.ones(len(preds))
+    rows = {"a": decompose_a(head, preds, w)}
+    if reference is not None:
+        rows["b"] = decompose_b(head, M.predict_batch(reference, xs), preds, w)
+    for setting, breakdowns in rows.items():
+        with open(os.path.join(out, f"scores_{setting}.jsonl"), "w") as f:
+            for i, br in enumerate(breakdowns):
+                f.write(_breakdown_row(i, br) + "\n")
+    diag = {k: v for k, v in sampler.diagnostics.items() if isinstance(v, (int, float, str))}
     _status("baseline", "ok", method=method, n=len(xs), out=out, **diag)
     return EXIT_OK
 
@@ -261,7 +252,11 @@ def cmd_eval(args, cfg: ExperimentConfig) -> int:
         with open(path) as f:
             for line in f:
                 if line.strip():
-                    vals.append(float(json.loads(line)[field]))
+                    row = json.loads(line)
+                    try:
+                        vals.append(float(row[field]))
+                    except (KeyError, TypeError) as e:
+                        raise UsageError(f"scores file {path} has a row without a number in the field {field!r}") from e
         return np.asarray(vals)
 
     id_scores = read_scores(id_path)

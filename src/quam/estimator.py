@@ -6,7 +6,9 @@ per-direction) searches, weights each by exp(-mean_train_loss / T) and
 self-normalizes, then takes the weighted expected KL divergence: against
 the fixed reference model (setting "b") or against the pooled weighted
 mixture itself (setting "a").  Self-normalization makes the score
-invariant to adding a constant to all training losses.
+invariant to adding a constant to all training losses.  The pool is one
+(samples, classes) prediction array with a weight vector, and the split
+is one call of `measures.decompose_a` or `decompose_b`.
 
 The idealized estimators (plain ratio mean, its variance, and the 4/N
 mean-squared-error bound) are exposed separately for the variance studies:
@@ -18,20 +20,17 @@ on a two-component Gaussian target against a single-Gaussian proposal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .measures import UncertaintyBreakdown, decompose_a, decompose_b, entropy_cat, entropy_gauss, quad
-from .models import Categorical, ModelParams, PredictiveDist, predict
+from .models import Categorical, ModelParams, predict_batch
 from .search import SearchConfig, SearchTrajectory, regression_search_pair, targeted_search_suite
 
 __all__ = [
-    "WeightedSample",
-    "MixtureSpec",
     "pool_trajectories",
     "quam_score",
-    "quam_score_setting_a",
     "mis_estimate",
     "mis_variance_estimate",
     "mse_bound",
@@ -40,54 +39,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightedSample:
-    """A candidate model's prediction at the test point with its log weight."""
+def pool_trajectories(trajectories: Sequence[SearchTrajectory], temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every model the searches visited: its prediction at the test input and its weight.
 
-    dist: PredictiveDist
-    log_weight: float
-    source: str  # e.g. "quam_trajectory(class:2)", "ensemble", "dropout", "mcmc"
-
-    def __post_init__(self):
-        if not np.isfinite(self.log_weight):
-            raise ValueError(f"log_weight must be finite, got {self.log_weight}")
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Equal-weight mixture of component distributions at discovered models."""
-
-    locations: tuple[ModelParams, ...]
-    component: str = "dirac"  # "dirac" | "isotropic_gaussian"
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if len(self.locations) < 1:
-            raise ValueError("a mixture needs at least one component")
-        if self.component not in ("dirac", "isotropic_gaussian"):
-            raise ValueError(f"unknown component kind {self.component!r}")
-
-    @property
-    def weights(self) -> np.ndarray:
-        k = len(self.locations)
-        return np.full(k, 1.0 / k)
-
-
-def pool_trajectories(trajectories: Sequence[SearchTrajectory], temperature: float) -> list[WeightedSample]:
-    """Every visited model across all searches as a weighted sample."""
+    Returns `(preds, w)`: preds has shape (S, k), rows as in
+    `models.head_predictions`; w holds the S self-normalized weights
+    exp(-mean_train_loss / temperature).
+    """
     if not temperature > 0:
         raise ValueError("temperature must be positive")
-    samples = []
-    for traj in trajectories:
-        for rec in traj.records:
-            samples.append(WeightedSample(rec.dist, -rec.mean_train_loss / temperature, f"quam_trajectory({traj.target})"))
-    return samples
-
-
-def _normalized_weights(samples: Sequence[WeightedSample]) -> np.ndarray:
-    logw = np.array([s.log_weight for s in samples])
+    records = [rec for traj in trajectories for rec in traj.records]
+    preds = np.array([r.dist.probs if isinstance(r.dist, Categorical) else (r.dist.mean, r.dist.variance) for r in records])
+    logw = -np.array([r.mean_train_loss for r in records]) / temperature
+    if not np.isfinite(logw).all():
+        raise ValueError("every pooled model needs a finite training loss")
     w = np.exp(logw - logw.max())
-    return w / w.sum()
+    return preds, w / w.sum()
 
 
 def quam_score(
@@ -103,33 +70,25 @@ def quam_score(
 
     Runs the targeted per-class suite (categorical head) or the two-sided
     regression pair (gaussian head), pools all visited models, and returns
-    an UncertaintyBreakdown for the requested setting.
+    an UncertaintyBreakdown for the requested setting: "b" against the
+    reference, "a" against the pooled mixture.
     """
     if setting not in ("a", "b"):
         raise ValueError(f"setting must be 'a' or 'b', got {setting!r}")
-    if reference.arch.head == "categorical":
+    head = reference.arch.head
+    if head == "categorical":
         trajectories = targeted_search_suite(x, data, reference, config)
     else:
         trajectories = list(regression_search_pair(x, data, reference, config))
 
-    ref_dist = predict(reference, x)
+    ref_row = predict_batch(reference, np.atleast_2d(x))
     if all(t.no_feasible for t in trajectories):
-        aleatoric = entropy_cat(ref_dist.probs) if isinstance(ref_dist, Categorical) else entropy_gauss(ref_dist.variance)
+        aleatoric = entropy_cat(ref_row[0]) if head == "categorical" else entropy_gauss(ref_row[0, 1])
         breakdown = UncertaintyBreakdown(setting, aleatoric, aleatoric, 0.0, flags=("no_feasible_adversary",))
-        return (breakdown, trajectories) if return_trajectories else breakdown
-
-    samples = pool_trajectories(trajectories, temperature)
-    w = _normalized_weights(samples)
-    pairs = [(s.dist, wi) for s, wi in zip(samples, w)]
-    if setting == "b":
-        breakdown = decompose_b(ref_dist, pairs)
     else:
-        breakdown = decompose_a(pairs)
+        preds, w = pool_trajectories(trajectories, temperature)
+        (breakdown,) = decompose_b(head, ref_row, preds[:, None], w) if setting == "b" else decompose_a(head, preds[:, None], w)
     return (breakdown, trajectories) if return_trajectories else breakdown
-
-
-def quam_score_setting_a(x, data, reference, config, temperature, return_trajectories=False):
-    return quam_score(x, data, reference, config, temperature, setting="a", return_trajectories=return_trajectories)
 
 
 # --------------------------------------------------------------------------
@@ -169,10 +128,6 @@ def mse_bound(u_values, q_densities, n: int) -> float:
 # --------------------------------------------------------------------------
 # analytic variance of a single-Gaussian proposal on a two-mode target
 # --------------------------------------------------------------------------
-
-
-def _gauss_pdf(x, mu, var):
-    return np.exp(-0.5 * (x - mu) ** 2 / var) / np.sqrt(2.0 * np.pi * var)
 
 
 def _gauss_logpdf(x, mu, var):

@@ -12,17 +12,20 @@ uncertainty are provided:
 * setting "b": uncertainty of a fixed, pre-selected model.  aleatoric =
   H[reference], epistemic = E[KL(reference || candidate)].
 
-Both splits run as array passes over all samples at once.  Categorical
-splits and the Gaussian setting-b split are closed form.  KL(N_i || sum_j
-w_j N_j) has no closed form, so the Gaussian setting-a split integrates it
-with the trapezoid rule on fixed nodes: a uniform grid spaced at a tenth of
-the narrowest standard deviation, reaching 12 standard deviations past
-every component, or the union of such a grid around each component when
-the uniform grid would exceed 100,000 nodes.  Samples of zero weight are
-dropped first; they add nothing to the mixture or to the expectation.  The
-densities and the log-sum-exp mixture are evaluated in (samples, nodes)
-blocks of bounded size, and each KL term is divided by its component's mass
-on the nodes.
+Both splits take `preds` of shape (samples, points, k), rows as
+`models.head_predictions` gives them, and one nonnegative weight per
+sample, self-normalized here; they validate once per call and return one
+breakdown per point.  Categorical splits run over blocks of points, so
+their temporaries stay at a fixed element count.  They and the Gaussian
+setting-b split are closed form.  KL(N_i || sum_j w_j N_j) is not, so the
+Gaussian setting-a split integrates it per point by the trapezoid rule on
+fixed nodes: a uniform grid spaced at a tenth of the narrowest standard
+deviation, reaching 12 standard deviations past every component, or the
+union of such a grid around each component when the uniform grid would
+exceed 100,000 nodes.  Samples of zero weight are dropped first; they add
+nothing to the mixture or to the expectation.  The densities and the
+log-sum-exp mixture are evaluated in (samples, nodes) blocks of bounded
+size, and each KL term is divided by its component's mass on the nodes.
 
 Probabilities are clamped at 1e-300 before logs so rounding never produces
 -inf; exact-zero support violations still surface as +inf with a flag.
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Categorical, GaussianScalar, PredictiveDist
+from .models import GaussianScalar
 
 __all__ = [
     "UncertaintyBreakdown",
@@ -54,6 +57,7 @@ _NODE_STEP = 0.1  # node spacing, in narrowest standard deviations
 _NODE_REACH = 12.0  # standard deviations past every component
 _MAX_UNIFORM_NODES = 100_000
 _BLOCK = 1 << 16  # elements of one (samples, nodes) block
+_POINT_BLOCK = 1 << 13  # elements of one (samples, points, classes) block
 
 
 def quad(*args, **kwargs):
@@ -100,9 +104,7 @@ def _simplex(p) -> np.ndarray:
 
 def entropy_cat(p) -> float:
     """Shannon entropy -sum p_i log p_i, with 0 log 0 := 0."""
-    p = _simplex(p)
-    mask = p > 0
-    return float(-(p[mask] * np.log(p[mask])).sum())
+    return float(-_xlogx(_simplex(p)).sum())
 
 
 def cross_entropy_cat(p, q) -> float:
@@ -145,21 +147,49 @@ def kl_gauss(p: GaussianScalar, q: GaussianScalar) -> float:
 
 
 # --------------------------------------------------------------------------
-# weighted-sample decompositions
+# uncertainty splits over prediction arrays
 # --------------------------------------------------------------------------
 
 
-def _prep(samples):
-    if len(samples) == 0:
-        raise ValueError("decomposition needs at least one weighted sample")
-    dists = [d for d, _ in samples]
-    w = np.asarray([float(wt) for _, wt in samples])
-    if (w < 0).any() or w.sum() <= 0:
+def _check_rows(head: str, rows: np.ndarray, name: str) -> None:
+    """Rows must be probability vectors, within the tolerances of models.Categorical, or (mean, variance > 0)."""
+    if head == "categorical":
+        dev = rows.sum(axis=-1)  # changed in place: the one temporary the size of the points
+        dev -= 1.0
+        # NaN fails both comparisons
+        if rows.shape[-1] < 2 or not rows.min() >= -1e-12 or not (np.abs(dev, out=dev) <= 1e-9).all():
+            raise ValueError(f"{name}: rows are not probability vectors over 2 or more classes")
+    elif head == "gaussian_scalar":
+        if rows.shape[-1] != 2 or not (rows[..., 1] > 0.0).all():
+            raise ValueError(f"{name}: rows are not (mean, variance > 0) pairs")
+    else:
+        raise ValueError(f"unknown head {head!r}")
+
+
+def _checked(head: str, preds, w) -> tuple[np.ndarray, np.ndarray]:
+    """`preds` (S, N, k) and `w` (S,) validated once; returns them with w normalized."""
+    preds = np.asarray(preds, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    if preds.ndim != 3 or 0 in preds.shape:
+        raise ValueError(f"predictions must have shape (samples, points, k), none of them 0, got {preds.shape}")
+    if w.shape != preds.shape[:1]:
+        raise ValueError(f"need one weight per sample: {w.shape} weights for {preds.shape[0]} samples")
+    if not (w >= 0.0).all() or w.sum() <= 0.0:
         raise ValueError("weights must be nonnegative and not all zero")
-    kinds = {type(d) for d in dists}
-    if len(kinds) != 1:
-        raise ValueError("all sample distributions must share one kind")
-    return dists, w / w.sum()
+    _check_rows(head, preds, "predictions")
+    return preds, w / w.sum()
+
+
+def _point_blocks(preds: np.ndarray):
+    """Slices of the point axis whose (S, points, k) temporaries stay near _POINT_BLOCK elements."""
+    s, n, k = preds.shape
+    step = max(1, _POINT_BLOCK // (s * k))
+    return (slice(a, a + step) for a in range(0, n, step))
+
+
+def _xlogx(p: np.ndarray) -> np.ndarray:
+    """p log p elementwise, with 0 log 0 := 0."""
+    return p * np.log(np.where(p > 0, p, 1.0))
 
 
 def _gauss_nodes(means: np.ndarray, sds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,51 +240,59 @@ def _split_gauss_a(means: np.ndarray, variances: np.ndarray, w: np.ndarray) -> t
     return aleatoric, max(0.0, float(w @ (kl / mass)))
 
 
-def decompose_a(samples) -> UncertaintyBreakdown:
-    """Uncertainty split against the samples' own weighted mixture.
+def decompose_a(head: str, preds, w) -> list[UncertaintyBreakdown]:
+    """Uncertainty split of each point against the samples' own weighted mixture.
 
-    `samples` is a sequence of (PredictiveDist, nonnegative weight); weights
-    are self-normalized here.
+    `preds` has shape (S, N, k): S sampled models at N points, each row in
+    the format of `models.head_predictions` for `head` ("categorical" or
+    "gaussian_scalar").  `w` holds S nonnegative weights, self-normalized
+    here.  Returns one breakdown per point.
     """
-    dists, w = _prep(samples)
-    if isinstance(dists[0], Categorical):
-        probs = np.maximum(np.vstack([d.probs for d in dists]), 0.0)
-        bma = w @ probs
+    preds, w = _checked(head, preds, w)
+    if head == "gaussian_scalar":
+        splits = [_split_gauss_a(preds[:, i, 0], preds[:, i, 1], w) for i in range(preds.shape[1])]
+        return [UncertaintyBreakdown("a", a + e, a, e) for a, e in splits]
+    out = []
+    for block in _point_blocks(preds):
+        probs = np.maximum(preds[:, block], 0.0)
+        bma = np.tensordot(w, probs, axes=1)
         log_bma = np.log(np.maximum(bma, _CLAMP))
-        # 0 log 0 := 0: log 1 stands in where a sample has no mass
-        neg_ent = (probs * np.log(np.where(probs > 0, probs, 1.0))).sum(axis=1)
-        total = float(-(bma @ log_bma))
-        aleatoric = float(-(w @ neg_ent))
-        epistemic = float(w @ (neg_ent - probs @ log_bma))
-        return UncertaintyBreakdown("a", total, aleatoric, epistemic)
-    means = np.array([d.mean for d in dists])
-    variances = np.array([d.variance for d in dists])
-    aleatoric, epistemic = _split_gauss_a(means, variances, w)
-    return UncertaintyBreakdown("a", aleatoric + epistemic, aleatoric, epistemic)
+        neg_ent = _xlogx(probs).sum(axis=-1)
+        total, aleatoric = -(bma * log_bma).sum(axis=-1), -(w @ neg_ent)
+        epistemic = w @ (neg_ent - (probs * log_bma).sum(axis=-1))
+        out += [UncertaintyBreakdown("a", t, a, e) for t, a, e in zip(total, aleatoric, epistemic)]
+    return out
 
 
-def decompose_b(reference: PredictiveDist, samples) -> UncertaintyBreakdown:
-    """Uncertainty split of a fixed reference model against candidates."""
-    dists, w = _prep(samples)
-    if isinstance(reference, Categorical):
-        ref = _simplex(reference.probs)
-        aleatoric = entropy_cat(ref)
-        probs = np.maximum(np.vstack([d.probs for d in dists]), 0.0)
-        if probs.shape[1] != ref.size:
-            raise ValueError(f"distribution sizes differ: {ref.shape} vs {probs.shape[1:]}")
-        mask = ref > 0
-        q = probs[:, mask]
-        if (q == 0.0).any():
-            return UncertaintyBreakdown("b", float("inf"), aleatoric, float("inf"), support_violation=True, flags=("support_violation",))
-        kls = (np.log(ref[mask]) - np.log(np.maximum(q, _CLAMP))) @ ref[mask]
-        epistemic = float(w @ kls)
-        return UncertaintyBreakdown("b", aleatoric + epistemic, aleatoric, epistemic)
-    aleatoric = entropy_gauss(reference.variance)
-    means = np.array([d.mean for d in dists])
-    variances = np.array([d.variance for d in dists])
-    kls = 0.5 * np.log(variances / reference.variance) + (reference.variance + (reference.mean - means) ** 2) / (2.0 * variances) - 0.5
-    epistemic = float(w @ kls)
-    return UncertaintyBreakdown("b", aleatoric + epistemic, aleatoric, epistemic)
+def decompose_b(head: str, ref, preds, w) -> list[UncertaintyBreakdown]:
+    """Uncertainty split of a fixed reference model against sampled models, per point.
+
+    `ref` has shape (N, k), one reference prediction per point; `preds`,
+    `w` and the result are as in `decompose_a`.  A categorical point where
+    a sample puts exactly zero mass on a class the reference supports gets
+    infinite epistemic and total and the `support_violation` flag.
+    """
+    preds, w = _checked(head, preds, w)
+    ref = np.asarray(ref, dtype=np.float64)
+    if ref.shape != preds.shape[1:]:
+        raise ValueError(f"reference shape {ref.shape} does not match the predictions' points and classes {preds.shape[1:]}")
+    _check_rows(head, ref, "reference")
+    if head == "gaussian_scalar":
+        ref_mean, ref_var = ref[:, 0], ref[:, 1]
+        aleatoric = 0.5 * np.log(ref_var) + 0.5 * np.log(2.0 * np.pi) + 0.5
+        means, variances = preds[..., 0], preds[..., 1]
+        kls = 0.5 * np.log(variances / ref_var) + (ref_var + (ref_mean - means) ** 2) / (2.0 * variances) - 0.5
+        return [UncertaintyBreakdown("b", a + e, a, e) for a, e in zip(aleatoric, w @ kls)]
+    ref = np.maximum(ref, 0.0)
+    neg_ent = _xlogx(ref)
+    aleatoric = -neg_ent.sum(axis=-1)
+    out = []
+    for block in _point_blocks(preds):
+        q, r = np.maximum(preds[:, block], 0.0), ref[block]
+        violation = ((q == 0.0) & (r > 0)).any(axis=(0, 2))
+        epistemic = np.where(violation, np.inf, w @ (neg_ent[block] - r * np.log(np.maximum(q, _CLAMP))).sum(axis=-1))
+        out += [UncertaintyBreakdown("b", a + e, a, e, bool(v), ("support_violation",) if v else ()) for a, e, v in zip(aleatoric[block], epistemic, violation)]
+    return out
 
 
 def epistemic_homoscedastic(reference_mean: float, sample_means, weights, noise_variance: float) -> float:

@@ -47,7 +47,6 @@ __all__ = [
     "mean_train_loss",
     "log_posterior",
     "posterior_weight",
-    "log_posterior_weight",
     "make_dropout_masks",
     "save_checkpoint",
     "load_checkpoint",
@@ -424,15 +423,11 @@ def log_posterior(params: ModelParams, data, prior_precision: float) -> float:
     return float(-nll - 0.5 * prior_precision * float(params.values @ params.values))
 
 
-def log_posterior_weight(params: ModelParams, data, temperature: float) -> float:
+def posterior_weight(params: ModelParams, data, temperature: float) -> float:
+    """exp(-mean_train_loss / T)."""
     if not temperature > 0.0:
         raise ValueError("temperature must be positive")
-    return -mean_train_loss(params, data) / temperature
-
-
-def posterior_weight(params: ModelParams, data, temperature: float) -> float:
-    """exp(-mean_train_loss / T); prefer log_posterior_weight inside ratios."""
-    return float(np.exp(log_posterior_weight(params, data, temperature)))
+    return float(np.exp(-mean_train_loss(params, data) / temperature))
 
 
 # --------------------------------------------------------------------------
@@ -535,19 +530,26 @@ def save_checkpoint(params: ModelParams, path):
 def load_checkpoint(path) -> ModelParams:
     with open(path, "rb") as f:
         blob = f.read()
+
+    def unpack(fmt, off):
+        if len(blob) < off + struct.calcsize(fmt):
+            raise ValueError(f"{path}: checkpoint truncated at {len(blob)} bytes")
+        return struct.unpack_from(fmt, blob, off)
+
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {blob[:8]!r}")
-    (version,) = struct.unpack_from("<I", blob, 8)
+    (version,) = unpack("<I", 8)
     if version != 1:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (n_widths,) = struct.unpack_from("<I", blob, 12)
-    widths = struct.unpack_from(f"<{n_widths}I", blob, 16)
+    (n_widths,) = unpack("<I", 12)
+    widths = unpack(f"<{n_widths}I", 16)
     off = 16 + 4 * n_widths
-    (head_tag,) = struct.unpack_from("<B", blob, off)
-    (dropout,) = struct.unpack_from("<d", blob, off + 1)
+    head_tag, dropout = unpack("<Bd", off)
     off += 9
+    if head_tag not in (0, 1):
+        raise ValueError(f"{path}: unknown head tag {head_tag}")
     arch = ArchSpec(widths=widths, head="categorical" if head_tag == 0 else "gaussian_scalar", dropout_prob=dropout)
+    if len(blob) - off != 8 * arch.param_count():
+        raise ValueError(f"{path}: expected {arch.param_count()} values, file carries {(len(blob) - off) / 8:g}")
     values = np.frombuffer(blob, dtype="<f8", offset=off)
-    if values.size != arch.param_count():
-        raise ValueError(f"{path}: expected {arch.param_count()} values, file carries {values.size}")
     return ModelParams(arch, values.astype(np.float64))

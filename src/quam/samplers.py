@@ -1,15 +1,17 @@
 """Posterior-sampling baselines: Deep Ensembles, MC dropout, cyclical
 stochastic-gradient HMC, and full Hamiltonian Monte Carlo.
 
-All samplers are seed-deterministic end to end.  Ensemble members and
-MCMC draws carry equal weights (log weight 0); weighting happens in the
-decompositions, not here.
+All samplers are seed-deterministic end to end.  Ensemble members,
+dropout masks and MCMC draws carry equal weights; weighting happens in the
+decompositions, not here.  `SamplerOutput.predictions` evaluates every
+sample at a batch of inputs as one (samples, points, k) array, the input
+of `measures.decompose_a` and `decompose_b`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -17,15 +19,12 @@ from .autodiff import Tape
 from .models import (
     ArchSpec,
     ModelParams,
-    PredictiveDist,
     TrainConfig,
     TrainingDiverged,
     flatten_layer_grads,
     make_dropout_masks,
-    mean_train_loss,
     nll_graph,
     param_leaves,
-    predict,
     predict_batch,
     train,
 )
@@ -51,32 +50,39 @@ class HMCAborted(RuntimeError):
 class SamplerOutput:
     """Equally weighted posterior samples plus per-method diagnostics.
 
-    `params` holds model draws (ensembles, posterior MCMC); `dists` holds
-    cached predictive distributions at one test input (MC dropout, where
-    masks are ephemeral); `draws` holds raw vectors (HMC on a generic
-    density).  Exactly one of the three is set.
+    `params` holds model draws (ensembles, posterior MCMC); `masks`, when
+    set, holds one set of hidden-layer dropout masks per entry of `params`
+    (MC dropout, where every entry is the same model).  `draws` holds raw
+    vectors (HMC on a generic density).  Exactly one of `params` and
+    `draws` is set.
     """
 
     method: str
     params: Optional[list[ModelParams]] = None
-    dists: Optional[list[PredictiveDist]] = None
     draws: Optional[np.ndarray] = None
+    masks: Optional[list[list[np.ndarray]]] = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        provided = [p is not None for p in (self.params, self.dists, self.draws)]
-        if sum(provided) != 1:
-            raise ValueError("exactly one of params/dists/draws must be provided")
-        if self.params is not None and not self.params or self.dists is not None and not self.dists or self.draws is not None and not len(self.draws):
+        if (self.params is None) == (self.draws is None):
+            raise ValueError("exactly one of params/draws must be provided")
+        if self.params is not None and not self.params or self.draws is not None and not len(self.draws):
             raise ValueError("sampler output must be nonempty")
+        if self.masks is not None and (self.params is None or len(self.masks) != len(self.params)):
+            raise ValueError("dropout masks need one set per model")
 
-    def predictive_samples(self, x=None) -> list[tuple[PredictiveDist, float]]:
-        """(distribution, weight 1.0) pairs, evaluating params at x if needed."""
-        if self.dists is not None:
-            return [(d, 1.0) for d in self.dists]
-        if x is None:
-            raise ValueError("need a test input to evaluate parameter samples")
-        return [(predict(p, x), 1.0) for p in self.params]
+    def predictions(self, xs) -> np.ndarray:
+        """(S, N, k) predictions of the S samples at the N rows of `xs`, as `models.predict_batch` gives them."""
+        if self.params is None:
+            raise ValueError("raw draws are not models and have no predictions")
+        xs = np.atleast_2d(xs)
+        out = None
+        for i, (p, m) in enumerate(zip(self.params, self.masks or [None] * len(self.params))):
+            pred = predict_batch(p, xs, m)
+            if out is None:  # filled in place: no list of per-sample arrays
+                out = np.empty((len(self.params),) + pred.shape)
+            out[i] = pred
+        return out
 
 
 def deep_ensemble(data, arch: ArchSpec, n_members: int, base_cfg: TrainConfig) -> SamplerOutput:
@@ -90,16 +96,13 @@ def deep_ensemble(data, arch: ArchSpec, n_members: int, base_cfg: TrainConfig) -
     return SamplerOutput(method="de", params=members, diagnostics={"n_members": n_members, "base_seed": base_cfg.seed})
 
 
-def mc_dropout(params: ModelParams, x, n_samples: int, seed: int = 0) -> SamplerOutput:
-    """Stochastic forward passes with dropout active at inference."""
+def mc_dropout(params: ModelParams, n_samples: int, seed: int = 0) -> SamplerOutput:
+    """Stochastic forward passes with dropout active at inference: n_samples mask sets drawn once."""
     if not params.arch.dropout_prob > 0:
         raise ValueError("mc_dropout needs a model with dropout_prob > 0")
     rng = derive_rng(seed)
-    dists = []
-    for _ in range(n_samples):
-        masks = make_dropout_masks(params.arch, rng)
-        dists.append(predict(params, x, masks))
-    return SamplerOutput(method="mcd", dists=dists, diagnostics={"n_samples": n_samples, "dropout_prob": params.arch.dropout_prob})
+    masks = [make_dropout_masks(params.arch, rng) for _ in range(n_samples)]
+    return SamplerOutput(method="mcd", params=[params] * n_samples, masks=masks, diagnostics={"n_samples": n_samples, "dropout_prob": params.arch.dropout_prob})
 
 
 # --------------------------------------------------------------------------

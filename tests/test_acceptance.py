@@ -19,7 +19,8 @@ from quam import models as M
 from quam import samplers as S
 from quam.autodiff import Tape, grad_check
 from quam.data import LabeledDataset, gen_three_gaussians, gen_two_moons, load_idx, subset_split
-from quam.measures import Categorical, GaussianScalar, decompose_a, entropy_cat, kl_cat, kl_gauss, cross_entropy_cat
+from quam.measures import decompose_a, decompose_b, entropy_cat, kl_cat, kl_gauss, cross_entropy_cat
+from quam.models import Categorical, GaussianScalar
 from quam.models import flatten_layer_grads, nll_graph, param_leaves
 from quam.rng import derive_rng
 from quam.search import FEASIBILITY_AUDIT, SearchConfig, SearchObjective, adversarial_model_search, targeted_search_suite
@@ -122,8 +123,8 @@ def test_criterion_02_uncertainty_identities():
     worst_add = 0.0
     for _ in range(1000):
         k = int(rng.integers(2, 6))
-        samples = [(Categorical(rng.dirichlet(np.ones(k))), float(rng.uniform(0.01, 2.0))) for _ in range(int(rng.integers(1, 8)))]
-        br = decompose_a(samples)
+        draws = [(rng.dirichlet(np.ones(k)), float(rng.uniform(0.01, 2.0))) for _ in range(int(rng.integers(1, 8)))]
+        (br,) = decompose_a("categorical", np.array([p for p, _ in draws])[:, None], np.array([wt for _, wt in draws]))
         worst_add = max(worst_add, abs(br.total - (br.aleatoric + br.epistemic)))
 
     worst_kl = 0.0
@@ -384,7 +385,7 @@ def test_criterion_07_two_moons_reproduction():
     hmc_probs = np.stack([M.predict_batch(p, points) for p in hmc_params])
 
     def epistemic_map(prob_stack):
-        return np.array([decompose_a([(Categorical(p), 1.0) for p in prob_stack[:, g]]).epistemic for g in range(len(points))])
+        return np.array([br.epistemic for br in decompose_a("categorical", prob_stack, np.ones(len(prob_stack)))])
 
     hmc_map = epistemic_map(hmc_probs)
 
@@ -518,12 +519,10 @@ def mnist_runs():
                 ref_dist = M.predict(ref, x)
                 top = np.argsort(-ref_dist.probs)[:4]  # search budget: top-4 classes
                 trajs = targeted_search_suite(x, train, ref, search_cfg, classes=sorted(int(c) for c in top))
-                samples = E.pool_trajectories(trajs, 1e-3)
-                w = E._normalized_weights(samples)
-                from quam.measures import decompose_b
-
-                scores[i] = decompose_b(ref_dist, [(s.dist, wi) for s, wi in zip(samples, w)]).epistemic
-                bma[i] = w @ np.vstack([s.dist.probs for s in samples])
+                preds, w = E.pool_trajectories(trajs, 1e-3)
+                (br,) = decompose_b("categorical", ref_dist.probs[None], preds[:, None], w)
+                scores[i] = br.epistemic
+                bma[i] = w @ preds
             return scores, bma
 
         quam_id, bma_id = quam_scores_and_bma(id_test.x)

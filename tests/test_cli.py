@@ -11,6 +11,8 @@ from quam import models as M
 from quam.cli import load_search_config, main
 from quam.config import ConfigError, ExperimentConfig
 from quam.data import gen_two_moons, to_csv
+from quam.measures import decompose_a, decompose_b
+from quam.samplers import mc_dropout
 from quam.search import SearchConfig
 
 
@@ -159,6 +161,33 @@ def test_cmd_baseline_de_singleton_zero_epistemic(tmp_path, capsys):
     assert code == 0
     rows = [json.loads(l) for l in open(tmp_path / "b_out" / "scores_a.jsonl")]
     assert all(r["epistemic"] == pytest.approx(0.0, abs=1e-12) for r in rows)
+
+
+def test_cmd_baseline_mcd_matches_one_point_splits(tmp_path, capsys):
+    drop = TRAIN_INI.format(out=tmp_path / "ref").replace("widths = 2 8 2", "widths = 2 8 2\ndropout_prob = 0.2")
+    _, s = run(capsys, "train", "--config", write(tmp_path / "t.ini", drop))
+    xs = np.array([[-1.0, 1.0], [0.3, 0.2], [2.0, -0.5]])
+    pts = write(tmp_path / "points.csv", "x0,x1\n" + "".join(f"{a!r},{b!r}\n" for a, b in xs.tolist()))
+    bcfg = write(
+        tmp_path / "b.ini",
+        drop.replace(str(tmp_path / "ref"), str(tmp_path / "b_out"))
+        + f"[test_inputs]\nfile = {pts}\n[reference]\ncheckpoint = {s['checkpoint']}\n[baseline]\nmethod = mcd\nn_samples = 40\n",
+    )
+    code, status = run(capsys, "baseline", "--config", bcfg, "--seed", "4")
+    assert code == 0 and status["n"] == 3
+    ref = M.load_checkpoint(s["checkpoint"])
+    sampler = mc_dropout(ref, 40, seed=4)
+    for setting in ("a", "b"):
+        rows = [json.loads(l) for l in open(tmp_path / "b_out" / f"scores_{setting}.jsonl")]
+        assert [r["input_id"] for r in rows] == [0, 1, 2]
+        for x, row in zip(xs, rows):
+            preds = sampler.predictions(x)
+            if setting == "a":
+                (br,) = decompose_a("categorical", preds, np.ones(40))
+            else:
+                (br,) = decompose_b("categorical", M.predict_batch(ref, x[None]), preds, np.ones(40))
+            assert row["epistemic"] == pytest.approx(br.epistemic, abs=1e-12, rel=0)
+            assert row["total"] == pytest.approx(br.total, abs=1e-12, rel=0)
 
 
 def test_cmd_baseline_unknown_method_exits_2(tmp_path, capsys):
@@ -338,3 +367,58 @@ def test_cmd_quam_gaussian_leaves_out_scipy_integrate(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120, check=True)
     assert json.loads(out.stdout.strip().splitlines()[-1]) == [[0, 0], False]
     assert len(open(tmp_path / "q_out" / "scores.jsonl").readlines()) == 2
+
+
+def test_empty_test_input_file_is_a_usage_error(tmp_path, capsys):
+    _, s = run(capsys, "train", "--config", write(tmp_path / "t.ini", TRAIN_INI.format(out=tmp_path / "ref")))
+    pts = write(tmp_path / "points.csv", "x0,x1\n\n")
+    extra = f"[reference]\ncheckpoint = {s['checkpoint']}\n[test_inputs]\nfile = {pts}\n"
+    for command, section in (("quam", "[search]\nsteps = 5\n"), ("baseline", "[baseline]\nmethod = de\nn_members = 1\n")):
+        cfgp = write(tmp_path / f"{command}.ini", TRAIN_INI.format(out=tmp_path / command) + extra + section)
+        code = main([command, "--config", cfgp])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 2 and len(lines) == 1
+        status = json.loads(lines[0])
+        assert status["status"] == "usage_error" and str(pts) in status["error"]
+
+
+def test_cmd_quam_truncated_checkpoint_exits_2(tmp_path, capsys):
+    _, s = run(capsys, "train", "--config", write(tmp_path / "t.ini", TRAIN_INI.format(out=tmp_path / "ref")))
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(open(s["checkpoint"], "rb").read()[:14])
+    pts = write(tmp_path / "points.csv", "x0,x1\n0.5,0.5\n")
+    qcfg = write(tmp_path / "q.ini", TRAIN_INI.format(out=tmp_path / "q_out") + f"[reference]\ncheckpoint = {cut}\n[test_inputs]\nfile = {pts}\n")
+    code = main(["quam", "--config", qcfg])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 2 and len(lines) == 1
+    assert json.loads(lines[0])["status"] == "usage_error"
+
+
+def test_cmd_eval_missing_field_is_a_usage_error(tmp_path, capsys):
+    id_p = write(tmp_path / "id.jsonl", json.dumps({"input_id": 0, "epistemic": 0.1}) + "\n")
+    for bad in ({"input_id": 0, "total": 0.9}, {"input_id": 0, "epistemic": None}, [0.9]):
+        pos_p = write(tmp_path / "pos.jsonl", json.dumps(bad) + "\n")
+        cfgp = write(tmp_path / "e.ini", f"[eval]\nid_scores = {id_p}\npositive_scores = {pos_p}\nmetrics = auroc\n[output]\ndir = {tmp_path}/e_out\n")
+        code = main(["eval", "--config", cfgp])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 2 and len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert "'epistemic'" in error and str(pos_p) in error
+
+
+def test_benchmark_tracer_installs_on_the_cli():
+    # bench/tracer.py wraps quam's functions by name, and bench/child.py
+    # passes --jobs 1; renaming or deleting what either uses breaks the
+    # traced benchmark runs
+    bench = os.path.join(os.path.dirname(__file__), "..", "bench")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {bench!r})\n"
+        "import quam.cli\n"
+        "from tracer import TARGETS, Tracer\n"
+        "Tracer().install()\n"
+        "quam.cli.main(['train', '--jobs', '1', '--config', '/nonexistent.ini'])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.strip().splitlines()[-1])["status"] == "usage_error"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,8 +7,7 @@ from scipy.integrate import quad
 from quam import estimator as E
 from quam import models as M
 from quam.data import gen_two_moons
-from quam.measures import entropy_cat
-from quam.models import Categorical
+from quam.measures import decompose_a, decompose_b
 from quam.rng import derive_rng
 from quam.search import SearchConfig
 
@@ -37,7 +38,7 @@ def test_quam_score_far_point_exceeds_train_point(moons_setup):
 def test_quam_score_setting_a_consistency(moons_setup):
     data, ref = moons_setup
     cfg = SearchConfig(steps=40, lr=2e-2, seed=0)
-    br = E.quam_score_setting_a(np.array([-1.0, 1.0]), data, ref, cfg, temperature=0.1)
+    br = E.quam_score(np.array([-1.0, 1.0]), data, ref, cfg, temperature=0.1, setting="a")
     # mutual-information identity at the sample level
     assert br.total == pytest.approx(br.aleatoric + br.epistemic, abs=1e-10)
 
@@ -45,20 +46,14 @@ def test_quam_score_setting_a_consistency(moons_setup):
 def test_pooled_samples_weighting_two_models():
     # one sample equals the reference, one diverges by ln 2 at equal loss:
     # equal weights average to half the divergence
-    ref = Categorical([1.0, 0.0])
-    other = Categorical([0.5, 0.5])
-    samples = [E.WeightedSample(ref, -1.0, "s"), E.WeightedSample(other, -1.0, "s")]
-    from quam.measures import decompose_b
-
-    w = np.exp([0.0, 0.0])
-    br = decompose_b(ref, [(s.dist, wi) for s, wi in zip(samples, w)])
+    ref = np.array([[1.0, 0.0]])
+    preds = np.array([[[1.0, 0.0]], [[0.5, 0.5]]])
+    (br,) = decompose_b("categorical", ref, preds, np.exp([-1.0, -1.0]))
     assert br.epistemic == pytest.approx(0.5 * np.log(2.0), abs=1e-12)
 
 
 def test_setting_a_two_onehots():
-    from quam.measures import decompose_a
-
-    br = decompose_a([(Categorical([1.0, 0.0]), 1.0), (Categorical([0.0, 1.0]), 1.0)])
+    (br,) = decompose_a("categorical", np.array([[[1.0, 0.0]], [[0.0, 1.0]]]), np.ones(2))
     assert br.epistemic == pytest.approx(np.log(2.0), abs=1e-12)
 
 
@@ -67,27 +62,31 @@ def test_weight_shift_invariance(moons_setup):
     data, ref = moons_setup
     cfg = SearchConfig(steps=30, lr=2e-2, seed=0)
     br, trajs = E.quam_score(np.array([-1.0, 1.0]), data, ref, cfg, temperature=0.1, return_trajectories=True)
-    samples = E.pool_trajectories(trajs, 0.1)
-    shifted = [E.WeightedSample(s.dist, s.log_weight - 123.456, s.source) for s in samples]
-    from quam.measures import decompose_b
-
-    w1 = E._normalized_weights(samples)
-    w2 = E._normalized_weights(shifted)
+    shifted = [dataclasses.replace(t, records=[dataclasses.replace(r, mean_train_loss=r.mean_train_loss + 12.3456) for r in t.records]) for t in trajs]
+    preds1, w1 = E.pool_trajectories(trajs, 0.1)
+    preds2, w2 = E.pool_trajectories(shifted, 0.1)
+    assert np.array_equal(preds1, preds2)
     assert np.allclose(w1, w2, atol=1e-12)
+
+
+def test_pool_trajectories_rejects_nonfinite_losses(moons_setup):
+    data, ref = moons_setup
+    _, trajs = E.quam_score(np.array([-1.0, 1.0]), data, ref, SearchConfig(steps=5, seed=0), temperature=0.1, return_trajectories=True)
+    for loss in (np.inf, np.nan):
+        broken = [dataclasses.replace(trajs[0], records=[dataclasses.replace(trajs[0].records[0], mean_train_loss=loss)])]
+        with pytest.raises(ValueError):
+            E.pool_trajectories(broken + trajs[1:], 0.1)
 
 
 def test_quam_epistemic_invariant_under_sample_permutation(moons_setup):
     data, ref = moons_setup
     cfg = SearchConfig(steps=30, lr=2e-2, seed=0)
     _, trajs = E.quam_score(np.array([-1.0, 1.0]), data, ref, cfg, temperature=0.1, return_trajectories=True)
-    samples = E.pool_trajectories(trajs, 0.1)
-    from quam.measures import decompose_b
-
-    ref_dist = M.predict(ref, np.array([-1.0, 1.0]))
-    w = E._normalized_weights(samples)
-    br1 = decompose_b(ref_dist, [(s.dist, wi) for s, wi in zip(samples, w)])
-    perm = derive_rng(5).permutation(len(samples))
-    br2 = decompose_b(ref_dist, [(samples[i].dist, w[i]) for i in perm])
+    preds, w = E.pool_trajectories(trajs, 0.1)
+    ref_row = M.predict_batch(ref, np.array([[-1.0, 1.0]]))
+    (br1,) = decompose_b("categorical", ref_row, preds[:, None], w)
+    perm = derive_rng(5).permutation(len(preds))
+    (br2,) = decompose_b("categorical", ref_row, preds[perm, None], w[perm])
     assert br1.epistemic == pytest.approx(br2.epistemic, abs=1e-12)
 
 
@@ -215,14 +214,3 @@ def test_mixture_proposal_variance_reduction():
         qm = 0.5 * pdf(xm, 0, 1.5) + 0.5 * pdf(xm, 3, 1.5)
         mixture_estimates.append(E.mis_estimate(u(xm), qm))
     assert np.var(single_estimates) >= 5.0 * np.var(mixture_estimates)
-
-
-def test_mixture_spec_validation():
-    arch = M.ArchSpec((2, 3, 2))
-    loc = M.init_params(arch, 0)
-    spec = E.MixtureSpec((loc,))
-    assert np.allclose(spec.weights, [1.0])
-    spec3 = E.MixtureSpec((loc, loc, loc))
-    assert np.allclose(spec3.weights, 1.0 / 3.0)
-    with pytest.raises(ValueError):
-        E.MixtureSpec(())

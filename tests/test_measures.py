@@ -8,7 +8,7 @@ from quam import measures as U
 from quam import models as M
 from quam.data import gen_sine
 from quam.estimator import pool_trajectories, quam_score
-from quam.models import Categorical, GaussianScalar
+from quam.models import GaussianScalar
 from quam.rng import derive_rng
 from quam.search import SearchConfig
 
@@ -108,15 +108,26 @@ def test_kl_gauss_against_quadrature_many():
         assert U.kl_gauss(p, q) == pytest.approx(_kl_gauss_quadrature(p, q), abs=1e-6)
 
 
+def split_a(head, rows, weights):
+    """decompose_a at one point: `rows` holds one prediction per sample."""
+    (br,) = U.decompose_a(head, np.asarray(rows, dtype=float)[:, None], weights)
+    return br
+
+
+def split_b(head, ref, rows, weights):
+    (br,) = U.decompose_b(head, np.asarray(ref, dtype=float)[None], np.asarray(rows, dtype=float)[:, None], weights)
+    return br
+
+
 def test_decompose_a_identical_samples():
-    d = Categorical([0.2, 0.8])
-    br = U.decompose_a([(d, 1.0), (d, 2.0), (d, 0.5)])
+    d = [0.2, 0.8]
+    br = split_a("categorical", [d, d, d], [1.0, 2.0, 0.5])
     assert br.epistemic == pytest.approx(0.0, abs=1e-12)
     assert br.total == pytest.approx(br.aleatoric, abs=1e-12)
 
 
 def test_decompose_a_disagreeing_onehots():
-    br = U.decompose_a([(Categorical([1.0, 0.0]), 1.0), (Categorical([0.0, 1.0]), 1.0)])
+    br = split_a("categorical", [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
     assert br.aleatoric == pytest.approx(0.0, abs=1e-12)
     assert br.epistemic == pytest.approx(np.log(2.0), abs=1e-12)
 
@@ -126,8 +137,8 @@ def test_decompose_a_additivity_random():
     for _ in range(1000):
         k = int(rng.integers(2, 6))
         n = int(rng.integers(1, 7))
-        samples = [(Categorical(random_simplex(rng, k)), float(rng.uniform(0.01, 2.0))) for _ in range(n)]
-        br = U.decompose_a(samples)
+        draws = [(random_simplex(rng, k), float(rng.uniform(0.01, 2.0))) for _ in range(n)]
+        br = split_a("categorical", [p for p, _ in draws], [wt for _, wt in draws])
         assert abs(br.total - (br.aleatoric + br.epistemic)) < 1e-10
 
 
@@ -136,11 +147,11 @@ def test_decompose_a_epistemic_equals_mutual_information():
     rng = derive_rng(4)
     for _ in range(200):
         k = int(rng.integers(2, 5))
-        samples = [(Categorical(random_simplex(rng, k)), float(rng.uniform(0.1, 1.0))) for _ in range(5)]
-        br = U.decompose_a(samples)
-        w = np.array([wt for _, wt in samples])
+        draws = [(random_simplex(rng, k), float(rng.uniform(0.1, 1.0))) for _ in range(5)]
+        probs = np.vstack([p for p, _ in draws])
+        w = np.array([wt for _, wt in draws])
+        br = split_a("categorical", probs, w)
         w = w / w.sum()
-        probs = np.vstack([d.probs for d, _ in samples])
         mi = U.entropy_cat(w @ probs) - sum(wi * U.entropy_cat(p) for wi, p in zip(w, probs))
         assert abs(br.epistemic - mi) < 1e-10
 
@@ -155,7 +166,7 @@ def test_decompose_a_matches_per_sample_formula_with_exact_zeros():
         probs[probs.sum(axis=1) == 0.0, 0] = 1.0
         probs /= probs.sum(axis=1, keepdims=True)
         weights = rng.uniform(0.01, 2.0, n)
-        br = U.decompose_a([(Categorical(p), wt) for p, wt in zip(probs, weights)])
+        br = split_a("categorical", probs, weights)
         w = weights / weights.sum()
         bma = w @ probs
         assert abs(br.total - U.entropy_cat(bma)) < 1e-12
@@ -165,12 +176,11 @@ def test_decompose_a_matches_per_sample_formula_with_exact_zeros():
 
 def test_decompose_a_rejects_empty():
     with pytest.raises(ValueError):
-        U.decompose_a([])
+        U.decompose_a("categorical", np.zeros((0, 1, 2)), np.zeros(0))
 
 
 def test_decompose_a_gaussian_additivity():
-    samples = [(GaussianScalar(0.0, 1.0), 1.0), (GaussianScalar(2.0, 0.5), 1.0)]
-    br = U.decompose_a(samples)
+    br = split_a("gaussian_scalar", [(0.0, 1.0), (2.0, 0.5)], [1.0, 1.0])
     assert br.total == pytest.approx(br.aleatoric + br.epistemic, abs=1e-10)
     assert br.epistemic > 0.1  # clearly separated means
 
@@ -211,7 +221,7 @@ def test_decompose_a_gaussian_matches_quadrature_on_random_mixtures():
         variances = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), k))
         w = rng.uniform(0.01, 1.0, k)
         w /= w.sum()
-        br = U.decompose_a([(GaussianScalar(m, v), wt) for m, v, wt in zip(means, variances, w)])
+        br = split_a("gaussian_scalar", np.column_stack([means, variances]), w)
         assert br.aleatoric == pytest.approx(sum(wt * U.entropy_gauss(v) for wt, v in zip(w, variances)), abs=1e-12)
         err = abs(br.total - _mixture_entropy_quadrature(means, variances, w))
         if k == 1:
@@ -226,15 +236,11 @@ def test_decompose_a_gaussian_matches_quadrature_on_sine_pooled_set():
     data = gen_sine(200, seed=0)
     ref = M.train(data, M.ArchSpec((1, 16, 2), head="gaussian_scalar"), M.TrainConfig(epochs=300, seed=0))
     _, trajs = quam_score(np.array([-5.0]), data, ref, SearchConfig(steps=100, lr=0.01, seed=0), 0.1, setting="a", return_trajectories=True)
-    samples = pool_trajectories(trajs, 0.1)
-    logw = np.array([s.log_weight for s in samples])
-    w = np.exp(logw - logw.max())
-    w /= w.sum()
+    preds, w = pool_trajectories(trajs, 0.1)
     assert (w == 0.0).any()
-    br = U.decompose_a([(s.dist, wt) for s, wt in zip(samples, w)])
+    br = split_a("gaussian_scalar", preds, w)
     keep = w > 0
-    means = np.array([s.dist.mean for s in samples])[keep]
-    variances = np.array([s.dist.variance for s in samples])[keep]
+    means, variances = preds[keep, 0], preds[keep, 1]
     kls = [_kl_vs_mixture_quadrature(m, v, means, variances, w[keep]) for m, v in zip(means, variances)]
     expected = float(w[keep] @ kls)
     assert abs(br.epistemic - expected) <= 1e-8 * expected
@@ -243,9 +249,10 @@ def test_decompose_a_gaussian_matches_quadrature_on_sine_pooled_set():
 
 def test_decompose_a_gaussian_drops_zero_weight_samples_exactly():
     rng = derive_rng(8)
-    kept = [(GaussianScalar(m, v), wt) for m, v, wt in zip(rng.normal(size=6), rng.uniform(0.1, 2.0, 6), rng.uniform(0.1, 1.0, 6))]
-    dropped = [(GaussianScalar(1e6, 1e-36), 0.0), (GaussianScalar(-3.0, 1e12), 0.0)]
-    assert U.decompose_a(dropped[:1] + kept + dropped[1:]) == U.decompose_a(kept)
+    kept = np.column_stack([rng.normal(size=6), rng.uniform(0.1, 2.0, 6)])
+    w = rng.uniform(0.1, 1.0, 6)
+    with_dropped = np.vstack([[(1e6, 1e-36)], kept, [(-3.0, 1e12)]])
+    assert split_a("gaussian_scalar", with_dropped, np.r_[0.0, w, 0.0]) == split_a("gaussian_scalar", kept, w)
 
 
 def test_decompose_a_gaussian_extreme_scales_use_component_nodes_in_bounded_memory():
@@ -259,7 +266,7 @@ def test_decompose_a_gaussian_extreme_scales_use_component_nodes_in_bounded_memo
     assert len(y) <= keep.sum() * 241  # the union of per-component grids
     tracemalloc.start()
     try:
-        br = U.decompose_a([(GaussianScalar(m, v), wt) for m, v, wt in zip(means, variances, w)])
+        br = split_a("gaussian_scalar", np.column_stack([means, variances]), w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -271,12 +278,12 @@ def test_decompose_a_gaussian_extreme_scales_use_component_nodes_in_bounded_memo
 def test_decompose_a_gaussian_scales_below_float_spacing():
     # the split is shift-invariant, also where a standard deviation is far
     # below the spacing of floats at the component's mean
-    unit = U.decompose_a([(GaussianScalar(0.0, 1.0), 0.5), (GaussianScalar(0.0, 4.0), 0.5)]).epistemic
+    unit = split_a("gaussian_scalar", [(0.0, 1.0), (0.0, 4.0)], [0.5, 0.5]).epistemic
     for c in (0.0, 5.0, 1e6):
-        br = U.decompose_a([(GaussianScalar(c, 1e-34), 0.5), (GaussianScalar(c, 4e-34), 0.5)])
+        br = split_a("gaussian_scalar", [(c, 1e-34), (c, 4e-34)], [0.5, 0.5])
         assert br.epistemic == pytest.approx(unit, abs=1e-12)
     # two components that do not overlap: epistemic = log 2
-    br = U.decompose_a([(GaussianScalar(5.0, 1e-36), 0.5), (GaussianScalar(0.0, 1.0), 0.5)])
+    br = split_a("gaussian_scalar", [(5.0, 1e-36), (0.0, 1.0)], [0.5, 0.5])
     assert br.epistemic == pytest.approx(np.log(2.0), abs=1e-12)
 
 
@@ -295,7 +302,7 @@ def test_decompose_b_matches_per_sample_kl_with_exact_zeros():
         ref[0] += ref.sum() == 0.0
         ref /= ref.sum()
         weights = rng.uniform(0.01, 2.0, n)
-        br = U.decompose_b(Categorical(ref), [(Categorical(p), wt) for p, wt in zip(probs, weights)])
+        br = split_b("categorical", ref, probs, weights)
         kls = np.array([U.kl_cat(ref, p) for p in probs])
         assert abs(br.aleatoric - U.entropy_cat(ref)) < 1e-12
         if np.isinf(kls).any():
@@ -307,7 +314,7 @@ def test_decompose_b_matches_per_sample_kl_with_exact_zeros():
             assert abs(br.epistemic - (weights / weights.sum()) @ kls) < 1e-12
     assert 0 < violations < 300
     with pytest.raises(ValueError):
-        U.decompose_b(Categorical([0.5, 0.5]), [(Categorical([0.2, 0.3, 0.5]), 1.0)])
+        split_b("categorical", [0.5, 0.5], [[0.2, 0.3, 0.5]], [1.0])
 
 
 def test_decompose_b_gaussian_matches_per_sample_kl():
@@ -317,31 +324,113 @@ def test_decompose_b_gaussian_matches_per_sample_kl():
         ref = GaussianScalar(rng.uniform(-3, 3), rng.uniform(0.01, 5.0))
         dists = [GaussianScalar(m, v) for m, v in zip(rng.uniform(-3, 3, n), rng.uniform(0.01, 5.0, n))]
         weights = rng.uniform(0.01, 2.0, n)
-        br = U.decompose_b(ref, list(zip(dists, weights)))
+        br = split_b("gaussian_scalar", (ref.mean, ref.variance), [(d.mean, d.variance) for d in dists], weights)
         expected = sum(wt * U.kl_gauss(ref, d) for wt, d in zip(weights / weights.sum(), dists))
         assert abs(br.epistemic - expected) < 1e-12
         assert br.aleatoric == U.entropy_gauss(ref.variance)
 
 
 def test_decompose_b_reference_equal_samples():
-    ref = Categorical([0.6, 0.4])
-    br = U.decompose_b(ref, [(ref, 1.0), (ref, 1.0)])
+    ref = [0.6, 0.4]
+    br = split_b("categorical", ref, [ref, ref], [1.0, 1.0])
     assert br.epistemic == pytest.approx(0.0, abs=1e-12)
-    assert br.aleatoric == pytest.approx(U.entropy_cat(ref.probs), abs=1e-12)
+    assert br.aleatoric == pytest.approx(U.entropy_cat(ref), abs=1e-12)
 
 
 def test_decompose_b_support_violation_flagged():
-    ref = Categorical([0.5, 0.5])
-    br = U.decompose_b(ref, [(Categorical([1.0, 0.0]), 1.0)])
+    br = split_b("categorical", [0.5, 0.5], [[1.0, 0.0]], [1.0])
     assert br.support_violation
     assert br.epistemic == float("inf")
     assert br.aleatoric == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_decompose_b_gaussian_pair():
-    ref = GaussianScalar(0.0, 1.0)
-    br = U.decompose_b(ref, [(GaussianScalar(1.0, 1.0), 1.0), (GaussianScalar(-1.0, 1.0), 1.0)])
+    br = split_b("gaussian_scalar", (0.0, 1.0), [(1.0, 1.0), (-1.0, 1.0)], [1.0, 1.0])
     assert br.epistemic == pytest.approx(0.5, abs=1e-12)
+
+
+def test_decompose_many_points_match_single_points():
+    # 300 samples of 3 classes: the categorical splits run 9 points per
+    # block, so 40 points take 5 blocks, the last one partial
+    rng = derive_rng(11)
+    s, n = 300, 40
+    probs = rng.dirichlet(np.ones(3), size=(s, n))
+    probs[rng.random((s, n, 3)) < 0.002] = 0.0
+    probs /= probs.sum(axis=-1, keepdims=True)
+    ref = rng.dirichlet(np.ones(3), size=n)
+    ref[::7, 1] = 0.0
+    ref /= ref.sum(axis=-1, keepdims=True)
+    w = rng.uniform(0.0, 1.0, s)
+    rows_a = U.decompose_a("categorical", probs, w)
+    rows_b = U.decompose_b("categorical", ref, probs, w)
+    assert len(rows_a) == len(rows_b) == n
+    assert 0 < sum(br.support_violation for br in rows_b) < n
+    for i in range(n):
+        one_a, one_b = split_a("categorical", probs[:, i], w), split_b("categorical", ref[i], probs[:, i], w)
+        for many, one in ((rows_a[i], one_a), (rows_b[i], one_b)):
+            assert many.flags == one.flags
+            for name in ("total", "aleatoric", "epistemic"):
+                assert getattr(many, name) == pytest.approx(getattr(one, name), abs=1e-12, rel=0)
+    gauss = np.stack([rng.normal(size=(20, 4)), rng.uniform(0.1, 2.0, (20, 4))], axis=-1)
+    ref_g = np.column_stack([rng.normal(size=4), rng.uniform(0.1, 2.0, 4)])
+    wg = rng.uniform(0.1, 1.0, 20)
+    for i, (br_a, br_b) in enumerate(zip(U.decompose_a("gaussian_scalar", gauss, wg), U.decompose_b("gaussian_scalar", ref_g, gauss, wg))):
+        assert br_a == split_a("gaussian_scalar", gauss[:, i], wg)
+        assert br_b.epistemic == pytest.approx(split_b("gaussian_scalar", ref_g[i], gauss[:, i], wg).epistemic, abs=1e-12, rel=0)
+
+
+def test_decompose_rejects_malformed_inputs():
+    probs = np.full((3, 2, 2), 0.5)
+    gauss = np.ones((3, 2, 2))
+    w = np.ones(3)
+    bad_a = [
+        ("categorical", probs[:0], w[:0]),  # no samples
+        ("categorical", probs[0], w),  # no sample axis
+        ("categorical", probs, w[:2]),  # one weight short
+        ("categorical", probs, np.array([1.0, -0.5, 1.0])),
+        ("categorical", probs, np.zeros(3)),
+        ("categorical", probs, np.array([1.0, np.nan, 1.0])),
+        ("categorical", probs + np.array([0.0, 1e-8]), w),  # rows sum to 1 + 1e-8
+        ("categorical", np.where(np.arange(2) == 0, 1.0 + 1e-11, -1e-11) * np.ones((3, 2, 2)), w),
+        ("categorical", np.full((3, 2, 2), np.nan), w),
+        ("categorical", np.ones((3, 2, 1)), w),  # one class
+        ("gaussian_scalar", gauss * np.array([1.0, 0.0]), w),  # zero variance
+        ("gaussian_scalar", np.ones((3, 2, 3)), w),
+        ("poisson", probs, w),
+    ]
+    for head, preds, weights in bad_a:
+        with pytest.raises(ValueError):
+            U.decompose_a(head, preds, weights)
+        with pytest.raises(ValueError):
+            U.decompose_b(head, probs[0], preds, weights)
+    bad_b = [
+        ("categorical", np.full((2, 3), 1 / 3), probs),  # class counts differ
+        ("categorical", np.full((1, 2), 0.5), probs),  # point counts differ
+        ("categorical", np.array([[0.5, 0.6], [0.5, 0.5]]), probs),
+        ("gaussian_scalar", np.array([[0.0, -1.0], [0.0, 1.0]]), gauss),
+    ]
+    for head, ref, preds in bad_b:
+        with pytest.raises(ValueError):
+            U.decompose_b(head, ref, preds, w)
+    # within the Categorical tolerances
+    assert len(U.decompose_a("categorical", probs + np.array([5e-10, -1e-12]), w)) == 2
+
+
+def test_decompose_categorical_temporaries_stay_in_blocks():
+    rng = derive_rng(12)
+    probs = rng.dirichlet(np.ones(2), size=(500, 400))
+    ref = probs[0]
+    w = np.ones(500)
+    for split in (lambda: U.decompose_a("categorical", probs, w), lambda: U.decompose_b("categorical", ref, probs, w)):
+        tracemalloc.start()
+        try:
+            split()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the validation keeps one (samples, points) array; a split over all
+        # points at once would hold several arrays the size of `probs`
+        assert peak < 0.75 * probs.nbytes
 
 
 def test_epistemic_homoscedastic():

@@ -217,6 +217,25 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         M.load_checkpoint(path)
 
 
+def test_checkpoint_rejects_truncation_and_unknown_head_tags(tmp_path):
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(M.init_params(M.ArchSpec((2, 3, 2), dropout_prob=0.1), 0), path)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(ValueError):
+            M.load_checkpoint(cut)
+    tag = 16 + 4 * 3  # magic, version, width count, three widths
+    for head_tag in (2, 7, 255):
+        cut.write_bytes(blob[:tag] + bytes([head_tag]) + blob[tag + 1 :])
+        with pytest.raises(ValueError, match="head tag"):
+            M.load_checkpoint(cut)
+    cut.write_bytes(blob + b"\0" * 4)
+    with pytest.raises(ValueError):
+        M.load_checkpoint(cut)
+
+
 def test_dropout_masks_preserve_expectation():
     arch = M.ArchSpec((2, 400, 2), dropout_prob=0.3)
     rng = derive_rng(14)

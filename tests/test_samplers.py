@@ -16,7 +16,7 @@ def moons():
 def test_deep_ensemble_singleton_zero_epistemic(moons):
     out = S.deep_ensemble(moons, M.ArchSpec((2, 8, 2)), 1, M.TrainConfig(epochs=60, seed=0))
     assert len(out.params) == 1
-    br = decompose_a(out.predictive_samples(np.array([0.0, 1.0])))
+    (br,) = decompose_a("categorical", out.predictions(np.array([0.0, 1.0])), np.ones(1))
     assert br.epistemic == pytest.approx(0.0, abs=1e-12)
 
 
@@ -34,39 +34,41 @@ def test_mc_dropout_requires_dropout():
     arch = M.ArchSpec((2, 8, 2))
     params = M.init_params(arch, 0)
     with pytest.raises(ValueError):
-        S.mc_dropout(params, np.array([0.0, 0.0]), 10)
+        S.mc_dropout(params, 10)
 
 
 def test_mc_dropout_vanishing_rate_matches_deterministic(moons):
     arch = M.ArchSpec((2, 10, 2), dropout_prob=1e-9)
     params = M.train(moons, arch, M.TrainConfig(epochs=100, seed=1))
     x = np.array([0.4, 0.3])
-    out = S.mc_dropout(params, x, 20, seed=3)
+    out = S.mc_dropout(params, 20, seed=3)
     base = M.predict(params, x).probs
-    for d, _ in out.predictive_samples():
-        assert np.abs(d.probs - base).max() < 1e-6
+    preds = out.predictions(x)
+    assert preds.shape == (20, 1, 2)
+    assert np.abs(preds[:, 0] - base).max() < 1e-6
 
 
 def test_mc_dropout_seeded(moons):
     arch = M.ArchSpec((2, 10, 2), dropout_prob=0.2)
     params = M.train(moons, arch, M.TrainConfig(epochs=100, seed=1))
     x = np.array([0.4, 0.3])
-    a = S.mc_dropout(params, x, 25, seed=9)
-    b = S.mc_dropout(params, x, 25, seed=9)
-    for (d1, _), (d2, _) in zip(a.predictive_samples(), b.predictive_samples()):
-        assert np.array_equal(d1.probs, d2.probs)
+    a = S.mc_dropout(params, 25, seed=9)
+    b = S.mc_dropout(params, 25, seed=9)
+    assert np.array_equal(a.predictions(x), b.predictions(x))
+    # the masks are drawn once: every point sees the same mask stream
+    rng = derive_rng(9)
+    xs = np.array([x, [1.0, -0.2], [-0.5, 0.8]])
+    expected = np.stack([M.predict_batch(params, xs, M.make_dropout_masks(params.arch, rng)) for _ in range(25)])
+    assert np.array_equal(a.predictions(xs), expected)
 
 
 def test_mc_dropout_far_point_more_epistemic(moons):
     # far point beyond the lower moon's end vs the median training point
     arch = M.ArchSpec((2, 16, 2), dropout_prob=0.2)
     params = M.train(moons, arch, M.TrainConfig(epochs=200, seed=2))
-    far = decompose_a(S.mc_dropout(params, np.array([3.0, 0.5]), 300, seed=0).predictive_samples())
-    train_vals = [
-        decompose_a(S.mc_dropout(params, moons.x[i], 300, seed=0).predictive_samples()).epistemic
-        for i in range(0, len(moons), 10)
-    ]
-    assert far.epistemic > np.median(train_vals)
+    preds = S.mc_dropout(params, 300, seed=0).predictions(np.vstack([[3.0, 0.5], moons.x[::10]]))
+    far, *train = decompose_a("categorical", preds, np.ones(300))
+    assert far.epistemic > np.median([br.epistemic for br in train])
 
 
 # -- cyclical SG-HMC -----------------------------------------------------------
