@@ -31,7 +31,7 @@ from .measures import (
     kl_cat,
     kl_gauss,
 )
-from .models import ArchSpec, Categorical, GaussianScalar, ModelParams, TrainConfig, predict, train
+from .models import ArchSpec, ModelParams, TrainConfig, predict_batch, train
 from .search import SearchConfig, adversarial_model_search, regression_search_pair, targeted_search_suite
 
 __all__ = [
@@ -53,11 +53,9 @@ __all__ = [
     "kl_cat",
     "kl_gauss",
     "ArchSpec",
-    "Categorical",
-    "GaussianScalar",
     "ModelParams",
     "TrainConfig",
-    "predict",
+    "predict_batch",
     "train",
     "SearchConfig",
     "adversarial_model_search",

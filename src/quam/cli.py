@@ -171,6 +171,10 @@ def cmd_quam(args, cfg: ExperimentConfig) -> int:
             if save_traj:
                 for t in trajs:
                     trajectory_to_jsonl(t, os.path.join(out, f"trajectory_{i:04d}_{t.target.replace(':', '')}.jsonl"))
+    aborted = [i for i, _, trajs in results if all(t.nan_abort for t in trajs)]
+    if aborted:
+        _status("quam", "numerical_abort", error=f"every search hit a non-finite loss at inputs {aborted}", n=len(xs), out=out)
+        return EXIT_NUMERIC
     _status("quam", "ok", n=len(xs), out=out)
     return EXIT_OK
 
@@ -373,7 +377,7 @@ def main(argv=None) -> int:
     try:
         cfg = ExperimentConfig.load(args.config)
         return COMMANDS[args.command](args, cfg)
-    except (ConfigError, UsageError, FileNotFoundError, ValueError) as e:
+    except (ConfigError, UsageError, OSError, ValueError) as e:
         _status(args.command, "usage_error", error=str(e))
         return EXIT_USAGE
     except (M.TrainingDiverged, HMCAborted) as e:

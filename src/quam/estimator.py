@@ -19,13 +19,13 @@ on a two-component Gaussian target against a single-Gaussian proposal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .measures import UncertaintyBreakdown, decompose_a, decompose_b, entropy_cat, entropy_gauss, quad
-from .models import Categorical, ModelParams, predict_batch
+from .models import ModelParams, predict_batch
 from .search import SearchConfig, SearchTrajectory, regression_search_pair, targeted_search_suite
 
 __all__ = [
@@ -49,7 +49,7 @@ def pool_trajectories(trajectories: Sequence[SearchTrajectory], temperature: flo
     if not temperature > 0:
         raise ValueError("temperature must be positive")
     records = [rec for traj in trajectories for rec in traj.records]
-    preds = np.array([r.dist.probs if isinstance(r.dist, Categorical) else (r.dist.mean, r.dist.variance) for r in records])
+    preds = np.array([r.pred for r in records])
     logw = -np.array([r.mean_train_loss for r in records]) / temperature
     if not np.isfinite(logw).all():
         raise ValueError("every pooled model needs a finite training loss")
@@ -71,7 +71,8 @@ def quam_score(
     Runs the targeted per-class suite (categorical head) or the two-sided
     regression pair (gaussian head), pools all visited models, and returns
     an UncertaintyBreakdown for the requested setting: "b" against the
-    reference, "a" against the pooled mixture.
+    reference, "a" against the pooled mixture.  The breakdown carries the
+    `nan_abort` flag when any search stopped on a non-finite loss.
     """
     if setting not in ("a", "b"):
         raise ValueError(f"setting must be 'a' or 'b', got {setting!r}")
@@ -88,6 +89,8 @@ def quam_score(
     else:
         preds, w = pool_trajectories(trajectories, temperature)
         (breakdown,) = decompose_b(head, ref_row, preds[:, None], w) if setting == "b" else decompose_a(head, preds[:, None], w)
+    if any(t.nan_abort for t in trajectories):
+        breakdown = replace(breakdown, flags=breakdown.flags + ("nan_abort",))
     return (breakdown, trajectories) if return_trajectories else breakdown
 
 

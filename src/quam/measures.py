@@ -15,7 +15,7 @@ uncertainty are provided:
 Both splits take `preds` of shape (samples, points, k), rows as
 `models.head_predictions` gives them, and one nonnegative weight per
 sample, self-normalized here; they validate once per call and return one
-breakdown per point.  Categorical splits run over blocks of points, so
+breakdown per point.  The categorical splits run over blocks of points, so
 their temporaries stay at a fixed element count.  They and the Gaussian
 setting-b split are closed form.  KL(N_i || sum_j w_j N_j) is not, so the
 Gaussian setting-a split integrates it per point by the trapezoid rule on
@@ -36,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .models import GaussianScalar
 
 __all__ = [
     "UncertaintyBreakdown",
@@ -134,16 +132,31 @@ def _kl_cat(p: np.ndarray, q: np.ndarray) -> float:
     return float((p[mask] * (np.log(p[mask]) - np.log(np.maximum(q[mask], _CLAMP)))).sum())
 
 
-def entropy_gauss(variance: float) -> float:
-    """Differential entropy 0.5 log(variance) + 0.5 log(2 pi) + 0.5."""
-    if not variance > 0:
-        raise ValueError(f"variance must be positive, got {variance}")
-    return float(0.5 * np.log(variance) + 0.5 * np.log(2.0 * np.pi) + 0.5)
+def entropy_gauss(variance):
+    """Differential entropy 0.5 log(variance) + 0.5 log(2 pi) + 0.5, elementwise."""
+    variance = np.asarray(variance, dtype=np.float64)
+    if not (variance > 0.0).all():
+        raise ValueError(f"variances must be positive, got {variance}")
+    return 0.5 * np.log(variance) + 0.5 * np.log(2.0 * np.pi) + 0.5
 
 
-def kl_gauss(p: GaussianScalar, q: GaussianScalar) -> float:
-    """KL between scalar Gaussians: 0.5 log(vq/vp) + (vp + (mp-mq)^2)/(2 vq) - 0.5."""
-    return float(0.5 * np.log(q.variance / p.variance) + (p.variance + (p.mean - q.mean) ** 2) / (2.0 * q.variance) - 0.5)
+def kl_gauss(p, q):
+    """KL between scalar Gaussians given as (..., 2) rows of (mean, variance), broadcast.
+
+    0.5 log(vq/vp) + (vp + (mp-mq)^2)/(2 vq) - 0.5.
+    """
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    _check_rows("gaussian_scalar", p, "p")
+    _check_rows("gaussian_scalar", q, "q")
+    return _kl_gauss(p, q)
+
+
+def _kl_gauss(p: np.ndarray, q: np.ndarray):
+    """kl_gauss without the checks: p and q are (..., 2) float rows."""
+    mp, vp, mq, vq = p[..., 0], p[..., 1], q[..., 0], q[..., 1]
+    # np.square, not ** 2: a float scalar's ** 2 calls pow(), which can round
+    # differently from an array's, and one row must match its array's entry
+    return 0.5 * np.log(vq / vp) + (vp + np.square(mp - mq)) / (2.0 * vq) - 0.5
 
 
 # --------------------------------------------------------------------------
@@ -152,9 +165,9 @@ def kl_gauss(p: GaussianScalar, q: GaussianScalar) -> float:
 
 
 def _check_rows(head: str, rows: np.ndarray, name: str) -> None:
-    """Rows must be probability vectors, within the tolerances of models.Categorical, or (mean, variance > 0)."""
+    """Rows must be probability vectors over 2 or more classes (entries >= -1e-12, sums within 1e-9 of 1), or (mean, variance > 0)."""
     if head == "categorical":
-        dev = rows.sum(axis=-1)  # changed in place: the one temporary the size of the points
+        dev = rows.sum(axis=-1, keepdims=True)  # changed in place: the one temporary the size of the points
         dev -= 1.0
         # NaN fails both comparisons
         if rows.shape[-1] < 2 or not rows.min() >= -1e-12 or not (np.abs(dev, out=dev) <= 1e-9).all():
@@ -278,11 +291,8 @@ def decompose_b(head: str, ref, preds, w) -> list[UncertaintyBreakdown]:
         raise ValueError(f"reference shape {ref.shape} does not match the predictions' points and classes {preds.shape[1:]}")
     _check_rows(head, ref, "reference")
     if head == "gaussian_scalar":
-        ref_mean, ref_var = ref[:, 0], ref[:, 1]
-        aleatoric = 0.5 * np.log(ref_var) + 0.5 * np.log(2.0 * np.pi) + 0.5
-        means, variances = preds[..., 0], preds[..., 1]
-        kls = 0.5 * np.log(variances / ref_var) + (ref_var + (ref_mean - means) ** 2) / (2.0 * variances) - 0.5
-        return [UncertaintyBreakdown("b", a + e, a, e) for a, e in zip(aleatoric, w @ kls)]
+        aleatoric = entropy_gauss(ref[:, 1])
+        return [UncertaintyBreakdown("b", a + e, a, e) for a, e in zip(aleatoric, w @ _kl_gauss(ref, preds))]
     ref = np.maximum(ref, 0.0)
     neg_ent = _xlogx(ref)
     aleatoric = -neg_ent.sum(axis=-1)

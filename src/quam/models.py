@@ -4,7 +4,8 @@ A model is a ReLU MLP with either a categorical head (softmax over C
 classes) or a scalar Gaussian head.  The Gaussian head has output width 1
 (mean only, fixed unit variance) or 2 (mean and log-variance).  Parameters
 live in one flat float64 vector, weights then biases per layer, which is
-the unit every sampler and search manipulates.
+the unit every sampler and search manipulates.  A prediction is one row of
+`head_predictions`: the class probabilities, or (mean, variance).
 
 The log-posterior used as a sampling weight is the negative total training
 loss plus an isotropic Gaussian log-prior whose precision equals the
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,9 +27,6 @@ from .rng import derive_rng
 __all__ = [
     "ArchSpec",
     "ModelParams",
-    "Categorical",
-    "GaussianScalar",
-    "PredictiveDist",
     "TrainConfig",
     "TrainingDiverged",
     "Adam",
@@ -37,10 +35,8 @@ __all__ = [
     "forward",
     "backward",
     "head_predictions",
-    "predictive_dist",
     "head_nll",
     "head_nll_grad",
-    "predict",
     "predict_batch",
     "train",
     "train_with_point_loss",
@@ -144,33 +140,6 @@ class ModelParams:
 
     def with_values(self, values: np.ndarray) -> "ModelParams":
         return ModelParams(self.arch, values)
-
-
-@dataclass(frozen=True)
-class Categorical:
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.probs, dtype=np.float64)
-        if p.ndim != 1 or p.size < 2:
-            raise ValueError(f"Categorical needs a probability vector of length >= 2, got shape {p.shape}")
-        if (p < -1e-12).any() or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"not a probability vector (sum {p.sum()!r})")
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-
-@dataclass(frozen=True)
-class GaussianScalar:
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not self.variance > 0.0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
-
-
-PredictiveDist = Union[Categorical, GaussianScalar]
 
 
 def init_params(arch: ArchSpec, seed: int) -> ModelParams:
@@ -310,21 +279,9 @@ def head_predictions(arch: ArchSpec, out: np.ndarray) -> np.ndarray:
     return np.column_stack([mean, var])
 
 
-def predictive_dist(arch: ArchSpec, row: np.ndarray) -> PredictiveDist:
-    """One row of `head_predictions` as a distribution."""
-    if arch.head == "categorical":
-        return Categorical(row)
-    return GaussianScalar(mean=float(row[0]), variance=float(row[1]))
-
-
 def predict_batch(params: ModelParams, x: np.ndarray, dropout_masks=None) -> np.ndarray:
     """Vectorized predictions: (n, C) class probabilities, or (n, 2) mean/variance."""
     return head_predictions(params.arch, forward(params, x, dropout_masks)[-1])
-
-
-def predict(params: ModelParams, x: np.ndarray, dropout_masks=None) -> PredictiveDist:
-    """Predictive distribution at a single input."""
-    return predictive_dist(params.arch, predict_batch(params, np.atleast_2d(x), dropout_masks)[0])
 
 
 # --------------------------------------------------------------------------

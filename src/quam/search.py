@@ -12,11 +12,11 @@ late iterates are pushed back inside the feasible region.  Each Adam update
 takes one forward and one closed-form backward pass (`SearchObjective`):
 the gradient enters as per-row gradients at the head outputs of the data
 rows and of the test row.  Every visited model is recorded with its
-predictive distribution at the test point and its full-training-set loss;
-a full-batch search reads both from the update's own forward pass.  The
-returned best iterate maximizes divergence from the reference among
-iterates whose *full-data* penalty is <= 0 (the mini-batch estimate alone
-can be optimistic).
+prediction row at the test point (as `models.head_predictions` gives it)
+and its full-training-set loss; a full-batch search reads both from the
+update's own forward pass.  The returned best iterate maximizes divergence
+from the reference among iterates whose *full-data* penalty is <= 0 (the
+mini-batch estimate alone can be optimistic).
 
 Classification searches are run once per class, each maximizing that
 class's probability (targeted); untargeted divergence maximization tends
@@ -34,22 +34,19 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .measures import _kl_cat, entropy_cat, kl_gauss
+from .measures import _check_rows, _kl_cat, _kl_gauss, entropy_cat
 from .models import (
     Adam,
     ArchSpec,
-    Categorical,
     FIXED_GAUSSIAN_VARIANCE,
     ModelParams,
-    PredictiveDist,
     backward,
     forward,
     head_nll,
     head_nll_grad,
     head_predictions,
     mean_train_loss,
-    predict,
-    predictive_dist,
+    predict_batch,
 )
 from .rng import derive_rng
 
@@ -81,7 +78,6 @@ class SearchConfig:
     gamma: Optional[float] = None  # None -> 5% of |L_ref|
     steps: int = 100
     lr: float = 5e-3
-    lr_decay_to: float = 1.0  # linear decay of lr to this fraction by the last step
     weight_decay: float = 1e-3
     adam_eps: float = 1e-8  # lower it when saturated objectives must keep moving
     batch_size: Optional[int] = None  # None -> full training set
@@ -113,12 +109,13 @@ class TrajectoryRecord:
     mean_train_loss: float  # full-training-set mean loss
     full_pen: float  # mean_train_loss - (L_ref + gamma)
     divergence: float  # divergence of this model's prediction from the reference
-    dist: PredictiveDist
+    pred: np.ndarray  # prediction row at the test input: class probabilities or (mean, variance)
 
 
 @dataclass
 class SearchTrajectory:
     target: str
+    head: str  # the reference's head: "categorical" | "gaussian_scalar"
     records: list[TrajectoryRecord]
     best_index: int
     best_params: ModelParams
@@ -152,14 +149,14 @@ def _scope_mask(arch: ArchSpec, config: SearchConfig) -> np.ndarray:
     return mask
 
 
-def _divergence(arch: ArchSpec, ref: PredictiveDist, cand: PredictiveDist) -> float:
+def _divergence(arch: ArchSpec, ref: np.ndarray, pred: np.ndarray) -> float:
+    # the reference row is checked once per search; candidate rows are checked by the split
     if arch.head == "categorical":
-        # both come from a softmax: nonnegative and of one size, so kl_cat's checks are skipped
-        return _kl_cat(ref.probs, cand.probs)
-    return kl_gauss(ref, cand)
+        return _kl_cat(ref, pred)
+    return float(_kl_gauss(ref, pred))
 
 
-def _target_term(arch: ArchSpec, out: np.ndarray, ref_dist: PredictiveDist, objective) -> tuple[float, np.ndarray]:
+def _target_term(arch: ArchSpec, out: np.ndarray, ref: np.ndarray, objective) -> tuple[float, np.ndarray]:
     """L_adv at the test row's head outputs `out` (shape (1, k)) and its gradient there."""
     if arch.head == "categorical":
         z = out - out.max(axis=1, keepdims=True)
@@ -167,13 +164,13 @@ def _target_term(arch: ArchSpec, out: np.ndarray, ref_dist: PredictiveDist, obje
         p = np.exp(logp)
         if objective == "divergence":
             # L_adv = -KL(ref || cand) = sum(ref * log cand) + H(ref)
-            ref = ref_dist.probs.reshape(1, -1)
-            return float((ref * logp).sum()) + entropy_cat(ref_dist.probs), ref - p * ref.sum()
+            r = ref.reshape(1, -1)
+            return float((r * logp).sum()) + entropy_cat(ref), r - p * r.sum()
         cls = int(objective[1])
         p[0, cls] -= 1.0
         return -float(logp[0, cls]), p
     # gaussian heads: L_adv = -KL(ref || cand)
-    mp, vp = ref_dist.mean, ref_dist.variance
+    mp, vp = ref[0], ref[1]
     shift = mp - out[0, 0]
     if arch.widths[-1] == 2:
         logvar_q = out[0, 1]
@@ -210,7 +207,7 @@ class SearchObjective:
     """
 
     x: np.ndarray  # the test input, shape (1, input width)
-    ref_dist: PredictiveDist
+    ref: np.ndarray  # the reference's prediction row at the test input
     objective: object  # "divergence" | ("class", k) | ("direction", +1 | -1)
     bound: float  # L_ref + gamma
 
@@ -228,11 +225,11 @@ class SearchObjective:
         # outputs can move by an ulp, and an unmoved iterate would then
         # diverge from the reference by a spurious KL > 0
         test_acts = forward(params, self.x)
-        adv, adv_grad = _target_term(arch, test_acts[-1], self.ref_dist, self.objective)
+        adv, adv_grad = _target_term(arch, test_acts[-1], self.ref, self.objective)
         return ObjectiveForward(batch_acts, by, batch_loss, test_acts, adv, adv_grad)
 
     def _violation(self, fwd: ObjectiveForward) -> float:
-        return self.direction * (self.ref_dist.mean - fwd.test_acts[-1][0, 0]) if self.direction else 0.0
+        return self.direction * (self.ref[0] - fwd.test_acts[-1][0, 0]) if self.direction else 0.0
 
     def backward(self, params: ModelParams, fwd: ObjectiveForward, c: float) -> np.ndarray:
         """Flat gradient of L at penalty weight c."""
@@ -268,7 +265,8 @@ def adversarial_model_search(
     """
     arch = reference.arch
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    ref_dist = predict(reference, x)
+    ref = predict_batch(reference, x)[0]
+    _check_rows(arch.head, ref, "reference prediction")
     l_ref = mean_train_loss(reference, data)
     gamma = config.gamma if config.gamma is not None else 0.05 * abs(l_ref)
 
@@ -296,7 +294,7 @@ def adversarial_model_search(
     else:
         inner = config
 
-    objective_fn = SearchObjective(work_x, ref_dist, objective, l_ref + gamma)
+    objective_fn = SearchObjective(work_x, ref, objective, l_ref + gamma)
     traj = _search_core(work_data, work_ref, inner, objective_fn, target_tag, l_ref, gamma, seed_keys)
 
     if splice is not None:
@@ -323,7 +321,7 @@ class _FeatureView:
 
 def _search_core(data, reference, config, objective_fn: SearchObjective, target_tag, l_ref, gamma, seed_keys):
     arch = reference.arch
-    ref_dist = objective_fn.ref_dist
+    ref = objective_fn.ref
     direction = objective_fn.direction
     rng = derive_rng(config.seed, *seed_keys)
     n = len(data)
@@ -346,11 +344,11 @@ def _search_core(data, reference, config, objective_fn: SearchObjective, target_
     best_idx, best_div, best_values = -1, -np.inf, None
     nan_abort = False
 
-    def direction_ok(dist) -> bool:
+    def direction_ok(pred) -> bool:
         if direction > 0:
-            return dist.mean > ref_dist.mean
+            return pred[0] > ref[0]
         if direction < 0:
-            return dist.mean < ref_dist.mean
+            return pred[0] < ref[0]
         return True
 
     def add_record(step, c, cur, fwd) -> bool:
@@ -359,11 +357,11 @@ def _search_core(data, reference, config, objective_fn: SearchObjective, target_
         mtl = fwd.batch_loss if len(fwd.batch_y) == n else mean_train_loss(cur, data)
         if not np.isfinite(mtl):
             return False
-        dist = predictive_dist(arch, head_predictions(arch, fwd.test_acts[-1])[0])
-        div = _divergence(arch, ref_dist, dist)
+        pred = head_predictions(arch, fwd.test_acts[-1])[0]
+        div = _divergence(arch, ref, pred)
         full_pen = mtl - objective_fn.bound
-        records.append(TrajectoryRecord(step, c, fwd.adv, fwd.batch_loss - objective_fn.bound, mtl, full_pen, div, dist))
-        if full_pen <= 0.0 and div > best_div and direction_ok(dist):
+        records.append(TrajectoryRecord(step, c, fwd.adv, fwd.batch_loss - objective_fn.bound, mtl, full_pen, div, pred))
+        if full_pen <= 0.0 and div > best_div and direction_ok(pred):
             best_idx, best_div, best_values = len(records) - 1, div, cur.values.copy()
         return True
 
@@ -388,9 +386,6 @@ def _search_core(data, reference, config, objective_fn: SearchObjective, target_
 
         g = objective_fn.backward(cur, fwd, c)
         g[~mask] = 0.0
-        if config.lr_decay_to < 1.0 and config.steps > 1:
-            frac = (m - 1) / (config.steps - 1)
-            opt.lr = config.lr * (1.0 - frac * (1.0 - config.lr_decay_to))
         values = opt.step(values, g)
         values[~mask] = base[~mask]
         if lo is not None:
@@ -400,7 +395,7 @@ def _search_core(data, reference, config, objective_fn: SearchObjective, target_
             # each penalty stage is its own unconstrained subproblem; a stale
             # second-moment estimate from a boundary contact at the previous,
             # smaller c would throttle the steps of every later stage
-            opt = Adam(values.size, opt.lr, config.weight_decay, eps=config.adam_eps)
+            opt = Adam(values.size, config.lr, config.weight_decay, eps=config.adam_eps)
 
     if not nan_abort:
         # the final updated model was visited too
@@ -415,13 +410,14 @@ def _search_core(data, reference, config, objective_fn: SearchObjective, target_
     if best_idx < 0 or best_div <= 0.0:
         # no feasible iterate improved on the reference: return the reference
         if not records:
-            records.append(TrajectoryRecord(0, config.c0, 0.0, -gamma, l_ref, -gamma, 0.0, ref_dist))
+            records.append(TrajectoryRecord(0, config.c0, 0.0, -gamma, l_ref, -gamma, 0.0, ref))
         best_idx = 0
         best_values = reference.values.copy()
         no_feasible = True
 
     return SearchTrajectory(
         target=target_tag,
+        head=arch.head,
         records=records,
         best_index=best_idx,
         best_params=ModelParams(arch, best_values),
@@ -474,10 +470,10 @@ def trajectory_to_jsonl(traj: SearchTrajectory, path):
     """One line-delimited record per visited model."""
     with open(path, "w") as f:
         for r in traj.records:
-            if isinstance(r.dist, Categorical):
-                dist = {"kind": "categorical", "probs": [float(p) for p in r.dist.probs]}
+            if traj.head == "categorical":
+                dist = {"kind": "categorical", "probs": [float(p) for p in r.pred]}
             else:
-                dist = {"kind": "gaussian", "mean": r.dist.mean, "variance": r.dist.variance}
+                dist = {"kind": "gaussian", "mean": float(r.pred[0]), "variance": float(r.pred[1])}
             f.write(
                 json.dumps(
                     {

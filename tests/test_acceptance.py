@@ -20,7 +20,6 @@ from quam import samplers as S
 from quam.autodiff import Tape, grad_check
 from quam.data import LabeledDataset, gen_three_gaussians, gen_two_moons, load_idx, subset_split
 from quam.measures import decompose_a, decompose_b, entropy_cat, kl_cat, kl_gauss, cross_entropy_cat
-from quam.models import Categorical, GaussianScalar
 from quam.models import flatten_layer_grads, nll_graph, param_leaves
 from quam.rng import derive_rng
 from quam.search import FEASIBILITY_AUDIT, SearchConfig, SearchObjective, adversarial_model_search, targeted_search_suite
@@ -79,13 +78,13 @@ def test_criterion_01_gradient_correctness():
         by = rng.integers(0, arch.widths[-1], size=6) if arch.head == "categorical" else rng.normal(size=6)
         out_x = M.forward(params, x)[-1]
         if arch.head == "categorical":
-            ref = Categorical(rng.dirichlet(np.ones(arch.widths[-1])))
+            ref = rng.dirichlet(np.ones(arch.widths[-1]))
             objective = ("class", int(rng.integers(0, arch.widths[-1]))) if target == "class" else "divergence"
         else:
             direction = 0 if target == "divergence_g" else target
             # the violation direction * (ref_mean - mean(x)) sits 1 away from its kink
             shift = 1.0 if viol_active else -1.0
-            ref = GaussianScalar(float(out_x[0, 0] + (direction or 1) * shift), float(rng.uniform(0.2, 2.0)))
+            ref = np.array([out_x[0, 0] + (direction or 1) * shift, rng.uniform(0.2, 2.0)])
             objective = ("direction", direction) if direction else "divergence"
         batch_loss = float(M.head_nll(arch, M.forward(params, bx)[-1], by).mean())
         bound = batch_loss - 0.5 if pen_active else batch_loss + 0.5
@@ -129,16 +128,15 @@ def test_criterion_02_uncertainty_identities():
 
     worst_kl = 0.0
     for _ in range(100):
-        p = GaussianScalar(rng.uniform(-5, 5), rng.uniform(0.1, 10))
-        qd = GaussianScalar(rng.uniform(-5, 5), rng.uniform(0.1, 10))
+        (mp, vp), (mq, vq) = (rng.uniform(-5, 5), rng.uniform(0.1, 10)), (rng.uniform(-5, 5), rng.uniform(0.1, 10))
 
         def integrand(y):
-            lp = -0.5 * (y - p.mean) ** 2 / p.variance - 0.5 * np.log(2 * np.pi * p.variance)
-            lq = -0.5 * (y - qd.mean) ** 2 / qd.variance - 0.5 * np.log(2 * np.pi * qd.variance)
+            lp = -0.5 * (y - mp) ** 2 / vp - 0.5 * np.log(2 * np.pi * vp)
+            lq = -0.5 * (y - mq) ** 2 / vq - 0.5 * np.log(2 * np.pi * vq)
             return np.exp(lp) * (lp - lq)
 
-        ref, _ = quad(integrand, p.mean - 14 * np.sqrt(p.variance), p.mean + 14 * np.sqrt(p.variance), limit=300)
-        worst_kl = max(worst_kl, abs(kl_gauss(p, qd) - ref))
+        ref, _ = quad(integrand, mp - 14 * np.sqrt(vp), mp + 14 * np.sqrt(vp), limit=300)
+        worst_kl = max(worst_kl, abs(kl_gauss((mp, vp), (mq, vq)) - ref))
 
     ok = worst_ce < 1e-12 and worst_add < 1e-10 and worst_kl < 1e-6
     report(2, ok, f"CE=H+KL err {worst_ce:.1e} < 1e-12; additivity err {worst_add:.1e} < 1e-10; KL-vs-quadrature err {worst_kl:.1e} < 1e-6 ({time.time() - t0:.1f}s)")
@@ -254,7 +252,7 @@ def _logistic_grid_max(data, ref, gamma, x_test, box=8.0, res=400):
         m = np.maximum(l0, l1)
         loss += (m + np.log(np.exp(l0 - m) + np.exp(l1 - m))) - (l1 if yi == 1 else l0)
     loss /= len(data)
-    p = M.predict(ref, x_test).probs
+    p = M.predict_batch(ref, x_test)[0]
     l0t = w0 * x_test[0] + b0
     l1t = W1 * x_test[0] + B1
     mt = np.maximum(l0t, l1t)
@@ -303,7 +301,7 @@ def test_criterion_08_simplex_starved_class(simplex_setup):
     t0 = time.time()
     data, arch, x, ref = simplex_setup
     ensemble = S.deep_ensemble(data, arch, 10, M.TrainConfig(epochs=300, seed=20))
-    de_max = np.vstack([M.predict(p, x).probs for p in ensemble.params]).max(axis=0)
+    de_max = np.vstack([M.predict_batch(p, x) for p in ensemble.params]).max(axis=0)
     starved = [c for c in range(3) if de_max[c] <= 0.5]
     assert starved, f"deep ensemble assigns > 0.5 to every class: {de_max}"
 
@@ -312,7 +310,7 @@ def test_criterion_08_simplex_starved_class(simplex_setup):
     found = {}
     for traj in trajectories:
         cls = int(traj.target.split(":")[1])
-        feasible = [r.dist.probs[cls] for r in traj.records if r.full_pen <= 0.0]
+        feasible = [r.pred[cls] for r in traj.records if r.full_pen <= 0.0]
         found[cls] = max(feasible) if feasible else 0.0
     hit = [c for c in starved if found[c] > 0.5]
     ok = bool(hit)
@@ -516,11 +514,11 @@ def mnist_runs():
             scores = np.empty(len(points))
             bma = np.empty((len(points), 10))
             for i, x in enumerate(points):
-                ref_dist = M.predict(ref, x)
-                top = np.argsort(-ref_dist.probs)[:4]  # search budget: top-4 classes
+                ref_row = M.predict_batch(ref, x)
+                top = np.argsort(-ref_row[0])[:4]  # search budget: top-4 classes
                 trajs = targeted_search_suite(x, train, ref, search_cfg, classes=sorted(int(c) for c in top))
                 preds, w = E.pool_trajectories(trajs, 1e-3)
-                (br,) = decompose_b("categorical", ref_dist.probs[None], preds[:, None], w)
+                (br,) = decompose_b("categorical", ref_row, preds[:, None], w)
                 scores[i] = br.epistemic
                 bma[i] = w @ preds
             return scores, bma

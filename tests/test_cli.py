@@ -103,7 +103,7 @@ def test_cmd_train_missing_dataset_exits_2(tmp_path, capsys):
         tmp_path / "bad.ini",
         "[experiment]\nseed = 0\n[dataset]\nname = idx\nimages = /does/not/exist\nlabels = /n/a\n[arch]\nwidths = 4 2\n",
     )
-    code, status = run(capsys, "train", "--config", cfgp)
+    code, status = run(capsys, "train", "--config", cfgp, "--out", str(tmp_path / "out"))
     assert code == 2
     assert "/does/not/exist" in status["error"]
 
@@ -392,6 +392,35 @@ def test_cmd_quam_truncated_checkpoint_exits_2(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 2 and len(lines) == 1
     assert json.loads(lines[0])["status"] == "usage_error"
+
+
+def test_directory_in_place_of_an_input_file_exits_2(tmp_path, capsys):
+    _, s = run(capsys, "train", "--config", write(tmp_path / "t.ini", TRAIN_INI.format(out=tmp_path / "ref")))
+    pts = write(tmp_path / "points.csv", "x0,x1\n0.5,0.5\n")
+    for key, checkpoint, points in (("checkpoint", tmp_path, pts), ("file", s["checkpoint"], tmp_path)):
+        extra = f"[reference]\ncheckpoint = {checkpoint}\n[test_inputs]\nfile = {points}\n[search]\nsteps = 2\n"
+        qcfg = write(tmp_path / "q.ini", TRAIN_INI.format(out=tmp_path / "q_out") + extra)
+        code = main(["quam", "--config", qcfg])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 2 and len(lines) == 1, key
+        status = json.loads(lines[0])
+        assert status["status"] == "usage_error" and str(tmp_path) in status["error"], key
+
+
+@pytest.mark.parametrize("ini", [TRAIN_INI, SINE_INI], ids=["categorical", "gaussian"])
+def test_cmd_quam_reports_nan_abort(tmp_path, capsys, ini):
+    # at this learning rate the first update overflows and every search aborts
+    _, s = run(capsys, "train", "--config", write(tmp_path / "t.ini", ini.format(out=tmp_path / "ref")))
+    pts = write(tmp_path / "points.csv", ("x0,x1\n0.5,0.5\n" if ini is TRAIN_INI else "x0\n4.5\n"))
+    extra = f"[reference]\ncheckpoint = {s['checkpoint']}\n[test_inputs]\nfile = {pts}\n[search]\nlr = 1e300\n[estimator]\nsetting = a\n"
+    qcfg = write(tmp_path / "q.ini", ini.format(out=tmp_path / "q_out") + extra)
+    with np.errstate(all="ignore"):
+        code = main(["quam", "--config", qcfg])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 3 and len(lines) == 1
+    assert json.loads(lines[0])["status"] == "numerical_abort"
+    (row,) = [json.loads(l) for l in open(tmp_path / "q_out" / "scores.jsonl")]
+    assert "nan_abort" in row["flags"]
 
 
 def test_cmd_eval_missing_field_is_a_usage_error(tmp_path, capsys):

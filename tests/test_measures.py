@@ -8,7 +8,6 @@ from quam import measures as U
 from quam import models as M
 from quam.data import gen_sine
 from quam.estimator import pool_trajectories, quam_score
-from quam.models import GaussianScalar
 from quam.rng import derive_rng
 from quam.search import SearchConfig
 
@@ -78,33 +77,55 @@ def test_entropy_gauss_closed_form():
 
 
 def test_kl_gauss_cases():
-    p = GaussianScalar(0.0, 1.0)
+    p = np.array([0.0, 1.0])
     assert U.kl_gauss(p, p) == 0.0
-    assert U.kl_gauss(GaussianScalar(0.0, 1.0), GaussianScalar(1.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
+    assert U.kl_gauss([0.0, 1.0], [1.0, 1.0]) == pytest.approx(0.5, abs=1e-12)
+    for bad in ([0.0, 0.0], [0.0, -1.0], [0.0, np.nan], [0.0, 1.0, 2.0]):
+        with pytest.raises(ValueError):
+            U.kl_gauss(p, bad)
+        with pytest.raises(ValueError):
+            U.kl_gauss(bad, p)
+
+
+def test_gauss_calculus_on_arrays_equals_scalar_calls():
+    rng = derive_rng(13)
+    p = np.column_stack([rng.uniform(-5, 5, 60), rng.uniform(0.01, 10, 60)]).reshape(3, 20, 2)
+    q = np.column_stack([rng.uniform(-5, 5, 20), rng.uniform(0.01, 10, 20)])
+    kl = U.kl_gauss(p, q)  # q broadcast over the leading axis
+    assert kl.shape == (3, 20)
+    assert np.array_equal(kl, [[U.kl_gauss(p[i, j], q[j]) for j in range(20)] for i in range(3)])
+    assert np.array_equal(U.kl_gauss(q, p), [[U.kl_gauss(q[j], p[i, j]) for j in range(20)] for i in range(3)])
+    h = U.entropy_gauss(p[..., 1])
+    assert h.shape == (3, 20)
+    assert np.array_equal(h, [[U.entropy_gauss(v) for v in row] for row in p[..., 1]])
+    with pytest.raises(ValueError):
+        U.entropy_gauss(np.array([1.0, 0.0]))
 
 
 def _kl_gauss_quadrature(p, q):
+    (mp, vp), (mq, vq) = p, q
+
     def integrand(y):
-        lp = -0.5 * (y - p.mean) ** 2 / p.variance - 0.5 * np.log(2 * np.pi * p.variance)
-        lq = -0.5 * (y - q.mean) ** 2 / q.variance - 0.5 * np.log(2 * np.pi * q.variance)
+        lp = -0.5 * (y - mp) ** 2 / vp - 0.5 * np.log(2 * np.pi * vp)
+        lq = -0.5 * (y - mq) ** 2 / vq - 0.5 * np.log(2 * np.pi * vq)
         return np.exp(lp) * (lp - lq)
 
-    lo = p.mean - 14 * np.sqrt(p.variance)
-    hi = p.mean + 14 * np.sqrt(p.variance)
+    lo = mp - 14 * np.sqrt(vp)
+    hi = mp + 14 * np.sqrt(vp)
     val, _ = quad(integrand, lo, hi, limit=300)
     return val
 
 
 def test_kl_gauss_against_quadrature_spot():
-    p, q = GaussianScalar(0.0, 1.0), GaussianScalar(3.0, 2.0)
+    p, q = (0.0, 1.0), (3.0, 2.0)
     assert U.kl_gauss(p, q) == pytest.approx(_kl_gauss_quadrature(p, q), abs=1e-6)
 
 
 def test_kl_gauss_against_quadrature_many():
     rng = derive_rng(2)
     for _ in range(100):
-        p = GaussianScalar(rng.uniform(-5, 5), rng.uniform(0.1, 10))
-        q = GaussianScalar(rng.uniform(-5, 5), rng.uniform(0.1, 10))
+        p = (rng.uniform(-5, 5), rng.uniform(0.1, 10))
+        q = (rng.uniform(-5, 5), rng.uniform(0.1, 10))
         assert U.kl_gauss(p, q) == pytest.approx(_kl_gauss_quadrature(p, q), abs=1e-6)
 
 
@@ -321,13 +342,13 @@ def test_decompose_b_gaussian_matches_per_sample_kl():
     rng = derive_rng(10)
     for _ in range(200):
         n = int(rng.integers(1, 9))
-        ref = GaussianScalar(rng.uniform(-3, 3), rng.uniform(0.01, 5.0))
-        dists = [GaussianScalar(m, v) for m, v in zip(rng.uniform(-3, 3, n), rng.uniform(0.01, 5.0, n))]
+        ref = (rng.uniform(-3, 3), rng.uniform(0.01, 5.0))
+        rows = list(zip(rng.uniform(-3, 3, n), rng.uniform(0.01, 5.0, n)))
         weights = rng.uniform(0.01, 2.0, n)
-        br = split_b("gaussian_scalar", (ref.mean, ref.variance), [(d.mean, d.variance) for d in dists], weights)
-        expected = sum(wt * U.kl_gauss(ref, d) for wt, d in zip(weights / weights.sum(), dists))
+        br = split_b("gaussian_scalar", ref, rows, weights)
+        expected = sum(wt * U.kl_gauss(ref, row) for wt, row in zip(weights / weights.sum(), rows))
         assert abs(br.epistemic - expected) < 1e-12
-        assert br.aleatoric == U.entropy_gauss(ref.variance)
+        assert br.aleatoric == U.entropy_gauss(ref[1])
 
 
 def test_decompose_b_reference_equal_samples():
@@ -412,7 +433,7 @@ def test_decompose_rejects_malformed_inputs():
     for head, ref, preds in bad_b:
         with pytest.raises(ValueError):
             U.decompose_b(head, ref, preds, w)
-    # within the Categorical tolerances
+    # within the row check's tolerances
     assert len(U.decompose_a("categorical", probs + np.array([5e-10, -1e-12]), w)) == 2
 
 

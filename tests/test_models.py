@@ -17,32 +17,32 @@ def blobs(n=100, seed=0):
 def test_zero_params_categorical_uniform():
     arch = M.ArchSpec((2, 4, 3))
     params = M.ModelParams(arch, np.zeros(arch.param_count()))
-    dist = M.predict(params, np.array([0.4, -1.0]))
-    assert np.allclose(dist.probs, 1.0 / 3.0)
+    (probs,) = M.predict_batch(params, np.array([0.4, -1.0]))
+    assert np.allclose(probs, 1.0 / 3.0)
 
 
 def test_zero_params_gaussian_standard():
     arch = M.ArchSpec((1, 4, 2), head="gaussian_scalar")
     params = M.ModelParams(arch, np.zeros(arch.param_count()))
-    dist = M.predict(params, np.array([0.7]))
-    assert dist.mean == 0.0
-    assert dist.variance == 1.0
+    ((mean, variance),) = M.predict_batch(params, np.array([0.7]))
+    assert mean == 0.0
+    assert variance == 1.0
 
 
 def test_predict_deterministic():
     arch = M.ArchSpec((3, 5, 4))
     params = M.init_params(arch, 11)
     x = derive_rng(1).normal(size=3)
-    d1 = M.predict(params, x)
-    d2 = M.predict(params, x)
-    assert np.array_equal(d1.probs, d2.probs)
+    d1 = M.predict_batch(params, x)
+    d2 = M.predict_batch(params, x)
+    assert np.array_equal(d1, d2)
 
 
 def test_predict_rejects_wrong_width():
     arch = M.ArchSpec((3, 5, 2))
     params = M.init_params(arch, 0)
     with pytest.raises(ValueError, match="input width"):
-        M.predict(params, np.array([1.0, 2.0]))
+        M.predict_batch(params, np.array([1.0, 2.0]))
 
 
 def test_train_separable_blobs_to_full_accuracy():
@@ -120,7 +120,7 @@ def test_log_posterior_matches_pointwise_oracle():
     lam = 0.7
     total = 0.0
     for i in range(10):
-        probs = M.predict(params, data.x[i]).probs
+        probs = M.predict_batch(params, data.x[i])[0]
         total -= -np.log(probs[data.y[i]])  # oracle accumulates +log p
     expected = total - 0.5 * lam * float(params.values @ params.values)
     assert abs(M.log_posterior(params, data, lam) - expected) < 1e-10
@@ -148,7 +148,7 @@ def test_mean_train_loss_matches_pointwise_oracle():
     rng = derive_rng(11)
     data = LabeledDataset(rng.normal(size=(12, 2)), rng.integers(0, 2, 12), "classification")
     params = M.init_params(M.ArchSpec((2, 4, 2)), 6)
-    oracle = np.mean([-np.log(M.predict(params, data.x[i]).probs[data.y[i]]) for i in range(12)])
+    oracle = np.mean([-np.log(M.predict_batch(params, data.x[i])[0, data.y[i]]) for i in range(12)])
     assert abs(M.mean_train_loss(params, data) - oracle) < 1e-12
 
 

@@ -42,7 +42,7 @@ def test_mc_dropout_vanishing_rate_matches_deterministic(moons):
     params = M.train(moons, arch, M.TrainConfig(epochs=100, seed=1))
     x = np.array([0.4, 0.3])
     out = S.mc_dropout(params, 20, seed=3)
-    base = M.predict(params, x).probs
+    base = M.predict_batch(params, x)[0]
     preds = out.predictions(x)
     assert preds.shape == (20, 1, 2)
     assert np.abs(preds[:, 0] - base).max() < 1e-6

@@ -32,12 +32,12 @@ def test_zero_lr_single_step_returns_reference():
 def test_far_point_search_flips_class_feasibly():
     data, ref = moons_reference()
     x = np.array([-1.2, 1.2])
-    ref_class = int(np.argmax(M.predict(ref, x).probs))
+    ref_class = int(np.argmax(M.predict_batch(ref, x)[0]))
     cfg = SearchConfig(c0=1.0, eta_factor=1.5, eta_every=10, steps=100, lr=2e-2, seed=0)
     traj = adversarial_model_search(x, data, ref, cfg, objective=("class", 1 - ref_class), seed_keys=(1 - ref_class,))
     best = traj.best
     assert best.full_pen <= 0.0
-    assert int(np.argmax(best.dist.probs)) == 1 - ref_class
+    assert int(np.argmax(best.pred)) == 1 - ref_class
     # re-verify feasibility from the returned parameters themselves
     mtl = M.mean_train_loss(traj.best_params, data)
     assert mtl - (traj.reference_loss + traj.gamma) <= 1e-12
@@ -56,12 +56,12 @@ def test_best_is_max_divergence_among_feasible():
 def test_record_divergence_is_kl_cat_bit_for_bit():
     data, ref = moons_reference()
     x = np.array([-1.2, 1.2])
-    ref_probs = M.predict(ref, x).probs
+    ref_probs = M.predict_batch(ref, x)[0]
     cfg = SearchConfig(steps=40, lr=2e-2, seed=2)
     for objective, keys in ((("class", 0), (0,)), (("class", 1), (1,)), ("divergence", ())):
         traj = adversarial_model_search(x, data, ref, cfg, objective=objective, seed_keys=keys)
         divs = [r.divergence for r in traj.records]
-        assert divs == [kl_cat(ref_probs, r.dist.probs) for r in traj.records]
+        assert divs == [kl_cat(ref_probs, r.pred) for r in traj.records]
         assert max(divs) > 0.0
 
 
@@ -87,7 +87,7 @@ def test_targeted_suite_confident_class_gains_least():
     # near-zero achievable gain while the opposite class finds real adversaries
     data, ref = moons_reference()
     x = np.array([-1.2, 1.2])
-    confident = int(np.argmax(M.predict(ref, x).probs))
+    confident = int(np.argmax(M.predict_batch(ref, x)[0]))
     cfg = SearchConfig(steps=100, lr=2e-2, seed=0)
     trajs = targeted_search_suite(x, data, ref, cfg)
     divs = {int(t.target.split(":")[1]): t.best.divergence for t in trajs}
@@ -170,6 +170,33 @@ def test_trajectory_serialization(tmp_path):
     assert rows[0]["dist"]["kind"] == "categorical"
 
 
+def test_trajectory_lines_carry_the_record_rows_bit_for_bit(tmp_path):
+    import json
+
+    cfg = SearchConfig(steps=10, lr=1e-2, seed=0)
+    moons, moons_ref = moons_reference()
+    sine, sine_ref = sine_reference()
+    cat = adversarial_model_search(np.array([0.0, 1.5]), moons, moons_ref, cfg, objective=("class", 0), seed_keys=(0,))
+    gauss = adversarial_model_search(np.array([-np.pi - 1.0]), sine, sine_ref, cfg, objective=("direction", +1), seed_keys=(0,))
+    for traj, head, kind in ((cat, "categorical", "categorical"), (gauss, "gaussian_scalar", "gaussian")):
+        assert traj.head == head
+        path = tmp_path / f"{kind}.jsonl"
+        trajectory_to_jsonl(traj, path)
+        dists = [json.loads(line)["dist"] for line in path.read_text().splitlines()]
+        assert len(dists) == len(traj.records)
+        for d, r in zip(dists, traj.records):
+            assert d["kind"] == kind
+            row = d["probs"] if kind == "categorical" else [d["mean"], d["variance"]]
+            assert np.array_equal(np.array(row), r.pred)
+
+
+def test_search_rejects_a_reference_without_a_valid_prediction():
+    data, ref = moons_reference()
+    broken = ref.with_values(np.full(ref.values.size, np.nan))
+    with pytest.raises(ValueError, match="reference prediction"):
+        adversarial_model_search(np.array([0.0, 1.5]), data, broken, SearchConfig(steps=2))
+
+
 # -- regression searches ------------------------------------------------------
 
 
@@ -193,9 +220,9 @@ def test_regression_pair_brackets_reference_outside_support():
     x = np.array([-np.pi - 1.0])
     cfg = SearchConfig(steps=120, lr=1e-2, seed=0)
     up, down = regression_search_pair(x, data, ref, cfg)
-    ref_mean = M.predict(ref, x).mean
-    assert up.best.dist.mean > ref_mean
-    assert down.best.dist.mean < ref_mean
+    ref_mean = M.predict_batch(ref, x)[0, 0]
+    assert up.best.pred[0] > ref_mean
+    assert down.best.pred[0] < ref_mean
     assert up.best.full_pen <= 0.0 and down.best.full_pen <= 0.0
     for traj in (up, down):
         assert traj.best.mean_train_loss == M.mean_train_loss(traj.best_params, data)
