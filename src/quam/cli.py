@@ -171,11 +171,15 @@ def cmd_quam(args, cfg: ExperimentConfig) -> int:
             if save_traj:
                 for t in trajs:
                     trajectory_to_jsonl(t, os.path.join(out, f"trajectory_{i:04d}_{t.target.replace(':', '')}.jsonl"))
-    aborted = [i for i, _, trajs in results if all(t.nan_abort for t in trajs)]
+    return _finish_scoring("quam", [i for i, _, trajs in results if all(t.nan_abort for t in trajs)], n=len(xs), out=out)
+
+
+def _finish_scoring(command: str, aborted: list, **extra) -> int:
+    """Status line of a scoring command, written after every row: exit 3 when every search of some point aborted."""
     if aborted:
-        _status("quam", "numerical_abort", error=f"every search hit a non-finite loss at inputs {aborted}", n=len(xs), out=out)
+        _status(command, "numerical_abort", error=f"every search hit a non-finite loss at inputs {aborted}", **extra)
         return EXIT_NUMERIC
-    _status("quam", "ok", n=len(xs), out=out)
+    _status(command, "ok", **extra)
     return EXIT_OK
 
 
@@ -301,16 +305,16 @@ def cmd_grid(args, cfg: ExperimentConfig) -> int:
     points = np.array([(x, y) for x in xs for y in ys])
 
     def one(i):
-        return i, quam_score(points[i], dataset, reference, search_cfg, temperature, setting=setting)
+        br, trajs = quam_score(points[i], dataset, reference, search_cfg, temperature, setting=setting, return_trajectories=True)
+        return i, br, all(t.nan_abort for t in trajs)
 
     rows = _run_parallel(one, len(points), args.jobs)
     path = os.path.join(out, "grid.csv")
     with open(path, "w") as f:
-        f.write("x,y,total,aleatoric,epistemic\n")
-        for i, br in rows:
-            f.write(f"{points[i][0]:.17g},{points[i][1]:.17g},{br.total:.17g},{br.aleatoric:.17g},{br.epistemic:.17g}\n")
-    _status("grid", "ok", rows=len(points), out=path)
-    return EXIT_OK
+        f.write("x,y,total,aleatoric,epistemic,flags\n")
+        for i, br, _ in rows:
+            f.write(f"{points[i][0]:.17g},{points[i][1]:.17g},{br.total:.17g},{br.aleatoric:.17g},{br.epistemic:.17g},{';'.join(br.flags)}\n")
+    return _finish_scoring("grid", [i for i, _, all_aborted in rows if all_aborted], rows=len(points), out=path)
 
 
 def cmd_varstudy(args, cfg: ExperimentConfig) -> int:

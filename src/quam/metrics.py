@@ -7,6 +7,10 @@ random positive outranks a random negative with half credit for ties
 score thresholds; FPR@TPR is the smallest false-positive rate over
 thresholds reaching the target true-positive rate (score >= t counts as
 positive).
+
+Tie rule: scores that compare equal, ``inf`` and ``-inf`` included, form
+one threshold, so every metric moves past a tie in one step. NaN scores
+have no place in a ranking and are rejected with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ class ScoredLabels:
             raise ValueError(f"scores {s.shape} and labels {y.shape} must be equal-length vectors")
         if not set(np.unique(y)) <= {0, 1}:
             raise ValueError("labels must be 0/1")
+        if np.isnan(s).any():
+            raise ValueError("scores must not be NaN")
         object.__setattr__(self, "scores", s)
         object.__setattr__(self, "labels", y)
 
@@ -63,68 +69,42 @@ class ScoredLabels:
             raise ValueError("ranking metrics need at least one positive and one negative")
 
 
+def _tie_groups(scores: np.ndarray, hits: np.ndarray):
+    """Group equal scores from the highest down; the one tie rule of every metric.
+
+    Sorts once (stable) and returns, per group, the number of items scored
+    at or above it (its end index) and the number of hits among them.
+    """
+    order = np.argsort(-scores, kind="mergesort")
+    s = scores[order]
+    ends = np.r_[np.flatnonzero(s[1:] != s[:-1]) + 1, len(s)]
+    return ends, np.cumsum(hits[order])[ends - 1]
+
+
 def auroc(s: ScoredLabels) -> float:
-    """Mid-rank Mann-Whitney statistic; ties get half credit."""
+    """Mid-rank Mann-Whitney statistic (ties get half credit): the trapezoid under the ROC steps."""
     s.require_both_classes()
-    order = np.argsort(s.scores, kind="mergesort")
-    sorted_scores = s.scores[order]
-    ranks = np.empty(len(sorted_scores))
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[i : j + 1] = 0.5 * (i + j) + 1.0  # mid-rank, 1-based
-        i = j + 1
-    rank_by_item = np.empty(len(ranks))
-    rank_by_item[order] = ranks
-    n_pos = int(s.labels.sum())
-    n_neg = len(s.labels) - n_pos
-    rank_sum = rank_by_item[s.labels == 1].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def _pr_points(s: ScoredLabels):
-    """Precision/recall at every distinct descending threshold."""
-    order = np.argsort(-s.scores, kind="mergesort")
-    y = s.labels[order]
-    scores = s.scores[order]
-    tp = np.cumsum(y)
-    fp = np.cumsum(1 - y)
-    distinct = np.nonzero(np.diff(scores))[0]
-    cut = np.r_[distinct, len(y) - 1]
-    tp, fp = tp[cut], fp[cut]
-    precision = tp / (tp + fp)
-    recall = tp / y.sum()
-    return precision, recall
+    ends, tp = _tie_groups(s.scores, s.labels)
+    fp = ends - tp
+    return float(np.trapezoid(np.r_[0, tp], np.r_[0, fp]) / (tp[-1] * fp[-1]))
 
 
 def aupr(s: ScoredLabels) -> float:
     """Area under precision-recall by step interpolation (positives = 1)."""
     s.require_both_classes()
-    precision, recall = _pr_points(s)
-    prev_r = 0.0
-    area = 0.0
-    for p, r in zip(precision, recall):
-        area += (r - prev_r) * p
-        prev_r = r
-    return float(area)
+    ends, tp = _tie_groups(s.scores, s.labels)
+    return float(np.sum(np.diff(tp / tp[-1], prepend=0.0) * (tp / ends)))
 
 
 def fpr_at_tpr(s: ScoredLabels, tpr_target: float = 0.95) -> float:
     """Minimal FPR over thresholds with TPR >= target (score >= t is positive)."""
+    if not 0.0 < tpr_target <= 1.0:
+        raise ValueError(f"the TPR target must lie in (0, 1], got {tpr_target}")
     s.require_both_classes()
-    thresholds = np.unique(s.scores)
-    n_pos = s.labels.sum()
-    n_neg = len(s.labels) - n_pos
-    best = 1.0
-    for t in thresholds:
-        flag = s.scores >= t
-        tpr = (flag & (s.labels == 1)).sum() / n_pos
-        if tpr >= tpr_target:
-            fpr = (flag & (s.labels == 0)).sum() / n_neg
-            best = min(best, float(fpr))
-    return best
+    ends, tp = _tie_groups(s.scores, s.labels)
+    # fp never falls as the threshold falls, so the first group to reach the target has the minimum
+    first = np.argmax(tp / tp[-1] >= tpr_target)
+    return float((ends[first] - tp[first]) / (ends[-1] - tp[-1]))
 
 
 def selective_auc(uncertainties, correct) -> float:
@@ -136,29 +116,13 @@ def selective_auc(uncertainties, correct) -> float:
     """
     u = np.asarray(uncertainties, dtype=np.float64)
     ok = np.asarray(correct, dtype=np.float64)
-    if u.shape != ok.shape or u.ndim != 1 or len(u) == 0:
-        raise ValueError("uncertainties and correctness must be equal-length nonempty vectors")
-    order = np.argsort(u, kind="mergesort")
-    u_sorted, ok_sorted = u[order], ok[order]
+    if u.shape != ok.shape or u.ndim != 1 or len(u) == 0 or np.isnan(u).any():
+        raise ValueError("uncertainties and correctness must be equal-length nonempty vectors, with no NaN uncertainty")
+    ends, hits = _tie_groups(-u, ok)
     n = len(u)
-    cum = np.empty(n)
-    i = 0
-    total = 0.0
-    while i < n:
-        j = i
-        while j + 1 < n and u_sorted[j + 1] == u_sorted[i]:
-            j += 1
-        rate = ok_sorted[i : j + 1].mean()
-        for k in range(i, j + 1):
-            total += rate
-            cum[k] = total
-        i = j + 1
     ks = np.arange(1, n + 1)
-    acc = cum / ks
-    frac = ks / n
-    if n == 1:
-        return float(acc[0])
-    return float(np.trapezoid(acc, frac) / (frac[-1] - frac[0]))
+    acc = np.interp(ks, np.r_[0, ends], np.r_[0.0, hits]) / ks
+    return float(acc[0] if n == 1 else np.trapezoid(acc, ks / n) / (1.0 - 1.0 / n))
 
 
 def calibration_bins(pred_probs, labels, n_bins: int = 10):

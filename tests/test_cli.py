@@ -305,8 +305,24 @@ def test_cmd_grid_row_count(tmp_path, capsys):
     code, status = run(capsys, "grid", "--config", gcfg)
     assert code == 0 and status["rows"] == 16
     lines = open(status["out"]).read().splitlines()
-    assert lines[0] == "x,y,total,aleatoric,epistemic"
+    assert lines[0] == "x,y,total,aleatoric,epistemic,flags"
     assert len(lines) == 17
+
+
+def test_cmd_grid_reports_nan_abort(tmp_path, capsys):
+    # at this learning rate the first update overflows and every search aborts
+    _, s = run(capsys, "train", "--config", write(tmp_path / "t.ini", TRAIN_INI.format(out=tmp_path / "ref")))
+    extra = f"[reference]\ncheckpoint = {s['checkpoint']}\n[grid]\nresolution = 2\n[search]\nlr = 1e300\n[estimator]\nsetting = a\n"
+    gcfg = write(tmp_path / "g.ini", TRAIN_INI.format(out=tmp_path / "g_out") + extra)
+    with np.errstate(all="ignore"):
+        code = main(["grid", "--config", gcfg])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 3 and len(lines) == 1
+    status = json.loads(lines[0])
+    assert status["status"] == "numerical_abort"
+    header, *rows = open(status["out"]).read().splitlines()
+    assert header.endswith(",flags") and len(rows) == 4
+    assert all("nan_abort" in row.split(",")[-1].split(";") for row in rows)
 
 
 SINE_INI = """
@@ -433,6 +449,30 @@ def test_cmd_eval_missing_field_is_a_usage_error(tmp_path, capsys):
         assert code == 2 and len(lines) == 1
         error = json.loads(lines[0])["error"]
         assert "'epistemic'" in error and str(pos_p) in error
+
+
+def eval_config(tmp_path, id_values, positive_values, metrics):
+    id_p = write(tmp_path / "id.jsonl", "".join(json.dumps({"input_id": i, "epistemic": v}) + "\n" for i, v in enumerate(id_values)))
+    pos_p = write(tmp_path / "pos.jsonl", "".join(json.dumps({"input_id": i, "epistemic": v}) + "\n" for i, v in enumerate(positive_values)))
+    return write(tmp_path / "e.ini", f"[eval]\nid_scores = {id_p}\npositive_scores = {pos_p}\nmetrics = {metrics}\n[output]\ndir = {tmp_path}/e_out\n")
+
+
+def test_cmd_eval_counts_tied_infinite_scores_as_one_threshold(tmp_path, capsys):
+    # setting-b rows that violate the reference's support score Infinity
+    cfgp = eval_config(tmp_path, [np.inf, np.inf, 0.2], [np.inf, np.inf, 0.1], "aupr")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, status = run(capsys, "eval", "--config", cfgp)
+    assert code == 0 and status["aupr"] == 0.5
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("id_value, metrics", [(float("nan"), "auroc"), (0.1, "fpr_at_tpr150")], ids=["nan_score", "tpr_target_above_1"])
+def test_cmd_eval_nan_score_or_bad_tpr_target_exits_2(tmp_path, capsys, id_value, metrics):
+    code = main(["eval", "--config", eval_config(tmp_path, [id_value, 0.2], [0.9], metrics)])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 2 and len(lines) == 1
+    assert json.loads(lines[0])["status"] == "usage_error"
 
 
 def test_benchmark_tracer_installs_on_the_cli():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quam import metrics as X
 from quam import models as M
@@ -158,10 +160,46 @@ def test_selective_auc_oracle_ordering_is_maximal():
     oracle = X.selective_auc(1.0 - correct, correct)
     for _ in range(100):
         perm = rng.permutation(40)
-        assert oracle >= X.selective_auc(1.0 - correct[perm], correct) - 1e-12 or True
+        assert oracle >= X.selective_auc(1.0 - correct[perm], correct) - 1e-12
         # maximality is against score orderings on the same correctness vector
         scores = rng.normal(size=40)
         assert oracle >= X.selective_auc(scores, correct) - 1e-12
+
+
+def selective_auc_prefix_enum(u, correct):
+    """Accuracy of every prefix of the k lowest uncertainties, a partly kept tie at its mean."""
+    n = len(u)
+    v = np.sort(u)
+    acc = []
+    for k in range(1, n + 1):
+        below, tie = u < v[k - 1], u == v[k - 1]
+        acc.append((correct[below].sum() + (k - below.sum()) * correct[tie].mean()) / k)
+    return acc[0] if n == 1 else sum((a + b) / 2 for a, b in zip(acc, acc[1:])) / (n - 1)
+
+
+# a small pool forces ties, at +-inf too
+TIED_SCORE = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0, np.inf])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(TIED_SCORE, min_size=2, max_size=40), st.data())
+def test_ranking_metrics_match_oracles_on_tied_and_infinite_scores(scores, data):
+    scores = np.array(scores)
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores))))
+    labels[0], labels[1] = 0, 1  # both classes
+    s = X.ScoredLabels(scores, labels)
+    assert X.auroc(s) == pytest.approx(auroc_pair_count(scores, labels), abs=1e-12)
+    assert X.aupr(s) == pytest.approx(aupr_threshold_enum(scores, labels), abs=1e-12)
+    for target in (0.1, 0.5, 0.95, 1.0):
+        assert X.fpr_at_tpr(s, target) == fpr_threshold_enum(scores, labels, target)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(TIED_SCORE, min_size=1, max_size=40), st.data())
+def test_selective_auc_matches_prefix_oracle_on_tied_and_infinite_scores(u, data):
+    u = np.array(u)
+    correct = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(u), max_size=len(u))), dtype=float)
+    assert X.selective_auc(u, correct) == pytest.approx(selective_auc_prefix_enum(u, correct), abs=1e-12)
 
 
 def test_ece_trivial_cases():
@@ -231,3 +269,10 @@ def test_scored_labels_validation():
         X.ScoredLabels([0.1, 0.2], [0, 2])
     with pytest.raises(ValueError):
         X.auroc(X.ScoredLabels([0.1, 0.2], [1, 1]))
+    with pytest.raises(ValueError):
+        X.ScoredLabels([0.1, np.nan], [0, 1])
+    with pytest.raises(ValueError):
+        X.selective_auc([0.1, np.nan], [0, 1])
+    for target in (0.0, 1.5, np.nan):
+        with pytest.raises(ValueError):
+            X.fpr_at_tpr(X.ScoredLabels([0.1, 0.2], [0, 1]), target)
