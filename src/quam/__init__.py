@@ -8,17 +8,18 @@ posterior-only sampler (deep ensemble, MC dropout, SG-MCMC) tends to miss.
 
 Modules
 -------
-autodiff    reverse-mode AD on dense float64 arrays
-models      ReLU MLPs, training, log-posterior weights, checkpoints
+autodiff    reverse-mode AD on a generic tape; serves only grad_check
+models      ReLU MLPs, closed-form loss gradients, training, checkpoints
 data        synthetic generators, IDX ingestion, splits, CSV
 measures    entropy/cross-entropy/KL calculus and uncertainty splits
 search      the penalty-method adversarial model search
 estimator   pooled scores, importance-sampling estimators, variance study
 samplers    deep ensembles, MC dropout, cyclical SG-HMC, HMC
-metrics     AUROC/AUPR/FPR, selective prediction, ECE, maps, simplex study
+metrics     AUROC/AUPR/FPR, selective prediction, ECE, simplex study
 cli         experiment driver (`quam` entry point)
 """
 
+from . import autodiff  # noqa: F401 -- bench/tracer.py patches Tape.backward; drop with ROADMAP item 1
 from .data import LabeledDataset, gen_sine, gen_three_gaussians, gen_two_moons, load_idx
 from .estimator import mis_estimate, mis_variance_estimate, mse_bound, quam_score
 from .measures import (

@@ -21,7 +21,7 @@ from . import models as M
 from .config import ConfigError, ExperimentConfig
 from .estimator import quam_score, variance_sweep
 from .measures import decompose_a, decompose_b
-from .metrics import ScoredLabels, aupr, auroc, ece, fpr_at_tpr, selective_auc, simplex_surface
+from .metrics import ScoredLabels, aupr, auroc, fpr_at_tpr, simplex_surface
 from .samplers import HMCAborted, deep_ensemble, hmc_posterior, mc_dropout, csghmc
 from .search import SearchConfig, trajectory_to_jsonl
 
@@ -111,9 +111,17 @@ def load_test_inputs(cfg: ExperimentConfig) -> np.ndarray:
     rows = []
     with open(path) as f:
         f.readline()  # header
-        for line in f:
-            if line.strip():
-                rows.append([float(c) for c in line.split(",")])
+        for lineno, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
+            try:
+                row = [float(c) for c in line.split(",")]
+                ok = np.isfinite(row).all() and (not rows or len(row) == len(rows[0]))
+            except ValueError:
+                ok = False
+            if not ok:
+                raise UsageError(f"test input file {path}, line {lineno}: every row needs the same number of finite numbers, got {line.strip()!r}")
+            rows.append(row)
     if not rows:
         raise UsageError(f"test input file has no rows: {path}")
     return np.asarray(rows)
@@ -295,6 +303,8 @@ def cmd_grid(args, cfg: ExperimentConfig) -> int:
     dataset = load_dataset(cfg)
     reference = M.load_checkpoint(cfg.require("reference", "checkpoint"))
     res = cfg.get_int("grid", "resolution", 40)
+    if res < 1:
+        raise UsageError(f"[grid] resolution must be >= 1, got {res}")
     x_lo, x_hi = cfg.get_floats("grid", "x_range", (-1.5, 2.5))
     y_lo, y_hi = cfg.get_floats("grid", "y_range", (-1.0, 1.5))
     temperature = cfg.get_float("estimator", "temperature", 0.1)
@@ -322,6 +332,8 @@ def cmd_varstudy(args, cfg: ExperimentConfig) -> int:
     parameter = cfg.get_str("varstudy", "parameter", "sigma_p2")
     lo, hi = cfg.get_floats("varstudy", "range", (1.0, 3.0))
     count = cfg.get_int("varstudy", "count", 9)
+    if count < 1:
+        raise UsageError(f"[varstudy] count must be >= 1, got {count}")
     rows = variance_sweep(parameter, np.linspace(lo, hi, count))
     path = os.path.join(out, f"varstudy_{parameter}.csv")
     with open(path, "w") as f:

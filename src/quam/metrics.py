@@ -1,5 +1,5 @@
-"""Detection and calibration metrics, uncertainty maps and the simplex
-likelihood-surface experiment.
+"""Detection and calibration metrics and the simplex likelihood-surface
+experiment.
 
 Ranking metrics follow the usual conventions: AUROC is the probability a
 random positive outranks a random negative with half credit for ties
@@ -19,16 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape
 from .data import LabeledDataset
-from .models import (
-    ArchSpec,
-    TrainConfig,
-    TrainingDiverged,
-    forward_graph,
-    mean_train_loss,
-    train_with_point_loss,
-)
+from .models import ArchSpec, TrainConfig, TrainingDiverged, loss_and_grad, mean_train_loss, train_with_point_loss
 
 __all__ = [
     "ScoredLabels",
@@ -38,8 +30,6 @@ __all__ = [
     "selective_auc",
     "ece",
     "calibration_bins",
-    "uncertainty_grid",
-    "grid_rows",
     "simplex_grid",
     "simplex_surface",
 ]
@@ -152,29 +142,6 @@ def ece(pred_probs, labels, n_bins: int = 10) -> float:
 
 
 # --------------------------------------------------------------------------
-# 2D uncertainty maps
-# --------------------------------------------------------------------------
-
-
-def uncertainty_grid(method, x_range, y_range, resolution: int):
-    """Evaluate `method((x, y)) -> UncertaintyBreakdown` at every grid node.
-
-    Returns (points, breakdowns) with resolution**2 rows in row-major
-    order (y varies fastest within a row of constant x index).
-    """
-    xs = np.linspace(x_range[0], x_range[1], resolution)
-    ys = np.linspace(y_range[0], y_range[1], resolution)
-    points = np.array([(x, y) for x in xs for y in ys])
-    breakdowns = [method(p) for p in points]
-    return points, breakdowns
-
-
-def grid_rows(points, breakdowns):
-    """CSV rows (x, y, total, aleatoric, epistemic)."""
-    return [(float(p[0]), float(p[1]), b.total, b.aleatoric, b.epistemic) for p, b in zip(points, breakdowns)]
-
-
-# --------------------------------------------------------------------------
 # simplex likelihood surface
 # --------------------------------------------------------------------------
 
@@ -207,24 +174,21 @@ def simplex_surface(
     pinned target) and records the median per-sample training likelihood
     exp(-mean CE).  Non-convergent runs are excluded and counted.
     """
+    if arch.head != "categorical" or arch.n_classes != 3:
+        raise ValueError(f"simplex_surface needs a 3-class categorical head, got {arch.head} with output width {arch.widths[-1]}")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape != (1, arch.widths[0]):
+        raise ValueError(f"simplex test point needs {arch.widths[0]} coordinates, got array of shape {x.shape}")
     targets = simplex_grid(resolution)
     rows = []
     for ti, target in enumerate(targets):
         t_row = target.reshape(1, -1)
-
-        def pin_loss(tape: Tape, leaves):
-            out = forward_graph(tape, leaves, x, arch)
-            logp = tape.forward_op("log_softmax", out)
-            picked = tape.forward_op("mul", logp, tape.constant(t_row))
-            return tape.forward_op("scalar_mul", tape.forward_op("reduce_sum", picked), -1.0)
-
         likes = []
         failures = 0
         for rep in range(repeats):
             run_cfg = TrainConfig(lr=cfg.lr, weight_decay=cfg.weight_decay, epochs=cfg.epochs, batch_size=cfg.batch_size, seed=cfg.seed + 1000 * ti + rep)
             try:
-                params = train_with_point_loss(data, arch, run_cfg, extra_loss=pin_loss)
+                params = train_with_point_loss(data, arch, run_cfg, extra_loss=lambda p: loss_and_grad(p, x, t_row))
             except TrainingDiverged:
                 failures += 1
                 continue

@@ -15,13 +15,13 @@ objective.
 
 from __future__ import annotations
 
+import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Node, Tape
 from .rng import derive_rng
 
 __all__ = [
@@ -34,15 +34,16 @@ __all__ = [
     "init_params",
     "forward",
     "backward",
+    "loss_and_grad",
     "head_predictions",
     "head_nll",
     "head_nll_grad",
+    "target_rows",
     "predict_batch",
     "train",
     "train_with_point_loss",
     "mean_train_loss",
     "log_posterior",
-    "posterior_weight",
     "make_dropout_masks",
     "save_checkpoint",
     "load_checkpoint",
@@ -102,19 +103,25 @@ class ArchSpec:
         return self.widths[-1]
 
     def param_count(self) -> int:
-        return sum((i + 1) * o for i, o in zip(self.widths[:-1], self.widths[1:]))
+        return self.layer_slices()[-1][1].stop
 
-    def layer_slices(self) -> list[tuple[slice, slice]]:
+    def layer_slices(self) -> tuple[tuple[slice, slice], ...]:
         """(weight slice, bias slice) into the flat vector, per layer."""
-        out = []
-        pos = 0
-        for i, o in zip(self.widths[:-1], self.widths[1:]):
-            w = slice(pos, pos + i * o)
-            pos += i * o
-            b = slice(pos, pos + o)
-            pos += o
-            out.append((w, b))
-        return out
+        return _layer_slices(self.widths)
+
+
+@functools.lru_cache(maxsize=256)
+def _layer_slices(widths: tuple[int, ...]) -> tuple[tuple[slice, slice], ...]:
+    # every gradient and forward pass asks for the layout: build it once per architecture
+    out = []
+    pos = 0
+    for i, o in zip(widths[:-1], widths[1:]):
+        w = slice(pos, pos + i * o)
+        pos += i * o
+        b = slice(pos, pos + o)
+        pos += o
+        out.append((w, b))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -168,54 +175,6 @@ def make_dropout_masks(arch: ArchSpec, rng: np.random.Generator) -> list[np.ndar
 # --------------------------------------------------------------------------
 
 
-def forward_graph(
-    tape: Tape,
-    layer_nodes: Sequence[tuple[Node, Node]],
-    x: np.ndarray,
-    arch: ArchSpec,
-    dropout_masks: Optional[Sequence[np.ndarray]] = None,
-) -> Node:
-    """Build the network's forward pass on `tape`; returns the head output node.
-
-    `x` is a (n, input_width) batch.  Biases are added through a ones-column
-    matmul so that `add` stays within same-shape semantics.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != arch.widths[0]:
-        raise ValueError(f"input width {x.shape[1]} does not match architecture input width {arch.widths[0]}")
-    ones = tape.constant(np.ones((x.shape[0], 1)))
-    h = tape.constant(x)
-    for li, (w_node, b_node) in enumerate(layer_nodes):
-        z = tape.forward_op("matmul", h, w_node)
-        z = tape.forward_op("add", z, tape.forward_op("matmul", ones, b_node))
-        if li < arch.n_layers - 1:
-            z = tape.forward_op("relu", z)
-            if dropout_masks is not None:
-                z = tape.forward_op("mul", z, tape.constant(np.broadcast_to(dropout_masks[li], (1, z.value.shape[1])) * np.ones((x.shape[0], 1))))
-        h = z
-    return h
-
-
-def param_leaves(tape: Tape, params: ModelParams) -> list[tuple[Node, Node]]:
-    """Register each layer's weight matrix and bias row as tape leaves."""
-    nodes = []
-    for w, b in params.layers():
-        nodes.append((tape.leaf(w), tape.leaf(b.reshape(1, -1))))
-    return nodes
-
-
-def flatten_layer_grads(arch: ArchSpec, layer_nodes, grads: dict[int, np.ndarray]) -> np.ndarray:
-    flat = np.zeros(arch.param_count())
-    for (ws, bs), (w_node, b_node) in zip(arch.layer_slices(), layer_nodes):
-        gw = grads.get(w_node.id)
-        gb = grads.get(b_node.id)
-        if gw is not None:
-            flat[ws] = gw.ravel()
-        if gb is not None:
-            flat[bs] = gb.ravel()
-    return flat
-
-
 def forward(params: ModelParams, x: np.ndarray, dropout_masks=None) -> list[np.ndarray]:
     """The input of every layer, then the head outputs, at the rows of `x`.
 
@@ -237,17 +196,20 @@ def forward(params: ModelParams, x: np.ndarray, dropout_masks=None) -> list[np.n
     return acts
 
 
-def backward(params: ModelParams, acts: Sequence[np.ndarray], grad_out: np.ndarray) -> np.ndarray:
+def backward(params: ModelParams, acts: Sequence[np.ndarray], grad_out: np.ndarray, dropout_masks=None) -> np.ndarray:
     """Flat gradient of sum_i grad_out[i] . out[i] with respect to the parameters.
 
-    `acts` comes from `forward` without dropout masks and `grad_out` holds
-    one output gradient per row.  A layer's flat slice (weights row-major,
-    then the bias) is a (fan_in + 1, fan_out) matrix, so each layer's
-    gradient is written straight into the flat vector.
+    `acts` comes from `forward` with the same `dropout_masks`, and
+    `grad_out` holds one output gradient per row.  A layer's flat slice
+    (weights row-major, then the bias) is a (fan_in + 1, fan_out) matrix,
+    so each layer's gradient is written straight into the flat vector.  The
+    bias gradient is the product ones(1, n) @ dz, and a hidden layer's
+    gradient is multiplied by its dropout mask, then by 1[h > 0].
     """
     arch = params.arch
     slices = arch.layer_slices()
     grad = np.empty(arch.param_count())
+    ones = np.ones((1, len(grad_out)))
     dz = grad_out
     for li in range(arch.n_layers - 1, -1, -1):
         ws, bs = slices[li]
@@ -255,9 +217,12 @@ def backward(params: ModelParams, acts: Sequence[np.ndarray], grad_out: np.ndarr
         g = grad[ws.start : bs.stop].reshape(fan_in + 1, fan_out)
         h = acts[li]
         np.matmul(h.T, dz, out=g[:fan_in])
-        g[fan_in] = dz.sum(axis=0)
+        np.matmul(ones, dz, out=g[fan_in:])
         if li:
-            dz = (dz @ params.values[ws].reshape(fan_in, fan_out).T) * (h > 0.0)
+            dz = dz @ params.values[ws].reshape(fan_in, fan_out).T
+            if dropout_masks is not None:
+                dz = dz * dropout_masks[li - 1]
+            dz = dz * (h > 0.0)
     return grad
 
 
@@ -289,47 +254,16 @@ def predict_batch(params: ModelParams, x: np.ndarray, dropout_masks=None) -> np.
 # --------------------------------------------------------------------------
 
 
-def _onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((labels.size, n_classes))
-    out[np.arange(labels.size), labels.astype(int)] = 1.0
-    return out
+def target_rows(arch: ArchSpec, y: np.ndarray) -> np.ndarray:
+    """`loss_and_grad`'s targets for labels `y`: one-hot rows for a categorical head, else `y`.
 
-
-def nll_graph(
-    tape: Tape,
-    layer_nodes,
-    x: np.ndarray,
-    targets: np.ndarray,
-    arch: ArchSpec,
-    dropout_masks=None,
-) -> Node:
-    """Mean negative log-likelihood of a batch, as a tape node.
-
-    For categorical heads `targets` may be integer labels or rows of target
-    probabilities (the latter is what targeted searches use).
+    Callers that take the loss of the same labels many times build the rows once.
     """
-    out = forward_graph(tape, layer_nodes, x, arch, dropout_masks)
-    n = np.atleast_2d(x).shape[0]
-    if arch.head == "categorical":
-        targets = np.asarray(targets)
-        t = _onehot(targets, arch.n_classes) if targets.ndim == 1 else np.asarray(targets, dtype=np.float64)
-        logp = tape.forward_op("log_softmax", out)
-        picked = tape.forward_op("mul", logp, tape.constant(t))
-        return tape.forward_op("scalar_mul", tape.forward_op("reduce_sum", picked), -1.0 / n)
-    y = tape.constant(np.asarray(targets, dtype=np.float64).reshape(-1, 1))
-    mean = tape.forward_op("take_col", out, aux=0)
-    resid = tape.forward_op("sub", y, mean)
-    sq = tape.forward_op("square", resid)
-    if arch.widths[-1] == 2:
-        logvar = tape.forward_op("take_col", out, aux=1)
-        inv_var = tape.forward_op("exp", tape.forward_op("scalar_mul", logvar, -1.0))
-        quad = tape.forward_op("mul", sq, inv_var)
-        total = tape.forward_op("add", logvar, quad)
-        loss = tape.forward_op("scalar_mul", tape.forward_op("reduce_sum", total), 0.5 / n)
-        return tape.forward_op("add", loss, tape.constant(np.array(0.5 * np.log(2.0 * np.pi))))
-    loss = tape.forward_op("scalar_mul", tape.forward_op("reduce_sum", sq), 0.5 / (n * FIXED_GAUSSIAN_VARIANCE))
-    const = 0.5 * np.log(2.0 * np.pi * FIXED_GAUSSIAN_VARIANCE)
-    return tape.forward_op("add", loss, tape.constant(np.array(const)))
+    if arch.head != "categorical":
+        return y
+    out = np.zeros((y.size, arch.n_classes))
+    out[np.arange(y.size), y.astype(int)] = 1.0
+    return out
 
 
 def head_nll(arch: ArchSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -359,13 +293,44 @@ def head_nll_grad(arch: ArchSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (resid / FIXED_GAUSSIAN_VARIANCE)[:, None]
 
 
-def _pointwise_nll(params: ModelParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return head_nll(params.arch, forward(params, x)[-1], y)
+def loss_and_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray, masks=None) -> tuple[float, np.ndarray]:
+    """Mean negative log-likelihood of the rows of `x` and its flat gradient.
+
+    `targets` are `target_rows`: rows of target probabilities for a
+    categorical head, the regression targets for a Gaussian one.  `masks`
+    are hidden-layer dropout masks.  Every step repeats
+    the floating-point operations of reverse-mode differentiation through
+    the same graph, in the same order, so the results are reproducible to
+    the bit: the sampler chains depend on it.
+    """
+    arch = params.arch
+    acts = forward(params, x, masks)
+    out = acts[-1]
+    n = len(out)
+    if arch.head == "categorical":
+        z = out - out.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        loss = (logp * targets).sum() * (-1.0 / n)
+        g = (-1.0 / n) * targets
+        grad_out = g - np.exp(logp) * g.sum(axis=1, keepdims=True)
+    else:
+        resid = np.asarray(targets, dtype=np.float64).reshape(-1, 1) - out[:, 0:1]
+        sq = resid * resid
+        if arch.widths[-1] == 2:
+            c = 0.5 / n
+            inv_var = np.exp(out[:, 1:2] * -1.0)
+            loss = (out[:, 1:2] + sq * inv_var).sum() * c + 0.5 * np.log(2.0 * np.pi)
+            grad_out = np.hstack([-((2.0 * resid) * (c * inv_var)), c - (c * sq) * inv_var])
+        else:
+            c = 0.5 / (n * FIXED_GAUSSIAN_VARIANCE)
+            loss = sq.sum() * c + 0.5 * np.log(2.0 * np.pi * FIXED_GAUSSIAN_VARIANCE)
+            grad_out = -((2.0 * resid) * c)
+    return float(loss), backward(params, acts, grad_out, masks)
 
 
 def mean_train_loss(params: ModelParams, data) -> float:
     """Arithmetic mean of the per-point negative log-likelihood."""
-    return float(_pointwise_nll(params, data.x, data.y).mean())
+    return float(head_nll(params.arch, forward(params, data.x)[-1], data.y).mean())
 
 
 def log_posterior(params: ModelParams, data, prior_precision: float) -> float:
@@ -376,15 +341,8 @@ def log_posterior(params: ModelParams, data, prior_precision: float) -> float:
     """
     if len(data) == 0:
         raise ValueError("log_posterior needs a nonempty dataset")
-    nll = _pointwise_nll(params, data.x, data.y).sum()
+    nll = head_nll(params.arch, forward(params, data.x)[-1], data.y).sum()
     return float(-nll - 0.5 * prior_precision * float(params.values @ params.values))
-
-
-def posterior_weight(params: ModelParams, data, temperature: float) -> float:
-    """exp(-mean_train_loss / T)."""
-    if not temperature > 0.0:
-        raise ValueError("temperature must be positive")
-    return float(np.exp(-mean_train_loss(params, data) / temperature))
 
 
 # --------------------------------------------------------------------------
@@ -423,18 +381,11 @@ class Adam:
         return values - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def _loss_and_grad(params: ModelParams, x, y, dropout_masks=None, extra=None):
-    tape = Tape()
-    leaves = param_leaves(tape, params)
-    loss = nll_graph(tape, leaves, x, y, params.arch, dropout_masks)
-    if extra is not None:
-        loss = tape.forward_op("add", loss, extra(tape, leaves))
-    grads = tape.backward(loss)
-    return loss.value.item(), flatten_layer_grads(params.arch, leaves, grads)
-
-
 def train_with_point_loss(data, arch: ArchSpec, cfg: TrainConfig, extra_loss=None, log=None) -> ModelParams:
-    """Adam training; `extra_loss(tape, leaves)` adds a differentiable term.
+    """Adam training on the mean NLL of each batch, plus `extra_loss`.
+
+    `extra_loss(params) -> (loss, flat gradient)`, when given, is added to
+    every batch's loss and gradient.
 
     Seed-deterministic: initialization, batch order and dropout masks all
     derive from cfg.seed.
@@ -446,12 +397,16 @@ def train_with_point_loss(data, arch: ArchSpec, cfg: TrainConfig, extra_loss=Non
     opt = Adam(params.values.size, cfg.lr, cfg.weight_decay)
     n = len(data)
     batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
+    targets = target_rows(arch, data.y)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n) if batch < n else np.arange(n)
         for bi, start in enumerate(range(0, n, batch)):
             idx = order[start : start + batch]
             masks = make_dropout_masks(arch, rng) if arch.dropout_prob > 0 else None
-            loss, grad = _loss_and_grad(params, data.x[idx], data.y[idx], masks, extra_loss)
+            loss, grad = loss_and_grad(params, data.x[idx], targets[idx], masks)
+            if extra_loss is not None:
+                extra, extra_grad = extra_loss(params)
+                loss, grad = loss + extra, grad + extra_grad
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bi}", epoch=epoch, batch=bi)
             params = params.with_values(opt.step(params.values, grad))

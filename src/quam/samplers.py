@@ -15,17 +15,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .autodiff import Tape
 from .models import (
     ArchSpec,
     ModelParams,
     TrainConfig,
     TrainingDiverged,
-    flatten_layer_grads,
+    init_params,
+    log_posterior,
+    loss_and_grad,
     make_dropout_masks,
-    nll_graph,
-    param_leaves,
     predict_batch,
+    target_rows,
     train,
 )
 from .rng import derive_rng
@@ -139,14 +139,15 @@ def csghmc(
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
+    if steps_per_cycle < 1:
+        raise ValueError("steps_per_cycle must be >= 1")
     rng = derive_rng(seed)
-    from .models import init_params  # local import to avoid cycle at module load
-
     params = init if init is not None else init_params(arch, seed)
     values = params.values.copy()
     velocity = np.zeros_like(values)
     n = len(data)
     batch = n if batch_size is None else min(batch_size, n)
+    targets = target_rows(arch, data.y)
     samples: list[ModelParams] = []
     step_log: list[float] = []
 
@@ -155,15 +156,11 @@ def csghmc(
             lr = cosine_step_size(step_size, t, steps_per_cycle)
             step_log.append(lr)
             idx = rng.choice(n, size=batch, replace=False) if batch < n else np.arange(n)
-            tape = Tape()
-            cur = ModelParams(arch, values)
-            leaves = param_leaves(tape, cur)
-            loss = nll_graph(tape, leaves, data.x[idx], data.y[idx], arch)
-            if not np.isfinite(loss.value.item()):
+            loss, grad = loss_and_grad(ModelParams(arch, values), data.x[idx], targets[idx])
+            if not np.isfinite(loss):
                 raise TrainingDiverged(f"cSG-HMC diverged in cycle {cycle}", epoch=cycle, batch=t)
-            grads = tape.backward(loss)
             # grad of U = n * mean-loss + prior quadratic
-            grad_u = n * flatten_layer_grads(arch, leaves, grads) + prior_precision * values
+            grad_u = n * grad + prior_precision * values
             noise_scale = np.sqrt(2.0 * friction * lr * temperature) if lr > 0 else 0.0
             velocity = (1.0 - friction) * velocity - lr * grad_u + noise_scale * rng.standard_normal(values.size)
             values = values + velocity
@@ -212,8 +209,11 @@ def hmc(
 
     During burn-in, `auto_tune` doubles the step size while the recent
     acceptance rate exceeds 0.8 and halves it below 0.6.  A hundred
-    consecutive rejections abort the chain.
+    consecutive rejections abort the chain.  `n_leapfrog = 0` is legal: the
+    chain never moves.
     """
+    if n_leapfrog < 0 or n_samples < 1 or burn_in < 0 or thin < 1:
+        raise ValueError(f"hmc needs n_leapfrog >= 0, n_samples >= 1, burn_in >= 0 and thin >= 1, got {n_leapfrog}, {n_samples}, {burn_in}, {thin}")
     rng = derive_rng(seed)
     q = np.array(x0, dtype=np.float64)
     logp = float(log_density(q))
@@ -293,20 +293,14 @@ def hmc_posterior(
     init: Optional[ModelParams] = None,
 ) -> SamplerOutput:
     """HMC over a network's log-posterior; draws wrapped as ModelParams."""
-    from .models import init_params, log_posterior
-
     n = len(data)
+    targets = target_rows(arch, data.y)
 
     def logp(v):
         return log_posterior(ModelParams(arch, v), data, prior_precision)
 
     def grad_logp(v):
-        tape = Tape()
-        cur = ModelParams(arch, v)
-        leaves = param_leaves(tape, cur)
-        loss = nll_graph(tape, leaves, data.x, data.y, arch)
-        grads = tape.backward(loss)
-        return -n * flatten_layer_grads(arch, leaves, grads) - prior_precision * v
+        return -n * loss_and_grad(ModelParams(arch, v), data.x, targets)[1] - prior_precision * v
 
     start = (init if init is not None else init_params(arch, seed)).values
     raw = hmc(logp, grad_logp, start, n_samples, n_leapfrog, step_size, seed=seed, burn_in=burn_in, auto_tune=auto_tune, thin=thin)

@@ -17,10 +17,9 @@ from quam import estimator as E
 from quam import metrics as X
 from quam import models as M
 from quam import samplers as S
-from quam.autodiff import Tape, grad_check
+from quam.autodiff import grad_check
 from quam.data import LabeledDataset, gen_three_gaussians, gen_two_moons, load_idx, subset_split
 from quam.measures import decompose_a, decompose_b, entropy_cat, kl_cat, kl_gauss, cross_entropy_cat
-from quam.models import flatten_layer_grads, nll_graph, param_leaves
 from quam.rng import derive_rng
 from quam.search import FEASIBILITY_AUDIT, SearchConfig, SearchObjective, adversarial_model_search, targeted_search_suite
 
@@ -38,26 +37,31 @@ def report(criterion: int, passed: bool, detail: str):
 def test_criterion_01_gradient_correctness():
     t0 = time.time()
     rng = derive_rng(100)
+    # dropout masks and soft targets come from their own stream, so the 50 MLPs stay the same
+    extra = derive_rng(101)
     worst = 0.0
+    n_masked = n_soft = 0
     for trial in range(50):
         n_hidden = int(rng.integers(0, 4))
         widths = [int(rng.integers(2, 6))] + [int(rng.integers(2, 17)) for _ in range(n_hidden)] + [int(rng.integers(2, 5))]
         head = "categorical" if rng.random() < 0.7 else "gaussian_scalar"
         if head == "gaussian_scalar":
             widths[-1] = int(rng.integers(1, 3))
-        arch = M.ArchSpec(tuple(widths), head=head)
+        arch = M.ArchSpec(tuple(widths), head=head, dropout_prob=0.3 if trial % 2 and n_hidden else 0.0)
         x = rng.normal(size=(5, widths[0])) + 0.07  # keep inputs off relu kinks
         y = rng.integers(0, widths[-1], size=5) if head == "categorical" else rng.normal(size=5)
+        masks = M.make_dropout_masks(arch, extra) if arch.dropout_prob else None
+        soft = head == "categorical" and trial % 3 == 0
+        y = extra.dirichlet(np.ones(widths[-1]), size=5) if soft else M.target_rows(arch, y)
+        n_masked += masks is not None
+        n_soft += soft
 
-        def loss_fn(values, arch=arch, x=x, y=y):
-            tape = Tape()
-            leaves = param_leaves(tape, M.ModelParams(arch, values))
-            node = nll_graph(tape, leaves, x, y, arch)
-            return node.value.item(), flatten_layer_grads(arch, leaves, tape.backward(node))
+        def loss_fn(values, arch=arch, x=x, y=y, masks=masks):
+            return M.loss_and_grad(M.ModelParams(arch, values), x, y, masks)
 
         result = grad_check(loss_fn, M.init_params(arch, trial).values, step=1e-5, tolerance=1e-4)
         worst = max(worst, result["max_rel_error"])
-        assert result["passed"], (widths, result)
+        assert result["passed"], (widths, masks is not None, soft, result)
 
     # the search objective: each (output width, objective) case runs with the
     # penalty and the direction violation each active and inactive
@@ -101,7 +105,7 @@ def test_criterion_01_gradient_correctness():
     report(
         1,
         ok,
-        f"50 random MLPs, worst elementwise relative error {worst:.2e} < 1e-4; "
+        f"50 random MLPs ({n_masked} with dropout masks, {n_soft} with soft targets), worst elementwise relative error {worst:.2e} < 1e-4; "
         f"search objective on 50 more, worst {worst_search:.2e} < 1e-4 ({time.time() - t0:.1f}s)",
     )
 

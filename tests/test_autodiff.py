@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from quam.autodiff import ShapeMismatch, Tape, grad_check
-from quam.models import ArchSpec, ModelParams, flatten_layer_grads, init_params, nll_graph, param_leaves
+from quam.models import ArchSpec, ModelParams, init_params, target_rows
 from quam.rng import derive_rng
+from tape_nll import tape_loss_and_grad
 
 
 def test_relu_definition():
@@ -79,10 +80,7 @@ def test_softmax_ce_gradient_identity():
 
 def _mlp_loss_fn(arch, x, y):
     def fn(values):
-        t = Tape()
-        leaves = param_leaves(t, ModelParams(arch, values))
-        node = nll_graph(t, leaves, x, y, arch)
-        return float(node.value), flatten_layer_grads(arch, leaves, t.backward(node))
+        return tape_loss_and_grad(ModelParams(arch, values), x, target_rows(arch, y))
 
     return fn
 

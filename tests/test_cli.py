@@ -307,6 +307,9 @@ def test_cmd_grid_row_count(tmp_path, capsys):
     lines = open(status["out"]).read().splitlines()
     assert lines[0] == "x,y,total,aleatoric,epistemic,flags"
     assert len(lines) == 17
+    # row-major order: y varies fastest within a row of constant x
+    points = [tuple(float(v) for v in line.split(",")[:2]) for line in lines[1:]]
+    assert points == [(x, y) for x in np.linspace(-1, 2, 4) for y in np.linspace(-1, 1.5, 4)]
 
 
 def test_cmd_grid_reports_nan_abort(tmp_path, capsys):
@@ -323,6 +326,51 @@ def test_cmd_grid_reports_nan_abort(tmp_path, capsys):
     header, *rows = open(status["out"]).read().splitlines()
     assert header.endswith(",flags") and len(rows) == 4
     assert all("nan_abort" in row.split(",")[-1].split(";") for row in rows)
+
+
+def one_status_line(capsys, argv):
+    code = main(argv)
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1, lines
+    return code, json.loads(lines[0])
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("baseline", "[baseline]\nmethod = hmc\nn_leapfrog = -1\n"),
+        ("baseline", "[baseline]\nmethod = hmc\nn_samples = 0\n"),
+        ("baseline", "[baseline]\nmethod = hmc\nburn_in = -1\n"),
+        ("baseline", "[baseline]\nmethod = csghmc\nsteps_per_cycle = 0\n"),
+        ("grid", "[grid]\nresolution = 0\n"),
+        ("varstudy", "[varstudy]\ncount = 0\n"),
+    ],
+    ids=["hmc_n_leapfrog", "hmc_n_samples", "hmc_burn_in", "csghmc_steps_per_cycle", "grid_resolution", "varstudy_count"],
+)
+def test_settings_that_do_no_work_are_usage_errors(tmp_path, capsys, command, section):
+    _, s = run(capsys, "train", "--config", write(tmp_path / "t.ini", TRAIN_INI.format(out=tmp_path / "ref")))
+    pts = write(tmp_path / "points.csv", "x0,x1\n0.5,0.5\n")
+    extra = f"[reference]\ncheckpoint = {s['checkpoint']}\n[test_inputs]\nfile = {pts}\n"
+    cfgp = write(tmp_path / "c.ini", TRAIN_INI.format(out=tmp_path / "c_out") + extra + section)
+    code, status = one_status_line(capsys, [command, "--config", cfgp])
+    assert code == 2 and status["status"] == "usage_error"
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "abc", "0.3,0.4"], ids=["nan", "inf", "not_a_number", "extra_cell"])
+def test_bad_test_input_cell_names_the_file_and_line(tmp_path, capsys, cell):
+    _, s = run(capsys, "train", "--config", write(tmp_path / "t.ini", TRAIN_INI.format(out=tmp_path / "ref")))
+    pts = write(tmp_path / "points.csv", f"x0,x1\n0.5,0.5\n{cell},0.1\n")
+    extra = f"[reference]\ncheckpoint = {s['checkpoint']}\n[test_inputs]\nfile = {pts}\n[search]\nsteps = 2\n"
+    code, status = one_status_line(capsys, ["quam", "--config", write(tmp_path / "q.ini", TRAIN_INI.format(out=tmp_path / "q_out") + extra)])
+    assert code == 2 and status["status"] == "usage_error"
+    assert f"{pts}, line 3" in status["error"]
+
+
+def test_cmd_simplex_rejects_a_model_without_three_classes(tmp_path, capsys):
+    cfgp = write(tmp_path / "s.ini", TRAIN_INI.format(out=tmp_path / "s_out") + "[simplex]\ntest_point = 0.5 0.5\nresolution = 3\nrepeats = 1\n")
+    code, status = one_status_line(capsys, ["simplex", "--config", cfgp])
+    assert code == 2 and status["status"] == "usage_error"
+    assert "3-class categorical head" in status["error"]
 
 
 SINE_INI = """

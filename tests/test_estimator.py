@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,6 +77,32 @@ def test_pool_trajectories_rejects_nonfinite_losses(moons_setup):
         broken = [dataclasses.replace(trajs[0], records=[dataclasses.replace(trajs[0].records[0], mean_train_loss=loss)])]
         with pytest.raises(ValueError):
             E.pool_trajectories(broken + trajs[1:], 0.1)
+
+
+def pooled(losses):
+    """Trajectories whose records carry these training losses, one record each."""
+    return [SimpleNamespace(records=[SimpleNamespace(pred=np.array([0.5, 0.5]), mean_train_loss=float(loss))]) for loss in losses]
+
+
+def test_pool_trajectories_weight_values():
+    data = gen_two_moons(40, noise=0.1, seed=12)
+    losses = np.array([M.mean_train_loss(M.init_params(M.ArchSpec((2, 4, 2)), s), data) for s in range(3)])
+    _, w = E.pool_trajectories(pooled(losses), 1.0)
+    assert w == pytest.approx(np.exp(-losses) / np.exp(-losses).sum())
+
+
+def test_pool_trajectories_weight_ratio():
+    # losses {0.1, 0.2} at T=0.05 give a ratio of e^2
+    _, (w1, w2) = E.pool_trajectories(pooled([0.1, 0.2]), 0.05)
+    assert w1 / w2 == pytest.approx(np.exp(2.0), rel=1e-12)
+
+
+def test_pool_trajectories_weights_monotone_in_loss():
+    data = gen_two_moons(40, noise=0.1, seed=12)
+    losses = np.array([M.mean_train_loss(M.init_params(M.ArchSpec((2, 6, 2)), s), data) for s in range(6)])
+    for temp in (0.05, 0.5, 2.0):
+        _, weights = E.pool_trajectories(pooled(losses), temp)
+        assert np.array_equal(np.argsort(-weights), np.argsort(losses))
 
 
 def test_quam_epistemic_invariant_under_sample_permutation(moons_setup):

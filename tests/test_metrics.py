@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from quam import metrics as X
 from quam import models as M
 from quam.data import gen_three_gaussians
-from quam.measures import UncertaintyBreakdown
 from quam.rng import derive_rng
 
 
@@ -220,20 +219,6 @@ def test_ece_calibrated_generator_small():
     assert X.ece(probs, labels, n_bins=10) <= 0.02
 
 
-def test_uncertainty_grid_shape_and_constant():
-    calls = []
-
-    def method(p):
-        calls.append(p)
-        return UncertaintyBreakdown("a", 1.0, 0.6, 0.4)
-
-    points, breakdowns = X.uncertainty_grid(method, (-1, 1), (-1, 1), 7)
-    assert len(points) == 49 and len(breakdowns) == 49
-    assert all(b.total == 1.0 for b in breakdowns)
-    rows = X.grid_rows(points, breakdowns)
-    assert rows[0][2:] == (1.0, 0.6, 0.4)
-
-
 def test_simplex_grid_counts():
     for r in (2, 4, 15):
         assert len(X.simplex_grid(r)) == r * (r + 1) // 2
@@ -249,6 +234,13 @@ def test_simplex_surface_small():
     for row in rows:
         assert row["failures"] == 0
         assert 0.0 < row["median_likelihood"] <= 1.0
+
+
+def test_simplex_surface_rejects_heads_without_three_classes():
+    data = gen_three_gaussians(seed=0)
+    for arch in (M.ArchSpec((2, 4, 2)), M.ArchSpec((2, 4, 2), head="gaussian_scalar")):
+        with pytest.raises(ValueError, match="3-class categorical head"):
+            X.simplex_surface(data, np.array([0.0, 0.0]), arch, resolution=2, repeats=1, cfg=M.TrainConfig(epochs=1))
 
 
 def test_simplex_surface_center_at_least_min_vertex():

@@ -1,9 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quam import models as M
 from quam.data import LabeledDataset, gen_sine
 from quam.rng import derive_rng
+from tape_nll import tape_loss_and_grad
 
 
 def blobs(n=100, seed=0):
@@ -152,28 +157,31 @@ def test_mean_train_loss_matches_pointwise_oracle():
     assert abs(M.mean_train_loss(params, data) - oracle) < 1e-12
 
 
-def test_posterior_weight_values():
-    data = blobs(10)
-    params = M.init_params(M.ArchSpec((2, 4, 2)), 0)
-    # loss 0 -> weight 1 is a direct consequence of the formula
-    assert M.posterior_weight(params, data, 1.0) == pytest.approx(np.exp(-M.mean_train_loss(params, data)))
-
-
-def test_posterior_weight_ratio():
-    # losses {0.1, 0.2} at T=0.05 give a ratio of e^2
-    w1 = np.exp(-0.1 / 0.05)
-    w2 = np.exp(-0.2 / 0.05)
-    assert w1 / w2 == pytest.approx(np.exp(2.0), rel=1e-12)
-
-
-def test_posterior_weight_monotone_in_loss():
-    data = blobs(40, seed=12)
-    arch = M.ArchSpec((2, 6, 2))
-    models = [M.init_params(arch, s) for s in range(6)]
-    for temp in (0.05, 0.5, 2.0):
-        losses = np.array([M.mean_train_loss(p, data) for p in models])
-        weights = np.array([M.posterior_weight(p, data, temp) for p in models])
-        assert np.array_equal(np.argsort(-weights), np.argsort(losses))
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=4),
+    st.sampled_from(["labels", "soft_targets", "gaussian_1", "gaussian_2"]),
+    st.booleans(),
+    st.integers(1, 40),
+    st.integers(0, 2**31),
+)
+def test_loss_and_grad_equals_the_tape_graph_bit_for_bit(widths, target, dropout, n, seed):
+    # an input width, then 0-3 hidden layers
+    rng = derive_rng(seed)
+    if target.startswith("gaussian"):
+        arch = M.ArchSpec(tuple(widths) + (int(target[-1]),), head="gaussian_scalar", dropout_prob=0.3 * dropout)
+        y = rng.normal(size=n) * 2.0
+    else:
+        arch = M.ArchSpec(tuple(widths) + (int(rng.integers(2, 5)),), dropout_prob=0.3 * dropout)
+        y = M.target_rows(arch, rng.integers(0, arch.n_classes, size=n)) if target == "labels" else rng.dirichlet(np.ones(arch.n_classes), size=n)
+    params = M.ModelParams(arch, rng.normal(size=arch.param_count()))
+    x = rng.normal(size=(n, widths[0]))
+    masks = M.make_dropout_masks(arch, rng) if dropout else None
+    loss, grad = M.loss_and_grad(params, x, y, masks)
+    tape_loss, tape_grad = tape_loss_and_grad(params, x, y, masks)
+    # bytes, not ==, so that the sign of a zero counts too
+    assert struct.pack("d", loss) == struct.pack("d", tape_loss)
+    assert grad.tobytes() == tape_grad.tobytes()
 
 
 def test_categorical_probs_valid_for_random_params():

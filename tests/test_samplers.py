@@ -6,6 +6,7 @@ from quam import samplers as S
 from quam.data import LabeledDataset, gen_two_moons
 from quam.measures import decompose_a
 from quam.rng import derive_rng
+from tape_nll import tape_loss_and_grad
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +166,19 @@ def test_hmc_zero_leapfrog_never_moves():
     assert np.allclose(out.draws, out.draws[0])
 
 
+@pytest.mark.parametrize("setting", [{"n_leapfrog": -1}, {"n_samples": 0}, {"burn_in": -1}, {"thin": 0}])
+def test_hmc_rejects_settings_that_do_no_work(setting):
+    _, logp, grad = correlated_gaussian()
+    kwargs = dict(n_samples=5, n_leapfrog=3, step_size=0.1, seed=0) | setting
+    with pytest.raises(ValueError):
+        S.hmc(logp, grad, np.zeros(2), **kwargs)
+
+
+def test_csghmc_rejects_empty_cycles(moons):
+    with pytest.raises(ValueError):
+        S.csghmc(moons, M.ArchSpec((2, 4, 2)), cycles=1, steps_per_cycle=0, step_size=1e-4)
+
+
 def test_hmc_aborts_on_hundred_rejections():
     # a pathological step size on a narrow target rejects everything
     def logp(q):
@@ -190,3 +204,23 @@ def test_hmc_posterior_wraps_models(moons):
     assert len(out.params) == 30
     assert all(p.arch == arch for p in out.params)
     assert "acceptance_rate" in out.diagnostics
+
+
+def test_hmc_posterior_chain_equals_a_chain_on_tape_gradients(moons):
+    # the closed-form gradient must reproduce the Tape's bits: a chain
+    # amplifies any roundoff difference until the draws decorrelate
+    arch = M.ArchSpec((2, 6, 5, 2))
+    prior = 1e-2
+    out = S.hmc_posterior(moons, arch, prior_precision=prior, n_samples=20, n_leapfrog=8, step_size=2e-3, seed=4, burn_in=30)
+
+    def logp(v):
+        return M.log_posterior(M.ModelParams(arch, v), moons, prior)
+
+    targets = M.target_rows(arch, moons.y)
+
+    def grad(v):
+        return -len(moons) * tape_loss_and_grad(M.ModelParams(arch, v), moons.x, targets)[1] - prior * v
+
+    oracle = S.hmc(logp, grad, M.init_params(arch, 4).values, 20, 8, 2e-3, seed=4, burn_in=30, auto_tune=True)
+    assert np.array_equal(np.array([p.values for p in out.params]), oracle.draws)
+    assert out.diagnostics == oracle.diagnostics
