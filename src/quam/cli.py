@@ -88,7 +88,12 @@ def load_train_config(cfg: ExperimentConfig, seed: int) -> M.TrainConfig:
 
 
 def load_search_config(cfg: ExperimentConfig, seed: int) -> SearchConfig:
-    """The [search] section; every key it leaves out keeps SearchConfig's default."""
+    """The [search] section; every key it leaves out keeps SearchConfig's default.
+
+    `adam_eps`, `bias_nudge`, `param_box` and `free_mask` have no key: only
+    criterion 5's box-constrained logistic search and the unit tests set
+    them, and no experiment the CLI runs needs other values.
+    """
     d = SearchConfig(seed=seed)
     return SearchConfig(
         c0=cfg.get_float("search", "c0", d.c0),

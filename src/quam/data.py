@@ -6,6 +6,7 @@ are immutable after construction.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -123,10 +124,13 @@ def gen_sine(n: int, seed: int = 0) -> LabeledDataset:
 
 
 def _read_exact(f, count: int, path, what: str) -> bytes:
-    blob = f.read(count)
-    if len(blob) != count:
-        raise ValueError(f"{path}: truncated while reading {what} at byte offset {f.tell() - len(blob)} (wanted {count} bytes, got {len(blob)})")
-    return blob
+    # a header's declared size is checked against the file before any
+    # buffer of that size is asked for
+    offset = f.tell()
+    available = os.fstat(f.fileno()).st_size - offset
+    if count > available:
+        raise ValueError(f"{path}: truncated while reading {what} at byte offset {offset} (wanted {count} bytes, the file holds {available})")
+    return f.read(count)
 
 
 def load_idx(images_path, labels_path) -> LabeledDataset:
@@ -209,13 +213,28 @@ def to_csv(data: LabeledDataset, path):
 
 
 def from_csv(path, kind: str) -> LabeledDataset:
+    """Read `to_csv`'s format; a malformed file raises ValueError naming the file and line."""
     rows = []
     with open(path) as f:
         header = f.readline()
-        if not header.startswith("x0"):
-            raise ValueError(f"{path}: expected a header row starting with 'x0'")
-        for line in f:
-            if line.strip():
-                rows.append([float(c) for c in line.split(",")])
+        width = len(header.split(","))
+        if not header.startswith("x0") or width < 2:
+            raise ValueError(f"{path}: expected a header row of x0, ..., y")
+        for lineno, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
+            try:
+                row = [float(c) for c in line.split(",")]
+            except ValueError:
+                row = []
+            ok = len(row) == width and np.isfinite(row).all()
+            if ok and kind == "classification":
+                ok = row[-1] >= 0 and row[-1] == int(row[-1])
+            if not ok:
+                labels = ", the last a nonnegative integer class label" if kind == "classification" else ""
+                raise ValueError(f"{path}, line {lineno}: every row needs {width} finite numbers{labels}, got {line.strip()!r}")
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: dataset file has no rows")
     arr = np.asarray(rows)
     return LabeledDataset(arr[:, :-1], arr[:, -1] if kind == "regression" else arr[:, -1].astype(int), kind)

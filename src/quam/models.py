@@ -5,7 +5,9 @@ classes) or a scalar Gaussian head.  The Gaussian head has output width 1
 (mean only, fixed unit variance) or 2 (mean and log-variance).  Parameters
 live in one flat float64 vector, weights then biases per layer, which is
 the unit every sampler and search manipulates.  A prediction is one row of
-`head_predictions`: the class probabilities, or (mean, variance).
+`head_predictions`: the class probabilities, or (mean, variance).  One
+loss, `cross_entropy` against such rows, serves training, the samplers,
+the search penalty and the search objectives.
 
 The log-posterior used as a sampling weight is the negative total training
 loss plus an isotropic Gaussian log-prior whose precision equals the
@@ -36,8 +38,7 @@ __all__ = [
     "backward",
     "loss_and_grad",
     "head_predictions",
-    "head_nll",
-    "head_nll_grad",
+    "cross_entropy",
     "target_rows",
     "predict_batch",
     "train",
@@ -255,82 +256,64 @@ def predict_batch(params: ModelParams, x: np.ndarray, dropout_masks=None) -> np.
 
 
 def target_rows(arch: ArchSpec, y: np.ndarray) -> np.ndarray:
-    """`loss_and_grad`'s targets for labels `y`: one-hot rows for a categorical head, else `y`.
+    """`cross_entropy`'s targets for observed labels `y`: one-hot rows, or (y, 0) rows for a Gaussian head.
 
     Callers that take the loss of the same labels many times build the rows once.
     """
     if arch.head != "categorical":
-        return y
+        y = np.asarray(y, dtype=np.float64)
+        return np.column_stack([y, np.zeros_like(y)])
+    y = y.astype(int)
+    if y.size and not 0 <= y.min() <= y.max() < arch.n_classes:
+        raise ValueError(f"class labels must lie in 0..{arch.n_classes - 1} for the model's head, got {y.min()}..{y.max()}")
     out = np.zeros((y.size, arch.n_classes))
-    out[np.arange(y.size), y.astype(int)] = 1.0
+    out[np.arange(y.size), y] = 1.0
     return out
 
 
-def head_nll(arch: ArchSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-row negative log-likelihood of targets `y` under head outputs `out`."""
-    if arch.head == "categorical":
-        z = out - out.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        return -logp[np.arange(len(y)), np.asarray(y, dtype=int)]
-    y = np.asarray(y, dtype=np.float64)
-    mean = out[:, 0]
-    if arch.widths[-1] == 2:
-        logvar = out[:, 1]
-        return 0.5 * (logvar + (y - mean) ** 2 * np.exp(-logvar) + np.log(2.0 * np.pi))
-    return 0.5 * ((y - mean) ** 2 / FIXED_GAUSSIAN_VARIANCE + np.log(2.0 * np.pi * FIXED_GAUSSIAN_VARIANCE))
+def cross_entropy(arch: ArchSpec, out: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of the target rows under head outputs `out`, and its gradient at `out`.
 
-
-def head_nll_grad(arch: ArchSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of each row's `head_nll` with respect to that row's outputs."""
-    if arch.head == "categorical":
-        g = _softmax(out)
-        g[np.arange(len(y)), np.asarray(y, dtype=int)] -= 1.0
-        return g
-    resid = out[:, 0] - np.asarray(y, dtype=np.float64)
-    if arch.widths[-1] == 2:
-        inv_var = np.exp(-out[:, 1])
-        return np.column_stack([resid * inv_var, 0.5 - 0.5 * resid**2 * inv_var])
-    return (resid / FIXED_GAUSSIAN_VARIANCE)[:, None]
-
-
-def loss_and_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray, masks=None) -> tuple[float, np.ndarray]:
-    """Mean negative log-likelihood of the rows of `x` and its flat gradient.
-
-    `targets` are `target_rows`: rows of target probabilities for a
-    categorical head, the regression targets for a Gaussian one.  `masks`
-    are hidden-layer dropout masks.  Every step repeats
-    the floating-point operations of reverse-mode differentiation through
-    the same graph, in the same order, so the results are reproducible to
-    the bit: the sampler chains depend on it.
+    `targets` hold one row per row of `out` in `head_predictions`' format:
+    class probabilities, or the (mean, variance) of a Gaussian target,
+    variance 0 for an observed value (`target_rows`).  CE(row, model) =
+    H[row] + KL(row || model): it is the training NLL of observed targets,
+    and H[row] less it is the divergence a search maximizes.  The steps
+    repeat the floating-point operations of reverse-mode differentiation
+    through the same graph, in the same order, so the results are
+    reproducible to the bit: the sampler chains depend on it.
     """
-    arch = params.arch
-    acts = forward(params, x, masks)
-    out = acts[-1]
     n = len(out)
     if arch.head == "categorical":
         z = out - out.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         loss = (logp * targets).sum() * (-1.0 / n)
         g = (-1.0 / n) * targets
-        grad_out = g - np.exp(logp) * g.sum(axis=1, keepdims=True)
-    else:
-        resid = np.asarray(targets, dtype=np.float64).reshape(-1, 1) - out[:, 0:1]
-        sq = resid * resid
-        if arch.widths[-1] == 2:
-            c = 0.5 / n
-            inv_var = np.exp(out[:, 1:2] * -1.0)
-            loss = (out[:, 1:2] + sq * inv_var).sum() * c + 0.5 * np.log(2.0 * np.pi)
-            grad_out = np.hstack([-((2.0 * resid) * (c * inv_var)), c - (c * sq) * inv_var])
-        else:
-            c = 0.5 / (n * FIXED_GAUSSIAN_VARIANCE)
-            loss = sq.sum() * c + 0.5 * np.log(2.0 * np.pi * FIXED_GAUSSIAN_VARIANCE)
-            grad_out = -((2.0 * resid) * c)
-    return float(loss), backward(params, acts, grad_out, masks)
+        return float(loss), g - np.exp(logp) * g.sum(axis=1, keepdims=True)
+    resid = targets[:, 0:1] - out[:, 0:1]
+    sq = resid * resid + targets[:, 1:2]  # E[(t - mean)^2] under the target row
+    if arch.widths[-1] == 2:
+        c = 0.5 / n
+        inv_var = np.exp(out[:, 1:2] * -1.0)
+        loss = (out[:, 1:2] + sq * inv_var).sum() * c + 0.5 * np.log(2.0 * np.pi)
+        return float(loss), np.hstack([-((2.0 * resid) * (c * inv_var)), c - (c * sq) * inv_var])
+    c = 0.5 / (n * FIXED_GAUSSIAN_VARIANCE)
+    return float(sq.sum() * c + 0.5 * np.log(2.0 * np.pi * FIXED_GAUSSIAN_VARIANCE)), -((2.0 * resid) * c)
+
+
+def loss_and_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray, masks=None) -> tuple[float, np.ndarray]:
+    """`cross_entropy` of the rows of `x` against `targets` and its flat gradient.
+
+    `masks` are hidden-layer dropout masks.
+    """
+    acts = forward(params, x, masks)
+    loss, grad_out = cross_entropy(params.arch, acts[-1], targets)
+    return loss, backward(params, acts, grad_out, masks)
 
 
 def mean_train_loss(params: ModelParams, data) -> float:
-    """Arithmetic mean of the per-point negative log-likelihood."""
-    return float(head_nll(params.arch, forward(params, data.x)[-1], data.y).mean())
+    """Mean negative log-likelihood of the training targets."""
+    return cross_entropy(params.arch, forward(params, data.x)[-1], target_rows(params.arch, data.y))[0]
 
 
 def log_posterior(params: ModelParams, data, prior_precision: float) -> float:
@@ -341,7 +324,7 @@ def log_posterior(params: ModelParams, data, prior_precision: float) -> float:
     """
     if len(data) == 0:
         raise ValueError("log_posterior needs a nonempty dataset")
-    nll = head_nll(params.arch, forward(params, data.x)[-1], data.y).sum()
+    nll = len(data) * cross_entropy(params.arch, forward(params, data.x)[-1], target_rows(params.arch, data.y))[0]
     return float(-nll - 0.5 * prior_precision * float(params.values @ params.values))
 
 

@@ -210,7 +210,9 @@ def hmc(
     During burn-in, `auto_tune` doubles the step size while the recent
     acceptance rate exceeds 0.8 and halves it below 0.6.  A hundred
     consecutive rejections abort the chain.  `n_leapfrog = 0` is legal: the
-    chain never moves.
+    chain never moves.  `sampling_acceptance_rate` and
+    `mean_abs_energy_error` cover the sampling iterations only: burn-in
+    starts far from the mode and tunes the step size.
     """
     if n_leapfrog < 0 or n_samples < 1 or burn_in < 0 or thin < 1:
         raise ValueError(f"hmc needs n_leapfrog >= 0, n_samples >= 1, burn_in >= 0 and thin >= 1, got {n_leapfrog}, {n_samples}, {burn_in}, {thin}")
@@ -219,12 +221,10 @@ def hmc(
     logp = float(log_density(q))
     draws = []
     accepted = 0
-    total = 0
     accepted_sampling = 0
-    total_sampling = 0
     consecutive_rejects = 0
     window: list[int] = []
-    energy_errors = []
+    energy_errors = []  # |dH| of each sampling iteration
     step = float(step_size)
 
     for it in range(burn_in + n_samples * thin):
@@ -237,9 +237,8 @@ def hmc(
             q_new, p_new, logp_new = q, p, logp  # degenerate: the chain never moves
         h1 = -logp_new + 0.5 * float(p_new @ p_new)
         delta_h = h1 - h0
-        energy_errors.append(abs(delta_h))
-        total += 1
-        total_sampling += it >= burn_in
+        if it >= burn_in:
+            energy_errors.append(abs(delta_h))
         if np.isfinite(delta_h) and rng.random() < min(1.0, np.exp(-delta_h)):
             q, logp = q_new, logp_new
             accepted += 1
@@ -271,10 +270,10 @@ def hmc(
         method="hmc",
         draws=np.array(draws),
         diagnostics={
-            "acceptance_rate": accepted / max(1, total),
-            "sampling_acceptance_rate": accepted_sampling / max(1, total_sampling),
+            "acceptance_rate": accepted / (burn_in + n_samples * thin),
+            "sampling_acceptance_rate": accepted_sampling / len(energy_errors),
             "step_size": step,
-            "mean_abs_energy_error": float(np.mean(energy_errors)) if energy_errors else 0.0,
+            "mean_abs_energy_error": float(np.mean(energy_errors)),
         },
     )
 

@@ -34,19 +34,19 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .measures import _check_rows, _kl_cat, _kl_gauss, entropy_cat
+from .data import LabeledDataset
+from .measures import _check_rows, _kl_cat, _kl_gauss, entropy_cat, entropy_gauss
 from .models import (
     Adam,
     ArchSpec,
-    FIXED_GAUSSIAN_VARIANCE,
     ModelParams,
     backward,
+    cross_entropy,
     forward,
-    head_nll,
-    head_nll_grad,
     head_predictions,
     mean_train_loss,
     predict_batch,
+    target_rows,
 )
 from .rng import derive_rng
 
@@ -156,37 +156,12 @@ def _divergence(arch: ArchSpec, ref: np.ndarray, pred: np.ndarray) -> float:
     return float(_kl_gauss(ref, pred))
 
 
-def _target_term(arch: ArchSpec, out: np.ndarray, ref: np.ndarray, objective) -> tuple[float, np.ndarray]:
-    """L_adv at the test row's head outputs `out` (shape (1, k)) and its gradient there."""
-    if arch.head == "categorical":
-        z = out - out.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        p = np.exp(logp)
-        if objective == "divergence":
-            # L_adv = -KL(ref || cand) = sum(ref * log cand) + H(ref)
-            r = ref.reshape(1, -1)
-            return float((r * logp).sum()) + entropy_cat(ref), r - p * r.sum()
-        cls = int(objective[1])
-        p[0, cls] -= 1.0
-        return -float(logp[0, cls]), p
-    # gaussian heads: L_adv = -KL(ref || cand)
-    mp, vp = ref[0], ref[1]
-    shift = mp - out[0, 0]
-    if arch.widths[-1] == 2:
-        logvar_q = out[0, 1]
-        inv_vq = np.exp(-logvar_q)
-        num = shift**2 + vp
-        kl = 0.5 * logvar_q + 0.5 * num * inv_vq - 0.5 * np.log(vp) - 0.5
-        return -float(kl), np.array([[shift * inv_vq, 0.5 * num * inv_vq - 0.5]])
-    return -0.5 * shift**2 / FIXED_GAUSSIAN_VARIANCE, np.array([[shift / FIXED_GAUSSIAN_VARIANCE]])
-
-
 class ObjectiveForward(NamedTuple):
     """One forward pass of the search objective: the batch rows and the test row."""
 
     batch_acts: list  # layer inputs, then head outputs, of the batch rows
-    batch_y: np.ndarray
-    batch_loss: float  # mean NLL of the batch
+    batch_loss: float  # mean cross-entropy of the batch rows against their target rows
+    batch_grad: np.ndarray  # d batch_loss / d(batch head outputs)
     test_acts: list  # the same for the test row
     adv: float  # L_adv
     adv_grad: np.ndarray  # dL_adv / d(test-row head outputs)
@@ -201,15 +176,30 @@ class SearchObjective:
     The last term exists for ("direction", +1 | -1) objectives only.  The
     penalty weights the constraint *violation*: a signed term under a
     growing c would collapse late iterates onto the loss minimum instead of
-    the constrained optimum.  The gradient enters the network as per-row
-    gradients at the head outputs: c * 1[pen > 0] * dNLL / n on the batch
-    rows, dL_adv plus the violation term on the test row.
+    the constrained optimum.  Both L_adv and the batch loss are
+    `models.cross_entropy`: L_adv is CE(one-hot row of k) for a class
+    objective and -KL(ref || model) = H[ref] - CE(ref) otherwise.  The
+    gradient enters the network as per-row gradients at the head outputs:
+    c * 1[pen > 0] * dCE on the batch rows, dL_adv plus the violation term
+    on the test row.
     """
 
     x: np.ndarray  # the test input, shape (1, input width)
     ref: np.ndarray  # the reference's prediction row at the test input
     objective: object  # "divergence" | ("class", k) | ("direction", +1 | -1)
     bound: float  # L_ref + gamma
+    head: str  # the model's head: "categorical" | "gaussian_scalar"
+    target: np.ndarray = field(init=False)  # the test row's cross-entropy target, shape (1, k)
+    ref_entropy: Optional[float] = field(init=False)  # H[ref]; None for a class objective
+
+    def __post_init__(self):
+        # constants of the search, derived once
+        if isinstance(self.objective, tuple) and self.objective[0] == "class":
+            target, h = np.eye(len(self.ref))[int(self.objective[1])], None
+        else:
+            target, h = self.ref, entropy_cat(self.ref) if self.head == "categorical" else float(entropy_gauss(self.ref[1]))
+        object.__setattr__(self, "target", target.reshape(1, -1))
+        object.__setattr__(self, "ref_entropy", h)
 
     @property
     def direction(self) -> int:
@@ -217,16 +207,17 @@ class SearchObjective:
             return int(self.objective[1])
         return 0
 
-    def forward(self, params: ModelParams, bx: np.ndarray, by: np.ndarray) -> ObjectiveForward:
-        arch = params.arch
+    def forward(self, params: ModelParams, bx: np.ndarray, bt: np.ndarray) -> ObjectiveForward:
+        """The objective's terms at the batch inputs `bx`, whose `models.target_rows` are `bt`."""
         batch_acts = forward(params, bx)
-        batch_loss = float(head_nll(arch, batch_acts[-1], by).mean())
+        batch_loss, batch_grad = cross_entropy(params.arch, batch_acts[-1], bt)
         # the test row gets its own pass: stacked onto the batch GEMM its
         # outputs can move by an ulp, and an unmoved iterate would then
         # diverge from the reference by a spurious KL > 0
         test_acts = forward(params, self.x)
-        adv, adv_grad = _target_term(arch, test_acts[-1], self.ref, self.objective)
-        return ObjectiveForward(batch_acts, by, batch_loss, test_acts, adv, adv_grad)
+        ce, grad = cross_entropy(params.arch, test_acts[-1], self.target)
+        adv, adv_grad = (ce, grad) if self.ref_entropy is None else (self.ref_entropy - ce, -grad)
+        return ObjectiveForward(batch_acts, batch_loss, batch_grad, test_acts, adv, adv_grad)
 
     def _violation(self, fwd: ObjectiveForward) -> float:
         return self.direction * (self.ref[0] - fwd.test_acts[-1][0, 0]) if self.direction else 0.0
@@ -238,14 +229,13 @@ class SearchObjective:
             grad_x = grad_x.copy()
             grad_x[0, 0] -= c * self.direction
         if fwd.batch_loss - self.bound > 0.0:
-            grad_b = (c / len(fwd.batch_y)) * head_nll_grad(params.arch, fwd.batch_acts[-1], fwd.batch_y)
             acts = [np.vstack(pair) for pair in zip(fwd.batch_acts, fwd.test_acts)]
-            return backward(params, acts, np.vstack([grad_b, grad_x]))
+            return backward(params, acts, np.vstack([c * fwd.batch_grad, grad_x]))
         # inside the slack the batch rows carry no gradient
         return backward(params, fwd.test_acts, grad_x)
 
-    def loss_and_grad(self, params: ModelParams, bx: np.ndarray, by: np.ndarray, c: float) -> tuple[float, np.ndarray]:
-        fwd = self.forward(params, bx, by)
+    def loss_and_grad(self, params: ModelParams, bx: np.ndarray, bt: np.ndarray, c: float) -> tuple[float, np.ndarray]:
+        fwd = self.forward(params, bx, bt)
         loss = fwd.adv + c * max(fwd.batch_loss - self.bound, 0.0) + c * max(self._violation(fwd), 0.0)
         return loss, self.backward(params, fwd, c)
 
@@ -280,43 +270,24 @@ def adversarial_model_search(
     # Last-layer searches run on cached penultimate features: the frozen
     # layers never change, so the data only has to flow through them once.
     work_ref, work_x, work_data = reference, x, data
-    splice = None
+    inner, last = config, None
     if config.delta_scope == "last_layer" and arch.n_layers > 1 and config.free_mask is None:
-        feats = forward(reference, data.x)[-2]
-        ws, bs = arch.layer_slices()[-1]
-        sub_arch = ArchSpec(widths=arch.widths[-2:], head=arch.head)
-        sub_values = np.concatenate([reference.values[ws], reference.values[bs]])
-        work_ref = ModelParams(sub_arch, sub_values)
+        # the last layer's weights and bias close the flat vector
+        last = slice(arch.layer_slices()[-1][0].start, arch.param_count())
+        work_ref = ModelParams(ArchSpec(widths=arch.widths[-2:], head=arch.head), reference.values[last])
         work_x = forward(reference, x)[-2]
-        work_data = _FeatureView(feats, data.y)
-        splice = (ws, bs)
+        work_data = LabeledDataset(forward(reference, data.x)[-2], data.y, data.kind)
         inner = replace(config, delta_scope="all_params")
-    else:
-        inner = config
 
-    objective_fn = SearchObjective(work_x, ref, objective, l_ref + gamma)
+    objective_fn = SearchObjective(work_x, ref, objective, l_ref + gamma, arch.head)
     traj = _search_core(work_data, work_ref, inner, objective_fn, target_tag, l_ref, gamma, seed_keys)
 
-    if splice is not None:
-        ws, bs = splice
+    if last is not None:
         full = reference.values.copy()
-        sub = traj.best_params.values
-        full[ws] = sub[: ws.stop - ws.start]
-        full[bs] = sub[ws.stop - ws.start :]
+        full[last] = traj.best_params.values
         traj.best_params = ModelParams(arch, full)
     FEASIBILITY_AUDIT.append((target_tag, traj.best.full_pen, traj.no_feasible))
     return traj
-
-
-class _FeatureView:
-    """Dataset facade over precomputed features (used by last-layer search)."""
-
-    def __init__(self, x, y):
-        self.x = x
-        self.y = y
-
-    def __len__(self):
-        return len(self.x)
 
 
 def _search_core(data, reference, config, objective_fn: SearchObjective, target_tag, l_ref, gamma, seed_keys):
@@ -328,6 +299,7 @@ def _search_core(data, reference, config, objective_fn: SearchObjective, target_
     batch = n if config.batch_size is None else min(config.batch_size, n)
     mask = _scope_mask(arch, config)
     lo, hi = (config.param_box if config.param_box is not None else (None, None))
+    targets = target_rows(arch, data.y)
 
     base = reference.values.copy()
     if direction:
@@ -344,42 +316,36 @@ def _search_core(data, reference, config, objective_fn: SearchObjective, target_
     best_idx, best_div, best_values = -1, -np.inf, None
     nan_abort = False
 
-    def direction_ok(pred) -> bool:
-        if direction > 0:
-            return pred[0] > ref[0]
-        if direction < 0:
-            return pred[0] < ref[0]
-        return True
-
     def add_record(step, c, cur, fwd) -> bool:
         """Record iterate `cur`; `fwd` is its forward pass, over all data rows or a mini-batch."""
         nonlocal best_idx, best_div, best_values
-        mtl = fwd.batch_loss if len(fwd.batch_y) == n else mean_train_loss(cur, data)
+        mtl = fwd.batch_loss if len(fwd.batch_grad) == n else mean_train_loss(cur, data)
         if not np.isfinite(mtl):
             return False
         pred = head_predictions(arch, fwd.test_acts[-1])[0]
         div = _divergence(arch, ref, pred)
         full_pen = mtl - objective_fn.bound
         records.append(TrajectoryRecord(step, c, fwd.adv, fwd.batch_loss - objective_fn.bound, mtl, full_pen, div, pred))
-        if full_pen <= 0.0 and div > best_div and direction_ok(pred):
+        # a direction search keeps only iterates on its side of the reference mean
+        if full_pen <= 0.0 and div > best_div and (not direction or direction * (pred[0] - ref[0]) > 0.0):
             best_idx, best_div, best_values = len(records) - 1, div, cur.values.copy()
         return True
 
     # Record the exact reference first; for nudged regression searches the
     # loop below starts from a distinct (nudged) model.
     if not np.array_equal(base, reference.values):
-        add_record(0, config.c0, reference, objective_fn.forward(reference, data.x, data.y))
+        add_record(0, config.c0, reference, objective_fn.forward(reference, data.x, targets))
 
     c = config.c0
     step0 = len(records)
     for m in range(1, config.steps + 1):
         if batch < n:
             idx = rng.choice(n, size=batch, replace=False)
-            bx, by = data.x[idx], data.y[idx]
+            bx, bt = data.x[idx], targets[idx]
         else:
-            bx, by = data.x, data.y
+            bx, bt = data.x, targets
         cur = ModelParams(arch, values)
-        fwd = objective_fn.forward(cur, bx, by)
+        fwd = objective_fn.forward(cur, bx, bt)
         if not (np.isfinite(fwd.adv) and np.isfinite(fwd.batch_loss)) or not add_record(step0 + m - 1, c, cur, fwd):
             nan_abort = True
             break
@@ -400,7 +366,7 @@ def _search_core(data, reference, config, objective_fn: SearchObjective, target_
     if not nan_abort:
         # the final updated model was visited too
         cur = ModelParams(arch, values)
-        fwd = objective_fn.forward(cur, data.x, data.y)
+        fwd = objective_fn.forward(cur, data.x, targets)
         if np.isfinite(fwd.adv):
             add_record(step0 + config.steps, c, cur, fwd)
         else:

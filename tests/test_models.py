@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from quam import models as M
 from quam.data import LabeledDataset, gen_sine
+from quam.measures import entropy_cat, entropy_gauss, kl_cat, kl_gauss
 from quam.rng import derive_rng
 from tape_nll import tape_loss_and_grad
 
@@ -177,11 +178,32 @@ def test_loss_and_grad_equals_the_tape_graph_bit_for_bit(widths, target, dropout
     params = M.ModelParams(arch, rng.normal(size=arch.param_count()))
     x = rng.normal(size=(n, widths[0]))
     masks = M.make_dropout_masks(arch, rng) if dropout else None
-    loss, grad = M.loss_and_grad(params, x, y, masks)
+    # the Tape graph takes a Gaussian head's targets as plain values
+    loss, grad = M.loss_and_grad(params, x, M.target_rows(arch, y) if target.startswith("gaussian") else y, masks)
     tape_loss, tape_grad = tape_loss_and_grad(params, x, y, masks)
     # bytes, not ==, so that the sign of a zero counts too
     assert struct.pack("d", loss) == struct.pack("d", tape_loss)
     assert grad.tobytes() == tape_grad.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.sampled_from(["categorical", "gaussian_1", "gaussian_2"]), st.integers(1, 20), st.integers(0, 2**31))
+def test_cross_entropy_is_target_entropy_plus_kl(head, n, seed):
+    # CE(row, model) = H[row] + KL(row || model), averaged over the rows
+    rng = derive_rng(seed)
+    if head == "categorical":
+        arch = M.ArchSpec((1, int(rng.integers(2, 6))))
+        rows = rng.dirichlet(np.ones(arch.n_classes), size=n)
+    else:
+        arch = M.ArchSpec((1, int(head[-1])), head="gaussian_scalar")
+        rows = np.column_stack([rng.normal(size=n) * 2.0, rng.uniform(0.05, 3.0, size=n)])
+    out = rng.normal(size=(n, arch.widths[-1])) * 2.0
+    preds = M.head_predictions(arch, out)
+    if head == "categorical":
+        expected = np.mean([entropy_cat(r) + kl_cat(r, p) for r, p in zip(rows, preds)])
+    else:
+        expected = np.mean(entropy_gauss(rows[:, 1]) + kl_gauss(rows, preds))
+    assert M.cross_entropy(arch, out, rows)[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_categorical_probs_valid_for_random_params():

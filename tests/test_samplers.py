@@ -142,6 +142,14 @@ def test_hmc_acceptance_rate_high_after_tuning():
     assert out.diagnostics["sampling_acceptance_rate"] >= 0.9
 
 
+def test_hmc_energy_error_leaves_out_burn_in():
+    # burn-in starts 100 standard deviations out, where a leapfrog step's
+    # energy error is 10^4 times that at the mode; the sampling phase
+    # runs at the mode, where it is about 1e-3 at this step size
+    out = S.hmc(lambda q: -0.5 * float(q @ q), lambda q: -q, np.array([100.0]), n_samples=200, n_leapfrog=10, step_size=0.1, seed=0, burn_in=200)
+    assert out.diagnostics["mean_abs_energy_error"] < 0.005
+
+
 def test_leapfrog_energy_error_scales_quadratically():
     cov, logp, grad = correlated_gaussian()
 
