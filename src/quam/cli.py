@@ -12,14 +12,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import data as D
 from . import models as M
 from .config import ConfigError, ExperimentConfig
-from .estimator import quam_score, variance_sweep
+from .estimator import quam_scores, variance_sweep
 from .measures import decompose_a, decompose_b
 from .metrics import ScoredLabels, aupr, auroc, fpr_at_tpr, simplex_surface
 from .samplers import HMCAborted, deep_ensemble, hmc_posterior, mc_dropout, csghmc
@@ -172,19 +171,31 @@ def cmd_quam(args, cfg: ExperimentConfig) -> int:
     setting = cfg.get_str("estimator", "setting", "b")
     search_cfg = load_search_config(cfg, seed)
     save_traj = cfg.get_bool("output", "trajectories", True)
-
-    def one(i):
-        br, trajs = quam_score(xs[i], dataset, reference, search_cfg, temperature, setting=setting, return_trajectories=True)
-        return i, br, trajs
-
-    results = _run_parallel(one, len(xs), args.jobs)
+    breakdowns, suites = _score_in_chunks(xs, dataset, reference, search_cfg, temperature, setting, args.jobs)
     with open(os.path.join(out, "scores.jsonl"), "w") as f:
-        for i, br, trajs in results:
+        for i, (br, trajs) in enumerate(zip(breakdowns, suites)):
             f.write(_breakdown_row(i, br) + "\n")
             if save_traj:
                 for t in trajs:
                     trajectory_to_jsonl(t, os.path.join(out, f"trajectory_{i:04d}_{t.target.replace(':', '')}.jsonl"))
-    return _finish_scoring("quam", [i for i, _, trajs in results if all(t.nan_abort for t in trajs)], n=len(xs), out=out)
+    return _finish_scoring("quam", _all_aborted(suites), n=len(xs), out=out)
+
+
+def _score_in_chunks(xs, dataset, reference, search_cfg, temperature, setting, jobs) -> tuple[list, list]:
+    """`quam_scores` over the rows of `xs`, `jobs` points per lock-step batch: every point's breakdown and trajectories."""
+    if jobs < 1:
+        raise UsageError(f"--jobs must be >= 1 (test points per lock-step batch), got {jobs}")
+    breakdowns, suites = [], []
+    for start in range(0, len(xs), jobs):
+        brs, trajs = quam_scores(xs[start : start + jobs], dataset, reference, search_cfg, temperature, setting=setting, return_trajectories=True)
+        breakdowns += brs
+        suites += trajs
+    return breakdowns, suites
+
+
+def _all_aborted(suites) -> list:
+    """The points at which every search hit a non-finite loss."""
+    return [i for i, trajs in enumerate(suites) if all(t.nan_abort for t in trajs)]
 
 
 def _finish_scoring(command: str, aborted: list, **extra) -> int:
@@ -194,13 +205,6 @@ def _finish_scoring(command: str, aborted: list, **extra) -> int:
         return EXIT_NUMERIC
     _status(command, "ok", **extra)
     return EXIT_OK
-
-
-def _run_parallel(fn, n, jobs):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return sorted(pool.map(fn, range(n)), key=lambda r: r[0])
-    return [fn(i) for i in range(n)]
 
 
 def cmd_baseline(args, cfg: ExperimentConfig) -> int:
@@ -318,18 +322,13 @@ def cmd_grid(args, cfg: ExperimentConfig) -> int:
     xs = np.linspace(x_lo, x_hi, res)
     ys = np.linspace(y_lo, y_hi, res)
     points = np.array([(x, y) for x in xs for y in ys])
-
-    def one(i):
-        br, trajs = quam_score(points[i], dataset, reference, search_cfg, temperature, setting=setting, return_trajectories=True)
-        return i, br, all(t.nan_abort for t in trajs)
-
-    rows = _run_parallel(one, len(points), args.jobs)
+    breakdowns, suites = _score_in_chunks(points, dataset, reference, search_cfg, temperature, setting, args.jobs)
     path = os.path.join(out, "grid.csv")
     with open(path, "w") as f:
         f.write("x,y,total,aleatoric,epistemic,flags\n")
-        for i, br, _ in rows:
-            f.write(f"{points[i][0]:.17g},{points[i][1]:.17g},{br.total:.17g},{br.aleatoric:.17g},{br.epistemic:.17g},{';'.join(br.flags)}\n")
-    return _finish_scoring("grid", [i for i, _, all_aborted in rows if all_aborted], rows=len(points), out=path)
+        for (x, y), br in zip(points, breakdowns):
+            f.write(f"{x:.17g},{y:.17g},{br.total:.17g},{br.aleatoric:.17g},{br.epistemic:.17g},{';'.join(br.flags)}\n")
+    return _finish_scoring("grid", _all_aborted(suites), rows=len(points), out=path)
 
 
 def cmd_varstudy(args, cfg: ExperimentConfig) -> int:
@@ -390,7 +389,7 @@ def main(argv=None) -> int:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--jobs", type=int, default=1, help="concurrent per-test-point tasks")
+        p.add_argument("--jobs", type=int, default=1, help="test points per lock-step search batch (quam, grid)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
 

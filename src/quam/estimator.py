@@ -26,11 +26,12 @@ import numpy as np
 
 from .measures import UncertaintyBreakdown, decompose_a, decompose_b, entropy_cat, entropy_gauss, quad
 from .models import ModelParams, predict_batch
-from .search import SearchConfig, SearchTrajectory, regression_search_pair, targeted_search_suite
+from .search import SearchConfig, SearchTrajectory, search_suites
 
 __all__ = [
     "pool_trajectories",
     "quam_score",
+    "quam_scores",
     "mis_estimate",
     "mis_variance_estimate",
     "mse_bound",
@@ -57,6 +58,48 @@ def pool_trajectories(trajectories: Sequence[SearchTrajectory], temperature: flo
     return preds, w / w.sum()
 
 
+def quam_scores(
+    xs: np.ndarray,
+    data,
+    reference: ModelParams,
+    config: SearchConfig,
+    temperature: float,
+    setting: str = "b",
+    return_trajectories: bool = False,
+    classes=None,
+):
+    """Adversarial-search epistemic uncertainty at each row of `xs`.
+
+    Runs every point's searches as one lock-step batch: the targeted
+    per-class suite (categorical head; per point, the classes in its entry
+    of `classes` when given) or the two-sided regression pair (gaussian
+    head).  Each point pools the models its own searches visited and gets
+    an UncertaintyBreakdown for the requested setting: "b" against the
+    reference, "a" against the pooled mixture.  A breakdown carries the
+    `nan_abort` flag when any search of its point stopped on a non-finite
+    loss.  A point's result does not depend on the other points in `xs`.
+    """
+    if setting not in ("a", "b"):
+        raise ValueError(f"setting must be 'a' or 'b', got {setting!r}")
+    head = reference.arch.head
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    suites = search_suites(xs, data, reference, config, classes)
+    # one-row passes, as each search's reference row
+    ref_rows = predict_batch(reference, xs[:, None, :])
+    breakdowns = []
+    for ref_row, trajectories in zip(ref_rows, suites):
+        if all(t.no_feasible for t in trajectories):
+            aleatoric = entropy_cat(ref_row[0]) if head == "categorical" else entropy_gauss(ref_row[0, 1])
+            breakdown = UncertaintyBreakdown(setting, aleatoric, aleatoric, 0.0, flags=("no_feasible_adversary",))
+        else:
+            preds, w = pool_trajectories(trajectories, temperature)
+            (breakdown,) = decompose_b(head, ref_row, preds[:, None], w) if setting == "b" else decompose_a(head, preds[:, None], w)
+        if any(t.nan_abort for t in trajectories):
+            breakdown = replace(breakdown, flags=breakdown.flags + ("nan_abort",))
+        breakdowns.append(breakdown)
+    return (breakdowns, suites) if return_trajectories else breakdowns
+
+
 def quam_score(
     x: np.ndarray,
     data,
@@ -66,31 +109,8 @@ def quam_score(
     setting: str = "b",
     return_trajectories: bool = False,
 ):
-    """Adversarial-search epistemic uncertainty at one test input.
-
-    Runs the targeted per-class suite (categorical head) or the two-sided
-    regression pair (gaussian head), pools all visited models, and returns
-    an UncertaintyBreakdown for the requested setting: "b" against the
-    reference, "a" against the pooled mixture.  The breakdown carries the
-    `nan_abort` flag when any search stopped on a non-finite loss.
-    """
-    if setting not in ("a", "b"):
-        raise ValueError(f"setting must be 'a' or 'b', got {setting!r}")
-    head = reference.arch.head
-    if head == "categorical":
-        trajectories = targeted_search_suite(x, data, reference, config)
-    else:
-        trajectories = list(regression_search_pair(x, data, reference, config))
-
-    ref_row = predict_batch(reference, np.atleast_2d(x))
-    if all(t.no_feasible for t in trajectories):
-        aleatoric = entropy_cat(ref_row[0]) if head == "categorical" else entropy_gauss(ref_row[0, 1])
-        breakdown = UncertaintyBreakdown(setting, aleatoric, aleatoric, 0.0, flags=("no_feasible_adversary",))
-    else:
-        preds, w = pool_trajectories(trajectories, temperature)
-        (breakdown,) = decompose_b(head, ref_row, preds[:, None], w) if setting == "b" else decompose_a(head, preds[:, None], w)
-    if any(t.nan_abort for t in trajectories):
-        breakdown = replace(breakdown, flags=breakdown.flags + ("nan_abort",))
+    """`quam_scores` at one test input: its breakdown, and its trajectories when asked."""
+    (breakdown,), (trajectories,) = quam_scores(np.atleast_2d(x), data, reference, config, temperature, setting, return_trajectories=True)
     return (breakdown, trajectories) if return_trajectories else breakdown
 
 

@@ -20,9 +20,10 @@ their temporaries stay at a fixed element count.  They and the Gaussian
 setting-b split are closed form.  KL(N_i || sum_j w_j N_j) is not, so the
 Gaussian setting-a split integrates it per point by the trapezoid rule on
 fixed nodes: a uniform grid spaced at a tenth of the narrowest standard
-deviation, reaching 12 standard deviations past every component, or the
-union of such a grid around each component when the uniform grid would
-exceed 100,000 nodes.  Samples of zero weight are dropped first; they add
+deviation, reaching 12 standard deviations past every component.  When
+that grid would exceed 100,000 nodes, each KL term is integrated on its
+own component's grid, centred on its mean and joined by the grids of the
+narrower components it meets.  Samples of zero weight are dropped first; they add
 nothing to the mixture or to the expectation.  The densities and the
 log-sum-exp mixture are evaluated in (samples, nodes) blocks of bounded
 size, and each KL term is divided by its component's mass on the nodes.
@@ -124,8 +125,18 @@ def kl_cat(p, q) -> float:
     return _kl_cat(p, q)
 
 
-def _kl_cat(p: np.ndarray, q: np.ndarray) -> float:
-    """kl_cat without the checks: p and q are nonnegative vectors of one size."""
+def _kl_cat(p: np.ndarray, q: np.ndarray):
+    """kl_cat without the checks: p and q are nonnegative arrays of one shape.
+
+    Vectors give a float; (rows, k) arrays give one KL per row, each with
+    the bits of its row's own call.
+    """
+    if p.ndim == 2:
+        if not (p > 0).all():
+            # a masked row sums fewer terms, in another grouping: one row at a time
+            return np.array([_kl_cat(a, b) for a, b in zip(p, q)])
+        kl = (p * (np.log(p) - np.log(np.maximum(q, _CLAMP)))).sum(axis=-1)
+        return np.where((q == 0.0).any(axis=-1), np.inf, kl)
     mask = p > 0
     if (q[mask] == 0.0).any():
         return float("inf")
@@ -205,22 +216,43 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return p * np.log(np.where(p > 0, p, 1.0))
 
 
-def _gauss_nodes(means: np.ndarray, sds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integration nodes covering every component, with their trapezoid weights."""
-    lo = float((means - _NODE_REACH * sds).min())
-    hi = float((means + _NODE_REACH * sds).max())
-    span = (hi - lo) / (_NODE_STEP * sds.min())  # in gaps of the uniform grid
-    if span < _MAX_UNIFORM_NODES:
-        y = np.linspace(lo, hi, int(np.ceil(span)) + 1)
-    else:
-        # one grid per component: the node count no longer grows with the spread
-        k = int(round(_NODE_REACH / _NODE_STEP))
-        y = np.unique((means[:, None] + sds[:, None] * (_NODE_STEP * np.arange(-k, k + 1))).ravel())
+def _trapezoid(y: np.ndarray) -> np.ndarray:
+    """Trapezoid weights of sorted nodes."""
     gaps = np.diff(y)
     dy = np.zeros_like(y)
     dy[:-1] += 0.5 * gaps
     dy[1:] += 0.5 * gaps
-    return y, dy
+    return dy
+
+
+def _gauss_nodes(means: np.ndarray, sds: np.ndarray):
+    """The uniform grid covering every component, with its trapezoid weights; None above _MAX_UNIFORM_NODES nodes."""
+    lo = float((means - _NODE_REACH * sds).min())
+    hi = float((means + _NODE_REACH * sds).max())
+    span = (hi - lo) / (_NODE_STEP * sds.min())  # in gaps of the uniform grid
+    if span >= _MAX_UNIFORM_NODES:
+        return None
+    y = np.linspace(lo, hi, int(np.ceil(span)) + 1)
+    return y, _trapezoid(y)
+
+
+def _component_nodes(i: int, means: np.ndarray, sds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of component i's KL term, in coordinates centred on its mean, and the components they resolve.
+
+    The nodes are component i's own grid joined with the grid of every
+    narrower component that meets its range.  A component whose node
+    spacing in this frame is below a few float spacings is not resolved:
+    its mass sits on a set far narrower than any node gap here, so it adds
+    nothing to component i's term, and a node that happened to fall on its
+    mean would count it at a whole gap's width.
+    """
+    steps = _NODE_STEP * np.arange(-round(_NODE_REACH / _NODE_STEP), round(_NODE_REACH / _NODE_STEP) + 1)
+    offsets = means - means[i]
+    reach = _NODE_REACH * sds
+    resolved = _NODE_STEP * sds >= 4.0 * np.spacing(np.abs(offsets) + reach)
+    joined = resolved & (sds < sds[i]) & (np.abs(offsets) < reach + reach[i])
+    y = np.unique(np.concatenate([sds[i] * steps, (offsets[joined, None] + sds[joined, None] * steps).ravel()]))
+    return y, resolved
 
 
 def _split_gauss_a(means: np.ndarray, variances: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -233,24 +265,43 @@ def _split_gauss_a(means: np.ndarray, variances: np.ndarray, w: np.ndarray) -> t
     # the split is shift-invariant; centering on the narrowest component keeps
     # its nodes apart even where its scale is below the float spacing at its mean
     means = means - means[np.argmin(sds)]
-    y, dy = _gauss_nodes(means, sds)
     log_w = np.log(w)[:, None]
-    # accumulated block by block: integral of N_i log(N_i / mixture), and of N_i
-    kl, mass = np.zeros(len(w)), np.zeros(len(w))
-    step = max(1, _BLOCK // len(w))
+    nodes = _gauss_nodes(means, sds)
+    if nodes is None:
+        # one frame per component: each KL term on its own nodes
+        kl, mass = np.zeros(len(w)), np.zeros(len(w))
+        for i in range(len(w)):
+            y, resolved = _component_nodes(i, means, sds)
+            j = int(resolved[:i].sum())  # component i among the resolved ones
+            offsets = (means - means[i])[resolved, None]
+            kl_i, mass_i = _kl_terms(y, _trapezoid(y), offsets, sds[resolved, None], log_peak[resolved, None], log_w[resolved])
+            kl[i], mass[i] = kl_i[j], mass_i[j]
+    else:
+        kl, mass = _kl_terms(*nodes, means[:, None], sds[:, None], log_peak[:, None], log_w)
+    # a component narrower than the float spacing at its mean collapses onto
+    # one node; dividing by its node mass (1 wherever the nodes resolve it)
+    # keeps that node from counting at the width of its neighbors' gaps
+    return aleatoric, max(0.0, float(w @ (kl / mass)))
+
+
+def _kl_terms(y, dy, means, sds, log_peak, log_w) -> tuple[np.ndarray, np.ndarray]:
+    """Per component, the integrals on nodes y (weights dy) of N_i log(N_i / mixture) and of N_i.
+
+    The densities and the log-sum-exp mixture are evaluated in blocks of
+    nodes; the component arguments are (components, 1) columns.
+    """
+    kl, mass = np.zeros(len(means)), np.zeros(len(means))
+    step = max(1, _BLOCK // len(means))
     for a in range(0, len(y), step):
-        z = (y[a : a + step] - means[:, None]) / sds[:, None]
-        log_p = log_peak[:, None] - 0.5 * z * z
+        z = (y[a : a + step] - means) / sds
+        log_p = log_peak - 0.5 * z * z
         t = log_p + log_w
         top = t.max(axis=0)
         log_mix = top + np.log(np.exp(t - top).sum(axis=0))
         p = np.exp(log_p)
         kl += (p * (log_p - log_mix)) @ dy[a : a + step]
         mass += p @ dy[a : a + step]
-    # a component narrower than the float spacing at its mean collapses onto
-    # one node; dividing by its node mass (1 wherever the nodes resolve it)
-    # keeps that node from counting at the width of its neighbors' gaps
-    return aleatoric, max(0.0, float(w @ (kl / mass)))
+    return kl, mass
 
 
 def decompose_a(head: str, preds, w) -> list[UncertaintyBreakdown]:

@@ -39,6 +39,7 @@ __all__ = [
     "loss_and_grad",
     "head_predictions",
     "cross_entropy",
+    "cross_entropy_loss",
     "target_rows",
     "predict_batch",
     "train",
@@ -127,7 +128,13 @@ def _layer_slices(widths: tuple[int, ...]) -> tuple[tuple[slice, slice], ...]:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Architecture descriptor plus the flat parameter vector."""
+    """Architecture descriptor plus the flat parameter vector.
+
+    `values` may also be a (K, P) stack of K models' vectors: `forward`,
+    `backward`, `cross_entropy` and `head_predictions` then carry the
+    stack as a leading axis, and each model's slice of every result has
+    the bits of its own unstacked call.
+    """
 
     arch: ArchSpec
     values: np.ndarray
@@ -135,16 +142,23 @@ class ModelParams:
     def __post_init__(self):
         # private copy: freezing must never touch the caller's buffer
         v = np.array(self.values, dtype=np.float64, order="C")
-        if v.ndim != 1 or v.size != self.arch.param_count():
+        if v.ndim not in (1, 2) or v.shape[-1] != self.arch.param_count():
             raise ValueError(f"expected {self.arch.param_count()} parameter values, got array of shape {self.values.shape}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        out = []
-        for (ws, bs), (i, o) in zip(self.arch.layer_slices(), zip(self.arch.widths[:-1], self.arch.widths[1:])):
-            out.append((self.values[ws].reshape(i, o), self.values[bs]))
-        return out
+        """Per layer, views of the (fan_in, fan_out) weights and the bias; a stack's are (K, fan_in, fan_out) and (K, 1, fan_out)."""
+        # built once per instance: a search step's passes all read the same views
+        if "_layers" not in self.__dict__:
+            v = self.values
+            shapes = zip(self.arch.layer_slices(), self.arch.widths[:-1], self.arch.widths[1:])
+            if v.ndim == 1:
+                self.__dict__["_layers"] = [(v[ws].reshape(i, o), v[bs]) for (ws, bs), i, o in shapes]
+            else:
+                k = len(v)
+                self.__dict__["_layers"] = [(v[:, ws].reshape(k, i, o), v[:, bs].reshape(k, 1, o)) for (ws, bs), i, o in shapes]
+        return self.__dict__["_layers"]
 
     def with_values(self, values: np.ndarray) -> "ModelParams":
         return ModelParams(self.arch, values)
@@ -180,11 +194,13 @@ def forward(params: ModelParams, x: np.ndarray, dropout_masks=None) -> list[np.n
     """The input of every layer, then the head outputs, at the rows of `x`.
 
     The search backpropagates through the kept layer inputs (`backward`);
-    predictions and losses use the last entry.
+    predictions and losses use the last entry.  Rows are the second-last
+    axis: `x` of shape (..., n, input width) runs each leading index as its
+    own pass, and a stack of models broadcasts against it.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != params.arch.widths[0]:
-        raise ValueError(f"input width {x.shape[1]} does not match architecture input width {params.arch.widths[0]}")
+    if x.shape[-1] != params.arch.widths[0]:
+        raise ValueError(f"input width {x.shape[-1]} does not match architecture input width {params.arch.widths[0]}")
     acts = [x]
     n_layers = params.arch.n_layers
     for li, (w, b) in enumerate(params.layers()):
@@ -201,7 +217,8 @@ def backward(params: ModelParams, acts: Sequence[np.ndarray], grad_out: np.ndarr
     """Flat gradient of sum_i grad_out[i] . out[i] with respect to the parameters.
 
     `acts` comes from `forward` with the same `dropout_masks`, and
-    `grad_out` holds one output gradient per row.  A layer's flat slice
+    `grad_out` holds one output gradient per row; for a stack of models the
+    result is one flat gradient per model.  A layer's flat slice
     (weights row-major, then the bias) is a (fan_in + 1, fan_out) matrix,
     so each layer's gradient is written straight into the flat vector.  The
     bias gradient is the product ones(1, n) @ dz, and a hidden layer's
@@ -209,18 +226,20 @@ def backward(params: ModelParams, acts: Sequence[np.ndarray], grad_out: np.ndarr
     """
     arch = params.arch
     slices = arch.layer_slices()
-    grad = np.empty(arch.param_count())
-    ones = np.ones((1, len(grad_out)))
+    lead = params.values.shape[:-1]
+    layers = params.layers()
+    grad = np.empty(params.values.shape)
+    ones = np.ones((1, grad_out.shape[-2]))
     dz = grad_out
     for li in range(arch.n_layers - 1, -1, -1):
         ws, bs = slices[li]
         fan_in, fan_out = arch.widths[li], arch.widths[li + 1]
-        g = grad[ws.start : bs.stop].reshape(fan_in + 1, fan_out)
+        g = grad[..., ws.start : bs.stop].reshape(lead + (fan_in + 1, fan_out))
         h = acts[li]
-        np.matmul(h.T, dz, out=g[:fan_in])
-        np.matmul(ones, dz, out=g[fan_in:])
+        np.matmul(h.swapaxes(-1, -2), dz, out=g[..., :fan_in, :])
+        np.matmul(ones, dz, out=g[..., fan_in:, :])
         if li:
-            dz = dz @ params.values[ws].reshape(fan_in, fan_out).T
+            dz = dz @ layers[li][0].swapaxes(-1, -2)
             if dropout_masks is not None:
                 dz = dz * dropout_masks[li - 1]
             dz = dz * (h > 0.0)
@@ -228,21 +247,21 @@ def backward(params: ModelParams, acts: Sequence[np.ndarray], grad_out: np.ndarr
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def head_predictions(arch: ArchSpec, out: np.ndarray) -> np.ndarray:
-    """Head outputs to (n, C) class probabilities, or (n, 2) mean/variance."""
+    """Head outputs to (..., n, C) class probabilities, or (..., n, 2) mean/variance."""
     if arch.head == "categorical":
         return _softmax(out)
-    mean = out[:, 0]
+    mean = out[..., 0]
     if arch.widths[-1] == 2:
-        var = np.exp(out[:, 1])
+        var = np.exp(out[..., 1])
     else:
         var = np.full_like(mean, FIXED_GAUSSIAN_VARIANCE)
-    return np.column_stack([mean, var])
+    return np.stack([mean, var], axis=-1)
 
 
 def predict_batch(params: ModelParams, x: np.ndarray, dropout_masks=None) -> np.ndarray:
@@ -271,7 +290,30 @@ def target_rows(arch: ArchSpec, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def cross_entropy(arch: ArchSpec, out: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+def _mean_nll(arch: ArchSpec, out: np.ndarray, targets: np.ndarray):
+    """The mean cross-entropy over the rows of `out`, one per leading index, and the terms its gradient reuses."""
+    n = out.shape[-2]
+    if arch.head == "categorical":
+        z = out - out.max(axis=-1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        return (logp * targets).sum(axis=(-2, -1)) * (-1.0 / n), (logp,)
+    resid = targets[..., 0:1] - out[..., 0:1]
+    sq = resid * resid + targets[..., 1:2]  # E[(t - mean)^2] under the target row
+    if arch.widths[-1] == 2:
+        c = 0.5 / n
+        inv_var = np.exp(out[..., 1:2] * -1.0)
+        return (out[..., 1:2] + sq * inv_var).sum(axis=(-2, -1)) * c + 0.5 * np.log(2.0 * np.pi), (resid, sq, inv_var, c)
+    c = 0.5 / (n * FIXED_GAUSSIAN_VARIANCE)
+    return sq.sum(axis=(-2, -1)) * c + 0.5 * np.log(2.0 * np.pi * FIXED_GAUSSIAN_VARIANCE), (resid, c)
+
+
+def cross_entropy_loss(arch: ArchSpec, out: np.ndarray, targets: np.ndarray):
+    """`cross_entropy`'s loss alone, with the same bits: a float, or one per leading index of a stacked `out`."""
+    loss = _mean_nll(arch, out, targets)[0]
+    return loss if out.ndim > 2 else float(loss)
+
+
+def cross_entropy(arch: ArchSpec, out: np.ndarray, targets: np.ndarray):
     """Mean cross-entropy of the target rows under head outputs `out`, and its gradient at `out`.
 
     `targets` hold one row per row of `out` in `head_predictions`' format:
@@ -281,24 +323,22 @@ def cross_entropy(arch: ArchSpec, out: np.ndarray, targets: np.ndarray) -> tuple
     and H[row] less it is the divergence a search maximizes.  The steps
     repeat the floating-point operations of reverse-mode differentiation
     through the same graph, in the same order, so the results are
-    reproducible to the bit: the sampler chains depend on it.
+    reproducible to the bit: the sampler chains depend on it.  A stacked
+    `out` of shape (K, n, k) gives K losses.
     """
-    n = len(out)
+    n = out.shape[-2]
+    loss, terms = _mean_nll(arch, out, targets)
     if arch.head == "categorical":
-        z = out - out.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        loss = (logp * targets).sum() * (-1.0 / n)
+        (logp,) = terms
         g = (-1.0 / n) * targets
-        return float(loss), g - np.exp(logp) * g.sum(axis=1, keepdims=True)
-    resid = targets[:, 0:1] - out[:, 0:1]
-    sq = resid * resid + targets[:, 1:2]  # E[(t - mean)^2] under the target row
-    if arch.widths[-1] == 2:
-        c = 0.5 / n
-        inv_var = np.exp(out[:, 1:2] * -1.0)
-        loss = (out[:, 1:2] + sq * inv_var).sum() * c + 0.5 * np.log(2.0 * np.pi)
-        return float(loss), np.hstack([-((2.0 * resid) * (c * inv_var)), c - (c * sq) * inv_var])
-    c = 0.5 / (n * FIXED_GAUSSIAN_VARIANCE)
-    return float(sq.sum() * c + 0.5 * np.log(2.0 * np.pi * FIXED_GAUSSIAN_VARIANCE)), -((2.0 * resid) * c)
+        grad = g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
+    elif arch.widths[-1] == 2:
+        resid, sq, inv_var, c = terms
+        grad = np.concatenate([-((2.0 * resid) * (c * inv_var)), c - (c * sq) * inv_var], axis=-1)
+    else:
+        resid, c = terms
+        grad = -((2.0 * resid) * c)
+    return (loss if out.ndim > 2 else float(loss)), grad
 
 
 def loss_and_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray, masks=None) -> tuple[float, np.ndarray]:
@@ -313,7 +353,7 @@ def loss_and_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray, masks
 
 def mean_train_loss(params: ModelParams, data) -> float:
     """Mean negative log-likelihood of the training targets."""
-    return cross_entropy(params.arch, forward(params, data.x)[-1], target_rows(params.arch, data.y))[0]
+    return cross_entropy_loss(params.arch, forward(params, data.x)[-1], target_rows(params.arch, data.y))
 
 
 def log_posterior(params: ModelParams, data, prior_precision: float) -> float:
@@ -324,7 +364,7 @@ def log_posterior(params: ModelParams, data, prior_precision: float) -> float:
     """
     if len(data) == 0:
         raise ValueError("log_posterior needs a nonempty dataset")
-    nll = len(data) * cross_entropy(params.arch, forward(params, data.x)[-1], target_rows(params.arch, data.y))[0]
+    nll = len(data) * cross_entropy_loss(params.arch, forward(params, data.x)[-1], target_rows(params.arch, data.y))
     return float(-nll - 0.5 * prior_precision * float(params.values @ params.values))
 
 
@@ -343,9 +383,13 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam with classic L2-style weight decay (decay folded into gradients)."""
+    """Adam with classic L2-style weight decay (decay folded into gradients).
 
-    def __init__(self, size: int, lr: float, weight_decay: float = 0.0, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    `size` is the parameter count, or the (K, P) shape of a stack of K models
+    that take their steps together; every update is elementwise.
+    """
+
+    def __init__(self, size, lr: float, weight_decay: float = 0.0, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
         self.lr = lr
         self.weight_decay = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
@@ -371,7 +415,8 @@ def train_with_point_loss(data, arch: ArchSpec, cfg: TrainConfig, extra_loss=Non
     every batch's loss and gradient.
 
     Seed-deterministic: initialization, batch order and dropout masks all
-    derive from cfg.seed.
+    derive from cfg.seed.  Raises `TrainingDiverged` when a batch loss, the
+    final parameters or the final training loss is not finite.
     """
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -395,6 +440,9 @@ def train_with_point_loss(data, arch: ArchSpec, cfg: TrainConfig, extra_loss=Non
             params = params.with_values(opt.step(params.values, grad))
         if log is not None:
             log.append({"epoch": epoch, "loss": mean_train_loss(params, data)})
+    # each batch's loss is checked before its update; the last update is checked here
+    if not (np.isfinite(params.values).all() and np.isfinite(mean_train_loss(params, data))):
+        raise TrainingDiverged(f"non-finite parameters or training loss after the last epoch ({cfg.epochs - 1})", epoch=cfg.epochs - 1)
     return params
 
 

@@ -24,6 +24,23 @@ to rediscover one solution.  Regression runs an upward and a downward
 search, seeded by nudging the output bias; a direction search also pays
 c * relu(violation) while its mean sits on the wrong side of the
 reference mean.
+
+Searches run in lock-step (`search_batch`).  The searches of one batch
+share the training data, the reference and the `SearchConfig`; each has
+its own test input, objective and random stream, so a batch may hold the
+searches of many test points.  A step advances all of them at once: the
+parameters, Adam moments and gradients are (K, P) stacks, the activations
+(K, n, width) stacks, and the records and best-iterate choice are
+vectorized across the K searches.  Each search's slice of every stacked
+operation has the bits of the same operation run for that search alone,
+so a search's records and best iterate do not depend on what else is in
+its batch.  The test rows get their own pass, apart from the data rows,
+and a search inside its slack backpropagates its test row alone.  A search
+that hits a non-finite loss leaves the stack; the others go on.  What the
+reference fixes is computed once per batch, not once per search: its
+prediction rows at the test inputs, its full-data loss L_ref and the slack
+gamma, the data's target rows and, for a last-layer search, the
+penultimate features of the data and of the test inputs.
 """
 
 from __future__ import annotations
@@ -34,7 +51,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .data import LabeledDataset
 from .measures import _check_rows, _kl_cat, _kl_gauss, entropy_cat, entropy_gauss
 from .models import (
     Adam,
@@ -42,10 +58,9 @@ from .models import (
     ModelParams,
     backward,
     cross_entropy,
+    cross_entropy_loss,
     forward,
     head_predictions,
-    mean_train_loss,
-    predict_batch,
     target_rows,
 )
 from .rng import derive_rng
@@ -55,6 +70,8 @@ __all__ = [
     "SearchObjective",
     "TrajectoryRecord",
     "SearchTrajectory",
+    "search_batch",
+    "search_suites",
     "adversarial_model_search",
     "targeted_search_suite",
     "regression_search_pair",
@@ -66,6 +83,9 @@ __all__ = [
 # run in this process; lets a verification suite audit the feasibility
 # contract across everything that executed.
 FEASIBILITY_AUDIT: list[tuple[str, float, bool]] = []
+
+# elements of one (searches, rows, k) block of a stacked full-data loss
+_LOSS_BLOCK = 1 << 20
 
 
 @dataclass
@@ -149,29 +169,30 @@ def _scope_mask(arch: ArchSpec, config: SearchConfig) -> np.ndarray:
     return mask
 
 
-def _divergence(arch: ArchSpec, ref: np.ndarray, pred: np.ndarray) -> float:
-    # the reference row is checked once per search; candidate rows are checked by the split
-    if arch.head == "categorical":
-        return _kl_cat(ref, pred)
-    return float(_kl_gauss(ref, pred))
+def _target_tag(objective) -> str:
+    if isinstance(objective, tuple) and objective[0] == "direction":
+        return "direction:+" if int(objective[1]) > 0 else "direction:-"
+    if isinstance(objective, tuple) and objective[0] == "class":
+        return f"class:{int(objective[1])}"
+    return "divergence"
 
 
 class ObjectiveForward(NamedTuple):
-    """One forward pass of the search objective: the batch rows and the test row."""
+    """One forward pass of the stacked search objective: the batch rows and the test rows."""
 
     batch_acts: list  # layer inputs, then head outputs, of the batch rows
-    batch_loss: float  # mean cross-entropy of the batch rows against their target rows
+    batch_loss: np.ndarray  # (K,): mean cross-entropy of each search's batch rows against their target rows
     batch_grad: np.ndarray  # d batch_loss / d(batch head outputs)
-    test_acts: list  # the same for the test row
-    adv: float  # L_adv
-    adv_grad: np.ndarray  # dL_adv / d(test-row head outputs)
+    test_acts: list  # the same for the test rows, (K, 1, width) each
+    adv: np.ndarray  # (K,): L_adv
+    adv_grad: np.ndarray  # dL_adv / d(test-row head outputs), (K, 1, k)
 
 
 @dataclass(frozen=True)
 class SearchObjective:
-    """The objective one search minimizes, with its gradient by backprop.
+    """The objectives of K lock-step searches, with their gradients by backprop.
 
-        L = L_adv(x) + c * relu(batch_loss - bound) + c * relu(direction * (ref_mean - mean(x)))
+        L_k = L_adv,k(x_k) + c * relu(batch_loss_k - bound) + c * relu(direction_k * (ref_mean_k - mean(x_k)))
 
     The last term exists for ("direction", +1 | -1) objectives only.  The
     penalty weights the constraint *violation*: a signed term under a
@@ -181,63 +202,287 @@ class SearchObjective:
     objective and -KL(ref || model) = H[ref] - CE(ref) otherwise.  The
     gradient enters the network as per-row gradients at the head outputs:
     c * 1[pen > 0] * dCE on the batch rows, dL_adv plus the violation term
-    on the test row.
+    on the test row.  Parameters come as a (K, P) `ModelParams` stack, one
+    model per search.
     """
 
-    x: np.ndarray  # the test input, shape (1, input width)
-    ref: np.ndarray  # the reference's prediction row at the test input
-    objective: object  # "divergence" | ("class", k) | ("direction", +1 | -1)
+    x: np.ndarray  # (K, 1, input width): each search's test input
+    ref: np.ndarray  # (K, k): the reference's prediction row at each test input
+    objectives: tuple  # per search: "divergence" | ("class", k) | ("direction", +1 | -1)
     bound: float  # L_ref + gamma
     head: str  # the model's head: "categorical" | "gaussian_scalar"
-    target: np.ndarray = field(init=False)  # the test row's cross-entropy target, shape (1, k)
-    ref_entropy: Optional[float] = field(init=False)  # H[ref]; None for a class objective
+    target: np.ndarray = field(init=False)  # (K, 1, k): each test row's cross-entropy target
+    ref_entropy: np.ndarray = field(init=False)  # (K,): H[ref], 0 for a class objective
+    is_class: np.ndarray = field(init=False)  # (K,) bool
+    direction: np.ndarray = field(init=False)  # (K,): the sign of a direction objective, else 0
 
     def __post_init__(self):
-        # constants of the search, derived once
-        if isinstance(self.objective, tuple) and self.objective[0] == "class":
-            target, h = np.eye(len(self.ref))[int(self.objective[1])], None
-        else:
-            target, h = self.ref, entropy_cat(self.ref) if self.head == "categorical" else float(entropy_gauss(self.ref[1]))
-        object.__setattr__(self, "target", target.reshape(1, -1))
-        object.__setattr__(self, "ref_entropy", h)
+        # constants of the searches, derived once
+        targets, entropies, is_class, direction = [], [], [], []
+        for ref, objective in zip(self.ref, self.objectives):
+            kind = objective[0] if isinstance(objective, tuple) else objective
+            if kind == "class":
+                targets.append(np.eye(len(ref))[int(objective[1])])
+                entropies.append(0.0)
+            else:
+                targets.append(ref)
+                entropies.append(entropy_cat(ref) if self.head == "categorical" else float(entropy_gauss(ref[1])))
+            is_class.append(kind == "class")
+            direction.append(int(objective[1]) if kind == "direction" else 0)
+        object.__setattr__(self, "target", np.array(targets).reshape(len(targets), 1, -1))
+        object.__setattr__(self, "ref_entropy", np.array(entropies))
+        object.__setattr__(self, "is_class", np.array(is_class, dtype=bool))
+        object.__setattr__(self, "direction", np.array(direction, dtype=int))
 
-    @property
-    def direction(self) -> int:
-        if isinstance(self.objective, tuple) and self.objective[0] == "direction":
-            return int(self.objective[1])
-        return 0
+    def subset(self, keep: np.ndarray) -> "SearchObjective":
+        """The objectives of the searches `keep` selects."""
+        return replace(self, x=self.x[keep], ref=self.ref[keep], objectives=tuple(o for o, k in zip(self.objectives, keep) if k))
 
-    def forward(self, params: ModelParams, bx: np.ndarray, bt: np.ndarray) -> ObjectiveForward:
-        """The objective's terms at the batch inputs `bx`, whose `models.target_rows` are `bt`."""
-        batch_acts = forward(params, bx)
-        batch_loss, batch_grad = cross_entropy(params.arch, batch_acts[-1], bt)
-        # the test row gets its own pass: stacked onto the batch GEMM its
+    def test_pass(self, params: ModelParams):
+        """Each model's pass at its own test row: (activations, L_adv, dL_adv / d outputs)."""
+        # the test rows get their own pass: stacked onto the batch GEMM their
         # outputs can move by an ulp, and an unmoved iterate would then
         # diverge from the reference by a spurious KL > 0
         test_acts = forward(params, self.x)
         ce, grad = cross_entropy(params.arch, test_acts[-1], self.target)
-        adv, adv_grad = (ce, grad) if self.ref_entropy is None else (self.ref_entropy - ce, -grad)
+        if self.is_class.all():
+            return test_acts, ce, grad
+        if not self.is_class.any():
+            return test_acts, self.ref_entropy - ce, -grad
+        return test_acts, np.where(self.is_class, ce, self.ref_entropy - ce), np.where(self.is_class[:, None, None], grad, -grad)
+
+    def forward(self, params: ModelParams, bx: np.ndarray, bt: np.ndarray) -> ObjectiveForward:
+        """The objectives' terms at the batch inputs `bx`, whose `models.target_rows` are `bt`.
+
+        `bx` is one (n, width) batch for every search or a (K, n, width) stack of batches.
+        """
+        batch_acts = forward(params, bx)
+        batch_loss, batch_grad = cross_entropy(params.arch, batch_acts[-1], bt)
+        test_acts, adv, adv_grad = self.test_pass(params)
         return ObjectiveForward(batch_acts, batch_loss, batch_grad, test_acts, adv, adv_grad)
 
-    def _violation(self, fwd: ObjectiveForward) -> float:
-        return self.direction * (self.ref[0] - fwd.test_acts[-1][0, 0]) if self.direction else 0.0
+    def _violation(self, fwd: ObjectiveForward) -> np.ndarray:
+        viol = self.direction * (self.ref[:, 0] - fwd.test_acts[-1][:, 0, 0])
+        return np.where(self.direction != 0, viol, 0.0)
 
     def backward(self, params: ModelParams, fwd: ObjectiveForward, c: float) -> np.ndarray:
-        """Flat gradient of L at penalty weight c."""
+        """Flat gradients of the K objectives at penalty weight c, one row per search."""
         grad_x = fwd.adv_grad
-        if self._violation(fwd) > 0.0:
-            grad_x = grad_x.copy()
-            grad_x[0, 0] -= c * self.direction
-        if fwd.batch_loss - self.bound > 0.0:
-            acts = [np.vstack(pair) for pair in zip(fwd.batch_acts, fwd.test_acts)]
-            return backward(params, acts, np.vstack([c * fwd.batch_grad, grad_x]))
+        if self.direction.any():
+            pushed = self._violation(fwd) > 0.0
+            if pushed.any():
+                grad_x = grad_x.copy()
+                grad_x[pushed, 0, 0] -= c * self.direction[pushed]
+        active = fwd.batch_loss - self.bound > 0.0
+        if active.all():
+            return _penalized_backward(params, fwd.batch_acts, fwd.test_acts, fwd.batch_grad, grad_x, c)
         # inside the slack the batch rows carry no gradient
-        return backward(params, fwd.test_acts, grad_x)
+        grad = backward(params, fwd.test_acts, grad_x)
+        if active.any():
+            rows = np.flatnonzero(active)
+            batch_acts = [a[rows] if a.ndim == 3 else a for a in fwd.batch_acts]
+            sub = ModelParams(params.arch, params.values[rows])
+            grad[rows] = _penalized_backward(sub, batch_acts, [t[rows] for t in fwd.test_acts], fwd.batch_grad[rows], grad_x[rows], c)
+        return grad
 
-    def loss_and_grad(self, params: ModelParams, bx: np.ndarray, bt: np.ndarray, c: float) -> tuple[float, np.ndarray]:
+    def loss_and_grad(self, params: ModelParams, bx: np.ndarray, bt: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
         fwd = self.forward(params, bx, bt)
-        loss = fwd.adv + c * max(fwd.batch_loss - self.bound, 0.0) + c * max(self._violation(fwd), 0.0)
+        loss = fwd.adv + c * np.maximum(fwd.batch_loss - self.bound, 0.0) + c * np.maximum(self._violation(fwd), 0.0)
         return loss, self.backward(params, fwd, c)
+
+
+def _penalized_backward(params: ModelParams, batch_acts, test_acts, batch_grad, grad_x, c) -> np.ndarray:
+    """One backward pass over each model's batch rows, at penalty weight c, and its test row."""
+    k = len(grad_x)
+    acts = [np.concatenate([a if a.ndim == 3 else a[None].repeat(k, axis=0), t], axis=-2) for a, t in zip(batch_acts, test_acts)]
+    return backward(params, acts, np.concatenate([c * batch_grad, grad_x], axis=-2))
+
+
+def _full_losses(params: ModelParams, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Full-data loss of each model of the stack, in blocks of bounded size."""
+    step = max(1, _LOSS_BLOCK // targets.size)
+    values = params.values
+    return np.concatenate(
+        [cross_entropy_loss(params.arch, forward(ModelParams(params.arch, values[a : a + step]), x)[-1], targets) for a in range(0, len(values), step)]
+    )
+
+
+def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchConfig, searches: Sequence[tuple]) -> list[SearchTrajectory]:
+    """Run penalty-method searches in lock-step; see the module docstring.
+
+    `xs` holds the test inputs, one per row.  `searches` holds one
+    (row of `xs`, objective, seed_keys) triple per search: the objective is
+    "divergence", ("class", c) for a targeted classification search, or
+    ("direction", +1 | -1) for a one-sided regression search, and the
+    search's random stream is `derive_rng(config.seed, *seed_keys)`.
+    Returns the trajectories in the order of `searches`; each is the one
+    its search gives when run alone.
+    """
+    if not searches:
+        return []
+    arch = reference.arch
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    # constants of the batch; each test input gets its own one-row pass
+    test_acts = forward(reference, xs[:, None, :])
+    refs = head_predictions(arch, test_acts[-1])[:, 0]
+    _check_rows(arch.head, refs, "reference prediction")
+    targets = target_rows(arch, data.y)
+    data_acts = forward(reference, data.x)
+    l_ref = cross_entropy_loss(arch, data_acts[-1], targets)
+    gamma = config.gamma if config.gamma is not None else 0.05 * abs(l_ref)
+    bound = l_ref + gamma
+
+    # Last-layer searches run on cached penultimate features: the frozen
+    # layers never change, so the data only has to flow through them once.
+    work, test_x, x, inner, last = reference, xs[:, None, :], data.x, config, None
+    if config.delta_scope == "last_layer" and arch.n_layers > 1 and config.free_mask is None:
+        # the last layer's weights and bias close the flat vector
+        last = slice(arch.layer_slices()[-1][0].start, arch.param_count())
+        work = ModelParams(ArchSpec(widths=arch.widths[-2:], head=arch.head), reference.values[last])
+        test_x, x = test_acts[-2], data_acts[-2]
+        inner = replace(config, delta_scope="all_params")
+    warch = work.arch
+    n = len(x)
+    batch = n if inner.batch_size is None else min(inner.batch_size, n)
+    mask = _scope_mask(warch, inner)
+    lo, hi = inner.param_box if inner.param_box is not None else (None, None)
+
+    k = len(searches)
+    points = np.array([point for point, _, _ in searches], dtype=int)
+    ref_rows = refs[points]
+    objective = SearchObjective(test_x[points], ref_rows, tuple(o for _, o, _ in searches), bound, arch.head)
+    rngs = [derive_rng(inner.seed, *keys) for _, _, keys in searches]
+    base = np.tile(work.values, (k, 1))
+    bias = warch.layer_slices()[-1][1].start  # the mean-output bias
+    for s, (direction, o) in enumerate(zip(objective.direction, objective.objectives)):
+        if direction:
+            base[s, bias] += direction * inner.bias_nudge
+        elif o == "divergence" and inner.bias_nudge:
+            # the divergence gradient vanishes at the exact reference; a tiny
+            # seeded perturbation of the free parameters provides the first step
+            base[s, mask] += inner.bias_nudge * rngs[s].standard_normal(int(mask.sum()))
+
+    records: list[list[TrajectoryRecord]] = [[] for _ in range(k)]
+    best_idx, best_div, best_values = np.full(k, -1), np.full(k, -np.inf), np.empty((k, warch.param_count()))
+    nan_abort = np.zeros(k, dtype=bool)
+
+    directions = objective.direction
+    has_direction = bool(directions.any())
+
+    def add_records(slots, keep, steps, c, adv, pen, mtl, out, values):
+        """Record the models `values` of searches `slots` where `keep` holds; update the best iterates.
+
+        `out` holds the models' head outputs at their test rows; the other
+        arguments hold one entry per search.
+        """
+        if not keep.all():
+            slots, steps, adv, pen, mtl, out, values = slots[keep], steps[keep], adv[keep], pen[keep], mtl[keep], out[keep], values[keep]
+        preds = head_predictions(arch, out)[:, 0]
+        full_pen = mtl - bound
+        refs_of = ref_rows[slots]
+        # KL(reference row || prediction row); the reference rows are checked
+        # once per batch, candidate rows by the split
+        div = _kl_cat(refs_of, preds) if arch.head == "categorical" else _kl_gauss(refs_of, preds)
+        for s, step, a, p, loss, fp, d, pred in zip(slots.tolist(), steps.tolist(), adv.tolist(), pen.tolist(), mtl.tolist(), full_pen.tolist(), div.tolist(), preds):
+            records[s].append(TrajectoryRecord(step, c, a, p, loss, fp, d, pred))
+        better = (full_pen <= 0.0) & (div > best_div[slots])
+        if has_direction:
+            # a direction search keeps only iterates on its side of the reference mean
+            direction = directions[slots]
+            better &= (direction == 0) | (direction * (preds[:, 0] - refs_of[:, 0]) > 0.0)
+        if better.any():
+            won = slots[better]
+            best_idx[won] = [len(records[s]) - 1 for s in won]
+            best_div[won] = div[better]
+            best_values[won] = values[better]
+
+    # Record the exact reference first; for nudged searches the loop below
+    # starts from a distinct (nudged) model.
+    step0 = np.array([not np.array_equal(b, work.values) for b in base], dtype=int)
+    first = np.flatnonzero(step0)
+    if first.size and np.isfinite(l_ref):
+        ref_stack = ModelParams(warch, np.tile(work.values, (first.size, 1)))
+        acts, adv, _ = objective.subset(step0 == 1).test_pass(ref_stack)
+        every = np.ones(first.size, dtype=bool)
+        add_records(first, every, np.zeros_like(first), inner.c0, adv, np.full(first.size, l_ref - bound), np.full(first.size, l_ref), acts[-1], ref_stack.values)
+
+    live = np.arange(k)
+    values, base = base.copy(), base
+    all_free = mask.all()
+    opt = Adam(values.shape, inner.lr, inner.weight_decay, eps=inner.adam_eps)
+    c = inner.c0
+    for m in range(1, inner.steps + 1):
+        if batch < n:
+            idx = np.stack([rngs[s].choice(n, size=batch, replace=False) for s in live])
+            bx, bt = x[idx], targets[idx]
+        else:
+            bx, bt = x, targets
+        cur = ModelParams(warch, values)
+        fwd = objective.forward(cur, bx, bt)
+        ok = np.isfinite(fwd.adv) & np.isfinite(fwd.batch_loss)
+        if batch < n:
+            mtl = np.full(len(live), np.nan)
+            if ok.any():
+                mtl[ok] = _full_losses(cur if ok.all() else ModelParams(warch, values[ok]), x, targets)
+            ok &= np.isfinite(mtl)
+        else:
+            mtl = fwd.batch_loss
+        add_records(live, ok, step0[live] + (m - 1), c, fwd.adv, fwd.batch_loss - bound, mtl, fwd.test_acts[-1], values)
+        if not ok.all():
+            # a non-finite loss stops its search; the others go on from the same step
+            nan_abort[live[~ok]] = True
+            live = live[ok]
+            if not live.size:
+                break
+            values, base, objective = values[ok], base[ok], objective.subset(ok)
+            opt.m, opt.v = opt.m[ok], opt.v[ok]
+            if batch < n:
+                bx, bt = bx[ok], bt[ok]
+            cur = ModelParams(warch, values)
+            fwd = objective.forward(cur, bx, bt)
+
+        g = objective.backward(cur, fwd, c)
+        if not all_free:
+            g[:, ~mask] = 0.0
+        values = opt.step(values, g)
+        if not all_free:
+            values[:, ~mask] = base[:, ~mask]
+        if lo is not None:
+            values[:, mask] = np.clip(values[:, mask], lo, hi)
+        if m % inner.eta_every == 0:
+            c *= inner.eta_factor
+            # each penalty stage is its own unconstrained subproblem; a stale
+            # second-moment estimate from a boundary contact at the previous,
+            # smaller c would throttle the steps of every later stage
+            opt = Adam(values.shape, inner.lr, inner.weight_decay, eps=inner.adam_eps)
+
+    if live.size:
+        # the final updated models were visited too
+        cur = ModelParams(warch, values)
+        acts, adv, _ = objective.test_pass(cur)
+        mtl = _full_losses(cur, x, targets)
+        ok = np.isfinite(adv)
+        nan_abort[live[~ok]] = True
+        add_records(live, ok & np.isfinite(mtl), step0[live] + inner.steps, c, adv, mtl - bound, mtl, acts[-1], values)
+
+    trajectories = []
+    for s, (point, o, _) in enumerate(searches):
+        no_feasible = bool(best_idx[s] < 0 or best_div[s] <= 0.0)
+        if no_feasible:
+            # no feasible iterate improved on the reference: return the reference
+            if not records[s]:
+                records[s].append(TrajectoryRecord(0, inner.c0, 0.0, -gamma, l_ref, -gamma, 0.0, refs[point]))
+            best, best_params = 0, work.values
+        else:
+            best, best_params = int(best_idx[s]), best_values[s]
+        if last is not None:
+            full = reference.values.copy()
+            full[last] = best_params
+            best_params = full
+        traj = SearchTrajectory(_target_tag(o), arch.head, records[s], best, ModelParams(arch, best_params), no_feasible, bool(nan_abort[s]), l_ref, gamma)
+        FEASIBILITY_AUDIT.append((traj.target, traj.best.full_pen, traj.no_feasible))
+        trajectories.append(traj)
+    return trajectories
 
 
 def adversarial_model_search(
@@ -248,150 +493,13 @@ def adversarial_model_search(
     objective="divergence",
     seed_keys: Sequence[int] = (),
 ) -> SearchTrajectory:
-    """Run one penalty-method search; see the module docstring.
+    """Run one penalty-method search: `search_batch` with one search.
 
     `objective` is "divergence", ("class", c) for a targeted classification
     search, or ("direction", +1 | -1) for a one-sided regression search.
     """
-    arch = reference.arch
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    ref = predict_batch(reference, x)[0]
-    _check_rows(arch.head, ref, "reference prediction")
-    l_ref = mean_train_loss(reference, data)
-    gamma = config.gamma if config.gamma is not None else 0.05 * abs(l_ref)
-
-    if isinstance(objective, tuple) and objective[0] == "direction":
-        target_tag = "direction:+" if int(objective[1]) > 0 else "direction:-"
-    elif isinstance(objective, tuple) and objective[0] == "class":
-        target_tag = f"class:{int(objective[1])}"
-    else:
-        target_tag = "divergence"
-
-    # Last-layer searches run on cached penultimate features: the frozen
-    # layers never change, so the data only has to flow through them once.
-    work_ref, work_x, work_data = reference, x, data
-    inner, last = config, None
-    if config.delta_scope == "last_layer" and arch.n_layers > 1 and config.free_mask is None:
-        # the last layer's weights and bias close the flat vector
-        last = slice(arch.layer_slices()[-1][0].start, arch.param_count())
-        work_ref = ModelParams(ArchSpec(widths=arch.widths[-2:], head=arch.head), reference.values[last])
-        work_x = forward(reference, x)[-2]
-        work_data = LabeledDataset(forward(reference, data.x)[-2], data.y, data.kind)
-        inner = replace(config, delta_scope="all_params")
-
-    objective_fn = SearchObjective(work_x, ref, objective, l_ref + gamma, arch.head)
-    traj = _search_core(work_data, work_ref, inner, objective_fn, target_tag, l_ref, gamma, seed_keys)
-
-    if last is not None:
-        full = reference.values.copy()
-        full[last] = traj.best_params.values
-        traj.best_params = ModelParams(arch, full)
-    FEASIBILITY_AUDIT.append((target_tag, traj.best.full_pen, traj.no_feasible))
+    (traj,) = search_batch(np.atleast_2d(x), data, reference, config, [(0, objective, tuple(seed_keys))])
     return traj
-
-
-def _search_core(data, reference, config, objective_fn: SearchObjective, target_tag, l_ref, gamma, seed_keys):
-    arch = reference.arch
-    ref = objective_fn.ref
-    direction = objective_fn.direction
-    rng = derive_rng(config.seed, *seed_keys)
-    n = len(data)
-    batch = n if config.batch_size is None else min(config.batch_size, n)
-    mask = _scope_mask(arch, config)
-    lo, hi = (config.param_box if config.param_box is not None else (None, None))
-    targets = target_rows(arch, data.y)
-
-    base = reference.values.copy()
-    if direction:
-        ws, bs = arch.layer_slices()[-1]
-        base[bs.start] += direction * config.bias_nudge  # mean-output bias
-    elif objective_fn.objective == "divergence" and config.bias_nudge:
-        # the divergence gradient vanishes at the exact reference; a tiny
-        # seeded perturbation of the free parameters provides the first step
-        base[mask] += config.bias_nudge * rng.standard_normal(int(mask.sum()))
-    values = base.copy()
-    opt = Adam(values.size, config.lr, config.weight_decay, eps=config.adam_eps)
-
-    records: list[TrajectoryRecord] = []
-    best_idx, best_div, best_values = -1, -np.inf, None
-    nan_abort = False
-
-    def add_record(step, c, cur, fwd) -> bool:
-        """Record iterate `cur`; `fwd` is its forward pass, over all data rows or a mini-batch."""
-        nonlocal best_idx, best_div, best_values
-        mtl = fwd.batch_loss if len(fwd.batch_grad) == n else mean_train_loss(cur, data)
-        if not np.isfinite(mtl):
-            return False
-        pred = head_predictions(arch, fwd.test_acts[-1])[0]
-        div = _divergence(arch, ref, pred)
-        full_pen = mtl - objective_fn.bound
-        records.append(TrajectoryRecord(step, c, fwd.adv, fwd.batch_loss - objective_fn.bound, mtl, full_pen, div, pred))
-        # a direction search keeps only iterates on its side of the reference mean
-        if full_pen <= 0.0 and div > best_div and (not direction or direction * (pred[0] - ref[0]) > 0.0):
-            best_idx, best_div, best_values = len(records) - 1, div, cur.values.copy()
-        return True
-
-    # Record the exact reference first; for nudged regression searches the
-    # loop below starts from a distinct (nudged) model.
-    if not np.array_equal(base, reference.values):
-        add_record(0, config.c0, reference, objective_fn.forward(reference, data.x, targets))
-
-    c = config.c0
-    step0 = len(records)
-    for m in range(1, config.steps + 1):
-        if batch < n:
-            idx = rng.choice(n, size=batch, replace=False)
-            bx, bt = data.x[idx], targets[idx]
-        else:
-            bx, bt = data.x, targets
-        cur = ModelParams(arch, values)
-        fwd = objective_fn.forward(cur, bx, bt)
-        if not (np.isfinite(fwd.adv) and np.isfinite(fwd.batch_loss)) or not add_record(step0 + m - 1, c, cur, fwd):
-            nan_abort = True
-            break
-
-        g = objective_fn.backward(cur, fwd, c)
-        g[~mask] = 0.0
-        values = opt.step(values, g)
-        values[~mask] = base[~mask]
-        if lo is not None:
-            values[mask] = np.clip(values[mask], lo, hi)
-        if m % config.eta_every == 0:
-            c *= config.eta_factor
-            # each penalty stage is its own unconstrained subproblem; a stale
-            # second-moment estimate from a boundary contact at the previous,
-            # smaller c would throttle the steps of every later stage
-            opt = Adam(values.size, config.lr, config.weight_decay, eps=config.adam_eps)
-
-    if not nan_abort:
-        # the final updated model was visited too
-        cur = ModelParams(arch, values)
-        fwd = objective_fn.forward(cur, data.x, targets)
-        if np.isfinite(fwd.adv):
-            add_record(step0 + config.steps, c, cur, fwd)
-        else:
-            nan_abort = True
-
-    no_feasible = False
-    if best_idx < 0 or best_div <= 0.0:
-        # no feasible iterate improved on the reference: return the reference
-        if not records:
-            records.append(TrajectoryRecord(0, config.c0, 0.0, -gamma, l_ref, -gamma, 0.0, ref))
-        best_idx = 0
-        best_values = reference.values.copy()
-        no_feasible = True
-
-    return SearchTrajectory(
-        target=target_tag,
-        head=arch.head,
-        records=records,
-        best_index=best_idx,
-        best_params=ModelParams(arch, best_values),
-        no_feasible=no_feasible,
-        nan_abort=nan_abort,
-        reference_loss=l_ref,
-        gamma=gamma,
-    )
 
 
 def best_under_slack(traj: SearchTrajectory, gamma: float) -> TrajectoryRecord:
@@ -410,25 +518,47 @@ def best_under_slack(traj: SearchTrajectory, gamma: float) -> TrajectoryRecord:
     return best if best is not None else traj.records[0]
 
 
+def _suite(arch: ArchSpec, classes) -> list[tuple]:
+    """One point's searches as (objective, seed_keys) pairs; each random stream is keyed by the class or direction."""
+    if arch.head == "categorical":
+        return [(("class", int(c)), (int(c),)) for c in (range(arch.n_classes) if classes is None else classes)]
+    return [(("direction", +1), (0,)), (("direction", -1), (1,))]
+
+
+def search_suites(xs, data, reference: ModelParams, config: SearchConfig, classes=None) -> list[list[SearchTrajectory]]:
+    """Every test point's searches, all run as one lock-step batch.
+
+    A categorical reference gets one targeted search per class, or per
+    entry of that point's list in `classes`, one list per row of `xs`; a
+    Gaussian reference gets an upward and a downward search.  Returns the
+    trajectories of each point.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    suites = [_suite(reference.arch, None if classes is None else classes[i]) for i in range(len(xs))]
+    flat = search_batch(xs, data, reference, config, [(i, o, keys) for i, suite in enumerate(suites) for o, keys in suite])
+    out, pos = [], 0
+    for suite in suites:
+        out.append(flat[pos : pos + len(suite)])
+        pos += len(suite)
+    return out
+
+
 def targeted_search_suite(x, data, reference: ModelParams, config: SearchConfig, classes=None) -> list[SearchTrajectory]:
-    """One targeted search per class (or per entry of `classes`).
+    """One targeted search per class (or per entry of `classes`), run in lock-step.
 
     Each trajectory's random stream is keyed by the class identity, so the
     result set does not depend on the order classes are visited.
     """
     if reference.arch.head != "categorical":
         raise ValueError("targeted searches need a categorical head")
-    if classes is None:
-        classes = range(reference.arch.n_classes)
-    return [adversarial_model_search(x, data, reference, config, objective=("class", int(c)), seed_keys=(int(c),)) for c in classes]
+    return search_suites(x, data, reference, config, None if classes is None else [classes])[0]
 
 
 def regression_search_pair(x, data, reference: ModelParams, config: SearchConfig) -> tuple[SearchTrajectory, SearchTrajectory]:
-    """Upward and downward searches around a regression reference."""
+    """Upward and downward searches around a regression reference, run in lock-step."""
     if reference.arch.head != "gaussian_scalar":
         raise ValueError("regression searches need a gaussian head")
-    up = adversarial_model_search(x, data, reference, config, objective=("direction", +1), seed_keys=(0,))
-    down = adversarial_model_search(x, data, reference, config, objective=("direction", -1), seed_keys=(1,))
+    up, down = search_suites(x, data, reference, config)[0]
     return up, down
 
 

@@ -133,6 +133,20 @@ def test_cmd_quam_records(tmp_path, capsys):
     assert rows == rows2
 
 
+def test_cmd_train_nan_lr_exits_3_with_one_valid_json_line(tmp_path, capsys):
+    # the one update leaves every parameter NaN while the batch loss before it was finite
+    cfgp = write(tmp_path / "t.ini", TRAIN_INI.format(out=tmp_path / "ref").replace("epochs = 60", "epochs = 1\nlr = nan"))
+    code = main(["train", "--config", cfgp])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 3 and len(lines) == 1
+
+    def reject(constant):
+        raise ValueError(f"not valid JSON: {constant}")
+
+    assert json.loads(lines[0], parse_constant=reject)["status"] == "numerical_abort"
+    assert not os.path.exists(tmp_path / "ref" / "model.ckpt")
+
+
 def test_cmd_quam_jobs_parallel_identical(tmp_path, capsys):
     cfgp = write(tmp_path / "t.ini", TRAIN_INI.format(out=tmp_path / "ref"))
     _, s = run(capsys, "train", "--config", cfgp)

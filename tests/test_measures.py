@@ -283,8 +283,10 @@ def test_decompose_a_gaussian_extreme_scales_use_component_nodes_in_bounded_memo
     variances = np.array([1e-12, 1e12, 1.0, 1e-36, 1e-36, 1e-4])
     w = np.array([0.2, 0.3, 0.3, 0.0, 0.0, 0.2])
     keep = w > 0
-    y, _ = U._gauss_nodes(means[keep], np.sqrt(variances[keep]))
-    assert len(y) <= keep.sum() * 241  # the union of per-component grids
+    assert U._gauss_nodes(means[keep], np.sqrt(variances[keep])) is None
+    for i in range(keep.sum()):
+        y, _ = U._component_nodes(i, means[keep], np.sqrt(variances[keep]))
+        assert len(y) <= keep.sum() * 241  # at most every component's grid
     tracemalloc.start()
     try:
         br = split_a("gaussian_scalar", np.column_stack([means, variances]), w)
@@ -306,6 +308,10 @@ def test_decompose_a_gaussian_scales_below_float_spacing():
     # two components that do not overlap: epistemic = log 2
     br = split_a("gaussian_scalar", [(5.0, 1e-36), (0.0, 1.0)], [0.5, 0.5])
     assert br.epistemic == pytest.approx(np.log(2.0), abs=1e-12)
+    # nor do three, when a narrow one sits where the wide one's nodes fall
+    # and another is narrower than the float spacing at its mean
+    br = split_a("gaussian_scalar", [(5.0, 1e-36), (0.0, 1.0), (-5.0, 1e-34)], [1 / 3, 1 / 3, 1 / 3])
+    assert br.epistemic == pytest.approx(np.log(3.0), abs=1e-12)
 
 
 def test_decompose_b_matches_per_sample_kl_with_exact_zeros():

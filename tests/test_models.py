@@ -158,6 +158,26 @@ def test_mean_train_loss_matches_pointwise_oracle():
     assert abs(M.mean_train_loss(params, data) - oracle) < 1e-12
 
 
+@pytest.mark.parametrize("widths, head", [((2, 4, 3), "categorical"), ((1, 5, 1), "gaussian_scalar"), ((1, 5, 2), "gaussian_scalar")])
+def test_mean_train_loss_and_stacked_losses_are_cross_entropy_bit_for_bit(widths, head):
+    # one loss expression: mean_train_loss skips the gradient, a stack of
+    # models gives each model's unstacked loss, gradient and predictions
+    rng = derive_rng(12)
+    arch = M.ArchSpec(widths, head=head)
+    y = rng.integers(0, widths[-1], 40) if head == "categorical" else rng.normal(size=40)
+    data = LabeledDataset(rng.normal(size=(40, widths[0])) * 3.0, y, "classification" if head == "categorical" else "regression")
+    targets = M.target_rows(arch, data.y)
+    stack = M.ModelParams(arch, np.stack([M.init_params(arch, s).values for s in range(3)]))
+    out = M.forward(stack, data.x)[-1]
+    losses, grads = M.cross_entropy(arch, out, targets)
+    for k in range(3):
+        params = M.ModelParams(arch, stack.values[k])
+        loss, grad = M.cross_entropy(arch, M.forward(params, data.x)[-1], targets)
+        assert struct.pack("<d", M.mean_train_loss(params, data)) == struct.pack("<d", loss) == struct.pack("<d", losses[k])
+        assert grads[k].tobytes() == grad.tobytes()
+        assert M.head_predictions(arch, out)[k].tobytes() == M.predict_batch(params, data.x).tobytes()
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(
     st.lists(st.integers(1, 12), min_size=1, max_size=4),

@@ -6,9 +6,12 @@ from quam.data import LabeledDataset, gen_sine, gen_two_moons
 from quam.measures import kl_cat
 from quam.rng import derive_rng
 from quam.search import (
+    FEASIBILITY_AUDIT,
     SearchConfig,
     adversarial_model_search,
     regression_search_pair,
+    search_batch,
+    search_suites,
     targeted_search_suite,
     trajectory_to_jsonl,
 )
@@ -245,3 +248,66 @@ def test_nan_abort_flag():
         traj = adversarial_model_search(np.array([0.0, 1.0]), data, ref, cfg, objective=("class", 1), seed_keys=(1,))
     assert traj.nan_abort
     assert len(traj.records) >= 1
+
+
+# -- lock-step batches ----------------------------------------------------------
+
+
+def trajectory_bits(traj):
+    """Everything a trajectory carries, with floats as their exact reprs."""
+    records = [(r.step, r.c, r.adv_loss, r.pen_loss, r.mean_train_loss, r.full_pen, r.divergence, r.pred.tobytes()) for r in traj.records]
+    return repr((traj.target, records, traj.best_index, traj.best_params.values.tobytes(), traj.no_feasible, traj.nan_abort, traj.reference_loss, traj.gamma))
+
+
+def assert_batch_independent(xs, data, ref, cfg, searches):
+    """Each search gives the same bits alone (K = 1), in the batch, and in a reversed and a shuffled batch."""
+    alone = [trajectory_bits(search_batch(xs, data, ref, cfg, [s])[0]) for s in searches]
+    assert [trajectory_bits(t) for t in search_batch(xs, data, ref, cfg, searches)] == alone
+    assert [trajectory_bits(t) for t in search_batch(xs, data, ref, cfg, searches[::-1])] == alone[::-1]
+    order = derive_rng(11).permutation(len(searches))
+    assert [trajectory_bits(t) for t in search_batch(xs, data, ref, cfg, [searches[i] for i in order])] == [alone[i] for i in order]
+    return alone
+
+
+def test_batch_class_searches_across_points_match_their_single_runs():
+    data, ref = moons_reference()
+    xs = np.array([[-1.2, 1.2], [0.5, 0.5], [2.2, 1.0]])
+    searches = [(i, ("class", c), (c,)) for i in range(3) for c in (0, 1)]
+    assert_batch_independent(xs, data, ref, SearchConfig(steps=40, lr=1e-2, seed=0), searches)
+
+
+def test_batch_direction_pair_and_nudged_divergence_match_their_single_runs():
+    data, ref = sine_reference()
+    xs = np.array([[-np.pi - 1.0], [0.5]])
+    searches = [(0, ("direction", +1), (0,)), (0, ("direction", -1), (1,)), (1, ("direction", +1), (0,)), (1, "divergence", (7,)), (0, "divergence", (8,))]
+    assert_batch_independent(xs, data, ref, SearchConfig(steps=40, lr=1e-2, seed=0), searches)
+
+
+def test_batch_minibatch_last_layer_searches_match_their_single_runs():
+    data, ref = moons_reference()
+    xs = np.array([[-1.2, 1.2], [0.0, 1.5]])
+    cfg = SearchConfig(steps=30, lr=2e-2, seed=4, batch_size=64, delta_scope="last_layer", gamma=0.05, eta_every=5)
+    searches = [(0, ("class", 1), (1,)), (1, ("class", 0), (0,)), (1, "divergence", (3,)), (0, ("class", 0), (0,))]
+    assert_batch_independent(xs, data, ref, cfg, searches)
+
+
+def test_batch_search_that_overflows_aborts_alone():
+    # at the first point the test-row outputs overflow after some updates
+    # (one search aborts mid-run); the other searches keep their bits
+    data, ref = moons_reference()
+    xs = np.array([[1e307, -1e307], [-1.2, 1.2], [0.5, 0.5]])
+    searches = [(i, ("class", c), (c,)) for i in range(3) for c in (0, 1)]
+    cfg = SearchConfig(steps=30, lr=1e-2, seed=0)
+    with np.errstate(all="ignore"):
+        alone = assert_batch_independent(xs, data, ref, cfg, searches)
+        batch = search_batch(xs, data, ref, cfg, searches)
+    assert [t.nan_abort for t in batch] == [False, True, False, False, False, False]
+    assert 1 < len(batch[1].records) < len(batch[0].records) == cfg.steps + 1
+    assert len(alone) == len(searches)
+
+
+def test_every_batched_search_enters_the_feasibility_audit():
+    data, ref = moons_reference()
+    before = len(FEASIBILITY_AUDIT)
+    search_suites(np.array([[-1.2, 1.2], [0.5, 0.5]]), data, ref, SearchConfig(steps=5, seed=0))
+    assert [tag for tag, _, _ in FEASIBILITY_AUDIT[before:]] == ["class:0", "class:1", "class:0", "class:1"]
