@@ -34,11 +34,15 @@ __all__ = [
     "Adam",
     "FIXED_GAUSSIAN_VARIANCE",
     "init_params",
+    "layer_views",
     "forward",
+    "forward_layers",
     "backward",
+    "backward_layers",
     "loss_and_grad",
     "head_predictions",
     "cross_entropy",
+    "cross_entropy_and_predictions",
     "cross_entropy_loss",
     "target_rows",
     "predict_batch",
@@ -151,17 +155,20 @@ class ModelParams:
         """Per layer, views of the (fan_in, fan_out) weights and the bias; a stack's are (K, fan_in, fan_out) and (K, 1, fan_out)."""
         # built once per instance: a search step's passes all read the same views
         if "_layers" not in self.__dict__:
-            v = self.values
-            shapes = zip(self.arch.layer_slices(), self.arch.widths[:-1], self.arch.widths[1:])
-            if v.ndim == 1:
-                self.__dict__["_layers"] = [(v[ws].reshape(i, o), v[bs]) for (ws, bs), i, o in shapes]
-            else:
-                k = len(v)
-                self.__dict__["_layers"] = [(v[:, ws].reshape(k, i, o), v[:, bs].reshape(k, 1, o)) for (ws, bs), i, o in shapes]
+            self.__dict__["_layers"] = layer_views(self.arch, self.values)
         return self.__dict__["_layers"]
 
     def with_values(self, values: np.ndarray) -> "ModelParams":
         return ModelParams(self.arch, values)
+
+
+def layer_views(arch: ArchSpec, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`ModelParams.layers` of a flat vector or a (K, P) stack: views, so writes to `values` show through them."""
+    shapes = zip(arch.layer_slices(), arch.widths[:-1], arch.widths[1:])
+    if values.ndim == 1:
+        return [(values[ws].reshape(i, o), values[bs]) for (ws, bs), i, o in shapes]
+    k = len(values)
+    return [(values[:, ws].reshape(k, i, o), values[:, bs].reshape(k, 1, o)) for (ws, bs), i, o in shapes]
 
 
 def init_params(arch: ArchSpec, seed: int) -> ModelParams:
@@ -198,12 +205,17 @@ def forward(params: ModelParams, x: np.ndarray, dropout_masks=None) -> list[np.n
     axis: `x` of shape (..., n, input width) runs each leading index as its
     own pass, and a stack of models broadcasts against it.
     """
+    return forward_layers(params.arch, params.layers(), x, dropout_masks)
+
+
+def forward_layers(arch: ArchSpec, layers, x: np.ndarray, dropout_masks=None) -> list[np.ndarray]:
+    """`forward` on the per-layer weights and biases `layers`, as `ModelParams.layers` or `layer_views` gives them."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[-1] != params.arch.widths[0]:
-        raise ValueError(f"input width {x.shape[-1]} does not match architecture input width {params.arch.widths[0]}")
+    if x.shape[-1] != arch.widths[0]:
+        raise ValueError(f"input width {x.shape[-1]} does not match architecture input width {arch.widths[0]}")
     acts = [x]
-    n_layers = params.arch.n_layers
-    for li, (w, b) in enumerate(params.layers()):
+    n_layers = arch.n_layers
+    for li, (w, b) in enumerate(layers):
         h = acts[-1] @ w + b
         if li < n_layers - 1:
             h = np.maximum(h, 0.0)
@@ -224,12 +236,14 @@ def backward(params: ModelParams, acts: Sequence[np.ndarray], grad_out: np.ndarr
     bias gradient is the product ones(1, n) @ dz, and a hidden layer's
     gradient is multiplied by its dropout mask, then by 1[h > 0].
     """
-    arch = params.arch
+    return backward_layers(params.arch, params.layers(), acts, grad_out, np.empty(params.values.shape), dropout_masks)
+
+
+def backward_layers(arch: ArchSpec, layers, acts: Sequence[np.ndarray], grad_out: np.ndarray, grad: np.ndarray, dropout_masks=None) -> np.ndarray:
+    """`backward` on the per-layer weights and biases `layers`, written into `grad` (one flat row per model) and returned."""
     slices = arch.layer_slices()
-    lead = params.values.shape[:-1]
-    layers = params.layers()
-    grad = np.empty(params.values.shape)
-    ones = np.ones((1, grad_out.shape[-2]))
+    lead = grad.shape[:-1]
+    ones = _ones_row(grad_out.shape[-2])
     dz = grad_out
     for li in range(arch.n_layers - 1, -1, -1):
         ws, bs = slices[li]
@@ -241,15 +255,77 @@ def backward(params: ModelParams, acts: Sequence[np.ndarray], grad_out: np.ndarr
         if li:
             dz = dz @ layers[li][0].swapaxes(-1, -2)
             if dropout_masks is not None:
-                dz = dz * dropout_masks[li - 1]
-            dz = dz * (h > 0.0)
+                dz *= dropout_masks[li - 1]
+            # a float 1[h > 0]: multiplying by the bool array casts it inside the loop, slower
+            dz *= (h > 0.0).astype(np.float64)
     return grad
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
+@functools.lru_cache(maxsize=16)
+def _ones_row(n: int) -> np.ndarray:
+    """A read-only (1, n) row of ones, the left factor of `backward_layers`' bias gradients."""
+    ones = np.ones((1, n))
+    ones.setflags(write=False)
+    return ones
+
+
+# Widest class axis that `_class_max` and `_class_sum` walk column by column.
+_COLUMN_CLASSES = 8
+
+
+def _class_max(a: np.ndarray) -> np.ndarray:
+    """`a.max(axis=-1, keepdims=True)`, bit for bit, at a fraction of its cost on a short class axis.
+
+    numpy reduces a short contiguous last axis one row at a time; k - 1
+    column-wise `np.maximum` calls give the same value and the same +-0
+    choice, and a NaN where numpy gives one (its sign and payload are not
+    pinned: numpy's own choice between NaN operands depends on its loop).
+    Past `_COLUMN_CLASSES` classes, or on a class axis that is not
+    contiguous, numpy's own reduction runs (it then vectorizes or runs
+    column by column, and its order or +-0 choice differs).
+    """
+    k = a.shape[-1]
+    if not 2 <= k <= _COLUMN_CLASSES or a.strides[-1] != a.itemsize:
+        return a.max(axis=-1, keepdims=True)
+    m = np.maximum(a[..., 0:1], a[..., 1:2])
+    for j in range(2, k):
+        np.maximum(m, a[..., j : j + 1], out=m)
+    return m
+
+
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    """`a.sum(axis=-1, keepdims=True)`, bit for bit, summed column by column in numpy's order.
+
+    Below 8 classes numpy adds each row's entries left to right onto +0.0;
+    at 8 it adds them pairwise, ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)).
+    A NaN's sign and payload are not pinned, as in `_class_max`.  Past
+    `_COLUMN_CLASSES` classes, or on a class axis that is not contiguous,
+    numpy's own reduction runs.
+    """
+    k = a.shape[-1]
+    if not 2 <= k <= _COLUMN_CLASSES or a.strides[-1] != a.itemsize:
+        return a.sum(axis=-1, keepdims=True)
+    col = [a[..., j : j + 1] for j in range(k)]
+    if k == 8:
+        s = ((col[0] + col[1]) + (col[2] + col[3])) + ((col[4] + col[5]) + (col[6] + col[7]))
+        s += 0.0
+        return s
+    s = col[0] + 0.0
+    for c in col[1:]:
+        s += c
+    return s
+
+
+def _softmax_terms(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z = logits - their class maximum, e = exp(z) and s, the class sum of e: softmax is e / s, log-softmax z - log(s)."""
+    z = logits - _class_max(logits)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return z, e, _class_sum(e)
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    _, e, s = _softmax_terms(logits)
+    return e / s
 
 
 def head_predictions(arch: ArchSpec, out: np.ndarray) -> np.ndarray:
@@ -294,9 +370,9 @@ def _mean_nll(arch: ArchSpec, out: np.ndarray, targets: np.ndarray):
     """The mean cross-entropy over the rows of `out`, one per leading index, and the terms its gradient reuses."""
     n = out.shape[-2]
     if arch.head == "categorical":
-        z = out - out.max(axis=-1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        return (logp * targets).sum(axis=(-2, -1)) * (-1.0 / n), (logp,)
+        z, e, s = _softmax_terms(out)
+        logp = z - np.log(s)
+        return (logp * targets).sum(axis=(-2, -1)) * (-1.0 / n), (logp, e, s)
     resid = targets[..., 0:1] - out[..., 0:1]
     sq = resid * resid + targets[..., 1:2]  # E[(t - mean)^2] under the target row
     if arch.widths[-1] == 2:
@@ -326,19 +402,38 @@ def cross_entropy(arch: ArchSpec, out: np.ndarray, targets: np.ndarray):
     reproducible to the bit: the sampler chains depend on it.  A stacked
     `out` of shape (K, n, k) gives K losses.
     """
+    loss, grad, _ = _cross_entropy(arch, out, targets)
+    return loss, grad
+
+
+def cross_entropy_and_predictions(arch: ArchSpec, out: np.ndarray, targets: np.ndarray):
+    """`cross_entropy` and `head_predictions` of the same head outputs, each with the bits of its own call.
+
+    A categorical head's class probabilities reuse the softmax terms of
+    the loss.  Returns (loss, gradient, predictions).
+    """
+    loss, grad, terms = _cross_entropy(arch, out, targets)
+    if arch.head == "categorical":
+        _, e, s = terms
+        return loss, grad, e / s
+    return loss, grad, head_predictions(arch, out)
+
+
+def _cross_entropy(arch: ArchSpec, out: np.ndarray, targets: np.ndarray):
+    """`cross_entropy`, and the terms of `_mean_nll`."""
     n = out.shape[-2]
     loss, terms = _mean_nll(arch, out, targets)
     if arch.head == "categorical":
-        (logp,) = terms
+        logp = terms[0]
         g = (-1.0 / n) * targets
-        grad = g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
+        grad = g - np.exp(logp) * _class_sum(g)
     elif arch.widths[-1] == 2:
         resid, sq, inv_var, c = terms
         grad = np.concatenate([-((2.0 * resid) * (c * inv_var)), c - (c * sq) * inv_var], axis=-1)
     else:
         resid, c = terms
         grad = -((2.0 * resid) * c)
-    return (loss if out.ndim > 2 else float(loss)), grad
+    return (loss if out.ndim > 2 else float(loss)), grad, terms
 
 
 def loss_and_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray, masks=None) -> tuple[float, np.ndarray]:
@@ -381,6 +476,12 @@ class TrainConfig:
     batch_size: Optional[int] = None  # None = full batch
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
 
 class Adam:
     """Adam with classic L2-style weight decay (decay folded into gradients).
@@ -397,15 +498,36 @@ class Adam:
         self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, values: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, values: np.ndarray, grad: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The updated values, written into `out` when given (it may be `values`); `m` and `v` change in place.
+
+        Each line keeps the operations, and their order, of the textbook
+        update m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g * g,
+        values - lr * mhat / (sqrt(vhat) + eps), so the bits are the same.
+        """
         if self.weight_decay:
             grad = grad + self.weight_decay * values
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        mhat = self.m / (1.0 - self.beta1**self.t)
-        vhat = self.v / (1.0 - self.beta2**self.t)
-        return values - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        g2 = (1.0 - self.beta2) * grad
+        g2 *= grad
+        v += g2
+        mhat = m / (1.0 - self.beta1**self.t)
+        den = v / (1.0 - self.beta2**self.t)
+        np.sqrt(den, out=den)
+        den += self.eps
+        mhat *= self.lr
+        mhat /= den
+        return np.subtract(values, mhat, out=out)
+
+    def reset(self) -> None:
+        """Zero the moments and the step count in place: the next step is a fresh Adam's first."""
+        self.m.fill(0.0)
+        self.v.fill(0.0)
+        self.t = 0
 
 
 def train_with_point_loss(data, arch: ArchSpec, cfg: TrainConfig, extra_loss=None, log=None) -> ModelParams:

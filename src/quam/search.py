@@ -29,25 +29,35 @@ Searches run in lock-step (`search_batch`).  The searches of one batch
 share the training data, the reference and the `SearchConfig`; each has
 its own test input, objective and random stream, so a batch may hold the
 searches of many test points.  A step advances all of them at once: the
-parameters, Adam moments and gradients are (K, P) stacks, the activations
-(K, n, width) stacks, and the records and best-iterate choice are
-vectorized across the K searches.  Each search's slice of every stacked
-operation has the bits of the same operation run for that search alone,
-so a search's records and best iterate do not depend on what else is in
-its batch.  The test rows get their own pass, apart from the data rows,
-and a search inside its slack backpropagates its test row alone.  A search
-that hits a non-finite loss leaves the stack; the others go on.  What the
-reference fixes is computed once per batch, not once per search: its
-prediction rows at the test inputs, its full-data loss L_ref and the slack
-gamma, the data's target rows and, for a last-layer search, the
-penultimate features of the data and of the test inputs.
+parameters, Adam moments and gradients are (K, P) stacks, and the records
+and best-iterate choice are vectorized across the K searches.  Each
+search's slice of every stacked operation has the bits of the same
+operation run for that search alone, so a search's records and best
+iterate do not depend on what else is in its batch.  A search that hits a
+non-finite loss leaves the stack; the others go on.  What the reference
+fixes is computed once per batch, not once per search: its prediction rows
+at the test inputs, its full-data loss L_ref and the slack gamma, the
+data's target rows and, for a last-layer search, the penultimate features
+of the data and of the test inputs.
+
+A step allocates no buffer of the batch's size: a `_Workspace`, built
+once per batch and again only when a NaN abort shrinks K, holds the
+writable (K, P) parameter stack and its per-layer views (Adam updates it
+in place and zeroes its moments in place at each penalty stage), one
+(K, n + 1, width) activation buffer per layer and the (K, n + 1, k)
+head-output gradients.  Rows :n of each buffer are the batch rows and row
+n is each search's test row.  The test row still gets its own GEMM,
+written into row n: in the batch rows' GEMM its outputs can move by an
+ulp.  The penalized backward pass runs on the whole buffer, and a search
+inside its slack backpropagates its row n alone.  The records go into
+per-batch columns, one row per step (`_Records`); each trajectory's
+`TrajectoryRecord` list is built once, at the end.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,11 +66,14 @@ from .models import (
     Adam,
     ArchSpec,
     ModelParams,
-    backward,
+    backward_layers,
     cross_entropy,
+    cross_entropy_and_predictions,
     cross_entropy_loss,
     forward,
+    forward_layers,
     head_predictions,
+    layer_views,
     target_rows,
 )
 from .rng import derive_rng
@@ -112,6 +125,10 @@ class SearchConfig:
             raise ValueError(f"eta_factor must exceed 1, got {self.eta_factor}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.eta_every < 1:
+            raise ValueError(f"eta_every must be >= 1, got {self.eta_every}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.c0 > 0:
             raise ValueError("c0 must be positive")
         if self.gamma is not None and self.gamma < 0:
@@ -177,17 +194,6 @@ def _target_tag(objective) -> str:
     return "divergence"
 
 
-class ObjectiveForward(NamedTuple):
-    """One forward pass of the stacked search objective: the batch rows and the test rows."""
-
-    batch_acts: list  # layer inputs, then head outputs, of the batch rows
-    batch_loss: np.ndarray  # (K,): mean cross-entropy of each search's batch rows against their target rows
-    batch_grad: np.ndarray  # d batch_loss / d(batch head outputs)
-    test_acts: list  # the same for the test rows, (K, 1, width) each
-    adv: np.ndarray  # (K,): L_adv
-    adv_grad: np.ndarray  # dL_adv / d(test-row head outputs), (K, 1, k)
-
-
 @dataclass(frozen=True)
 class SearchObjective:
     """The objectives of K lock-step searches, with their gradients by backprop.
@@ -202,8 +208,7 @@ class SearchObjective:
     objective and -KL(ref || model) = H[ref] - CE(ref) otherwise.  The
     gradient enters the network as per-row gradients at the head outputs:
     c * 1[pen > 0] * dCE on the batch rows, dL_adv plus the violation term
-    on the test row.  Parameters come as a (K, P) `ModelParams` stack, one
-    model per search.
+    on the test row (`_Workspace.backward`).
     """
 
     x: np.ndarray  # (K, 1, input width): each search's test input
@@ -238,73 +243,164 @@ class SearchObjective:
         """The objectives of the searches `keep` selects."""
         return replace(self, x=self.x[keep], ref=self.ref[keep], objectives=tuple(o for o, k in zip(self.objectives, keep) if k))
 
-    def test_pass(self, params: ModelParams):
-        """Each model's pass at its own test row: (activations, L_adv, dL_adv / d outputs)."""
-        # the test rows get their own pass: stacked onto the batch GEMM their
-        # outputs can move by an ulp, and an unmoved iterate would then
-        # diverge from the reference by a spurious KL > 0
-        test_acts = forward(params, self.x)
-        ce, grad = cross_entropy(params.arch, test_acts[-1], self.target)
+    def adversarial(self, arch: ArchSpec, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """L_adv at the test rows' head outputs `out`, (K, 1, k), its gradient there, and the models' prediction rows."""
+        ce, grad, preds = cross_entropy_and_predictions(arch, out, self.target)
         if self.is_class.all():
-            return test_acts, ce, grad
+            return ce, grad, preds
         if not self.is_class.any():
-            return test_acts, self.ref_entropy - ce, -grad
-        return test_acts, np.where(self.is_class, ce, self.ref_entropy - ce), np.where(self.is_class[:, None, None], grad, -grad)
+            return self.ref_entropy - ce, -grad, preds
+        return np.where(self.is_class, ce, self.ref_entropy - ce), np.where(self.is_class[:, None, None], grad, -grad), preds
 
-    def forward(self, params: ModelParams, bx: np.ndarray, bt: np.ndarray) -> ObjectiveForward:
-        """The objectives' terms at the batch inputs `bx`, whose `models.target_rows` are `bt`.
-
-        `bx` is one (n, width) batch for every search or a (K, n, width) stack of batches.
-        """
-        batch_acts = forward(params, bx)
-        batch_loss, batch_grad = cross_entropy(params.arch, batch_acts[-1], bt)
-        test_acts, adv, adv_grad = self.test_pass(params)
-        return ObjectiveForward(batch_acts, batch_loss, batch_grad, test_acts, adv, adv_grad)
-
-    def _violation(self, fwd: ObjectiveForward) -> np.ndarray:
-        viol = self.direction * (self.ref[:, 0] - fwd.test_acts[-1][:, 0, 0])
+    def violation(self, out: np.ndarray) -> np.ndarray:
+        """direction * (ref mean - mean) at the test rows' head outputs `out`; 0 for a search without a direction."""
+        viol = self.direction * (self.ref[:, 0] - out[:, 0, 0])
         return np.where(self.direction != 0, viol, 0.0)
 
-    def backward(self, params: ModelParams, fwd: ObjectiveForward, c: float) -> np.ndarray:
-        """Flat gradients of the K objectives at penalty weight c, one row per search."""
-        grad_x = fwd.adv_grad
-        if self.direction.any():
-            pushed = self._violation(fwd) > 0.0
+    def loss_and_grad(self, params: ModelParams, bx: np.ndarray, bt: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+        """The K objectives at penalty weight c, and their flat gradients, one row per search.
+
+        `params` is a (K, P) stack, one model per search; `bx` is one
+        (n, width) batch for every search or a (K, n, width) stack of
+        batches, and `bt` holds their `models.target_rows`.
+        """
+        ws = _Workspace(self, params.arch, params.values, np.shape(bx)[-2])
+        ws.batch_x[...] = bx
+        batch_loss, adv = ws.forward(bt)
+        loss = adv + c * np.maximum(batch_loss - self.bound, 0.0) + c * np.maximum(self.violation(ws.test_out), 0.0)
+        return loss, ws.backward(c)
+
+
+class _Workspace:
+    """The buffers of K lock-step searches' steps: allocated once per batch, and again when a NaN abort shrinks K.
+
+    `values` is the writable (K, P) parameter stack, updated in place, and
+    `layers` its per-layer views.  `acts[l]` is the (K, n + 1, width)
+    input of layer l, and the last entry holds the head outputs: rows :n
+    are the batch rows and row n is each search's test row.  `grad_out`
+    holds the gradients at the head outputs of the same rows and `grad`
+    the flat gradients.
+    """
+
+    def __init__(self, objective: SearchObjective, arch: ArchSpec, values: np.ndarray, n: int):
+        k = len(values)
+        self.objective, self.arch, self.n = objective, arch, n
+        self.values = np.array(values, dtype=np.float64)
+        self.layers = layer_views(arch, self.values)
+        self.acts = [np.empty((k, n + 1, w)) for w in arch.widths]
+        self.acts[0][:, n:] = objective.x
+        self.batch_acts = [a[:, :n] for a in self.acts]
+        self.test_acts = [a[:, n:] for a in self.acts]
+        self.grad_out = np.empty((k, n + 1, arch.widths[-1]))
+        self.grad = np.empty_like(self.values)
+
+    @property
+    def batch_x(self) -> np.ndarray:
+        """The (K, n, input width) batch rows; the caller fills them."""
+        return self.batch_acts[0]
+
+    @property
+    def test_out(self) -> np.ndarray:
+        """The (K, 1, k) head outputs at the test rows, from the last `forward`."""
+        return self.test_acts[-1]
+
+    def subset(self, keep: np.ndarray) -> "_Workspace":
+        """A workspace for the searches `keep` selects, with their parameters and batch rows."""
+        ws = _Workspace(self.objective.subset(keep), self.arch, self.values[keep], self.n)
+        ws.batch_x[...] = self.batch_x[keep]
+        return ws
+
+    def forward(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each search's batch loss against `targets`, the batch rows' target rows, and its L_adv.
+
+        Their gradients at the head outputs are kept for `backward`.
+        """
+        last = len(self.layers) - 1
+        for li, (w, b) in enumerate(self.layers):
+            # the test rows keep their own GEMM: in the batch rows' GEMM their
+            # outputs can move by an ulp, and an unmoved iterate would then
+            # diverge from the reference by a spurious KL > 0
+            np.matmul(self.batch_acts[li], w, out=self.batch_acts[li + 1])
+            np.matmul(self.test_acts[li], w, out=self.test_acts[li + 1])
+            out = self.acts[li + 1]
+            out += b
+            if li < last:
+                np.maximum(out, 0.0, out=out)
+        self.batch_loss, self.batch_grad = cross_entropy(self.arch, self.batch_acts[-1], targets)
+        adv, self.adv_grad, self.test_preds = self.objective.adversarial(self.arch, self.test_out)
+        return self.batch_loss, adv
+
+    def backward(self, c: float) -> np.ndarray:
+        """Flat gradients of the K objectives at penalty weight c, one row per search, at the last `forward`."""
+        obj, n = self.objective, self.n
+        grad_x = self.grad_out[:, n:]
+        grad_x[...] = self.adv_grad
+        if obj.direction.any():
+            pushed = obj.violation(self.test_out) > 0.0
             if pushed.any():
-                grad_x = grad_x.copy()
-                grad_x[pushed, 0, 0] -= c * self.direction[pushed]
-        active = fwd.batch_loss - self.bound > 0.0
+                grad_x[pushed, 0, 0] -= c * obj.direction[pushed]
+        active = self.batch_loss - obj.bound > 0.0
         if active.all():
-            return _penalized_backward(params, fwd.batch_acts, fwd.test_acts, fwd.batch_grad, grad_x, c)
+            np.multiply(self.batch_grad, c, out=self.grad_out[:, :n])
+            return backward_layers(self.arch, self.layers, self.acts, self.grad_out, self.grad)
         # inside the slack the batch rows carry no gradient
-        grad = backward(params, fwd.test_acts, grad_x)
+        grad = backward_layers(self.arch, self.layers, self.test_acts, grad_x, self.grad)
         if active.any():
             rows = np.flatnonzero(active)
-            batch_acts = [a[rows] if a.ndim == 3 else a for a in fwd.batch_acts]
-            sub = ModelParams(params.arch, params.values[rows])
-            grad[rows] = _penalized_backward(sub, batch_acts, [t[rows] for t in fwd.test_acts], fwd.batch_grad[rows], grad_x[rows], c)
+            if rows[-1] - rows[0] < rows.size:
+                # consecutive searches: views, no copies
+                rows = slice(rows[0], rows[-1] + 1)
+            grad_out = self.grad_out[rows]
+            np.multiply(self.batch_grad[rows], c, out=grad_out[:, :n])
+            layers = [(w[rows], b[rows]) for w, b in self.layers]
+            grad[rows] = backward_layers(self.arch, layers, [a[rows] for a in self.acts], grad_out, np.empty((len(grad_out), grad.shape[-1])))
         return grad
 
-    def loss_and_grad(self, params: ModelParams, bx: np.ndarray, bt: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-        fwd = self.forward(params, bx, bt)
-        loss = fwd.adv + c * np.maximum(fwd.batch_loss - self.bound, 0.0) + c * np.maximum(self._violation(fwd), 0.0)
-        return loss, self.backward(params, fwd, c)
+
+class _Records:
+    """The records of K searches in per-batch columns, one row per step.
+
+    Row 0 holds the exact reference, row m the model step m starts from and
+    the last row the final model; a search has a record at the rows where
+    `valid` holds, and `count` records so far.  Each search's
+    `TrajectoryRecord` list is built once, at the end.
+    """
+
+    def __init__(self, k: int, steps: int, width: int):
+        rows = steps + 2
+        self.valid = np.zeros((rows, k), dtype=bool)
+        self.count = np.zeros(k, dtype=int)
+        self.c = np.zeros(rows)
+        self.adv, self.pen, self.loss, self.div = (np.zeros((rows, k)) for _ in range(4))
+        self.pred = np.zeros((rows, k, width))
+
+    def add(self, row: int, at, c: float, adv, pen, loss, div, pred) -> None:
+        """Record one model at `row` for each search `at` selects, an index array or a slice."""
+        self.valid[row, at] = True
+        self.c[row] = c
+        self.adv[row, at] = adv
+        self.pen[row, at] = pen
+        self.loss[row, at] = loss
+        self.div[row, at] = div
+        self.pred[row, at] = pred
+        self.count[at] += 1
+
+    def records(self, s: int, step0: int, bound: float) -> list[TrajectoryRecord]:
+        """Search s's records: row m is step m - 1 + step0, and full_pen is each loss less `bound`."""
+        rows = np.flatnonzero(self.valid[:, s])
+        loss = self.loss[rows, s]
+        columns = [col.tolist() for col in (rows - 1 + step0, self.c[rows], self.adv[rows, s], self.pen[rows, s], loss, loss - bound, self.div[rows, s])]
+        return [TrajectoryRecord(*row, pred) for *row, pred in zip(*columns, self.pred[rows, s])]
 
 
-def _penalized_backward(params: ModelParams, batch_acts, test_acts, batch_grad, grad_x, c) -> np.ndarray:
-    """One backward pass over each model's batch rows, at penalty weight c, and its test row."""
-    k = len(grad_x)
-    acts = [np.concatenate([a if a.ndim == 3 else a[None].repeat(k, axis=0), t], axis=-2) for a, t in zip(batch_acts, test_acts)]
-    return backward(params, acts, np.concatenate([c * batch_grad, grad_x], axis=-2))
-
-
-def _full_losses(params: ModelParams, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Full-data loss of each model of the stack, in blocks of bounded size."""
+def _full_losses(arch: ArchSpec, layers, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Full-data loss of each model of a stack, given by its per-layer views, in blocks of bounded size."""
     step = max(1, _LOSS_BLOCK // targets.size)
-    values = params.values
-    return np.concatenate(
-        [cross_entropy_loss(params.arch, forward(ModelParams(params.arch, values[a : a + step]), x)[-1], targets) for a in range(0, len(values), step)]
-    )
+    losses = np.empty(len(layers[0][0]))
+    for a in range(0, len(losses), step):
+        block = [(w[a : a + step], b[a : a + step]) for w, b in layers]
+        losses[a : a + step] = cross_entropy_loss(arch, forward_layers(arch, block, x)[-1], targets)
+    return losses
 
 
 def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchConfig, searches: Sequence[tuple]) -> list[SearchTrajectory]:
@@ -362,37 +458,37 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
             # seeded perturbation of the free parameters provides the first step
             base[s, mask] += inner.bias_nudge * rngs[s].standard_normal(int(mask.sum()))
 
-    records: list[list[TrajectoryRecord]] = [[] for _ in range(k)]
+    records = _Records(k, inner.steps, refs.shape[-1])
     best_idx, best_div, best_values = np.full(k, -1), np.full(k, -np.inf), np.empty((k, warch.param_count()))
     nan_abort = np.zeros(k, dtype=bool)
 
     directions = objective.direction
     has_direction = bool(directions.any())
 
-    def add_records(slots, keep, steps, c, adv, pen, mtl, out, values):
-        """Record the models `values` of searches `slots` where `keep` holds; update the best iterates.
+    def add_records(row, slots, keep, c, adv, pen, mtl, preds, values):
+        """Record, at `row`, the models `values` of searches `slots` where `keep` holds; update the best iterates.
 
-        `out` holds the models' head outputs at their test rows; the other
-        arguments hold one entry per search.
+        `preds` holds the models' (K, 1, k) prediction rows at their test
+        rows; the other arguments hold one entry per search.
         """
         if not keep.all():
-            slots, steps, adv, pen, mtl, out, values = slots[keep], steps[keep], adv[keep], pen[keep], mtl[keep], out[keep], values[keep]
-        preds = head_predictions(arch, out)[:, 0]
+            slots, adv, pen, mtl, preds, values = slots[keep], adv[keep], pen[keep], mtl[keep], preds[keep], values[keep]
+        at = slice(None) if len(slots) == k else slots  # every search, or some
+        preds = preds[:, 0]
         full_pen = mtl - bound
-        refs_of = ref_rows[slots]
+        refs_of = ref_rows[at]
         # KL(reference row || prediction row); the reference rows are checked
         # once per batch, candidate rows by the split
         div = _kl_cat(refs_of, preds) if arch.head == "categorical" else _kl_gauss(refs_of, preds)
-        for s, step, a, p, loss, fp, d, pred in zip(slots.tolist(), steps.tolist(), adv.tolist(), pen.tolist(), mtl.tolist(), full_pen.tolist(), div.tolist(), preds):
-            records[s].append(TrajectoryRecord(step, c, a, p, loss, fp, d, pred))
-        better = (full_pen <= 0.0) & (div > best_div[slots])
+        records.add(row, at, c, adv, pen, mtl, div, preds)
+        better = (full_pen <= 0.0) & (div > best_div[at])
         if has_direction:
             # a direction search keeps only iterates on its side of the reference mean
-            direction = directions[slots]
+            direction = directions[at]
             better &= (direction == 0) | (direction * (preds[:, 0] - refs_of[:, 0]) > 0.0)
         if better.any():
             won = slots[better]
-            best_idx[won] = [len(records[s]) - 1 for s in won]
+            best_idx[won] = records.count[won] - 1
             best_div[won] = div[better]
             best_values[won] = values[better]
 
@@ -402,76 +498,79 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
     first = np.flatnonzero(step0)
     if first.size and np.isfinite(l_ref):
         ref_stack = ModelParams(warch, np.tile(work.values, (first.size, 1)))
-        acts, adv, _ = objective.subset(step0 == 1).test_pass(ref_stack)
+        out = forward(ref_stack, objective.x[first])[-1]
+        adv, _, preds = objective.subset(step0 == 1).adversarial(warch, out)
         every = np.ones(first.size, dtype=bool)
-        add_records(first, every, np.zeros_like(first), inner.c0, adv, np.full(first.size, l_ref - bound), np.full(first.size, l_ref), acts[-1], ref_stack.values)
+        add_records(0, first, every, inner.c0, adv, np.full(first.size, l_ref - bound), np.full(first.size, l_ref), preds, ref_stack.values)
 
     live = np.arange(k)
-    values, base = base.copy(), base
-    all_free = mask.all()
-    opt = Adam(values.shape, inner.lr, inner.weight_decay, eps=inner.adam_eps)
+    ws = _Workspace(objective, warch, base, batch)
+    bt = targets
+    if batch == n:
+        ws.batch_x[...] = x
+    frozen = np.flatnonzero(~mask)
+    kept = base[:, frozen]  # the frozen parameters' values, restored after each update
+    free = np.flatnonzero(mask)
+    opt = Adam(ws.values.shape, inner.lr, inner.weight_decay, eps=inner.adam_eps)
     c = inner.c0
     for m in range(1, inner.steps + 1):
         if batch < n:
             idx = np.stack([rngs[s].choice(n, size=batch, replace=False) for s in live])
-            bx, bt = x[idx], targets[idx]
-        else:
-            bx, bt = x, targets
-        cur = ModelParams(warch, values)
-        fwd = objective.forward(cur, bx, bt)
-        ok = np.isfinite(fwd.adv) & np.isfinite(fwd.batch_loss)
+            ws.batch_x[...] = x[idx]
+            bt = targets[idx]
+        batch_loss, adv = ws.forward(bt)
+        ok = np.isfinite(adv) & np.isfinite(batch_loss)
         if batch < n:
             mtl = np.full(len(live), np.nan)
             if ok.any():
-                mtl[ok] = _full_losses(cur if ok.all() else ModelParams(warch, values[ok]), x, targets)
+                mtl[ok] = _full_losses(warch, ws.layers if ok.all() else [(w[ok], b[ok]) for w, b in ws.layers], x, targets)
             ok &= np.isfinite(mtl)
         else:
-            mtl = fwd.batch_loss
-        add_records(live, ok, step0[live] + (m - 1), c, fwd.adv, fwd.batch_loss - bound, mtl, fwd.test_acts[-1], values)
+            mtl = batch_loss
+        add_records(m, live, ok, c, adv, batch_loss - bound, mtl, ws.test_preds, ws.values)
         if not ok.all():
             # a non-finite loss stops its search; the others go on from the same step
             nan_abort[live[~ok]] = True
             live = live[ok]
             if not live.size:
                 break
-            values, base, objective = values[ok], base[ok], objective.subset(ok)
+            ws, kept = ws.subset(ok), kept[ok]
             opt.m, opt.v = opt.m[ok], opt.v[ok]
             if batch < n:
-                bx, bt = bx[ok], bt[ok]
-            cur = ModelParams(warch, values)
-            fwd = objective.forward(cur, bx, bt)
+                bt = bt[ok]
+            ws.forward(bt)
 
-        g = objective.backward(cur, fwd, c)
-        if not all_free:
-            g[:, ~mask] = 0.0
-        values = opt.step(values, g)
-        if not all_free:
-            values[:, ~mask] = base[:, ~mask]
+        g = ws.backward(c)
+        if frozen.size:
+            g[:, frozen] = 0.0
+        opt.step(ws.values, g, out=ws.values)
+        if frozen.size:
+            ws.values[:, frozen] = kept
         if lo is not None:
-            values[:, mask] = np.clip(values[:, mask], lo, hi)
+            ws.values[:, free] = np.clip(ws.values[:, free], lo, hi)
         if m % inner.eta_every == 0:
             c *= inner.eta_factor
             # each penalty stage is its own unconstrained subproblem; a stale
             # second-moment estimate from a boundary contact at the previous,
             # smaller c would throttle the steps of every later stage
-            opt = Adam(values.shape, inner.lr, inner.weight_decay, eps=inner.adam_eps)
+            opt.reset()
 
     if live.size:
         # the final updated models were visited too
-        cur = ModelParams(warch, values)
-        acts, adv, _ = objective.test_pass(cur)
-        mtl = _full_losses(cur, x, targets)
+        batch_loss, adv = ws.forward(bt)
+        mtl = batch_loss if batch == n else _full_losses(warch, ws.layers, x, targets)
         ok = np.isfinite(adv)
         nan_abort[live[~ok]] = True
-        add_records(live, ok & np.isfinite(mtl), step0[live] + inner.steps, c, adv, mtl - bound, mtl, acts[-1], values)
+        add_records(inner.steps + 1, live, ok & np.isfinite(mtl), c, adv, mtl - bound, mtl, ws.test_preds, ws.values)
 
     trajectories = []
     for s, (point, o, _) in enumerate(searches):
+        recs = records.records(s, step0[s], bound)
         no_feasible = bool(best_idx[s] < 0 or best_div[s] <= 0.0)
         if no_feasible:
             # no feasible iterate improved on the reference: return the reference
-            if not records[s]:
-                records[s].append(TrajectoryRecord(0, inner.c0, 0.0, -gamma, l_ref, -gamma, 0.0, refs[point]))
+            if not recs:
+                recs.append(TrajectoryRecord(0, float(inner.c0), 0.0, -gamma, l_ref, -gamma, 0.0, refs[point]))
             best, best_params = 0, work.values
         else:
             best, best_params = int(best_idx[s]), best_values[s]
@@ -479,7 +578,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
             full = reference.values.copy()
             full[last] = best_params
             best_params = full
-        traj = SearchTrajectory(_target_tag(o), arch.head, records[s], best, ModelParams(arch, best_params), no_feasible, bool(nan_abort[s]), l_ref, gamma)
+        traj = SearchTrajectory(_target_tag(o), arch.head, recs, best, ModelParams(arch, best_params), no_feasible, bool(nan_abort[s]), l_ref, gamma)
         FEASIBILITY_AUDIT.append((traj.target, traj.best.full_pen, traj.no_feasible))
         trajectories.append(traj)
     return trajectories
@@ -563,23 +662,22 @@ def regression_search_pair(x, data, reference: ModelParams, config: SearchConfig
 
 
 def trajectory_to_jsonl(traj: SearchTrajectory, path):
-    """One line-delimited record per visited model."""
+    """One line-delimited record per visited model.
+
+    Each line is what `json.dumps` writes for the record's dict, with c
+    and the losses as floats, byte for byte: floats as their `repr`, and
+    NaN, Infinity and -Infinity for the non-finite ones.
+    """
+    lines = []
+    for r in traj.records:
+        if traj.head == "categorical":
+            dist = f'{{"kind": "categorical", "probs": [{", ".join(map(repr, r.pred.tolist()))}]}}'
+        else:
+            mean, variance = r.pred.tolist()
+            dist = f'{{"kind": "gaussian", "mean": {mean!r}, "variance": {variance!r}}}'
+        c, adv, pen, loss = float(r.c), float(r.adv_loss), float(r.pen_loss), float(r.mean_train_loss)
+        lines.append(f'{{"step": {r.step}, "c": {c!r}, "L_adv": {adv!r}, "L_pen": {pen!r}, "mean_train_loss": {loss!r}, "dist": {dist}}}\n')
+    # no key or kind holds "nan" or "inf", so these only rewrite float reprs
+    text = "".join(lines).replace("nan", "NaN").replace("inf", "Infinity")
     with open(path, "w") as f:
-        for r in traj.records:
-            if traj.head == "categorical":
-                dist = {"kind": "categorical", "probs": [float(p) for p in r.pred]}
-            else:
-                dist = {"kind": "gaussian", "mean": float(r.pred[0]), "variance": float(r.pred[1])}
-            f.write(
-                json.dumps(
-                    {
-                        "step": r.step,
-                        "c": r.c,
-                        "L_adv": r.adv_loss,
-                        "L_pen": r.pen_loss,
-                        "mean_train_loss": r.mean_train_loss,
-                        "dist": dist,
-                    }
-                )
-                + "\n"
-            )
+        f.write(text)

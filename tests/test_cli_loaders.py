@@ -83,6 +83,30 @@ def test_malformed_dataset_file_is_a_usage_error(tmp_path, capsys, kind, content
     assert code == 2 and path in status["error"]
 
 
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("quam", "search", "eta_every", "0"),
+        ("quam", "search", "eta_every", "-1"),
+        ("quam", "search", "batch_size", "0"),
+        ("quam", "search", "batch_size", "-5"),
+        ("train", "train", "epochs", "-1"),
+        ("train", "train", "batch_size", "-3"),
+        ("train", "train", "batch_size", "0"),
+    ],
+)
+def test_search_and_train_settings_that_cannot_run_are_usage_errors(tmp_path, capsys, checkpoint, command, section, key, value):
+    # these once died in a ZeroDivisionError, got numpy's message, or reported
+    # ok after searching with c growing every step or not training at all
+    config = MOONS
+    if command == "quam":
+        ckpt = write(tmp_path / "model.ckpt", checkpoint)
+        points = write(tmp_path / "points.csv", "x0,x1\n0.5,0.5\n")
+        config += f"[reference]\ncheckpoint = {ckpt}\n[test_inputs]\nfile = {points}\n[search]\nsteps = 2\n"
+    code, status = status_of(capsys, tmp_path, command, config + f"[{section}]\n{key} = {value}\n")
+    assert code == 2 and key in status["error"], status
+
+
 CONFIG_KEYS = [("dataset", k) for k in ("name", "n", "noise", "seed", "kind")] + [("arch", k) for k in ("widths", "head", "dropout_prob")] + [("train", k) for k in ("epochs", "batch_size")]
 CONFIG_VALUES = ["two_moons", "sine", "three_gaussians", "csv", "x", "", "-2", "0", "3", "8", "1.5", "nan", "2 4 2", "2 0 2", "1 4 2", "gaussian_scalar"]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quam import models as M
 from quam.data import LabeledDataset, gen_sine
@@ -291,3 +292,63 @@ def test_dropout_masks_preserve_expectation():
     rng = derive_rng(14)
     masks = [M.make_dropout_masks(arch, rng)[0] for _ in range(200)]
     assert abs(np.mean(masks) - 1.0) < 0.02
+
+
+# values at which a class-axis reduction could pick or round differently, NaNs of either sign and another payload among them
+EDGE_VALUES = [0.0, -0.0, np.nan, -np.nan, struct.unpack('<d', struct.pack('<Q', 0x7FF8000000000001))[0], np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0, 1e308, -1e308]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.integers(2, 12),
+    st.sampled_from([(1,), (6,), (2, 5), (3, 1)]),
+    st.data(),
+)
+def test_class_axis_max_and_sum_are_numpys_bit_for_bit(k, lead, data):
+    # up to 8 classes the reductions walk the k columns; from 9 on numpy's own run
+    values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    a = data.draw(arrays(np.float64, lead + (k,), elements=values))
+    # also the view of all rows but the last, as the search's batch rows
+    # are, and a column-major copy, whose class axis is not contiguous
+    for view in (a, a[..., :-1, :] if a.ndim > 2 else a[:-1], np.asfortranarray(a)):
+        with np.errstate(all="ignore"):
+            assert same_bits_or_both_nan(M._class_max(view), view.max(axis=-1, keepdims=True))
+            assert same_bits_or_both_nan(M._class_sum(view), view.sum(axis=-1, keepdims=True))
+
+
+def same_bits_or_both_nan(got, expected):
+    """Every number has the expected bits, and NaN stands where NaN is expected.
+
+    A NaN's sign and payload are not compared: numpy's own choice between
+    two NaN operands depends on its loop (an in-place add keeps the second
+    operand's NaN on a one-row column and the first's on 200 rows).
+    """
+    nan = np.isnan(expected)
+    return got.shape == expected.shape and np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def test_adam_in_place_step_is_the_textbook_update_bit_for_bit():
+    # 30 steps of a stack with a restart halfway, written in place and returned new
+    rng = derive_rng(14)
+    lr, wd, b1, b2, eps = 1e-2, 1e-3, 0.9, 0.999, 1e-8
+    values = rng.normal(size=(3, 17))
+    returned = values.copy()
+    in_place, fresh = M.Adam(values.shape, lr, wd, eps=eps), M.Adam(values.shape, lr, wd, eps=eps)
+    m, v, t = np.zeros_like(values), np.zeros_like(values), 0
+    for step in range(30):
+        if step == 15:
+            in_place.reset()
+            fresh.reset()
+            m, v, t = np.zeros_like(values), np.zeros_like(values), 0
+        grad = rng.normal(size=values.shape) * 10.0 ** rng.integers(-8, 3, size=values.shape)
+        g = grad + wd * values
+        t += 1
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        mhat = m / (1.0 - b1**t)
+        vhat = v / (1.0 - b2**t)
+        expected = values - lr * mhat / (np.sqrt(vhat) + eps)
+        assert in_place.step(values, grad, out=values) is values
+        returned = fresh.step(returned, grad)
+        assert values.tobytes() == expected.tobytes() == returned.tobytes()
+        assert in_place.m.tobytes() == m.tobytes() and in_place.v.tobytes() == v.tobytes()

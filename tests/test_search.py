@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quam import models as M
 from quam.data import LabeledDataset, gen_sine, gen_two_moons
@@ -8,6 +10,8 @@ from quam.rng import derive_rng
 from quam.search import (
     FEASIBILITY_AUDIT,
     SearchConfig,
+    SearchTrajectory,
+    TrajectoryRecord,
     adversarial_model_search,
     regression_search_pair,
     search_batch,
@@ -193,6 +197,34 @@ def test_trajectory_lines_carry_the_record_rows_bit_for_bit(tmp_path):
             assert np.array_equal(np.array(row), r.pred)
 
 
+def json_lines(traj):
+    """The trajectory file as `json.dumps` writes each record's dict."""
+    import json
+
+    lines = []
+    for r in traj.records:
+        if traj.head == "categorical":
+            dist = {"kind": "categorical", "probs": [float(p) for p in r.pred]}
+        else:
+            dist = {"kind": "gaussian", "mean": float(r.pred[0]), "variance": float(r.pred[1])}
+        lines.append(json.dumps({"step": r.step, "c": r.c, "L_adv": r.adv_loss, "L_pen": r.pen_loss, "mean_train_loss": r.mean_train_loss, "dist": dist}) + "\n")
+    return "".join(lines)
+
+
+FLOATS = st.one_of(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1]), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["categorical", "gaussian_scalar"]), st.lists(st.tuples(st.integers(0, 10**6), st.lists(FLOATS, min_size=6, max_size=6)), max_size=5), st.data())
+def test_trajectory_lines_are_json_dumps_byte_for_byte(tmp_path, head, rows, data):
+    width = 2 if head == "gaussian_scalar" else data.draw(st.integers(2, 5))
+    records = [TrajectoryRecord(step, *values, np.array(data.draw(st.lists(FLOATS, min_size=width, max_size=width)))) for step, values in rows]
+    traj = SearchTrajectory("class:0", head, records, 0, None, False, False, 0.0, 0.0)
+    path = tmp_path / "traj.jsonl"
+    trajectory_to_jsonl(traj, path)
+    assert path.read_bytes() == json_lines(traj).encode()
+
+
 def test_search_rejects_a_reference_without_a_valid_prediction():
     data, ref = moons_reference()
     broken = ref.with_values(np.full(ref.values.size, np.nan))
@@ -304,6 +336,23 @@ def test_batch_search_that_overflows_aborts_alone():
     assert [t.nan_abort for t in batch] == [False, True, False, False, False, False]
     assert 1 < len(batch[1].records) < len(batch[0].records) == cfg.steps + 1
     assert len(alone) == len(searches)
+
+
+def test_batch_of_three_that_shrinks_between_searches_on_both_sides_of_the_slack():
+    # the search at the first point overflows after 20 updates; at that step
+    # one of the other two pays the penalty and the other sits inside the
+    # slack, so the shrunk workspace runs both backward branches
+    data, ref = moons_reference()
+    xs = np.array([[1e307, -1e307], [-1.2, 1.2], [0.5, 0.5]])
+    searches = [(0, ("class", 1), (1,)), (1, ("class", 1), (1,)), (2, ("class", 0), (0,))]
+    cfg = SearchConfig(steps=30, lr=1e-2, seed=0)
+    with np.errstate(all="ignore"):
+        assert_batch_independent(xs, data, ref, cfg, searches)
+        batch = search_batch(xs, data, ref, cfg, searches)
+    assert [t.nan_abort for t in batch] == [True, False, False]
+    abort = batch[0].records[-1].step + 1
+    active, inside = (next(r.pen_loss for r in t.records if r.step == abort) for t in batch[1:])
+    assert active > 0.0 >= inside
 
 
 def test_every_batched_search_enters_the_feasibility_audit():
