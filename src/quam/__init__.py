@@ -12,8 +12,9 @@ autodiff    reverse-mode AD on a generic tape; serves only grad_check
 models      ReLU MLPs, closed-form loss gradients, training, checkpoints
 data        synthetic generators, IDX ingestion, splits, CSV
 measures    entropy/cross-entropy/KL calculus and uncertainty splits
-search      the penalty-method adversarial model search, in lock-step batches
-estimator   pooled scores, importance-sampling estimators, variance study
+search      lock-step adversarial model searches: search_batch runs any
+            searches, search_suites each point's per-class/direction suite
+estimator   pooled scores (quam_scores), importance sampling, variance study
 samplers    deep ensembles, MC dropout, cyclical SG-HMC, HMC
 metrics     AUROC/AUPR/FPR, selective prediction, ECE, simplex study
 cli         experiment driver (`quam` entry point)
@@ -21,7 +22,7 @@ cli         experiment driver (`quam` entry point)
 
 from . import autodiff  # noqa: F401 -- bench/tracer.py patches Tape.backward; drop with ROADMAP item 1
 from .data import LabeledDataset, gen_sine, gen_three_gaussians, gen_two_moons, load_idx
-from .estimator import mis_estimate, mis_variance_estimate, mse_bound, quam_score, quam_scores
+from .estimator import mis_estimate, mis_variance_estimate, mse_bound, quam_scores
 from .measures import (
     UncertaintyBreakdown,
     cross_entropy_cat,
@@ -33,7 +34,7 @@ from .measures import (
     kl_gauss,
 )
 from .models import ArchSpec, ModelParams, TrainConfig, predict_batch, train
-from .search import SearchConfig, adversarial_model_search, regression_search_pair, search_batch, targeted_search_suite
+from .search import SearchConfig, search_batch, search_suites
 
 __all__ = [
     "LabeledDataset",
@@ -44,7 +45,6 @@ __all__ = [
     "mis_estimate",
     "mis_variance_estimate",
     "mse_bound",
-    "quam_score",
     "quam_scores",
     "UncertaintyBreakdown",
     "cross_entropy_cat",
@@ -60,10 +60,8 @@ __all__ = [
     "predict_batch",
     "train",
     "SearchConfig",
-    "adversarial_model_search",
-    "regression_search_pair",
     "search_batch",
-    "targeted_search_suite",
+    "search_suites",
 ]
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ line.  Exit codes: 0 success, 2 usage/config error, 3 numerical abort.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -77,11 +78,13 @@ def load_arch(cfg: ExperimentConfig) -> M.ArchSpec:
 
 
 def load_train_config(cfg: ExperimentConfig, seed: int) -> M.TrainConfig:
+    """The [train] section; every key it leaves out keeps TrainConfig's default."""
+    d = M.TrainConfig(seed=seed)
     return M.TrainConfig(
-        lr=cfg.get_float("train", "lr", 5e-3),
-        weight_decay=cfg.get_float("train", "weight_decay", 1e-3),
-        epochs=cfg.get_int("train", "epochs", 200),
-        batch_size=cfg.get_int("train", "batch_size", None),
+        lr=cfg.get_float("train", "lr", d.lr),
+        weight_decay=cfg.get_float("train", "weight_decay", d.weight_decay),
+        epochs=cfg.get_int("train", "epochs", d.epochs),
+        batch_size=cfg.get_int("train", "batch_size", d.batch_size),
         seed=seed,
     )
 
@@ -187,7 +190,7 @@ def _score_in_chunks(xs, dataset, reference, search_cfg, temperature, setting, j
         raise UsageError(f"--jobs must be >= 1 (test points per lock-step batch), got {jobs}")
     breakdowns, suites = [], []
     for start in range(0, len(xs), jobs):
-        brs, trajs = quam_scores(xs[start : start + jobs], dataset, reference, search_cfg, temperature, setting=setting, return_trajectories=True)
+        brs, trajs = quam_scores(xs[start : start + jobs], dataset, reference, search_cfg, temperature, setting=setting)
         breakdowns += brs
         suites += trajs
     return breakdowns, suites
@@ -383,7 +386,9 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every later `main`."""
     parser = argparse.ArgumentParser(prog="quam", description="Adversarial-model epistemic uncertainty experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
@@ -392,8 +397,11 @@ def main(argv=None) -> int:
         p.add_argument("--jobs", type=int, default=1, help="test points per lock-step search batch (quam, grid)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.load(args.config)
         return COMMANDS[args.command](args, cfg)

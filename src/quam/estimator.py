@@ -30,7 +30,6 @@ from .search import SearchConfig, SearchTrajectory, search_suites
 
 __all__ = [
     "pool_trajectories",
-    "quam_score",
     "quam_scores",
     "mis_estimate",
     "mis_variance_estimate",
@@ -65,10 +64,9 @@ def quam_scores(
     config: SearchConfig,
     temperature: float,
     setting: str = "b",
-    return_trajectories: bool = False,
     classes=None,
-):
-    """Adversarial-search epistemic uncertainty at each row of `xs`.
+) -> tuple[list[UncertaintyBreakdown], list[list[SearchTrajectory]]]:
+    """Adversarial-search epistemic uncertainty at each row of `xs`: `(breakdowns, suites)`.
 
     Runs every point's searches as one lock-step batch: the targeted
     per-class suite (categorical head; per point, the classes in its entry
@@ -78,6 +76,7 @@ def quam_scores(
     reference, "a" against the pooled mixture.  A breakdown carries the
     `nan_abort` flag when any search of its point stopped on a non-finite
     loss.  A point's result does not depend on the other points in `xs`.
+    `suites` holds each point's trajectories, in the order of its searches.
     """
     if setting not in ("a", "b"):
         raise ValueError(f"setting must be 'a' or 'b', got {setting!r}")
@@ -97,21 +96,7 @@ def quam_scores(
         if any(t.nan_abort for t in trajectories):
             breakdown = replace(breakdown, flags=breakdown.flags + ("nan_abort",))
         breakdowns.append(breakdown)
-    return (breakdowns, suites) if return_trajectories else breakdowns
-
-
-def quam_score(
-    x: np.ndarray,
-    data,
-    reference: ModelParams,
-    config: SearchConfig,
-    temperature: float,
-    setting: str = "b",
-    return_trajectories: bool = False,
-):
-    """`quam_scores` at one test input: its breakdown, and its trajectories when asked."""
-    (breakdown,), (trajectories,) = quam_scores(np.atleast_2d(x), data, reference, config, temperature, setting, return_trajectories=True)
-    return (breakdown, trajectories) if return_trajectories else breakdown
+    return breakdowns, suites
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .models import ArchSpec, TrainConfig, TrainingDiverged, loss_and_grad, mean_train_loss, train_with_point_loss
+from .models import ArchSpec, TrainConfig, TrainingDiverged, loss_and_grad, mean_train_loss, train
 
 __all__ = [
     "ScoredLabels",
@@ -188,7 +188,7 @@ def simplex_surface(
         for rep in range(repeats):
             run_cfg = TrainConfig(lr=cfg.lr, weight_decay=cfg.weight_decay, epochs=cfg.epochs, batch_size=cfg.batch_size, seed=cfg.seed + 1000 * ti + rep)
             try:
-                params = train_with_point_loss(data, arch, run_cfg, extra_loss=lambda p: loss_and_grad(p, x, t_row))
+                params = train(data, arch, run_cfg, extra_loss=lambda p: loss_and_grad(p, x, t_row))
             except TrainingDiverged:
                 failures += 1
                 continue

@@ -47,7 +47,6 @@ __all__ = [
     "target_rows",
     "predict_batch",
     "train",
-    "train_with_point_loss",
     "mean_train_loss",
     "log_posterior",
     "make_dropout_masks",
@@ -530,11 +529,12 @@ class Adam:
         self.t = 0
 
 
-def train_with_point_loss(data, arch: ArchSpec, cfg: TrainConfig, extra_loss=None, log=None) -> ModelParams:
+def train(data, arch: ArchSpec, cfg: TrainConfig, log=None, extra_loss=None) -> ModelParams:
     """Adam training on the mean NLL of each batch, plus `extra_loss`.
 
     `extra_loss(params) -> (loss, flat gradient)`, when given, is added to
-    every batch's loss and gradient.
+    every batch's loss and gradient.  `log`, when given, gets one
+    `{"epoch", "loss"}` row per epoch, the loss on the full training set.
 
     Seed-deterministic: initialization, batch order and dropout masks all
     derive from cfg.seed.  Raises `TrainingDiverged` when a batch loss, the
@@ -566,10 +566,6 @@ def train_with_point_loss(data, arch: ArchSpec, cfg: TrainConfig, extra_loss=Non
     if not (np.isfinite(params.values).all() and np.isfinite(mean_train_loss(params, data))):
         raise TrainingDiverged(f"non-finite parameters or training loss after the last epoch ({cfg.epochs - 1})", epoch=cfg.epochs - 1)
     return params
-
-
-def train(data, arch: ArchSpec, cfg: TrainConfig, log=None) -> ModelParams:
-    return train_with_point_loss(data, arch, cfg, extra_loss=None, log=log)
 
 
 # --------------------------------------------------------------------------

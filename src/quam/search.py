@@ -85,17 +85,8 @@ __all__ = [
     "SearchTrajectory",
     "search_batch",
     "search_suites",
-    "adversarial_model_search",
-    "targeted_search_suite",
-    "regression_search_pair",
     "trajectory_to_jsonl",
-    "FEASIBILITY_AUDIT",
 ]
-
-# (target tag, best full-data penalty, no_feasible flag) for every search
-# run in this process; lets a verification suite audit the feasibility
-# contract across everything that executed.
-FEASIBILITY_AUDIT: list[tuple[str, float, bool]] = []
 
 # elements of one (searches, rows, k) block of a stacked full-data loss
 _LOSS_BLOCK = 1 << 20
@@ -137,7 +128,7 @@ class SearchConfig:
             raise ValueError(f"unknown delta_scope {self.delta_scope!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrajectoryRecord:
     step: int
     c: float
@@ -578,43 +569,8 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
             full = reference.values.copy()
             full[last] = best_params
             best_params = full
-        traj = SearchTrajectory(_target_tag(o), arch.head, recs, best, ModelParams(arch, best_params), no_feasible, bool(nan_abort[s]), l_ref, gamma)
-        FEASIBILITY_AUDIT.append((traj.target, traj.best.full_pen, traj.no_feasible))
-        trajectories.append(traj)
+        trajectories.append(SearchTrajectory(_target_tag(o), arch.head, recs, best, ModelParams(arch, best_params), no_feasible, bool(nan_abort[s]), l_ref, gamma))
     return trajectories
-
-
-def adversarial_model_search(
-    x: np.ndarray,
-    data,
-    reference: ModelParams,
-    config: SearchConfig,
-    objective="divergence",
-    seed_keys: Sequence[int] = (),
-) -> SearchTrajectory:
-    """Run one penalty-method search: `search_batch` with one search.
-
-    `objective` is "divergence", ("class", c) for a targeted classification
-    search, or ("direction", +1 | -1) for a one-sided regression search.
-    """
-    (traj,) = search_batch(np.atleast_2d(x), data, reference, config, [(0, objective, tuple(seed_keys))])
-    return traj
-
-
-def best_under_slack(traj: SearchTrajectory, gamma: float) -> TrajectoryRecord:
-    """Re-select the best record under a different slack.
-
-    Records carry full-data training losses, so feasibility for any slack
-    is decidable after the fact.  Since a larger slack only enlarges the
-    feasible subset of the same records, the selected divergence is
-    monotone nondecreasing in gamma.
-    """
-    bound = traj.reference_loss + gamma
-    best = None
-    for r in traj.records:
-        if r.mean_train_loss <= bound and (best is None or r.divergence > best.divergence):
-            best = r
-    return best if best is not None else traj.records[0]
 
 
 def _suite(arch: ArchSpec, classes) -> list[tuple]:
@@ -640,25 +596,6 @@ def search_suites(xs, data, reference: ModelParams, config: SearchConfig, classe
         out.append(flat[pos : pos + len(suite)])
         pos += len(suite)
     return out
-
-
-def targeted_search_suite(x, data, reference: ModelParams, config: SearchConfig, classes=None) -> list[SearchTrajectory]:
-    """One targeted search per class (or per entry of `classes`), run in lock-step.
-
-    Each trajectory's random stream is keyed by the class identity, so the
-    result set does not depend on the order classes are visited.
-    """
-    if reference.arch.head != "categorical":
-        raise ValueError("targeted searches need a categorical head")
-    return search_suites(x, data, reference, config, None if classes is None else [classes])[0]
-
-
-def regression_search_pair(x, data, reference: ModelParams, config: SearchConfig) -> tuple[SearchTrajectory, SearchTrajectory]:
-    """Upward and downward searches around a regression reference, run in lock-step."""
-    if reference.arch.head != "gaussian_scalar":
-        raise ValueError("regression searches need a gaussian head")
-    up, down = search_suites(x, data, reference, config)[0]
-    return up, down
 
 
 def trajectory_to_jsonl(traj: SearchTrajectory, path):

@@ -21,7 +21,7 @@ from quam.autodiff import grad_check
 from quam.data import LabeledDataset, gen_three_gaussians, gen_two_moons, load_idx, save_idx, subset_split
 from quam.measures import decompose_a, decompose_b, entropy_cat, kl_cat, kl_gauss, cross_entropy_cat
 from quam.rng import derive_rng
-from quam.search import FEASIBILITY_AUDIT, SearchConfig, SearchObjective, search_batch, targeted_search_suite
+from quam.search import SearchConfig, SearchObjective, search_batch, search_suites
 
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 
@@ -312,7 +312,7 @@ def test_criterion_08_simplex_starved_class(simplex_setup):
     assert starved, f"deep ensemble assigns > 0.5 to every class: {de_max}"
 
     cfg = SearchConfig(c0=1.0, eta_factor=1.5, eta_every=10, steps=150, lr=2e-2, seed=0)
-    trajectories = targeted_search_suite(x, data, ref, cfg)
+    trajectories = search_suites(x, data, ref, cfg)[0]
     found = {}
     for traj in trajectories:
         cls = int(traj.target.split(":")[1])
@@ -404,7 +404,7 @@ def test_criterion_07_two_moons_reproduction():
 
     cfg = SearchConfig(c0=1.0, eta_factor=1.5, eta_every=10, steps=100, lr=1e-2, seed=0)
     # 16 points per lock-step batch; a point's score does not depend on its batch
-    quam_map = np.array([br.epistemic for a in range(0, len(points), 16) for br in E.quam_scores(points[a : a + 16], moons, ref, cfg, temperature=0.1, setting="a")])
+    quam_map = np.array([br.epistemic for a in range(0, len(points), 16) for br in E.quam_scores(points[a : a + 16], moons, ref, cfg, temperature=0.1, setting="a")[0]])
 
     rho_quam = spearmanr(quam_map, hmc_map).statistic
     rho_de = spearmanr(de_map, hmc_map).statistic
@@ -428,14 +428,13 @@ def test_criterion_07_two_moons_reproduction():
 # -- criterion 6: feasibility contract (audited over everything above) ----------
 
 
-def test_criterion_06_feasibility_contract(simplex_setup):
+def test_criterion_06_feasibility_contract(simplex_setup, feasibility_audit):
     t0 = time.time()
     data3, arch3, x3, ref3 = simplex_setup
     moons = gen_two_moons(160, noise=0.1, seed=2)
     ref_m = M.train(moons, M.ArchSpec((2, 12, 2)), M.TrainConfig(epochs=200, seed=2))
 
     from quam.data import gen_sine
-    from quam.search import regression_search_pair
 
     sine = gen_sine(120, seed=3)
     ref_s = M.train(sine, M.ArchSpec((1, 16, 2), head="gaussian_scalar"), M.TrainConfig(epochs=250, seed=3))
@@ -443,13 +442,13 @@ def test_criterion_06_feasibility_contract(simplex_setup):
     battery = []
     for seed in range(3):
         cfg = SearchConfig(steps=80, lr=2e-2, seed=seed)
-        for traj in targeted_search_suite(np.array([-1.2, 1.2]), moons, ref_m, cfg):
+        for traj in search_suites(np.array([-1.2, 1.2]), moons, ref_m, cfg)[0]:
             battery.append((traj, moons))
-        for traj in targeted_search_suite(np.array([2.2, 1.0]), moons, ref_m, cfg):
+        for traj in search_suites(np.array([2.2, 1.0]), moons, ref_m, cfg)[0]:
             battery.append((traj, moons))
-        for traj in targeted_search_suite(x3, data3, ref3, cfg):
+        for traj in search_suites(x3, data3, ref3, cfg)[0]:
             battery.append((traj, data3))
-        for traj in regression_search_pair(np.array([-np.pi - 1.0]), sine, ref_s, cfg):
+        for traj in search_suites(np.array([-np.pi - 1.0]), sine, ref_s, cfg)[0]:
             battery.append((traj, sine))
 
     violations = 0
@@ -459,13 +458,13 @@ def test_criterion_06_feasibility_contract(simplex_setup):
         if not (traj.no_feasible or recheck <= bound + 1e-10):
             violations += 1
 
-    audit_violations = sum(1 for _, pen, flagged in FEASIBILITY_AUDIT if not (flagged or pen <= 1e-12))
+    audit_violations = sum(1 for _, pen, flagged in feasibility_audit if not (flagged or pen <= 1e-12))
     ok = violations == 0 and audit_violations == 0
     report(
         6,
         ok,
         f"{len(battery)} battery searches re-verified from returned parameters, {violations} violations; "
-        f"audit log of {len(FEASIBILITY_AUDIT)} searches this session, {audit_violations} violations ({time.time() - t0:.1f}s)",
+        f"audit log of {len(feasibility_audit)} searches this session, {audit_violations} violations ({time.time() - t0:.1f}s)",
     )
 
 
@@ -525,7 +524,7 @@ def mnist_pipeline(train_full, id_full, ood_full, seeds, n_train, n_test):
                 chunk = points[a : a + 16]
                 # search budget: each point's top-4 classes
                 top = [sorted(int(c) for c in np.argsort(-row)[:4]) for row in M.predict_batch(ref, chunk[:, None, :])[:, 0]]
-                breakdowns, suites = E.quam_scores(chunk, train, ref, search_cfg, 1e-3, setting="b", return_trajectories=True, classes=top)
+                breakdowns, suites = E.quam_scores(chunk, train, ref, search_cfg, 1e-3, setting="b", classes=top)
                 scores += [br.epistemic for br in breakdowns]
                 for trajs in suites:
                     preds, w = E.pool_trajectories(trajs, 1e-3)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from quam import models as M
-from quam.cli import load_search_config, main
+from quam import cli
+from quam.cli import load_search_config, load_train_config, main
 from quam.config import ConfigError, ExperimentConfig
 from quam.data import gen_two_moons, to_csv
 from quam.measures import decompose_a, decompose_b
@@ -66,6 +67,7 @@ def test_config_errors():
 def test_search_defaults_are_the_library_defaults():
     cfg = ExperimentConfig.loads("[search]\n")
     assert load_search_config(cfg, 7) == SearchConfig(seed=7)
+    assert load_train_config(ExperimentConfig.loads("[train]\n"), 7) == M.TrainConfig(seed=7)
 
 
 def _src_env():
@@ -96,6 +98,19 @@ def test_cmd_train_bit_identical_reruns(tmp_path, capsys):
     b1 = open(s1["checkpoint"], "rb").read()
     b2 = open(s2["checkpoint"], "rb").read()
     assert b1 == b2
+
+
+def test_one_parser_serves_commands_back_to_back(tmp_path, capsys):
+    # the parser is built once per process; what one command's options set must not carry over to the next
+    cfgp = write(tmp_path / "t.ini", TRAIN_INI.format(out=tmp_path / "cfg_out"))
+    _, s1 = run(capsys, "train", "--config", cfgp, "--seed", "5", "--out", str(tmp_path / "o1"))
+    code, status = run(capsys, "eval", "--config", eval_config(tmp_path, [0.1, 0.2], [0.9], "auroc"))
+    assert code == 0 and status["command"] == "eval" and status["auroc"] == 1.0
+    _, s2 = run(capsys, "train", "--config", cfgp)
+    assert s2["checkpoint"] == str(tmp_path / "cfg_out" / "model.ckpt")
+    _, s3 = run(capsys, "train", "--config", cfgp, "--seed", "3", "--out", str(tmp_path / "o3"))
+    assert open(s2["checkpoint"], "rb").read() == open(s3["checkpoint"], "rb").read() != open(s1["checkpoint"], "rb").read()
+    assert cli._parser() is cli._parser()
 
 
 def test_cmd_train_missing_dataset_exits_2(tmp_path, capsys):

@@ -23,7 +23,7 @@ def moons_setup():
 def test_quam_score_zero_lr_gives_zero_epistemic(moons_setup):
     data, ref = moons_setup
     cfg = SearchConfig(steps=2, lr=0.0, seed=0, bias_nudge=0.0)
-    br = E.quam_score(np.array([-1.0, 1.0]), data, ref, cfg, temperature=0.1)
+    (br,), _ = E.quam_scores(np.array([-1.0, 1.0]), data, ref, cfg, temperature=0.1)
     assert br.epistemic == pytest.approx(0.0, abs=1e-12)
     assert "no_feasible_adversary" in br.flags
 
@@ -31,15 +31,15 @@ def test_quam_score_zero_lr_gives_zero_epistemic(moons_setup):
 def test_quam_score_far_point_exceeds_train_point(moons_setup):
     data, ref = moons_setup
     cfg = SearchConfig(steps=80, lr=2e-2, seed=0)
-    far = E.quam_score(np.array([-1.2, 1.2]), data, ref, cfg, temperature=0.1)
-    near = E.quam_score(data.x[30], data, ref, cfg, temperature=0.1)
+    (far,), _ = E.quam_scores(np.array([-1.2, 1.2]), data, ref, cfg, temperature=0.1)
+    (near,), _ = E.quam_scores(data.x[30], data, ref, cfg, temperature=0.1)
     assert far.epistemic > near.epistemic
 
 
 def test_quam_score_setting_a_consistency(moons_setup):
     data, ref = moons_setup
     cfg = SearchConfig(steps=40, lr=2e-2, seed=0)
-    br = E.quam_score(np.array([-1.0, 1.0]), data, ref, cfg, temperature=0.1, setting="a")
+    (br,), _ = E.quam_scores(np.array([-1.0, 1.0]), data, ref, cfg, temperature=0.1, setting="a")
     # mutual-information identity at the sample level
     assert br.total == pytest.approx(br.aleatoric + br.epistemic, abs=1e-10)
 
@@ -62,7 +62,7 @@ def test_weight_shift_invariance(moons_setup):
     # adding a constant to every training loss must not change the score
     data, ref = moons_setup
     cfg = SearchConfig(steps=30, lr=2e-2, seed=0)
-    br, trajs = E.quam_score(np.array([-1.0, 1.0]), data, ref, cfg, temperature=0.1, return_trajectories=True)
+    _, (trajs,) = E.quam_scores(np.array([-1.0, 1.0]), data, ref, cfg, temperature=0.1)
     shifted = [dataclasses.replace(t, records=[dataclasses.replace(r, mean_train_loss=r.mean_train_loss + 12.3456) for r in t.records]) for t in trajs]
     preds1, w1 = E.pool_trajectories(trajs, 0.1)
     preds2, w2 = E.pool_trajectories(shifted, 0.1)
@@ -72,7 +72,7 @@ def test_weight_shift_invariance(moons_setup):
 
 def test_pool_trajectories_rejects_nonfinite_losses(moons_setup):
     data, ref = moons_setup
-    _, trajs = E.quam_score(np.array([-1.0, 1.0]), data, ref, SearchConfig(steps=5, seed=0), temperature=0.1, return_trajectories=True)
+    _, (trajs,) = E.quam_scores(np.array([-1.0, 1.0]), data, ref, SearchConfig(steps=5, seed=0), temperature=0.1)
     for loss in (np.inf, np.nan):
         broken = [dataclasses.replace(trajs[0], records=[dataclasses.replace(trajs[0].records[0], mean_train_loss=loss)])]
         with pytest.raises(ValueError):
@@ -108,7 +108,7 @@ def test_pool_trajectories_weights_monotone_in_loss():
 def test_quam_epistemic_invariant_under_sample_permutation(moons_setup):
     data, ref = moons_setup
     cfg = SearchConfig(steps=30, lr=2e-2, seed=0)
-    _, trajs = E.quam_score(np.array([-1.0, 1.0]), data, ref, cfg, temperature=0.1, return_trajectories=True)
+    _, (trajs,) = E.quam_scores(np.array([-1.0, 1.0]), data, ref, cfg, temperature=0.1)
     preds, w = E.pool_trajectories(trajs, 0.1)
     ref_row = M.predict_batch(ref, np.array([[-1.0, 1.0]]))
     (br1,) = decompose_b("categorical", ref_row, preds[:, None], w)

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from quam import measures as U
 from quam import models as M
 from quam.data import gen_sine
-from quam.estimator import pool_trajectories, quam_score
+from quam.estimator import pool_trajectories, quam_scores
 from quam.rng import derive_rng
 from quam.search import SearchConfig
 
@@ -256,7 +256,7 @@ def test_decompose_a_gaussian_matches_quadrature_on_sine_pooled_set():
     # most of them exact zeros, and variances from 1e-24 up
     data = gen_sine(200, seed=0)
     ref = M.train(data, M.ArchSpec((1, 16, 2), head="gaussian_scalar"), M.TrainConfig(epochs=300, seed=0))
-    _, trajs = quam_score(np.array([-5.0]), data, ref, SearchConfig(steps=100, lr=0.01, seed=0), 0.1, setting="a", return_trajectories=True)
+    _, (trajs,) = quam_scores(np.array([-5.0]), data, ref, SearchConfig(steps=100, lr=0.01, seed=0), 0.1, setting="a")
     preds, w = pool_trajectories(trajs, 0.1)
     assert (w == 0.0).any()
     br = split_a("gaussian_scalar", preds, w)

@@ -7,18 +7,7 @@ from quam import models as M
 from quam.data import LabeledDataset, gen_sine, gen_two_moons
 from quam.measures import kl_cat
 from quam.rng import derive_rng
-from quam.search import (
-    FEASIBILITY_AUDIT,
-    SearchConfig,
-    SearchTrajectory,
-    TrajectoryRecord,
-    adversarial_model_search,
-    regression_search_pair,
-    search_batch,
-    search_suites,
-    targeted_search_suite,
-    trajectory_to_jsonl,
-)
+from quam.search import SearchConfig, SearchTrajectory, TrajectoryRecord, search_batch, search_suites, trajectory_to_jsonl
 
 
 def moons_reference():
@@ -30,7 +19,7 @@ def moons_reference():
 def test_zero_lr_single_step_returns_reference():
     data, ref = moons_reference()
     cfg = SearchConfig(c0=1.0, eta_factor=1.5, steps=1, lr=0.0, gamma=0.0, seed=0, bias_nudge=0.0)
-    traj = adversarial_model_search(np.array([0.0, 2.0]), data, ref, cfg)
+    traj = search_batch(np.array([0.0, 2.0]), data, ref, cfg, [(0, "divergence", ())])[0]
     assert traj.no_feasible
     assert traj.best.divergence == 0.0
     assert np.array_equal(traj.best_params.values, ref.values)
@@ -41,7 +30,7 @@ def test_far_point_search_flips_class_feasibly():
     x = np.array([-1.2, 1.2])
     ref_class = int(np.argmax(M.predict_batch(ref, x)[0]))
     cfg = SearchConfig(c0=1.0, eta_factor=1.5, eta_every=10, steps=100, lr=2e-2, seed=0)
-    traj = adversarial_model_search(x, data, ref, cfg, objective=("class", 1 - ref_class), seed_keys=(1 - ref_class,))
+    traj = search_batch(x, data, ref, cfg, [(0, ("class", 1 - ref_class), (1 - ref_class,))])[0]
     best = traj.best
     assert best.full_pen <= 0.0
     assert int(np.argmax(best.pred)) == 1 - ref_class
@@ -55,7 +44,7 @@ def test_far_point_search_flips_class_feasibly():
 def test_best_is_max_divergence_among_feasible():
     data, ref = moons_reference()
     cfg = SearchConfig(steps=60, lr=2e-2, seed=1)
-    traj = adversarial_model_search(np.array([-1.2, 1.2]), data, ref, cfg, objective=("class", 1), seed_keys=(1,))
+    traj = search_batch(np.array([-1.2, 1.2]), data, ref, cfg, [(0, ("class", 1), (1,))])[0]
     feas = [r for r in traj.records if r.full_pen <= 0.0]
     assert traj.best.divergence == max(r.divergence for r in feas)
 
@@ -66,7 +55,7 @@ def test_record_divergence_is_kl_cat_bit_for_bit():
     ref_probs = M.predict_batch(ref, x)[0]
     cfg = SearchConfig(steps=40, lr=2e-2, seed=2)
     for objective, keys in ((("class", 0), (0,)), (("class", 1), (1,)), ("divergence", ())):
-        traj = adversarial_model_search(x, data, ref, cfg, objective=objective, seed_keys=keys)
+        traj = search_batch(x, data, ref, cfg, [(0, objective, keys)])[0]
         divs = [r.divergence for r in traj.records]
         assert divs == [kl_cat(ref_probs, r.pred) for r in traj.records]
         assert max(divs) > 0.0
@@ -75,7 +64,7 @@ def test_record_divergence_is_kl_cat_bit_for_bit():
 def test_penalty_weight_strictly_increases():
     data, ref = moons_reference()
     cfg = SearchConfig(c0=2.0, eta_factor=1.5, eta_every=5, steps=30, lr=1e-2, seed=0)
-    traj = adversarial_model_search(np.array([0.0, 2.0]), data, ref, cfg, objective=("class", 0), seed_keys=(0,))
+    traj = search_batch(np.array([0.0, 2.0]), data, ref, cfg, [(0, ("class", 0), (0,))])[0]
     cs = [r.c for r in traj.records]
     stages = sorted(set(cs))
     assert all(b > a for a, b in zip(stages, stages[1:]))
@@ -85,7 +74,7 @@ def test_penalty_weight_strictly_increases():
 def test_targeted_suite_one_trajectory_per_class():
     data, ref = moons_reference()
     cfg = SearchConfig(steps=20, lr=1e-2, seed=0)
-    trajs = targeted_search_suite(np.array([0.5, 0.5]), data, ref, cfg)
+    trajs = search_suites(np.array([0.5, 0.5]), data, ref, cfg)[0]
     assert [t.target for t in trajs] == ["class:0", "class:1"]
 
 
@@ -96,7 +85,7 @@ def test_targeted_suite_confident_class_gains_least():
     x = np.array([-1.2, 1.2])
     confident = int(np.argmax(M.predict_batch(ref, x)[0]))
     cfg = SearchConfig(steps=100, lr=2e-2, seed=0)
-    trajs = targeted_search_suite(x, data, ref, cfg)
+    trajs = search_suites(x, data, ref, cfg)[0]
     divs = {int(t.target.split(":")[1]): t.best.divergence for t in trajs}
     assert divs[confident] <= min(d for c, d in divs.items() if c != confident) + 1e-9
 
@@ -105,8 +94,8 @@ def test_targeted_suite_keyed_by_class_identity():
     data, ref = moons_reference()
     x = np.array([-1.0, 1.0])
     cfg = SearchConfig(steps=25, lr=1e-2, seed=3)
-    full = targeted_search_suite(x, data, ref, cfg)
-    reordered = targeted_search_suite(x, data, ref, cfg, classes=[1, 0])
+    full = search_suites(x, data, ref, cfg)[0]
+    reordered = search_suites(x, data, ref, cfg, [[1, 0]])[0]
     by_class = {t.target: t for t in reordered}
     for t in full:
         assert np.array_equal(t.best_params.values, by_class[t.target].best_params.values)
@@ -115,7 +104,7 @@ def test_targeted_suite_keyed_by_class_identity():
 def test_last_layer_scope_only_touches_last_layer():
     data, ref = moons_reference()
     cfg = SearchConfig(steps=150, lr=2e-2, seed=0, delta_scope="last_layer", gamma=0.05, eta_every=5)
-    traj = adversarial_model_search(np.array([-1.2, 1.2]), data, ref, cfg, objective=("class", 1), seed_keys=(1,))
+    traj = search_batch(np.array([-1.2, 1.2]), data, ref, cfg, [(0, ("class", 1), (1,))])[0]
     assert not traj.no_feasible
     ws, bs = ref.arch.layer_slices()[-1]
     frozen = np.ones(ref.arch.param_count(), dtype=bool)
@@ -128,35 +117,18 @@ def test_last_layer_scope_only_touches_last_layer():
 def test_bias_only_scope():
     data, ref = moons_reference()
     cfg = SearchConfig(steps=20, lr=2e-2, seed=0, delta_scope="bias_only")
-    traj = adversarial_model_search(np.array([-1.2, 1.2]), data, ref, cfg, objective=("class", 1), seed_keys=(1,))
+    traj = search_batch(np.array([-1.2, 1.2]), data, ref, cfg, [(0, ("class", 1), (1,))])[0]
     weight_mask = np.zeros(ref.arch.param_count(), dtype=bool)
     for ws, _ in ref.arch.layer_slices():
         weight_mask[ws] = True
     assert np.array_equal(traj.best_params.values[weight_mask], ref.values[weight_mask])
 
 
-def test_larger_slack_admits_no_worse_optimum():
-    # on any fixed trajectory, enlarging the slack enlarges the feasible
-    # subset of records, so the selected best divergence cannot drop
-    from quam.search import best_under_slack
-
-    data, ref = moons_reference()
-    x = np.array([-1.2, 1.2])
-    cfg = SearchConfig(c0=1.0, eta_factor=1.5, eta_every=10, steps=80, lr=2e-2, seed=5, gamma=0.0)
-    traj = adversarial_model_search(x, data, ref, cfg, objective=("class", 1), seed_keys=(1,))
-    prev = -1.0
-    for gamma in (0.0, 0.01, 0.05, 0.2, 1.0):
-        div = best_under_slack(traj, gamma).divergence
-        assert div >= prev - 1e-15
-        prev = div
-    assert best_under_slack(traj, 0.0).divergence == traj.best.divergence
-
-
 def test_search_deterministic():
     data, ref = moons_reference()
     cfg = SearchConfig(steps=40, lr=1e-2, seed=2, batch_size=64)
-    a = adversarial_model_search(np.array([0.0, 1.5]), data, ref, cfg, objective=("class", 0), seed_keys=(0,))
-    b = adversarial_model_search(np.array([0.0, 1.5]), data, ref, cfg, objective=("class", 0), seed_keys=(0,))
+    a = search_batch(np.array([0.0, 1.5]), data, ref, cfg, [(0, ("class", 0), (0,))])[0]
+    b = search_batch(np.array([0.0, 1.5]), data, ref, cfg, [(0, ("class", 0), (0,))])[0]
     assert np.array_equal(a.best_params.values, b.best_params.values)
     assert [r.mean_train_loss for r in a.records] == [r.mean_train_loss for r in b.records]
     # mini-batch records take their loss from a separate full-data pass
@@ -168,7 +140,7 @@ def test_trajectory_serialization(tmp_path):
 
     data, ref = moons_reference()
     cfg = SearchConfig(steps=10, lr=1e-2, seed=0)
-    traj = adversarial_model_search(np.array([0.0, 1.5]), data, ref, cfg, objective=("class", 0), seed_keys=(0,))
+    traj = search_batch(np.array([0.0, 1.5]), data, ref, cfg, [(0, ("class", 0), (0,))])[0]
     path = tmp_path / "traj.jsonl"
     trajectory_to_jsonl(traj, path)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
@@ -183,8 +155,8 @@ def test_trajectory_lines_carry_the_record_rows_bit_for_bit(tmp_path):
     cfg = SearchConfig(steps=10, lr=1e-2, seed=0)
     moons, moons_ref = moons_reference()
     sine, sine_ref = sine_reference()
-    cat = adversarial_model_search(np.array([0.0, 1.5]), moons, moons_ref, cfg, objective=("class", 0), seed_keys=(0,))
-    gauss = adversarial_model_search(np.array([-np.pi - 1.0]), sine, sine_ref, cfg, objective=("direction", +1), seed_keys=(0,))
+    cat = search_batch(np.array([0.0, 1.5]), moons, moons_ref, cfg, [(0, ("class", 0), (0,))])[0]
+    gauss = search_batch(np.array([-np.pi - 1.0]), sine, sine_ref, cfg, [(0, ("direction", +1), (0,))])[0]
     for traj, head, kind in ((cat, "categorical", "categorical"), (gauss, "gaussian_scalar", "gaussian")):
         assert traj.head == head
         path = tmp_path / f"{kind}.jsonl"
@@ -229,7 +201,7 @@ def test_search_rejects_a_reference_without_a_valid_prediction():
     data, ref = moons_reference()
     broken = ref.with_values(np.full(ref.values.size, np.nan))
     with pytest.raises(ValueError, match="reference prediction"):
-        adversarial_model_search(np.array([0.0, 1.5]), data, broken, SearchConfig(steps=2))
+        search_batch(np.array([0.0, 1.5]), data, broken, SearchConfig(steps=2), [(0, "divergence", ())])
 
 
 # -- regression searches ------------------------------------------------------
@@ -244,7 +216,7 @@ def sine_reference():
 def test_regression_pair_zero_movement():
     data, ref = sine_reference()
     cfg = SearchConfig(steps=1, lr=0.0, gamma=0.0, bias_nudge=0.0, seed=0)
-    up, down = regression_search_pair(np.array([0.3]), data, ref, cfg)
+    up, down = search_suites(np.array([0.3]), data, ref, cfg)[0]
     for traj in (up, down):
         assert traj.no_feasible
         assert np.array_equal(traj.best_params.values, ref.values)
@@ -254,7 +226,7 @@ def test_regression_pair_brackets_reference_outside_support():
     data, ref = sine_reference()
     x = np.array([-np.pi - 1.0])
     cfg = SearchConfig(steps=120, lr=1e-2, seed=0)
-    up, down = regression_search_pair(x, data, ref, cfg)
+    up, down = search_suites(x, data, ref, cfg)[0]
     ref_mean = M.predict_batch(ref, x)[0, 0]
     assert up.best.pred[0] > ref_mean
     assert down.best.pred[0] < ref_mean
@@ -266,8 +238,8 @@ def test_regression_pair_brackets_reference_outside_support():
 def test_regression_divergence_larger_far_from_data():
     data, ref = sine_reference()
     cfg = SearchConfig(steps=120, lr=1e-2, seed=0)
-    far = regression_search_pair(np.array([-np.pi - 1.0]), data, ref, cfg)
-    near = regression_search_pair(np.array([0.5]), data, ref, cfg)
+    far = search_suites(np.array([-np.pi - 1.0]), data, ref, cfg)[0]
+    near = search_suites(np.array([0.5]), data, ref, cfg)[0]
     far_div = max(t.best.divergence for t in far)
     near_div = max(t.best.divergence for t in near)
     assert far_div > near_div
@@ -277,7 +249,7 @@ def test_nan_abort_flag():
     data, ref = moons_reference()
     cfg = SearchConfig(steps=10, lr=1e220, seed=0, weight_decay=0.0)
     with np.errstate(all="ignore"):
-        traj = adversarial_model_search(np.array([0.0, 1.0]), data, ref, cfg, objective=("class", 1), seed_keys=(1,))
+        traj = search_batch(np.array([0.0, 1.0]), data, ref, cfg, [(0, ("class", 1), (1,))])[0]
     assert traj.nan_abort
     assert len(traj.records) >= 1
 
@@ -354,9 +326,3 @@ def test_batch_of_three_that_shrinks_between_searches_on_both_sides_of_the_slack
     active, inside = (next(r.pen_loss for r in t.records if r.step == abort) for t in batch[1:])
     assert active > 0.0 >= inside
 
-
-def test_every_batched_search_enters_the_feasibility_audit():
-    data, ref = moons_reference()
-    before = len(FEASIBILITY_AUDIT)
-    search_suites(np.array([[-1.2, 1.2], [0.5, 0.5]]), data, ref, SearchConfig(steps=5, seed=0))
-    assert [tag for tag, _, _ in FEASIBILITY_AUDIT[before:]] == ["class:0", "class:1", "class:0", "class:1"]
