@@ -4,6 +4,9 @@ Subcommands: train, quam, baseline, eval, grid, varstudy, simplex.  Every
 run takes a --config file, writes a canonical config echo plus its outputs
 to the output directory, and ends with one machine-parsable JSON status
 line.  Exit codes: 0 success, 2 usage/config error, 3 numerical abort.
+A malformed command line is a usage error too: argparse's usage text goes
+to standard error and the status line to standard output.  `--help` prints
+its text and exits 0 without a status line.
 """
 
 from __future__ import annotations
@@ -386,10 +389,22 @@ COMMANDS = {
 }
 
 
+class _ArgumentError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An `ArgumentParser` whose errors raise `_ArgumentError` after the usage text, instead of exiting."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _ArgumentError(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and reused by every later `main`."""
-    parser = argparse.ArgumentParser(prog="quam", description="Adversarial-model epistemic uncertainty experiments.")
+    parser = _Parser(prog="quam", description="Adversarial-model epistemic uncertainty experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
@@ -401,7 +416,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except _ArgumentError as e:
+        _status(argv[0] if argv and argv[0] in COMMANDS else None, "usage_error", error=str(e))
+        return EXIT_USAGE
     try:
         cfg = ExperimentConfig.load(args.config)
         return COMMANDS[args.command](args, cfg)

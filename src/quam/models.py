@@ -43,7 +43,9 @@ __all__ = [
     "head_predictions",
     "cross_entropy",
     "cross_entropy_and_predictions",
+    "cross_entropy_grad",
     "cross_entropy_loss",
+    "target_terms",
     "target_rows",
     "predict_batch",
     "train",
@@ -365,30 +367,69 @@ def target_rows(arch: ArchSpec, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mean_nll(arch: ArchSpec, out: np.ndarray, targets: np.ndarray):
-    """The mean cross-entropy over the rows of `out`, one per leading index, and the terms its gradient reuses."""
+def _nll_terms(arch: ArchSpec, out: np.ndarray, targets: np.ndarray) -> tuple:
+    """The terms of the rows of `out` that the mean cross-entropy and its gradient share."""
     n = out.shape[-2]
     if arch.head == "categorical":
         z, e, s = _softmax_terms(out)
-        logp = z - np.log(s)
-        return (logp * targets).sum(axis=(-2, -1)) * (-1.0 / n), (logp, e, s)
+        return z - np.log(s), e, s
     resid = targets[..., 0:1] - out[..., 0:1]
     sq = resid * resid + targets[..., 1:2]  # E[(t - mean)^2] under the target row
     if arch.widths[-1] == 2:
-        c = 0.5 / n
-        inv_var = np.exp(out[..., 1:2] * -1.0)
-        return (out[..., 1:2] + sq * inv_var).sum(axis=(-2, -1)) * c + 0.5 * np.log(2.0 * np.pi), (resid, sq, inv_var, c)
-    c = 0.5 / (n * FIXED_GAUSSIAN_VARIANCE)
-    return sq.sum(axis=(-2, -1)) * c + 0.5 * np.log(2.0 * np.pi * FIXED_GAUSSIAN_VARIANCE), (resid, c)
+        return resid, sq, np.exp(out[..., 1:2] * -1.0), 0.5 / n
+    return resid, sq, 0.5 / (n * FIXED_GAUSSIAN_VARIANCE)
 
 
-def cross_entropy_loss(arch: ArchSpec, out: np.ndarray, targets: np.ndarray):
-    """`cross_entropy`'s loss alone, with the same bits: a float, or one per leading index of a stacked `out`."""
-    loss = _mean_nll(arch, out, targets)[0]
+def target_terms(arch: ArchSpec, targets: np.ndarray) -> Optional[tuple]:
+    """The terms of `cross_entropy`'s gradient that depend on the target rows alone.
+
+    For a categorical head, (-1/n) * targets and its class sum; None for a
+    Gaussian head, whose gradient has no such term.  A caller that takes
+    many losses against the same rows builds them once and passes them as
+    `fixed`; the results keep their bits.
+    """
+    if arch.head != "categorical":
+        return None
+    g = (-1.0 / targets.shape[-2]) * targets
+    return g, _class_sum(g)
+
+
+def cross_entropy_loss(arch: ArchSpec, out: np.ndarray, targets: np.ndarray, terms: Optional[tuple] = None):
+    """`cross_entropy`'s loss alone, with the same bits: a float, or one per leading index of a stacked `out`.
+
+    `terms`, when given, are those `cross_entropy_grad` returned for the
+    same `out` and `targets`: the loss then costs its reduction alone.
+    """
+    if terms is None:
+        terms = _nll_terms(arch, out, targets)
+    if arch.head == "categorical":
+        loss = (terms[0] * targets).sum(axis=(-2, -1)) * (-1.0 / out.shape[-2])
+    elif arch.widths[-1] == 2:
+        _, sq, inv_var, c = terms
+        loss = (out[..., 1:2] + sq * inv_var).sum(axis=(-2, -1)) * c + 0.5 * np.log(2.0 * np.pi)
+    else:
+        _, sq, c = terms
+        loss = sq.sum(axis=(-2, -1)) * c + 0.5 * np.log(2.0 * np.pi * FIXED_GAUSSIAN_VARIANCE)
     return loss if out.ndim > 2 else float(loss)
 
 
-def cross_entropy(arch: ArchSpec, out: np.ndarray, targets: np.ndarray):
+def cross_entropy_grad(arch: ArchSpec, out: np.ndarray, targets: np.ndarray, fixed: Optional[tuple] = None) -> tuple[np.ndarray, tuple]:
+    """`cross_entropy`'s gradient alone, with the same bits, and the terms that `cross_entropy_loss` reduces.
+
+    `fixed` are the targets' `target_terms`, when the caller keeps them.
+    """
+    terms = _nll_terms(arch, out, targets)
+    if arch.head == "categorical":
+        g, g_sum = fixed if fixed is not None else target_terms(arch, targets)
+        return g - np.exp(terms[0]) * g_sum, terms
+    if arch.widths[-1] == 2:
+        resid, sq, inv_var, c = terms
+        return np.concatenate([-((2.0 * resid) * (c * inv_var)), c - (c * sq) * inv_var], axis=-1), terms
+    resid, _, c = terms
+    return -((2.0 * resid) * c), terms
+
+
+def cross_entropy(arch: ArchSpec, out: np.ndarray, targets: np.ndarray, fixed: Optional[tuple] = None):
     """Mean cross-entropy of the target rows under head outputs `out`, and its gradient at `out`.
 
     `targets` hold one row per row of `out` in `head_predictions`' format:
@@ -399,10 +440,11 @@ def cross_entropy(arch: ArchSpec, out: np.ndarray, targets: np.ndarray):
     repeat the floating-point operations of reverse-mode differentiation
     through the same graph, in the same order, so the results are
     reproducible to the bit: the sampler chains depend on it.  A stacked
-    `out` of shape (K, n, k) gives K losses.
+    `out` of shape (K, n, k) gives K losses.  `fixed` are the targets'
+    `target_terms`, when the caller keeps them.
     """
-    loss, grad, _ = _cross_entropy(arch, out, targets)
-    return loss, grad
+    grad, terms = cross_entropy_grad(arch, out, targets, fixed)
+    return cross_entropy_loss(arch, out, targets, terms), grad
 
 
 def cross_entropy_and_predictions(arch: ArchSpec, out: np.ndarray, targets: np.ndarray):
@@ -411,28 +453,12 @@ def cross_entropy_and_predictions(arch: ArchSpec, out: np.ndarray, targets: np.n
     A categorical head's class probabilities reuse the softmax terms of
     the loss.  Returns (loss, gradient, predictions).
     """
-    loss, grad, terms = _cross_entropy(arch, out, targets)
+    grad, terms = cross_entropy_grad(arch, out, targets)
+    loss = cross_entropy_loss(arch, out, targets, terms)
     if arch.head == "categorical":
         _, e, s = terms
         return loss, grad, e / s
     return loss, grad, head_predictions(arch, out)
-
-
-def _cross_entropy(arch: ArchSpec, out: np.ndarray, targets: np.ndarray):
-    """`cross_entropy`, and the terms of `_mean_nll`."""
-    n = out.shape[-2]
-    loss, terms = _mean_nll(arch, out, targets)
-    if arch.head == "categorical":
-        logp = terms[0]
-        g = (-1.0 / n) * targets
-        grad = g - np.exp(logp) * _class_sum(g)
-    elif arch.widths[-1] == 2:
-        resid, sq, inv_var, c = terms
-        grad = np.concatenate([-((2.0 * resid) * (c * inv_var)), c - (c * sq) * inv_var], axis=-1)
-    else:
-        resid, c = terms
-        grad = -((2.0 * resid) * c)
-    return (loss if out.ndim > 2 else float(loss)), grad, terms
 
 
 def loss_and_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray, masks=None) -> tuple[float, np.ndarray]:

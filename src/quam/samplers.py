@@ -6,12 +6,22 @@ dropout masks and MCMC draws carry equal weights; weighting happens in the
 decompositions, not here.  `SamplerOutput.predictions` evaluates every
 sample at a batch of inputs as one (samples, points, k) array, the input
 of `measures.decompose_a` and `decompose_b`.
+
+HMC runs K chains in lock-step on (K, P) position and momentum stacks,
+one seed per chain, and its callbacks are stacked: the log densities and
+gradients of K positions at once.  Each chain's draws and diagnostics are
+those of its own single-chain run, bit for bit.  `hmc_posterior` takes
+its gradients from one preallocated workspace per call
+(`_PosteriorWorkspace`): the parameter stack and its layer views, the
+activation and gradient buffers and the data's cross-entropy constants
+are built once, and the log-posterior at a trajectory's end is read from
+the last gradient's forward pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,12 +30,16 @@ from .models import (
     ModelParams,
     TrainConfig,
     TrainingDiverged,
+    backward_layers,
+    cross_entropy_grad,
+    cross_entropy_loss,
     init_params,
-    log_posterior,
+    layer_views,
     loss_and_grad,
     make_dropout_masks,
     predict_batch,
     target_rows,
+    target_terms,
     train,
 )
 from .rng import derive_rng
@@ -180,102 +194,198 @@ def csghmc(
 # --------------------------------------------------------------------------
 
 
-def leapfrog(q, p, grad_fn, step: float, n_steps: int):
-    """Velocity-Verlet integration of Hamiltonian dynamics; returns (q, p)."""
-    q = q.copy()
-    p = p.copy()
-    g = grad_fn(q)
-    for _ in range(n_steps):
-        p = p + 0.5 * step * g
-        q = q + step * p
-        g = grad_fn(q)
-        p = p + 0.5 * step * g
+def leapfrog(q, p, grad_fn, step, n_steps: int):
+    """Velocity-Verlet integration of Hamiltonian dynamics; returns (q, p).
+
+    `step` is a float, or a (K, 1) column of step sizes for a (K, P) stack
+    of chains.
+    """
+    q = np.array(q, dtype=np.float64)
+    p = np.array(p, dtype=np.float64)
+    _leapfrog(q, p, grad_fn(q), grad_fn, step, n_steps)
     return q, p
 
 
+def _leapfrog(q, p, g, grad_fn, step, n_steps: int):
+    """`leapfrog` in place on `q` and `p`, from the gradient `g` at `q`; returns the gradient at the final `q`.
+
+    Each in-place update has the bits of its textbook form: p += (0.5 *
+    step) * g is p + 0.5 * step * g.
+    """
+    half = 0.5 * step
+    for _ in range(n_steps):
+        p += half * g
+        q += step * p
+        g = grad_fn(q)
+        p += half * g
+    return g
+
+
 def hmc(
-    log_density: Callable[[np.ndarray], float],
+    log_density: Callable[[np.ndarray], np.ndarray],
     grad_log_density: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     n_samples: int,
     n_leapfrog: int,
     step_size: float,
-    seed: int = 0,
+    seed: Union[int, Sequence[int]] = 0,
     burn_in: int = 0,
     auto_tune: bool = False,
     thin: int = 1,
-) -> SamplerOutput:
-    """Standard HMC with unit-Gaussian momenta and Metropolis correction.
+):
+    """Standard HMC with unit-Gaussian momenta and Metropolis correction, K chains in lock-step.
 
-    During burn-in, `auto_tune` doubles the step size while the recent
+    The callbacks are stacked: `log_density` maps a (K, P) stack of
+    positions to their K log densities, `grad_log_density` to their (K, P)
+    gradients.  `seed` is one int, for one chain started at the (P,) vector
+    `x0`, or one seed per chain, with `x0` a (K, P) stack.  Every chain
+    keeps its own `derive_rng(seed)` stream, step size, auto-tune window,
+    acceptance counts and rejection run, and its own `p @ p`, so its draws
+    and diagnostics are those of its own single-chain run, bit for bit.
+    Returns one `SamplerOutput` for an int seed, else one per chain.
+
+    During burn-in, `auto_tune` doubles a chain's step size while its recent
     acceptance rate exceeds 0.8 and halves it below 0.6.  A hundred
-    consecutive rejections abort the chain.  `n_leapfrog = 0` is legal: the
-    chain never moves.  `sampling_acceptance_rate` and
-    `mean_abs_energy_error` cover the sampling iterations only: burn-in
-    starts far from the mode and tunes the step size.
+    consecutive rejections of one chain raise `HMCAborted`, naming the
+    chain and its seed.  `n_leapfrog = 0` is legal: the chains never move.
+    `sampling_acceptance_rate` and `mean_abs_energy_error` cover the
+    sampling iterations only: burn-in starts far from the mode and tunes
+    the step size.  A trajectory starts from the gradient its chain's
+    current position got at the end of the trajectory that moved it there.
     """
     if n_leapfrog < 0 or n_samples < 1 or burn_in < 0 or thin < 1:
         raise ValueError(f"hmc needs n_leapfrog >= 0, n_samples >= 1, burn_in >= 0 and thin >= 1, got {n_leapfrog}, {n_samples}, {burn_in}, {thin}")
-    rng = derive_rng(seed)
-    q = np.array(x0, dtype=np.float64)
-    logp = float(log_density(q))
-    draws = []
-    accepted = 0
-    accepted_sampling = 0
-    consecutive_rejects = 0
-    window: list[int] = []
-    energy_errors = []  # |dH| of each sampling iteration
-    step = float(step_size)
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
+    k = len(seeds)
+    q = np.array(x0, dtype=np.float64, ndmin=2)
+    if q.shape[0] != k or q.ndim != 2 or single and np.ndim(x0) != 1:
+        raise ValueError(f"hmc needs a (P,) start for one seed and a (K, P) stack for K seeds, got shape {np.shape(x0)} for {k} seed(s)")
+    size = q.shape[1]
+    rngs = [derive_rng(s) for s in seeds]
+    g = np.array(grad_log_density(q), dtype=np.float64) if n_leapfrog > 0 else None
+    logp = np.asarray(log_density(q), dtype=np.float64).tolist()
+    total = burn_in + n_samples * thin
+    draws = np.empty((k, n_samples, size))
+    accepted = [0] * k
+    accepted_sampling = [0] * k
+    consecutive_rejects = [0] * k
+    windows: list[list[int]] = [[] for _ in range(k)]
+    energy_errors: list[list[float]] = [[] for _ in range(k)]  # |dH| of each sampling iteration
+    steps = [float(step_size)] * k
+    p = np.empty((k, size))
 
-    for it in range(burn_in + n_samples * thin):
-        p = rng.standard_normal(q.size)
-        h0 = -logp + 0.5 * float(p @ p)
+    for it in range(total):
+        for c, rng in enumerate(rngs):
+            p[c] = rng.standard_normal(size)
+        h0 = [-logp[c] + 0.5 * float(p[c] @ p[c]) for c in range(k)]
         if n_leapfrog > 0:
-            q_new, p_new = leapfrog(q, p, grad_log_density, step, n_leapfrog)
-            logp_new = float(log_density(q_new))
+            q_new = q.copy()
+            g_new = _leapfrog(q_new, p, g, grad_log_density, np.array(steps)[:, None], n_leapfrog)
+            logp_new = np.asarray(log_density(q_new), dtype=np.float64).tolist()
         else:
-            q_new, p_new, logp_new = q, p, logp  # degenerate: the chain never moves
-        h1 = -logp_new + 0.5 * float(p_new @ p_new)
-        delta_h = h1 - h0
-        if it >= burn_in:
-            energy_errors.append(abs(delta_h))
-        if np.isfinite(delta_h) and rng.random() < min(1.0, np.exp(-delta_h)):
-            q, logp = q_new, logp_new
-            accepted += 1
-            accepted_sampling += it >= burn_in
-            window.append(1)
-            consecutive_rejects = 0
-        else:
-            window.append(0)
-            consecutive_rejects += 1
-            if consecutive_rejects >= 100:
-                raise HMCAborted(f"100 consecutive rejections at iteration {it} (step size {step:g})")
-        if auto_tune and it < burn_in and len(window) >= 25:
-            rate = sum(window) / len(window)
-            if rate > 0.8 and it < burn_in - 50:
-                # no doubling in the last stretch: an untested doubling onto
-                # the low-acceptance cliff would hobble the sampling phase
-                step *= 2.0
-            elif rate < 0.6:
-                step *= 0.5
-            if it >= burn_in - 50 and rate < 0.9:
-                # terminal safety halve: the doubling rule settles in its
-                # hysteresis band, one notch below it keeps acceptance high
-                step *= 0.5
-            window.clear()
+            q_new, logp_new = q, logp  # degenerate: the chains never move
+        for c, rng in enumerate(rngs):
+            delta_h = -logp_new[c] + 0.5 * float(p[c] @ p[c]) - h0[c]
+            if it >= burn_in:
+                energy_errors[c].append(abs(delta_h))
+            if np.isfinite(delta_h) and rng.random() < min(1.0, np.exp(-delta_h)):
+                if q_new is not q:
+                    q[c], g[c] = q_new[c], g_new[c]
+                logp[c] = logp_new[c]
+                accepted[c] += 1
+                accepted_sampling[c] += it >= burn_in
+                windows[c].append(1)
+                consecutive_rejects[c] = 0
+            else:
+                windows[c].append(0)
+                consecutive_rejects[c] += 1
+                if consecutive_rejects[c] >= 100:
+                    raise HMCAborted(f"chain {c} (seed {seeds[c]}): 100 consecutive rejections at iteration {it} (step size {steps[c]:g})")
+            window = windows[c]
+            if auto_tune and it < burn_in and len(window) >= 25:
+                rate = sum(window) / len(window)
+                if rate > 0.8 and it < burn_in - 50:
+                    # no doubling in the last stretch: an untested doubling onto
+                    # the low-acceptance cliff would hobble the sampling phase
+                    steps[c] *= 2.0
+                elif rate < 0.6:
+                    steps[c] *= 0.5
+                if it >= burn_in - 50 and rate < 0.9:
+                    # terminal safety halve: the doubling rule settles in its
+                    # hysteresis band, one notch below it keeps acceptance high
+                    steps[c] *= 0.5
+                window.clear()
         if it >= burn_in and (it - burn_in) % thin == 0:
-            draws.append(q.copy())
+            draws[:, (it - burn_in) // thin] = q
 
-    return SamplerOutput(
-        method="hmc",
-        draws=np.array(draws),
-        diagnostics={
-            "acceptance_rate": accepted / (burn_in + n_samples * thin),
-            "sampling_acceptance_rate": accepted_sampling / len(energy_errors),
-            "step_size": step,
-            "mean_abs_energy_error": float(np.mean(energy_errors)),
-        },
-    )
+    outs = [
+        SamplerOutput(
+            method="hmc",
+            draws=draws[c],
+            diagnostics={
+                "acceptance_rate": accepted[c] / total,
+                "sampling_acceptance_rate": accepted_sampling[c] / len(energy_errors[c]),
+                "step_size": steps[c],
+                "mean_abs_energy_error": float(np.mean(energy_errors[c])),
+            },
+        )
+        for c in range(k)
+    ]
+    return outs[0] if single else outs
+
+
+class _PosteriorWorkspace:
+    """The buffers of K lock-step chains' log-posterior gradients, built once per `hmc_posterior` call.
+
+    `values` is the writable (K, P) stack of the positions of the last
+    pass and `layers` its per-layer views; `acts[l]` is the input of layer
+    l, the data rows for l = 0 and a (K, n, width) buffer after it, and the
+    last entry holds the head outputs.  The data's target rows and their
+    `target_terms` are built once.  A gradient skips the loss reduction
+    and keeps the cross-entropy terms of its forward pass, so the log
+    density at the position of the last gradient, a trajectory's end, costs
+    that reduction alone.  Both keep the bits of `models.loss_and_grad` and
+    `models.log_posterior`.
+    """
+
+    def __init__(self, data, arch: ArchSpec, prior_precision: float, k: int):
+        if len(data) == 0:
+            raise ValueError("hmc_posterior needs a nonempty dataset")
+        self.arch, self.prior, self.n = arch, prior_precision, len(data)
+        self.targets = target_rows(arch, data.y)
+        self.fixed = target_terms(arch, self.targets)
+        self.values = np.empty((k, arch.param_count()))
+        self.layers = layer_views(arch, self.values)
+        self.acts = [np.asarray(data.x, dtype=np.float64)] + [np.empty((k, self.n, w)) for w in arch.widths[1:]]
+        self.grad = np.empty_like(self.values)
+        self.terms = None  # the cross-entropy terms of the last pass at `values`
+
+    def _forward(self, q: np.ndarray) -> None:
+        self.values[...] = q
+        last = len(self.layers) - 1
+        for li, (w, b) in enumerate(self.layers):
+            out = self.acts[li + 1]
+            np.matmul(self.acts[li], w, out=out)
+            out += b
+            if li < last:
+                np.maximum(out, 0.0, out=out)
+
+    def grad_log_density(self, q: np.ndarray) -> np.ndarray:
+        """The (K, P) gradients of the log-posterior at the positions `q`: -n * dCE - prior * q."""
+        self._forward(q)
+        grad_out, self.terms = cross_entropy_grad(self.arch, self.acts[-1], self.targets, self.fixed)
+        g = np.multiply(backward_layers(self.arch, self.layers, self.acts, grad_out, self.grad), -self.n)
+        g -= self.prior * q
+        return g
+
+    def log_density(self, q: np.ndarray) -> np.ndarray:
+        """The K log-posteriors at the positions `q`, read from the last gradient's pass when `q` is its position."""
+        if self.terms is None or not np.array_equal(q, self.values):
+            self._forward(q)
+            self.terms = None
+        loss = cross_entropy_loss(self.arch, self.acts[-1], self.targets, self.terms)
+        return np.array([-(self.n * float(l)) - 0.5 * self.prior * float(v @ v) for l, v in zip(loss, q)])
 
 
 def hmc_posterior(
@@ -285,22 +395,24 @@ def hmc_posterior(
     n_samples: int,
     n_leapfrog: int,
     step_size: float,
-    seed: int = 0,
+    seed: Union[int, Sequence[int]] = 0,
     burn_in: int = 500,
     auto_tune: bool = True,
     thin: int = 1,
     init: Optional[ModelParams] = None,
-) -> SamplerOutput:
-    """HMC over a network's log-posterior; draws wrapped as ModelParams."""
-    n = len(data)
-    targets = target_rows(arch, data.y)
+):
+    """HMC over a network's log-posterior (`models.log_posterior`); draws wrapped as ModelParams.
 
-    def logp(v):
-        return log_posterior(ModelParams(arch, v), data, prior_precision)
-
-    def grad_logp(v):
-        return -n * loss_and_grad(ModelParams(arch, v), data.x, targets)[1] - prior_precision * v
-
-    start = (init if init is not None else init_params(arch, seed)).values
-    raw = hmc(logp, grad_logp, start, n_samples, n_leapfrog, step_size, seed=seed, burn_in=burn_in, auto_tune=auto_tune, thin=thin)
-    return SamplerOutput(method="hmc", params=[ModelParams(arch, d) for d in raw.draws], diagnostics=raw.diagnostics)
+    `seed` is one int, for one chain, or one seed per chain: the chains then
+    run in lock-step (`hmc`) and each starts at `init` or at
+    `init_params(arch, its seed)`.  The gradients come from one
+    preallocated workspace per call.  Returns one `SamplerOutput` for an
+    int seed, else one per chain, each that chain's single-chain run.
+    """
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
+    start = np.array([(init if init is not None else init_params(arch, s)).values for s in seeds])
+    ws = _PosteriorWorkspace(data, arch, prior_precision, len(seeds))
+    raw = hmc(ws.log_density, ws.grad_log_density, start[0] if single else start, n_samples, n_leapfrog, step_size, seed=seed, burn_in=burn_in, auto_tune=auto_tune, thin=thin)
+    outs = [SamplerOutput(method="hmc", params=[ModelParams(arch, d) for d in r.draws], diagnostics=r.diagnostics) for r in ([raw] if single else raw)]
+    return outs[0] if single else outs

@@ -37,8 +37,9 @@ iterate do not depend on what else is in its batch.  A search that hits a
 non-finite loss leaves the stack; the others go on.  What the reference
 fixes is computed once per batch, not once per search: its prediction rows
 at the test inputs, its full-data loss L_ref and the slack gamma, the
-data's target rows and, for a last-layer search, the penultimate features
-of the data and of the test inputs.
+data's target rows (with their `models.target_terms`, in a full-batch
+search) and, for a last-layer search, the penultimate features of the data
+and of the test inputs.
 
 A step allocates no buffer of the batch's size: a `_Workspace`, built
 once per batch and again only when a NaN abort shrinks K, holds the
@@ -75,6 +76,7 @@ from .models import (
     head_predictions,
     layer_views,
     target_rows,
+    target_terms,
 )
 from .rng import derive_rng
 
@@ -301,10 +303,11 @@ class _Workspace:
         ws.batch_x[...] = self.batch_x[keep]
         return ws
 
-    def forward(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def forward(self, targets: np.ndarray, fixed: Optional[tuple] = None) -> tuple[np.ndarray, np.ndarray]:
         """Each search's batch loss against `targets`, the batch rows' target rows, and its L_adv.
 
-        Their gradients at the head outputs are kept for `backward`.
+        `fixed` are the targets' `models.target_terms`, when they serve every
+        step.  The gradients at the head outputs are kept for `backward`.
         """
         last = len(self.layers) - 1
         for li, (w, b) in enumerate(self.layers):
@@ -317,7 +320,7 @@ class _Workspace:
             out += b
             if li < last:
                 np.maximum(out, 0.0, out=out)
-        self.batch_loss, self.batch_grad = cross_entropy(self.arch, self.batch_acts[-1], targets)
+        self.batch_loss, self.batch_grad = cross_entropy(self.arch, self.batch_acts[-1], targets, fixed)
         adv, self.adv_grad, self.test_preds = self.objective.adversarial(self.arch, self.test_out)
         return self.batch_loss, adv
 
@@ -496,9 +499,10 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
 
     live = np.arange(k)
     ws = _Workspace(objective, warch, base, batch)
-    bt = targets
+    bt, fixed = targets, None
     if batch == n:
         ws.batch_x[...] = x
+        fixed = target_terms(warch, targets)  # a full batch's targets never change
     frozen = np.flatnonzero(~mask)
     kept = base[:, frozen]  # the frozen parameters' values, restored after each update
     free = np.flatnonzero(mask)
@@ -509,7 +513,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
             idx = np.stack([rngs[s].choice(n, size=batch, replace=False) for s in live])
             ws.batch_x[...] = x[idx]
             bt = targets[idx]
-        batch_loss, adv = ws.forward(bt)
+        batch_loss, adv = ws.forward(bt, fixed)
         ok = np.isfinite(adv) & np.isfinite(batch_loss)
         if batch < n:
             mtl = np.full(len(live), np.nan)
@@ -529,7 +533,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
             opt.m, opt.v = opt.m[ok], opt.v[ok]
             if batch < n:
                 bt = bt[ok]
-            ws.forward(bt)
+            ws.forward(bt, fixed)
 
         g = ws.backward(c)
         if frozen.size:
@@ -548,7 +552,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
 
     if live.size:
         # the final updated models were visited too
-        batch_loss, adv = ws.forward(bt)
+        batch_loss, adv = ws.forward(bt, fixed)
         mtl = batch_loss if batch == n else _full_losses(warch, ws.layers, x, targets)
         ok = np.isfinite(adv)
         nan_abort[live[~ok]] = True

@@ -208,11 +208,12 @@ def test_criterion_04_hmc_validity():
     cov = np.array([[1.0, 0.6], [0.6, 2.0]])
     prec = np.linalg.inv(cov)
 
-    def logp(q):
-        return -0.5 * q @ prec @ q
+    # stacked callbacks, (K, 2) positions to K log densities or gradients; here K = 1
+    def logp(qs):
+        return np.array([-0.5 * q @ prec @ q for q in qs])
 
-    def grad(q):
-        return -prec @ q
+    def grad(qs):
+        return np.array([-prec @ q for q in qs])
 
     out = S.hmc(logp, grad, np.zeros(2), n_samples=10_000, n_leapfrog=20, step_size=0.2, seed=41, burn_in=1000, auto_tune=True)
     emp = np.cov(out.draws.T)
@@ -222,11 +223,11 @@ def test_criterion_04_hmc_validity():
         rng = derive_rng(seed)
         errs = []
         for _ in range(400):
-            q = rng.multivariate_normal(np.zeros(2), cov)
-            p = rng.standard_normal(2)
-            h0 = -logp(q) + 0.5 * p @ p
+            q = rng.multivariate_normal(np.zeros(2), cov)[None]
+            p = rng.standard_normal(2)[None]
+            h0 = -logp(q)[0] + 0.5 * p[0] @ p[0]
             q1, p1 = S.leapfrog(q, p, grad, eps, n_steps)
-            errs.append(abs(-logp(q1) + 0.5 * p1 @ p1 - h0))
+            errs.append(abs(-logp(q1)[0] + 0.5 * p1[0] @ p1[0] - h0))
         return np.mean(errs)
 
     ratio = mean_abs_dh(0.2, 16) / mean_abs_dh(0.1, 32)
@@ -378,14 +379,12 @@ def test_criterion_07_two_moons_reproduction():
     ys = np.linspace(-1.0, 1.5, res)
     points = np.array([(x, y) for x in xs for y in ys])
 
-    # ground truth: merged HMC chains from independent starts
-    hmc_params = []
-    for chain in range(6):
-        out = S.hmc_posterior(
-            moons, arch, prior_precision=1e-3, n_samples=300, n_leapfrog=25,
-            step_size=2e-3, seed=100 + chain, burn_in=500, auto_tune=True, thin=2,
-        )
-        hmc_params.extend(out.params)
+    # ground truth: merged HMC chains from independent starts, run in lock-step
+    chains = S.hmc_posterior(
+        moons, arch, prior_precision=1e-3, n_samples=300, n_leapfrog=25,
+        step_size=2e-3, seed=list(range(100, 106)), burn_in=500, auto_tune=True, thin=2,
+    )
+    hmc_params = [p for out in chains for p in out.params]
     hmc_probs = np.stack([M.predict_batch(p, points) for p in hmc_params])
 
     def epistemic_map(prob_stack):

@@ -248,6 +248,39 @@ def test_cmd_baseline_hmc_completes(tmp_path, capsys):
     assert os.path.exists(tmp_path / "hmc_out" / "scores_b.jsonl")
 
 
+def test_cmd_baseline_hmc_abort_is_a_numerical_abort_naming_the_chain(tmp_path, capsys):
+    # at this step size every proposal is rejected, and auto-tuning cannot halve it small enough in 100 iterations
+    pts = write(tmp_path / "points.csv", "x0,x1\n-1.0,1.0\n")
+    bcfg = write(tmp_path / "b.ini", TRAIN_INI.format(out=tmp_path / "hmc_out") + f"[test_inputs]\nfile = {pts}\n[baseline]\nmethod = hmc\nn_leapfrog = 2\nstep_size = 1000\n")
+    with np.errstate(all="ignore"):
+        code, status = one_status_line(capsys, ["baseline", "--config", bcfg, "--seed", "7"])
+    assert code == 3 and status["status"] == "numerical_abort"
+    assert status["error"].startswith("chain 0 (seed 7): 100 consecutive rejections")
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [([], None), (["train"], "train"), (["quam", "--config", "c.ini", "--jobs", "x"], "quam"), (["frobnicate", "--config", "c.ini"], None)],
+    ids=["no_command", "no_config", "jobs_not_an_int", "unknown_command"],
+)
+def test_argument_errors_are_one_usage_error_line(capsys, argv, command):
+    code = main(argv)
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert code == 2 and len(lines) == 1
+    status = json.loads(lines[0])
+    assert status["status"] == "usage_error" and status["command"] == command and status["error"]
+    assert captured.err.startswith("usage: quam")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["baseline", "--help"]])
+def test_help_exits_0_with_its_text(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: quam")
+
+
 def test_cmd_eval_perfect_and_null(tmp_path, capsys):
     id_p = tmp_path / "id.jsonl"
     ood_p = tmp_path / "ood.jsonl"

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,11 @@ def test_csghmc_diagnostics_present(moons):
 # -- HMC -----------------------------------------------------------------------
 
 
+def stacked(f):
+    """A stacked callback, (K, P) positions to K results, that runs `f` on each row."""
+    return lambda qs: np.array([f(q) for q in qs])
+
+
 def correlated_gaussian():
     cov = np.array([[1.0, 0.6], [0.6, 2.0]])
     prec = np.linalg.inv(cov)
@@ -125,7 +132,7 @@ def correlated_gaussian():
     def grad(q):
         return -prec @ q
 
-    return cov, logp, grad
+    return cov, stacked(logp), stacked(grad)
 
 
 def test_hmc_recovers_covariance():
@@ -146,7 +153,7 @@ def test_hmc_energy_error_leaves_out_burn_in():
     # burn-in starts 100 standard deviations out, where a leapfrog step's
     # energy error is 10^4 times that at the mode; the sampling phase
     # runs at the mode, where it is about 1e-3 at this step size
-    out = S.hmc(lambda q: -0.5 * float(q @ q), lambda q: -q, np.array([100.0]), n_samples=200, n_leapfrog=10, step_size=0.1, seed=0, burn_in=200)
+    out = S.hmc(stacked(lambda q: -0.5 * float(q @ q)), lambda qs: -qs, np.array([100.0]), n_samples=200, n_leapfrog=10, step_size=0.1, seed=0, burn_in=200)
     assert out.diagnostics["mean_abs_energy_error"] < 0.005
 
 
@@ -157,11 +164,11 @@ def test_leapfrog_energy_error_scales_quadratically():
         rng = derive_rng(seed)
         errs = []
         for _ in range(300):
-            q = rng.multivariate_normal(np.zeros(2), cov)
-            p = rng.standard_normal(2)
-            h0 = -logp(q) + 0.5 * p @ p
+            q = rng.multivariate_normal(np.zeros(2), cov)[None]
+            p = rng.standard_normal(2)[None]
+            h0 = -logp(q)[0] + 0.5 * p[0] @ p[0]
             q1, p1 = S.leapfrog(q, p, grad, eps, n_steps)
-            errs.append(abs(-logp(q1) + 0.5 * p1 @ p1 - h0))
+            errs.append(abs(-logp(q1)[0] + 0.5 * p1[0] @ p1[0] - h0))
         return np.mean(errs)
 
     ratio = mean_abs_dh(0.2, 16) / mean_abs_dh(0.1, 32)  # same trajectory time
@@ -182,6 +189,13 @@ def test_hmc_rejects_settings_that_do_no_work(setting):
         S.hmc(logp, grad, np.zeros(2), **kwargs)
 
 
+@pytest.mark.parametrize("x0, seed", [(np.zeros(2), [1, 2]), (np.zeros((3, 2)), [1, 2]), (np.zeros((1, 2)), 1)], ids=["vector_for_two_seeds", "three_rows_for_two_seeds", "stack_for_one_seed"])
+def test_hmc_needs_one_start_row_per_seed(x0, seed):
+    _, logp, grad = correlated_gaussian()
+    with pytest.raises(ValueError):
+        S.hmc(logp, grad, x0, n_samples=5, n_leapfrog=3, step_size=0.1, seed=seed)
+
+
 def test_csghmc_rejects_empty_cycles(moons):
     with pytest.raises(ValueError):
         S.csghmc(moons, M.ArchSpec((2, 4, 2)), cycles=1, steps_per_cycle=0, step_size=1e-4)
@@ -195,8 +209,19 @@ def test_hmc_aborts_on_hundred_rejections():
     def grad(q):
         return -1e8 * q
 
-    with pytest.raises(S.HMCAborted):
-        S.hmc(logp, grad, np.array([1.0]), n_samples=300, n_leapfrog=30, step_size=1.0, seed=4)
+    with pytest.raises(S.HMCAborted, match=r"chain 0 \(seed 4\)"):
+        S.hmc(stacked(logp), stacked(grad), np.array([1.0]), n_samples=300, n_leapfrog=30, step_size=1.0, seed=4)
+
+
+def test_lock_step_abort_names_the_chain_and_its_seed():
+    # chain 1's target is 1e8 times narrower: at this step size only it rejects everything
+    scale = np.array([[1.0], [1e8], [1.0]])
+
+    def logp(qs):
+        return -0.5 * (scale * qs * qs).sum(axis=1)
+
+    with pytest.raises(S.HMCAborted, match=r"^chain 1 \(seed 8\): 100 consecutive rejections"):
+        S.hmc(logp, lambda qs: -scale * qs, np.ones((3, 1)), n_samples=300, n_leapfrog=30, step_size=1.0, seed=[7, 8, 9])
 
 
 def test_hmc_seed_deterministic():
@@ -229,6 +254,53 @@ def test_hmc_posterior_chain_equals_a_chain_on_tape_gradients(moons):
     def grad(v):
         return -len(moons) * tape_loss_and_grad(M.ModelParams(arch, v), moons.x, targets)[1] - prior * v
 
-    oracle = S.hmc(logp, grad, M.init_params(arch, 4).values, 20, 8, 2e-3, seed=4, burn_in=30, auto_tune=True)
+    oracle = S.hmc(stacked(logp), stacked(grad), M.init_params(arch, 4).values, 20, 8, 2e-3, seed=4, burn_in=30, auto_tune=True)
     assert np.array_equal(np.array([p.values for p in out.params]), oracle.draws)
     assert out.diagnostics == oracle.diagnostics
+
+
+def sine_data():
+    rng = derive_rng(21)
+    x = rng.uniform(-3.0, 3.0, size=(50, 1))
+    return LabeledDataset(x, np.sin(x[:, 0]) + 0.1 * rng.normal(size=50), "regression")
+
+
+WORKSPACE_MODELS = [
+    ((2, 16, 16, 2), "categorical"),
+    ((2, 6, 5, 2), "categorical"),
+    ((1, 16, 2), "gaussian_scalar"),
+    ((1, 16, 1), "gaussian_scalar"),
+]
+
+
+@pytest.mark.parametrize("widths, head", WORKSPACE_MODELS)
+@pytest.mark.parametrize("k", [1, 3])
+def test_workspace_gradient_and_log_density_are_the_models_bit_for_bit(moons, widths, head, k):
+    # the workspace's gradient is -n * loss_and_grad - prior * v, and its log
+    # density log_posterior, for each chain of a stack
+    data = moons if head == "categorical" else sine_data()
+    arch = M.ArchSpec(widths, head=head)
+    prior = 1e-2
+    targets = M.target_rows(arch, data.y)
+    ws = S._PosteriorWorkspace(data, arch, prior, k)
+    for seed in (0, 5):
+        qs = np.stack([M.init_params(arch, seed + c).values for c in range(k)]) * 3.0
+        fresh = ws.log_density(qs)  # no gradient at qs yet: a forward pass of its own
+        grads = ws.grad_log_density(qs)
+        at_end = ws.log_density(qs)  # read from the gradient's pass
+        for c, v in enumerate(qs):
+            params = M.ModelParams(arch, v)
+            assert grads[c].tobytes() == (-len(data) * M.loss_and_grad(params, data.x, targets)[1] - prior * v).tobytes()
+            expected = struct.pack("<d", M.log_posterior(params, data, prior))
+            assert struct.pack("<d", fresh[c]) == struct.pack("<d", at_end[c]) == expected
+
+
+def test_lock_step_chains_are_their_single_chain_runs(moons):
+    arch = M.ArchSpec((2, 6, 5, 2))
+    kw = dict(prior_precision=1e-2, n_samples=15, n_leapfrog=6, step_size=2e-3, burn_in=40, thin=2)
+    chains = S.hmc_posterior(moons, arch, seed=[3, 11, 12], **kw)
+    assert len(chains) == 3
+    for seed, chain in zip([3, 11, 12], chains):
+        alone = S.hmc_posterior(moons, arch, seed=seed, **kw)
+        assert np.array([p.values for p in chain.params]).tobytes() == np.array([p.values for p in alone.params]).tobytes()
+        assert chain.diagnostics == alone.diagnostics
