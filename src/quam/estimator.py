@@ -73,7 +73,11 @@ def quam_scores(
     of `classes` when given) or the two-sided regression pair (gaussian
     head).  Each point pools the models its own searches visited and gets
     an UncertaintyBreakdown for the requested setting: "b" against the
-    reference, "a" against the pooled mixture.  A breakdown carries the
+    reference, "a" against the pooled mixture.  A point whose searches all
+    found no feasible iterate that diverges from the reference scores the
+    reference alone, flagged `no_feasible_adversary`; when only some of
+    them did, the pool keeps every search's models and the breakdown
+    carries `partial_no_feasible_adversary`.  A breakdown carries the
     `nan_abort` flag when any search of its point stopped on a non-finite
     loss.  A point's result does not depend on the other points in `xs`.
     `suites` holds each point's trajectories, in the order of its searches.
@@ -87,12 +91,15 @@ def quam_scores(
     ref_rows = predict_batch(reference, xs[:, None, :])
     breakdowns = []
     for ref_row, trajectories in zip(ref_rows, suites):
-        if all(t.no_feasible for t in trajectories):
+        infeasible = [t.no_feasible for t in trajectories]
+        if all(infeasible):
             aleatoric = entropy_cat(ref_row[0]) if head == "categorical" else entropy_gauss(ref_row[0, 1])
             breakdown = UncertaintyBreakdown(setting, aleatoric, aleatoric, 0.0, flags=("no_feasible_adversary",))
         else:
             preds, w = pool_trajectories(trajectories, temperature)
             (breakdown,) = decompose_b(head, ref_row, preds[:, None], w) if setting == "b" else decompose_a(head, preds[:, None], w)
+            if any(infeasible):
+                breakdown = replace(breakdown, flags=breakdown.flags + ("partial_no_feasible_adversary",))
         if any(t.nan_abort for t in trajectories):
             breakdown = replace(breakdown, flags=breakdown.flags + ("nan_abort",))
         breakdowns.append(breakdown)

@@ -35,6 +35,7 @@ Probabilities are clamped at 1e-300 before logs so rounding never produces
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -125,17 +126,20 @@ def kl_cat(p, q) -> float:
     return _kl_cat(p, q)
 
 
-def _kl_cat(p: np.ndarray, q: np.ndarray):
+def _kl_cat(p: np.ndarray, q: np.ndarray, log_p: Optional[np.ndarray] = None):
     """kl_cat without the checks: p and q are nonnegative arrays of one shape.
 
     Vectors give a float; (rows, k) arrays give one KL per row, each with
-    the bits of its row's own call.
+    the bits of its row's own call.  `log_p`, when the caller keeps it, is
+    log(p) of (rows, k) rows that are all positive.
     """
     if p.ndim == 2:
-        if not (p > 0).all():
-            # a masked row sums fewer terms, in another grouping: one row at a time
-            return np.array([_kl_cat(a, b) for a, b in zip(p, q)])
-        kl = (p * (np.log(p) - np.log(np.maximum(q, _CLAMP)))).sum(axis=-1)
+        if log_p is None:
+            if not (p > 0).all():
+                # a masked row sums fewer terms, in another grouping: one row at a time
+                return np.array([_kl_cat(a, b) for a, b in zip(p, q)])
+            log_p = np.log(p)
+        kl = (p * (log_p - np.log(np.maximum(q, _CLAMP)))).sum(axis=-1)
         return np.where((q == 0.0).any(axis=-1), np.inf, kl)
     mask = p > 0
     if (q[mask] == 0.0).any():

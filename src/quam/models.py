@@ -39,10 +39,10 @@ __all__ = [
     "forward_layers",
     "backward",
     "backward_layers",
+    "Backprop",
     "loss_and_grad",
     "head_predictions",
     "cross_entropy",
-    "cross_entropy_and_predictions",
     "cross_entropy_grad",
     "cross_entropy_loss",
     "target_terms",
@@ -262,6 +262,52 @@ def backward_layers(arch: ArchSpec, layers, acts: Sequence[np.ndarray], grad_out
     return grad
 
 
+class Backprop:
+    """`backward_layers` without dropout, into fixed buffers, on views built once: for a workspace that backpropagates at every step.
+
+    `layers` are the per-layer weights and biases (`ModelParams.layers` or
+    `layer_views`), `acts` the layer inputs of a pass, `grad_out` the
+    buffer of the gradients at its head outputs and `grad` the flat
+    gradients, one row per model, that `run` writes.  Built here: each
+    layer's weight and bias gradient views of `grad`, its transposed inputs
+    and weights, its input-gradient buffer and its ReLU mask buffer
+    (`np.greater(h, 0.0, out=)` has the bits of 1[h > 0]).  Every array of
+    a stack has the stack as its leading axis, except a first-layer input
+    that the stack shares.  The results have the bits of `backward_layers`.
+    """
+
+    def __init__(self, arch: ArchSpec, layers, acts: Sequence[np.ndarray], grad_out: np.ndarray, grad: np.ndarray):
+        lead, slices, widths = grad.shape[:-1], arch.layer_slices(), arch.widths
+        self.grad = grad
+        self.ones = np.ones((1, grad_out.shape[-2]))
+        self.steps = []
+        dz = grad_out
+        for li in range(len(slices) - 1, -1, -1):
+            fan_in, fan_out = widths[li], widths[li + 1]
+            g = grad[..., slices[li][0].start : slices[li][1].stop].reshape(lead + (fan_in + 1, fan_out))
+            h = acts[li]
+            step = [h.swapaxes(-1, -2), dz, g[..., :fan_in, :], g[..., fan_in:, :]]
+            if li:
+                dz = np.empty(h.shape)
+                step += [layers[li][0].swapaxes(-1, -2), dz, h, np.empty(h.shape)]
+            self.steps.append(step)
+
+    def run(self, rows: Optional[slice] = None) -> np.ndarray:
+        """Backpropagate `grad_out` into `grad` and return it; `rows`, a slice of a stack, backpropagates those models alone, in place."""
+        for step in self.steps:
+            if rows is not None:
+                step = [v if v.ndim < 3 else v[rows] for v in step]
+            h_t, dz, g_w, g_b = step[:4]
+            np.matmul(h_t, dz, out=g_w)
+            np.matmul(self.ones, dz, out=g_b)
+            if len(step) > 4:
+                w_t, dz_in, h, relu = step[4:]
+                np.matmul(dz, w_t, out=dz_in)
+                np.greater(h, 0.0, out=relu)
+                dz_in *= relu
+        return self.grad
+
+
 @functools.lru_cache(maxsize=16)
 def _ones_row(n: int) -> np.ndarray:
     """A read-only (1, n) row of ones, the left factor of `backward_layers`' bias gradients."""
@@ -333,12 +379,10 @@ def head_predictions(arch: ArchSpec, out: np.ndarray) -> np.ndarray:
     """Head outputs to (..., n, C) class probabilities, or (..., n, 2) mean/variance."""
     if arch.head == "categorical":
         return _softmax(out)
-    mean = out[..., 0]
-    if arch.widths[-1] == 2:
-        var = np.exp(out[..., 1])
-    else:
-        var = np.full_like(mean, FIXED_GAUSSIAN_VARIANCE)
-    return np.stack([mean, var], axis=-1)
+    pred = np.empty(out.shape[:-1] + (2,))
+    pred[..., 0] = out[..., 0]
+    pred[..., 1] = np.exp(out[..., 1]) if arch.widths[-1] == 2 else FIXED_GAUSSIAN_VARIANCE
+    return pred
 
 
 def predict_batch(params: ModelParams, x: np.ndarray, dropout_masks=None) -> np.ndarray:
@@ -368,68 +412,100 @@ def target_rows(arch: ArchSpec, y: np.ndarray) -> np.ndarray:
 
 
 def _nll_terms(arch: ArchSpec, out: np.ndarray, targets: np.ndarray) -> tuple:
-    """The terms of the rows of `out` that the mean cross-entropy and its gradient share."""
-    n = out.shape[-2]
+    """The terms of the rows of `out` that the cross-entropy and its gradient share."""
     if arch.head == "categorical":
         z, e, s = _softmax_terms(out)
         return z - np.log(s), e, s
     resid = targets[..., 0:1] - out[..., 0:1]
     sq = resid * resid + targets[..., 1:2]  # E[(t - mean)^2] under the target row
     if arch.widths[-1] == 2:
-        return resid, sq, np.exp(out[..., 1:2] * -1.0), 0.5 / n
-    return resid, sq, 0.5 / (n * FIXED_GAUSSIAN_VARIANCE)
+        return resid, sq, np.exp(out[..., 1:2] * -1.0)
+    return resid, sq
 
 
-def target_terms(arch: ArchSpec, targets: np.ndarray) -> Optional[tuple]:
-    """The terms of `cross_entropy`'s gradient that depend on the target rows alone.
+def target_terms(arch: ArchSpec, targets: np.ndarray, weights=None):
+    """The terms of `cross_entropy`'s gradient that do not depend on the head outputs.
 
-    For a categorical head, (-1/n) * targets and its class sum; None for a
-    Gaussian head, whose gradient has no such term.  A caller that takes
-    many losses against the same rows builds them once and passes them as
-    `fixed`; the results keep their bits.
+    `weights` holds each row's weight in the loss, as a column that
+    broadcasts against `targets`; the default, 1/n for each of the n rows,
+    gives the mean.  A negative weight gives the gradient of the row's
+    negated loss, with the bits of the negated gradient.  For a categorical
+    head the terms are -weight * targets and their class sum, for a
+    Gaussian head the scale 0.5 * weight (over the fixed variance of a
+    width-1 head).  A caller that takes many gradients against the same
+    rows builds them once and passes them as `fixed`; the results keep
+    their bits.
     """
+    w = 1.0 / targets.shape[-2] if weights is None else weights
     if arch.head != "categorical":
-        return None
-    g = (-1.0 / targets.shape[-2]) * targets
+        return (0.5 / FIXED_GAUSSIAN_VARIANCE if arch.widths[-1] == 1 else 0.5) * w
+    g = -w * targets
     return g, _class_sum(g)
 
 
-def cross_entropy_loss(arch: ArchSpec, out: np.ndarray, targets: np.ndarray, terms: Optional[tuple] = None):
+def _mean_loss(arch: ArchSpec, rows: np.ndarray):
+    """The loss of n rows from their summands (`cross_entropy_loss`), one per leading index."""
+    n = rows.shape[-2]
+    total = rows.sum(axis=(-2, -1))
+    if arch.head == "categorical":
+        return total * (-1.0 / n)
+    if arch.widths[-1] == 2:
+        return total * (0.5 / n) + 0.5 * np.log(2.0 * np.pi)
+    return total * (0.5 / (n * FIXED_GAUSSIAN_VARIANCE)) + 0.5 * np.log(2.0 * np.pi * FIXED_GAUSSIAN_VARIANCE)
+
+
+def cross_entropy_loss(arch: ArchSpec, out: np.ndarray, targets: np.ndarray, terms: Optional[tuple] = None, split: Optional[int] = None):
     """`cross_entropy`'s loss alone, with the same bits: a float, or one per leading index of a stacked `out`.
 
     `terms`, when given, are those `cross_entropy_grad` returned for the
     same `out` and `targets`: the loss then costs its reduction alone.
+    With `split`, rows :split and split: are two blocks, each the mean of
+    its own rows, and the two blocks' losses are returned; each has the
+    bits of a call on its rows alone.
     """
     if terms is None:
         terms = _nll_terms(arch, out, targets)
     if arch.head == "categorical":
-        loss = (terms[0] * targets).sum(axis=(-2, -1)) * (-1.0 / out.shape[-2])
+        rows = terms[0] * targets
     elif arch.widths[-1] == 2:
-        _, sq, inv_var, c = terms
-        loss = (out[..., 1:2] + sq * inv_var).sum(axis=(-2, -1)) * c + 0.5 * np.log(2.0 * np.pi)
+        rows = out[..., 1:2] + terms[1] * terms[2]
     else:
-        _, sq, c = terms
-        loss = sq.sum(axis=(-2, -1)) * c + 0.5 * np.log(2.0 * np.pi * FIXED_GAUSSIAN_VARIANCE)
+        rows = terms[1]
+    if split is not None:
+        return _mean_loss(arch, rows[..., :split, :]), _mean_loss(arch, rows[..., split:, :])
+    loss = _mean_loss(arch, rows)
     return loss if out.ndim > 2 else float(loss)
 
 
-def cross_entropy_grad(arch: ArchSpec, out: np.ndarray, targets: np.ndarray, fixed: Optional[tuple] = None) -> tuple[np.ndarray, tuple]:
+def cross_entropy_grad(arch: ArchSpec, out: np.ndarray, targets: np.ndarray, fixed=None, grad: Optional[np.ndarray] = None) -> tuple[np.ndarray, tuple]:
     """`cross_entropy`'s gradient alone, with the same bits, and the terms that `cross_entropy_loss` reduces.
 
-    `fixed` are the targets' `target_terms`, when the caller keeps them.
+    One pass over the rows of `out`.  `fixed` are the targets'
+    `target_terms`, when the caller keeps them; rows weighted other than
+    1/n take their gradients from them.  The gradient is written into
+    `grad` when it is given (a buffer of `out`'s shape).
     """
     terms = _nll_terms(arch, out, targets)
+    if fixed is None:
+        fixed = target_terms(arch, targets)
+    if grad is None:
+        grad = np.empty(out.shape)
     if arch.head == "categorical":
-        g, g_sum = fixed if fixed is not None else target_terms(arch, targets)
-        return g - np.exp(terms[0]) * g_sum, terms
-    if arch.widths[-1] == 2:
-        resid, sq, inv_var, c = terms
-        return np.concatenate([-((2.0 * resid) * (c * inv_var)), c - (c * sq) * inv_var], axis=-1), terms
-    resid, _, c = terms
-    return -((2.0 * resid) * c), terms
+        g, g_sum = fixed
+        np.exp(terms[0], out=grad)
+        grad *= g_sum
+        np.subtract(g, grad, out=grad)
+    elif arch.widths[-1] == 2:
+        resid, sq, inv_var = terms
+        grad[..., 0:1] = -((2.0 * resid) * (fixed * inv_var))
+        grad[..., 1:2] = fixed - (fixed * sq) * inv_var
+    else:
+        np.multiply(2.0 * terms[0], fixed, out=grad)
+        np.negative(grad, out=grad)
+    return grad, terms
 
 
-def cross_entropy(arch: ArchSpec, out: np.ndarray, targets: np.ndarray, fixed: Optional[tuple] = None):
+def cross_entropy(arch: ArchSpec, out: np.ndarray, targets: np.ndarray, fixed=None):
     """Mean cross-entropy of the target rows under head outputs `out`, and its gradient at `out`.
 
     `targets` hold one row per row of `out` in `head_predictions`' format:
@@ -445,20 +521,6 @@ def cross_entropy(arch: ArchSpec, out: np.ndarray, targets: np.ndarray, fixed: O
     """
     grad, terms = cross_entropy_grad(arch, out, targets, fixed)
     return cross_entropy_loss(arch, out, targets, terms), grad
-
-
-def cross_entropy_and_predictions(arch: ArchSpec, out: np.ndarray, targets: np.ndarray):
-    """`cross_entropy` and `head_predictions` of the same head outputs, each with the bits of its own call.
-
-    A categorical head's class probabilities reuse the softmax terms of
-    the loss.  Returns (loss, gradient, predictions).
-    """
-    grad, terms = cross_entropy_grad(arch, out, targets)
-    loss = cross_entropy_loss(arch, out, targets, terms)
-    if arch.head == "categorical":
-        _, e, s = terms
-        return loss, grad, e / s
-    return loss, grad, head_predictions(arch, out)
 
 
 def loss_and_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray, masks=None) -> tuple[float, np.ndarray]:

@@ -13,9 +13,12 @@ gradients of K positions at once.  Each chain's draws and diagnostics are
 those of its own single-chain run, bit for bit.  `hmc_posterior` takes
 its gradients from one preallocated workspace per call
 (`_PosteriorWorkspace`): the parameter stack and its layer views, the
-activation and gradient buffers and the data's cross-entropy constants
-are built once, and the log-posterior at a trajectory's end is read from
-the last gradient's forward pass.
+activation and gradient buffers, the data's cross-entropy constants and
+the backward pass's views (`models.Backprop`) are built once.  A gradient
+is one forward pass, one head pass that writes the head-output gradients
+into their buffer (`models.cross_entropy_grad`) and one backward pass,
+and the log-posterior at a trajectory's end is read from the last
+gradient's forward pass.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .models import (
     ModelParams,
     TrainConfig,
     TrainingDiverged,
-    backward_layers,
+    Backprop,
     cross_entropy_grad,
     cross_entropy_loss,
     init_params,
@@ -341,12 +344,13 @@ class _PosteriorWorkspace:
     `values` is the writable (K, P) stack of the positions of the last
     pass and `layers` its per-layer views; `acts[l]` is the input of layer
     l, the data rows for l = 0 and a (K, n, width) buffer after it, and the
-    last entry holds the head outputs.  The data's target rows and their
-    `target_terms` are built once.  A gradient skips the loss reduction
-    and keeps the cross-entropy terms of its forward pass, so the log
-    density at the position of the last gradient, a trajectory's end, costs
-    that reduction alone.  Both keep the bits of `models.loss_and_grad` and
-    `models.log_posterior`.
+    last entry holds the head outputs, whose gradients go to `grad_out`;
+    `backprop` writes the flat gradients into `grad`.  The data's target
+    rows and their `target_terms` are built once.  A gradient skips the
+    loss reduction and keeps the cross-entropy terms of its forward pass,
+    so the log density at the position of the last gradient, a
+    trajectory's end, costs that reduction alone.  Both keep the bits of
+    `models.loss_and_grad` and `models.log_posterior`.
     """
 
     def __init__(self, data, arch: ArchSpec, prior_precision: float, k: int):
@@ -358,7 +362,9 @@ class _PosteriorWorkspace:
         self.values = np.empty((k, arch.param_count()))
         self.layers = layer_views(arch, self.values)
         self.acts = [np.asarray(data.x, dtype=np.float64)] + [np.empty((k, self.n, w)) for w in arch.widths[1:]]
+        self.grad_out = np.empty(self.acts[-1].shape)
         self.grad = np.empty_like(self.values)
+        self.backprop = Backprop(arch, self.layers, self.acts, self.grad_out, self.grad)
         self.terms = None  # the cross-entropy terms of the last pass at `values`
 
     def _forward(self, q: np.ndarray) -> None:
@@ -374,8 +380,8 @@ class _PosteriorWorkspace:
     def grad_log_density(self, q: np.ndarray) -> np.ndarray:
         """The (K, P) gradients of the log-posterior at the positions `q`: -n * dCE - prior * q."""
         self._forward(q)
-        grad_out, self.terms = cross_entropy_grad(self.arch, self.acts[-1], self.targets, self.fixed)
-        g = np.multiply(backward_layers(self.arch, self.layers, self.acts, grad_out, self.grad), -self.n)
+        self.terms = cross_entropy_grad(self.arch, self.acts[-1], self.targets, self.fixed, self.grad_out)[1]
+        g = np.multiply(self.backprop.run(), -self.n)
         g -= self.prior * q
         return g
 

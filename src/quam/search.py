@@ -36,23 +36,31 @@ operation run for that search alone, so a search's records and best
 iterate do not depend on what else is in its batch.  A search that hits a
 non-finite loss leaves the stack; the others go on.  What the reference
 fixes is computed once per batch, not once per search: its prediction rows
-at the test inputs, its full-data loss L_ref and the slack gamma, the
-data's target rows (with their `models.target_terms`, in a full-batch
-search) and, for a last-layer search, the penultimate features of the data
-and of the test inputs.
+at the test inputs and their logs, its full-data loss L_ref and the slack
+gamma, the data's target rows (with their `models.target_terms`, in a
+full-batch search) and, for a last-layer search, the penultimate features
+of the data and of the test inputs.
 
 A step allocates no buffer of the batch's size: a `_Workspace`, built
 once per batch and again only when a NaN abort shrinks K, holds the
 writable (K, P) parameter stack and its per-layer views (Adam updates it
 in place and zeroes its moments in place at each penalty stage), one
-(K, n + 1, width) activation buffer per layer and the (K, n + 1, k)
-head-output gradients.  Rows :n of each buffer are the batch rows and row
-n is each search's test row.  The test row still gets its own GEMM,
-written into row n: in the batch rows' GEMM its outputs can move by an
-ulp.  The penalized backward pass runs on the whole buffer, and a search
-inside its slack backpropagates its row n alone.  The records go into
-per-batch columns, one row per step (`_Records`); each trajectory's
-`TrajectoryRecord` list is built once, at the end.
+(K, n + 1, width) activation buffer per layer, the rows' cross-entropy
+targets and the (K, n + 1, k) head-output gradients.  Rows :n of each
+buffer are the batch rows and row n is each search's test row.  The test
+row still gets its own GEMM, written into row n: in the batch rows' GEMM
+its outputs can move by an ulp.  One head pass over all n + 1 rows
+(`models.cross_entropy_grad`, with each row weighted: 1/n on the batch
+rows, and +1 or -1 on the test row, the sign of its cross-entropy in
+L_adv) gives the batch losses, L_adv, the test rows' prediction rows and
+every head-output gradient.  The backward pass runs on views built with
+the workspace (`models.Backprop`): on all rows when every search pays the
+penalty, on the test rows when none does, and otherwise on the test rows
+of every search, then on all rows of each run of consecutive penalized
+searches.  The records go into per-batch columns, one row per step
+(`_Records`), and take their KL from the logs of the reference rows,
+taken once per batch; each trajectory's `TrajectoryRecord` list is built
+once, at the end.
 """
 
 from __future__ import annotations
@@ -66,10 +74,9 @@ from .measures import _check_rows, _kl_cat, _kl_gauss, entropy_cat, entropy_gaus
 from .models import (
     Adam,
     ArchSpec,
+    Backprop,
     ModelParams,
-    backward_layers,
-    cross_entropy,
-    cross_entropy_and_predictions,
+    cross_entropy_grad,
     cross_entropy_loss,
     forward,
     forward_layers,
@@ -236,15 +243,6 @@ class SearchObjective:
         """The objectives of the searches `keep` selects."""
         return replace(self, x=self.x[keep], ref=self.ref[keep], objectives=tuple(o for o, k in zip(self.objectives, keep) if k))
 
-    def adversarial(self, arch: ArchSpec, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """L_adv at the test rows' head outputs `out`, (K, 1, k), its gradient there, and the models' prediction rows."""
-        ce, grad, preds = cross_entropy_and_predictions(arch, out, self.target)
-        if self.is_class.all():
-            return ce, grad, preds
-        if not self.is_class.any():
-            return self.ref_entropy - ce, -grad, preds
-        return np.where(self.is_class, ce, self.ref_entropy - ce), np.where(self.is_class[:, None, None], grad, -grad), preds
-
     def violation(self, out: np.ndarray) -> np.ndarray:
         """direction * (ref mean - mean) at the test rows' head outputs `out`; 0 for a search without a direction."""
         viol = self.direction * (self.ref[:, 0] - out[:, 0, 0])
@@ -258,8 +256,8 @@ class SearchObjective:
         batches, and `bt` holds their `models.target_rows`.
         """
         ws = _Workspace(self, params.arch, params.values, np.shape(bx)[-2])
-        ws.batch_x[...] = bx
-        batch_loss, adv = ws.forward(bt)
+        ws.set_batch(bx, bt)
+        batch_loss, adv = ws.forward()
         loss = adv + c * np.maximum(batch_loss - self.bound, 0.0) + c * np.maximum(self.violation(ws.test_out), 0.0)
         return loss, ws.backward(c)
 
@@ -270,9 +268,13 @@ class _Workspace:
     `values` is the writable (K, P) parameter stack, updated in place, and
     `layers` its per-layer views.  `acts[l]` is the (K, n + 1, width)
     input of layer l, and the last entry holds the head outputs: rows :n
-    are the batch rows and row n is each search's test row.  `grad_out`
-    holds the gradients at the head outputs of the same rows and `grad`
-    the flat gradients.
+    are the batch rows and row n is each search's test row.  `targets`
+    holds each row's cross-entropy target and `weights` its weight: 1/n on
+    the batch rows, and +1 or -1 on the test row, the sign of its
+    cross-entropy in L_adv; `fixed` are their `models.target_terms`.
+    `grad_out` holds the gradients at the head outputs of the same rows and
+    `grad` the flat gradients; `backprop` runs on all rows and
+    `test_backprop` on the test rows.
     """
 
     def __init__(self, objective: SearchObjective, arch: ArchSpec, values: np.ndarray, n: int):
@@ -284,12 +286,19 @@ class _Workspace:
         self.acts[0][:, n:] = objective.x
         self.batch_acts = [a[:, :n] for a in self.acts]
         self.test_acts = [a[:, n:] for a in self.acts]
+        self.targets = np.zeros((k, n + 1, objective.target.shape[-1]))
+        self.targets[:, n:] = objective.target
+        self.weights = np.full((k, n + 1, 1), 1.0 / n)
+        self.weights[:, n, 0] = np.where(objective.is_class, 1.0, -1.0)
+        self.fixed = target_terms(arch, self.targets, self.weights)
         self.grad_out = np.empty((k, n + 1, arch.widths[-1]))
         self.grad = np.empty_like(self.values)
+        self.backprop = Backprop(arch, self.layers, self.acts, self.grad_out, self.grad)
+        self.test_backprop = Backprop(arch, self.layers, self.test_acts, self.grad_out[:, n:], self.grad)
 
     @property
     def batch_x(self) -> np.ndarray:
-        """The (K, n, input width) batch rows; the caller fills them."""
+        """The (K, n, input width) batch rows."""
         return self.batch_acts[0]
 
     @property
@@ -297,18 +306,27 @@ class _Workspace:
         """The (K, 1, k) head outputs at the test rows, from the last `forward`."""
         return self.test_acts[-1]
 
+    def set_batch(self, bx: np.ndarray, bt: np.ndarray) -> None:
+        """Fill the batch rows with the inputs `bx` and their target rows `bt`, one batch for every search or one each."""
+        self.batch_x[...] = bx
+        self.targets[:, : self.n] = bt
+        if self.arch.head == "categorical":  # a Gaussian head's terms do not depend on the targets
+            self.fixed = target_terms(self.arch, self.targets, self.weights)
+
     def subset(self, keep: np.ndarray) -> "_Workspace":
         """A workspace for the searches `keep` selects, with their parameters and batch rows."""
         ws = _Workspace(self.objective.subset(keep), self.arch, self.values[keep], self.n)
-        ws.batch_x[...] = self.batch_x[keep]
+        ws.set_batch(self.batch_x[keep], self.targets[keep, : self.n])
         return ws
 
-    def forward(self, targets: np.ndarray, fixed: Optional[tuple] = None) -> tuple[np.ndarray, np.ndarray]:
-        """Each search's batch loss against `targets`, the batch rows' target rows, and its L_adv.
+    def forward(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each search's batch loss and its L_adv; the gradients at the head outputs are kept for `backward`.
 
-        `fixed` are the targets' `models.target_terms`, when they serve every
-        step.  The gradients at the head outputs are kept for `backward`.
+        One pass over the head outputs of all rows takes the batch rows'
+        cross-entropy, the test rows' adversarial term and every row's
+        gradient; the test rows' prediction rows go to `test_preds`.
         """
+        n, arch, obj = self.n, self.arch, self.objective
         last = len(self.layers) - 1
         for li, (w, b) in enumerate(self.layers):
             # the test rows keep their own GEMM: in the batch rows' GEMM their
@@ -320,35 +338,40 @@ class _Workspace:
             out += b
             if li < last:
                 np.maximum(out, 0.0, out=out)
-        self.batch_loss, self.batch_grad = cross_entropy(self.arch, self.batch_acts[-1], targets, fixed)
-        adv, self.adv_grad, self.test_preds = self.objective.adversarial(self.arch, self.test_out)
-        return self.batch_loss, adv
+        terms = cross_entropy_grad(arch, out, self.targets, self.fixed, self.grad_out)[1]
+        self.batch_loss, ce = cross_entropy_loss(arch, out, self.targets, terms, split=n)
+        if arch.head == "categorical":
+            self.test_preds = terms[1][:, n:] / terms[2][:, n:]
+        else:
+            self.test_preds = head_predictions(arch, self.test_out)
+        # L_adv is CE for a class objective and H[ref] - CE otherwise
+        return self.batch_loss, np.where(obj.is_class, ce, obj.ref_entropy - ce)
 
     def backward(self, c: float) -> np.ndarray:
-        """Flat gradients of the K objectives at penalty weight c, one row per search, at the last `forward`."""
+        """Flat gradients of the K objectives at penalty weight c, one row per search, at the last `forward`.
+
+        It scales the kept head-output gradients in place, so it runs once per `forward`.
+        """
         obj, n = self.objective, self.n
-        grad_x = self.grad_out[:, n:]
-        grad_x[...] = self.adv_grad
         if obj.direction.any():
             pushed = obj.violation(self.test_out) > 0.0
             if pushed.any():
-                grad_x[pushed, 0, 0] -= c * obj.direction[pushed]
+                self.grad_out[pushed, n, 0] -= c * obj.direction[pushed]
         active = self.batch_loss - obj.bound > 0.0
         if active.all():
-            np.multiply(self.batch_grad, c, out=self.grad_out[:, :n])
-            return backward_layers(self.arch, self.layers, self.acts, self.grad_out, self.grad)
+            self.grad_out[:, :n] *= c
+            return self.backprop.run()
         # inside the slack the batch rows carry no gradient
-        grad = backward_layers(self.arch, self.layers, self.test_acts, grad_x, self.grad)
+        self.test_backprop.run()
         if active.any():
+            # the penalized searches, one run of consecutive ones at a time, on slices of the views
             rows = np.flatnonzero(active)
-            if rows[-1] - rows[0] < rows.size:
-                # consecutive searches: views, no copies
-                rows = slice(rows[0], rows[-1] + 1)
-            grad_out = self.grad_out[rows]
-            np.multiply(self.batch_grad[rows], c, out=grad_out[:, :n])
-            layers = [(w[rows], b[rows]) for w, b in self.layers]
-            grad[rows] = backward_layers(self.arch, layers, [a[rows] for a in self.acts], grad_out, np.empty((len(grad_out), grad.shape[-1])))
-        return grad
+            runs = [rows] if rows[-1] - rows[0] < rows.size else np.split(rows, np.flatnonzero(np.diff(rows) > 1) + 1)
+            for run in runs:
+                at = slice(run[0], run[-1] + 1)
+                self.grad_out[at, :n] *= c
+                self.backprop.run(at)
+        return self.grad
 
 
 class _Records:
@@ -356,14 +379,13 @@ class _Records:
 
     Row 0 holds the exact reference, row m the model step m starts from and
     the last row the final model; a search has a record at the rows where
-    `valid` holds, and `count` records so far.  Each search's
-    `TrajectoryRecord` list is built once, at the end.
+    `valid` holds.  Each search's `TrajectoryRecord` list is built once, at
+    the end.
     """
 
     def __init__(self, k: int, steps: int, width: int):
         rows = steps + 2
         self.valid = np.zeros((rows, k), dtype=bool)
-        self.count = np.zeros(k, dtype=int)
         self.c = np.zeros(rows)
         self.adv, self.pen, self.loss, self.div = (np.zeros((rows, k)) for _ in range(4))
         self.pred = np.zeros((rows, k, width))
@@ -377,13 +399,12 @@ class _Records:
         self.loss[row, at] = loss
         self.div[row, at] = div
         self.pred[row, at] = pred
-        self.count[at] += 1
 
-    def records(self, s: int, step0: int, bound: float) -> list[TrajectoryRecord]:
-        """Search s's records: row m is step m - 1 + step0, and full_pen is each loss less `bound`."""
+    def records(self, s: int, step0: int, bound: float, full: bool) -> list[TrajectoryRecord]:
+        """Search s's records: row m is step m - 1 + step0, and full_pen is each loss less `bound`, the penalty itself in a full-batch search."""
         rows = np.flatnonzero(self.valid[:, s])
-        loss = self.loss[rows, s]
-        columns = [col.tolist() for col in (rows - 1 + step0, self.c[rows], self.adv[rows, s], self.pen[rows, s], loss, loss - bound, self.div[rows, s])]
+        loss, pen = self.loss[rows, s], self.pen[rows, s]
+        columns = [col.tolist() for col in (rows - 1 + step0, self.c[rows], self.adv[rows, s], pen, loss, pen if full else loss - bound, self.div[rows, s])]
         return [TrajectoryRecord(*row, pred) for *row, pred in zip(*columns, self.pred[rows, s])]
 
 
@@ -453,56 +474,58 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
             base[s, mask] += inner.bias_nudge * rngs[s].standard_normal(int(mask.sum()))
 
     records = _Records(k, inner.steps, refs.shape[-1])
-    best_idx, best_div, best_values = np.full(k, -1), np.full(k, -np.inf), np.empty((k, warch.param_count()))
+    best_row, best_div, best_values = np.full(k, -1), np.full(k, -np.inf), np.empty((k, warch.param_count()))
     nan_abort = np.zeros(k, dtype=bool)
 
-    directions = objective.direction
-    has_direction = bool(directions.any())
+    # a direction search keeps only iterates on its side of the reference mean
+    directions = objective.direction if objective.direction.any() else None
+    undirected, ref_means = objective.direction == 0, ref_rows[:, 0].copy()
+    full_batch = batch == n
+    # the reference rows' logs and support check, for every record's KL
+    log_refs = np.log(ref_rows) if arch.head == "categorical" and (ref_rows > 0.0).all() else None
 
     def add_records(row, slots, keep, c, adv, pen, mtl, preds, values):
-        """Record, at `row`, the models `values` of searches `slots` where `keep` holds; update the best iterates.
+        """Record, at `row`, the models `values` of searches `slots` where `keep` holds (all of them for None); update the best iterates.
 
         `preds` holds the models' (K, 1, k) prediction rows at their test
         rows; the other arguments hold one entry per search.
         """
-        if not keep.all():
+        if keep is not None:
             slots, adv, pen, mtl, preds, values = slots[keep], adv[keep], pen[keep], mtl[keep], preds[keep], values[keep]
         at = slice(None) if len(slots) == k else slots  # every search, or some
         preds = preds[:, 0]
-        full_pen = mtl - bound
+        full_pen = pen if full_batch else mtl - bound
         refs_of = ref_rows[at]
         # KL(reference row || prediction row); the reference rows are checked
         # once per batch, candidate rows by the split
-        div = _kl_cat(refs_of, preds) if arch.head == "categorical" else _kl_gauss(refs_of, preds)
+        if arch.head == "categorical":
+            div = _kl_cat(refs_of, preds, None if log_refs is None else log_refs[at])
+        else:
+            div = _kl_gauss(refs_of, preds)
         records.add(row, at, c, adv, pen, mtl, div, preds)
         better = (full_pen <= 0.0) & (div > best_div[at])
-        if has_direction:
-            # a direction search keeps only iterates on its side of the reference mean
-            direction = directions[at]
-            better &= (direction == 0) | (direction * (preds[:, 0] - refs_of[:, 0]) > 0.0)
+        if directions is not None:
+            better &= undirected[at] | (directions[at] * (preds[:, 0] - ref_means[at]) > 0.0)
         if better.any():
             won = slots[better]
-            best_idx[won] = records.count[won] - 1
+            best_row[won] = row
             best_div[won] = div[better]
             best_values[won] = values[better]
 
+    live = np.arange(k)
+    ws = _Workspace(objective, warch, base, batch)
+    # a mini-batch search fills its rows at each step: until then any rows do
+    ws.set_batch(x[:batch], targets[:batch])
     # Record the exact reference first; for nudged searches the loop below
     # starts from a distinct (nudged) model.
     step0 = np.array([not np.array_equal(b, work.values) for b in base], dtype=int)
     first = np.flatnonzero(step0)
     if first.size and np.isfinite(l_ref):
-        ref_stack = ModelParams(warch, np.tile(work.values, (first.size, 1)))
-        out = forward(ref_stack, objective.x[first])[-1]
-        adv, _, preds = objective.subset(step0 == 1).adversarial(warch, out)
-        every = np.ones(first.size, dtype=bool)
-        add_records(0, first, every, inner.c0, adv, np.full(first.size, l_ref - bound), np.full(first.size, l_ref), preds, ref_stack.values)
+        ws.values[first] = work.values
+        adv = ws.forward()[1][first]
+        add_records(0, first, None, inner.c0, adv, np.full(first.size, l_ref - bound), np.full(first.size, l_ref), ws.test_preds[first], ws.values[first])
+        ws.values[first] = base[first]
 
-    live = np.arange(k)
-    ws = _Workspace(objective, warch, base, batch)
-    bt, fixed = targets, None
-    if batch == n:
-        ws.batch_x[...] = x
-        fixed = target_terms(warch, targets)  # a full batch's targets never change
     frozen = np.flatnonzero(~mask)
     kept = base[:, frozen]  # the frozen parameters' values, restored after each update
     free = np.flatnonzero(mask)
@@ -511,9 +534,8 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
     for m in range(1, inner.steps + 1):
         if batch < n:
             idx = np.stack([rngs[s].choice(n, size=batch, replace=False) for s in live])
-            ws.batch_x[...] = x[idx]
-            bt = targets[idx]
-        batch_loss, adv = ws.forward(bt, fixed)
+            ws.set_batch(x[idx], targets[idx])
+        batch_loss, adv = ws.forward()
         ok = np.isfinite(adv) & np.isfinite(batch_loss)
         if batch < n:
             mtl = np.full(len(live), np.nan)
@@ -522,8 +544,9 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
             ok &= np.isfinite(mtl)
         else:
             mtl = batch_loss
-        add_records(m, live, ok, c, adv, batch_loss - bound, mtl, ws.test_preds, ws.values)
-        if not ok.all():
+        all_ok = ok.all()
+        add_records(m, live, None if all_ok else ok, c, adv, batch_loss - bound, mtl, ws.test_preds, ws.values)
+        if not all_ok:
             # a non-finite loss stops its search; the others go on from the same step
             nan_abort[live[~ok]] = True
             live = live[ok]
@@ -531,9 +554,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
                 break
             ws, kept = ws.subset(ok), kept[ok]
             opt.m, opt.v = opt.m[ok], opt.v[ok]
-            if batch < n:
-                bt = bt[ok]
-            ws.forward(bt, fixed)
+            ws.forward()
 
         g = ws.backward(c)
         if frozen.size:
@@ -552,23 +573,23 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
 
     if live.size:
         # the final updated models were visited too
-        batch_loss, adv = ws.forward(bt, fixed)
-        mtl = batch_loss if batch == n else _full_losses(warch, ws.layers, x, targets)
+        batch_loss, adv = ws.forward()
+        mtl = batch_loss if full_batch else _full_losses(warch, ws.layers, x, targets)
         ok = np.isfinite(adv)
         nan_abort[live[~ok]] = True
         add_records(inner.steps + 1, live, ok & np.isfinite(mtl), c, adv, mtl - bound, mtl, ws.test_preds, ws.values)
 
     trajectories = []
     for s, (point, o, _) in enumerate(searches):
-        recs = records.records(s, step0[s], bound)
-        no_feasible = bool(best_idx[s] < 0 or best_div[s] <= 0.0)
+        recs = records.records(s, step0[s], bound, full_batch)
+        no_feasible = bool(best_row[s] < 0 or best_div[s] <= 0.0)
         if no_feasible:
             # no feasible iterate improved on the reference: return the reference
             if not recs:
                 recs.append(TrajectoryRecord(0, float(inner.c0), 0.0, -gamma, l_ref, -gamma, 0.0, refs[point]))
             best, best_params = 0, work.values
         else:
-            best, best_params = int(best_idx[s]), best_values[s]
+            best, best_params = int(records.valid[: best_row[s], s].sum()), best_values[s]
         if last is not None:
             full = reference.values.copy()
             full[last] = best_params

@@ -28,6 +28,21 @@ def test_quam_score_zero_lr_gives_zero_epistemic(moons_setup):
     assert "no_feasible_adversary" in br.flags
 
 
+def test_quam_score_flags_a_point_where_only_some_searches_found_no_adversary(moons_setup):
+    data, ref = moons_setup
+    cfg = SearchConfig(steps=40, lr=2e-2, seed=0)
+    xs = np.array([[-1.0, 1.0], [0.5, 0.5]])
+    (clean, partial), suites = E.quam_scores(xs, data, ref, cfg, temperature=0.1, setting="b")
+    assert [t.no_feasible for t in suites[0]] == [False, False]
+    assert clean.flags == ()
+    assert [t.no_feasible for t in suites[1]] == [False, True]
+    assert partial.flags == ("partial_no_feasible_adversary",)
+    # the flag changes nothing else: the pool keeps every search's models
+    preds, w = E.pool_trajectories(suites[1], 0.1)
+    (pooled,) = decompose_b("categorical", M.predict_batch(ref, xs[1][None]), preds[:, None], w)
+    assert dataclasses.replace(partial, flags=()) == pooled
+
+
 def test_quam_score_far_point_exceeds_train_point(moons_setup):
     data, ref = moons_setup
     cfg = SearchConfig(steps=80, lr=2e-2, seed=0)

@@ -7,7 +7,7 @@ from quam import models as M
 from quam.data import LabeledDataset, gen_sine, gen_two_moons
 from quam.measures import kl_cat
 from quam.rng import derive_rng
-from quam.search import SearchConfig, SearchTrajectory, TrajectoryRecord, search_batch, search_suites, trajectory_to_jsonl
+from quam.search import SearchConfig, SearchObjective, SearchTrajectory, TrajectoryRecord, _Workspace, search_batch, search_suites, trajectory_to_jsonl
 
 
 def moons_reference():
@@ -326,3 +326,84 @@ def test_batch_of_three_that_shrinks_between_searches_on_both_sides_of_the_slack
     active, inside = (next(r.pen_loss for r in t.records if r.step == abort) for t in batch[1:])
     assert active > 0.0 >= inside
 
+
+
+# -- the step's head pass and backprop ----------------------------------------
+
+
+def random_workspace(widths, head, objectives, n, seed):
+    """A workspace of K = len(objectives) random models and test inputs, with a bound of 0."""
+    rng = derive_rng(seed)
+    arch = M.ArchSpec(widths, head=head)
+    k = len(objectives)
+    if head == "categorical":
+        refs = rng.dirichlet(np.ones(widths[-1]), size=k)
+    else:
+        refs = np.column_stack([rng.normal(size=k), rng.uniform(0.2, 2.0, size=k)])
+    objective = SearchObjective(rng.normal(size=(k, 1, widths[0])), refs, tuple(objectives), 0.0, head)
+    return _Workspace(objective, arch, rng.normal(size=(k, arch.param_count())), n), rng
+
+
+def random_targets(arch, rng, shape):
+    y = rng.integers(0, arch.widths[-1], size=shape) if arch.head == "categorical" else rng.normal(size=shape)
+    return M.target_rows(arch, y.ravel()).reshape(shape + (-1,))
+
+
+CATEGORICAL_OBJECTIVES = [[("class", 0)], ["divergence"], [("class", 1), ("class", 0), ("class", 1)], ["divergence"] * 3, [("class", 1), "divergence", ("class", 0)]]
+GAUSSIAN_OBJECTIVES = [[("direction", +1)], ["divergence"], [("direction", +1), ("direction", -1), "divergence"]]
+HEAD_CASES = [((3, 5, c), "categorical", o) for c in (2, 3, 10) for o in CATEGORICAL_OBJECTIVES] + [((1, 5, w), "gaussian_scalar", o) for w in (1, 2) for o in GAUSSIAN_OBJECTIVES]
+
+
+@pytest.mark.parametrize("widths, head, objectives", HEAD_CASES)
+@pytest.mark.parametrize("minibatch", [False, True])
+def test_head_pass_is_the_batch_cross_entropy_and_the_adversarial_term_bit_for_bit(widths, head, objectives, minibatch):
+    # one pass over all n + 1 rows: the batch rows give each search's mean
+    # cross-entropy and its gradient, the test row L_adv (CE of the
+    # objective's target for a class objective, H[ref] - CE otherwise), its
+    # gradient and the prediction row, each with the bits of its own call
+    n = 7
+    ws, rng = random_workspace(widths, head, objectives, n, seed=len(objectives) + widths[-1])
+    arch, obj, k = ws.arch, ws.objective, len(objectives)
+    fixed = random_targets(arch, rng, (n,))
+    for _ in range(2 if minibatch else 1):
+        # a mini-batch search fills new rows at every step, a full batch once
+        shape = (k, n) if minibatch else (n,)
+        bx, bt = rng.normal(size=shape + (widths[0],)), random_targets(arch, rng, shape) if minibatch else fixed
+        ws.set_batch(bx, bt)
+        batch_loss, adv = ws.forward()
+        out = ws.acts[-1]
+        loss, grad = M.cross_entropy(arch, out[:, :n].copy(), bt)
+        assert batch_loss.tobytes() == loss.tobytes()
+        assert ws.grad_out[:, :n].tobytes() == grad.tobytes()
+        ce, ce_grad = M.cross_entropy(arch, out[:, n:].copy(), obj.target)
+        assert adv.tobytes() == np.where(obj.is_class, ce, obj.ref_entropy - ce).tobytes()
+        assert ws.grad_out[:, n:].tobytes() == np.where(obj.is_class[:, None, None], ce_grad, -ce_grad).tobytes()
+        assert ws.test_preds.tobytes() == M.head_predictions(arch, out[:, n:].copy()).tobytes()
+
+
+@pytest.mark.parametrize("head", ["categorical", "gaussian_scalar"])
+@pytest.mark.parametrize("active", [(True, True, True), (False, False, False), (False, True, True), (True, False, True)])
+def test_workspace_backward_is_backward_layers_bit_for_bit(head, active):
+    # all searches penalized: one pass over every row; none: the test rows
+    # alone; some (a consecutive and a non-consecutive subset): the test rows
+    # of every search, then all rows of the penalized ones.  The workspace
+    # runs on views of its buffers, `backward_layers` on fresh arrays
+    objectives = [("class", 0), "divergence", ("class", 1)] if head == "categorical" else [("direction", +1), ("direction", -1), "divergence"]
+    widths = (3, 6, 5, 4) if head == "categorical" else (1, 6, 5, 2)
+    n, c = 7, 2.5
+    ws, rng = random_workspace(widths, head, objectives, n, seed=5)
+    arch, obj = ws.arch, ws.objective
+    ws.set_batch(rng.normal(size=(n, widths[0])), random_targets(arch, rng, (n,)))
+    ws.forward()
+    ws.batch_loss = obj.bound + np.where(active, 1.0, -1.0)
+    # the expected gradients: the direction penalty enters at the test row's mean
+    grad_out = ws.grad_out.copy()
+    pushed = obj.violation(ws.test_out) > 0.0
+    grad_out[pushed, n, 0] -= c * obj.direction[pushed]
+    expected = M.backward_layers(arch, ws.layers, ws.test_acts, grad_out[:, n:], np.empty(ws.values.shape))
+    rows = np.flatnonzero(active)
+    if rows.size:
+        grad_out[rows, :n] *= c
+        layers = [(w[rows], b[rows]) for w, b in ws.layers]
+        expected[rows] = M.backward_layers(arch, layers, [a[rows] for a in ws.acts], grad_out[rows], np.empty((rows.size, ws.values.shape[1])))
+    assert ws.backward(c).tobytes() == expected.tobytes()
