@@ -320,8 +320,8 @@ def cmd_grid(args, cfg: ExperimentConfig) -> int:
     res = cfg.get_int("grid", "resolution", 40)
     if res < 1:
         raise UsageError(f"[grid] resolution must be >= 1, got {res}")
-    x_lo, x_hi = cfg.get_floats("grid", "x_range", (-1.5, 2.5))
-    y_lo, y_hi = cfg.get_floats("grid", "y_range", (-1.0, 1.5))
+    x_lo, x_hi = cfg.get_floats("grid", "x_range", (-1.5, 2.5), count=2)
+    y_lo, y_hi = cfg.get_floats("grid", "y_range", (-1.0, 1.5), count=2)
     temperature = cfg.get_float("estimator", "temperature", 0.1)
     setting = cfg.get_str("estimator", "setting", "a")
     search_cfg = load_search_config(cfg, seed)
@@ -340,7 +340,7 @@ def cmd_grid(args, cfg: ExperimentConfig) -> int:
 def cmd_varstudy(args, cfg: ExperimentConfig) -> int:
     out = _prepare_out(args, cfg)
     parameter = cfg.get_str("varstudy", "parameter", "sigma_p2")
-    lo, hi = cfg.get_floats("varstudy", "range", (1.0, 3.0))
+    lo, hi = cfg.get_floats("varstudy", "range", (1.0, 3.0), count=2)
     count = cfg.get_int("varstudy", "count", 9)
     if count < 1:
         raise UsageError(f"[varstudy] count must be >= 1, got {count}")
@@ -430,6 +430,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (M.TrainingDiverged, HMCAborted) as e:
         _status(args.command, "numerical_abort", error=str(e))
+        return EXIT_NUMERIC
+    except ArithmeticError as e:  # an overflow or a division by zero that numpy does not turn into inf or NaN
+        _status(args.command, "numerical_abort", error=f"{type(e).__name__}: {e}")
         return EXIT_NUMERIC
 
 

@@ -8,6 +8,7 @@ config; reloading the echo yields an identical config.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 
 __all__ = ["ConfigError", "ExperimentConfig"]
@@ -130,14 +131,18 @@ class ExperimentConfig:
         except ValueError as e:
             raise ConfigError(f"[{section}] {key}: expected integers, got {raw!r}") from e
 
-    def get_floats(self, section, key, default=None):
+    def get_floats(self, section, key, default=None, count=None):
+        """Numbers separated by spaces or commas; with `count`, exactly that many finite ones."""
         raw = self._raw(section, key, default)
         if raw is None:
             return default
         try:
-            return tuple(float(p) for p in raw.replace(",", " ").split())
+            values = tuple(float(p) for p in raw.replace(",", " ").split())
         except ValueError as e:
             raise ConfigError(f"[{section}] {key}: expected numbers, got {raw!r}") from e
+        if count is not None and (len(values) != count or not all(map(math.isfinite, values))):
+            raise ConfigError(f"[{section}] {key}: expected {count} finite numbers, got {raw!r}")
+        return values
 
     def set(self, section, key, value):
         self.sections.setdefault(section, OrderedDict())[key] = str(value)

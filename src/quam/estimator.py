@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .measures import UncertaintyBreakdown, decompose_a, decompose_b, entropy_cat, entropy_gauss, quad
-from .models import ModelParams, predict_batch
+from .models import ModelParams
 from .search import SearchConfig, SearchTrajectory, search_suites
 
 __all__ = [
@@ -87,17 +87,16 @@ def quam_scores(
     head = reference.arch.head
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     suites = search_suites(xs, data, reference, config, classes)
-    # one-row passes, as each search's reference row
-    ref_rows = predict_batch(reference, xs[:, None, :])
     breakdowns = []
-    for ref_row, trajectories in zip(ref_rows, suites):
+    for trajectories in suites:
+        ref = trajectories[0].reference_pred
         infeasible = [t.no_feasible for t in trajectories]
         if all(infeasible):
-            aleatoric = entropy_cat(ref_row[0]) if head == "categorical" else entropy_gauss(ref_row[0, 1])
+            aleatoric = entropy_cat(ref) if head == "categorical" else entropy_gauss(ref[1])
             breakdown = UncertaintyBreakdown(setting, aleatoric, aleatoric, 0.0, flags=("no_feasible_adversary",))
         else:
             preds, w = pool_trajectories(trajectories, temperature)
-            (breakdown,) = decompose_b(head, ref_row, preds[:, None], w) if setting == "b" else decompose_a(head, preds[:, None], w)
+            (breakdown,) = decompose_b(head, ref[None], preds[:, None], w) if setting == "b" else decompose_a(head, preds[:, None], w)
             if any(infeasible):
                 breakdown = replace(breakdown, flags=breakdown.flags + ("partial_no_feasible_adversary",))
         if any(t.nan_abort for t in trajectories):

@@ -6,7 +6,8 @@ classes) or a scalar Gaussian head.  The Gaussian head has output width 1
 live in one flat float64 vector, weights then biases per layer, which is
 the unit every sampler and search manipulates.  A prediction is one row of
 `head_predictions`: the class probabilities, or (mean, variance).  One
-loss, `cross_entropy` against such rows, serves training, the samplers,
+forward loop (`forward_into`), one backward loop (`Backprop`) and one
+loss, `cross_entropy` against such rows, serve training, the samplers,
 the search penalty and the search objectives.
 
 The log-posterior used as a sampling weight is the negative total training
@@ -36,9 +37,7 @@ __all__ = [
     "init_params",
     "layer_views",
     "forward",
-    "forward_layers",
-    "backward",
-    "backward_layers",
+    "forward_into",
     "Backprop",
     "loss_and_grad",
     "head_predictions",
@@ -136,7 +135,7 @@ class ModelParams:
     """Architecture descriptor plus the flat parameter vector.
 
     `values` may also be a (K, P) stack of K models' vectors: `forward`,
-    `backward`, `cross_entropy` and `head_predictions` then carry the
+    `Backprop`, `cross_entropy` and `head_predictions` then carry the
     stack as a leading axis, and each model's slice of every result has
     the bits of its own unstacked call.
     """
@@ -158,9 +157,6 @@ class ModelParams:
         if "_layers" not in self.__dict__:
             self.__dict__["_layers"] = layer_views(self.arch, self.values)
         return self.__dict__["_layers"]
-
-    def with_values(self, values: np.ndarray) -> "ModelParams":
-        return ModelParams(self.arch, values)
 
 
 def layer_views(arch: ArchSpec, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -199,86 +195,57 @@ def make_dropout_masks(arch: ArchSpec, rng: np.random.Generator) -> list[np.ndar
 
 
 def forward(params: ModelParams, x: np.ndarray, dropout_masks=None) -> list[np.ndarray]:
-    """The input of every layer, then the head outputs, at the rows of `x`.
+    """The input of every layer, then the head outputs, at the rows of `x` (`forward_into` on new arrays).
 
-    The search backpropagates through the kept layer inputs (`backward`);
-    predictions and losses use the last entry.  Rows are the second-last
-    axis: `x` of shape (..., n, input width) runs each leading index as its
-    own pass, and a stack of models broadcasts against it.
+    `Backprop` runs through the kept layer inputs; predictions and losses
+    use the last entry.  Rows are the second-last axis: `x` of shape
+    (..., n, input width) runs each leading index as its own pass, and a
+    stack of models broadcasts against it.
     """
-    return forward_layers(params.arch, params.layers(), x, dropout_masks)
-
-
-def forward_layers(arch: ArchSpec, layers, x: np.ndarray, dropout_masks=None) -> list[np.ndarray]:
-    """`forward` on the per-layer weights and biases `layers`, as `ModelParams.layers` or `layer_views` gives them."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[-1] != arch.widths[0]:
-        raise ValueError(f"input width {x.shape[-1]} does not match architecture input width {arch.widths[0]}")
-    acts = [x]
-    n_layers = arch.n_layers
+    if x.shape[-1] != params.arch.widths[0]:
+        raise ValueError(f"input width {x.shape[-1]} does not match architecture input width {params.arch.widths[0]}")
+    return forward_into(params.arch, params.layers(), [x] + [None] * params.arch.n_layers, dropout_masks)
+
+
+def forward_into(arch: ArchSpec, layers, acts: list, dropout_masks=None, blocks=None) -> list:
+    """The forward pass of the per-layer weights and biases `layers` (`ModelParams.layers` or `layer_views`), into `acts`.
+
+    `acts[0]` holds the inputs, each later entry a layer's output buffer or
+    None for a new array; `acts` is returned.  Each of `blocks`, lists of
+    row views of the buffers, gets its own GEMM; the bias, the ReLU and
+    the dropout mask run once on the whole buffer.
+    """
+    last = arch.n_layers - 1
     for li, (w, b) in enumerate(layers):
-        h = acts[-1] @ w + b
-        if li < n_layers - 1:
-            h = np.maximum(h, 0.0)
+        for block in blocks or (acts,):
+            block[li + 1] = np.matmul(block[li], w, out=block[li + 1])
+        out = acts[li + 1]
+        out += b
+        if li < last:
+            np.maximum(out, 0.0, out=out)
             if dropout_masks is not None:
-                h = h * dropout_masks[li]
-        acts.append(h)
+                out *= dropout_masks[li]
     return acts
 
 
-def backward(params: ModelParams, acts: Sequence[np.ndarray], grad_out: np.ndarray, dropout_masks=None) -> np.ndarray:
-    """Flat gradient of sum_i grad_out[i] . out[i] with respect to the parameters.
-
-    `acts` comes from `forward` with the same `dropout_masks`, and
-    `grad_out` holds one output gradient per row; for a stack of models the
-    result is one flat gradient per model.  A layer's flat slice
-    (weights row-major, then the bias) is a (fan_in + 1, fan_out) matrix,
-    so each layer's gradient is written straight into the flat vector.  The
-    bias gradient is the product ones(1, n) @ dz, and a hidden layer's
-    gradient is multiplied by its dropout mask, then by 1[h > 0].
-    """
-    return backward_layers(params.arch, params.layers(), acts, grad_out, np.empty(params.values.shape), dropout_masks)
-
-
-def backward_layers(arch: ArchSpec, layers, acts: Sequence[np.ndarray], grad_out: np.ndarray, grad: np.ndarray, dropout_masks=None) -> np.ndarray:
-    """`backward` on the per-layer weights and biases `layers`, written into `grad` (one flat row per model) and returned."""
-    slices = arch.layer_slices()
-    lead = grad.shape[:-1]
-    ones = _ones_row(grad_out.shape[-2])
-    dz = grad_out
-    for li in range(arch.n_layers - 1, -1, -1):
-        ws, bs = slices[li]
-        fan_in, fan_out = arch.widths[li], arch.widths[li + 1]
-        g = grad[..., ws.start : bs.stop].reshape(lead + (fan_in + 1, fan_out))
-        h = acts[li]
-        np.matmul(h.swapaxes(-1, -2), dz, out=g[..., :fan_in, :])
-        np.matmul(ones, dz, out=g[..., fan_in:, :])
-        if li:
-            dz = dz @ layers[li][0].swapaxes(-1, -2)
-            if dropout_masks is not None:
-                dz *= dropout_masks[li - 1]
-            # a float 1[h > 0]: multiplying by the bool array casts it inside the loop, slower
-            dz *= (h > 0.0).astype(np.float64)
-    return grad
-
-
 class Backprop:
-    """`backward_layers` without dropout, into fixed buffers, on views built once: for a workspace that backpropagates at every step.
+    """The backward pass into fixed buffers, on views built once: a caller that backpropagates at every step builds one.
 
-    `layers` are the per-layer weights and biases (`ModelParams.layers` or
-    `layer_views`), `acts` the layer inputs of a pass, `grad_out` the
-    buffer of the gradients at its head outputs and `grad` the flat
-    gradients, one row per model, that `run` writes.  Built here: each
-    layer's weight and bias gradient views of `grad`, its transposed inputs
-    and weights, its input-gradient buffer and its ReLU mask buffer
-    (`np.greater(h, 0.0, out=)` has the bits of 1[h > 0]).  Every array of
-    a stack has the stack as its leading axis, except a first-layer input
-    that the stack shares.  The results have the bits of `backward_layers`.
+    `layers` are the per-layer weights and biases, `acts` the layer inputs
+    of a pass, `grad_out` the buffer of the gradients at its head outputs,
+    one per row, and `grad` the flat gradients of sum_i grad_out[i] .
+    out[i], one row per model, that `run` writes.  A layer's flat slice
+    (weights row-major, then the bias) is a (fan_in + 1, fan_out) matrix
+    whose views take its gradient; the bias gradient is ones(1, n) @ dz.
+    The ReLU mask is a float 1[h > 0] buffer (multiplying by the bool
+    array casts it inside the loop, slower).  A stack's arrays have the
+    stack as their leading axis, except a shared first-layer input.
     """
 
     def __init__(self, arch: ArchSpec, layers, acts: Sequence[np.ndarray], grad_out: np.ndarray, grad: np.ndarray):
         lead, slices, widths = grad.shape[:-1], arch.layer_slices(), arch.widths
-        self.grad = grad
+        self.grad_out, self.grad = grad_out, grad
         self.ones = np.ones((1, grad_out.shape[-2]))
         self.steps = []
         dz = grad_out
@@ -292,28 +259,25 @@ class Backprop:
                 step += [layers[li][0].swapaxes(-1, -2), dz, h, np.empty(h.shape)]
             self.steps.append(step)
 
-    def run(self, rows: Optional[slice] = None) -> np.ndarray:
-        """Backpropagate `grad_out` into `grad` and return it; `rows`, a slice of a stack, backpropagates those models alone, in place."""
-        for step in self.steps:
+    def run(self, rows: Optional[slice] = None, dropout_masks=None) -> np.ndarray:
+        """Backpropagate `grad_out` into `grad` and return it; `rows`, a slice of a stack, backpropagates those models alone, in place.
+
+        A hidden layer's gradient is multiplied by its `dropout_masks` entry, when given, then by 1[h > 0].
+        """
+        for li, step in zip(range(len(self.steps) - 1, -1, -1), self.steps):
             if rows is not None:
                 step = [v if v.ndim < 3 else v[rows] for v in step]
             h_t, dz, g_w, g_b = step[:4]
             np.matmul(h_t, dz, out=g_w)
             np.matmul(self.ones, dz, out=g_b)
-            if len(step) > 4:
+            if li:
                 w_t, dz_in, h, relu = step[4:]
                 np.matmul(dz, w_t, out=dz_in)
+                if dropout_masks is not None:
+                    dz_in *= dropout_masks[li - 1]
                 np.greater(h, 0.0, out=relu)
                 dz_in *= relu
         return self.grad
-
-
-@functools.lru_cache(maxsize=16)
-def _ones_row(n: int) -> np.ndarray:
-    """A read-only (1, n) row of ones, the left factor of `backward_layers`' bias gradients."""
-    ones = np.ones((1, n))
-    ones.setflags(write=False)
-    return ones
 
 
 # Widest class axis that `_class_max` and `_class_sum` walk column by column.
@@ -370,15 +334,11 @@ def _softmax_terms(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return z, e, _class_sum(e)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    _, e, s = _softmax_terms(logits)
-    return e / s
-
-
 def head_predictions(arch: ArchSpec, out: np.ndarray) -> np.ndarray:
     """Head outputs to (..., n, C) class probabilities, or (..., n, 2) mean/variance."""
     if arch.head == "categorical":
-        return _softmax(out)
+        _, e, s = _softmax_terms(out)
+        return e / s
     pred = np.empty(out.shape[:-1] + (2,))
     pred[..., 0] = out[..., 0]
     pred[..., 1] = np.exp(out[..., 1]) if arch.widths[-1] == 2 else FIXED_GAUSSIAN_VARIANCE
@@ -530,7 +490,7 @@ def loss_and_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray, masks
     """
     acts = forward(params, x, masks)
     loss, grad_out = cross_entropy(params.arch, acts[-1], targets)
-    return loss, backward(params, acts, grad_out, masks)
+    return loss, Backprop(params.arch, params.layers(), acts, grad_out, np.empty(params.values.shape)).run(dropout_masks=masks)
 
 
 def mean_train_loss(params: ModelParams, data) -> float:
@@ -630,9 +590,13 @@ def train(data, arch: ArchSpec, cfg: TrainConfig, log=None, extra_loss=None) -> 
     """
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
-    params = init_params(arch, cfg.seed)
+    if np.shape(data.x)[-1] != arch.widths[0]:
+        raise ValueError(f"input width {np.shape(data.x)[-1]} does not match architecture input width {arch.widths[0]}")
+    values = init_params(arch, cfg.seed).values.copy()  # each Adam step updates it in place
+    layers = layer_views(arch, values)
+    passes = {}  # batch rows -> the layer buffers of a batch that size and their `Backprop`, built once
     rng = derive_rng(cfg.seed, 1)
-    opt = Adam(params.values.size, cfg.lr, cfg.weight_decay)
+    opt = Adam(values.size, cfg.lr, cfg.weight_decay)
     n = len(data)
     batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
     targets = target_rows(arch, data.y)
@@ -641,15 +605,24 @@ def train(data, arch: ArchSpec, cfg: TrainConfig, log=None, extra_loss=None) -> 
         for bi, start in enumerate(range(0, n, batch)):
             idx = order[start : start + batch]
             masks = make_dropout_masks(arch, rng) if arch.dropout_prob > 0 else None
-            loss, grad = loss_and_grad(params, data.x[idx], targets[idx], masks)
+            if idx.size not in passes:
+                acts = [np.empty((idx.size, w)) for w in arch.widths]
+                passes[idx.size] = acts, Backprop(arch, layers, acts, np.empty(acts[-1].shape), np.empty(values.shape))
+            acts, backprop = passes[idx.size]
+            np.take(data.x, idx, axis=0, out=acts[0])
+            # `loss_and_grad` on the buffers
+            out, t = forward_into(arch, layers, acts, masks)[-1], targets[idx]
+            loss = cross_entropy_loss(arch, out, t, cross_entropy_grad(arch, out, t, grad=backprop.grad_out)[1])
+            grad = backprop.run(dropout_masks=masks)
             if extra_loss is not None:
-                extra, extra_grad = extra_loss(params)
+                extra, extra_grad = extra_loss(ModelParams(arch, values))
                 loss, grad = loss + extra, grad + extra_grad
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bi}", epoch=epoch, batch=bi)
-            params = params.with_values(opt.step(params.values, grad))
+            opt.step(values, grad, out=values)
         if log is not None:
-            log.append({"epoch": epoch, "loss": mean_train_loss(params, data)})
+            log.append({"epoch": epoch, "loss": mean_train_loss(ModelParams(arch, values), data)})
+    params = ModelParams(arch, values)
     # each batch's loss is checked before its update; the last update is checked here
     if not (np.isfinite(params.values).all() and np.isfinite(mean_train_loss(params, data))):
         raise TrainingDiverged(f"non-finite parameters or training loss after the last epoch ({cfg.epochs - 1})", epoch=cfg.epochs - 1)

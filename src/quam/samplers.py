@@ -15,10 +15,11 @@ its gradients from one preallocated workspace per call
 (`_PosteriorWorkspace`): the parameter stack and its layer views, the
 activation and gradient buffers, the data's cross-entropy constants and
 the backward pass's views (`models.Backprop`) are built once.  A gradient
-is one forward pass, one head pass that writes the head-output gradients
-into their buffer (`models.cross_entropy_grad`) and one backward pass,
-and the log-posterior at a trajectory's end is read from the last
-gradient's forward pass.
+is one forward pass into the buffers (`models.forward_into`), one head
+pass that writes the head-output gradients into their buffer
+(`models.cross_entropy_grad`) and one backward pass, and the
+log-posterior at a trajectory's end is read from the last gradient's
+forward pass.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .models import (
     Backprop,
     cross_entropy_grad,
     cross_entropy_loss,
+    forward_into,
     init_params,
     layer_views,
     loss_and_grad,
@@ -367,19 +369,10 @@ class _PosteriorWorkspace:
         self.backprop = Backprop(arch, self.layers, self.acts, self.grad_out, self.grad)
         self.terms = None  # the cross-entropy terms of the last pass at `values`
 
-    def _forward(self, q: np.ndarray) -> None:
-        self.values[...] = q
-        last = len(self.layers) - 1
-        for li, (w, b) in enumerate(self.layers):
-            out = self.acts[li + 1]
-            np.matmul(self.acts[li], w, out=out)
-            out += b
-            if li < last:
-                np.maximum(out, 0.0, out=out)
-
     def grad_log_density(self, q: np.ndarray) -> np.ndarray:
         """The (K, P) gradients of the log-posterior at the positions `q`: -n * dCE - prior * q."""
-        self._forward(q)
+        self.values[...] = q
+        forward_into(self.arch, self.layers, self.acts)
         self.terms = cross_entropy_grad(self.arch, self.acts[-1], self.targets, self.fixed, self.grad_out)[1]
         g = np.multiply(self.backprop.run(), -self.n)
         g -= self.prior * q
@@ -388,7 +381,8 @@ class _PosteriorWorkspace:
     def log_density(self, q: np.ndarray) -> np.ndarray:
         """The K log-posteriors at the positions `q`, read from the last gradient's pass when `q` is its position."""
         if self.terms is None or not np.array_equal(q, self.values):
-            self._forward(q)
+            self.values[...] = q
+            forward_into(self.arch, self.layers, self.acts)
             self.terms = None
         loss = cross_entropy_loss(self.arch, self.acts[-1], self.targets, self.terms)
         return np.array([-(self.n * float(l)) - 0.5 * self.prior * float(v @ v) for l, v in zip(loss, q)])

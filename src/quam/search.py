@@ -47,20 +47,19 @@ writable (K, P) parameter stack and its per-layer views (Adam updates it
 in place and zeroes its moments in place at each penalty stage), one
 (K, n + 1, width) activation buffer per layer, the rows' cross-entropy
 targets and the (K, n + 1, k) head-output gradients.  Rows :n of each
-buffer are the batch rows and row n is each search's test row.  The test
-row still gets its own GEMM, written into row n: in the batch rows' GEMM
-its outputs can move by an ulp.  One head pass over all n + 1 rows
-(`models.cross_entropy_grad`, with each row weighted: 1/n on the batch
-rows, and +1 or -1 on the test row, the sign of its cross-entropy in
-L_adv) gives the batch losses, L_adv, the test rows' prediction rows and
-every head-output gradient.  The backward pass runs on views built with
-the workspace (`models.Backprop`): on all rows when every search pays the
-penalty, on the test rows when none does, and otherwise on the test rows
-of every search, then on all rows of each run of consecutive penalized
-searches.  The records go into per-batch columns, one row per step
-(`_Records`), and take their KL from the logs of the reference rows,
-taken once per batch; each trajectory's `TrajectoryRecord` list is built
-once, at the end.
+buffer are the batch rows and row n is each search's test row; the
+forward pass (`models.forward_into`) gives each of the two blocks its own
+GEMM.  One head pass over all n + 1 rows (`models.cross_entropy_grad`,
+with each row weighted: 1/n on the batch rows, and +1 or -1 on the test
+row, the sign of its cross-entropy in L_adv) gives the batch losses,
+L_adv, the test rows' prediction rows and every head-output gradient.
+The backward pass runs on views built with the workspace
+(`models.Backprop`): on all rows when every search pays the penalty, on
+the test rows when none does, and otherwise on the test rows of every
+search, then on all rows of each run of consecutive penalized searches.
+The records go into per-batch columns, one row per step (`_Records`), and
+take their KL from the logs of the reference rows, taken once per batch;
+each trajectory's `TrajectoryRecord` list is built once, at the end.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ from .models import (
     cross_entropy_grad,
     cross_entropy_loss,
     forward,
-    forward_layers,
+    forward_into,
     head_predictions,
     layer_views,
     target_rows,
@@ -160,6 +159,7 @@ class SearchTrajectory:
     nan_abort: bool
     reference_loss: float
     gamma: float
+    reference_pred: np.ndarray  # the reference's prediction row at the test input
 
     @property
     def best(self) -> TrajectoryRecord:
@@ -327,17 +327,10 @@ class _Workspace:
         gradient; the test rows' prediction rows go to `test_preds`.
         """
         n, arch, obj = self.n, self.arch, self.objective
-        last = len(self.layers) - 1
-        for li, (w, b) in enumerate(self.layers):
-            # the test rows keep their own GEMM: in the batch rows' GEMM their
-            # outputs can move by an ulp, and an unmoved iterate would then
-            # diverge from the reference by a spurious KL > 0
-            np.matmul(self.batch_acts[li], w, out=self.batch_acts[li + 1])
-            np.matmul(self.test_acts[li], w, out=self.test_acts[li + 1])
-            out = self.acts[li + 1]
-            out += b
-            if li < last:
-                np.maximum(out, 0.0, out=out)
+        # the test rows keep their own GEMM: in the batch rows' GEMM their
+        # outputs can move by an ulp, and an unmoved iterate would then
+        # diverge from the reference by a spurious KL > 0
+        out = forward_into(arch, self.layers, self.acts, blocks=(self.batch_acts, self.test_acts))[-1]
         terms = cross_entropy_grad(arch, out, self.targets, self.fixed, self.grad_out)[1]
         self.batch_loss, ce = cross_entropy_loss(arch, out, self.targets, terms, split=n)
         if arch.head == "categorical":
@@ -414,7 +407,7 @@ def _full_losses(arch: ArchSpec, layers, x: np.ndarray, targets: np.ndarray) -> 
     losses = np.empty(len(layers[0][0]))
     for a in range(0, len(losses), step):
         block = [(w[a : a + step], b[a : a + step]) for w, b in layers]
-        losses[a : a + step] = cross_entropy_loss(arch, forward_layers(arch, block, x)[-1], targets)
+        losses[a : a + step] = cross_entropy_loss(arch, forward_into(arch, block, [x] + [None] * arch.n_layers)[-1], targets)
     return losses
 
 
@@ -594,7 +587,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
             full = reference.values.copy()
             full[last] = best_params
             best_params = full
-        trajectories.append(SearchTrajectory(_target_tag(o), arch.head, recs, best, ModelParams(arch, best_params), no_feasible, bool(nan_abort[s]), l_ref, gamma))
+        trajectories.append(SearchTrajectory(_target_tag(o), arch.head, recs, best, ModelParams(arch, best_params), no_feasible, bool(nan_abort[s]), l_ref, gamma, refs[point]))
     return trajectories
 
 
@@ -615,6 +608,8 @@ def search_suites(xs, data, reference: ModelParams, config: SearchConfig, classe
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     suites = [_suite(reference.arch, None if classes is None else classes[i]) for i in range(len(xs))]
+    if not all(suites):
+        raise ValueError("every test point needs at least one class to search")
     flat = search_batch(xs, data, reference, config, [(i, o, keys) for i, suite in enumerate(suites) for o, keys in suite])
     out, pos = [], 0
     for suite in suites:

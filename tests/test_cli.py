@@ -405,9 +405,14 @@ def one_status_line(capsys, argv):
         ("baseline", "[baseline]\nmethod = hmc\nburn_in = -1\n"),
         ("baseline", "[baseline]\nmethod = csghmc\nsteps_per_cycle = 0\n"),
         ("grid", "[grid]\nresolution = 0\n"),
+        ("grid", "[grid]\nx_range = nan 2.5\n"),
+        ("grid", "[grid]\ny_range = -1 1.5 2\n"),
         ("varstudy", "[varstudy]\ncount = 0\n"),
+        ("varstudy", "[varstudy]\nrange = nan 3\n"),
+        ("varstudy", "[varstudy]\nrange = 1 inf\n"),
+        ("varstudy", "[varstudy]\nrange = 1\n"),
     ],
-    ids=["hmc_n_leapfrog", "hmc_n_samples", "hmc_burn_in", "csghmc_steps_per_cycle", "grid_resolution", "varstudy_count"],
+    ids=["hmc_n_leapfrog", "hmc_n_samples", "hmc_burn_in", "csghmc_steps_per_cycle", "grid_resolution", "grid_x_range_nan", "grid_y_range_three", "varstudy_count", "varstudy_range_nan", "varstudy_range_inf", "varstudy_range_one"],
 )
 def test_settings_that_do_no_work_are_usage_errors(tmp_path, capsys, command, section):
     _, s = run(capsys, "train", "--config", write(tmp_path / "t.ini", TRAIN_INI.format(out=tmp_path / "ref")))
@@ -416,6 +421,16 @@ def test_settings_that_do_no_work_are_usage_errors(tmp_path, capsys, command, se
     cfgp = write(tmp_path / "c.ini", TRAIN_INI.format(out=tmp_path / "c_out") + extra + section)
     code, status = one_status_line(capsys, [command, "--config", cfgp])
     assert code == 2 and status["status"] == "usage_error"
+    key = section.strip().splitlines()[-1].split("=")[0].strip()
+    assert key in status["error"]
+
+
+def test_an_arithmetic_error_is_a_numerical_abort(tmp_path, capsys):
+    # the Gaussian log-density of a component mean near 1e308 overflows in Python floats
+    cfgp = write(tmp_path / "v.ini", f"[varstudy]\nparameter = mu_p2\nrange = 0 1e308\n[output]\ndir = {tmp_path / 'v_out'}\n")
+    code, status = one_status_line(capsys, ["varstudy", "--config", cfgp])
+    assert code == 3 and status["status"] == "numerical_abort"
+    assert status["error"].startswith("OverflowError")
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "abc", "0.3,0.4"], ids=["nan", "inf", "not_a_number", "extra_cell"])

@@ -43,6 +43,12 @@ def test_quam_score_flags_a_point_where_only_some_searches_found_no_adversary(mo
     assert dataclasses.replace(partial, flags=()) == pooled
 
 
+def test_quam_score_rejects_a_point_without_a_class_to_search(moons_setup):
+    data, ref = moons_setup
+    with pytest.raises(ValueError, match="at least one class"):
+        E.quam_scores(np.array([[-1.0, 1.0], [0.5, 0.5]]), data, ref, SearchConfig(steps=2), temperature=0.1, classes=[[0], []])
+
+
 def test_quam_score_far_point_exceeds_train_point(moons_setup):
     data, ref = moons_setup
     cfg = SearchConfig(steps=80, lr=2e-2, seed=0)

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import struct
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import quam
 from quam import models as M
 from quam.data import LabeledDataset, gen_sine
 from quam.measures import entropy_cat, entropy_gauss, kl_cat, kl_gauss
@@ -352,3 +355,9 @@ def test_adam_in_place_step_is_the_textbook_update_bit_for_bit():
         returned = fresh.step(returned, grad)
         assert values.tobytes() == expected.tobytes() == returned.tobytes()
         assert in_place.m.tobytes() == m.tobytes() and in_place.v.tobytes() == v.tobytes()
+
+
+def test_every_name_in_each_modules_all_resolves():
+    # a stale entry would only fail a star import
+    modules = [quam] + [importlib.import_module(f"quam.{m.name}") for m in pkgutil.iter_modules(quam.__path__)]
+    assert [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ()) if not hasattr(m, name)] == []

@@ -191,7 +191,7 @@ FLOATS = st.one_of(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 
 def test_trajectory_lines_are_json_dumps_byte_for_byte(tmp_path, head, rows, data):
     width = 2 if head == "gaussian_scalar" else data.draw(st.integers(2, 5))
     records = [TrajectoryRecord(step, *values, np.array(data.draw(st.lists(FLOATS, min_size=width, max_size=width)))) for step, values in rows]
-    traj = SearchTrajectory("class:0", head, records, 0, None, False, False, 0.0, 0.0)
+    traj = SearchTrajectory("class:0", head, records, 0, None, False, False, 0.0, 0.0, np.zeros(width))
     path = tmp_path / "traj.jsonl"
     trajectory_to_jsonl(traj, path)
     assert path.read_bytes() == json_lines(traj).encode()
@@ -199,7 +199,7 @@ def test_trajectory_lines_are_json_dumps_byte_for_byte(tmp_path, head, rows, dat
 
 def test_search_rejects_a_reference_without_a_valid_prediction():
     data, ref = moons_reference()
-    broken = ref.with_values(np.full(ref.values.size, np.nan))
+    broken = M.ModelParams(ref.arch, np.full(ref.values.size, np.nan))
     with pytest.raises(ValueError, match="reference prediction"):
         search_batch(np.array([0.0, 1.5]), data, broken, SearchConfig(steps=2), [(0, "divergence", ())])
 
@@ -383,11 +383,12 @@ def test_head_pass_is_the_batch_cross_entropy_and_the_adversarial_term_bit_for_b
 
 @pytest.mark.parametrize("head", ["categorical", "gaussian_scalar"])
 @pytest.mark.parametrize("active", [(True, True, True), (False, False, False), (False, True, True), (True, False, True)])
-def test_workspace_backward_is_backward_layers_bit_for_bit(head, active):
+def test_workspace_backward_is_a_fresh_backprop_bit_for_bit(head, active):
     # all searches penalized: one pass over every row; none: the test rows
     # alone; some (a consecutive and a non-consecutive subset): the test rows
     # of every search, then all rows of the penalized ones.  The workspace
-    # runs on views of its buffers, `backward_layers` on fresh arrays
+    # runs on views of its buffers, the expected gradients on fresh
+    # contiguous copies of the rows they take
     objectives = [("class", 0), "divergence", ("class", 1)] if head == "categorical" else [("direction", +1), ("direction", -1), "divergence"]
     widths = (3, 6, 5, 4) if head == "categorical" else (1, 6, 5, 2)
     n, c = 7, 2.5
@@ -400,10 +401,16 @@ def test_workspace_backward_is_backward_layers_bit_for_bit(head, active):
     grad_out = ws.grad_out.copy()
     pushed = obj.violation(ws.test_out) > 0.0
     grad_out[pushed, n, 0] -= c * obj.direction[pushed]
-    expected = M.backward_layers(arch, ws.layers, ws.test_acts, grad_out[:, n:], np.empty(ws.values.shape))
-    rows = np.flatnonzero(active)
-    if rows.size:
-        grad_out[rows, :n] *= c
-        layers = [(w[rows], b[rows]) for w, b in ws.layers]
-        expected[rows] = M.backward_layers(arch, layers, [a[rows] for a in ws.acts], grad_out[rows], np.empty((rows.size, ws.values.shape[1])))
+
+    def backprop(models, rows):
+        values = ws.values[models]
+        acts = [a[models][:, rows].copy() for a in ws.acts]
+        return M.Backprop(arch, M.layer_views(arch, values), acts, grad_out[models][:, rows].copy(), np.empty(values.shape)).run()
+
+    k = len(objectives)
+    expected = backprop(np.arange(k), slice(n, None))
+    models = np.flatnonzero(active)
+    if models.size:
+        grad_out[models, :n] *= c
+        expected[models] = backprop(models, slice(None))
     assert ws.backward(c).tobytes() == expected.tobytes()
