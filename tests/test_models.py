@@ -87,6 +87,31 @@ def test_training_is_seed_deterministic():
     assert np.array_equal(p1.values, p2.values)
 
 
+@pytest.mark.parametrize("head, batch_size, dropout", [("categorical", None, 0.0), ("categorical", 32, 0.0), ("categorical", None, 0.2), ("categorical", 32, 0.2), ("gaussian_scalar", 32, 0.0)])
+def test_training_is_a_loop_of_fresh_passes_bit_for_bit(head, batch_size, dropout):
+    # the loop `train` runs, written with a new forward pass, loss and
+    # `Backprop` at every step; 90 rows in batches of 32 end on a batch of 26
+    data = blobs(90, seed=2) if head == "categorical" else gen_sine(90, 2)
+    arch = M.ArchSpec((data.x.shape[1], 8, 6, 2), head=head, dropout_prob=dropout)
+    cfg = M.TrainConfig(lr=1e-2, epochs=6, batch_size=batch_size, seed=3)
+    values = M.init_params(arch, cfg.seed).values
+    rng = derive_rng(cfg.seed, 1)
+    opt = M.Adam(values.size, cfg.lr, cfg.weight_decay)
+    n = len(data)
+    batch = n if batch_size is None else batch_size
+    targets = M.target_rows(arch, data.y)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n) if batch < n else np.arange(n)
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            masks = M.make_dropout_masks(arch, rng) if dropout else None
+            params = M.ModelParams(arch, values)
+            acts = M.forward(params, data.x[idx], masks)
+            grad_out = M.cross_entropy(arch, acts[-1], targets[idx])[1]
+            values = opt.step(values, M.Backprop(arch, params.layers(), acts, grad_out, np.empty(values.shape)).run(dropout_masks=masks))
+    assert M.train(data, arch, cfg).values.tobytes() == values.tobytes()
+
+
 def test_training_reduces_loss():
     data = blobs(80, seed=5)
     arch = M.ArchSpec((2, 8, 2))

@@ -114,6 +114,35 @@ def test_csghmc_diagnostics_present(moons):
     assert out.diagnostics["step_sizes"][0] == pytest.approx(1e-4)
 
 
+@pytest.mark.parametrize("batch_size", [None, 50])
+def test_csghmc_is_a_loop_of_fresh_passes_bit_for_bit(moons, batch_size):
+    # the update `csghmc` runs, written with a new forward pass, loss and `Backprop` at every step
+    arch = M.ArchSpec((2, 6, 5, 2))
+    steps, step0, friction, temperature, prior = 8, 1e-3, 0.05, 0.7, 2.0
+    out = S.csghmc(moons, arch, cycles=2, steps_per_cycle=steps, step_size=step0, temperature=temperature, seed=7, batch_size=batch_size, prior_precision=prior)
+    rng = derive_rng(7)
+    values = M.init_params(arch, 7).values
+    velocity = np.zeros_like(values)
+    n = len(moons)
+    batch = n if batch_size is None else batch_size
+    targets = M.target_rows(arch, moons.y)
+    draws = []
+    for _ in range(2):
+        for t in range(steps):
+            lr = S.cosine_step_size(step0, t, steps)
+            idx = rng.choice(n, size=batch, replace=False) if batch < n else np.arange(n)
+            params = M.ModelParams(arch, values)
+            acts = M.forward(params, moons.x[idx])
+            grad_out = M.cross_entropy(arch, acts[-1], targets[idx])[1]
+            grad_u = n * M.Backprop(arch, params.layers(), acts, grad_out, np.empty(values.shape)).run() + prior * values
+            noise_scale = np.sqrt(2.0 * friction * lr * temperature) if lr > 0 else 0.0
+            velocity = (1.0 - friction) * velocity - lr * grad_u + noise_scale * rng.standard_normal(values.size)
+            values = values + velocity
+            if t >= 6:
+                draws.append(values)
+    assert np.array([p.values for p in out.params]).tobytes() == np.array(draws).tobytes()
+
+
 # -- HMC -----------------------------------------------------------------------
 
 
