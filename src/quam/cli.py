@@ -359,7 +359,7 @@ def cmd_simplex(args, cfg: ExperimentConfig) -> int:
     seed = args.seed if args.seed is not None else cfg.get_int("experiment", "seed", 0)
     dataset = load_dataset(cfg)
     arch = load_arch(cfg)
-    x = np.asarray(cfg.get_floats("simplex", "test_point", tuple(D.THREE_GAUSSIAN_TEST_POINT)))
+    x = np.asarray(cfg.get_floats("simplex", "test_point", tuple(D.THREE_GAUSSIAN_TEST_POINT), count=arch.widths[0]))
     rows = simplex_surface(
         dataset,
         x,

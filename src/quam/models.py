@@ -8,7 +8,12 @@ the unit every sampler and search manipulates.  A prediction is one row of
 `head_predictions`: the class probabilities, or (mean, variance).  One
 forward loop (`forward_into`), one backward loop (`Backprop`) and one
 loss, `cross_entropy` against such rows, serve training, the samplers,
-the search penalty and the search objectives.
+the search penalty and the search objectives.  Their buffers live in a
+`Workspace` over a fixed number of rows: views of the parameters, the
+activations, the targets with their weights, the head-output gradients
+and the `Backprop`.  Training and cSG-HMC keep one per batch size, HMC
+one over the data rows, a search batch one with its test rows as a
+second block, and `loss_and_grad` is a single pass of one.
 
 The log-posterior used as a sampling weight is the negative total training
 loss plus an isotropic Gaussian log-prior whose precision equals the
@@ -39,6 +44,7 @@ __all__ = [
     "forward",
     "forward_into",
     "Backprop",
+    "Workspace",
     "loss_and_grad",
     "head_predictions",
     "cross_entropy",
@@ -280,6 +286,67 @@ class Backprop:
         return self.grad
 
 
+class Workspace:
+    """The buffers of gradient passes over a fixed number of rows, built once: a caller that takes many gradients keeps one.
+
+    `values` is the caller's parameter vector or (K, P) stack, read through
+    its per-layer views `layers`, so writes to it show through.  `acts[l]`
+    is the input of layer l and the last entry holds the head outputs.  The
+    input rows are the workspace's own, which `fill` writes, or the
+    read-only array `x`, shared by every model of a stack (HMC's data
+    rows).  `targets` holds each row's cross-entropy target, in
+    `target_rows`' format, also its own or the shared `targets`; `weights`
+    each row's weight in the loss (None: 1/n on each of the n rows) and
+    `fixed` their `target_terms`.  `grad_out` holds the gradients at the
+    head outputs, one per row, and `backward` writes the flat gradients
+    into `grad`.  With `extra` rows, the first n rows are one block and the
+    extra rows a second one, with their own GEMM in the forward pass and
+    their own `Backprop`: the search's test rows.
+
+    A pass is `fill` (own rows), then `forward`, whose head pass keeps the
+    cross-entropy terms that `loss` reduces, then `backward`.  Each result
+    has the bits of `forward`, `cross_entropy` and a new `Backprop` on the
+    same rows.
+    """
+
+    def __init__(self, arch: ArchSpec, values: np.ndarray, n: int, x=None, targets=None, weights=None, extra: int = 0):
+        self.arch, self.values, self.n, self.weights = arch, values, n, weights
+        self.layers = layer_views(arch, values)
+        lead = values.shape[:-1] if x is None else np.broadcast_shapes(values.shape[:-1], x.shape[:-2])
+        rows = n + extra
+        self.acts = [np.empty(lead + (rows, arch.widths[0])) if x is None else x] + [np.empty(lead + (rows, w)) for w in arch.widths[1:]]
+        self.targets = np.zeros(lead + (rows, arch.widths[-1] if arch.head == "categorical" else 2)) if targets is None else targets
+        self.fixed = target_terms(arch, self.targets, weights)
+        self.grad_out = np.empty(self.acts[-1].shape)
+        self.grad = np.empty(values.shape)
+        self.backprop = Backprop(arch, self.layers, self.acts, self.grad_out, self.grad)
+        self.blocks = self.extra_backprop = None
+        if extra:
+            self.blocks = [a[..., :n, :] for a in self.acts], [a[..., n:, :] for a in self.acts]
+            self.extra_backprop = Backprop(arch, self.layers, self.blocks[1], self.grad_out[..., n:, :], self.grad)
+        self.terms = None  # the cross-entropy terms of the last `forward`
+
+    def fill(self, x: np.ndarray, targets: np.ndarray) -> None:
+        """Write the inputs and the targets of the n rows: one set for every model of a stack, or one each."""
+        self.acts[0][..., : self.n, :] = x
+        self.targets[..., : self.n, :] = targets
+        if self.arch.head == "categorical":  # a Gaussian head's terms do not depend on the targets
+            self.fixed = target_terms(self.arch, self.targets, self.weights)
+
+    def forward(self, dropout_masks=None) -> None:
+        """The forward pass at `values` and one head pass that writes `grad_out`."""
+        out = forward_into(self.arch, self.layers, self.acts, dropout_masks, self.blocks)[-1]
+        self.terms = cross_entropy_grad(self.arch, out, self.targets, self.fixed, self.grad_out)[1]
+
+    def loss(self, split: Optional[int] = None):
+        """The loss of the last `forward`, as `cross_entropy_loss` gives it."""
+        return cross_entropy_loss(self.arch, self.acts[-1], self.targets, self.terms, split)
+
+    def backward(self, rows: Optional[slice] = None, dropout_masks=None, extra: bool = False) -> np.ndarray:
+        """`Backprop.run` of `grad_out` on all rows, or on the extra rows alone; returns `grad`."""
+        return (self.extra_backprop if extra else self.backprop).run(rows, dropout_masks)
+
+
 # Widest class axis that `_class_max` and `_class_sum` walk column by column.
 _COLUMN_CLASSES = 8
 
@@ -484,13 +551,14 @@ def cross_entropy(arch: ArchSpec, out: np.ndarray, targets: np.ndarray, fixed=No
 
 
 def loss_and_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray, masks=None) -> tuple[float, np.ndarray]:
-    """`cross_entropy` of the rows of `x` against `targets` and its flat gradient.
+    """`cross_entropy` of the rows of `x` against `targets` and its flat gradient: one pass of a `Workspace` over them.
 
     `masks` are hidden-layer dropout masks.
     """
-    acts = forward(params, x, masks)
-    loss, grad_out = cross_entropy(params.arch, acts[-1], targets)
-    return loss, Backprop(params.arch, params.layers(), acts, grad_out, np.empty(params.values.shape)).run(dropout_masks=masks)
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    ws = Workspace(params.arch, params.values, x.shape[-2], x=x, targets=targets)
+    ws.forward(masks)
+    return ws.loss(), ws.backward(dropout_masks=masks)
 
 
 def mean_train_loss(params: ModelParams, data) -> float:
@@ -506,7 +574,7 @@ def log_posterior(params: ModelParams, data, prior_precision: float) -> float:
     """
     if len(data) == 0:
         raise ValueError("log_posterior needs a nonempty dataset")
-    nll = len(data) * cross_entropy_loss(params.arch, forward(params, data.x)[-1], target_rows(params.arch, data.y))
+    nll = len(data) * mean_train_loss(params, data)
     return float(-nll - 0.5 * prior_precision * float(params.values @ params.values))
 
 
@@ -593,8 +661,7 @@ def train(data, arch: ArchSpec, cfg: TrainConfig, log=None, extra_loss=None) -> 
     if np.shape(data.x)[-1] != arch.widths[0]:
         raise ValueError(f"input width {np.shape(data.x)[-1]} does not match architecture input width {arch.widths[0]}")
     values = init_params(arch, cfg.seed).values.copy()  # each Adam step updates it in place
-    layers = layer_views(arch, values)
-    passes = {}  # batch rows -> the layer buffers of a batch that size and their `Backprop`, built once
+    workspaces = {}  # batch rows -> the `Workspace` of a batch that size, built once
     rng = derive_rng(cfg.seed, 1)
     opt = Adam(values.size, cfg.lr, cfg.weight_decay)
     n = len(data)
@@ -605,15 +672,13 @@ def train(data, arch: ArchSpec, cfg: TrainConfig, log=None, extra_loss=None) -> 
         for bi, start in enumerate(range(0, n, batch)):
             idx = order[start : start + batch]
             masks = make_dropout_masks(arch, rng) if arch.dropout_prob > 0 else None
-            if idx.size not in passes:
-                acts = [np.empty((idx.size, w)) for w in arch.widths]
-                passes[idx.size] = acts, Backprop(arch, layers, acts, np.empty(acts[-1].shape), np.empty(values.shape))
-            acts, backprop = passes[idx.size]
-            np.take(data.x, idx, axis=0, out=acts[0])
-            # `loss_and_grad` on the buffers
-            out, t = forward_into(arch, layers, acts, masks)[-1], targets[idx]
-            loss = cross_entropy_loss(arch, out, t, cross_entropy_grad(arch, out, t, grad=backprop.grad_out)[1])
-            grad = backprop.run(dropout_masks=masks)
+            if idx.size not in workspaces:
+                workspaces[idx.size] = Workspace(arch, values, idx.size)
+            ws = workspaces[idx.size]
+            if batch < n or not epoch:  # a full batch's rows never change
+                ws.fill(data.x[idx], targets[idx])
+            ws.forward(masks)
+            loss, grad = ws.loss(), ws.backward(dropout_masks=masks)
             if extra_loss is not None:
                 extra, extra_grad = extra_loss(ModelParams(arch, values))
                 loss, grad = loss + extra, grad + extra_grad

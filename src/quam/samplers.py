@@ -11,15 +11,9 @@ HMC runs K chains in lock-step on (K, P) position and momentum stacks,
 one seed per chain, and its callbacks are stacked: the log densities and
 gradients of K positions at once.  Each chain's draws and diagnostics are
 those of its own single-chain run, bit for bit.  `hmc_posterior` takes
-its gradients from one preallocated workspace per call
-(`_PosteriorWorkspace`): the parameter stack and its layer views, the
-activation and gradient buffers, the data's cross-entropy constants and
-the backward pass's views (`models.Backprop`) are built once.  A gradient
-is one forward pass into the buffers (`models.forward_into`), one head
-pass that writes the head-output gradients into their buffer
-(`models.cross_entropy_grad`) and one backward pass, and the
-log-posterior at a trajectory's end is read from the last gradient's
-forward pass.
+its gradients from one `models.Workspace` per call, over the data rows,
+and reads the log-posterior at a trajectory's end from the last
+gradient's head pass; `csghmc` keeps one workspace for its batch size.
 """
 
 from __future__ import annotations
@@ -29,24 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .models import (
-    ArchSpec,
-    ModelParams,
-    TrainConfig,
-    TrainingDiverged,
-    Backprop,
-    cross_entropy_grad,
-    cross_entropy_loss,
-    forward_into,
-    init_params,
-    layer_views,
-    loss_and_grad,
-    make_dropout_masks,
-    predict_batch,
-    target_rows,
-    target_terms,
-    train,
-)
+from .models import ArchSpec, ModelParams, TrainConfig, TrainingDiverged, Workspace, init_params, make_dropout_masks, predict_batch, target_rows, train
 from .rng import derive_rng
 
 __all__ = [
@@ -136,6 +113,13 @@ def cosine_step_size(step0: float, t: int, steps_per_cycle: int) -> float:
     return step0 * 0.5 * (1.0 + np.cos(np.pi * t / (steps_per_cycle - 1)))
 
 
+def _check_nonnegative(**values) -> None:
+    """Raise a `ValueError` naming the first of `values` that is not a finite number >= 0 (NaN fails)."""
+    for name, value in values.items():
+        if not 0.0 <= value < np.inf:
+            raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+
+
 def csghmc(
     data,
     arch: ArchSpec,
@@ -160,36 +144,38 @@ def csghmc(
         raise ValueError("cycles must be >= 1")
     if steps_per_cycle < 1:
         raise ValueError("steps_per_cycle must be >= 1")
+    _check_nonnegative(step_size=step_size, temperature=temperature, prior_precision=prior_precision)
     rng = derive_rng(seed)
-    params = init if init is not None else init_params(arch, seed)
-    values = params.values.copy()
+    values = (init if init is not None else init_params(arch, seed)).values.copy()  # each step updates it in place
     velocity = np.zeros_like(values)
     n = len(data)
     batch = n if batch_size is None else min(batch_size, n)
+    ws = Workspace(arch, values, batch)
     targets = target_rows(arch, data.y)
-    samples: list[ModelParams] = []
+    ws.fill(data.x[:batch], targets[:batch])  # a full batch's rows never change
+    draws: list[np.ndarray] = []
     step_log: list[float] = []
 
     for cycle in range(cycles):
         for t in range(steps_per_cycle):
             lr = cosine_step_size(step_size, t, steps_per_cycle)
             step_log.append(lr)
-            idx = rng.choice(n, size=batch, replace=False) if batch < n else np.arange(n)
-            loss, grad = loss_and_grad(ModelParams(arch, values), data.x[idx], targets[idx])
-            if not np.isfinite(loss):
+            if batch < n:
+                idx = rng.choice(n, size=batch, replace=False)
+                ws.fill(data.x[idx], targets[idx])
+            ws.forward()
+            if not np.isfinite(ws.loss()):
                 raise TrainingDiverged(f"cSG-HMC diverged in cycle {cycle}", epoch=cycle, batch=t)
             # grad of U = n * mean-loss + prior quadratic
-            grad_u = n * grad + prior_precision * values
+            grad_u = n * ws.backward() + prior_precision * values
             noise_scale = np.sqrt(2.0 * friction * lr * temperature) if lr > 0 else 0.0
             velocity = (1.0 - friction) * velocity - lr * grad_u + noise_scale * rng.standard_normal(values.size)
-            values = values + velocity
+            values += velocity
             if t >= int(np.ceil(steps_per_cycle * (1.0 - tail_fraction))):
-                samples.append(ModelParams(arch, values.copy()))
-    if not samples:
-        samples.append(ModelParams(arch, values.copy()))
+                draws.append(values.copy())
     return SamplerOutput(
         method="csghmc",
-        params=samples,
+        params=[ModelParams(arch, d) for d in draws or [values]],
         diagnostics={"cycles": cycles, "steps_per_cycle": steps_per_cycle, "step_sizes": step_log, "friction": friction, "temperature": temperature},
     )
 
@@ -260,6 +246,8 @@ def hmc(
     """
     if n_leapfrog < 0 or n_samples < 1 or burn_in < 0 or thin < 1:
         raise ValueError(f"hmc needs n_leapfrog >= 0, n_samples >= 1, burn_in >= 0 and thin >= 1, got {n_leapfrog}, {n_samples}, {burn_in}, {thin}")
+    if not 0.0 < step_size < np.inf:
+        raise ValueError(f"hmc needs a finite step_size > 0, got {step_size}")
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
     k = len(seeds)
@@ -340,52 +328,34 @@ def hmc(
     return outs[0] if single else outs
 
 
-class _PosteriorWorkspace:
-    """The buffers of K lock-step chains' log-posterior gradients, built once per `hmc_posterior` call.
+class _PosteriorWorkspace(Workspace):
+    """K lock-step chains' log-posterior gradients and log densities, on one `models.Workspace` over the data rows.
 
-    `values` is the writable (K, P) stack of the positions of the last
-    pass and `layers` its per-layer views; `acts[l]` is the input of layer
-    l, the data rows for l = 0 and a (K, n, width) buffer after it, and the
-    last entry holds the head outputs, whose gradients go to `grad_out`;
-    `backprop` writes the flat gradients into `grad`.  The data's target
-    rows and their `target_terms` are built once.  A gradient skips the
-    loss reduction and keeps the cross-entropy terms of its forward pass,
-    so the log density at the position of the last gradient, a
-    trajectory's end, costs that reduction alone.  Both keep the bits of
+    The log density at the position of the last gradient, a trajectory's
+    end, reads that gradient's head pass.  Both keep the bits of
     `models.loss_and_grad` and `models.log_posterior`.
     """
 
     def __init__(self, data, arch: ArchSpec, prior_precision: float, k: int):
         if len(data) == 0:
             raise ValueError("hmc_posterior needs a nonempty dataset")
-        self.arch, self.prior, self.n = arch, prior_precision, len(data)
-        self.targets = target_rows(arch, data.y)
-        self.fixed = target_terms(arch, self.targets)
-        self.values = np.empty((k, arch.param_count()))
-        self.layers = layer_views(arch, self.values)
-        self.acts = [np.asarray(data.x, dtype=np.float64)] + [np.empty((k, self.n, w)) for w in arch.widths[1:]]
-        self.grad_out = np.empty(self.acts[-1].shape)
-        self.grad = np.empty_like(self.values)
-        self.backprop = Backprop(arch, self.layers, self.acts, self.grad_out, self.grad)
-        self.terms = None  # the cross-entropy terms of the last pass at `values`
+        super().__init__(arch, np.empty((k, arch.param_count())), len(data), x=np.asarray(data.x, dtype=np.float64), targets=target_rows(arch, data.y))
+        self.prior = prior_precision
 
     def grad_log_density(self, q: np.ndarray) -> np.ndarray:
         """The (K, P) gradients of the log-posterior at the positions `q`: -n * dCE - prior * q."""
         self.values[...] = q
-        forward_into(self.arch, self.layers, self.acts)
-        self.terms = cross_entropy_grad(self.arch, self.acts[-1], self.targets, self.fixed, self.grad_out)[1]
-        g = np.multiply(self.backprop.run(), -self.n)
+        self.forward()
+        g = np.multiply(self.backward(), -self.n)
         g -= self.prior * q
         return g
 
     def log_density(self, q: np.ndarray) -> np.ndarray:
-        """The K log-posteriors at the positions `q`, read from the last gradient's pass when `q` is its position."""
+        """The K log-posteriors at the positions `q`, read from the last pass when `q` is its position."""
         if self.terms is None or not np.array_equal(q, self.values):
             self.values[...] = q
-            forward_into(self.arch, self.layers, self.acts)
-            self.terms = None
-        loss = cross_entropy_loss(self.arch, self.acts[-1], self.targets, self.terms)
-        return np.array([-(self.n * float(l)) - 0.5 * self.prior * float(v @ v) for l, v in zip(loss, q)])
+            self.forward()
+        return np.array([-(self.n * float(l)) - 0.5 * self.prior * float(v @ v) for l, v in zip(self.loss(), q)])
 
 
 def hmc_posterior(
@@ -409,6 +379,7 @@ def hmc_posterior(
     preallocated workspace per call.  Returns one `SamplerOutput` for an
     int seed, else one per chain, each that chain's single-chain run.
     """
+    _check_nonnegative(prior_precision=prior_precision)
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
     start = np.array([(init if init is not None else init_params(arch, s)).values for s in seeds])

@@ -41,25 +41,21 @@ gamma, the data's target rows (with their `models.target_terms`, in a
 full-batch search) and, for a last-layer search, the penultimate features
 of the data and of the test inputs.
 
-A step allocates no buffer of the batch's size: a `_Workspace`, built
-once per batch and again only when a NaN abort shrinks K, holds the
-writable (K, P) parameter stack and its per-layer views (Adam updates it
-in place and zeroes its moments in place at each penalty stage), one
-(K, n + 1, width) activation buffer per layer, the rows' cross-entropy
-targets and the (K, n + 1, k) head-output gradients.  Rows :n of each
-buffer are the batch rows and row n is each search's test row; the
-forward pass (`models.forward_into`) gives each of the two blocks its own
-GEMM.  One head pass over all n + 1 rows (`models.cross_entropy_grad`,
-with each row weighted: 1/n on the batch rows, and +1 or -1 on the test
-row, the sign of its cross-entropy in L_adv) gives the batch losses,
-L_adv, the test rows' prediction rows and every head-output gradient.
-The backward pass runs on views built with the workspace
-(`models.Backprop`): on all rows when every search pays the penalty, on
-the test rows when none does, and otherwise on the test rows of every
-search, then on all rows of each run of consecutive penalized searches.
-The records go into per-batch columns, one row per step (`_Records`), and
-take their KL from the logs of the reference rows, taken once per batch;
-each trajectory's `TrajectoryRecord` list is built once, at the end.
+A step allocates no buffer of the batch's size: its `models.Workspace`
+(`_Workspace`), built once per batch and again only when a NaN abort
+shrinks K, holds the (K, P) parameter stack, which Adam updates in place
+(and zeroes its moments in place at each penalty stage), and every row
+buffer.  Its n rows are the batch rows, and its extra row, with its own
+GEMM, each search's test row.  One head pass over all n + 1 rows, each
+row weighted (1/n on the batch rows, and +1 or -1 on the test row, the
+sign of its cross-entropy in L_adv), gives the batch losses, L_adv, the
+test rows' prediction rows and every head-output gradient.  The backward
+pass runs on all rows when every search pays the penalty, on the test
+rows when none does, and otherwise on the test rows of every search, then
+on all rows of each run of consecutive penalized searches.  The records
+go into per-batch columns, one row per step (`_Records`), and take their
+KL from the logs of the reference rows, taken once per batch; each
+trajectory's `TrajectoryRecord` list is built once, at the end.
 """
 
 from __future__ import annotations
@@ -70,20 +66,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .measures import _check_rows, _kl_cat, _kl_gauss, entropy_cat, entropy_gauss
-from .models import (
-    Adam,
-    ArchSpec,
-    Backprop,
-    ModelParams,
-    cross_entropy_grad,
-    cross_entropy_loss,
-    forward,
-    forward_into,
-    head_predictions,
-    layer_views,
-    target_rows,
-    target_terms,
-)
+from .models import Adam, ArchSpec, ModelParams, Workspace, cross_entropy_loss, forward, forward_into, head_predictions, target_rows
 from .rng import derive_rng
 
 __all__ = [
@@ -120,18 +103,22 @@ class SearchConfig:
     free_mask: Optional[np.ndarray] = None  # explicit override of delta_scope
 
     def __post_init__(self):
-        if self.eta_factor <= 1.0:
-            raise ValueError(f"eta_factor must exceed 1, got {self.eta_factor}")
+        # written so that NaN fails every check
+        if not 1.0 < self.eta_factor < np.inf:
+            raise ValueError(f"eta_factor must be a finite number above 1, got {self.eta_factor}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.eta_every < 1:
             raise ValueError(f"eta_every must be >= 1, got {self.eta_every}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.c0 > 0:
-            raise ValueError("c0 must be positive")
-        if self.gamma is not None and self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not 0.0 < self.c0 < np.inf:
+            raise ValueError(f"c0 must be a finite positive number, got {self.c0}")
+        if self.gamma is not None and not 0.0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be a finite number >= 0, got {self.gamma}")
+        for name in ("lr", "weight_decay"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
         if self.delta_scope not in ("all_params", "last_layer", "bias_only"):
             raise ValueError(f"unknown delta_scope {self.delta_scope!r}")
 
@@ -208,7 +195,7 @@ class SearchObjective:
     objective and -KL(ref || model) = H[ref] - CE(ref) otherwise.  The
     gradient enters the network as per-row gradients at the head outputs:
     c * 1[pen > 0] * dCE on the batch rows, dL_adv plus the violation term
-    on the test row (`_Workspace.backward`).
+    on the test row (`_Workspace.gradient`).
     """
 
     x: np.ndarray  # (K, 1, input width): each search's test input
@@ -256,94 +243,58 @@ class SearchObjective:
         batches, and `bt` holds their `models.target_rows`.
         """
         ws = _Workspace(self, params.arch, params.values, np.shape(bx)[-2])
-        ws.set_batch(bx, bt)
-        batch_loss, adv = ws.forward()
+        ws.fill(bx, bt)
+        batch_loss, adv = ws.losses()
         loss = adv + c * np.maximum(batch_loss - self.bound, 0.0) + c * np.maximum(self.violation(ws.test_out), 0.0)
-        return loss, ws.backward(c)
+        return loss, ws.gradient(c)
 
 
-class _Workspace:
-    """The buffers of K lock-step searches' steps: allocated once per batch, and again when a NaN abort shrinks K.
+class _Workspace(Workspace):
+    """The `models.Workspace` of K lock-step searches' steps: allocated once per batch, and again when a NaN abort shrinks K.
 
-    `values` is the writable (K, P) parameter stack, updated in place, and
-    `layers` its per-layer views.  `acts[l]` is the (K, n + 1, width)
-    input of layer l, and the last entry holds the head outputs: rows :n
-    are the batch rows and row n is each search's test row.  `targets`
-    holds each row's cross-entropy target and `weights` its weight: 1/n on
-    the batch rows, and +1 or -1 on the test row, the sign of its
-    cross-entropy in L_adv; `fixed` are their `models.target_terms`.
-    `grad_out` holds the gradients at the head outputs of the same rows and
-    `grad` the flat gradients; `backprop` runs on all rows and
-    `test_backprop` on the test rows.
+    Its n rows are the batch rows and its one extra row is each search's
+    test row, whose target is the objective's and whose weight is +1 or -1,
+    the sign of its cross-entropy in L_adv; the batch rows weigh 1/n.
     """
 
     def __init__(self, objective: SearchObjective, arch: ArchSpec, values: np.ndarray, n: int):
-        k = len(values)
-        self.objective, self.arch, self.n = objective, arch, n
-        self.values = np.array(values, dtype=np.float64)
-        self.layers = layer_views(arch, self.values)
-        self.acts = [np.empty((k, n + 1, w)) for w in arch.widths]
+        weights = np.full((len(values), n + 1, 1), 1.0 / n)
+        weights[:, n, 0] = np.where(objective.is_class, 1.0, -1.0)
+        super().__init__(arch, np.array(values, dtype=np.float64), n, weights=weights, extra=1)
+        self.objective = objective
         self.acts[0][:, n:] = objective.x
-        self.batch_acts = [a[:, :n] for a in self.acts]
-        self.test_acts = [a[:, n:] for a in self.acts]
-        self.targets = np.zeros((k, n + 1, objective.target.shape[-1]))
         self.targets[:, n:] = objective.target
-        self.weights = np.full((k, n + 1, 1), 1.0 / n)
-        self.weights[:, n, 0] = np.where(objective.is_class, 1.0, -1.0)
-        self.fixed = target_terms(arch, self.targets, self.weights)
-        self.grad_out = np.empty((k, n + 1, arch.widths[-1]))
-        self.grad = np.empty_like(self.values)
-        self.backprop = Backprop(arch, self.layers, self.acts, self.grad_out, self.grad)
-        self.test_backprop = Backprop(arch, self.layers, self.test_acts, self.grad_out[:, n:], self.grad)
-
-    @property
-    def batch_x(self) -> np.ndarray:
-        """The (K, n, input width) batch rows."""
-        return self.batch_acts[0]
 
     @property
     def test_out(self) -> np.ndarray:
-        """The (K, 1, k) head outputs at the test rows, from the last `forward`."""
-        return self.test_acts[-1]
-
-    def set_batch(self, bx: np.ndarray, bt: np.ndarray) -> None:
-        """Fill the batch rows with the inputs `bx` and their target rows `bt`, one batch for every search or one each."""
-        self.batch_x[...] = bx
-        self.targets[:, : self.n] = bt
-        if self.arch.head == "categorical":  # a Gaussian head's terms do not depend on the targets
-            self.fixed = target_terms(self.arch, self.targets, self.weights)
+        """The (K, 1, k) head outputs at the test rows, from the last `losses`."""
+        return self.acts[-1][:, self.n :]
 
     def subset(self, keep: np.ndarray) -> "_Workspace":
         """A workspace for the searches `keep` selects, with their parameters and batch rows."""
         ws = _Workspace(self.objective.subset(keep), self.arch, self.values[keep], self.n)
-        ws.set_batch(self.batch_x[keep], self.targets[keep, : self.n])
+        ws.fill(self.acts[0][keep, : self.n], self.targets[keep, : self.n])
         return ws
 
-    def forward(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each search's batch loss and its L_adv; the gradients at the head outputs are kept for `backward`.
-
-        One pass over the head outputs of all rows takes the batch rows'
-        cross-entropy, the test rows' adversarial term and every row's
-        gradient; the test rows' prediction rows go to `test_preds`.
-        """
-        n, arch, obj = self.n, self.arch, self.objective
+    def losses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each search's batch loss and its L_adv, from one `forward`; the test rows' prediction rows go to `test_preds`."""
+        n, obj = self.n, self.objective
         # the test rows keep their own GEMM: in the batch rows' GEMM their
         # outputs can move by an ulp, and an unmoved iterate would then
         # diverge from the reference by a spurious KL > 0
-        out = forward_into(arch, self.layers, self.acts, blocks=(self.batch_acts, self.test_acts))[-1]
-        terms = cross_entropy_grad(arch, out, self.targets, self.fixed, self.grad_out)[1]
-        self.batch_loss, ce = cross_entropy_loss(arch, out, self.targets, terms, split=n)
-        if arch.head == "categorical":
-            self.test_preds = terms[1][:, n:] / terms[2][:, n:]
+        self.forward()
+        self.batch_loss, ce = self.loss(split=n)
+        if self.arch.head == "categorical":
+            self.test_preds = self.terms[1][:, n:] / self.terms[2][:, n:]
         else:
-            self.test_preds = head_predictions(arch, self.test_out)
+            self.test_preds = head_predictions(self.arch, self.test_out)
         # L_adv is CE for a class objective and H[ref] - CE otherwise
         return self.batch_loss, np.where(obj.is_class, ce, obj.ref_entropy - ce)
 
-    def backward(self, c: float) -> np.ndarray:
-        """Flat gradients of the K objectives at penalty weight c, one row per search, at the last `forward`.
+    def gradient(self, c: float) -> np.ndarray:
+        """Flat gradients of the K objectives at penalty weight c, one row per search, at the last `losses`.
 
-        It scales the kept head-output gradients in place, so it runs once per `forward`.
+        It scales the kept head-output gradients in place, so it runs once per `losses`.
         """
         obj, n = self.objective, self.n
         if obj.direction.any():
@@ -353,9 +304,9 @@ class _Workspace:
         active = self.batch_loss - obj.bound > 0.0
         if active.all():
             self.grad_out[:, :n] *= c
-            return self.backprop.run()
+            return self.backward()
         # inside the slack the batch rows carry no gradient
-        self.test_backprop.run()
+        self.backward(extra=True)
         if active.any():
             # the penalized searches, one run of consecutive ones at a time, on slices of the views
             rows = np.flatnonzero(active)
@@ -363,7 +314,7 @@ class _Workspace:
             for run in runs:
                 at = slice(run[0], run[-1] + 1)
                 self.grad_out[at, :n] *= c
-                self.backprop.run(at)
+                self.backward(at)
         return self.grad
 
 
@@ -508,14 +459,14 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
     live = np.arange(k)
     ws = _Workspace(objective, warch, base, batch)
     # a mini-batch search fills its rows at each step: until then any rows do
-    ws.set_batch(x[:batch], targets[:batch])
+    ws.fill(x[:batch], targets[:batch])
     # Record the exact reference first; for nudged searches the loop below
     # starts from a distinct (nudged) model.
     step0 = np.array([not np.array_equal(b, work.values) for b in base], dtype=int)
     first = np.flatnonzero(step0)
     if first.size and np.isfinite(l_ref):
         ws.values[first] = work.values
-        adv = ws.forward()[1][first]
+        adv = ws.losses()[1][first]
         add_records(0, first, None, inner.c0, adv, np.full(first.size, l_ref - bound), np.full(first.size, l_ref), ws.test_preds[first], ws.values[first])
         ws.values[first] = base[first]
 
@@ -527,8 +478,8 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
     for m in range(1, inner.steps + 1):
         if batch < n:
             idx = np.stack([rngs[s].choice(n, size=batch, replace=False) for s in live])
-            ws.set_batch(x[idx], targets[idx])
-        batch_loss, adv = ws.forward()
+            ws.fill(x[idx], targets[idx])
+        batch_loss, adv = ws.losses()
         ok = np.isfinite(adv) & np.isfinite(batch_loss)
         if batch < n:
             mtl = np.full(len(live), np.nan)
@@ -547,9 +498,9 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
                 break
             ws, kept = ws.subset(ok), kept[ok]
             opt.m, opt.v = opt.m[ok], opt.v[ok]
-            ws.forward()
+            ws.losses()
 
-        g = ws.backward(c)
+        g = ws.gradient(c)
         if frozen.size:
             g[:, frozen] = 0.0
         opt.step(ws.values, g, out=ws.values)
@@ -566,7 +517,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
 
     if live.size:
         # the final updated models were visited too
-        batch_loss, adv = ws.forward()
+        batch_loss, adv = ws.losses()
         mtl = batch_loss if full_batch else _full_losses(warch, ws.layers, x, targets)
         ok = np.isfinite(adv)
         nan_abort[live[~ok]] = True

@@ -390,11 +390,15 @@ def test_cmd_grid_reports_nan_abort(tmp_path, capsys):
     assert all("nan_abort" in row.split(",")[-1].split(";") for row in rows)
 
 
+def _reject_constant(name):
+    raise ValueError(f"the status line is not strict JSON: it holds {name}")
+
+
 def one_status_line(capsys, argv):
     code = main(argv)
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1, lines
-    return code, json.loads(lines[0])
+    return code, json.loads(lines[0], parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize(
@@ -411,8 +415,50 @@ def one_status_line(capsys, argv):
         ("varstudy", "[varstudy]\nrange = nan 3\n"),
         ("varstudy", "[varstudy]\nrange = 1 inf\n"),
         ("varstudy", "[varstudy]\nrange = 1\n"),
+        ("simplex", "[simplex]\ntest_point = nan 0.5\n"),
+        ("simplex", "[simplex]\ntest_point = 0.5 0.5 0.5\n"),
+        ("quam", "[search]\ngamma = nan\n"),
+        ("quam", "[search]\neta_factor = nan\n"),
+        ("quam", "[search]\neta_factor = inf\n"),
+        ("quam", "[search]\nc0 = inf\n"),
+        ("quam", "[search]\nlr = nan\n"),
+        ("quam", "[search]\nweight_decay = inf\n"),
+        ("baseline", "[baseline]\nmethod = hmc\nstep_size = nan\n"),
+        ("baseline", "[baseline]\nmethod = hmc\nstep_size = 0\n"),
+        ("baseline", "[baseline]\nmethod = hmc\nprior_precision = inf\n"),
+        ("baseline", "[baseline]\nmethod = csghmc\nprior_precision = nan\n"),
+        ("baseline", "[baseline]\nmethod = csghmc\ntemperature = nan\n"),
+        ("baseline", "[baseline]\nmethod = csghmc\nstep_size = -0.001\n"),
+        ("baseline", "[baseline]\nmethod = csghmc\nstep_size = inf\n"),
     ],
-    ids=["hmc_n_leapfrog", "hmc_n_samples", "hmc_burn_in", "csghmc_steps_per_cycle", "grid_resolution", "grid_x_range_nan", "grid_y_range_three", "varstudy_count", "varstudy_range_nan", "varstudy_range_inf", "varstudy_range_one"],
+    ids=[
+        "hmc_n_leapfrog",
+        "hmc_n_samples",
+        "hmc_burn_in",
+        "csghmc_steps_per_cycle",
+        "grid_resolution",
+        "grid_x_range_nan",
+        "grid_y_range_three",
+        "varstudy_count",
+        "varstudy_range_nan",
+        "varstudy_range_inf",
+        "varstudy_range_one",
+        "simplex_test_point_nan",
+        "simplex_test_point_width",
+        "search_gamma_nan",
+        "search_eta_factor_nan",
+        "search_eta_factor_inf",
+        "search_c0_inf",
+        "search_lr_nan",
+        "search_weight_decay_inf",
+        "hmc_step_size_nan",
+        "hmc_step_size_zero",
+        "hmc_prior_precision_inf",
+        "csghmc_prior_precision_nan",
+        "csghmc_temperature_nan",
+        "csghmc_step_size_negative",
+        "csghmc_step_size_inf",
+    ],
 )
 def test_settings_that_do_no_work_are_usage_errors(tmp_path, capsys, command, section):
     _, s = run(capsys, "train", "--config", write(tmp_path / "t.ini", TRAIN_INI.format(out=tmp_path / "ref")))

@@ -369,8 +369,8 @@ def test_head_pass_is_the_batch_cross_entropy_and_the_adversarial_term_bit_for_b
         # a mini-batch search fills new rows at every step, a full batch once
         shape = (k, n) if minibatch else (n,)
         bx, bt = rng.normal(size=shape + (widths[0],)), random_targets(arch, rng, shape) if minibatch else fixed
-        ws.set_batch(bx, bt)
-        batch_loss, adv = ws.forward()
+        ws.fill(bx, bt)
+        batch_loss, adv = ws.losses()
         out = ws.acts[-1]
         loss, grad = M.cross_entropy(arch, out[:, :n].copy(), bt)
         assert batch_loss.tobytes() == loss.tobytes()
@@ -394,8 +394,8 @@ def test_workspace_backward_is_a_fresh_backprop_bit_for_bit(head, active):
     n, c = 7, 2.5
     ws, rng = random_workspace(widths, head, objectives, n, seed=5)
     arch, obj = ws.arch, ws.objective
-    ws.set_batch(rng.normal(size=(n, widths[0])), random_targets(arch, rng, (n,)))
-    ws.forward()
+    ws.fill(rng.normal(size=(n, widths[0])), random_targets(arch, rng, (n,)))
+    ws.losses()
     ws.batch_loss = obj.bound + np.where(active, 1.0, -1.0)
     # the expected gradients: the direction penalty enters at the test row's mean
     grad_out = ws.grad_out.copy()
@@ -413,4 +413,4 @@ def test_workspace_backward_is_a_fresh_backprop_bit_for_bit(head, active):
     if models.size:
         grad_out[models, :n] *= c
         expected[models] = backprop(models, slice(None))
-    assert ws.backward(c).tobytes() == expected.tobytes()
+    assert ws.gradient(c).tobytes() == expected.tobytes()
