@@ -1,12 +1,16 @@
 """Byte identity of the CLI's outputs: sha256 digests of a fixed small set of runs.
 
 The set runs in process through `quam.cli.main`: `train` of two moons with
-and without dropout (the dropout one on mini-batches) and of the sine
-Gaussian head; `quam` on a full batch (setting b, three points in one
-lock-step batch), on mini-batches of the last layer (setting a) and on the
-sine head; `baseline` hmc, mcd, csghmc and de; a 3 x 3 `grid`; and an
-`eval` of two of the score files.  Every output file but the config echo,
-and every status line, is hashed and compared with `GOLDEN`.
+and without dropout (the dropout one on mini-batches), of a deeper
+2-16-16-2 net on 200 rows and of the sine Gaussian head; `quam` on a full
+batch (setting b, three points in one lock-step batch), on mini-batches of
+the last layer (setting a) and on the sine head; `quam` of the deeper net
+at three points, one of them (1e307, -1e307), on a full batch and on
+mini-batches, where one of that point's searches hits a non-finite loss
+mid-run and the batch's other searches go on; `baseline` hmc, mcd, csghmc
+and de; a 3 x 3 `grid`; and an `eval` of two of the score files.  Every
+output file but the config echo, and every status line, is hashed and
+compared with `GOLDEN`.
 
 The bits of every output depend on the BLAS kernel that runs the GEMMs, so
 the table is keyed by the OpenBLAS core that numpy's OpenBLAS picks at run
@@ -39,12 +43,16 @@ DROPOUT_ARCH = "[arch]\nwidths = 2 8 8 2\ndropout_prob = 0.2\n"
 SINE_ARCH = "[arch]\nwidths = 1 16 2\nhead = gaussian_scalar\n"
 TRAIN = "[train]\nepochs = 40\nlr = 0.01\n"
 SEARCH = "[search]\nsteps = 12\nlr = 0.01\n"
+MOONS_200 = MOONS.replace("n = 80", "n = 200")
+DEEP = MOONS_200 + "[reference]\ncheckpoint = train_deep/model.ckpt\n[test_inputs]\nfile = moons_far.csv\n[search]\nsteps = 30\nlr = 0.01\n"
+FAR = {"moons_far.csv": "x0,x1\n1e307,-1e307\n-1.2,1.2\n0.5,0.5\n"}
 
 # (output directory, command and flags, config body, extra files): each run reads the outputs of those before it
 RUNS = [
     ("train_moons", "train", MOONS + ARCH + TRAIN, {}),
     ("train_dropout", "train", MOONS + DROPOUT_ARCH + TRAIN + "batch_size = 32\n", {}),
     ("train_sine", "train", SINE + SINE_ARCH + "[train]\nepochs = 60\nlr = 0.01\n", {}),
+    ("train_deep", "train", MOONS_200 + "[arch]\nwidths = 2 16 16 2\n[train]\nepochs = 300\n", {}),
     (
         "quam_full",
         "quam --jobs 3",
@@ -67,6 +75,9 @@ RUNS = [
         SINE + SINE_ARCH + "[reference]\ncheckpoint = train_sine/model.ckpt\n[test_inputs]\nfile = sine_points.csv\n" + SEARCH + "[estimator]\nsetting = a\n",
         {"sine_points.csv": "x\n0.5\n4.0\n"},
     ),
+    # the far point's class-1 search aborts after 20 updates (13 on mini-batches); its class-0 search does not
+    ("quam_abort", "quam --jobs 3", DEEP + "[estimator]\nsetting = b\n", FAR),
+    ("quam_abort_minibatch", "quam --jobs 3", DEEP + "batch_size = 64\n[estimator]\nsetting = b\n", {}),
     (
         "hmc",
         "baseline",
@@ -97,6 +108,9 @@ GOLDEN = {
         'train_sine/status': '9ba99df49727e1815bec2675de04215a294f2b841f1e78530faeb151de1c871c',
         'train_sine/model.ckpt': '6f83881063f12a0fe0cf404cd39dbfaf9b82e33b0ae1bde1a4df7a0549fe6437',
         'train_sine/train_log.jsonl': '55f7b7759ae97c9e398ea70e3fa10e4608ddf5cf9ddee98fcef2d709dfafdcc5',
+        'train_deep/status': '9f4d0c85a7944cab0a1548aaacd0ba23cb6cedcc978a0c5d6723e9d5bac5560c',
+        'train_deep/model.ckpt': 'c9631c3340562c5430ac52e8b491c07e86c55291115c76b0c08485523aa76e74',
+        'train_deep/train_log.jsonl': '2d8242c84b39280bd600a3fd2aae7e9a837ee9d697be929890e760610e40331e',
         'quam_full/status': '5db0b25fa9f1681ceaa4af547083077740a5dd945a6ee550cf53eb0e873a56db',
         'quam_full/scores.jsonl': 'ff537dada20511e0600a9efe80fb30cac37c0abb2144ff91d013fe37279e144c',
         'quam_full/trajectory_0000_class0.jsonl': 'c84c239433eebed97fd7ffc8cab8be03fec2198affaa45f7688c102687b7e8a4',
@@ -117,6 +131,22 @@ GOLDEN = {
         'quam_sine/trajectory_0000_direction-.jsonl': '5b1217e8ad9b093ccf79762edef175ed2541c6d5036e3d5896ef26498c711ff4',
         'quam_sine/trajectory_0001_direction+.jsonl': 'dfcb4d00104c5bca92059cfd2cd5e7868e23dd4698478663a2a2119aeeadc82c',
         'quam_sine/trajectory_0001_direction-.jsonl': '64142be8b83d1281a4608cf65c46ac36b45b7474f1ce3d5463b1487c6b6541d3',
+        'quam_abort/status': 'a7111aa28ee0e419596d0c0704696d1f1996bd07f829e3212a7557b66f889f60',
+        'quam_abort/scores.jsonl': '919aa6dc336a24eab014411e25e556a546b8bf01d22ff2f1c04cd11157c5f892',
+        'quam_abort/trajectory_0000_class0.jsonl': 'fb1c7900a92aa2d4c2fd92d4b3affd174cb843b24a7aaa992b9615fbf1279807',
+        'quam_abort/trajectory_0000_class1.jsonl': '212127d1fb3faa81e07c773b1949d8354fbc2e52cac841536c733f18ac0dcd75',
+        'quam_abort/trajectory_0001_class0.jsonl': '2bbbce82e0fe26234dbfbd088013538f9388e913bbd01149cc9a12a171154f82',
+        'quam_abort/trajectory_0001_class1.jsonl': 'aff9f1c71f42e3526fceb2c9752deda5a7bcbac77b0a319fb5a1407f8d5d94c0',
+        'quam_abort/trajectory_0002_class0.jsonl': '14254093feafa258a46105c1aa37bb07a7fe8e883245e342e0676122774ddd45',
+        'quam_abort/trajectory_0002_class1.jsonl': '5331598c1c996af8b4b139e175553c29bfb0c5adb334e5711d256c27c18427a6',
+        'quam_abort_minibatch/status': 'c6a01cbd8b7d24fa93cf172e49992c925291057b50e62bed7c1ba1711e279cd2',
+        'quam_abort_minibatch/scores.jsonl': 'fd23e81c51133d7f186067467052c7b5165c7053d6ad51cdde6029df006f1a0d',
+        'quam_abort_minibatch/trajectory_0000_class0.jsonl': '47e3184713db2a24095ada97281cfbb647e8af678752aa2fa855471eb17d0331',
+        'quam_abort_minibatch/trajectory_0000_class1.jsonl': '243de67f8ad4679987ac6773e50bb8197f863d7d42c8ab2aede9fd9cd287c55d',
+        'quam_abort_minibatch/trajectory_0001_class0.jsonl': '3a8fea4aab5ccd2f01b26cf32b05ca85c2f98e0cb4b5218445394b438e3e21af',
+        'quam_abort_minibatch/trajectory_0001_class1.jsonl': '0ff55c52a338d4cb31cb8be60fb0f4d8be9dbcb76d4db48326db9bc9a08b895f',
+        'quam_abort_minibatch/trajectory_0002_class0.jsonl': '40a2477940d6aabf4e4f813a1091e35477d9b5a5d4dc2ce11bba2d1d09478489',
+        'quam_abort_minibatch/trajectory_0002_class1.jsonl': '231904aaf788e0415eab12a6d890c85362d5be2ceb01e0fb0578db7f304e5253',
         'hmc/status': 'a85dfbd6fb48f0aba551e7532b56d23156363583eb21737ba092835f55e641af',
         'hmc/scores_a.jsonl': '1498fb4de4ee586f5130e35c706ca0a69858d8b3d0092b9ddc91fa201443524d',
         'hmc/scores_b.jsonl': 'ebca260dd637679986a3ca2f6dc2643a5d1c46f98bb1fbca26c88c1c5ebd9047',

@@ -310,6 +310,20 @@ def test_batch_search_that_overflows_aborts_alone():
     assert len(alone) == len(searches)
 
 
+def test_batch_minibatch_search_that_overflows_aborts_alone():
+    # the same searches on mini-batches: after the abort, the full-data
+    # losses of the other searches keep their bits
+    data, ref = moons_reference()
+    xs = np.array([[1e307, -1e307], [-1.2, 1.2], [0.5, 0.5]])
+    searches = [(i, ("class", c), (c,)) for i in range(3) for c in (0, 1)]
+    cfg = SearchConfig(steps=30, lr=1e-2, seed=0, batch_size=64)
+    with np.errstate(all="ignore"):
+        assert_batch_independent(xs, data, ref, cfg, searches)
+        batch = search_batch(xs, data, ref, cfg, searches)
+    assert [t.nan_abort for t in batch] == [False, True, False, False, False, False]
+    assert 1 < len(batch[1].records) < len(batch[0].records) == cfg.steps + 1
+
+
 def test_batch_of_three_that_shrinks_between_searches_on_both_sides_of_the_slack():
     # the search at the first point overflows after 20 updates; at that step
     # one of the other two pays the penalty and the other sits inside the
