@@ -34,28 +34,30 @@ and best-iterate choice are vectorized across the K searches.  Each
 search's slice of every stacked operation has the bits of the same
 operation run for that search alone, so a search's records and best
 iterate do not depend on what else is in its batch.  A search that hits a
-non-finite loss leaves the stack; the others go on.  What the reference
-fixes is computed once per batch, not once per search: its prediction rows
-at the test inputs and their logs, its full-data loss L_ref and the slack
-gamma, the data's target rows (with their `models.target_terms`, in a
-full-batch search) and, for a last-layer search, the penultimate features
-of the data and of the test inputs.
+non-finite loss stops: a mask takes it out of the records and the
+best-iterate choice, while its row stays in the stack, where no other
+search reads it, and the others go on.  What the reference fixes is
+computed once per batch, not once per search: its prediction rows at the
+test inputs and their logs, its full-data loss L_ref and the slack gamma,
+the data's target rows (with their `models.target_terms`, in a full-batch
+search) and, for a last-layer search, the penultimate features of the data
+and of the test inputs.
 
 A step allocates no buffer of the batch's size: its `models.Workspace`
-(`_Workspace`), built once per batch and again only when a NaN abort
-shrinks K, holds the (K, P) parameter stack, which Adam updates in place
-(and zeroes its moments in place at each penalty stage), and every row
-buffer.  Its n rows are the batch rows, and its extra row, with its own
-GEMM, each search's test row.  One head pass over all n + 1 rows, each
-row weighted (1/n on the batch rows, and +1 or -1 on the test row, the
-sign of its cross-entropy in L_adv), gives the batch losses, L_adv, the
-test rows' prediction rows and every head-output gradient.  The backward
-pass runs on all rows when every search pays the penalty, on the test
-rows when none does, and otherwise on the test rows of every search, then
-on all rows of each run of consecutive penalized searches.  The records
-go into per-batch columns, one row per step (`_Records`), and take their
-KL from the logs of the reference rows, taken once per batch; each
-trajectory's `TrajectoryRecord` list is built once, at the end.
+(`_Workspace`), built once per batch, holds the (K, P) parameter stack,
+which Adam updates in place (and zeroes its moments in place at each
+penalty stage), and every row buffer.  Its n rows are the batch rows, and
+its extra row, with its own GEMM, each search's test row.  One head pass
+over all n + 1 rows, each row weighted (1/n on the batch rows, and +1 or
+-1 on the test row, the sign of its cross-entropy in L_adv), gives the
+batch losses, L_adv, the test rows' prediction rows and every head-output
+gradient.  The backward pass runs on all rows when every search pays the
+penalty, on the test rows when none does, and otherwise on the test rows
+of every search, then on all rows of each run of consecutive penalized
+searches.  The records go into per-batch columns, one row per step
+(`_Records`), and take their KL from the logs of the reference rows, taken
+once per batch; each trajectory's `TrajectoryRecord` list is built once,
+at the end.
 """
 
 from __future__ import annotations
@@ -226,10 +228,6 @@ class SearchObjective:
         object.__setattr__(self, "is_class", np.array(is_class, dtype=bool))
         object.__setattr__(self, "direction", np.array(direction, dtype=int))
 
-    def subset(self, keep: np.ndarray) -> "SearchObjective":
-        """The objectives of the searches `keep` selects."""
-        return replace(self, x=self.x[keep], ref=self.ref[keep], objectives=tuple(o for o, k in zip(self.objectives, keep) if k))
-
     def violation(self, out: np.ndarray) -> np.ndarray:
         """direction * (ref mean - mean) at the test rows' head outputs `out`; 0 for a search without a direction."""
         viol = self.direction * (self.ref[:, 0] - out[:, 0, 0])
@@ -250,7 +248,7 @@ class SearchObjective:
 
 
 class _Workspace(Workspace):
-    """The `models.Workspace` of K lock-step searches' steps: allocated once per batch, and again when a NaN abort shrinks K.
+    """The `models.Workspace` of K lock-step searches' steps, allocated once per batch.
 
     Its n rows are the batch rows and its one extra row is each search's
     test row, whose target is the objective's and whose weight is +1 or -1,
@@ -269,12 +267,6 @@ class _Workspace(Workspace):
     def test_out(self) -> np.ndarray:
         """The (K, 1, k) head outputs at the test rows, from the last `losses`."""
         return self.acts[-1][:, self.n :]
-
-    def subset(self, keep: np.ndarray) -> "_Workspace":
-        """A workspace for the searches `keep` selects, with their parameters and batch rows."""
-        ws = _Workspace(self.objective.subset(keep), self.arch, self.values[keep], self.n)
-        ws.fill(self.acts[0][keep, : self.n], self.targets[keep, : self.n])
-        return ws
 
     def losses(self) -> tuple[np.ndarray, np.ndarray]:
         """Each search's batch loss and its L_adv, from one `forward`; the test rows' prediction rows go to `test_preds`."""
@@ -428,16 +420,15 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
     # the reference rows' logs and support check, for every record's KL
     log_refs = np.log(ref_rows) if arch.head == "categorical" and (ref_rows > 0.0).all() else None
 
-    def add_records(row, slots, keep, c, adv, pen, mtl, preds, values):
-        """Record, at `row`, the models `values` of searches `slots` where `keep` holds (all of them for None); update the best iterates.
+    def add_records(row, keep, c, adv, pen, mtl, preds, values):
+        """Record, at `row`, the models `values` of the searches where `keep` holds; update their best iterates.
 
         `preds` holds the models' (K, 1, k) prediction rows at their test
         rows; the other arguments hold one entry per search.
         """
-        if keep is not None:
-            slots, adv, pen, mtl, preds, values = slots[keep], adv[keep], pen[keep], mtl[keep], preds[keep], values[keep]
+        slots = np.flatnonzero(keep)
         at = slice(None) if len(slots) == k else slots  # every search, or some
-        preds = preds[:, 0]
+        adv, pen, mtl, preds, values = adv[at], pen[at], mtl[at], preds[at, 0], values[at]
         full_pen = pen if full_batch else mtl - bound
         refs_of = ref_rows[at]
         # KL(reference row || prediction row); the reference rows are checked
@@ -456,19 +447,16 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
             best_div[won] = div[better]
             best_values[won] = values[better]
 
-    live = np.arange(k)
     ws = _Workspace(objective, warch, base, batch)
     # a mini-batch search fills its rows at each step: until then any rows do
     ws.fill(x[:batch], targets[:batch])
     # Record the exact reference first; for nudged searches the loop below
     # starts from a distinct (nudged) model.
-    step0 = np.array([not np.array_equal(b, work.values) for b in base], dtype=int)
-    first = np.flatnonzero(step0)
-    if first.size and np.isfinite(l_ref):
-        ws.values[first] = work.values
-        adv = ws.losses()[1][first]
-        add_records(0, first, None, inner.c0, adv, np.full(first.size, l_ref - bound), np.full(first.size, l_ref), ws.test_preds[first], ws.values[first])
-        ws.values[first] = base[first]
+    nudged = np.array([not np.array_equal(b, work.values) for b in base])
+    if nudged.any() and np.isfinite(l_ref):
+        ws.values[nudged] = work.values
+        add_records(0, nudged, inner.c0, ws.losses()[1], np.full(k, l_ref - bound), np.full(k, l_ref), ws.test_preds, ws.values)
+        ws.values[nudged] = base[nudged]
 
     frozen = np.flatnonzero(~mask)
     kept = base[:, frozen]  # the frozen parameters' values, restored after each update
@@ -476,29 +464,17 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
     opt = Adam(ws.values.shape, inner.lr, inner.weight_decay, eps=inner.adam_eps)
     c = inner.c0
     for m in range(1, inner.steps + 1):
-        if batch < n:
-            idx = np.stack([rngs[s].choice(n, size=batch, replace=False) for s in live])
+        if not full_batch:
+            idx = np.stack([rng.choice(n, size=batch, replace=False) for rng in rngs])
             ws.fill(x[idx], targets[idx])
         batch_loss, adv = ws.losses()
-        ok = np.isfinite(adv) & np.isfinite(batch_loss)
-        if batch < n:
-            mtl = np.full(len(live), np.nan)
-            if ok.any():
-                mtl[ok] = _full_losses(warch, ws.layers if ok.all() else [(w[ok], b[ok]) for w, b in ws.layers], x, targets)
-            ok &= np.isfinite(mtl)
-        else:
-            mtl = batch_loss
-        all_ok = ok.all()
-        add_records(m, live, None if all_ok else ok, c, adv, batch_loss - bound, mtl, ws.test_preds, ws.values)
-        if not all_ok:
-            # a non-finite loss stops its search; the others go on from the same step
-            nan_abort[live[~ok]] = True
-            live = live[ok]
-            if not live.size:
-                break
-            ws, kept = ws.subset(ok), kept[ok]
-            opt.m, opt.v = opt.m[ok], opt.v[ok]
-            ws.losses()
+        mtl = batch_loss if full_batch else _full_losses(warch, ws.layers, x, targets)
+        # a non-finite loss stops its search; its row goes on in the stack,
+        # unread by the others, which go on from the same step
+        nan_abort |= ~(np.isfinite(adv) & np.isfinite(batch_loss) & np.isfinite(mtl))
+        add_records(m, ~nan_abort, c, adv, batch_loss - bound, mtl, ws.test_preds, ws.values)
+        if nan_abort.all():
+            break
 
         g = ws.gradient(c)
         if frozen.size:
@@ -515,17 +491,16 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
             # smaller c would throttle the steps of every later stage
             opt.reset()
 
-    if live.size:
+    if not nan_abort.all():
         # the final updated models were visited too
         batch_loss, adv = ws.losses()
         mtl = batch_loss if full_batch else _full_losses(warch, ws.layers, x, targets)
-        ok = np.isfinite(adv)
-        nan_abort[live[~ok]] = True
-        add_records(inner.steps + 1, live, ok & np.isfinite(mtl), c, adv, mtl - bound, mtl, ws.test_preds, ws.values)
+        nan_abort |= ~np.isfinite(adv)
+        add_records(inner.steps + 1, ~nan_abort & np.isfinite(mtl), c, adv, mtl - bound, mtl, ws.test_preds, ws.values)
 
     trajectories = []
     for s, (point, o, _) in enumerate(searches):
-        recs = records.records(s, step0[s], bound, full_batch)
+        recs = records.records(s, int(nudged[s]), bound, full_batch)
         no_feasible = bool(best_row[s] < 0 or best_div[s] <= 0.0)
         if no_feasible:
             # no feasible iterate improved on the reference: return the reference

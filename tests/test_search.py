@@ -324,10 +324,11 @@ def test_batch_minibatch_search_that_overflows_aborts_alone():
     assert 1 < len(batch[1].records) < len(batch[0].records) == cfg.steps + 1
 
 
-def test_batch_of_three_that_shrinks_between_searches_on_both_sides_of_the_slack():
+def test_batch_of_three_that_keeps_an_aborted_row_between_searches_on_both_sides_of_the_slack():
     # the search at the first point overflows after 20 updates; at that step
     # one of the other two pays the penalty and the other sits inside the
-    # slack, so the shrunk workspace runs both backward branches
+    # slack, so the steps after the abort run both backward branches with the
+    # aborted search's row still in the stack
     data, ref = moons_reference()
     xs = np.array([[1e307, -1e307], [-1.2, 1.2], [0.5, 0.5]])
     searches = [(0, ("class", 1), (1,)), (1, ("class", 1), (1,)), (2, ("class", 0), (0,))]
