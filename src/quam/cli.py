@@ -2,11 +2,12 @@
 
 Subcommands: train, quam, baseline, eval, grid, varstudy, simplex.  Every
 run takes a --config file, writes a canonical config echo plus its outputs
-to the output directory, and ends with one machine-parsable JSON status
-line.  Exit codes: 0 success, 2 usage/config error, 3 numerical abort.
-A malformed command line is a usage error too: argparse's usage text goes
-to standard error and the status line to standard output.  `--help` prints
-its text and exits 0 without a status line.
+to the output directory, and ends with one machine-parsable status line,
+strict JSON without NaN or Infinity.  Exit codes: 0 success, 2
+usage/config error, 3 numerical abort.  A malformed command line is a
+usage error too: argparse's usage text goes to standard error and the
+status line to standard output.  `--help` prints its text and exits 0
+without a status line.
 """
 
 from __future__ import annotations
@@ -38,14 +39,17 @@ class UsageError(Exception):
 
 
 def _status(command: str, status: str, **extra):
-    print(json.dumps({"status": status, "command": command, **extra}))
+    print(json.dumps({"status": status, "command": command, **extra}, allow_nan=False))
 
 
 def load_dataset(cfg: ExperimentConfig) -> D.LabeledDataset:
     name = cfg.require("dataset", "name")
     seed = cfg.get_int("dataset", "seed", 0)
     if name == "two_moons":
-        return D.gen_two_moons(cfg.get_int("dataset", "n", 200), cfg.get_float("dataset", "noise", 0.1), seed)
+        noise = cfg.get_float("dataset", "noise", 0.1)
+        if not 0.0 <= noise < np.inf:
+            raise UsageError(f"[dataset] noise must be a finite number >= 0, got {noise}")
+        return D.gen_two_moons(cfg.get_int("dataset", "n", 200), noise, seed)
     if name == "three_gaussians":
         return D.gen_three_gaussians(seed)
     if name == "sine":
@@ -265,6 +269,10 @@ def cmd_baseline(args, cfg: ExperimentConfig) -> int:
             for i, br in enumerate(breakdowns):
                 f.write(_breakdown_row(i, br) + "\n")
     diag = {k: v for k, v in sampler.diagnostics.items() if isinstance(v, (int, float, str))}
+    bad = [k for k, v in diag.items() if not isinstance(v, str) and not np.isfinite(v)]
+    if bad:
+        _status("baseline", "numerical_abort", error=f"non-finite sampler diagnostics: {', '.join(bad)}", method=method, n=len(xs), out=out)
+        return EXIT_NUMERIC
     _status("baseline", "ok", method=method, n=len(xs), out=out, **diag)
     return EXIT_OK
 

@@ -596,6 +596,9 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("lr", "weight_decay"):  # written so that NaN fails
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
 
 
 class Adam:

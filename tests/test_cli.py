@@ -148,10 +148,12 @@ def test_cmd_quam_records(tmp_path, capsys):
     assert rows == rows2
 
 
-def test_cmd_train_nan_lr_exits_3_with_one_valid_json_line(tmp_path, capsys):
-    # the one update leaves every parameter NaN while the batch loss before it was finite
-    cfgp = write(tmp_path / "t.ini", TRAIN_INI.format(out=tmp_path / "ref").replace("epochs = 60", "epochs = 1\nlr = nan"))
-    code = main(["train", "--config", cfgp])
+def test_cmd_train_that_diverges_in_its_last_update_exits_3_with_one_valid_json_line(tmp_path, capsys):
+    # the one update moves every parameter by about 1e300: the batch loss
+    # before it was finite, the training loss after it is not
+    cfgp = write(tmp_path / "t.ini", TRAIN_INI.format(out=tmp_path / "ref").replace("epochs = 60", "epochs = 1\nlr = 1e300"))
+    with np.errstate(all="ignore"):
+        code = main(["train", "--config", cfgp])
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 3 and len(lines) == 1
 
@@ -430,6 +432,12 @@ def one_status_line(capsys, argv):
         ("baseline", "[baseline]\nmethod = csghmc\ntemperature = nan\n"),
         ("baseline", "[baseline]\nmethod = csghmc\nstep_size = -0.001\n"),
         ("baseline", "[baseline]\nmethod = csghmc\nstep_size = inf\n"),
+        ("train", "[train]\nlr = -0.01\n"),
+        ("train", "[train]\nlr = nan\n"),
+        ("train", "[train]\nweight_decay = inf\n"),
+        ("train", "[dataset]\nnoise = nan\n"),
+        ("train", "[dataset]\nnoise = inf\n"),
+        ("train", "[dataset]\nnoise = -0.1\n"),
     ],
     ids=[
         "hmc_n_leapfrog",
@@ -458,6 +466,12 @@ def one_status_line(capsys, argv):
         "csghmc_temperature_nan",
         "csghmc_step_size_negative",
         "csghmc_step_size_inf",
+        "train_lr_negative",
+        "train_lr_nan",
+        "train_weight_decay_inf",
+        "dataset_noise_nan",
+        "dataset_noise_inf",
+        "dataset_noise_negative",
     ],
 )
 def test_settings_that_do_no_work_are_usage_errors(tmp_path, capsys, command, section):
@@ -469,6 +483,17 @@ def test_settings_that_do_no_work_are_usage_errors(tmp_path, capsys, command, se
     assert code == 2 and status["status"] == "usage_error"
     key = section.strip().splitlines()[-1].split("=")[0].strip()
     assert key in status["error"]
+
+
+def test_a_non_finite_sampler_diagnostic_is_a_numerical_abort(tmp_path, capsys):
+    # a finite but huge step size: every trajectory is rejected and its energy error is NaN
+    pts = write(tmp_path / "points.csv", "x0,x1\n0.5,0.5\n")
+    section = f"[test_inputs]\nfile = {pts}\n[baseline]\nmethod = hmc\nstep_size = 1e300\nn_samples = 3\nburn_in = 0\nn_leapfrog = 2\n"
+    cfgp = write(tmp_path / "h.ini", TRAIN_INI.format(out=tmp_path / "h_out") + section)
+    with np.errstate(all="ignore"):
+        code, status = one_status_line(capsys, ["baseline", "--config", cfgp])
+    assert code == 3 and status["status"] == "numerical_abort"
+    assert "mean_abs_energy_error" in status["error"]
 
 
 def test_an_arithmetic_error_is_a_numerical_abort(tmp_path, capsys):
