@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from quam import estimator as E
 from quam import models as M
 from quam.data import LabeledDataset, gen_sine, gen_two_moons
 from quam.measures import kl_cat
@@ -254,13 +255,44 @@ def test_nan_abort_flag():
     assert len(traj.records) >= 1
 
 
+def record_rows(traj):
+    """Each record as (step, c, adv_loss, pen_loss, mean_train_loss, full_pen, divergence, pred bytes)."""
+    return [(r.step, r.c, r.adv_loss, r.pen_loss, r.mean_train_loss, r.full_pen, r.divergence, r.pred.tobytes()) for r in traj.records]
+
+
+def test_a_search_that_aborts_at_its_first_step_returns_the_reference_record(tmp_path):
+    # a last layer scaled by 1e308: the training loss is NaN, yet the
+    # prediction at (0.5, 0.5) is [0, 1].  A class search records no
+    # reference row, and both abort at step 1, so each returns the reference
+    # as its one record
+    data = gen_two_moons(60, noise=0.1, seed=0)
+    arch = M.ArchSpec((2, 8, 2))
+    values = M.train(data, arch, M.TrainConfig(epochs=50, seed=0)).values.copy()
+    ws, bs = arch.layer_slices()[-1]
+    values[ws] *= 1e308
+    values[bs] *= 1e308
+    with np.errstate(all="ignore"):
+        (br,), (trajs,) = E.quam_scores(np.array([0.5, 0.5]), data, M.ModelParams(arch, values), SearchConfig(), temperature=0.1)
+    assert br.flags == ("no_feasible_adversary", "nan_abort")
+    assert [t.target for t in trajs] == ["class:0", "class:1"]
+    for traj in trajs:
+        assert traj.no_feasible and traj.nan_abort and traj.best_index == 0
+        assert np.array_equal(traj.best_params.values, values)
+        (row,) = record_rows(traj)
+        np.testing.assert_array_equal(np.array(row[:7], dtype=float), [0, 1.0, 0.0, np.nan, np.nan, np.nan, 0.0])
+        assert row[7] == np.array([0.0, 1.0]).tobytes()
+        path = tmp_path / f"{traj.target}.jsonl"
+        trajectory_to_jsonl(traj, path)
+        expected = '{"step": 0, "c": 1.0, "L_adv": 0.0, "L_pen": NaN, "mean_train_loss": NaN, "dist": {"kind": "categorical", "probs": [0.0, 1.0]}}\n'
+        assert path.read_text() == expected
+
+
 # -- lock-step batches ----------------------------------------------------------
 
 
 def trajectory_bits(traj):
     """Everything a trajectory carries, with floats as their exact reprs."""
-    records = [(r.step, r.c, r.adv_loss, r.pen_loss, r.mean_train_loss, r.full_pen, r.divergence, r.pred.tobytes()) for r in traj.records]
-    return repr((traj.target, records, traj.best_index, traj.best_params.values.tobytes(), traj.no_feasible, traj.nan_abort, traj.reference_loss, traj.gamma))
+    return repr((traj.target, record_rows(traj), traj.best_index, traj.best_params.values.tobytes(), traj.no_feasible, traj.nan_abort, traj.reference_loss, traj.gamma))
 
 
 def assert_batch_independent(xs, data, ref, cfg, searches):
