@@ -48,9 +48,8 @@ def pool_trajectories(trajectories: Sequence[SearchTrajectory], temperature: flo
     """
     if not temperature > 0:
         raise ValueError("temperature must be positive")
-    records = [rec for traj in trajectories for rec in traj.records]
-    preds = np.array([r.pred for r in records])
-    logw = -np.array([r.mean_train_loss for r in records]) / temperature
+    preds = np.concatenate([t.pred for t in trajectories])
+    logw = -np.concatenate([t.mean_train_loss for t in trajectories]) / temperature
     if not np.isfinite(logw).all():
         raise ValueError("every pooled model needs a finite training loss")
     w = np.exp(logw - logw.max())

@@ -9,8 +9,8 @@ search minimizes
 
 with Adam, increasing the penalty weight c on a multiplicative schedule so
 late iterates are pushed back inside the feasible region.  Each Adam update
-takes one forward and one closed-form backward pass (`SearchObjective`):
-the gradient enters as per-row gradients at the head outputs of the data
+takes one forward and one closed-form backward pass (`_Workspace`): the
+gradient enters as per-row gradients at the head outputs of the data
 rows and of the test row.  Every visited model is recorded with its
 prediction row at the test point (as `models.head_predictions` gives it)
 and its full-training-set loss; a full-batch search reads both from the
@@ -56,13 +56,13 @@ penalty, on the test rows when none does, and otherwise on the test rows
 of every search, then on all rows of each run of consecutive penalized
 searches.  The records go into per-batch columns, one row per step
 (`_Records`), and take their KL from the logs of the reference rows, taken
-once per batch; each trajectory's `TrajectoryRecord` list is built once,
+once per batch; each trajectory's record columns are sliced from them once,
 at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,8 +73,6 @@ from .rng import derive_rng
 
 __all__ = [
     "SearchConfig",
-    "SearchObjective",
-    "TrajectoryRecord",
     "SearchTrajectory",
     "search_batch",
     "search_suites",
@@ -125,34 +123,27 @@ class SearchConfig:
             raise ValueError(f"unknown delta_scope {self.delta_scope!r}")
 
 
-@dataclass(slots=True)
-class TrajectoryRecord:
-    step: int
-    c: float
-    adv_loss: float  # the minimized objective term (negated divergence / target CE)
-    pen_loss: float  # mini-batch penalty at this iterate
-    mean_train_loss: float  # full-training-set mean loss
-    full_pen: float  # mean_train_loss - (L_ref + gamma)
-    divergence: float  # divergence of this model's prediction from the reference
-    pred: np.ndarray  # prediction row at the test input: class probabilities or (mean, variance)
-
-
 @dataclass
 class SearchTrajectory:
+    """One search's visited models, as record columns with one entry per model, and its best iterate."""
+
     target: str
     head: str  # the reference's head: "categorical" | "gaussian_scalar"
-    records: list[TrajectoryRecord]
-    best_index: int
+    step: np.ndarray  # (records,) int
+    c: np.ndarray  # the penalty weight
+    adv_loss: np.ndarray  # the minimized objective term (negated divergence / target CE)
+    pen_loss: np.ndarray  # mini-batch penalty at each iterate
+    mean_train_loss: np.ndarray  # full-training-set mean loss
+    full_pen: np.ndarray  # mean_train_loss - (L_ref + gamma)
+    divergence: np.ndarray  # divergence of each model's prediction from the reference
+    pred: np.ndarray  # (records, k) prediction rows at the test input: class probabilities or (mean, variance)
+    best_index: int  # the best iterate's record
     best_params: ModelParams
     no_feasible: bool
     nan_abort: bool
     reference_loss: float
     gamma: float
     reference_pred: np.ndarray  # the reference's prediction row at the test input
-
-    @property
-    def best(self) -> TrajectoryRecord:
-        return self.records[self.best_index]
 
 
 def _scope_mask(arch: ArchSpec, config: SearchConfig) -> np.ndarray:
@@ -183,9 +174,8 @@ def _target_tag(objective) -> str:
     return "divergence"
 
 
-@dataclass(frozen=True)
-class SearchObjective:
-    """The objectives of K lock-step searches, with their gradients by backprop.
+class _Workspace(Workspace):
+    """The `models.Workspace` of K lock-step searches' steps, allocated once per batch, and their objectives.
 
         L_k = L_adv,k(x_k) + c * relu(batch_loss_k - bound) + c * relu(direction_k * (ref_mean_k - mean(x_k)))
 
@@ -197,71 +187,30 @@ class SearchObjective:
     objective and -KL(ref || model) = H[ref] - CE(ref) otherwise.  The
     gradient enters the network as per-row gradients at the head outputs:
     c * 1[pen > 0] * dCE on the batch rows, dL_adv plus the violation term
-    on the test row (`_Workspace.gradient`).
-    """
-
-    x: np.ndarray  # (K, 1, input width): each search's test input
-    ref: np.ndarray  # (K, k): the reference's prediction row at each test input
-    objectives: tuple  # per search: "divergence" | ("class", k) | ("direction", +1 | -1)
-    bound: float  # L_ref + gamma
-    head: str  # the model's head: "categorical" | "gaussian_scalar"
-    target: np.ndarray = field(init=False)  # (K, 1, k): each test row's cross-entropy target
-    ref_entropy: np.ndarray = field(init=False)  # (K,): H[ref], 0 for a class objective
-    is_class: np.ndarray = field(init=False)  # (K,) bool
-    direction: np.ndarray = field(init=False)  # (K,): the sign of a direction objective, else 0
-
-    def __post_init__(self):
-        # constants of the searches, derived once
-        targets, entropies, is_class, direction = [], [], [], []
-        for ref, objective in zip(self.ref, self.objectives):
-            kind = objective[0] if isinstance(objective, tuple) else objective
-            if kind == "class":
-                targets.append(np.eye(len(ref))[int(objective[1])])
-                entropies.append(0.0)
-            else:
-                targets.append(ref)
-                entropies.append(entropy_cat(ref) if self.head == "categorical" else float(entropy_gauss(ref[1])))
-            is_class.append(kind == "class")
-            direction.append(int(objective[1]) if kind == "direction" else 0)
-        object.__setattr__(self, "target", np.array(targets).reshape(len(targets), 1, -1))
-        object.__setattr__(self, "ref_entropy", np.array(entropies))
-        object.__setattr__(self, "is_class", np.array(is_class, dtype=bool))
-        object.__setattr__(self, "direction", np.array(direction, dtype=int))
-
-    def violation(self, out: np.ndarray) -> np.ndarray:
-        """direction * (ref mean - mean) at the test rows' head outputs `out`; 0 for a search without a direction."""
-        viol = self.direction * (self.ref[:, 0] - out[:, 0, 0])
-        return np.where(self.direction != 0, viol, 0.0)
-
-    def loss_and_grad(self, params: ModelParams, bx: np.ndarray, bt: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-        """The K objectives at penalty weight c, and their flat gradients, one row per search.
-
-        `params` is a (K, P) stack, one model per search; `bx` is one
-        (n, width) batch for every search or a (K, n, width) stack of
-        batches, and `bt` holds their `models.target_rows`.
-        """
-        ws = _Workspace(self, params.arch, params.values, np.shape(bx)[-2])
-        ws.fill(bx, bt)
-        batch_loss, adv = ws.losses()
-        loss = adv + c * np.maximum(batch_loss - self.bound, 0.0) + c * np.maximum(self.violation(ws.test_out), 0.0)
-        return loss, ws.gradient(c)
-
-
-class _Workspace(Workspace):
-    """The `models.Workspace` of K lock-step searches' steps, allocated once per batch.
+    on the test row (`gradient`).
 
     Its n rows are the batch rows and its one extra row is each search's
     test row, whose target is the objective's and whose weight is +1 or -1,
     the sign of its cross-entropy in L_adv; the batch rows weigh 1/n.
+    `x` holds the (K, 1, input width) test inputs, `ref` the (K, k)
+    reference rows at them and `objectives` one objective per search:
+    "divergence" | ("class", k) | ("direction", +1 | -1).
     """
 
-    def __init__(self, objective: SearchObjective, arch: ArchSpec, values: np.ndarray, n: int):
+    def __init__(self, arch: ArchSpec, values: np.ndarray, n: int, x: np.ndarray, ref: np.ndarray, objectives: Sequence, bound: float):
+        kinds = [o[0] if isinstance(o, tuple) else o for o in objectives]
+        self.is_class = np.array([kind == "class" for kind in kinds], dtype=bool)
+        self.direction = np.array([int(o[1]) if kind == "direction" else 0 for o, kind in zip(objectives, kinds)], dtype=int)
+        self.ref, self.bound = ref, bound
+        entropy = entropy_cat if arch.head == "categorical" else lambda row: float(entropy_gauss(row[1]))
+        self.ref_entropy = np.array([0.0 if is_class else entropy(row) for row, is_class in zip(ref, self.is_class)])  # H[ref], 0 for a class objective
         weights = np.full((len(values), n + 1, 1), 1.0 / n)
-        weights[:, n, 0] = np.where(objective.is_class, 1.0, -1.0)
+        weights[:, n, 0] = np.where(self.is_class, 1.0, -1.0)
         super().__init__(arch, np.array(values, dtype=np.float64), n, weights=weights, extra=1)
-        self.objective = objective
-        self.acts[0][:, n:] = objective.x
-        self.targets[:, n:] = objective.target
+        self.acts[0][:, n:] = x
+        self.targets[:, n] = ref
+        for s in np.flatnonzero(self.is_class):
+            self.targets[s, n] = np.eye(ref.shape[1])[int(objectives[s][1])]
 
     @property
     def test_out(self) -> np.ndarray:
@@ -270,7 +219,7 @@ class _Workspace(Workspace):
 
     def losses(self) -> tuple[np.ndarray, np.ndarray]:
         """Each search's batch loss and its L_adv, from one `forward`; the test rows' prediction rows go to `test_preds`."""
-        n, obj = self.n, self.objective
+        n = self.n
         # the test rows keep their own GEMM: in the batch rows' GEMM their
         # outputs can move by an ulp, and an unmoved iterate would then
         # diverge from the reference by a spurious KL > 0
@@ -281,19 +230,24 @@ class _Workspace(Workspace):
         else:
             self.test_preds = head_predictions(self.arch, self.test_out)
         # L_adv is CE for a class objective and H[ref] - CE otherwise
-        return self.batch_loss, np.where(obj.is_class, ce, obj.ref_entropy - ce)
+        return self.batch_loss, np.where(self.is_class, ce, self.ref_entropy - ce)
+
+    def violation(self) -> np.ndarray:
+        """direction * (ref mean - mean) at the test rows of the last `losses`; 0 for a search without a direction."""
+        viol = self.direction * (self.ref[:, 0] - self.test_out[:, 0, 0])
+        return np.where(self.direction != 0, viol, 0.0)
 
     def gradient(self, c: float) -> np.ndarray:
         """Flat gradients of the K objectives at penalty weight c, one row per search, at the last `losses`.
 
         It scales the kept head-output gradients in place, so it runs once per `losses`.
         """
-        obj, n = self.objective, self.n
-        if obj.direction.any():
-            pushed = obj.violation(self.test_out) > 0.0
+        n = self.n
+        if self.direction.any():
+            pushed = self.violation() > 0.0
             if pushed.any():
-                self.grad_out[pushed, n, 0] -= c * obj.direction[pushed]
-        active = self.batch_loss - obj.bound > 0.0
+                self.grad_out[pushed, n, 0] -= c * self.direction[pushed]
+        active = self.batch_loss - self.bound > 0.0
         if active.all():
             self.grad_out[:, :n] *= c
             return self.backward()
@@ -315,8 +269,7 @@ class _Records:
 
     Row 0 holds the exact reference, row m the model step m starts from and
     the last row the final model; a search has a record at the rows where
-    `valid` holds.  Each search's `TrajectoryRecord` list is built once, at
-    the end.
+    `valid` holds.  Each search's columns are sliced once, at the end.
     """
 
     def __init__(self, k: int, steps: int, width: int):
@@ -336,12 +289,15 @@ class _Records:
         self.div[row, at] = div
         self.pred[row, at] = pred
 
-    def records(self, s: int, step0: int, bound: float, full: bool) -> list[TrajectoryRecord]:
-        """Search s's records: row m is step m - 1 + step0, and full_pen is each loss less `bound`, the penalty itself in a full-batch search."""
+    def columns(self, s: int, step0: int, bound: float, full: bool) -> tuple:
+        """Search s's record columns, in `SearchTrajectory`'s order.
+
+        Row m is step m - 1 + step0, and full_pen is each loss less `bound`,
+        the penalty itself in a full-batch search.
+        """
         rows = np.flatnonzero(self.valid[:, s])
         loss, pen = self.loss[rows, s], self.pen[rows, s]
-        columns = [col.tolist() for col in (rows - 1 + step0, self.c[rows], self.adv[rows, s], pen, loss, pen if full else loss - bound, self.div[rows, s])]
-        return [TrajectoryRecord(*row, pred) for *row, pred in zip(*columns, self.pred[rows, s])]
+        return rows - 1 + step0, self.c[rows], self.adv[rows, s], pen, loss, pen if full else loss - bound, self.div[rows, s], self.pred[rows, s]
 
 
 def _full_losses(arch: ArchSpec, layers, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -397,25 +353,25 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
     k = len(searches)
     points = np.array([point for point, _, _ in searches], dtype=int)
     ref_rows = refs[points]
-    objective = SearchObjective(test_x[points], ref_rows, tuple(o for _, o, _ in searches), bound, arch.head)
     rngs = [derive_rng(inner.seed, *keys) for _, _, keys in searches]
-    base = np.tile(work.values, (k, 1))
+    ws = _Workspace(warch, np.tile(work.values, (k, 1)), batch, test_x[points], ref_rows, [o for _, o, _ in searches], bound)
     bias = warch.layer_slices()[-1][1].start  # the mean-output bias
-    for s, (direction, o) in enumerate(zip(objective.direction, objective.objectives)):
+    for s, (direction, (_, o, _)) in enumerate(zip(ws.direction, searches)):
         if direction:
-            base[s, bias] += direction * inner.bias_nudge
+            ws.values[s, bias] += direction * inner.bias_nudge
         elif o == "divergence" and inner.bias_nudge:
             # the divergence gradient vanishes at the exact reference; a tiny
             # seeded perturbation of the free parameters provides the first step
-            base[s, mask] += inner.bias_nudge * rngs[s].standard_normal(int(mask.sum()))
+            ws.values[s, mask] += inner.bias_nudge * rngs[s].standard_normal(int(mask.sum()))
+    base = ws.values.copy()
 
     records = _Records(k, inner.steps, refs.shape[-1])
     best_row, best_div, best_values = np.full(k, -1), np.full(k, -np.inf), np.empty((k, warch.param_count()))
     nan_abort = np.zeros(k, dtype=bool)
 
     # a direction search keeps only iterates on its side of the reference mean
-    directions = objective.direction if objective.direction.any() else None
-    undirected, ref_means = objective.direction == 0, ref_rows[:, 0].copy()
+    directions = ws.direction if ws.direction.any() else None
+    undirected, ref_means = ws.direction == 0, ref_rows[:, 0].copy()
     full_batch = batch == n
     # the reference rows' logs and support check, for every record's KL
     log_refs = np.log(ref_rows) if arch.head == "categorical" and (ref_rows > 0.0).all() else None
@@ -447,7 +403,6 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
             best_div[won] = div[better]
             best_values[won] = values[better]
 
-    ws = _Workspace(objective, warch, base, batch)
     # a mini-batch search fills its rows at each step: until then any rows do
     ws.fill(x[:batch], targets[:batch])
     # Record the exact reference first; for nudged searches the loop below
@@ -500,12 +455,12 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
 
     trajectories = []
     for s, (point, o, _) in enumerate(searches):
-        recs = records.records(s, int(nudged[s]), bound, full_batch)
+        columns = records.columns(s, int(nudged[s]), bound, full_batch)
         no_feasible = bool(best_row[s] < 0 or best_div[s] <= 0.0)
         if no_feasible:
             # no feasible iterate improved on the reference: return the reference
-            if not recs:
-                recs.append(TrajectoryRecord(0, float(inner.c0), 0.0, -gamma, l_ref, -gamma, 0.0, refs[point]))
+            if not columns[0].size:
+                columns = (np.zeros(1, dtype=int), *(np.array([v], dtype=float) for v in (inner.c0, 0.0, -gamma, l_ref, -gamma, 0.0)), refs[point][None])
             best, best_params = 0, work.values
         else:
             best, best_params = int(records.valid[: best_row[s], s].sum()), best_values[s]
@@ -513,7 +468,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
             full = reference.values.copy()
             full[last] = best_params
             best_params = full
-        trajectories.append(SearchTrajectory(_target_tag(o), arch.head, recs, best, ModelParams(arch, best_params), no_feasible, bool(nan_abort[s]), l_ref, gamma, refs[point]))
+        trajectories.append(SearchTrajectory(_target_tag(o), arch.head, *columns, best, ModelParams(arch, best_params), no_feasible, bool(nan_abort[s]), l_ref, gamma, refs[point]))
     return trajectories
 
 
@@ -552,14 +507,14 @@ def trajectory_to_jsonl(traj: SearchTrajectory, path):
     NaN, Infinity and -Infinity for the non-finite ones.
     """
     lines = []
-    for r in traj.records:
+    columns = (traj.step, traj.c, traj.adv_loss, traj.pen_loss, traj.mean_train_loss, traj.pred)
+    for step, c, adv, pen, loss, pred in zip(*(col.tolist() for col in columns)):
         if traj.head == "categorical":
-            dist = f'{{"kind": "categorical", "probs": [{", ".join(map(repr, r.pred.tolist()))}]}}'
+            dist = f'{{"kind": "categorical", "probs": [{", ".join(map(repr, pred))}]}}'
         else:
-            mean, variance = r.pred.tolist()
+            mean, variance = pred
             dist = f'{{"kind": "gaussian", "mean": {mean!r}, "variance": {variance!r}}}'
-        c, adv, pen, loss = float(r.c), float(r.adv_loss), float(r.pen_loss), float(r.mean_train_loss)
-        lines.append(f'{{"step": {r.step}, "c": {c!r}, "L_adv": {adv!r}, "L_pen": {pen!r}, "mean_train_loss": {loss!r}, "dist": {dist}}}\n')
+        lines.append(f'{{"step": {step}, "c": {c!r}, "L_adv": {adv!r}, "L_pen": {pen!r}, "mean_train_loss": {loss!r}, "dist": {dist}}}\n')
     # no key or kind holds "nan" or "inf", so these only rewrite float reprs
     text = "".join(lines).replace("nan", "NaN").replace("inf", "Infinity")
     with open(path, "w") as f:

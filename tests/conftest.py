@@ -2,7 +2,7 @@
 
 Every search passes through `quam.search.search_batch`.  At import time
 this module replaces it with a wrapper that records, for each returned
-trajectory, `(target, best.full_pen, no_feasible)`.  pytest imports this
+trajectory, `(target, full_pen at best_index, no_feasible)`.  pytest imports this
 file before the test modules, so their `from quam.search import
 search_batch` binds the wrapper, and `search_suites`, which looks the
 name up in its module on each call, reaches it too.  Criterion 6 reads
@@ -22,7 +22,7 @@ def _audited(search_batch):
     @functools.wraps(search_batch)
     def wrapper(*args, **kwargs):
         trajectories = search_batch(*args, **kwargs)
-        _AUDIT.extend((t.target, t.best.full_pen, t.no_feasible) for t in trajectories)
+        _AUDIT.extend((t.target, t.full_pen[t.best_index], t.no_feasible) for t in trajectories)
         return trajectories
 
     return wrapper

@@ -21,7 +21,7 @@ from quam.autodiff import grad_check
 from quam.data import LabeledDataset, gen_three_gaussians, gen_two_moons, load_idx, save_idx, subset_split
 from quam.measures import decompose_a, decompose_b, entropy_cat, kl_cat, kl_gauss, cross_entropy_cat
 from quam.rng import derive_rng
-from quam.search import SearchConfig, SearchObjective, search_batch, search_suites
+from quam.search import SearchConfig, _Workspace, search_batch, search_suites
 
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 
@@ -32,6 +32,20 @@ def report(criterion: int, passed: bool, detail: str):
 
 
 # -- criterion 1: gradient correctness ----------------------------------------
+
+
+def search_loss_and_grad(arch, values, x, ref, objective, bound, bx, by, c):
+    """One search's objective at penalty weight c and its flat gradient, from a search workspace.
+
+    L = L_adv + c * relu(batch_loss - bound) + c * relu(violation), as the
+    module docstring of `quam.search` documents it; `bx` and `by` are the
+    batch rows and their `models.target_rows`.
+    """
+    ws = _Workspace(arch, values[None], len(bx), x[None], ref[None], (objective,), bound)
+    ws.fill(bx, by)
+    batch_loss, adv = ws.losses()
+    loss = adv + c * np.maximum(batch_loss - bound, 0.0) + c * np.maximum(ws.violation(), 0.0)
+    return loss[0], ws.gradient(c)[0]
 
 
 def test_criterion_01_gradient_correctness():
@@ -92,13 +106,10 @@ def test_criterion_01_gradient_correctness():
             objective = ("direction", direction) if direction else "divergence"
         batch_loss = M.cross_entropy(arch, M.forward(params, bx)[-1], by)[0]
         bound = batch_loss - 0.5 if pen_active else batch_loss + 0.5
-        # a lock-step objective of one search: a (1, P) stack of parameters
-        obj = SearchObjective(x[None], ref[None], (objective,), bound, arch.head)
         c = float(rng.uniform(0.5, 3.0))
 
-        def search_loss(values, obj=obj, arch=arch, bx=bx, by=by, c=c):
-            loss, grad = obj.loss_and_grad(M.ModelParams(arch, values[None]), bx, by, c)
-            return loss[0], grad[0]
+        def search_loss(values, arch=arch, x=x, ref=ref, objective=objective, bound=bound, bx=bx, by=by, c=c):
+            return search_loss_and_grad(arch, values, x, ref, objective, bound, bx, by, c)
 
         result = grad_check(search_loss, params.values, step=1e-5, tolerance=1e-4)
         worst_search = max(worst_search, result["max_rel_error"])
@@ -286,7 +297,7 @@ def test_criterion_05_constrained_search_optimality():
         # both targeted searches and six divergence restarts, as one lock-step batch
         searches = [(0, ("class", c), (c,)) for c in (0, 1)] + [(0, "divergence", (10 + restart,)) for restart in range(6)]
         candidates = search_batch(x_test[None], data, ref, cfg, searches)
-        best = max(t.best.divergence for t in candidates)
+        best = max(t.divergence[t.best_index] for t in candidates)
         ratios.append(best / grid_max)
         assert abs(best - grid_max) <= 0.10 * grid_max, (seed, best, grid_max)
     report(5, True, f"best-vs-grid-max ratios {['%.3f' % r for r in ratios]} all within 10% on 5 seeds ({time.time() - t0:.1f}s)")
@@ -317,8 +328,8 @@ def test_criterion_08_simplex_starved_class(simplex_setup):
     found = {}
     for traj in trajectories:
         cls = int(traj.target.split(":")[1])
-        feasible = [r.pred[cls] for r in traj.records if r.full_pen <= 0.0]
-        found[cls] = max(feasible) if feasible else 0.0
+        feasible = traj.pred[traj.full_pen <= 0.0, cls]
+        found[cls] = feasible.max() if feasible.size else 0.0
     hit = [c for c in starved if found[c] > 0.5]
     ok = bool(hit)
     report(

@@ -84,7 +84,7 @@ def test_weight_shift_invariance(moons_setup):
     data, ref = moons_setup
     cfg = SearchConfig(steps=30, lr=2e-2, seed=0)
     _, (trajs,) = E.quam_scores(np.array([-1.0, 1.0]), data, ref, cfg, temperature=0.1)
-    shifted = [dataclasses.replace(t, records=[dataclasses.replace(r, mean_train_loss=r.mean_train_loss + 12.3456) for r in t.records]) for t in trajs]
+    shifted = [dataclasses.replace(t, mean_train_loss=t.mean_train_loss + 12.3456) for t in trajs]
     preds1, w1 = E.pool_trajectories(trajs, 0.1)
     preds2, w2 = E.pool_trajectories(shifted, 0.1)
     assert np.array_equal(preds1, preds2)
@@ -95,14 +95,14 @@ def test_pool_trajectories_rejects_nonfinite_losses(moons_setup):
     data, ref = moons_setup
     _, (trajs,) = E.quam_scores(np.array([-1.0, 1.0]), data, ref, SearchConfig(steps=5, seed=0), temperature=0.1)
     for loss in (np.inf, np.nan):
-        broken = [dataclasses.replace(trajs[0], records=[dataclasses.replace(trajs[0].records[0], mean_train_loss=loss)])]
+        broken = [dataclasses.replace(trajs[0], mean_train_loss=np.r_[loss, trajs[0].mean_train_loss[1:]])]
         with pytest.raises(ValueError):
             E.pool_trajectories(broken + trajs[1:], 0.1)
 
 
 def pooled(losses):
-    """Trajectories whose records carry these training losses, one record each."""
-    return [SimpleNamespace(records=[SimpleNamespace(pred=np.array([0.5, 0.5]), mean_train_loss=float(loss))]) for loss in losses]
+    """Trajectories whose record columns carry these training losses, one record each."""
+    return [SimpleNamespace(pred=np.array([[0.5, 0.5]]), mean_train_loss=np.array([float(loss)])) for loss in losses]
 
 
 def test_pool_trajectories_weight_values():

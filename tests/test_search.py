@@ -8,7 +8,7 @@ from quam import models as M
 from quam.data import LabeledDataset, gen_sine, gen_two_moons
 from quam.measures import kl_cat
 from quam.rng import derive_rng
-from quam.search import SearchConfig, SearchObjective, SearchTrajectory, TrajectoryRecord, _Workspace, search_batch, search_suites, trajectory_to_jsonl
+from quam.search import SearchConfig, SearchTrajectory, _Workspace, search_batch, search_suites, trajectory_to_jsonl
 
 
 def moons_reference():
@@ -22,7 +22,7 @@ def test_zero_lr_single_step_returns_reference():
     cfg = SearchConfig(c0=1.0, eta_factor=1.5, steps=1, lr=0.0, gamma=0.0, seed=0, bias_nudge=0.0)
     traj = search_batch(np.array([0.0, 2.0]), data, ref, cfg, [(0, "divergence", ())])[0]
     assert traj.no_feasible
-    assert traj.best.divergence == 0.0
+    assert traj.divergence[traj.best_index] == 0.0
     assert np.array_equal(traj.best_params.values, ref.values)
 
 
@@ -32,22 +32,22 @@ def test_far_point_search_flips_class_feasibly():
     ref_class = int(np.argmax(M.predict_batch(ref, x)[0]))
     cfg = SearchConfig(c0=1.0, eta_factor=1.5, eta_every=10, steps=100, lr=2e-2, seed=0)
     traj = search_batch(x, data, ref, cfg, [(0, ("class", 1 - ref_class), (1 - ref_class,))])[0]
-    best = traj.best
-    assert best.full_pen <= 0.0
-    assert int(np.argmax(best.pred)) == 1 - ref_class
+    best = traj.best_index
+    assert traj.full_pen[best] <= 0.0
+    assert int(np.argmax(traj.pred[best])) == 1 - ref_class
     # re-verify feasibility from the returned parameters themselves
     mtl = M.mean_train_loss(traj.best_params, data)
     assert mtl - (traj.reference_loss + traj.gamma) <= 1e-12
     # a full-batch record reads its loss off the update's own forward pass
-    assert best.mean_train_loss == mtl
+    assert traj.mean_train_loss[best] == mtl
 
 
 def test_best_is_max_divergence_among_feasible():
     data, ref = moons_reference()
     cfg = SearchConfig(steps=60, lr=2e-2, seed=1)
     traj = search_batch(np.array([-1.2, 1.2]), data, ref, cfg, [(0, ("class", 1), (1,))])[0]
-    feas = [r for r in traj.records if r.full_pen <= 0.0]
-    assert traj.best.divergence == max(r.divergence for r in feas)
+    feas = traj.full_pen <= 0.0
+    assert traj.divergence[traj.best_index] == traj.divergence[feas].max()
 
 
 def test_record_divergence_is_kl_cat_bit_for_bit():
@@ -57,8 +57,8 @@ def test_record_divergence_is_kl_cat_bit_for_bit():
     cfg = SearchConfig(steps=40, lr=2e-2, seed=2)
     for objective, keys in ((("class", 0), (0,)), (("class", 1), (1,)), ("divergence", ())):
         traj = search_batch(x, data, ref, cfg, [(0, objective, keys)])[0]
-        divs = [r.divergence for r in traj.records]
-        assert divs == [kl_cat(ref_probs, r.pred) for r in traj.records]
+        divs = traj.divergence.tolist()
+        assert divs == [kl_cat(ref_probs, pred) for pred in traj.pred]
         assert max(divs) > 0.0
 
 
@@ -66,7 +66,7 @@ def test_penalty_weight_strictly_increases():
     data, ref = moons_reference()
     cfg = SearchConfig(c0=2.0, eta_factor=1.5, eta_every=5, steps=30, lr=1e-2, seed=0)
     traj = search_batch(np.array([0.0, 2.0]), data, ref, cfg, [(0, ("class", 0), (0,))])[0]
-    cs = [r.c for r in traj.records]
+    cs = traj.c.tolist()
     stages = sorted(set(cs))
     assert all(b > a for a, b in zip(stages, stages[1:]))
     assert np.isclose(stages[1] / stages[0], 1.5)
@@ -87,7 +87,7 @@ def test_targeted_suite_confident_class_gains_least():
     confident = int(np.argmax(M.predict_batch(ref, x)[0]))
     cfg = SearchConfig(steps=100, lr=2e-2, seed=0)
     trajs = search_suites(x, data, ref, cfg)[0]
-    divs = {int(t.target.split(":")[1]): t.best.divergence for t in trajs}
+    divs = {int(t.target.split(":")[1]): t.divergence[t.best_index] for t in trajs}
     assert divs[confident] <= min(d for c, d in divs.items() if c != confident) + 1e-9
 
 
@@ -131,9 +131,9 @@ def test_search_deterministic():
     a = search_batch(np.array([0.0, 1.5]), data, ref, cfg, [(0, ("class", 0), (0,))])[0]
     b = search_batch(np.array([0.0, 1.5]), data, ref, cfg, [(0, ("class", 0), (0,))])[0]
     assert np.array_equal(a.best_params.values, b.best_params.values)
-    assert [r.mean_train_loss for r in a.records] == [r.mean_train_loss for r in b.records]
+    assert a.mean_train_loss.tolist() == b.mean_train_loss.tolist()
     # mini-batch records take their loss from a separate full-data pass
-    assert a.best.mean_train_loss == M.mean_train_loss(a.best_params, data)
+    assert a.mean_train_loss[a.best_index] == M.mean_train_loss(a.best_params, data)
 
 
 def test_trajectory_serialization(tmp_path):
@@ -145,7 +145,7 @@ def test_trajectory_serialization(tmp_path):
     path = tmp_path / "traj.jsonl"
     trajectory_to_jsonl(traj, path)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(rows) == len(traj.records)
+    assert len(rows) == len(traj.step)
     assert {"step", "c", "L_adv", "L_pen", "mean_train_loss", "dist"} <= set(rows[0])
     assert rows[0]["dist"]["kind"] == "categorical"
 
@@ -163,11 +163,11 @@ def test_trajectory_lines_carry_the_record_rows_bit_for_bit(tmp_path):
         path = tmp_path / f"{kind}.jsonl"
         trajectory_to_jsonl(traj, path)
         dists = [json.loads(line)["dist"] for line in path.read_text().splitlines()]
-        assert len(dists) == len(traj.records)
-        for d, r in zip(dists, traj.records):
+        assert len(dists) == len(traj.step)
+        for d, pred in zip(dists, traj.pred):
             assert d["kind"] == kind
             row = d["probs"] if kind == "categorical" else [d["mean"], d["variance"]]
-            assert np.array_equal(np.array(row), r.pred)
+            assert np.array_equal(np.array(row), pred)
 
 
 def json_lines(traj):
@@ -175,12 +175,12 @@ def json_lines(traj):
     import json
 
     lines = []
-    for r in traj.records:
+    for step, c, adv, pen, loss, pred in zip(traj.step.tolist(), traj.c.tolist(), traj.adv_loss.tolist(), traj.pen_loss.tolist(), traj.mean_train_loss.tolist(), traj.pred):
         if traj.head == "categorical":
-            dist = {"kind": "categorical", "probs": [float(p) for p in r.pred]}
+            dist = {"kind": "categorical", "probs": [float(p) for p in pred]}
         else:
-            dist = {"kind": "gaussian", "mean": float(r.pred[0]), "variance": float(r.pred[1])}
-        lines.append(json.dumps({"step": r.step, "c": r.c, "L_adv": r.adv_loss, "L_pen": r.pen_loss, "mean_train_loss": r.mean_train_loss, "dist": dist}) + "\n")
+            dist = {"kind": "gaussian", "mean": float(pred[0]), "variance": float(pred[1])}
+        lines.append(json.dumps({"step": step, "c": c, "L_adv": adv, "L_pen": pen, "mean_train_loss": loss, "dist": dist}) + "\n")
     return "".join(lines)
 
 
@@ -191,8 +191,10 @@ FLOATS = st.one_of(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 
 @given(st.sampled_from(["categorical", "gaussian_scalar"]), st.lists(st.tuples(st.integers(0, 10**6), st.lists(FLOATS, min_size=6, max_size=6)), max_size=5), st.data())
 def test_trajectory_lines_are_json_dumps_byte_for_byte(tmp_path, head, rows, data):
     width = 2 if head == "gaussian_scalar" else data.draw(st.integers(2, 5))
-    records = [TrajectoryRecord(step, *values, np.array(data.draw(st.lists(FLOATS, min_size=width, max_size=width)))) for step, values in rows]
-    traj = SearchTrajectory("class:0", head, records, 0, None, False, False, 0.0, 0.0, np.zeros(width))
+    preds = [data.draw(st.lists(FLOATS, min_size=width, max_size=width)) for _ in rows]
+    floats = np.array([values for _, values in rows], dtype=float).reshape(len(rows), 6)
+    steps = np.array([step for step, _ in rows], dtype=int)
+    traj = SearchTrajectory("class:0", head, steps, *floats.T, np.array(preds, dtype=float).reshape(len(rows), width), 0, None, False, False, 0.0, 0.0, np.zeros(width))
     path = tmp_path / "traj.jsonl"
     trajectory_to_jsonl(traj, path)
     assert path.read_bytes() == json_lines(traj).encode()
@@ -229,11 +231,11 @@ def test_regression_pair_brackets_reference_outside_support():
     cfg = SearchConfig(steps=120, lr=1e-2, seed=0)
     up, down = search_suites(x, data, ref, cfg)[0]
     ref_mean = M.predict_batch(ref, x)[0, 0]
-    assert up.best.pred[0] > ref_mean
-    assert down.best.pred[0] < ref_mean
-    assert up.best.full_pen <= 0.0 and down.best.full_pen <= 0.0
+    assert up.pred[up.best_index, 0] > ref_mean
+    assert down.pred[down.best_index, 0] < ref_mean
+    assert up.full_pen[up.best_index] <= 0.0 and down.full_pen[down.best_index] <= 0.0
     for traj in (up, down):
-        assert traj.best.mean_train_loss == M.mean_train_loss(traj.best_params, data)
+        assert traj.mean_train_loss[traj.best_index] == M.mean_train_loss(traj.best_params, data)
 
 
 def test_regression_divergence_larger_far_from_data():
@@ -241,8 +243,8 @@ def test_regression_divergence_larger_far_from_data():
     cfg = SearchConfig(steps=120, lr=1e-2, seed=0)
     far = search_suites(np.array([-np.pi - 1.0]), data, ref, cfg)[0]
     near = search_suites(np.array([0.5]), data, ref, cfg)[0]
-    far_div = max(t.best.divergence for t in far)
-    near_div = max(t.best.divergence for t in near)
+    far_div = max(t.divergence[t.best_index] for t in far)
+    near_div = max(t.divergence[t.best_index] for t in near)
     assert far_div > near_div
 
 
@@ -252,12 +254,13 @@ def test_nan_abort_flag():
     with np.errstate(all="ignore"):
         traj = search_batch(np.array([0.0, 1.0]), data, ref, cfg, [(0, ("class", 1), (1,))])[0]
     assert traj.nan_abort
-    assert len(traj.records) >= 1
+    assert len(traj.step) >= 1
 
 
 def record_rows(traj):
     """Each record as (step, c, adv_loss, pen_loss, mean_train_loss, full_pen, divergence, pred bytes)."""
-    return [(r.step, r.c, r.adv_loss, r.pen_loss, r.mean_train_loss, r.full_pen, r.divergence, r.pred.tobytes()) for r in traj.records]
+    columns = (traj.step, traj.c, traj.adv_loss, traj.pen_loss, traj.mean_train_loss, traj.full_pen, traj.divergence)
+    return list(zip(*(col.tolist() for col in columns), (pred.tobytes() for pred in traj.pred)))
 
 
 def test_a_search_that_aborts_at_its_first_step_returns_the_reference_record(tmp_path):
@@ -338,7 +341,7 @@ def test_batch_search_that_overflows_aborts_alone():
         alone = assert_batch_independent(xs, data, ref, cfg, searches)
         batch = search_batch(xs, data, ref, cfg, searches)
     assert [t.nan_abort for t in batch] == [False, True, False, False, False, False]
-    assert 1 < len(batch[1].records) < len(batch[0].records) == cfg.steps + 1
+    assert 1 < len(batch[1].step) < len(batch[0].step) == cfg.steps + 1
     assert len(alone) == len(searches)
 
 
@@ -353,7 +356,7 @@ def test_batch_minibatch_search_that_overflows_aborts_alone():
         assert_batch_independent(xs, data, ref, cfg, searches)
         batch = search_batch(xs, data, ref, cfg, searches)
     assert [t.nan_abort for t in batch] == [False, True, False, False, False, False]
-    assert 1 < len(batch[1].records) < len(batch[0].records) == cfg.steps + 1
+    assert 1 < len(batch[1].step) < len(batch[0].step) == cfg.steps + 1
 
 
 def test_batch_of_three_that_keeps_an_aborted_row_between_searches_on_both_sides_of_the_slack():
@@ -369,8 +372,8 @@ def test_batch_of_three_that_keeps_an_aborted_row_between_searches_on_both_sides
         assert_batch_independent(xs, data, ref, cfg, searches)
         batch = search_batch(xs, data, ref, cfg, searches)
     assert [t.nan_abort for t in batch] == [True, False, False]
-    abort = batch[0].records[-1].step + 1
-    active, inside = (next(r.pen_loss for r in t.records if r.step == abort) for t in batch[1:])
+    abort = batch[0].step[-1] + 1
+    active, inside = (t.pen_loss[t.step == abort][0] for t in batch[1:])
     assert active > 0.0 >= inside
 
 
@@ -387,8 +390,8 @@ def random_workspace(widths, head, objectives, n, seed):
         refs = rng.dirichlet(np.ones(widths[-1]), size=k)
     else:
         refs = np.column_stack([rng.normal(size=k), rng.uniform(0.2, 2.0, size=k)])
-    objective = SearchObjective(rng.normal(size=(k, 1, widths[0])), refs, tuple(objectives), 0.0, head)
-    return _Workspace(objective, arch, rng.normal(size=(k, arch.param_count())), n), rng
+    x = rng.normal(size=(k, 1, widths[0]))
+    return _Workspace(arch, rng.normal(size=(k, arch.param_count())), n, x, refs, objectives, 0.0), rng
 
 
 def random_targets(arch, rng, shape):
@@ -410,7 +413,9 @@ def test_head_pass_is_the_batch_cross_entropy_and_the_adversarial_term_bit_for_b
     # gradient and the prediction row, each with the bits of its own call
     n = 7
     ws, rng = random_workspace(widths, head, objectives, n, seed=len(objectives) + widths[-1])
-    arch, obj, k = ws.arch, ws.objective, len(objectives)
+    arch, k = ws.arch, len(objectives)
+    # each test row's target: the one-hot row of a class objective, else the reference row
+    target = np.array([np.eye(widths[-1])[o[1]] if isinstance(o, tuple) and o[0] == "class" else ref for o, ref in zip(objectives, ws.ref)])[:, None]
     fixed = random_targets(arch, rng, (n,))
     for _ in range(2 if minibatch else 1):
         # a mini-batch search fills new rows at every step, a full batch once
@@ -422,9 +427,9 @@ def test_head_pass_is_the_batch_cross_entropy_and_the_adversarial_term_bit_for_b
         loss, grad = M.cross_entropy(arch, out[:, :n].copy(), bt)
         assert batch_loss.tobytes() == loss.tobytes()
         assert ws.grad_out[:, :n].tobytes() == grad.tobytes()
-        ce, ce_grad = M.cross_entropy(arch, out[:, n:].copy(), obj.target)
-        assert adv.tobytes() == np.where(obj.is_class, ce, obj.ref_entropy - ce).tobytes()
-        assert ws.grad_out[:, n:].tobytes() == np.where(obj.is_class[:, None, None], ce_grad, -ce_grad).tobytes()
+        ce, ce_grad = M.cross_entropy(arch, out[:, n:].copy(), target)
+        assert adv.tobytes() == np.where(ws.is_class, ce, ws.ref_entropy - ce).tobytes()
+        assert ws.grad_out[:, n:].tobytes() == np.where(ws.is_class[:, None, None], ce_grad, -ce_grad).tobytes()
         assert ws.test_preds.tobytes() == M.head_predictions(arch, out[:, n:].copy()).tobytes()
 
 
@@ -440,14 +445,14 @@ def test_workspace_backward_is_a_fresh_backprop_bit_for_bit(head, active):
     widths = (3, 6, 5, 4) if head == "categorical" else (1, 6, 5, 2)
     n, c = 7, 2.5
     ws, rng = random_workspace(widths, head, objectives, n, seed=5)
-    arch, obj = ws.arch, ws.objective
+    arch = ws.arch
     ws.fill(rng.normal(size=(n, widths[0])), random_targets(arch, rng, (n,)))
     ws.losses()
-    ws.batch_loss = obj.bound + np.where(active, 1.0, -1.0)
+    ws.batch_loss = ws.bound + np.where(active, 1.0, -1.0)
     # the expected gradients: the direction penalty enters at the test row's mean
     grad_out = ws.grad_out.copy()
-    pushed = obj.violation(ws.test_out) > 0.0
-    grad_out[pushed, n, 0] -= c * obj.direction[pushed]
+    pushed = ws.violation() > 0.0
+    grad_out[pushed, n, 0] -= c * ws.direction[pushed]
 
     def backprop(models, rows):
         values = ws.values[models]
