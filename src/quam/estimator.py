@@ -46,8 +46,8 @@ def pool_trajectories(trajectories: Sequence[SearchTrajectory], temperature: flo
     `models.head_predictions`; w holds the S self-normalized weights
     exp(-mean_train_loss / temperature).
     """
-    if not temperature > 0:
-        raise ValueError("temperature must be positive")
+    if not 0.0 < temperature < np.inf:  # NaN fails too
+        raise ValueError(f"temperature must be a finite positive number, got {temperature}")
     preds = np.concatenate([t.pred for t in trajectories])
     logw = -np.concatenate([t.mean_train_loss for t in trajectories]) / temperature
     if not np.isfinite(logw).all():
@@ -83,6 +83,9 @@ def quam_scores(
     """
     if setting not in ("a", "b"):
         raise ValueError(f"setting must be 'a' or 'b', got {setting!r}")
+    # checked before any search: a point whose searches find no adversary never pools
+    if not 0.0 < temperature < np.inf:
+        raise ValueError(f"temperature must be a finite positive number, got {temperature}")
     head = reference.arch.head
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     suites = search_suites(xs, data, reference, config, classes)

@@ -176,6 +176,8 @@ def simplex_surface(
     """
     if arch.head != "categorical" or arch.n_classes != 3:
         raise ValueError(f"simplex_surface needs a 3-class categorical head, got {arch.head} with output width {arch.widths[-1]}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape != (1, arch.widths[0]):
         raise ValueError(f"simplex test point needs {arch.widths[0]} coordinates, got array of shape {x.shape}")

@@ -438,6 +438,12 @@ def one_status_line(capsys, argv):
         ("train", "[dataset]\nnoise = nan\n"),
         ("train", "[dataset]\nnoise = inf\n"),
         ("train", "[dataset]\nnoise = -0.1\n"),
+        # lr = 0: no search finds an adversary, so no point pools its models
+        ("quam", "[search]\nlr = 0\n[estimator]\ntemperature = -1\n"),
+        ("quam", "[search]\nlr = 0\n[estimator]\ntemperature = 0\n"),
+        ("quam", "[search]\nlr = 0\n[estimator]\ntemperature = nan\n"),
+        ("quam", "[search]\nlr = 0\n[estimator]\ntemperature = inf\n"),
+        ("simplex", "[dataset]\nname = three_gaussians\n[arch]\nwidths = 2 4 3\n[simplex]\nresolution = 2\nrepeats = 0\n"),
     ],
     ids=[
         "hmc_n_leapfrog",
@@ -472,6 +478,11 @@ def one_status_line(capsys, argv):
         "dataset_noise_nan",
         "dataset_noise_inf",
         "dataset_noise_negative",
+        "estimator_temperature_negative",
+        "estimator_temperature_zero",
+        "estimator_temperature_nan",
+        "estimator_temperature_inf",
+        "simplex_repeats_zero",
     ],
 )
 def test_settings_that_do_no_work_are_usage_errors(tmp_path, capsys, command, section):
