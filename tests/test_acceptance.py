@@ -35,18 +35,22 @@ def report(criterion: int, passed: bool, detail: str):
 # -- criterion 1: gradient correctness ----------------------------------------
 
 
-def search_loss_and_grad(arch, values, x, ref, objective, bound, bx, by, c):
-    """One search's objective at penalty weight c and its flat gradient, from a search workspace.
+def search_loss_and_grad(arch, x, ref, objective, bound, bx, by, c):
+    """One search's objective at penalty weight c, as a function of the parameters to (loss, flat gradient), from a search workspace.
 
     L = L_adv + c * relu(batch_loss - bound) + c * relu(violation), as the
     module docstring of `quam.search` documents it; `bx` and `by` are the
     batch rows and their `models.target_rows`.
     """
-    ws = _Workspace(arch, values[None], len(bx), x[None], ref[None], (objective,), bound)
-    ws.fill(bx, by)
-    batch_loss, adv = ws.losses()
-    loss = adv + c * np.maximum(batch_loss - bound, 0.0) + c * np.maximum(ws.violation(), 0.0)
-    return loss[0], ws.gradient(c)[0]
+
+    def loss_and_grad(values):
+        ws = _Workspace(arch, values[None], len(bx), x[None], ref[None], (objective,), bound)
+        ws.fill(bx, by)
+        batch_loss, adv = ws.losses()
+        loss = adv + c * np.maximum(batch_loss - bound, 0.0) + c * np.maximum(ws.violation(), 0.0)
+        return loss[0], ws.gradient(c)[0]
+
+    return loss_and_grad
 
 
 def test_criterion_01_gradient_correctness():
@@ -108,11 +112,7 @@ def test_criterion_01_gradient_correctness():
         batch_loss = M.cross_entropy(arch, M.forward(params, bx)[-1], by)[0]
         bound = batch_loss - 0.5 if pen_active else batch_loss + 0.5
         c = float(rng.uniform(0.5, 3.0))
-
-        def search_loss(values, arch=arch, x=x, ref=ref, objective=objective, bound=bound, bx=bx, by=by, c=c):
-            return search_loss_and_grad(arch, values, x, ref, objective, bound, bx, by, c)
-
-        result = grad_check(search_loss, params.values, step=1e-5, tolerance=1e-4)
+        result = grad_check(search_loss_and_grad(arch, x, ref, objective, bound, bx, by, c), params.values, step=1e-5, tolerance=1e-4)
         worst_search = max(worst_search, result["max_rel_error"])
         assert result["passed"], (arch, objective, pen_active, viol_active, result)
     ok = worst < 1e-4 and worst_search < 1e-4
