@@ -17,6 +17,8 @@ search      lock-step adversarial model searches: search_batch runs any
 estimator   pooled scores (quam_scores), importance sampling, variance study
 samplers    deep ensembles, MC dropout, cyclical SG-HMC, HMC
 metrics     AUROC/AUPR/FPR, selective prediction, ECE, simplex study
+config      experiment config files; `require`, the domain check of every
+            numeric setting
 cli         experiment driver (`quam` entry point)
 """
 

@@ -3,7 +3,13 @@
 Subcommands: train, quam, baseline, eval, grid, varstudy, simplex.  Every
 run takes a --config file, writes a canonical config echo plus its outputs
 to the output directory, and ends with one machine-parsable status line,
-strict JSON without NaN or Infinity.  Exit codes: 0 success, 2
+strict JSON without NaN or Infinity.  Each subcommand is a
+`cmd_<name>(cfg, out, seed, jobs) -> exit code`: `main` loads the config,
+creates the output directory (`--out`, else `[output] dir`) with the echo,
+and resolves the seed (`--seed`, else `[experiment] seed`, else 0) once for
+every command; `jobs` is `--jobs`, the test points per lock-step search
+batch of quam and grid.  A numeric setting outside its domain
+(`config.require`) is a usage error naming its key.  Exit codes: 0 success, 2
 usage/config error, 3 numerical abort.  A malformed command line is a
 usage error too: argparse's usage text goes to standard error and the
 status line to standard output.  `--help` prints its text and exits 0
@@ -22,7 +28,7 @@ import numpy as np
 
 from . import data as D
 from . import models as M
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, require
 from .estimator import quam_scores, variance_sweep
 from .measures import decompose_a, decompose_b
 from .metrics import ScoredLabels, aupr, auroc, fpr_at_tpr, simplex_surface
@@ -45,15 +51,16 @@ def _status(command: str, status: str, **extra):
 def load_dataset(cfg: ExperimentConfig) -> D.LabeledDataset:
     name = cfg.require("dataset", "name")
     seed = cfg.get_int("dataset", "seed", 0)
-    if name == "two_moons":
+    if name in ("two_moons", "sine"):
+        n = cfg.get_int("dataset", "n", 200)
+        require(1, **{"[dataset] n": n})
+        if name == "sine":
+            return D.gen_sine(n, seed)
         noise = cfg.get_float("dataset", "noise", 0.1)
-        if not 0.0 <= noise < np.inf:
-            raise UsageError(f"[dataset] noise must be a finite number >= 0, got {noise}")
-        return D.gen_two_moons(cfg.get_int("dataset", "n", 200), noise, seed)
+        require(0, **{"[dataset] noise": noise})
+        return D.gen_two_moons(n, noise, seed)
     if name == "three_gaussians":
         return D.gen_three_gaussians(seed)
-    if name == "sine":
-        return D.gen_sine(cfg.get_int("dataset", "n", 200), seed)
     if name == "idx":
         images = cfg.require("dataset", "images")
         labels = cfg.require("dataset", "labels")
@@ -141,8 +148,8 @@ def load_test_inputs(cfg: ExperimentConfig) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _prepare_out(args, cfg: ExperimentConfig) -> str:
-    out = args.out or cfg.get_str("output", "dir", "runs/out")
+def _prepare_out(out, cfg: ExperimentConfig) -> str:
+    out = out or cfg.get_str("output", "dir", "runs/out")
     try:
         os.makedirs(out, exist_ok=True)
         cfg.dump(os.path.join(out, "config_echo.ini"))
@@ -155,9 +162,7 @@ def _breakdown_row(i, br) -> str:
     return json.dumps({"input_id": i, "aleatoric": br.aleatoric, "epistemic": br.epistemic, "total": br.total, "setting": br.setting, "flags": list(br.flags)})
 
 
-def cmd_train(args, cfg: ExperimentConfig) -> int:
-    out = _prepare_out(args, cfg)
-    seed = args.seed if args.seed is not None else cfg.get_int("experiment", "seed", 0)
+def cmd_train(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     dataset = load_dataset(cfg)
     arch = load_arch(cfg)
     log: list = []
@@ -171,30 +176,17 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_quam(args, cfg: ExperimentConfig) -> int:
-    out = _prepare_out(args, cfg)
-    seed = args.seed if args.seed is not None else cfg.get_int("experiment", "seed", 0)
+def _score(cfg: ExperimentConfig, xs: np.ndarray, seed: int, jobs: int, setting: str) -> tuple[list, list]:
+    """`quam_scores` of the rows of `xs` against `[reference] checkpoint`, `jobs` points per lock-step batch: every point's breakdown and trajectories.
+
+    `setting` is the default of `[estimator] setting`.
+    """
     dataset = load_dataset(cfg)
     reference = M.load_checkpoint(cfg.require("reference", "checkpoint"))
-    xs = load_test_inputs(cfg)
     temperature = cfg.get_float("estimator", "temperature", 0.1)
-    setting = cfg.get_str("estimator", "setting", "b")
+    setting = cfg.get_str("estimator", "setting", setting)
     search_cfg = load_search_config(cfg, seed)
-    save_traj = cfg.get_bool("output", "trajectories", True)
-    breakdowns, suites = _score_in_chunks(xs, dataset, reference, search_cfg, temperature, setting, args.jobs)
-    with open(os.path.join(out, "scores.jsonl"), "w") as f:
-        for i, (br, trajs) in enumerate(zip(breakdowns, suites)):
-            f.write(_breakdown_row(i, br) + "\n")
-            if save_traj:
-                for t in trajs:
-                    trajectory_to_jsonl(t, os.path.join(out, f"trajectory_{i:04d}_{t.target.replace(':', '')}.jsonl"))
-    return _finish_scoring("quam", _all_aborted(suites), n=len(xs), out=out)
-
-
-def _score_in_chunks(xs, dataset, reference, search_cfg, temperature, setting, jobs) -> tuple[list, list]:
-    """`quam_scores` over the rows of `xs`, `jobs` points per lock-step batch: every point's breakdown and trajectories."""
-    if jobs < 1:
-        raise UsageError(f"--jobs must be >= 1 (test points per lock-step batch), got {jobs}")
+    require(1, **{"--jobs": jobs})
     breakdowns, suites = [], []
     for start in range(0, len(xs), jobs):
         brs, trajs = quam_scores(xs[start : start + jobs], dataset, reference, search_cfg, temperature, setting=setting)
@@ -203,13 +195,9 @@ def _score_in_chunks(xs, dataset, reference, search_cfg, temperature, setting, j
     return breakdowns, suites
 
 
-def _all_aborted(suites) -> list:
-    """The points at which every search hit a non-finite loss."""
-    return [i for i, trajs in enumerate(suites) if all(t.nan_abort for t in trajs)]
-
-
-def _finish_scoring(command: str, aborted: list, **extra) -> int:
-    """Status line of a scoring command, written after every row: exit 3 when every search of some point aborted."""
+def _finish_scoring(command: str, suites: list, **extra) -> int:
+    """Status line of a scoring command, written after every row: exit 3 when every search of some point hit a non-finite loss."""
+    aborted = [i for i, trajs in enumerate(suites) if all(t.nan_abort for t in trajs)]
     if aborted:
         _status(command, "numerical_abort", error=f"every search hit a non-finite loss at inputs {aborted}", **extra)
         return EXIT_NUMERIC
@@ -217,9 +205,20 @@ def _finish_scoring(command: str, aborted: list, **extra) -> int:
     return EXIT_OK
 
 
-def cmd_baseline(args, cfg: ExperimentConfig) -> int:
-    out = _prepare_out(args, cfg)
-    seed = args.seed if args.seed is not None else cfg.get_int("experiment", "seed", 0)
+def cmd_quam(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
+    xs = load_test_inputs(cfg)
+    save_traj = cfg.get_bool("output", "trajectories", True)
+    breakdowns, suites = _score(cfg, xs, seed, jobs, "b")
+    with open(os.path.join(out, "scores.jsonl"), "w") as f:
+        for i, (br, trajs) in enumerate(zip(breakdowns, suites)):
+            f.write(_breakdown_row(i, br) + "\n")
+            if save_traj:
+                for t in trajs:
+                    trajectory_to_jsonl(t, os.path.join(out, f"trajectory_{i:04d}_{t.target.replace(':', '')}.jsonl"))
+    return _finish_scoring("quam", suites, n=len(xs), out=out)
+
+
+def cmd_baseline(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     method = cfg.require("baseline", "method")
     dataset = load_dataset(cfg)
     xs = load_test_inputs(cfg)
@@ -277,8 +276,7 @@ def cmd_baseline(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args, cfg: ExperimentConfig) -> int:
-    out = _prepare_out(args, cfg)
+def cmd_eval(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     id_path = cfg.require("eval", "id_scores")
     pos_path = cfg.require("eval", "positive_scores")
     field = cfg.get_str("eval", "field", "epistemic")
@@ -312,46 +310,36 @@ def cmd_eval(args, cfg: ExperimentConfig) -> int:
             value = fpr_at_tpr(scored, target)
         else:
             raise UsageError(f"unknown metric {m!r}")
-        results.append({"metric": m, "value": value, "n": int(len(scored.scores)), "seed": cfg.get_int("experiment", "seed", 0)})
+        results.append({"metric": m, "value": value, "n": int(len(scored.scores)), "seed": seed})
     path = os.path.join(out, "metrics.json")
     with open(path, "w") as f:
-        json.dump({"records": results, "config": {s: dict(kv) for s, kv in cfg.sections.items()}}, f, indent=2)
+        json.dump({"records": results, "config": cfg.sections}, f, indent=2)
     _status("eval", "ok", out=path, **{r["metric"]: r["value"] for r in results})
     return EXIT_OK
 
 
-def cmd_grid(args, cfg: ExperimentConfig) -> int:
-    out = _prepare_out(args, cfg)
-    seed = args.seed if args.seed is not None else cfg.get_int("experiment", "seed", 0)
-    dataset = load_dataset(cfg)
-    reference = M.load_checkpoint(cfg.require("reference", "checkpoint"))
+def cmd_grid(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     res = cfg.get_int("grid", "resolution", 40)
-    if res < 1:
-        raise UsageError(f"[grid] resolution must be >= 1, got {res}")
+    require(1, **{"[grid] resolution": res})
     x_lo, x_hi = cfg.get_floats("grid", "x_range", (-1.5, 2.5), count=2)
     y_lo, y_hi = cfg.get_floats("grid", "y_range", (-1.0, 1.5), count=2)
-    temperature = cfg.get_float("estimator", "temperature", 0.1)
-    setting = cfg.get_str("estimator", "setting", "a")
-    search_cfg = load_search_config(cfg, seed)
     xs = np.linspace(x_lo, x_hi, res)
     ys = np.linspace(y_lo, y_hi, res)
     points = np.array([(x, y) for x in xs for y in ys])
-    breakdowns, suites = _score_in_chunks(points, dataset, reference, search_cfg, temperature, setting, args.jobs)
+    breakdowns, suites = _score(cfg, points, seed, jobs, "a")
     path = os.path.join(out, "grid.csv")
     with open(path, "w") as f:
         f.write("x,y,total,aleatoric,epistemic,flags\n")
         for (x, y), br in zip(points, breakdowns):
             f.write(f"{x:.17g},{y:.17g},{br.total:.17g},{br.aleatoric:.17g},{br.epistemic:.17g},{';'.join(br.flags)}\n")
-    return _finish_scoring("grid", _all_aborted(suites), rows=len(points), out=path)
+    return _finish_scoring("grid", suites, rows=len(points), out=path)
 
 
-def cmd_varstudy(args, cfg: ExperimentConfig) -> int:
-    out = _prepare_out(args, cfg)
+def cmd_varstudy(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     parameter = cfg.get_str("varstudy", "parameter", "sigma_p2")
     lo, hi = cfg.get_floats("varstudy", "range", (1.0, 3.0), count=2)
     count = cfg.get_int("varstudy", "count", 9)
-    if count < 1:
-        raise UsageError(f"[varstudy] count must be >= 1, got {count}")
+    require(1, **{"[varstudy] count": count})
     rows = variance_sweep(parameter, np.linspace(lo, hi, count))
     path = os.path.join(out, f"varstudy_{parameter}.csv")
     with open(path, "w") as f:
@@ -362,9 +350,7 @@ def cmd_varstudy(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_simplex(args, cfg: ExperimentConfig) -> int:
-    out = _prepare_out(args, cfg)
-    seed = args.seed if args.seed is not None else cfg.get_int("experiment", "seed", 0)
+def cmd_simplex(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     dataset = load_dataset(cfg)
     arch = load_arch(cfg)
     x = np.asarray(cfg.get_floats("simplex", "test_point", tuple(D.THREE_GAUSSIAN_TEST_POINT), count=arch.widths[0]))
@@ -432,7 +418,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         cfg = ExperimentConfig.load(args.config)
-        return COMMANDS[args.command](args, cfg)
+        out = _prepare_out(args.out, cfg)
+        seed = args.seed if args.seed is not None else cfg.get_int("experiment", "seed", 0)
+        return COMMANDS[args.command](cfg, out, seed, args.jobs)
     except (ConfigError, UsageError, OSError, ValueError) as e:
         _status(args.command, "usage_error", error=str(e))
         return EXIT_USAGE

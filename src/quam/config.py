@@ -1,29 +1,43 @@
-"""Flat `key = value` experiment configs with bracketed section headers.
+"""Flat `key = value` experiment configs with bracketed section headers, and the domain rule of every numeric setting.
 
 The format is deliberately minimal so configs diff cleanly and parse with
 no dependencies: sections in square brackets, one `key = value` pair per
 line, `#` comments.  A run always writes back a canonical echo of its
 config; reloading the echo yields an identical config.
+
+`require` is the one domain check of the package's numeric settings, from
+the config keys the CLI reads to the fields of `TrainConfig` and
+`SearchConfig` and the arguments of the samplers and the estimator: a
+setting must be a finite number at or above its bound (above it, for a
+strict bound), and NaN fails.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 
-__all__ = ["ConfigError", "ExperimentConfig"]
+__all__ = ["ConfigError", "ExperimentConfig", "require"]
+
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 class ConfigError(ValueError):
     pass
 
 
+def require(lo, above=False, **values) -> None:
+    """Raise a `ValueError` naming the first of `values` that is not a finite number >= lo (> lo with `above`).
+
+    `None` passes; NaN fails.
+    """
+    for name, value in values.items():
+        if value is not None and not (lo < value < math.inf if above else lo <= value < math.inf):
+            raise ValueError(f"{name} must be a finite number {'>' if above else '>='} {lo}, got {value}")
+
+
 class ExperimentConfig:
-    def __init__(self, sections=None):
-        self.sections: "OrderedDict[str, OrderedDict[str, str]]" = OrderedDict()
-        if sections:
-            for name, kv in sections.items():
-                self.sections[name] = OrderedDict((k, str(v)) for k, v in kv.items())
+    def __init__(self):
+        self.sections: dict[str, dict[str, str]] = {}
 
     # -- parsing ----------------------------------------------------------
 
@@ -39,7 +53,7 @@ class ExperimentConfig:
                 section = line[1:-1].strip()
                 if not section:
                     raise ConfigError(f"line {lineno}: empty section name")
-                cfg.sections.setdefault(section, OrderedDict())
+                cfg.sections.setdefault(section, {})
                 continue
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
@@ -71,9 +85,7 @@ class ExperimentConfig:
             f.write(self.dumps())
 
     def __eq__(self, other):
-        return isinstance(other, ExperimentConfig) and dict(self.sections) == dict(other.sections) and all(
-            dict(self.sections[k]) == dict(other.sections[k]) for k in self.sections
-        )
+        return isinstance(other, ExperimentConfig) and self.sections == other.sections
 
     # -- typed getters ------------------------------------------------------
 
@@ -85,64 +97,38 @@ class ExperimentConfig:
             raise ConfigError(f"missing required config value [{section}] {key}")
         return self.sections[section][key]
 
-    def _raw(self, section, key, default):
+    def _get(self, section, key, default, parse, expected):
+        """`parse` of the value at `[section] key`, or `default` when the key is absent; a value `parse` rejects is a `ConfigError`."""
         if not self.has(section, key):
-            return None
-        return self.sections[section][key]
+            return default
+        raw = self.sections[section][key]
+        try:
+            return parse(raw)
+        except (KeyError, ValueError) as e:
+            raise ConfigError(f"[{section}] {key}: expected {expected}, got {raw!r}") from e
 
     def get_str(self, section, key, default=None):
-        raw = self._raw(section, key, default)
-        return default if raw is None else raw
+        return self._get(section, key, default, str, "text")
 
     def get_int(self, section, key, default=None):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as e:
-            raise ConfigError(f"[{section}] {key}: expected integer, got {raw!r}") from e
+        return self._get(section, key, default, int, "integer")
 
     def get_float(self, section, key, default=None):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as e:
-            raise ConfigError(f"[{section}] {key}: expected number, got {raw!r}") from e
+        return self._get(section, key, default, float, "number")
 
     def get_bool(self, section, key, default=None):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        if raw.lower() in ("true", "yes", "1"):
-            return True
-        if raw.lower() in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"[{section}] {key}: expected boolean, got {raw!r}")
+        return self._get(section, key, default, lambda raw: _BOOLS[raw.lower()], "boolean")
 
     def get_ints(self, section, key, default=None):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            return tuple(int(p) for p in raw.replace(",", " ").split())
-        except ValueError as e:
-            raise ConfigError(f"[{section}] {key}: expected integers, got {raw!r}") from e
+        return self._get(section, key, default, lambda raw: tuple(int(p) for p in raw.replace(",", " ").split()), "integers")
 
     def get_floats(self, section, key, default=None, count=None):
         """Numbers separated by spaces or commas; with `count`, exactly that many finite ones."""
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        try:
-            values = tuple(float(p) for p in raw.replace(",", " ").split())
-        except ValueError as e:
-            raise ConfigError(f"[{section}] {key}: expected numbers, got {raw!r}") from e
-        if count is not None and (len(values) != count or not all(map(math.isfinite, values))):
-            raise ConfigError(f"[{section}] {key}: expected {count} finite numbers, got {raw!r}")
-        return values
 
-    def set(self, section, key, value):
-        self.sections.setdefault(section, OrderedDict())[key] = str(value)
+        def parse(raw):
+            values = tuple(float(p) for p in raw.replace(",", " ").split())
+            if count is not None and (len(values) != count or not all(map(math.isfinite, values))):
+                raise ValueError(raw)
+            return values
+
+        return self._get(section, key, default, parse, "numbers" if count is None else f"{count} finite numbers")

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import require
 from .measures import UncertaintyBreakdown, decompose_a, decompose_b, entropy_cat, entropy_gauss, quad
 from .models import ModelParams
 from .search import SearchConfig, SearchTrajectory, search_suites
@@ -46,8 +47,7 @@ def pool_trajectories(trajectories: Sequence[SearchTrajectory], temperature: flo
     `models.head_predictions`; w holds the S self-normalized weights
     exp(-mean_train_loss / temperature).
     """
-    if not 0.0 < temperature < np.inf:  # NaN fails too
-        raise ValueError(f"temperature must be a finite positive number, got {temperature}")
+    require(0, above=True, temperature=temperature)
     preds = np.concatenate([t.pred for t in trajectories])
     logw = -np.concatenate([t.mean_train_loss for t in trajectories]) / temperature
     if not np.isfinite(logw).all():
@@ -84,8 +84,7 @@ def quam_scores(
     if setting not in ("a", "b"):
         raise ValueError(f"setting must be 'a' or 'b', got {setting!r}")
     # checked before any search: a point whose searches find no adversary never pools
-    if not 0.0 < temperature < np.inf:
-        raise ValueError(f"temperature must be a finite positive number, got {temperature}")
+    require(0, above=True, temperature=temperature)
     head = reference.arch.head
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     suites = search_suites(xs, data, reference, config, classes)
@@ -174,8 +173,7 @@ def analytic_variance_study(
     """
     (w1, m1, v1), (w2, m2, v2) = target
     mq, vq = proposal
-    if min(v1, v2, vq) <= 0:
-        raise ValueError("variances must be positive")
+    require(0, above=True, var1=v1, var2=v2, proposal_var=vq)
     if abs(w1 + w2 - 1.0) > 1e-12:
         raise ValueError("target component weights must sum to 1")
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import require
 from .data import LabeledDataset
 from .models import ArchSpec, TrainConfig, TrainingDiverged, loss_and_grad, mean_train_loss, train
 
@@ -148,8 +149,7 @@ def ece(pred_probs, labels, n_bins: int = 10) -> float:
 
 def simplex_grid(resolution: int) -> np.ndarray:
     """Triangular grid on the 3-class probability simplex: r(r+1)/2 points."""
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    require(2, resolution=resolution)
     pts = []
     m = resolution - 1
     for i in range(resolution):
@@ -176,8 +176,7 @@ def simplex_surface(
     """
     if arch.head != "categorical" or arch.n_classes != 3:
         raise ValueError(f"simplex_surface needs a 3-class categorical head, got {arch.head} with output width {arch.widths[-1]}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    require(1, repeats=repeats)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape != (1, arch.widths[0]):
         raise ValueError(f"simplex test point needs {arch.widths[0]} coordinates, got array of shape {x.shape}")

@@ -30,6 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import require
 from .rng import derive_rng
 
 __all__ = [
@@ -83,7 +84,6 @@ class ArchSpec:
     widths: tuple[int, ...]
     head: str = "categorical"  # "categorical" | "gaussian_scalar"
     dropout_prob: float = 0.0
-    activation: str = "relu"
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
@@ -91,8 +91,6 @@ class ArchSpec:
             raise ValueError("ArchSpec needs at least input and output widths")
         if any(w <= 0 for w in self.widths):
             raise ValueError(f"layer widths must be positive, got {self.widths}")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError(f"dropout_prob must be in [0, 1), got {self.dropout_prob}")
         if self.head == "categorical":
@@ -592,13 +590,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        for name in ("lr", "weight_decay"):  # written so that NaN fails
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
+        require(0, epochs=self.epochs, lr=self.lr, weight_decay=self.weight_decay)
+        require(1, batch_size=self.batch_size)
 
 
 class Adam:

@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .config import require
 from .models import ArchSpec, ModelParams, TrainConfig, TrainingDiverged, Workspace, init_params, make_dropout_masks, predict_batch, target_rows, train
 from .rng import derive_rng
 
@@ -83,8 +84,7 @@ class SamplerOutput:
 
 def deep_ensemble(data, arch: ArchSpec, n_members: int, base_cfg: TrainConfig) -> SamplerOutput:
     """Independently initialized and trained members; member i uses seed base+i."""
-    if n_members < 1:
-        raise ValueError("n_members must be >= 1")
+    require(1, n_members=n_members)
     members = []
     for i in range(n_members):
         cfg = TrainConfig(lr=base_cfg.lr, weight_decay=base_cfg.weight_decay, epochs=base_cfg.epochs, batch_size=base_cfg.batch_size, seed=base_cfg.seed + i)
@@ -94,6 +94,7 @@ def deep_ensemble(data, arch: ArchSpec, n_members: int, base_cfg: TrainConfig) -
 
 def mc_dropout(params: ModelParams, n_samples: int, seed: int = 0) -> SamplerOutput:
     """Stochastic forward passes with dropout active at inference: n_samples mask sets drawn once."""
+    require(1, n_samples=n_samples)
     if not params.arch.dropout_prob > 0:
         raise ValueError("mc_dropout needs a model with dropout_prob > 0")
     rng = derive_rng(seed)
@@ -111,13 +112,6 @@ def cosine_step_size(step0: float, t: int, steps_per_cycle: int) -> float:
     if steps_per_cycle <= 1:
         return step0
     return step0 * 0.5 * (1.0 + np.cos(np.pi * t / (steps_per_cycle - 1)))
-
-
-def _check_nonnegative(**values) -> None:
-    """Raise a `ValueError` naming the first of `values` that is not a finite number >= 0 (NaN fails)."""
-    for name, value in values.items():
-        if not 0.0 <= value < np.inf:
-            raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
 
 def csghmc(
@@ -140,11 +134,8 @@ def csghmc(
     friction/temperature constants are declared here rather than inherited
     from any particular reference implementation.
     """
-    if cycles < 1:
-        raise ValueError("cycles must be >= 1")
-    if steps_per_cycle < 1:
-        raise ValueError("steps_per_cycle must be >= 1")
-    _check_nonnegative(step_size=step_size, temperature=temperature, prior_precision=prior_precision)
+    require(1, cycles=cycles, steps_per_cycle=steps_per_cycle)
+    require(0, step_size=step_size, temperature=temperature, prior_precision=prior_precision)
     rng = derive_rng(seed)
     values = (init if init is not None else init_params(arch, seed)).values.copy()  # each step updates it in place
     velocity = np.zeros_like(values)
@@ -244,10 +235,9 @@ def hmc(
     the step size.  A trajectory starts from the gradient its chain's
     current position got at the end of the trajectory that moved it there.
     """
-    if n_leapfrog < 0 or n_samples < 1 or burn_in < 0 or thin < 1:
-        raise ValueError(f"hmc needs n_leapfrog >= 0, n_samples >= 1, burn_in >= 0 and thin >= 1, got {n_leapfrog}, {n_samples}, {burn_in}, {thin}")
-    if not 0.0 < step_size < np.inf:
-        raise ValueError(f"hmc needs a finite step_size > 0, got {step_size}")
+    require(0, n_leapfrog=n_leapfrog, burn_in=burn_in)
+    require(1, n_samples=n_samples, thin=thin)
+    require(0, above=True, step_size=step_size)
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
     k = len(seeds)
@@ -379,7 +369,7 @@ def hmc_posterior(
     preallocated workspace per call.  Returns one `SamplerOutput` for an
     int seed, else one per chain, each that chain's single-chain run.
     """
-    _check_nonnegative(prior_precision=prior_precision)
+    require(0, prior_precision=prior_precision)
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
     start = np.array([(init if init is not None else init_params(arch, s)).values for s in seeds])

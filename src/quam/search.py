@@ -67,6 +67,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import require
 from .measures import _check_rows, _kl_cat, _kl_gauss, entropy_cat, entropy_gauss
 from .models import Adam, ArchSpec, ModelParams, Workspace, cross_entropy_loss, forward, forward_into, head_predictions, target_rows
 from .rng import derive_rng
@@ -103,22 +104,10 @@ class SearchConfig:
     free_mask: Optional[np.ndarray] = None  # explicit override of delta_scope
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not 1.0 < self.eta_factor < np.inf:
-            raise ValueError(f"eta_factor must be a finite number above 1, got {self.eta_factor}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.eta_every < 1:
-            raise ValueError(f"eta_every must be >= 1, got {self.eta_every}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 < self.c0 < np.inf:
-            raise ValueError(f"c0 must be a finite positive number, got {self.c0}")
-        if self.gamma is not None and not 0.0 <= self.gamma < np.inf:
-            raise ValueError(f"gamma must be a finite number >= 0, got {self.gamma}")
-        for name in ("lr", "weight_decay"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
+        require(1, above=True, eta_factor=self.eta_factor)
+        require(1, steps=self.steps, eta_every=self.eta_every, batch_size=self.batch_size)
+        require(0, above=True, c0=self.c0)
+        require(0, gamma=self.gamma, lr=self.lr, weight_decay=self.weight_decay)
         if self.delta_scope not in ("all_params", "last_layer", "bias_only"):
             raise ValueError(f"unknown delta_scope {self.delta_scope!r}")
 

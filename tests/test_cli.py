@@ -310,6 +310,15 @@ def test_cmd_eval_perfect_and_null(tmp_path, capsys):
     assert "config" in blob
 
 
+def test_cmd_eval_records_the_seed_override(tmp_path, capsys):
+    id_p = write(tmp_path / "id.jsonl", json.dumps({"epistemic": 0.1}) + "\n")
+    pos_p = write(tmp_path / "pos.jsonl", json.dumps({"epistemic": 0.9}) + "\n")
+    cfgp = write(tmp_path / "e.ini", f"[experiment]\nseed = 0\n[eval]\nid_scores = {id_p}\npositive_scores = {pos_p}\nmetrics = auroc\n[output]\ndir = {tmp_path}/e_out\n")
+    code, status = run(capsys, "eval", "--config", cfgp, "--seed", "5")
+    assert code == 0
+    assert [r["seed"] for r in json.load(open(status["out"]))["records"]] == [5]
+
+
 def test_cmd_varstudy_monotone(tmp_path, capsys):
     cfgp = write(
         tmp_path / "v.ini",
@@ -444,6 +453,11 @@ def one_status_line(capsys, argv):
         ("quam", "[search]\nlr = 0\n[estimator]\ntemperature = nan\n"),
         ("quam", "[search]\nlr = 0\n[estimator]\ntemperature = inf\n"),
         ("simplex", "[dataset]\nname = three_gaussians\n[arch]\nwidths = 2 4 3\n[simplex]\nresolution = 2\nrepeats = 0\n"),
+        ("quam", "[dataset]\nn = 0\n"),
+        ("train", "[dataset]\nn = -2\n"),
+        ("quam", "[dataset]\nname = sine\nn = 0\n"),
+        ("train", "[dataset]\nname = sine\nn = -2\n"),
+        ("baseline", "[baseline]\nmethod = mcd\nn_samples = 0\n"),
     ],
     ids=[
         "hmc_n_leapfrog",
@@ -483,6 +497,11 @@ def one_status_line(capsys, argv):
         "estimator_temperature_nan",
         "estimator_temperature_inf",
         "simplex_repeats_zero",
+        "dataset_n_zero",
+        "dataset_n_negative",
+        "sine_n_zero",
+        "sine_n_negative",
+        "mcd_n_samples_zero",
     ],
 )
 def test_settings_that_do_no_work_are_usage_errors(tmp_path, capsys, command, section):

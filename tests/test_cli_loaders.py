@@ -5,7 +5,10 @@ exactly one JSON status line with exit code 0 (the input was usable) or 2
 The fuzz tests cover the config, checkpoint, IDX, CSV dataset, test-input
 and score-file loaders.  Their `@example`s pin inputs that once escaped the
 contract: a header-only CSV, a NaN CSV cell, and IDX headers whose declared
-size overflows or exceeds the file.
+size overflows or exceeds the file.  A last property sets the float
+settings of train, quam and the hmc and csghmc baselines to extreme values:
+each run ends in one strict JSON status line, with exit 3 (numerical abort)
+allowed besides 0 and 2.
 """
 
 import contextlib
@@ -187,3 +190,46 @@ def test_fuzzed_score_files(tmp_path, capsys, id_lines, positive_lines):
     id_p = write(tmp_path / "id.jsonl", "\n".join(id_lines) + "\n")
     pos_p = write(tmp_path / "pos.jsonl", "\n".join(positive_lines) + "\n")
     status_of(capsys, tmp_path, "eval", f"[eval]\nid_scores = {id_p}\npositive_scores = {pos_p}\nmetrics = auroc,aupr,fpr_at_tpr95\n")
+
+
+def _reject_constant(name):
+    raise ValueError(f"the status line is not strict JSON: it holds {name}")
+
+
+EXTREMES = ["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300"]
+
+# case -> (command, extra config, {key: (section, typical value)})
+FLOAT_SETTINGS = {
+    "train": ("train", "", {"noise": ("dataset", "0.1"), "dropout_prob": ("arch", "0.2"), "lr": ("train", "0.01"), "weight_decay": ("train", "0.001")}),
+    "quam": (
+        "quam",
+        "[search]\nsteps = 2\n",
+        {
+            **{k: ("search", v) for k, v in (("c0", "1"), ("eta_factor", "1.5"), ("gamma", "0.01"), ("lr", "0.01"), ("weight_decay", "0.001"))},
+            "temperature": ("estimator", "0.1"),
+            "noise": ("dataset", "0.1"),
+        },
+    ),
+    "hmc": ("baseline", "[baseline]\nmethod = hmc\nn_samples = 3\nburn_in = 2\nn_leapfrog = 2\n", {k: ("baseline", v) for k, v in (("step_size", "0.002"), ("temperature", "1"), ("prior_precision", "1"))}),
+    "csghmc": ("baseline", "[baseline]\nmethod = csghmc\ncycles = 1\nsteps_per_cycle = 4\n", {k: ("baseline", v) for k, v in (("step_size", "0.001"), ("temperature", "1"), ("prior_precision", "1"))}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_SETTINGS))
+@settings(FUZZ, max_examples=80)
+@given(st.data())
+def test_fuzzed_float_settings(tmp_path, capsys, checkpoint, case, data):
+    command, extra, keys = FLOAT_SETTINGS[case]
+    chosen = data.draw(st.lists(st.sampled_from(sorted(keys)), min_size=1, max_size=3, unique=True))
+    config = MOONS + extra + "".join(f"[{keys[k][0]}]\n{k} = {data.draw(st.sampled_from(EXTREMES + [keys[k][1]]), label=k)}\n" for k in chosen)
+    if command != "train":
+        ckpt = write(tmp_path / "model.ckpt", checkpoint)
+        points = write(tmp_path / "points.csv", "x0,x1\n0.5,0.5\n")
+        config += f"[reference]\ncheckpoint = {ckpt}\n[test_inputs]\nfile = {points}\n"
+    cfgp = write(tmp_path / "fuzz.ini", config)
+    with np.errstate(all="ignore"):
+        code = main([command, "--config", cfgp, "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1, lines
+    status = json.loads(lines[0], parse_constant=_reject_constant)
+    assert (code, status["status"]) in ((0, "ok"), (2, "usage_error"), (3, "numerical_abort")), (code, status)
