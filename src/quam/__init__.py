@@ -11,7 +11,7 @@ Modules
 autodiff    reverse-mode AD on a generic tape; serves only grad_check
 models      ReLU MLPs, closed-form loss gradients, training, checkpoints
 data        synthetic generators, IDX ingestion, splits, CSV
-measures    entropy/cross-entropy/KL calculus and uncertainty splits
+measures    entropy and KL kernels over prediction rows, uncertainty splits
 search      lock-step adversarial model searches: search_batch runs any
             searches, search_suites each point's per-class/direction suite
 estimator   pooled scores (quam_scores), importance sampling, variance study
@@ -25,16 +25,7 @@ cli         experiment driver (`quam` entry point)
 from . import autodiff  # noqa: F401 -- bench/tracer.py patches Tape.backward; drop with ROADMAP item 1
 from .data import LabeledDataset, gen_sine, gen_three_gaussians, gen_two_moons, load_idx
 from .estimator import mis_estimate, mis_variance_estimate, mse_bound, quam_scores
-from .measures import (
-    UncertaintyBreakdown,
-    cross_entropy_cat,
-    decompose_a,
-    decompose_b,
-    entropy_cat,
-    entropy_gauss,
-    kl_cat,
-    kl_gauss,
-)
+from .measures import UncertaintyBreakdown, decompose_a, decompose_b, entropy, entropy_gauss, kl
 from .models import ArchSpec, ModelParams, TrainConfig, predict_batch, train
 from .search import SearchConfig, search_batch, search_suites
 
@@ -49,13 +40,11 @@ __all__ = [
     "mse_bound",
     "quam_scores",
     "UncertaintyBreakdown",
-    "cross_entropy_cat",
     "decompose_a",
     "decompose_b",
-    "entropy_cat",
+    "entropy",
     "entropy_gauss",
-    "kl_cat",
-    "kl_gauss",
+    "kl",
     "ArchSpec",
     "ModelParams",
     "TrainConfig",

@@ -9,11 +9,13 @@ creates the output directory (`--out`, else `[output] dir`) with the echo,
 and resolves the seed (`--seed`, else `[experiment] seed`, else 0) once for
 every command; `jobs` is `--jobs`, the test points per lock-step search
 batch of quam and grid.  A numeric setting outside its domain
-(`config.require`) is a usage error naming its key.  Exit codes: 0 success, 2
-usage/config error, 3 numerical abort.  A malformed command line is a
-usage error too: argparse's usage text goes to standard error and the
-status line to standard output.  `--help` prints its text and exits 0
-without a status line.
+(`config.require`) is a usage error naming its key.  Test inputs are
+finite, so a model's prediction row outside its head's domain at one of
+them (a variance that underflowed to 0) is a numerical abort naming the
+input.  Exit codes: 0 success, 2 usage/config error, 3 numerical abort.
+A malformed command line is a usage error too: argparse's usage text goes
+to standard error and the status line to standard output.  `--help`
+prints its text and exits 0 without a status line.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import data as D
 from . import models as M
 from .config import ConfigError, ExperimentConfig, require
 from .estimator import quam_scores, variance_sweep
-from .measures import decompose_a, decompose_b
+from .measures import _check_rows, decompose_a, decompose_b
 from .metrics import ScoredLabels, aupr, auroc, fpr_at_tpr, simplex_surface
 from .samplers import HMCAborted, deep_ensemble, hmc_posterior, mc_dropout, csghmc
 from .search import SearchConfig, trajectory_to_jsonl
@@ -257,12 +259,16 @@ def cmd_baseline(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     else:
         raise UsageError(f"unknown baseline method {method!r}")
 
+    # the test inputs are finite: a bad prediction row is a model's numerical fault
     head = sampler.params[0].arch.head
     preds = sampler.predictions(xs)
+    _check_rows(head, preds, "predictions", xs)
     w = np.ones(len(preds))
     rows = {"a": decompose_a(head, preds, w)}
     if reference is not None:
-        rows["b"] = decompose_b(head, M.predict_batch(reference, xs), preds, w)
+        ref_preds = M.predict_batch(reference, xs)
+        _check_rows(reference.arch.head, ref_preds, "reference prediction", xs)
+        rows["b"] = decompose_b(head, ref_preds, preds, w)
     for setting, breakdowns in rows.items():
         with open(os.path.join(out, f"scores_{setting}.jsonl"), "w") as f:
             for i, br in enumerate(breakdowns):

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import require
-from .measures import UncertaintyBreakdown, decompose_a, decompose_b, entropy_cat, entropy_gauss, quad
+from .measures import UncertaintyBreakdown, decompose_a, decompose_b, entropy, quad
 from .models import ModelParams
 from .search import SearchConfig, SearchTrajectory, search_suites
 
@@ -93,7 +93,7 @@ def quam_scores(
         ref = trajectories[0].reference_pred
         infeasible = [t.no_feasible for t in trajectories]
         if all(infeasible):
-            aleatoric = entropy_cat(ref) if head == "categorical" else entropy_gauss(ref[1])
+            aleatoric = entropy(head, ref)
             breakdown = UncertaintyBreakdown(setting, aleatoric, aleatoric, 0.0, flags=("no_feasible_adversary",))
         else:
             preds, w = pool_trajectories(trajectories, temperature)

@@ -1,7 +1,16 @@
-"""Entropy, cross-entropy and KL calculus with the two uncertainty splits.
+"""Entropy and KL kernels over prediction rows, and the two uncertainty splits.
 
-All entropies are in nats.  Two decompositions of the total predictive
-uncertainty are provided:
+All entropies are in nats.  The kernels `entropy(head, rows)` and
+`kl(head, p, q)` take rows as `models.head_predictions` gives them, class
+probabilities or (mean, variance), broadcast over any leading axes, and
+return one value per row, with the bits of that row's own call.  They do
+not check their rows, except that the Gaussian entropy, through
+`entropy_gauss`, rejects a variance that is not positive.  The search's
+records and objectives, the estimator's reference-only score and the
+setting-b split take their entropies and KLs from them; setting a keeps
+its own mixture arithmetic.
+
+Two decompositions of the total predictive uncertainty are provided:
 
 * setting "a": expected uncertainty when a model is still to be selected.
   The reference is the weighted mixture of the candidates themselves, so
@@ -28,8 +37,12 @@ nothing to the mixture or to the expectation.  The densities and the
 log-sum-exp mixture are evaluated in (samples, nodes) blocks of bounded
 size, and each KL term is divided by its component's mass on the nodes.
 
-Probabilities are clamped at 1e-300 before logs so rounding never produces
--inf; exact-zero support violations still surface as +inf with a flag.
+The clamp rule: a probability is clamped at 1e-300 only where its log
+multiplies another row's mass (q in KL(p || q), the mixture in setting
+a), so rounding never produces -inf; p log p is taken as 0 at p == 0.  An
+exact zero in q where p has mass still gives +inf, which setting b flags
+as `support_violation`.  KL(p || p) is exactly 0 when every entry of p is
+0 or >= 1e-300.
 """
 
 from __future__ import annotations
@@ -41,11 +54,9 @@ import numpy as np
 
 __all__ = [
     "UncertaintyBreakdown",
-    "entropy_cat",
-    "cross_entropy_cat",
-    "kl_cat",
+    "entropy",
+    "kl",
     "entropy_gauss",
-    "kl_gauss",
     "decompose_a",
     "decompose_b",
     "epistemic_homoscedastic",
@@ -93,60 +104,6 @@ class UncertaintyBreakdown:
             object.__setattr__(self, name, 0.0 if -1e-12 <= v <= 0.0 else v)
 
 
-def _simplex(p) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError(f"expected a probability vector, got shape {p.shape}")
-    if (p < -1e-12).any() or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"not a probability vector: sum {p.sum()!r}, min {p.min()!r}")
-    return np.maximum(p, 0.0)
-
-
-def entropy_cat(p) -> float:
-    """Shannon entropy -sum p_i log p_i, with 0 log 0 := 0."""
-    return float(-_xlogx(_simplex(p)).sum())
-
-
-def cross_entropy_cat(p, q) -> float:
-    """-sum p_i log q_i; +inf if q lacks support where p has mass."""
-    p, q = _simplex(p), _simplex(q)
-    if p.shape != q.shape:
-        raise ValueError(f"distribution sizes differ: {p.shape} vs {q.shape}")
-    mask = p > 0
-    if (q[mask] == 0.0).any():
-        return float("inf")
-    return float(-(p[mask] * np.log(np.maximum(q[mask], _CLAMP))).sum())
-
-
-def kl_cat(p, q) -> float:
-    """sum p_i log(p_i / q_i) >= 0; +inf on support violation."""
-    p, q = _simplex(p), _simplex(q)
-    if p.shape != q.shape:
-        raise ValueError(f"distribution sizes differ: {p.shape} vs {q.shape}")
-    return _kl_cat(p, q)
-
-
-def _kl_cat(p: np.ndarray, q: np.ndarray, log_p: Optional[np.ndarray] = None):
-    """kl_cat without the checks: p and q are nonnegative arrays of one shape.
-
-    Vectors give a float; (rows, k) arrays give one KL per row, each with
-    the bits of its row's own call.  `log_p`, when the caller keeps it, is
-    log(p) of (rows, k) rows that are all positive.
-    """
-    if p.ndim == 2:
-        if log_p is None:
-            if not (p > 0).all():
-                # a masked row sums fewer terms, in another grouping: one row at a time
-                return np.array([_kl_cat(a, b) for a, b in zip(p, q)])
-            log_p = np.log(p)
-        kl = (p * (log_p - np.log(np.maximum(q, _CLAMP)))).sum(axis=-1)
-        return np.where((q == 0.0).any(axis=-1), np.inf, kl)
-    mask = p > 0
-    if (q[mask] == 0.0).any():
-        return float("inf")
-    return float((p[mask] * (np.log(p[mask]) - np.log(np.maximum(q[mask], _CLAMP)))).sum())
-
-
 def entropy_gauss(variance):
     """Differential entropy 0.5 log(variance) + 0.5 log(2 pi) + 0.5, elementwise."""
     variance = np.asarray(variance, dtype=np.float64)
@@ -155,23 +112,41 @@ def entropy_gauss(variance):
     return 0.5 * np.log(variance) + 0.5 * np.log(2.0 * np.pi) + 0.5
 
 
-def kl_gauss(p, q):
-    """KL between scalar Gaussians given as (..., 2) rows of (mean, variance), broadcast.
+# --------------------------------------------------------------------------
+# kernels over prediction rows
+# --------------------------------------------------------------------------
 
-    0.5 log(vq/vp) + (vp + (mp-mq)^2)/(2 vq) - 0.5.
+
+def entropy(head: str, rows: np.ndarray) -> np.ndarray:
+    """Entropy of each prediction row, in nats: -sum p log p with 0 log 0 := 0, or the Gaussian `entropy_gauss`."""
+    if head == "categorical":
+        return -_xlogx(rows).sum(axis=-1)
+    return entropy_gauss(rows[..., 1])
+
+
+def kl(head: str, p: np.ndarray, q: np.ndarray, p_terms: Optional[tuple] = None) -> np.ndarray:
+    """KL(p || q) of each pair of prediction rows, broadcast over the leading axes.
+
+    Categorical rows give sum(xlogx(p) - p log max(q, 1e-300)), +inf
+    exactly where q == 0 < p; (mean, variance) rows give
+    0.5 log(vq/vp) + (vp + (mp-mq)^2)/(2 vq) - 0.5.  `p_terms`, when a
+    caller scores many q against the same categorical p, is the pair
+    (xlogx(p), p > 0) that it keeps.
     """
-    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
-    _check_rows("gaussian_scalar", p, "p")
-    _check_rows("gaussian_scalar", q, "q")
-    return _kl_gauss(p, q)
+    if head != "categorical":
+        mp, vp, mq, vq = p[..., 0], p[..., 1], q[..., 0], q[..., 1]
+        # np.square, not ** 2: a float scalar's ** 2 calls pow(), which can round
+        # differently from an array's, and one row must match its array's entry
+        return 0.5 * np.log(vq / vp) + (vp + np.square(mp - mq)) / (2.0 * vq) - 0.5
+    xlogx_p, support = (_xlogx(p), p > 0.0) if p_terms is None else p_terms
+    div = (xlogx_p - p * np.log(np.maximum(q, _CLAMP))).sum(axis=-1)
+    zero = q == 0.0  # rare: most calls skip the support mask
+    return np.where((zero & support).any(axis=-1), np.inf, div) if zero.any() else div
 
 
-def _kl_gauss(p: np.ndarray, q: np.ndarray):
-    """kl_gauss without the checks: p and q are (..., 2) float rows."""
-    mp, vp, mq, vq = p[..., 0], p[..., 1], q[..., 0], q[..., 1]
-    # np.square, not ** 2: a float scalar's ** 2 calls pow(), which can round
-    # differently from an array's, and one row must match its array's entry
-    return 0.5 * np.log(vq / vp) + (vp + np.square(mp - mq)) / (2.0 * vq) - 0.5
+def _xlogx(p: np.ndarray) -> np.ndarray:
+    """p log p elementwise, with 0 log 0 := 0."""
+    return p * np.log(np.where(p > 0, p, 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -179,19 +154,35 @@ def _kl_gauss(p: np.ndarray, q: np.ndarray):
 # --------------------------------------------------------------------------
 
 
-def _check_rows(head: str, rows: np.ndarray, name: str) -> None:
-    """Rows must be probability vectors over 2 or more classes (entries >= -1e-12, sums within 1e-9 of 1), or (mean, variance > 0)."""
+def _check_rows(head: str, rows: np.ndarray, name: str, inputs: Optional[np.ndarray] = None) -> None:
+    """Rows must be probability vectors over 2 or more classes (entries >= -1e-12, sums within 1e-9 of 1), or (mean, variance > 0).
+
+    A bad row is the caller's ValueError.  With `inputs`, the finite inputs
+    a model predicted the rows at, one per point of the rows' next-to-last
+    axis, it is the model's numerical fault: a FloatingPointError naming
+    the inputs of the bad rows.
+    """
     if head == "categorical":
         dev = rows.sum(axis=-1, keepdims=True)  # changed in place: the one temporary the size of the points
         dev -= 1.0
         # NaN fails both comparisons
-        if rows.shape[-1] < 2 or not rows.min() >= -1e-12 or not (np.abs(dev, out=dev) <= 1e-9).all():
-            raise ValueError(f"{name}: rows are not probability vectors over 2 or more classes")
+        ok = rows.shape[-1] >= 2 and rows.min() >= -1e-12 and (np.abs(dev, out=dev) <= 1e-9).all()
+        domain = "probability vectors over 2 or more classes"
     elif head == "gaussian_scalar":
-        if rows.shape[-1] != 2 or not (rows[..., 1] > 0.0).all():
-            raise ValueError(f"{name}: rows are not (mean, variance > 0) pairs")
+        ok = rows.shape[-1] == 2 and (rows[..., 1] > 0.0).all()
+        domain = "(mean, variance > 0) pairs"
     else:
         raise ValueError(f"unknown head {head!r}")
+    if ok:
+        return
+    if inputs is None:
+        raise ValueError(f"{name}: rows are not {domain}")
+    if head == "categorical":
+        good = (rows.min(axis=-1) >= -1e-12) & (np.abs(rows.sum(axis=-1) - 1.0) <= 1e-9)
+    else:
+        good = rows[..., 1] > 0.0
+    bad = ~good.reshape(-1, len(inputs)).all(axis=0)
+    raise FloatingPointError(f"{name} at inputs {np.asarray(inputs)[bad].tolist()}: rows are not {domain}")
 
 
 def _checked(head: str, preds, w) -> tuple[np.ndarray, np.ndarray]:
@@ -213,11 +204,6 @@ def _point_blocks(preds: np.ndarray):
     s, n, k = preds.shape
     step = max(1, _POINT_BLOCK // (s * k))
     return (slice(a, a + step) for a in range(0, n, step))
-
-
-def _xlogx(p: np.ndarray) -> np.ndarray:
-    """p log p elementwise, with 0 log 0 := 0."""
-    return p * np.log(np.where(p > 0, p, 1.0))
 
 
 def _trapezoid(y: np.ndarray) -> np.ndarray:
@@ -346,16 +332,15 @@ def decompose_b(head: str, ref, preds, w) -> list[UncertaintyBreakdown]:
         raise ValueError(f"reference shape {ref.shape} does not match the predictions' points and classes {preds.shape[1:]}")
     _check_rows(head, ref, "reference")
     if head == "gaussian_scalar":
-        aleatoric = entropy_gauss(ref[:, 1])
-        return [UncertaintyBreakdown("b", a + e, a, e) for a, e in zip(aleatoric, w @ _kl_gauss(ref, preds))]
+        return [UncertaintyBreakdown("b", a + e, a, e) for a, e in zip(entropy(head, ref), w @ kl(head, ref, preds))]
     ref = np.maximum(ref, 0.0)
-    neg_ent = _xlogx(ref)
-    aleatoric = -neg_ent.sum(axis=-1)
+    aleatoric = entropy(head, ref)
     out = []
     for block in _point_blocks(preds):
-        q, r = np.maximum(preds[:, block], 0.0), ref[block]
-        violation = ((q == 0.0) & (r > 0)).any(axis=(0, 2))
-        epistemic = np.where(violation, np.inf, w @ (neg_ent[block] - r * np.log(np.maximum(q, _CLAMP))).sum(axis=-1))
+        div = kl(head, ref[block], np.maximum(preds[:, block], 0.0))
+        violation = np.isinf(div).any(axis=0)
+        # a violating point's KLs stay out of the sum, where a zero weight would make them NaN
+        epistemic = np.where(violation, np.inf, w @ np.where(violation, 0.0, div))
         out += [UncertaintyBreakdown("b", a + e, a, e, bool(v), ("support_violation",) if v else ()) for a, e, v in zip(aleatoric[block], epistemic, violation)]
     return out
 

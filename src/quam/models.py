@@ -735,4 +735,6 @@ def load_checkpoint(path) -> ModelParams:
     if len(blob) - off != 8 * arch.param_count():
         raise ValueError(f"{path}: expected {arch.param_count()} values, file carries {(len(blob) - off) / 8:g}")
     values = np.frombuffer(blob, dtype="<f8", offset=off)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: checkpoint holds non-finite parameters")
     return ModelParams(arch, values.astype(np.float64))

@@ -38,10 +38,10 @@ non-finite loss stops: a mask takes it out of the records and the
 best-iterate choice, while its row stays in the stack, where no other
 search reads it, and the others go on.  What the reference fixes is
 computed once per batch, not once per search: its prediction rows at the
-test inputs and their logs, its full-data loss L_ref and the slack gamma,
-the data's target rows (with their `models.target_terms`, in a full-batch
-search) and, for a last-layer search, the penultimate features of the data
-and of the test inputs.
+test inputs with their entropies and KL terms, its full-data loss L_ref
+and the slack gamma, the data's target rows (with their
+`models.target_terms`, in a full-batch search) and, for a last-layer
+search, the penultimate features of the data and of the test inputs.
 
 A step allocates no buffer of the batch's size: its `models.Workspace`
 (`_Workspace`), built once per batch, holds the (K, P) parameter stack,
@@ -55,20 +55,23 @@ gradient.  The backward pass runs on all rows when every search pays the
 penalty, on the test rows when none does, and otherwise on the test rows
 of every search, then on all rows of each run of consecutive penalized
 searches.  The records go into per-batch columns, one row per step
-(`_Records`), and take their KL from the logs of the reference rows, taken
-once per batch; each trajectory's record columns are sliced from them once,
-at the end.
+(`_Records`); each trajectory's record columns are sliced from them once,
+at the end.  A record's divergence is `measures.kl` of the reference row
+and the model's row, the same KL as the setting-b split's, with the
+reference rows' xlogx terms and support mask taken once per batch.  The
+divergences choose the best iterate and decide `no_feasible`; the
+trajectory files do not carry them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import require
-from .measures import _check_rows, _kl_cat, _kl_gauss, entropy_cat, entropy_gauss
+from .measures import _check_rows, _xlogx, entropy, kl
 from .models import Adam, ArchSpec, ModelParams, Workspace, cross_entropy_loss, forward, forward_into, head_predictions, target_rows
 from .rng import derive_rng
 
@@ -141,17 +144,12 @@ def _scope_mask(arch: ArchSpec, config: SearchConfig) -> np.ndarray:
         if mask.shape != (arch.param_count(),):
             raise ValueError("free_mask length does not match parameter count")
         return mask
+    if config.delta_scope != "bias_only":
+        # a last-layer search runs on the last layer alone, every parameter of which is free
+        return np.ones(arch.param_count(), dtype=bool)
     mask = np.zeros(arch.param_count(), dtype=bool)
-    slices = arch.layer_slices()
-    if config.delta_scope == "all_params":
-        mask[:] = True
-    elif config.delta_scope == "last_layer":
-        ws, bs = slices[-1]
-        mask[ws] = True
+    for _, bs in arch.layer_slices():
         mask[bs] = True
-    else:  # bias_only
-        for _, bs in slices:
-            mask[bs] = True
     return mask
 
 
@@ -191,8 +189,7 @@ class _Workspace(Workspace):
         self.is_class = np.array([kind == "class" for kind in kinds], dtype=bool)
         self.direction = np.array([int(o[1]) if kind == "direction" else 0 for o, kind in zip(objectives, kinds)], dtype=int)
         self.ref, self.bound = ref, bound
-        entropy = entropy_cat if arch.head == "categorical" else lambda row: float(entropy_gauss(row[1]))
-        self.ref_entropy = np.array([0.0 if is_class else entropy(row) for row, is_class in zip(ref, self.is_class)])  # H[ref], 0 for a class objective
+        self.ref_entropy = np.where(self.is_class, 0.0, entropy(arch.head, ref))  # H[ref], 0 for a class objective
         weights = np.full((len(values), n + 1, 1), 1.0 / n)
         weights[:, n, 0] = np.where(self.is_class, 1.0, -1.0)
         super().__init__(arch, np.array(values, dtype=np.float64), n, weights=weights, extra=1)
@@ -308,16 +305,23 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
     ("direction", +1 | -1) for a one-sided regression search, and the
     search's random stream is `derive_rng(config.seed, *seed_keys)`.
     Returns the trajectories in the order of `searches`; each is the one
-    its search gives when run alone.
+    its search gives when run alone.  Test inputs must be finite.  A
+    reference prediction outside its head's domain is a ValueError, unless
+    the reference's parameters are finite: then it is the model's
+    numerical fault (a variance that underflowed to 0, probabilities that
+    overflowed to NaN), a FloatingPointError that names the input.
     """
     if not searches:
         return []
     arch = reference.arch
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    if not np.isfinite(xs).all():
+        raise ValueError("test inputs must be finite")
     # constants of the batch; each test input gets its own one-row pass
     test_acts = forward(reference, xs[:, None, :])
     refs = head_predictions(arch, test_acts[-1])[:, 0]
-    _check_rows(arch.head, refs, "reference prediction")
+    # a finite reference's bad row at a finite input is its own numerical fault
+    _check_rows(arch.head, refs, "reference prediction", xs if np.isfinite(reference.values).all() else None)
     targets = target_rows(arch, data.y)
     data_acts = forward(reference, data.x)
     l_ref = cross_entropy_loss(arch, data_acts[-1], targets)
@@ -326,35 +330,34 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
 
     # Last-layer searches run on cached penultimate features: the frozen
     # layers never change, so the data only has to flow through them once.
-    work, test_x, x, inner, last = reference, xs[:, None, :], data.x, config, None
+    work, test_x, x, last = reference, xs[:, None, :], data.x, None
     if config.delta_scope == "last_layer" and arch.n_layers > 1 and config.free_mask is None:
         # the last layer's weights and bias close the flat vector
         last = slice(arch.layer_slices()[-1][0].start, arch.param_count())
         work = ModelParams(ArchSpec(widths=arch.widths[-2:], head=arch.head), reference.values[last])
         test_x, x = test_acts[-2], data_acts[-2]
-        inner = replace(config, delta_scope="all_params")
     warch = work.arch
     n = len(x)
-    batch = n if inner.batch_size is None else min(inner.batch_size, n)
-    mask = _scope_mask(warch, inner)
-    lo, hi = inner.param_box if inner.param_box is not None else (None, None)
+    batch = n if config.batch_size is None else min(config.batch_size, n)
+    mask = _scope_mask(warch, config)
+    lo, hi = config.param_box if config.param_box is not None else (None, None)
 
     k = len(searches)
     points = np.array([point for point, _, _ in searches], dtype=int)
     ref_rows = refs[points]
-    rngs = [derive_rng(inner.seed, *keys) for _, _, keys in searches]
+    rngs = [derive_rng(config.seed, *keys) for _, _, keys in searches]
     ws = _Workspace(warch, np.tile(work.values, (k, 1)), batch, test_x[points], ref_rows, [o for _, o, _ in searches], bound)
     bias = warch.layer_slices()[-1][1].start  # the mean-output bias
     for s, (direction, (_, o, _)) in enumerate(zip(ws.direction, searches)):
         if direction:
-            ws.values[s, bias] += direction * inner.bias_nudge
-        elif o == "divergence" and inner.bias_nudge:
+            ws.values[s, bias] += direction * config.bias_nudge
+        elif o == "divergence" and config.bias_nudge:
             # the divergence gradient vanishes at the exact reference; a tiny
             # seeded perturbation of the free parameters provides the first step
-            ws.values[s, mask] += inner.bias_nudge * rngs[s].standard_normal(int(mask.sum()))
+            ws.values[s, mask] += config.bias_nudge * rngs[s].standard_normal(int(mask.sum()))
     base = ws.values.copy()
 
-    records = _Records(k, inner.steps, refs.shape[-1])
+    records = _Records(k, config.steps, refs.shape[-1])
     best_row, best_div, best_values = np.full(k, -1), np.full(k, -np.inf), np.empty((k, warch.param_count()))
     nan_abort = np.zeros(k, dtype=bool)
 
@@ -362,8 +365,8 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
     directions = ws.direction if ws.direction.any() else None
     undirected, ref_means = ws.direction == 0, ref_rows[:, 0].copy()
     full_batch = batch == n
-    # the reference rows' logs and support check, for every record's KL
-    log_refs = np.log(ref_rows) if arch.head == "categorical" and (ref_rows > 0.0).all() else None
+    # the reference rows' terms of every record's KL, taken once
+    ref_terms = (_xlogx(ref_rows), ref_rows > 0.0) if arch.head == "categorical" else None
 
     def add_records(row, keep, c, adv, pen, mtl, preds, values):
         """Record, at `row`, the models `values` of the searches where `keep` holds; update their best iterates.
@@ -375,13 +378,9 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
         at = slice(None) if len(slots) == k else slots  # every search, or some
         adv, pen, mtl, preds, values = adv[at], pen[at], mtl[at], preds[at, 0], values[at]
         full_pen = pen if full_batch else mtl - bound
-        refs_of = ref_rows[at]
         # KL(reference row || prediction row); the reference rows are checked
         # once per batch, candidate rows by the split
-        if arch.head == "categorical":
-            div = _kl_cat(refs_of, preds, None if log_refs is None else log_refs[at])
-        else:
-            div = _kl_gauss(refs_of, preds)
+        div = kl(arch.head, ref_rows[at], preds, None if ref_terms is None else (ref_terms[0][at], ref_terms[1][at]))
         records.add(row, at, c, adv, pen, mtl, div, preds)
         better = (full_pen <= 0.0) & (div > best_div[at])
         if directions is not None:
@@ -399,15 +398,15 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
     nudged = np.array([not np.array_equal(b, work.values) for b in base])
     if nudged.any() and np.isfinite(l_ref):
         ws.values[nudged] = work.values
-        add_records(0, nudged, inner.c0, ws.losses()[1], np.full(k, l_ref - bound), np.full(k, l_ref), ws.test_preds, ws.values)
+        add_records(0, nudged, config.c0, ws.losses()[1], np.full(k, l_ref - bound), np.full(k, l_ref), ws.test_preds, ws.values)
         ws.values[nudged] = base[nudged]
 
     frozen = np.flatnonzero(~mask)
     kept = base[:, frozen]  # the frozen parameters' values, restored after each update
     free = np.flatnonzero(mask)
-    opt = Adam(ws.values.shape, inner.lr, inner.weight_decay, eps=inner.adam_eps)
-    c = inner.c0
-    for m in range(1, inner.steps + 1):
+    opt = Adam(ws.values.shape, config.lr, config.weight_decay, eps=config.adam_eps)
+    c = config.c0
+    for m in range(1, config.steps + 1):
         if not full_batch:
             idx = np.stack([rng.choice(n, size=batch, replace=False) for rng in rngs])
             ws.fill(x[idx], targets[idx])
@@ -428,8 +427,8 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
             ws.values[:, frozen] = kept
         if lo is not None:
             ws.values[:, free] = np.clip(ws.values[:, free], lo, hi)
-        if m % inner.eta_every == 0:
-            c *= inner.eta_factor
+        if m % config.eta_every == 0:
+            c *= config.eta_factor
             # each penalty stage is its own unconstrained subproblem; a stale
             # second-moment estimate from a boundary contact at the previous,
             # smaller c would throttle the steps of every later stage
@@ -440,7 +439,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
         batch_loss, adv = ws.losses()
         mtl = batch_loss if full_batch else _full_losses(warch, ws.layers, x, targets)
         nan_abort |= ~np.isfinite(adv)
-        add_records(inner.steps + 1, ~nan_abort & np.isfinite(mtl), c, adv, mtl - bound, mtl, ws.test_preds, ws.values)
+        add_records(config.steps + 1, ~nan_abort & np.isfinite(mtl), c, adv, mtl - bound, mtl, ws.test_preds, ws.values)
 
     trajectories = []
     for s, (point, o, _) in enumerate(searches):
@@ -449,7 +448,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
         if no_feasible:
             # no feasible iterate improved on the reference: return the reference
             if not columns[0].size:
-                columns = (np.zeros(1, dtype=int), *(np.array([v], dtype=float) for v in (inner.c0, 0.0, -gamma, l_ref, -gamma, 0.0)), refs[point][None])
+                columns = (np.zeros(1, dtype=int), *(np.array([v], dtype=float) for v in (config.c0, 0.0, -gamma, l_ref, -gamma, 0.0)), refs[point][None])
             best, best_params = 0, work.values
         else:
             best, best_params = int(records.valid[: best_row[s], s].sum()), best_values[s]

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -665,6 +666,22 @@ def test_cmd_quam_reports_nan_abort(tmp_path, capsys, ini):
     assert "nan_abort" in row["flags"]
 
 
+@pytest.mark.parametrize("command, x0", [("quam", "1e6"), ("quam", "1e200"), ("baseline", "1e6")], ids=["quam_1e6", "quam_1e200", "hmc_1e6"])
+def test_prediction_row_that_underflowed_is_a_numerical_abort_naming_the_input(tmp_path, capsys, command, x0):
+    # this small sine model's variance at x = 1e6 is exp(-197147), which
+    # underflows to 0: the input is a finite number, so the fault is the model's
+    ini = SINE_INI.replace("n = 200", "n = 60").replace("epochs = 300", "epochs = 60\nlr = 0.01")
+    _, s = run(capsys, "train", "--config", write(tmp_path / "t.ini", ini.format(out=tmp_path / "ref")))
+    pts = write(tmp_path / "points.csv", f"x0\n{x0}\n")
+    extra = f"[reference]\ncheckpoint = {s['checkpoint']}\n[test_inputs]\nfile = {pts}\n"
+    section = "[search]\nsteps = 5\n" if command == "quam" else "[baseline]\nmethod = hmc\nn_samples = 5\nburn_in = 5\nn_leapfrog = 3\n"
+    cfgp = write(tmp_path / "c.ini", ini.format(out=tmp_path / command) + extra + section)
+    with np.errstate(all="ignore"):
+        code, status = one_status_line(capsys, [command, "--config", cfgp])
+    assert code == 3 and status["status"] == "numerical_abort"
+    assert f"at inputs [[{float(x0)!r}]]: rows are not (mean, variance > 0) pairs" in status["error"]
+
+
 def test_cmd_eval_missing_field_is_a_usage_error(tmp_path, capsys):
     id_p = write(tmp_path / "id.jsonl", json.dumps({"input_id": 0, "epistemic": 0.1}) + "\n")
     for bad in ({"input_id": 0, "total": 0.9}, {"input_id": 0, "epistemic": None}, [0.9]):
@@ -699,6 +716,33 @@ def test_cmd_eval_nan_score_or_bad_tpr_target_exits_2(tmp_path, capsys, id_value
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 2 and len(lines) == 1
     assert json.loads(lines[0])["status"] == "usage_error"
+
+
+def test_benchmark_tracer_targets_that_do_not_resolve():
+    # the tracer skips a target it cannot find, and that target's per-layer
+    # rows read 0; a deletion that zeroes more rows has to name them here
+    spec = importlib.util.spec_from_file_location("bench_tracer", os.path.join(os.path.dirname(__file__), "..", "bench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for label, (module_name, attr) in tracer.TARGETS.items():
+        owner = importlib.import_module(module_name)
+        for name in attr.split("."):
+            owner = getattr(owner, name, None)
+        if owner is None:
+            missing.append(label)
+    assert sorted(missing) == sorted(
+        [
+            "models.nll_graph",
+            "models.predict",
+            "search.adversarial_model_search",
+            "estimator.quam_score",
+            "samplers.predictive_samples",
+            "measures.kl_cat",
+            "measures.kl_gauss",
+            "measures.entropy_cat",
+        ]
+    )
 
 
 def test_benchmark_tracer_installs_on_the_cli():

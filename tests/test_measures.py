@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from quam import measures as U
@@ -17,35 +19,44 @@ def random_simplex(rng, k):
     return p / p.sum()
 
 
+def H(p):
+    return U.entropy("categorical", np.asarray(p, dtype=float))
+
+
+def KL(p, q):
+    return U.kl("categorical", np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+
+
 def test_entropy_onehot_zero():
-    assert U.entropy_cat([1.0, 0.0, 0.0]) == 0.0
+    assert H([1.0, 0.0, 0.0]) == 0.0
 
 
 def test_entropy_uniform_maximal():
-    assert U.entropy_cat([1 / 3, 1 / 3, 1 / 3]) == pytest.approx(np.log(3.0), abs=1e-12)
+    assert H([1 / 3, 1 / 3, 1 / 3]) == pytest.approx(np.log(3.0), abs=1e-12)
 
 
 def test_entropy_quarter_three_quarters():
     # oracle: direct high-precision summation
     expected = -(0.25 * np.log(0.25) + 0.75 * np.log(0.75))
-    assert U.entropy_cat([0.25, 0.75]) == pytest.approx(expected, abs=1e-15)
+    assert H([0.25, 0.75]) == pytest.approx(expected, abs=1e-15)
     assert expected == pytest.approx(0.5623351446188083, abs=1e-12)
 
 
 def test_cross_entropy_definition_cases():
+    # CE(p, q) = H[p] + KL(p || q)
     p = [0.3, 0.7]
-    assert U.cross_entropy_cat(p, p) == pytest.approx(U.entropy_cat(p), abs=1e-12)
-    assert U.cross_entropy_cat([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2.0), abs=1e-12)
+    assert H(p) + KL(p, p) == pytest.approx(H(p), abs=1e-12)
+    assert H([1.0, 0.0]) + KL([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_cross_entropy_support_violation_is_infinite():
-    assert U.cross_entropy_cat([0.5, 0.5], [1.0, 0.0]) == float("inf")
-    assert U.kl_cat([0.5, 0.5], [1.0, 0.0]) == float("inf")
+    assert H([0.5, 0.5]) + KL([0.5, 0.5], [1.0, 0.0]) == float("inf")
+    assert KL([0.5, 0.5], [1.0, 0.0]) == float("inf")
 
 
 def test_kl_cases():
-    assert U.kl_cat([0.2, 0.8], [0.2, 0.8]) == pytest.approx(0.0, abs=1e-15)
-    assert U.kl_cat([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2.0), abs=1e-12)
+    assert KL([0.2, 0.8], [0.2, 0.8]) == pytest.approx(0.0, abs=1e-15)
+    assert KL([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_ce_equals_h_plus_kl_on_many_random_pairs():
@@ -54,7 +65,7 @@ def test_ce_equals_h_plus_kl_on_many_random_pairs():
     for _ in range(10_000):
         k = int(rng.integers(2, 8))
         p, q = random_simplex(rng, k), random_simplex(rng, k)
-        gap = abs(U.cross_entropy_cat(p, q) - (U.entropy_cat(p) + U.kl_cat(p, q)))
+        gap = abs(-(p * np.log(q)).sum() - (H(p) + KL(p, q)))
         worst = max(worst, gap)
     assert worst < 1e-12
 
@@ -63,11 +74,42 @@ def test_kl_nonnegative_and_zero_iff_equal():
     rng = derive_rng(1)
     for _ in range(500):
         p, q = random_simplex(rng, 4), random_simplex(rng, 4)
-        kl = U.kl_cat(p, q)
+        kl = KL(p, q)
         assert kl >= 0.0
         if kl < 1e-12:
             assert np.abs(p - q).max() < 1e-5
-    assert U.kl_cat([0.4, 0.6], [0.4, 0.6]) == pytest.approx(0.0, abs=1e-15)
+    assert KL([0.4, 0.6], [0.4, 0.6]) == pytest.approx(0.0, abs=1e-15)
+
+
+def _prediction_rows(draw, n, k):
+    """n rows of k probabilities, with exact zeros and entries at and below the 1e-300 clamp."""
+    entry = st.one_of(st.just(0.0), st.floats(5e-324, 1e-299), st.floats(1e-8, 1.0))
+    rows = np.array(draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n)))
+    rows[rows.max(axis=1) < 1e-8, 0] = 1.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data(), st.integers(1, 6), st.integers(2, 12))
+def test_categorical_kernels_row_by_row(data, n, k):
+    p, q = _prediction_rows(data.draw, n, k), _prediction_rows(data.draw, n, k)
+    kl, h = U.kl("categorical", p, q), U.entropy("categorical", p)
+    for i in range(n):
+        # every row has the bits of its own one-row call
+        assert U.kl("categorical", p[i : i + 1], q[i : i + 1]).tobytes() == kl[i : i + 1].tobytes()
+        assert U.kl("categorical", p[i], q[i]).tobytes() == kl[i].tobytes()
+        assert U.entropy("categorical", p[i : i + 1]).tobytes() == h[i : i + 1].tobytes()
+        assert U.entropy("categorical", p[i]).tobytes() == h[i].tobytes()
+    # +inf exactly where q == 0 < p, and finite elsewhere
+    assert np.array_equal(np.isinf(kl), ((q == 0.0) & (p > 0.0)).any(axis=1))
+    assert not np.isnan(kl).any() and np.isfinite(h).all()
+    # an unmoved row reads exactly 0 when no entry lies strictly between 0 and
+    # the clamp, and never reads above 0
+    same = U.kl("categorical", p, p)
+    clamp_free = ((p == 0.0) | (p >= 1e-300)).all(axis=1)
+    assert (same[clamp_free] == 0.0).all() and (same <= 0.0).all()
+    # terms of p that a caller keeps change no bit
+    assert U.kl("categorical", p, q, (U._xlogx(p), p > 0.0)).tobytes() == kl.tobytes()
 
 
 def test_entropy_gauss_closed_form():
@@ -78,26 +120,41 @@ def test_entropy_gauss_closed_form():
 
 def test_kl_gauss_cases():
     p = np.array([0.0, 1.0])
-    assert U.kl_gauss(p, p) == 0.0
-    assert U.kl_gauss([0.0, 1.0], [1.0, 1.0]) == pytest.approx(0.5, abs=1e-12)
+    assert U.kl("gaussian_scalar", p, p) == 0.0
+    assert U.kl("gaussian_scalar", p, np.array([1.0, 1.0])) == pytest.approx(0.5, abs=1e-12)
+    # the kernel checks nothing; the split, its checked entry point, rejects bad rows on either side
     for bad in ([0.0, 0.0], [0.0, -1.0], [0.0, np.nan], [0.0, 1.0, 2.0]):
         with pytest.raises(ValueError):
-            U.kl_gauss(p, bad)
+            split_b("gaussian_scalar", p, [bad], [1.0])
         with pytest.raises(ValueError):
-            U.kl_gauss(bad, p)
+            split_b("gaussian_scalar", bad, [p], [1.0])
+
+
+def test_model_rows_outside_their_domain_name_the_inputs():
+    xs = np.array([[0.0], [1e6], [2.0]])
+    rows = np.array([[[0.0, 1.0], [3.0, 0.0], [1.0, 2.0]]] * 2)
+    with pytest.raises(FloatingPointError, match=r"predictions at inputs \[\[1000000.0\]\]: rows are not \(mean, variance > 0\) pairs"):
+        U._check_rows("gaussian_scalar", rows, "predictions", xs)
+    probs = np.array([[0.5, 0.5], [np.nan, np.nan], [1.0, 0.0]])
+    with pytest.raises(FloatingPointError, match=r"reference prediction at inputs \[\[1000000.0\]\]"):
+        U._check_rows("categorical", probs, "reference prediction", xs)
+    # without inputs, bad rows are the caller's
+    with pytest.raises(ValueError):
+        U._check_rows("gaussian_scalar", rows, "predictions")
 
 
 def test_gauss_calculus_on_arrays_equals_scalar_calls():
     rng = derive_rng(13)
     p = np.column_stack([rng.uniform(-5, 5, 60), rng.uniform(0.01, 10, 60)]).reshape(3, 20, 2)
     q = np.column_stack([rng.uniform(-5, 5, 20), rng.uniform(0.01, 10, 20)])
-    kl = U.kl_gauss(p, q)  # q broadcast over the leading axis
+    kl = U.kl("gaussian_scalar", p, q)  # q broadcast over the leading axis
     assert kl.shape == (3, 20)
-    assert np.array_equal(kl, [[U.kl_gauss(p[i, j], q[j]) for j in range(20)] for i in range(3)])
-    assert np.array_equal(U.kl_gauss(q, p), [[U.kl_gauss(q[j], p[i, j]) for j in range(20)] for i in range(3)])
+    assert np.array_equal(kl, [[U.kl("gaussian_scalar", p[i, j], q[j]) for j in range(20)] for i in range(3)])
+    assert np.array_equal(U.kl("gaussian_scalar", q, p), [[U.kl("gaussian_scalar", q[j], p[i, j]) for j in range(20)] for i in range(3)])
     h = U.entropy_gauss(p[..., 1])
     assert h.shape == (3, 20)
     assert np.array_equal(h, [[U.entropy_gauss(v) for v in row] for row in p[..., 1]])
+    assert np.array_equal(U.entropy("gaussian_scalar", p), h)
     with pytest.raises(ValueError):
         U.entropy_gauss(np.array([1.0, 0.0]))
 
@@ -118,7 +175,7 @@ def _kl_gauss_quadrature(p, q):
 
 def test_kl_gauss_against_quadrature_spot():
     p, q = (0.0, 1.0), (3.0, 2.0)
-    assert U.kl_gauss(p, q) == pytest.approx(_kl_gauss_quadrature(p, q), abs=1e-6)
+    assert U.kl("gaussian_scalar", np.array(p), np.array(q)) == pytest.approx(_kl_gauss_quadrature(p, q), abs=1e-6)
 
 
 def test_kl_gauss_against_quadrature_many():
@@ -126,7 +183,7 @@ def test_kl_gauss_against_quadrature_many():
     for _ in range(100):
         p = (rng.uniform(-5, 5), rng.uniform(0.1, 10))
         q = (rng.uniform(-5, 5), rng.uniform(0.1, 10))
-        assert U.kl_gauss(p, q) == pytest.approx(_kl_gauss_quadrature(p, q), abs=1e-6)
+        assert U.kl("gaussian_scalar", np.array(p), np.array(q)) == pytest.approx(_kl_gauss_quadrature(p, q), abs=1e-6)
 
 
 def split_a(head, rows, weights):
@@ -173,7 +230,7 @@ def test_decompose_a_epistemic_equals_mutual_information():
         w = np.array([wt for _, wt in draws])
         br = split_a("categorical", probs, w)
         w = w / w.sum()
-        mi = U.entropy_cat(w @ probs) - sum(wi * U.entropy_cat(p) for wi, p in zip(w, probs))
+        mi = H(w @ probs) - sum(wi * H(p) for wi, p in zip(w, probs))
         assert abs(br.epistemic - mi) < 1e-10
 
 
@@ -190,9 +247,9 @@ def test_decompose_a_matches_per_sample_formula_with_exact_zeros():
         br = split_a("categorical", probs, weights)
         w = weights / weights.sum()
         bma = w @ probs
-        assert abs(br.total - U.entropy_cat(bma)) < 1e-12
-        assert abs(br.aleatoric - sum(wi * U.entropy_cat(p) for wi, p in zip(w, probs))) < 1e-12
-        assert abs(br.epistemic - sum(wi * U.kl_cat(p, bma) for wi, p in zip(w, probs))) < 1e-12
+        assert abs(br.total - H(bma)) < 1e-12
+        assert abs(br.aleatoric - sum(wi * H(p) for wi, p in zip(w, probs))) < 1e-12
+        assert abs(br.epistemic - sum(wi * KL(p, bma) for wi, p in zip(w, probs))) < 1e-12
 
 
 def test_decompose_a_rejects_empty():
@@ -330,8 +387,8 @@ def test_decompose_b_matches_per_sample_kl_with_exact_zeros():
         ref /= ref.sum()
         weights = rng.uniform(0.01, 2.0, n)
         br = split_b("categorical", ref, probs, weights)
-        kls = np.array([U.kl_cat(ref, p) for p in probs])
-        assert abs(br.aleatoric - U.entropy_cat(ref)) < 1e-12
+        kls = np.array([KL(ref, p) for p in probs])
+        assert abs(br.aleatoric - H(ref)) < 1e-12
         if np.isinf(kls).any():
             violations += 1
             assert br.support_violation and br.flags == ("support_violation",)
@@ -352,7 +409,7 @@ def test_decompose_b_gaussian_matches_per_sample_kl():
         rows = list(zip(rng.uniform(-3, 3, n), rng.uniform(0.01, 5.0, n)))
         weights = rng.uniform(0.01, 2.0, n)
         br = split_b("gaussian_scalar", ref, rows, weights)
-        expected = sum(wt * U.kl_gauss(ref, row) for wt, row in zip(weights / weights.sum(), rows))
+        expected = sum(wt * U.kl("gaussian_scalar", np.array(ref), np.array(row)) for wt, row in zip(weights / weights.sum(), rows))
         assert abs(br.epistemic - expected) < 1e-12
         assert br.aleatoric == U.entropy_gauss(ref[1])
 
@@ -361,7 +418,7 @@ def test_decompose_b_reference_equal_samples():
     ref = [0.6, 0.4]
     br = split_b("categorical", ref, [ref, ref], [1.0, 1.0])
     assert br.epistemic == pytest.approx(0.0, abs=1e-12)
-    assert br.aleatoric == pytest.approx(U.entropy_cat(ref), abs=1e-12)
+    assert br.aleatoric == pytest.approx(H(ref), abs=1e-12)
 
 
 def test_decompose_b_support_violation_flagged():

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 import quam
 from quam import models as M
 from quam.data import LabeledDataset, gen_sine
-from quam.measures import entropy_cat, entropy_gauss, kl_cat, kl_gauss
+from quam.measures import entropy, kl
 from quam.rng import derive_rng
 from tape_nll import tape_loss_and_grad
 
@@ -248,10 +248,7 @@ def test_cross_entropy_is_target_entropy_plus_kl(head, n, seed):
         rows = np.column_stack([rng.normal(size=n) * 2.0, rng.uniform(0.05, 3.0, size=n)])
     out = rng.normal(size=(n, arch.widths[-1])) * 2.0
     preds = M.head_predictions(arch, out)
-    if head == "categorical":
-        expected = np.mean([entropy_cat(r) + kl_cat(r, p) for r, p in zip(rows, preds)])
-    else:
-        expected = np.mean(entropy_gauss(rows[:, 1]) + kl_gauss(rows, preds))
+    expected = np.mean(entropy(arch.head, rows) + kl(arch.head, rows, preds))
     assert M.cross_entropy(arch, out, rows)[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -313,6 +310,10 @@ def test_checkpoint_rejects_truncation_and_unknown_head_tags(tmp_path):
     cut.write_bytes(blob + b"\0" * 4)
     with pytest.raises(ValueError):
         M.load_checkpoint(cut)
+    for value in (np.nan, np.inf):
+        cut.write_bytes(blob[:-8] + np.float64(value).tobytes())
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            M.load_checkpoint(cut)
 
 
 def test_dropout_masks_preserve_expectation():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from quam import estimator as E
 from quam import models as M
 from quam.data import LabeledDataset, gen_sine, gen_two_moons
-from quam.measures import kl_cat
+from quam.measures import kl
 from quam.rng import derive_rng
 from quam.search import SearchConfig, SearchTrajectory, _Workspace, search_batch, search_suites, trajectory_to_jsonl
 
@@ -50,7 +50,7 @@ def test_best_is_max_divergence_among_feasible():
     assert traj.divergence[traj.best_index] == traj.divergence[feas].max()
 
 
-def test_record_divergence_is_kl_cat_bit_for_bit():
+def test_record_divergence_is_kl_bit_for_bit():
     data, ref = moons_reference()
     x = np.array([-1.2, 1.2])
     ref_probs = M.predict_batch(ref, x)[0]
@@ -58,7 +58,7 @@ def test_record_divergence_is_kl_cat_bit_for_bit():
     for objective, keys in ((("class", 0), (0,)), (("class", 1), (1,)), ("divergence", ())):
         traj = search_batch(x, data, ref, cfg, [(0, objective, keys)])[0]
         divs = traj.divergence.tolist()
-        assert divs == [kl_cat(ref_probs, pred) for pred in traj.pred]
+        assert divs == [float(kl("categorical", ref_probs, pred)) for pred in traj.pred]
         assert max(divs) > 0.0
 
 
@@ -113,6 +113,14 @@ def test_last_layer_scope_only_touches_last_layer():
     frozen[bs] = False
     assert np.array_equal(traj.best_params.values[frozen], ref.values[frozen])
     assert not np.array_equal(traj.best_params.values[~frozen], ref.values[~frozen])
+    # a one-layer network's last layer is all of it
+    data = gen_two_moons(200, noise=0.1, seed=0)
+    ref = M.train(data, M.ArchSpec((2, 2)), M.TrainConfig(epochs=100, seed=0))
+    last, every = (search_batch(np.array([-1.2, 1.2]), data, ref, SearchConfig(steps=40, lr=2e-2, seed=0, delta_scope=scope), [(0, ("class", 1), (1,))])[0] for scope in ("last_layer", "all_params"))
+    assert not last.no_feasible
+    for field in ("pred", "mean_train_loss", "divergence"):
+        assert getattr(last, field).tobytes() == getattr(every, field).tobytes()
+    assert last.best_params.values.tobytes() == every.best_params.values.tobytes()
 
 
 def test_bias_only_scope():
@@ -205,6 +213,17 @@ def test_search_rejects_a_reference_without_a_valid_prediction():
     broken = M.ModelParams(ref.arch, np.full(ref.values.size, np.nan))
     with pytest.raises(ValueError, match="reference prediction"):
         search_batch(np.array([0.0, 1.5]), data, broken, SearchConfig(steps=2), [(0, "divergence", ())])
+
+
+def test_search_names_the_input_where_a_finite_reference_underflows():
+    # log variance = -x: at x = 1e6 the variance exp(-1e6) underflows to 0
+    ref = M.ModelParams(M.ArchSpec((1, 2), head="gaussian_scalar"), np.array([0.0, -1.0, 0.0, 0.0]))
+    data = gen_sine(20, seed=0)
+    with pytest.raises(FloatingPointError, match=r"reference prediction at inputs \[\[1000000.0\]\]"):
+        search_suites(np.array([[0.0], [1e6]]), data, ref, SearchConfig(steps=2))
+    # the caller's non-finite inputs are a ValueError
+    with pytest.raises(ValueError, match="finite"):
+        search_suites(np.array([[np.nan]]), data, ref, SearchConfig(steps=2))
 
 
 # -- regression searches ------------------------------------------------------
