@@ -16,15 +16,15 @@ search      lock-step adversarial model searches: search_batch runs any
             searches, search_suites each point's per-class/direction suite
 estimator   pooled scores (quam_scores), importance sampling, variance study
 samplers    deep ensembles, MC dropout, cyclical SG-HMC, HMC
-metrics     AUROC/AUPR/FPR, selective prediction, ECE, simplex study
+metrics     AUROC/AUPR/FPR, ECE, simplex study
 config      experiment config files; `require`, the domain check of every
             numeric setting
 cli         experiment driver (`quam` entry point)
 """
 
-from . import autodiff  # noqa: F401 -- bench/tracer.py patches Tape.backward; drop with ROADMAP item 1
+from . import autodiff  # noqa: F401 -- bench/tracer.py patches Tape.backward; drop with ROADMAP item 12
 from .data import LabeledDataset, gen_sine, gen_three_gaussians, gen_two_moons, load_idx
-from .estimator import mis_estimate, mis_variance_estimate, mse_bound, quam_scores
+from .estimator import mis_estimate, quam_scores
 from .measures import UncertaintyBreakdown, decompose_a, decompose_b, entropy, entropy_gauss, kl
 from .models import ArchSpec, ModelParams, TrainConfig, predict_batch, train
 from .search import SearchConfig, search_batch, search_suites
@@ -36,8 +36,6 @@ __all__ = [
     "gen_two_moons",
     "load_idx",
     "mis_estimate",
-    "mis_variance_estimate",
-    "mse_bound",
     "quam_scores",
     "UncertaintyBreakdown",
     "decompose_a",

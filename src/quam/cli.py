@@ -287,6 +287,8 @@ def cmd_eval(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     pos_path = cfg.require("eval", "positive_scores")
     field = cfg.get_str("eval", "field", "epistemic")
     metrics = cfg.get_str("eval", "metrics", "auroc,aupr,fpr_at_tpr95").replace(",", " ").split()
+    if not metrics:
+        raise UsageError("[eval] metrics names no metric")
 
     def read_scores(path):
         if not os.path.exists(path):

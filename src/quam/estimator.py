@@ -1,5 +1,5 @@
 """Epistemic uncertainty scores from pooled search trajectories, plus the
-importance-sampling estimators and the proposal-variance study.
+plain importance-sampling estimate and the proposal-variance study.
 
 The practical score pools every model visited by the per-class (or
 per-direction) searches, weights each by exp(-mean_train_loss / T) and
@@ -10,11 +10,11 @@ invariant to adding a constant to all training losses.  The pool is one
 (samples, classes) prediction array with a weight vector, and the split
 is one call of `measures.decompose_a` or `decompose_b`.
 
-The idealized estimators (plain ratio mean, its variance, and the 4/N
-mean-squared-error bound) are exposed separately for the variance studies:
-a proposal must place mass wherever the integrand is large, otherwise the
-ratio variance explodes, which is the point the analytic study quantifies
-on a two-component Gaussian target against a single-Gaussian proposal.
+The idealized estimator, the plain ratio mean, is exposed separately for
+the variance studies: a proposal must place mass wherever the integrand
+is large, otherwise the ratio variance explodes, which is the point the
+analytic study quantifies on a two-component Gaussian target against a
+single-Gaussian proposal.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ __all__ = [
     "pool_trajectories",
     "quam_scores",
     "mis_estimate",
-    "mis_variance_estimate",
-    "mse_bound",
     "analytic_variance_study",
     "variance_sweep",
 ]
@@ -107,7 +105,7 @@ def quam_scores(
 
 
 # --------------------------------------------------------------------------
-# idealized importance-sampling estimators
+# idealized importance-sampling estimator
 # --------------------------------------------------------------------------
 
 
@@ -120,24 +118,6 @@ def mis_estimate(u_values, q_densities) -> float:
     if (q <= 0).any():
         raise ValueError("proposal densities must be positive")
     return float((u / q).mean())
-
-
-def mis_variance_estimate(u_values, q_densities, v_hat: float) -> float:
-    """(1/N) sum (u_n/q_n)^2 - v_hat^2, clamped at zero."""
-    u = np.asarray(u_values, dtype=np.float64)
-    q = np.asarray(q_densities, dtype=np.float64)
-    if (q <= 0).any():
-        raise ValueError("proposal densities must be positive")
-    return float(max(0.0, ((u / q) ** 2).mean() - v_hat**2))
-
-
-def mse_bound(u_values, q_densities, n: int) -> float:
-    """(4/N) * mean((u/q)^2): the sample estimate of the squared-error bound."""
-    u = np.asarray(u_values, dtype=np.float64)
-    q = np.asarray(q_densities, dtype=np.float64)
-    if (q <= 0).any():
-        raise ValueError("proposal densities must be positive")
-    return float(4.0 / n * ((u / q) ** 2).mean())
 
 
 # --------------------------------------------------------------------------

@@ -59,7 +59,6 @@ __all__ = [
     "entropy_gauss",
     "decompose_a",
     "decompose_b",
-    "epistemic_homoscedastic",
 ]
 
 _CLAMP = 1e-300
@@ -344,18 +343,3 @@ def decompose_b(head: str, ref, preds, w) -> list[UncertaintyBreakdown]:
         out += [UncertaintyBreakdown("b", a + e, a, e, bool(v), ("support_violation",) if v else ()) for a, e, v in zip(aleatoric[block], epistemic, violation)]
     return out
 
-
-def epistemic_homoscedastic(reference_mean: float, sample_means, weights, noise_variance: float) -> float:
-    """Mean-shift epistemic score under shared, input-independent noise.
-
-    (1 / noise_variance) * sum_n w_n (reference_mean - mean_n)^2 with
-    normalized weights; the variable part of the homoscedastic total.
-    """
-    if not noise_variance > 0:
-        raise ValueError("noise_variance must be positive")
-    means = np.asarray(sample_means, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if (w < 0).any() or w.sum() <= 0:
-        raise ValueError("weights must be nonnegative and not all zero")
-    w = w / w.sum()
-    return float((w * (reference_mean - means) ** 2).sum() / noise_variance)

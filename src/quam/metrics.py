@@ -15,7 +15,7 @@ have no place in a ranking and are rejected with ``ValueError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "auroc",
     "aupr",
     "fpr_at_tpr",
-    "selective_auc",
     "ece",
     "calibration_bins",
     "simplex_grid",
@@ -96,24 +95,6 @@ def fpr_at_tpr(s: ScoredLabels, tpr_target: float = 0.95) -> float:
     # fp never falls as the threshold falls, so the first group to reach the target has the minimum
     first = np.argmax(tp / tp[-1] >= tpr_target)
     return float((ends[first] - tp[first]) / (ends[-1] - tp[-1]))
-
-
-def selective_auc(uncertainties, correct) -> float:
-    """Area of accuracy vs. retained fraction, retaining lowest uncertainty first.
-
-    Tied uncertainties accrue their group's correctness at the group's
-    average rate, so a constant score gives exactly the overall accuracy.
-    The curve starts at fraction 1/n (the empty prefix is undefined).
-    """
-    u = np.asarray(uncertainties, dtype=np.float64)
-    ok = np.asarray(correct, dtype=np.float64)
-    if u.shape != ok.shape or u.ndim != 1 or len(u) == 0 or np.isnan(u).any():
-        raise ValueError("uncertainties and correctness must be equal-length nonempty vectors, with no NaN uncertainty")
-    ends, hits = _tie_groups(-u, ok)
-    n = len(u)
-    ks = np.arange(1, n + 1)
-    acc = np.interp(ks, np.r_[0, ends], np.r_[0.0, hits]) / ks
-    return float(acc[0] if n == 1 else np.trapezoid(acc, ks / n) / (1.0 - 1.0 / n))
 
 
 def calibration_bins(pred_probs, labels, n_bins: int = 10):
@@ -187,9 +168,8 @@ def simplex_surface(
         likes = []
         failures = 0
         for rep in range(repeats):
-            run_cfg = TrainConfig(lr=cfg.lr, weight_decay=cfg.weight_decay, epochs=cfg.epochs, batch_size=cfg.batch_size, seed=cfg.seed + 1000 * ti + rep)
             try:
-                params = train(data, arch, run_cfg, extra_loss=lambda p: loss_and_grad(p, x, t_row))
+                params = train(data, arch, replace(cfg, seed=cfg.seed + 1000 * ti + rep), extra_loss=lambda p: loss_and_grad(p, x, t_row))
             except TrainingDiverged:
                 failures += 1
                 continue

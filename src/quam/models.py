@@ -428,7 +428,11 @@ def target_rows(arch: ArchSpec, y: np.ndarray) -> np.ndarray:
     if arch.head != "categorical":
         y = np.asarray(y, dtype=np.float64)
         return np.column_stack([y, np.zeros_like(y)])
-    y = y.astype(int)
+    labels = np.asarray(y)
+    y = labels.astype(int)
+    bad = labels[y != labels]
+    if bad.size:
+        raise ValueError(f"class labels must be integers for the model's categorical head, got {bad[0]:g}")
     if y.size and not 0 <= y.min() <= y.max() < arch.n_classes:
         raise ValueError(f"class labels must lie in 0..{arch.n_classes - 1} for the model's head, got {y.min()}..{y.max()}")
     out = np.zeros((y.size, arch.n_classes))

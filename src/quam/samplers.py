@@ -18,7 +18,7 @@ gradient's head pass; `csghmc` keeps one workspace for its batch size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -85,10 +85,7 @@ class SamplerOutput:
 def deep_ensemble(data, arch: ArchSpec, n_members: int, base_cfg: TrainConfig) -> SamplerOutput:
     """Independently initialized and trained members; member i uses seed base+i."""
     require(1, n_members=n_members)
-    members = []
-    for i in range(n_members):
-        cfg = TrainConfig(lr=base_cfg.lr, weight_decay=base_cfg.weight_decay, epochs=base_cfg.epochs, batch_size=base_cfg.batch_size, seed=base_cfg.seed + i)
-        members.append(train(data, arch, cfg))
+    members = [train(data, arch, replace(base_cfg, seed=base_cfg.seed + i)) for i in range(n_members)]
     return SamplerOutput(method="de", params=members, diagnostics={"n_members": n_members, "base_seed": base_cfg.seed})
 
 

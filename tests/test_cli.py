@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import quam
 from quam import models as M
 from quam import cli
 from quam.cli import load_search_config, load_train_config, main
@@ -80,6 +82,12 @@ def test_import_cli_leaves_out_scipy_integrate():
     code = "import sys, quam.cli; print('scipy.integrate' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    modules = [quam] + [importlib.import_module(f"quam.{m.name}") for m in pkgutil.iter_modules(quam.__path__)]
+    stale = [f"{mod.__name__}.{name}" for mod in modules for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not stale
 
 
 def test_cmd_train_round_trip(tmp_path, capsys):
@@ -516,6 +524,23 @@ def test_settings_that_do_no_work_are_usage_errors(tmp_path, capsys, command, se
     assert key in status["error"]
 
 
+@pytest.mark.parametrize("command", ["train", "quam"])
+def test_real_valued_labels_on_a_categorical_head_are_a_usage_error(tmp_path, capsys, command):
+    # cast to int, these targets would train the head on the labels 0 1 0 1
+    data = write(tmp_path / "d.csv", "x0,y\n-1,0.7\n-0.3,1.9\n0.3,0.2\n1,1.2\n")
+    ckpt = str(tmp_path / "ref.ckpt")
+    M.save_checkpoint(M.init_params(M.ArchSpec((1, 4, 2)), 0), ckpt)
+    pts = write(tmp_path / "points.csv", "x0\n0.5\n")
+    cfgp = write(
+        tmp_path / "c.ini",
+        f"[dataset]\nname = csv\npath = {data}\nkind = regression\n[arch]\nwidths = 1 4 2\n[train]\nepochs = 5\n"
+        f"[reference]\ncheckpoint = {ckpt}\n[test_inputs]\nfile = {pts}\n[search]\nsteps = 2\n[output]\ndir = {tmp_path}/out\n",
+    )
+    code, status = one_status_line(capsys, [command, "--config", cfgp])
+    assert code == 2 and status["status"] == "usage_error"
+    assert "class labels must be integers" in status["error"] and "0.7" in status["error"]
+
+
 def test_a_non_finite_sampler_diagnostic_is_a_numerical_abort(tmp_path, capsys):
     # a finite but huge step size: every trajectory is rejected and its energy error is NaN
     pts = write(tmp_path / "points.csv", "x0,x1\n0.5,0.5\n")
@@ -716,6 +741,12 @@ def test_cmd_eval_nan_score_or_bad_tpr_target_exits_2(tmp_path, capsys, id_value
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 2 and len(lines) == 1
     assert json.loads(lines[0])["status"] == "usage_error"
+
+
+def test_cmd_eval_without_metrics_is_a_usage_error(tmp_path, capsys):
+    code, status = one_status_line(capsys, ["eval", "--config", eval_config(tmp_path, [0.1], [0.9], "")])
+    assert code == 2 and status["status"] == "usage_error" and "[eval] metrics" in status["error"]
+    assert not os.path.exists(tmp_path / "e_out" / "metrics.json")
 
 
 def test_benchmark_tracer_targets_that_do_not_resolve():

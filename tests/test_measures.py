@@ -517,14 +517,6 @@ def test_decompose_categorical_temporaries_stay_in_blocks():
         assert peak < 0.75 * probs.nbytes
 
 
-def test_epistemic_homoscedastic():
-    assert U.epistemic_homoscedastic(1.0, [1.0, 1.0], [0.3, 0.7], 2.0) == 0.0
-    assert U.epistemic_homoscedastic(0.0, [1.0], [1.0], 1.0) == pytest.approx(1.0, abs=1e-15)
-    v1 = U.epistemic_homoscedastic(0.0, [1.0, -2.0], [0.5, 0.5], 1.0)
-    v2 = U.epistemic_homoscedastic(0.0, [1.0, -2.0], [0.5, 0.5], 2.0)
-    assert v1 == pytest.approx(2.0 * v2, abs=1e-12)
-
-
 def test_breakdown_clamps_tiny_negative():
     br = U.UncertaintyBreakdown("a", 1.0, 1.0, -5e-13)
     assert br.epistemic == 0.0
