@@ -429,7 +429,8 @@ def target_rows(arch: ArchSpec, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         return np.column_stack([y, np.zeros_like(y)])
     labels = np.asarray(y)
-    y = labels.astype(int)
+    with np.errstate(invalid="ignore"):  # a NaN or infinite label is rejected just below
+        y = labels.astype(int)
     bad = labels[y != labels]
     if bad.size:
         raise ValueError(f"class labels must be integers for the model's categorical head, got {bad[0]:g}")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,15 @@ def test_simplex_surface_small():
     for row in rows:
         assert row["failures"] == 0
         assert 0.0 < row["median_likelihood"] <= 1.0
+
+
+def test_simplex_surface_runs_keep_every_setting_but_the_seed(monkeypatch):
+    cfgs = []
+    arch = M.ArchSpec((2, 4, 3))
+    monkeypatch.setattr(X, "train", lambda data, arch, cfg, extra_loss: cfgs.append(cfg) or M.init_params(arch, cfg.seed))
+    base = M.TrainConfig(lr=1e-2, weight_decay=0.0, epochs=7, batch_size=16, seed=3)
+    X.simplex_surface(gen_three_gaussians(seed=0), np.array([0.0, 0.0]), arch, resolution=2, repeats=2, cfg=base)
+    assert cfgs == [replace(base, seed=3 + 1000 * ti + rep) for ti in range(3) for rep in range(2)]
 
 
 def test_simplex_surface_rejects_heads_without_three_classes():

@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,22 @@ def test_mean_train_loss_matches_pointwise_oracle():
     params = M.init_params(M.ArchSpec((2, 4, 2)), 6)
     oracle = np.mean([-np.log(M.predict_batch(params, data.x[i])[0, data.y[i]]) for i in range(12)])
     assert abs(M.mean_train_loss(params, data) - oracle) < 1e-12
+
+
+def test_target_rows_one_hot_rows_of_integral_labels():
+    arch = M.ArchSpec((1, 4, 3))
+    expected = np.eye(3)[[0, 2, 1]]
+    assert np.array_equal(M.target_rows(arch, np.array([0, 2, 1])), expected)
+    assert np.array_equal(M.target_rows(arch, np.array([0.0, 2.0, 1.0])), expected)
+
+
+@pytest.mark.parametrize("label", [0.5, np.nan, np.inf, -np.inf])
+def test_target_rows_rejects_a_label_that_is_not_an_integer(label):
+    # cast to int, each would pick some class without a word
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"class labels must be integers.*got {label:g}"):
+            M.target_rows(M.ArchSpec((1, 4, 3)), np.array([0.0, label]))
 
 
 @pytest.mark.parametrize("widths, head", [((2, 4, 3), "categorical"), ((1, 5, 1), "gaussian_scalar"), ((1, 5, 2), "gaussian_scalar")])

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,15 @@ def test_deep_ensemble_members_fit_and_differ(moons):
     for i in range(10):
         for j in range(i + 1, 10):
             assert not np.array_equal(out.params[i].values, out.params[j].values)
+
+
+def test_deep_ensemble_members_keep_every_setting_but_the_seed(moons, monkeypatch):
+    cfgs = []
+    arch = M.ArchSpec((2, 4, 2))
+    monkeypatch.setattr(S, "train", lambda data, arch, cfg: cfgs.append(cfg) or M.init_params(arch, cfg.seed))
+    base = M.TrainConfig(lr=1e-2, weight_decay=0.0, epochs=7, batch_size=16, seed=3)
+    S.deep_ensemble(moons, arch, 3, base)
+    assert cfgs == [replace(base, seed=3 + i) for i in range(3)]
 
 
 def test_mc_dropout_requires_dropout():
