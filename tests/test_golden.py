@@ -7,8 +7,9 @@ batch (setting b, three points in one lock-step batch), on mini-batches of
 the last layer (setting a) and on the sine head; `quam` of the deeper net
 at three points, one of them (1e307, -1e307), on a full batch and on
 mini-batches, where one of that point's searches hits a non-finite loss
-mid-run and the batch's other searches go on; `baseline` hmc, mcd, csghmc
-and de; a 3 x 3 `grid`; and an `eval` of two of the score files.  Every
+mid-run and the batch's other searches go on; `baseline` hmc (short, tuned
+over a 120-iteration burn-in, and with no leapfrog steps), mcd, csghmc and
+de; a 3 x 3 `grid`; and an `eval` of two of the score files.  Every
 output file but the config echo, and every status line, is hashed and
 compared with `GOLDEN`.
 
@@ -46,6 +47,7 @@ SEARCH = "[search]\nsteps = 12\nlr = 0.01\n"
 MOONS_200 = MOONS.replace("n = 80", "n = 200")
 DEEP = MOONS_200 + "[reference]\ncheckpoint = train_deep/model.ckpt\n[test_inputs]\nfile = moons_far.csv\n[search]\nsteps = 30\nlr = 0.01\n"
 FAR = {"moons_far.csv": "x0,x1\n1e307,-1e307\n-1.2,1.2\n0.5,0.5\n"}
+HMC = MOONS + ARCH + "[reference]\ncheckpoint = train_moons/model.ckpt\n[test_inputs]\nfile = moons_points.csv\n[baseline]\nmethod = hmc\n"
 
 # (output directory, command and flags, config body, extra files): each run reads the outputs of those before it
 RUNS = [
@@ -78,13 +80,11 @@ RUNS = [
     # the far point's class-1 search aborts after 20 updates (13 on mini-batches); its class-0 search does not
     ("quam_abort", "quam --jobs 3", DEEP + "[estimator]\nsetting = b\n", FAR),
     ("quam_abort_minibatch", "quam --jobs 3", DEEP + "batch_size = 64\n[estimator]\nsetting = b\n", {}),
-    (
-        "hmc",
-        "baseline",
-        MOONS + ARCH + "[reference]\ncheckpoint = train_moons/model.ckpt\n[test_inputs]\nfile = moons_points.csv\n"
-        "[baseline]\nmethod = hmc\nn_samples = 10\nburn_in = 30\nn_leapfrog = 5\n",
-        {},
-    ),
+    ("hmc", "baseline", HMC + "n_samples = 10\nburn_in = 30\nn_leapfrog = 5\n", {}),
+    # tuned at iterations 24, 49, 74 and 99: two doublings, then the last stretch's halvings, with rejections
+    ("hmc_tuned", "baseline", HMC + "n_samples = 10\nburn_in = 120\nn_leapfrog = 5\nstep_size = 0.03\n", {}),
+    # no leapfrog steps: every proposal is the chain's own position and is accepted; tuning still doubles the step
+    ("hmc_static", "baseline", HMC + "n_samples = 10\nburn_in = 100\nn_leapfrog = 0\n", {}),
     (
         "mcd",
         "baseline",
@@ -150,6 +150,12 @@ GOLDEN = {
         'hmc/status': 'a85dfbd6fb48f0aba551e7532b56d23156363583eb21737ba092835f55e641af',
         'hmc/scores_a.jsonl': '1498fb4de4ee586f5130e35c706ca0a69858d8b3d0092b9ddc91fa201443524d',
         'hmc/scores_b.jsonl': 'ebca260dd637679986a3ca2f6dc2643a5d1c46f98bb1fbca26c88c1c5ebd9047',
+        'hmc_tuned/status': 'c06697b317d72bc9768537bb173cd8d9e4e0b89cad5aa15b5cd34bd5a0d37f2b',
+        'hmc_tuned/scores_a.jsonl': 'b191d0a18eefed8fc216d54cc497d9f493282498768f1946b91aad26fcb62e13',
+        'hmc_tuned/scores_b.jsonl': '067b49d19689944200bcdc28bfa4bf9ce72480639e38acd5a56000e77d65fef4',
+        'hmc_static/status': '73e643cdc92e2e4a2e9437651a2b29e1cdfd7a48192236cbd7a13fc406e888de',
+        'hmc_static/scores_a.jsonl': '0f69850d3e37f86d51b4372110a6f4c4a1535b29731f554326d03c65eecf627d',
+        'hmc_static/scores_b.jsonl': 'd3d1e2b1dcd2d1cf35dc51d58a4f1806737e2a5fac96f6a68c0c9e5deb53646a',
         'mcd/status': '7637ae158fb12603f4f9b279b341ed31b3c9aeddaf91bf44e81b3b82d4f677ff',
         'mcd/scores_a.jsonl': '5314fdee9abf05e8876b1c5022421a5170cec7f7f111858f8d04a581f9dbcd12',
         'mcd/scores_b.jsonl': '726a28078fadcbcb74a631fecf266e21a5631d84d924b0b181a48ca253b4ba0f',
