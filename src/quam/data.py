@@ -1,4 +1,4 @@
-"""Synthetic dataset generators and IDX-format image ingestion.
+"""Synthetic dataset generators, IDX image files and the CSV dataset reader.
 
 All generators are pure functions of their arguments and seed; datasets
 are immutable after construction.
@@ -16,13 +16,13 @@ from .rng import derive_rng
 
 __all__ = [
     "LabeledDataset",
+    "class_indices",
     "gen_two_moons",
     "gen_three_gaussians",
     "gen_sine",
     "load_idx",
     "save_idx",
     "subset_split",
-    "to_csv",
     "from_csv",
     "THREE_GAUSSIAN_TEST_POINT",
 ]
@@ -32,6 +32,17 @@ IDX_LABELS_MAGIC = 0x00000801
 
 # Far-out probe point used by the three-Gaussian simplex experiment.
 THREE_GAUSSIAN_TEST_POINT = np.array([-6.0, 2.0])
+
+
+def class_indices(labels) -> np.ndarray:
+    """`labels` as int64 class indices; a label that is not an integer, NaN and infinities included, raises ValueError naming it."""
+    labels = np.asarray(labels)
+    with np.errstate(invalid="ignore"):  # a NaN or infinite label is rejected just below
+        y = labels.astype(np.int64)
+    bad = labels[y != labels]
+    if bad.size:
+        raise ValueError(f"class labels must be integers, got {bad[0]:g}")
+    return y
 
 
 @dataclass(frozen=True)
@@ -48,7 +59,7 @@ class LabeledDataset:
         if x.ndim == 1:
             x = x.reshape(-1, 1)
         if self.kind == "classification":
-            y = np.array(self.y, dtype=np.int64)
+            y = class_indices(self.y)
         elif self.kind == "regression":
             y = np.array(self.y, dtype=np.float64)
         else:
@@ -170,7 +181,7 @@ def save_idx(data: LabeledDataset, images_path, labels_path, rows: int, cols: in
 
 
 # --------------------------------------------------------------------------
-# splits and CSV export
+# splits and CSV files
 # --------------------------------------------------------------------------
 
 
@@ -200,20 +211,13 @@ def subset_split(data: LabeledDataset, sizes, seed: int = 0) -> list[LabeledData
     return parts
 
 
-def to_csv(data: LabeledDataset, path):
-    """Header row, then one sample per line with 17-significant-digit floats."""
-    d = data.x.shape[1]
-    header = ",".join([f"x{i}" for i in range(d)] + ["y"])
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for xi, yi in zip(data.x, data.y):
-            cells = [f"{v:.17g}" for v in xi]
-            cells.append(str(int(yi)) if data.kind == "classification" else f"{yi:.17g}")
-            f.write(",".join(cells) + "\n")
-
-
 def from_csv(path, kind: str) -> LabeledDataset:
-    """Read `to_csv`'s format; a malformed file raises ValueError naming the file and line."""
+    """A dataset from a CSV file: a header row x0, ..., y, then one sample per line.
+
+    Every cell is a finite number, and a classification row's last cell a
+    nonnegative integer class label.  Blank lines are skipped.  A malformed
+    file raises ValueError naming the file and line.
+    """
     rows = []
     with open(path) as f:
         header = f.readline()
@@ -237,4 +241,4 @@ def from_csv(path, kind: str) -> LabeledDataset:
     if not rows:
         raise ValueError(f"{path}: dataset file has no rows")
     arr = np.asarray(rows)
-    return LabeledDataset(arr[:, :-1], arr[:, -1] if kind == "regression" else arr[:, -1].astype(int), kind)
+    return LabeledDataset(arr[:, :-1], arr[:, -1], kind)

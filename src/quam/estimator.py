@@ -168,30 +168,20 @@ def analytic_variance_study(
     return VarianceReport(value=float(value - 1.0), abs_error=float(err), converged=bool(err <= max(tol, abs(value) * 1e-6)))
 
 
-def variance_sweep(parameter: str, grid, base=None) -> list[tuple[float, float]]:
+def variance_sweep(parameter: str, grid) -> list[tuple[float, float]]:
     """Rows (parameter value, variance) for one of the three standard sweeps.
 
     Baseline: equally weighted target components at 0 and 3, all variances
     1, proposal centered on the first component.  `parameter` is one of
-    "sigma_p2", "mu_p2", "sigma_q".
+    "sigma_p2" (the second component's variance), "mu_p2" (its mean) and
+    "sigma_q" (the proposal's variance).
     """
-    base = dict(base or {})
-    cfg = {"mu_p1": 0.0, "var_p1": 1.0, "mu_p2": 3.0, "var_p2": 1.0, "mu_q": 0.0, "var_q": 1.0}
-    cfg.update(base)
+    baseline = {"sigma_p2": 1.0, "mu_p2": 3.0, "sigma_q": 1.0}
+    if parameter not in baseline:
+        raise ValueError(f"unknown sweep parameter {parameter!r}")
     rows = []
     for val in grid:
-        c = dict(cfg)
-        if parameter == "sigma_p2":
-            c["var_p2"] = float(val)
-        elif parameter == "mu_p2":
-            c["mu_p2"] = float(val)
-        elif parameter == "sigma_q":
-            c["var_q"] = float(val)
-        else:
-            raise ValueError(f"unknown sweep parameter {parameter!r}")
-        report = analytic_variance_study(
-            ((0.5, c["mu_p1"], c["var_p1"]), (0.5, c["mu_p2"], c["var_p2"])),
-            (c["mu_q"], c["var_q"]),
-        )
+        c = baseline | {parameter: float(val)}
+        report = analytic_variance_study(((0.5, 0.0, 1.0), (0.5, c["mu_p2"], c["sigma_p2"])), (0.0, c["sigma_q"]))
         rows.append((float(val), report.value))
     return rows

@@ -89,7 +89,6 @@ class UncertaintyBreakdown:
     total: float
     aleatoric: float
     epistemic: float
-    support_violation: bool = False
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -323,7 +322,7 @@ def decompose_b(head: str, ref, preds, w) -> list[UncertaintyBreakdown]:
     `ref` has shape (N, k), one reference prediction per point; `preds`,
     `w` and the result are as in `decompose_a`.  A categorical point where
     a sample puts exactly zero mass on a class the reference supports gets
-    infinite epistemic and total and the `support_violation` flag.
+    infinite epistemic and total, and `support_violation` in its flags.
     """
     preds, w = _checked(head, preds, w)
     ref = np.asarray(ref, dtype=np.float64)
@@ -340,6 +339,6 @@ def decompose_b(head: str, ref, preds, w) -> list[UncertaintyBreakdown]:
         violation = np.isinf(div).any(axis=0)
         # a violating point's KLs stay out of the sum, where a zero weight would make them NaN
         epistemic = np.where(violation, np.inf, w @ np.where(violation, 0.0, div))
-        out += [UncertaintyBreakdown("b", a + e, a, e, bool(v), ("support_violation",) if v else ()) for a, e, v in zip(aleatoric[block], epistemic, violation)]
+        out += [UncertaintyBreakdown("b", a + e, a, e, ("support_violation",) if v else ()) for a, e, v in zip(aleatoric[block], epistemic, violation)]
     return out
 

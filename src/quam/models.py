@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import require
+from .data import class_indices
 from .rng import derive_rng
 
 __all__ = [
@@ -428,12 +429,7 @@ def target_rows(arch: ArchSpec, y: np.ndarray) -> np.ndarray:
     if arch.head != "categorical":
         y = np.asarray(y, dtype=np.float64)
         return np.column_stack([y, np.zeros_like(y)])
-    labels = np.asarray(y)
-    with np.errstate(invalid="ignore"):  # a NaN or infinite label is rejected just below
-        y = labels.astype(int)
-    bad = labels[y != labels]
-    if bad.size:
-        raise ValueError(f"class labels must be integers for the model's categorical head, got {bad[0]:g}")
+    y = class_indices(y)
     if y.size and not 0 <= y.min() <= y.max() < arch.n_classes:
         raise ValueError(f"class labels must lie in 0..{arch.n_classes - 1} for the model's head, got {y.min()}..{y.max()}")
     out = np.zeros((y.size, arch.n_classes))
@@ -606,10 +602,12 @@ class Adam:
     that take their steps together; every update is elementwise.
     """
 
-    def __init__(self, size, lr: float, weight_decay: float = 0.0, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    beta1, beta2 = 0.9, 0.999
+
+    def __init__(self, size, lr: float, weight_decay: float = 0.0, eps: float = 1e-8) -> None:
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.eps = eps
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0

@@ -123,7 +123,6 @@ def csghmc(
     batch_size: Optional[int] = None,
     prior_precision: float = 1.0,
     tail_fraction: float = 0.25,
-    init: Optional[ModelParams] = None,
 ) -> SamplerOutput:
     """Stochastic-gradient HMC with a cosine step-size schedule per cycle.
 
@@ -134,7 +133,7 @@ def csghmc(
     require(1, cycles=cycles, steps_per_cycle=steps_per_cycle)
     require(0, step_size=step_size, temperature=temperature, prior_precision=prior_precision)
     rng = derive_rng(seed)
-    values = (init if init is not None else init_params(arch, seed)).values.copy()  # each step updates it in place
+    values = init_params(arch, seed).values.copy()  # each step updates it in place
     velocity = np.zeros_like(values)
     n = len(data)
     batch = n if batch_size is None else min(batch_size, n)
@@ -218,15 +217,17 @@ def hmc(
     positions to their K log densities, `grad_log_density` to their (K, P)
     gradients.  `seed` is one int, for one chain started at the (P,) vector
     `x0`, or one seed per chain, with `x0` a (K, P) stack.  Every chain
-    keeps its own `derive_rng(seed)` stream, step size, auto-tune window,
-    acceptance counts and rejection run, and its own `p @ p`, so its draws
-    and diagnostics are those of its own single-chain run, bit for bit.
-    Returns one `SamplerOutput` for an int seed, else one per chain.
+    keeps its own `derive_rng(seed)` stream, step size, acceptance counts
+    and rejection run, and its own `p @ p`, so its draws and diagnostics
+    are those of its own single-chain run, bit for bit.  Returns one
+    `SamplerOutput` for an int seed, else one per chain.
 
-    During burn-in, `auto_tune` doubles a chain's step size while its recent
-    acceptance rate exceeds 0.8 and halves it below 0.6.  A hundred
-    consecutive rejections of one chain raise `HMCAborted`, naming the
-    chain and its seed.  `n_leapfrog = 0` is legal: the chains never move.
+    During burn-in, `auto_tune` looks at each chain's acceptances over a
+    window of 25 iterations that all chains share: it doubles a chain's
+    step size when more than 80% were accepted and halves it below 60%.
+    A hundred consecutive rejections of one chain raise `HMCAborted`,
+    naming the chain and its seed.  `n_leapfrog = 0` is legal: every
+    proposal is the chain's own position, and is accepted.
     `sampling_acceptance_rate` and `mean_abs_energy_error` cover the
     sampling iterations only: burn-in starts far from the mode and tunes
     the step size.  A trajectory starts from the gradient its chain's
@@ -243,59 +244,49 @@ def hmc(
         raise ValueError(f"hmc needs a (P,) start for one seed and a (K, P) stack for K seeds, got shape {np.shape(x0)} for {k} seed(s)")
     size = q.shape[1]
     rngs = [derive_rng(s) for s in seeds]
-    g = np.array(grad_log_density(q), dtype=np.float64) if n_leapfrog > 0 else None
-    logp = np.asarray(log_density(q), dtype=np.float64).tolist()
+    g = np.array(grad_log_density(q), dtype=np.float64)
+    logp = np.array(log_density(q), dtype=np.float64)
     total = burn_in + n_samples * thin
     draws = np.empty((k, n_samples, size))
-    accepted = [0] * k
-    accepted_sampling = [0] * k
-    consecutive_rejects = [0] * k
-    windows: list[list[int]] = [[] for _ in range(k)]
-    energy_errors: list[list[float]] = [[] for _ in range(k)]  # |dH| of each sampling iteration
-    steps = [float(step_size)] * k
+    energy_errors = np.empty((k, n_samples * thin))  # |dH| of each sampling iteration
+    accepted, accepted_sampling, rejects, window = (np.zeros(k, dtype=int) for _ in range(4))
+    steps = np.full((k, 1), float(step_size))
     p = np.empty((k, size))
 
     for it in range(total):
         for c, rng in enumerate(rngs):
             p[c] = rng.standard_normal(size)
-        h0 = [-logp[c] + 0.5 * float(p[c] @ p[c]) for c in range(k)]
-        if n_leapfrog > 0:
-            q_new = q.copy()
-            g_new = _leapfrog(q_new, p, g, grad_log_density, np.array(steps)[:, None], n_leapfrog)
-            logp_new = np.asarray(log_density(q_new), dtype=np.float64).tolist()
-        else:
-            q_new, logp_new = q, logp  # degenerate: the chains never move
-        for c, rng in enumerate(rngs):
-            delta_h = -logp_new[c] + 0.5 * float(p[c] @ p[c]) - h0[c]
-            if it >= burn_in:
-                energy_errors[c].append(abs(delta_h))
-            if np.isfinite(delta_h) and rng.random() < min(1.0, np.exp(-delta_h)):
-                if q_new is not q:
-                    q[c], g[c] = q_new[c], g_new[c]
-                logp[c] = logp_new[c]
-                accepted[c] += 1
-                accepted_sampling[c] += it >= burn_in
-                windows[c].append(1)
-                consecutive_rejects[c] = 0
-            else:
-                windows[c].append(0)
-                consecutive_rejects[c] += 1
-                if consecutive_rejects[c] >= 100:
-                    raise HMCAborted(f"chain {c} (seed {seeds[c]}): 100 consecutive rejections at iteration {it} (step size {steps[c]:g})")
-            window = windows[c]
-            if auto_tune and it < burn_in and len(window) >= 25:
-                rate = sum(window) / len(window)
-                if rate > 0.8 and it < burn_in - 50:
-                    # no doubling in the last stretch: an untested doubling onto
-                    # the low-acceptance cliff would hobble the sampling phase
-                    steps[c] *= 2.0
-                elif rate < 0.6:
-                    steps[c] *= 0.5
-                if it >= burn_in - 50 and rate < 0.9:
-                    # terminal safety halve: the doubling rule settles in its
-                    # hysteresis band, one notch below it keeps acceptance high
-                    steps[c] *= 0.5
-                window.clear()
+        h0 = -logp + [0.5 * float(p[c] @ p[c]) for c in range(k)]
+        q_new = q.copy()
+        g_new = _leapfrog(q_new, p, g, grad_log_density, steps, n_leapfrog)
+        logp_new = np.array(log_density(q_new), dtype=np.float64)
+        delta_h = -logp_new + [0.5 * float(p[c] @ p[c]) for c in range(k)] - h0
+        # a chain draws its uniform only for a finite energy error
+        accept = np.array([np.isfinite(d) and rng.random() < min(1.0, np.exp(-d)) for d, rng in zip(delta_h, rngs)], dtype=bool)
+        np.copyto(q, q_new, where=accept[:, None])
+        np.copyto(g, g_new, where=accept[:, None])
+        np.copyto(logp, logp_new, where=accept)
+        accepted += accept
+        window += accept
+        if it >= burn_in:
+            accepted_sampling += accept
+            energy_errors[:, it - burn_in] = np.abs(delta_h)
+        rejects += 1
+        rejects[accept] = 0
+        if rejects.max() >= 100:
+            c = int(np.argmax(rejects >= 100))
+            raise HMCAborted(f"chain {c} (seed {seeds[c]}): 100 consecutive rejections at iteration {it} (step size {steps[c, 0]:g})")
+        if auto_tune and it < burn_in and (it + 1) % 25 == 0:
+            rate = window / 25
+            # no doubling in the last stretch: an untested doubling onto
+            # the low-acceptance cliff would hobble the sampling phase
+            steps[(rate > 0.8) & (it < burn_in - 50)] *= 2.0
+            steps[rate < 0.6] *= 0.5
+            if it >= burn_in - 50:
+                # terminal safety halve: the doubling rule settles in its
+                # hysteresis band, one notch below it keeps acceptance high
+                steps[rate < 0.9] *= 0.5
+            window[:] = 0
         if it >= burn_in and (it - burn_in) % thin == 0:
             draws[:, (it - burn_in) // thin] = q
 
@@ -304,9 +295,9 @@ def hmc(
             method="hmc",
             draws=draws[c],
             diagnostics={
-                "acceptance_rate": accepted[c] / total,
-                "sampling_acceptance_rate": accepted_sampling[c] / len(energy_errors[c]),
-                "step_size": steps[c],
+                "acceptance_rate": int(accepted[c]) / total,
+                "sampling_acceptance_rate": int(accepted_sampling[c]) / (n_samples * thin),
+                "step_size": float(steps[c, 0]),
                 "mean_abs_energy_error": float(np.mean(energy_errors[c])),
             },
         )
@@ -371,6 +362,7 @@ def hmc_posterior(
     seeds = [seed] if single else list(seed)
     start = np.array([(init if init is not None else init_params(arch, s)).values for s in seeds])
     ws = _PosteriorWorkspace(data, arch, prior_precision, len(seeds))
+    # an int seed reaches `hmc` as an int: bench/tracer.py reads the one SamplerOutput it then returns
     raw = hmc(ws.log_density, ws.grad_log_density, start[0] if single else start, n_samples, n_leapfrog, step_size, seed=seed, burn_in=burn_in, auto_tune=auto_tune, thin=thin)
     outs = [SamplerOutput(method="hmc", params=[ModelParams(arch, d) for d in r.draws], diagnostics=r.diagnostics) for r in ([raw] if single else raw)]
     return outs[0] if single else outs

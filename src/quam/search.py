@@ -362,7 +362,6 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
     nan_abort = np.zeros(k, dtype=bool)
 
     # a direction search keeps only iterates on its side of the reference mean
-    directions = ws.direction if ws.direction.any() else None
     undirected, ref_means = ws.direction == 0, ref_rows[:, 0].copy()
     full_batch = batch == n
     # the reference rows' terms of every record's KL, taken once
@@ -382,9 +381,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
         # once per batch, candidate rows by the split
         div = kl(arch.head, ref_rows[at], preds, None if ref_terms is None else (ref_terms[0][at], ref_terms[1][at]))
         records.add(row, at, c, adv, pen, mtl, div, preds)
-        better = (full_pen <= 0.0) & (div > best_div[at])
-        if directions is not None:
-            better &= undirected[at] | (directions[at] * (preds[:, 0] - ref_means[at]) > 0.0)
+        better = (full_pen <= 0.0) & (div > best_div[at]) & (undirected[at] | (ws.direction[at] * (preds[:, 0] - ref_means[at]) > 0.0))
         if better.any():
             won = slots[better]
             best_row[won] = row

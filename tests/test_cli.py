@@ -12,7 +12,6 @@ from quam import models as M
 from quam import cli
 from quam.cli import load_search_config, load_train_config, main
 from quam.config import ConfigError, ExperimentConfig
-from quam.data import gen_two_moons, to_csv
 from quam.measures import decompose_a, decompose_b
 from quam.samplers import mc_dropout
 from quam.search import SearchConfig
@@ -784,3 +783,26 @@ def test_benchmark_tracer_installs_on_the_cli():
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout.strip().splitlines()[-1])["status"] == "usage_error"
+
+
+def test_benchmark_tracer_runs_an_hmc_baseline(tmp_path):
+    # the tracer's hook on samplers.hmc reads the diagnostics of the one
+    # SamplerOutput that an int-seed hmc_posterior's call returns
+    bench = os.path.join(os.path.dirname(__file__), "..", "bench")
+    pts = write(tmp_path / "p.csv", "x0,x1\n0.5,0.5\n")
+    section = f"[test_inputs]\nfile = {pts}\n[baseline]\nmethod = hmc\nn_samples = 3\nburn_in = 5\nn_leapfrog = 2\n"
+    cfgp = write(tmp_path / "h.ini", TRAIN_INI.format(out=tmp_path / "h_out") + section)
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {bench!r})\n"
+        "import quam.cli\n"
+        "from tracer import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        f"quam.cli.main(['baseline', '--jobs', '1', '--config', {cfgp!r}])\n"
+        "print(tracer.counts['samplers.hmc.accept'])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    status, accept = out.stdout.strip().splitlines()[-2:]
+    assert json.loads(status)["status"] == "ok" and float(accept) == json.loads(status)["acceptance_rate"]

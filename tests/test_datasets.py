@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,8 +141,24 @@ def test_subset_split_fractions_and_infeasible():
 
 
 def test_csv_round_trip(tmp_path):
+    # 17 significant digits give every float back bit for bit
     ds = D.gen_sine(20, seed=3)
-    D.to_csv(ds, tmp_path / "d.csv")
-    loaded = D.from_csv(tmp_path / "d.csv", "regression")
+    path = tmp_path / "d.csv"
+    path.write_text("x0,y\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(ds.x[:, 0], ds.y)))
+    loaded = D.from_csv(path, "regression")
     assert np.array_equal(loaded.x, ds.x)
     assert np.array_equal(loaded.y, ds.y)
+
+
+@pytest.mark.parametrize("label", [0.7, np.nan, np.inf, -np.inf])
+def test_classification_labels_must_be_integers(label):
+    # cast to int, [0.7, 1.9, 0.2] would read [0, 1, 0] without a word
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"class labels must be integers, got {label:g}"):
+            D.LabeledDataset(np.zeros((3, 1)), [1.0, label, 0.0], "classification")
+
+
+def test_integral_float_labels_are_class_indices():
+    ds = D.LabeledDataset(np.zeros((3, 1)), [1.0, 0.0, 2.0], "classification")
+    assert ds.y.dtype == np.int64 and ds.y.tolist() == [1, 0, 2]

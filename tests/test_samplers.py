@@ -95,7 +95,7 @@ def test_cosine_schedule_endpoints():
 def test_csghmc_zero_step_size_stays_at_init(moons):
     arch = M.ArchSpec((2, 6, 2))
     init = M.init_params(arch, 3)
-    out = S.csghmc(moons, arch, cycles=1, steps_per_cycle=20, step_size=0.0, seed=0, init=init)
+    out = S.csghmc(moons, arch, cycles=1, steps_per_cycle=20, step_size=0.0, seed=3)
     for p in out.params:
         assert np.array_equal(p.values, init.values)
 
@@ -342,4 +342,18 @@ def test_lock_step_chains_are_their_single_chain_runs(moons):
     for seed, chain in zip([3, 11, 12], chains):
         alone = S.hmc_posterior(moons, arch, seed=seed, **kw)
         assert np.array([p.values for p in chain.params]).tobytes() == np.array([p.values for p in alone.params]).tobytes()
+        assert chain.diagnostics == alone.diagnostics
+
+
+def test_tuned_generic_chains_are_their_solo_runs():
+    # the chains share one tuning window, yet each tunes its own step size:
+    # here they end on different ones, each that of its solo run
+    _, logp, grad = correlated_gaussian()
+    starts, seeds = np.array([[0.0, 0.0], [3.0, -2.0], [10.0, 10.0]]), [5, 6, 7]
+    kw = dict(n_samples=40, n_leapfrog=7, step_size=0.2, burn_in=130, auto_tune=True, thin=3)
+    chains = S.hmc(logp, grad, starts, seed=seeds, **kw)
+    assert len({chain.diagnostics["step_size"] for chain in chains}) > 1
+    for x0, seed, chain in zip(starts, seeds, chains):
+        alone = S.hmc(logp, grad, x0, seed=seed, **kw)
+        assert chain.draws.tobytes() == alone.draws.tobytes()
         assert chain.diagnostics == alone.diagnostics

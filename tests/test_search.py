@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from quam import estimator as E
 from quam import models as M
-from quam.data import LabeledDataset, gen_sine, gen_two_moons
+from quam.data import gen_sine, gen_two_moons
 from quam.measures import kl
 from quam.rng import derive_rng
 from quam.search import SearchConfig, SearchTrajectory, _Workspace, search_batch, search_suites, trajectory_to_jsonl
