@@ -171,6 +171,8 @@ def save_idx(data: LabeledDataset, images_path, labels_path, rows: int, cols: in
     n, d = data.x.shape
     if d != rows * cols:
         raise ValueError(f"feature count {d} does not equal rows*cols = {rows * cols}")
+    if len(data) and data.y.max() > 255:  # a uint8 cast would write 300 as 44
+        raise ValueError(f"IDX labels are bytes: label {data.y[data.y > 255][0]} lies outside 0..255")
     pixels = np.clip(np.rint(data.x * 255.0), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))

@@ -3,17 +3,20 @@
 A model is a ReLU MLP with either a categorical head (softmax over C
 classes) or a scalar Gaussian head.  The Gaussian head has output width 1
 (mean only, fixed unit variance) or 2 (mean and log-variance).  Parameters
-live in one flat float64 vector, weights then biases per layer, which is
-the unit every sampler and search manipulates.  A prediction is one row of
-`head_predictions`: the class probabilities, or (mean, variance).  One
-forward loop (`forward_into`), one backward loop (`Backprop`) and one
-loss, `cross_entropy` against such rows, serve training, the samplers,
-the search penalty and the search objectives.  Their buffers live in a
-`Workspace` over a fixed number of rows: views of the parameters, the
-activations, the targets with their weights, the head-output gradients
-and the `Backprop`.  Training and cSG-HMC keep one per batch size, HMC
-one over the data rows, a search batch one with its test rows as a
-second block, and `loss_and_grad` is a single pass of one.
+live in one flat float64 vector, the unit every sampler and search
+manipulates: per layer the weights row-major, then the biases, a
+(fan_in + 1, fan_out) matrix.  Inputs, targets and predictions (rows of
+`head_predictions`: class probabilities, or (mean, variance)) are
+row-major, one row per data point.  Activations are feature-major: a
+layer's input is a (fan_in + 1, rows) buffer whose last row is all ones,
+so each affine layer, and each weight-and-bias gradient, is one GEMM, and
+the head pass runs on contiguous class rows.  One forward loop
+(`forward_into`), one backward loop (`Backprop`) and one loss, the
+cross-entropy against target rows, serve training, the samplers, the
+search penalty and the search objectives; their buffers live in a
+`Workspace` over a fixed number of rows.  Training and cSG-HMC keep one
+per batch size, HMC one over the data rows, a search batch one with its
+test rows as a second block, and `loss_and_grad` is a single pass of one.
 
 The log-posterior used as a sampling weight is the negative total training
 loss plus an isotropic Gaussian log-prior whose precision equals the
@@ -67,6 +70,10 @@ __all__ = [
 FIXED_GAUSSIAN_VARIANCE = 1.0
 
 CHECKPOINT_MAGIC = b"QUAMCKPT"
+
+# Softmax probabilities below this count as 0 in the gradient: as subnormal operands of the
+# backward GEMMs their terms stall the FPU (a pass took up to 3x as long along an HMC chain)
+_NEGLIGIBLE = 1e-200
 
 
 class TrainingDiverged(RuntimeError):
@@ -156,21 +163,18 @@ class ModelParams:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per layer, views of the (fan_in, fan_out) weights and the bias; a stack's are (K, fan_in, fan_out) and (K, 1, fan_out)."""
+    def layers(self) -> list[np.ndarray]:
+        """Per layer, the (fan_in + 1, fan_out) matrix of its weights and bias (`layer_views`)."""
         # built once per instance: a search step's passes all read the same views
         if "_layers" not in self.__dict__:
             self.__dict__["_layers"] = layer_views(self.arch, self.values)
         return self.__dict__["_layers"]
 
 
-def layer_views(arch: ArchSpec, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """`ModelParams.layers` of a flat vector or a (K, P) stack: views, so writes to `values` show through them."""
+def layer_views(arch: ArchSpec, values: np.ndarray) -> list[np.ndarray]:
+    """Per layer, its slice of a vector or of each row of a (K, P) stack as a (fan_in + 1, fan_out) matrix, weights then the bias row: views."""
     shapes = zip(arch.layer_slices(), arch.widths[:-1], arch.widths[1:])
-    if values.ndim == 1:
-        return [(values[ws].reshape(i, o), values[bs]) for (ws, bs), i, o in shapes]
-    k = len(values)
-    return [(values[:, ws].reshape(k, i, o), values[:, bs].reshape(k, 1, o)) for (ws, bs), i, o in shapes]
+    return [values[..., ws.start : bs.stop].reshape(values.shape[:-1] + (i + 1, o)) for (ws, bs), i, o in shapes]
 
 
 def init_params(arch: ArchSpec, seed: int) -> ModelParams:
@@ -199,69 +203,94 @@ def make_dropout_masks(arch: ArchSpec, rng: np.random.Generator) -> list[np.ndar
 # --------------------------------------------------------------------------
 
 
-def forward(params: ModelParams, x: np.ndarray, dropout_masks=None) -> list[np.ndarray]:
-    """The input of every layer, then the head outputs, at the rows of `x` (`forward_into` on new arrays).
+def _buffer(lead: tuple, width: int, rows: int, ones: bool) -> np.ndarray:
+    """A feature-major (..., width, rows) buffer, with a ones row after the width rows when `ones` holds."""
+    buf = np.empty(lead + (width + ones, rows))
+    buf[..., width:, :] = 1.0
+    return buf
 
-    `Backprop` runs through the kept layer inputs; predictions and losses
-    use the last entry.  Rows are the second-last axis: `x` of shape
-    (..., n, input width) runs each leading index as its own pass, and a
-    stack of models broadcasts against it.
+
+def _inputs(x: np.ndarray) -> np.ndarray:
+    """The feature-major input buffer of row-major inputs (..., n, width): (..., width + 1, n), ones row last."""
+    return np.concatenate([x.swapaxes(-1, -2), np.ones(x.shape[:-2] + (1, x.shape[-2]))], axis=-2)
+
+
+def _class_major(rows: np.ndarray) -> np.ndarray:
+    """Row-major (..., n, k) rows as a contiguous class-major (..., k, n) array: no copy of a view of one."""
+    return np.ascontiguousarray(np.swapaxes(rows, -1, -2))
+
+
+def forward(params: ModelParams, x: np.ndarray, dropout_masks=None) -> list[np.ndarray]:
+    """The input of every layer, ones column last, then the head outputs, at the rows of `x`: row-major views of `forward_into`'s buffers.
+
+    Rows are the second-last axis: `x` of shape (..., n, input width) runs
+    each leading index as its own pass, and a stack of models broadcasts
+    against it.  `Backprop` runs through the list.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[-1] != params.arch.widths[0]:
         raise ValueError(f"input width {x.shape[-1]} does not match architecture input width {params.arch.widths[0]}")
-    return forward_into(params.arch, params.layers(), [x] + [None] * params.arch.n_layers, dropout_masks)
+    bufs = forward_into(params.arch, params.layers(), [_inputs(x)] + [None] * params.arch.n_layers, dropout_masks)
+    return [b.swapaxes(-1, -2) for b in bufs]
 
 
-def forward_into(arch: ArchSpec, layers, acts: list, dropout_masks=None, blocks=None) -> list:
-    """The forward pass of the per-layer weights and biases `layers` (`ModelParams.layers` or `layer_views`), into `acts`.
+def forward_into(arch: ArchSpec, layers, bufs: list, dropout_masks=None, blocks=None) -> list:
+    """The forward pass of the per-layer parameter matrices `layers` (`layer_views`) through the feature-major buffers `bufs`.
 
-    `acts[0]` holds the inputs, each later entry a layer's output buffer or
-    None for a new array; `acts` is returned.  Each of `blocks`, lists of
-    row views of the buffers, gets its own GEMM; the bias, the ReLU and
-    the dropout mask run once on the whole buffer.
+    `bufs[0]` holds the inputs, each later entry a layer's output buffer or
+    None for a new one; a layer's input has a ones row last, which adds the
+    bias in its one GEMM and which the ReLU and dropout leave alone.  Each
+    of `blocks`, lists of column views of the buffers, gets its own GEMM.
+    Returns `bufs`.
     """
     last = arch.n_layers - 1
-    for li, (w, b) in enumerate(layers):
-        for block in blocks or (acts,):
-            block[li + 1] = np.matmul(block[li], w, out=block[li + 1])
-        out = acts[li + 1]
-        out += b
+    for li, a in enumerate(layers):
+        fan_out = arch.widths[li + 1]
+        if bufs[li + 1] is None:
+            bufs[li + 1] = _buffer(np.broadcast_shapes(a.shape[:-2], bufs[li].shape[:-2]), fan_out, bufs[li].shape[-1], li < last)
+        for block in blocks or (bufs,):
+            np.matmul(a.swapaxes(-1, -2), block[li], out=block[li + 1][..., :fan_out, :])
         if li < last:
+            out = bufs[li + 1][..., :fan_out, :]
             np.maximum(out, 0.0, out=out)
             if dropout_masks is not None:
-                out *= dropout_masks[li]
-    return acts
+                out *= dropout_masks[li][:, None]
+    return bufs
+
+
+def _feature_major(rows: np.ndarray) -> np.ndarray:
+    """The feature-major array behind a row-major view, or a feature-major copy of a row-major copy: a GEMM's bits depend on the layout."""
+    t = rows.swapaxes(-1, -2)
+    return t if t.strides[-1] == t.itemsize else np.ascontiguousarray(t)
 
 
 class Backprop:
     """The backward pass into fixed buffers, on views built once: a caller that backpropagates at every step builds one.
 
-    `layers` are the per-layer weights and biases, `acts` the layer inputs
-    of a pass, `grad_out` the buffer of the gradients at its head outputs,
-    one per row, and `grad` the flat gradients of sum_i grad_out[i] .
-    out[i], one row per model, that `run` writes.  A layer's flat slice
-    (weights row-major, then the bias) is a (fan_in + 1, fan_out) matrix
-    whose views take its gradient; the bias gradient is ones(1, n) @ dz.
-    The ReLU mask is a float 1[h > 0] buffer (multiplying by the bool
-    array casts it inside the loop, slower).  A stack's arrays have the
-    stack as their leading axis, except a shared first-layer input.
+    `layers` are the per-layer parameter matrices, `acts` the layer inputs
+    of a pass and `grad_out` the gradients at its head outputs, both as
+    `forward` gives them, and `grad` the flat gradients of sum_i
+    grad_out[i] . out[i], one row per model, that `run` writes.  A layer's
+    gradient is one GEMM, h_aug @ dz^T, into its (fan_in + 1, fan_out)
+    view: the input's ones row gives the bias gradient.  The ReLU mask is a
+    float 1[h > 0] buffer (multiplying by the bool array casts it inside
+    the loop, slower).  A stack's arrays have the stack as their leading
+    axis, except a shared first-layer input.
     """
 
     def __init__(self, arch: ArchSpec, layers, acts: Sequence[np.ndarray], grad_out: np.ndarray, grad: np.ndarray):
         lead, slices, widths = grad.shape[:-1], arch.layer_slices(), arch.widths
-        self.grad_out, self.grad = grad_out, grad
-        self.ones = np.ones((1, grad_out.shape[-2]))
-        self.steps = []
-        dz = grad_out
+        self.grad, self.steps = grad, []
+        dz = _feature_major(grad_out)
         for li in range(len(slices) - 1, -1, -1):
             fan_in, fan_out = widths[li], widths[li + 1]
             g = grad[..., slices[li][0].start : slices[li][1].stop].reshape(lead + (fan_in + 1, fan_out))
-            h = acts[li]
-            step = [h.swapaxes(-1, -2), dz, g[..., :fan_in, :], g[..., fan_in:, :]]
+            h = _feature_major(acts[li])
+            step = [h, dz.swapaxes(-1, -2), g]
             if li:
-                dz = np.empty(h.shape)
-                step += [layers[li][0].swapaxes(-1, -2), dz, h, np.empty(h.shape)]
+                hidden = h[..., :fan_in, :]
+                step += [layers[li][..., :fan_in, :], dz, np.empty(hidden.shape), hidden, np.empty(hidden.shape)]
+                dz = step[5]
             self.steps.append(step)
 
     def run(self, rows: Optional[slice] = None, dropout_masks=None) -> np.ndarray:
@@ -272,15 +301,14 @@ class Backprop:
         for li, step in zip(range(len(self.steps) - 1, -1, -1), self.steps):
             if rows is not None:
                 step = [v if v.ndim < 3 else v[rows] for v in step]
-            h_t, dz, g_w, g_b = step[:4]
-            np.matmul(h_t, dz, out=g_w)
-            np.matmul(self.ones, dz, out=g_b)
+            h, dz_t, g = step[:3]
+            np.matmul(h, dz_t, out=g)
             if li:
-                w_t, dz_in, h, relu = step[4:]
-                np.matmul(dz, w_t, out=dz_in)
+                w, dz, dz_in, hidden, relu = step[3:]
+                np.matmul(w, dz, out=dz_in)
                 if dropout_masks is not None:
-                    dz_in *= dropout_masks[li - 1]
-                np.greater(h, 0.0, out=relu)
+                    dz_in *= dropout_masks[li - 1][:, None]
+                np.greater(hidden, 0.0, out=relu)
                 dz_in *= relu
         return self.grad
 
@@ -289,18 +317,17 @@ class Workspace:
     """The buffers of gradient passes over a fixed number of rows, built once: a caller that takes many gradients keeps one.
 
     `values` is the caller's parameter vector or (K, P) stack, read through
-    its per-layer views `layers`, so writes to it show through.  `acts[l]`
-    is the input of layer l and the last entry holds the head outputs.  The
-    input rows are the workspace's own, which `fill` writes, or the
-    read-only array `x`, shared by every model of a stack (HMC's data
-    rows).  `targets` holds each row's cross-entropy target, in
-    `target_rows`' format, also its own or the shared `targets`; `weights`
-    each row's weight in the loss (None: 1/n on each of the n rows) and
-    `fixed` their `target_terms`.  `grad_out` holds the gradients at the
-    head outputs, one per row, and `backward` writes the flat gradients
-    into `grad`.  With `extra` rows, the first n rows are one block and the
-    extra rows a second one, with their own GEMM in the forward pass and
-    their own `Backprop`: the search's test rows.
+    its per-layer matrices `layers`, so writes to it show through.  `bufs`
+    are `forward_into`'s feature-major buffers and `acts` their row-major
+    views.  The input rows are the workspace's own, which `fill` writes, or
+    the read-only `x`, shared by every model of a stack (HMC's data rows).
+    `targets` holds the class-major cross-entropy targets, its own or the
+    shared `targets` transposed; `weights` each row's weight in the loss, a
+    (..., 1, rows) row (None: 1/n on each of the n rows), and `fixed` their
+    `target_terms`.  `dz` holds the gradients at the head outputs (`grad_out`
+    row-major), and `backward` writes the flat ones into `grad`.  With
+    `extra` rows, the n rows and the extra rows (the search's test rows) are
+    two blocks, each with its own GEMM and its own `Backprop`.
 
     A pass is `fill` (own rows), then `forward`, whose head pass keeps the
     cross-entropy terms that `loss` reduces, then `backward`.  Each result
@@ -312,99 +339,55 @@ class Workspace:
         self.arch, self.values, self.n, self.weights = arch, values, n, weights
         self.layers = layer_views(arch, values)
         lead = values.shape[:-1] if x is None else np.broadcast_shapes(values.shape[:-1], x.shape[:-2])
-        rows = n + extra
-        self.acts = [np.empty(lead + (rows, arch.widths[0])) if x is None else x] + [np.empty(lead + (rows, w)) for w in arch.widths[1:]]
-        self.targets = np.zeros(lead + (rows, arch.widths[-1] if arch.head == "categorical" else 2)) if targets is None else targets
+        rows, last = n + extra, arch.n_layers
+        self.bufs = [_buffer(lead, arch.widths[0], rows, True) if x is None else _inputs(x)]
+        self.bufs += [_buffer(lead, w, rows, li < last) for li, w in enumerate(arch.widths[1:], 1)]
+        self.acts = [b.swapaxes(-1, -2) for b in self.bufs]
+        self.targets = np.zeros(lead + (arch.widths[-1] if arch.head == "categorical" else 2, rows)) if targets is None else _class_major(targets)
         self.fixed = target_terms(arch, self.targets, weights)
-        self.grad_out = np.empty(self.acts[-1].shape)
+        self.dz = np.empty(self.bufs[-1].shape)
+        self.grad_out = self.dz.swapaxes(-1, -2)
         self.grad = np.empty(values.shape)
         self.backprop = Backprop(arch, self.layers, self.acts, self.grad_out, self.grad)
         self.blocks = self.extra_backprop = None
         if extra:
-            self.blocks = [a[..., :n, :] for a in self.acts], [a[..., n:, :] for a in self.acts]
-            self.extra_backprop = Backprop(arch, self.layers, self.blocks[1], self.grad_out[..., n:, :], self.grad)
+            self.blocks = [b[..., :n] for b in self.bufs], [b[..., n:] for b in self.bufs]
+            self.extra_backprop = Backprop(arch, self.layers, [a[..., n:, :] for a in self.acts], self.grad_out[..., n:, :], self.grad)
         self.terms = None  # the cross-entropy terms of the last `forward`
 
     def fill(self, x: np.ndarray, targets: np.ndarray) -> None:
-        """Write the inputs and the targets of the n rows: one set for every model of a stack, or one each."""
-        self.acts[0][..., : self.n, :] = x
-        self.targets[..., : self.n, :] = targets
+        """Write the row-major inputs and targets of the n rows: one set for every model of a stack, or one each."""
+        self.acts[0][..., : self.n, :-1] = x
+        self.targets[..., : self.n] = np.swapaxes(targets, -1, -2)
         if self.arch.head == "categorical":  # a Gaussian head's terms do not depend on the targets
             self.fixed = target_terms(self.arch, self.targets, self.weights)
 
     def forward(self, dropout_masks=None) -> None:
-        """The forward pass at `values` and one head pass that writes `grad_out`."""
-        out = forward_into(self.arch, self.layers, self.acts, dropout_masks, self.blocks)[-1]
-        self.terms = cross_entropy_grad(self.arch, out, self.targets, self.fixed, self.grad_out)[1]
+        """The forward pass at `values` and one head pass that writes `dz`."""
+        self.terms = cross_entropy_grad(self.arch, forward_into(self.arch, self.layers, self.bufs, dropout_masks, self.blocks)[-1], self.targets, self.fixed, self.dz)
 
     def loss(self, split: Optional[int] = None):
         """The loss of the last `forward`, as `cross_entropy_loss` gives it."""
-        return cross_entropy_loss(self.arch, self.acts[-1], self.targets, self.terms, split)
+        return cross_entropy_loss(self.arch, self.bufs[-1], self.targets, self.terms, split)
 
     def backward(self, rows: Optional[slice] = None, dropout_masks=None, extra: bool = False) -> np.ndarray:
         """`Backprop.run` of `grad_out` on all rows, or on the extra rows alone; returns `grad`."""
         return (self.extra_backprop if extra else self.backprop).run(rows, dropout_masks)
 
 
-# Widest class axis that `_class_max` and `_class_sum` walk column by column.
-_COLUMN_CLASSES = 8
-
-
-def _class_max(a: np.ndarray) -> np.ndarray:
-    """`a.max(axis=-1, keepdims=True)`, bit for bit, at a fraction of its cost on a short class axis.
-
-    numpy reduces a short contiguous last axis one row at a time; k - 1
-    column-wise `np.maximum` calls give the same value and the same +-0
-    choice, and a NaN where numpy gives one (its sign and payload are not
-    pinned: numpy's own choice between NaN operands depends on its loop).
-    Past `_COLUMN_CLASSES` classes, or on a class axis that is not
-    contiguous, numpy's own reduction runs (it then vectorizes or runs
-    column by column, and its order or +-0 choice differs).
-    """
-    k = a.shape[-1]
-    if not 2 <= k <= _COLUMN_CLASSES or a.strides[-1] != a.itemsize:
-        return a.max(axis=-1, keepdims=True)
-    m = np.maximum(a[..., 0:1], a[..., 1:2])
-    for j in range(2, k):
-        np.maximum(m, a[..., j : j + 1], out=m)
-    return m
-
-
-def _class_sum(a: np.ndarray) -> np.ndarray:
-    """`a.sum(axis=-1, keepdims=True)`, bit for bit, summed column by column in numpy's order.
-
-    Below 8 classes numpy adds each row's entries left to right onto +0.0;
-    at 8 it adds them pairwise, ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)).
-    A NaN's sign and payload are not pinned, as in `_class_max`.  Past
-    `_COLUMN_CLASSES` classes, or on a class axis that is not contiguous,
-    numpy's own reduction runs.
-    """
-    k = a.shape[-1]
-    if not 2 <= k <= _COLUMN_CLASSES or a.strides[-1] != a.itemsize:
-        return a.sum(axis=-1, keepdims=True)
-    col = [a[..., j : j + 1] for j in range(k)]
-    if k == 8:
-        s = ((col[0] + col[1]) + (col[2] + col[3])) + ((col[4] + col[5]) + (col[6] + col[7]))
-        s += 0.0
-        return s
-    s = col[0] + 0.0
-    for c in col[1:]:
-        s += c
+def _sum_classes(a: np.ndarray) -> np.ndarray:
+    """The (..., 1, n) sum of the class rows of a class-major (..., k, n) array, added in class order: each column has the bits of its own pass."""
+    s = a[..., 0:1, :] + a[..., 1:2, :]
+    for j in range(2, a.shape[-2]):
+        s += a[..., j : j + 1, :]
     return s
 
 
-def _softmax_terms(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """z = logits - their class maximum, e = exp(z) and s, the class sum of e: softmax is e / s, log-softmax z - log(s)."""
-    z = logits - _class_max(logits)
-    e = np.exp(z)
-    return z, e, _class_sum(e)
-
-
 def head_predictions(arch: ArchSpec, out: np.ndarray) -> np.ndarray:
-    """Head outputs to (..., n, C) class probabilities, or (..., n, 2) mean/variance."""
+    """Row-major head outputs to (..., n, C) class probabilities, or (..., n, 2) mean/variance."""
     if arch.head == "categorical":
-        _, e, s = _softmax_terms(out)
-        return e / s
+        _, e, s = _nll_terms(arch, _class_major(out), None)
+        return np.ascontiguousarray((e / s).swapaxes(-1, -2))
     pred = np.empty(out.shape[:-1] + (2,))
     pred[..., 0] = out[..., 0]
     pred[..., 1] = np.exp(out[..., 1]) if arch.widths[-1] == 2 else FIXED_GAUSSIAN_VARIANCE
@@ -438,40 +421,48 @@ def target_rows(arch: ArchSpec, y: np.ndarray) -> np.ndarray:
 
 
 def _nll_terms(arch: ArchSpec, out: np.ndarray, targets: np.ndarray) -> tuple:
-    """The terms of the rows of `out` that the cross-entropy and its gradient share."""
+    """The terms of the class-major head outputs `out` that the cross-entropy and its gradient share.
+
+    For a categorical head: z = the logits less their class maximum, e =
+    exp(z) and s, the class sum of e; softmax is e / s, log-softmax z - log(s).
+    """
     if arch.head == "categorical":
-        z, e, s = _softmax_terms(out)
-        return z - np.log(s), e, s
-    resid = targets[..., 0:1] - out[..., 0:1]
-    sq = resid * resid + targets[..., 1:2]  # E[(t - mean)^2] under the target row
+        m = np.maximum(out[..., 0:1, :], out[..., 1:2, :])
+        for j in range(2, out.shape[-2]):
+            np.maximum(m, out[..., j : j + 1, :], out=m)
+        z = out - m
+        e = np.exp(z)
+        return z, e, _sum_classes(e)
+    resid = targets[..., 0:1, :] - out[..., 0:1, :]
+    sq = resid * resid + targets[..., 1:2, :]  # E[(t - mean)^2] under the target row
     if arch.widths[-1] == 2:
-        return resid, sq, np.exp(out[..., 1:2] * -1.0)
+        return resid, sq, np.exp(out[..., 1:2, :] * -1.0)
     return resid, sq
 
 
 def target_terms(arch: ArchSpec, targets: np.ndarray, weights=None):
-    """The terms of `cross_entropy`'s gradient that do not depend on the head outputs.
+    """The terms of the cross-entropy gradient that do not depend on the head outputs, from class-major targets (..., k, n).
 
-    `weights` holds each row's weight in the loss, as a column that
-    broadcasts against `targets`; the default, 1/n for each of the n rows,
-    gives the mean.  A negative weight gives the gradient of the row's
-    negated loss, with the bits of the negated gradient.  For a categorical
-    head the terms are -weight * targets and their class sum, for a
-    Gaussian head the scale 0.5 * weight (over the fixed variance of a
-    width-1 head).  A caller that takes many gradients against the same
+    `weights` holds each row's weight in the loss, as a (..., 1, n) row
+    that broadcasts against `targets`; the default, 1/n for each of the n
+    rows, gives the mean.  A negative weight gives the gradient of the
+    row's negated loss, with the bits of the negated gradient.  For a
+    categorical head the terms are -weight * targets and their class sum,
+    for a Gaussian head the scale 0.5 * weight (over the fixed variance of
+    a width-1 head).  A caller that takes many gradients against the same
     rows builds them once and passes them as `fixed`; the results keep
     their bits.
     """
-    w = 1.0 / targets.shape[-2] if weights is None else weights
+    w = 1.0 / targets.shape[-1] if weights is None else weights
     if arch.head != "categorical":
         return (0.5 / FIXED_GAUSSIAN_VARIANCE if arch.widths[-1] == 1 else 0.5) * w
     g = -w * targets
-    return g, _class_sum(g)
+    return g, _sum_classes(g)
 
 
 def _mean_loss(arch: ArchSpec, rows: np.ndarray):
-    """The loss of n rows from their summands (`cross_entropy_loss`), one per leading index."""
-    n = rows.shape[-2]
+    """The loss of n columns from their (..., 1, n) summands (`cross_entropy_loss`), one per leading index."""
+    n = rows.shape[-1]
     total = rows.sum(axis=(-2, -1))
     if arch.head == "categorical":
         return total * (-1.0 / n)
@@ -481,72 +472,66 @@ def _mean_loss(arch: ArchSpec, rows: np.ndarray):
 
 
 def cross_entropy_loss(arch: ArchSpec, out: np.ndarray, targets: np.ndarray, terms: Optional[tuple] = None, split: Optional[int] = None):
-    """`cross_entropy`'s loss alone, with the same bits: a float, or one per leading index of a stacked `out`.
+    """The cross-entropy of class-major head outputs (..., k, n) against class-major targets: a float, or one per leading index.
 
     `terms`, when given, are those `cross_entropy_grad` returned for the
-    same `out` and `targets`: the loss then costs its reduction alone.
-    With `split`, rows :split and split: are two blocks, each the mean of
-    its own rows, and the two blocks' losses are returned; each has the
-    bits of a call on its rows alone.
+    same `out` and `targets`: the loss then costs its reduction and the
+    log-softmax.  With `split`, columns :split and split: are two blocks,
+    each the mean of its own columns, and the two blocks' losses are
+    returned, each with the bits of a call on its columns alone.
     """
     if terms is None:
         terms = _nll_terms(arch, out, targets)
     if arch.head == "categorical":
-        rows = terms[0] * targets
+        rows = _sum_classes((terms[0] - np.log(terms[2])) * targets)
     elif arch.widths[-1] == 2:
-        rows = out[..., 1:2] + terms[1] * terms[2]
+        rows = out[..., 1:2, :] + terms[1] * terms[2]
     else:
         rows = terms[1]
     if split is not None:
-        return _mean_loss(arch, rows[..., :split, :]), _mean_loss(arch, rows[..., split:, :])
+        return _mean_loss(arch, rows[..., :split]), _mean_loss(arch, rows[..., split:])
     loss = _mean_loss(arch, rows)
     return loss if out.ndim > 2 else float(loss)
 
 
-def cross_entropy_grad(arch: ArchSpec, out: np.ndarray, targets: np.ndarray, fixed=None, grad: Optional[np.ndarray] = None) -> tuple[np.ndarray, tuple]:
-    """`cross_entropy`'s gradient alone, with the same bits, and the terms that `cross_entropy_loss` reduces.
+def cross_entropy_grad(arch: ArchSpec, out: np.ndarray, targets: np.ndarray, fixed, grad: np.ndarray) -> tuple:
+    """The head pass: the cross-entropy gradient at class-major head outputs `out` into `grad`, and the terms `cross_entropy_loss` reduces.
 
-    One pass over the rows of `out`.  `fixed` are the targets'
-    `target_terms`, when the caller keeps them; rows weighted other than
-    1/n take their gradients from them.  The gradient is written into
-    `grad` when it is given (a buffer of `out`'s shape).
+    `fixed` are the targets' `target_terms`.  A categorical head's gradient takes the softmax as e / s, 0 below `_NEGLIGIBLE`.
     """
     terms = _nll_terms(arch, out, targets)
-    if fixed is None:
-        fixed = target_terms(arch, targets)
-    if grad is None:
-        grad = np.empty(out.shape)
     if arch.head == "categorical":
         g, g_sum = fixed
-        np.exp(terms[0], out=grad)
+        np.divide(terms[1], terms[2], out=grad)
+        np.putmask(grad, grad < _NEGLIGIBLE, 0.0)
         grad *= g_sum
         np.subtract(g, grad, out=grad)
     elif arch.widths[-1] == 2:
         resid, sq, inv_var = terms
-        grad[..., 0:1] = -((2.0 * resid) * (fixed * inv_var))
-        grad[..., 1:2] = fixed - (fixed * sq) * inv_var
+        grad[..., 0:1, :] = -((2.0 * resid) * (fixed * inv_var))
+        grad[..., 1:2, :] = fixed - (fixed * sq) * inv_var
     else:
         np.multiply(2.0 * terms[0], fixed, out=grad)
         np.negative(grad, out=grad)
-    return grad, terms
+    return terms
 
 
-def cross_entropy(arch: ArchSpec, out: np.ndarray, targets: np.ndarray, fixed=None):
-    """Mean cross-entropy of the target rows under head outputs `out`, and its gradient at `out`.
+def cross_entropy(arch: ArchSpec, out: np.ndarray, targets: np.ndarray):
+    """Mean cross-entropy of the target rows under row-major head outputs `out`, and its row-major gradient at `out`.
 
     `targets` hold one row per row of `out` in `head_predictions`' format:
     class probabilities, or the (mean, variance) of a Gaussian target,
     variance 0 for an observed value (`target_rows`).  CE(row, model) =
     H[row] + KL(row || model): it is the training NLL of observed targets,
-    and H[row] less it is the divergence a search maximizes.  The steps
-    repeat the floating-point operations of reverse-mode differentiation
-    through the same graph, in the same order, so the results are
-    reproducible to the bit: the sampler chains depend on it.  A stacked
-    `out` of shape (K, n, k) gives K losses.  `fixed` are the targets'
-    `target_terms`, when the caller keeps them.
+    and H[row] less it is the divergence a search maximizes.  The pass is
+    a `Workspace`'s head pass on the class-major transposes, with its
+    bits: the sampler chains depend on them.  A stacked `out` of shape
+    (K, n, k) gives K losses.
     """
-    grad, terms = cross_entropy_grad(arch, out, targets, fixed)
-    return cross_entropy_loss(arch, out, targets, terms), grad
+    out, targets = _class_major(out), _class_major(targets)
+    grad = np.empty(out.shape)
+    terms = cross_entropy_grad(arch, out, targets, target_terms(arch, targets), grad)
+    return cross_entropy_loss(arch, out, targets, terms), grad.swapaxes(-1, -2)
 
 
 def loss_and_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray, masks=None) -> tuple[float, np.ndarray]:
@@ -562,7 +547,7 @@ def loss_and_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray, masks
 
 def mean_train_loss(params: ModelParams, data) -> float:
     """Mean negative log-likelihood of the training targets."""
-    return cross_entropy_loss(params.arch, forward(params, data.x)[-1], target_rows(params.arch, data.y))
+    return cross_entropy_loss(params.arch, forward(params, data.x)[-1].swapaxes(-1, -2), _class_major(target_rows(params.arch, data.y)))
 
 
 def log_posterior(params: ModelParams, data, prior_precision: float) -> float:

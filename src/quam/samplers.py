@@ -12,8 +12,8 @@ one seed per chain, and its callbacks are stacked: the log densities and
 gradients of K positions at once.  Each chain's draws and diagnostics are
 those of its own single-chain run, bit for bit.  `hmc_posterior` takes
 its gradients from one `models.Workspace` per call, over the data rows,
-and reads the log-posterior at a trajectory's end from the last
-gradient's head pass; `csghmc` keeps one workspace for its batch size.
+and the log-posterior at a trajectory's end, its one log-softmax, from
+the last gradient's head pass; `csghmc` keeps one for its batch size.
 """
 
 from __future__ import annotations
@@ -260,7 +260,8 @@ def hmc(
         q_new = q.copy()
         g_new = _leapfrog(q_new, p, g, grad_log_density, steps, n_leapfrog)
         logp_new = np.array(log_density(q_new), dtype=np.float64)
-        delta_h = -logp_new + [0.5 * float(p[c] @ p[c]) for c in range(k)] - h0
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite energy error is a rejection
+            delta_h = -logp_new + [0.5 * float(p[c] @ p[c]) for c in range(k)] - h0
         # a chain draws its uniform only for a finite energy error
         accept = np.array([np.isfinite(d) and rng.random() < min(1.0, np.exp(-d)) for d, rng in zip(delta_h, rngs)], dtype=bool)
         np.copyto(q, q_new, where=accept[:, None])

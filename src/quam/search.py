@@ -42,6 +42,7 @@ test inputs with their entropies and KL terms, its full-data loss L_ref
 and the slack gamma, the data's target rows (with their
 `models.target_terms`, in a full-batch search) and, for a last-layer
 search, the penultimate features of the data and of the test inputs.
+The reference rows are the test rows' own at the reference.
 
 A step allocates no buffer of the batch's size: its `models.Workspace`
 (`_Workspace`), built once per batch, holds the (K, P) parameter stack,
@@ -135,7 +136,7 @@ class SearchTrajectory:
     nan_abort: bool
     reference_loss: float
     gamma: float
-    reference_pred: np.ndarray  # the reference's prediction row at the test input
+    reference_pred: np.ndarray  # the reference's prediction row at the test input, from the search's test row
 
 
 def _scope_mask(arch: ArchSpec, config: SearchConfig) -> np.ndarray:
@@ -179,40 +180,51 @@ class _Workspace(Workspace):
     Its n rows are the batch rows and its one extra row is each search's
     test row, whose target is the objective's and whose weight is +1 or -1,
     the sign of its cross-entropy in L_adv; the batch rows weigh 1/n.
-    `x` holds the (K, 1, input width) test inputs, `ref` the (K, k)
-    reference rows at them and `objectives` one objective per search:
-    "divergence" | ("class", k) | ("direction", +1 | -1).
+    `x` holds the (K, 1, input width) test inputs, `ref` the (K, k) rows
+    at them (None: `set_reference` sets them) and `objectives` one per
+    search: "divergence" | ("class", k) | ("direction", +1 | -1).
     """
 
-    def __init__(self, arch: ArchSpec, values: np.ndarray, n: int, x: np.ndarray, ref: np.ndarray, objectives: Sequence, bound: float):
+    def __init__(self, arch: ArchSpec, values: np.ndarray, n: int, x: np.ndarray, ref: Optional[np.ndarray], objectives: Sequence, bound: float):
         kinds = [o[0] if isinstance(o, tuple) else o for o in objectives]
         self.is_class = np.array([kind == "class" for kind in kinds], dtype=bool)
         self.direction = np.array([int(o[1]) if kind == "direction" else 0 for o, kind in zip(objectives, kinds)], dtype=int)
-        self.ref, self.bound = ref, bound
-        self.ref_entropy = np.where(self.is_class, 0.0, entropy(arch.head, ref))  # H[ref], 0 for a class objective
-        weights = np.full((len(values), n + 1, 1), 1.0 / n)
-        weights[:, n, 0] = np.where(self.is_class, 1.0, -1.0)
+        self.classes = np.array([int(o[1]) if kind == "class" else 0 for o, kind in zip(objectives, kinds)], dtype=int)
+        self.bound = bound
+        weights = np.full((len(values), 1, n + 1), 1.0 / n)
+        weights[:, 0, n] = np.where(self.is_class, 1.0, -1.0)
         super().__init__(arch, np.array(values, dtype=np.float64), n, weights=weights, extra=1)
-        self.acts[0][:, n:] = x
-        self.targets[:, n] = ref
-        for s in np.flatnonzero(self.is_class):
-            self.targets[s, n] = np.eye(ref.shape[1])[int(objectives[s][1])]
+        self.acts[0][:, n:, :-1] = x
+        if ref is not None:
+            self.set_reference(ref)
+
+    def reference_rows(self) -> np.ndarray:
+        """The (K, k) prediction rows of `values` from the test rows' own GEMMs, whose bits depend on their operands' strides: at the reference, those of every unmoved iterate."""
+        forward_into(self.arch, self.layers, self.blocks[1])
+        return head_predictions(self.arch, self.test_out)[:, 0]
+
+    def set_reference(self, ref: np.ndarray) -> None:
+        """Take the (K, k) reference rows: H[ref], 0 for a class objective, and the test rows' targets, a class objective's one-hot row, else ref."""
+        self.ref = ref
+        self.ref_entropy = np.where(self.is_class, 0.0, entropy(self.arch.head, ref))
+        self.targets[:, :, self.n] = ref
+        self.targets[self.is_class, :, self.n] = np.eye(ref.shape[1])[self.classes[self.is_class]]
 
     @property
     def test_out(self) -> np.ndarray:
-        """The (K, 1, k) head outputs at the test rows, from the last `losses`."""
+        """The row-major (K, 1, k) head outputs at the test rows, from the last `losses`."""
         return self.acts[-1][:, self.n :]
 
     def losses(self) -> tuple[np.ndarray, np.ndarray]:
         """Each search's batch loss and its L_adv, from one `forward`; the test rows' prediction rows go to `test_preds`."""
         n = self.n
-        # the test rows keep their own GEMM: in the batch rows' GEMM their
-        # outputs can move by an ulp, and an unmoved iterate would then
-        # diverge from the reference by a spurious KL > 0
+        # the test rows keep their own GEMM, that of `reference_rows`: in the
+        # batch rows' GEMM their outputs can move by an ulp, and an unmoved
+        # iterate would then diverge from the reference by a spurious KL > 0
         self.forward()
         self.batch_loss, ce = self.loss(split=n)
         if self.arch.head == "categorical":
-            self.test_preds = self.terms[1][:, n:] / self.terms[2][:, n:]
+            self.test_preds = (self.terms[1][:, :, n:] / self.terms[2][:, :, n:]).swapaxes(-1, -2)
         else:
             self.test_preds = head_predictions(self.arch, self.test_out)
         # L_adv is CE for a class objective and H[ref] - CE otherwise
@@ -232,10 +244,10 @@ class _Workspace(Workspace):
         if self.direction.any():
             pushed = self.violation() > 0.0
             if pushed.any():
-                self.grad_out[pushed, n, 0] -= c * self.direction[pushed]
+                self.dz[pushed, 0, n] -= c * self.direction[pushed]
         active = self.batch_loss - self.bound > 0.0
         if active.all():
-            self.grad_out[:, :n] *= c
+            self.dz[:, :, :n] *= c
             return self.backward()
         # inside the slack the batch rows carry no gradient
         self.backward(extra=True)
@@ -245,7 +257,7 @@ class _Workspace(Workspace):
             runs = [rows] if rows[-1] - rows[0] < rows.size else np.split(rows, np.flatnonzero(np.diff(rows) > 1) + 1)
             for run in runs:
                 at = slice(run[0], run[-1] + 1)
-                self.grad_out[at, :n] *= c
+                self.dz[at, :, :n] *= c
                 self.backward(at)
         return self.grad
 
@@ -287,12 +299,11 @@ class _Records:
 
 
 def _full_losses(arch: ArchSpec, layers, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Full-data loss of each model of a stack, given by its per-layer views, in blocks of bounded size."""
+    """Full-data loss of each model of a stack, given by its per-layer views, in blocks of bounded size; `x` and `targets` are feature-major."""
     step = max(1, _LOSS_BLOCK // targets.size)
-    losses = np.empty(len(layers[0][0]))
+    losses = np.empty(len(layers[0]))
     for a in range(0, len(losses), step):
-        block = [(w[a : a + step], b[a : a + step]) for w, b in layers]
-        losses[a : a + step] = cross_entropy_loss(arch, forward_into(arch, block, [x] + [None] * arch.n_layers)[-1], targets)
+        losses[a : a + step] = cross_entropy_loss(arch, forward_into(arch, [v[a : a + step] for v in layers], [x] + [None] * arch.n_layers)[-1], targets)
     return losses
 
 
@@ -317,25 +328,23 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if not np.isfinite(xs).all():
         raise ValueError("test inputs must be finite")
-    # constants of the batch; each test input gets its own one-row pass
-    test_acts = forward(reference, xs[:, None, :])
-    refs = head_predictions(arch, test_acts[-1])[:, 0]
-    # a finite reference's bad row at a finite input is its own numerical fault
-    _check_rows(arch.head, refs, "reference prediction", xs if np.isfinite(reference.values).all() else None)
+    # constants of the batch
     targets = target_rows(arch, data.y)
+    data_targets = np.ascontiguousarray(targets.T)  # class-major, as the full-data losses take them
     data_acts = forward(reference, data.x)
-    l_ref = cross_entropy_loss(arch, data_acts[-1], targets)
+    l_ref = cross_entropy_loss(arch, data_acts[-1].swapaxes(-1, -2), data_targets)
     gamma = config.gamma if config.gamma is not None else 0.05 * abs(l_ref)
     bound = l_ref + gamma
 
     # Last-layer searches run on cached penultimate features: the frozen
     # layers never change, so the data only has to flow through them once.
-    work, test_x, x, last = reference, xs[:, None, :], data.x, None
+    work, test_x, inputs, last = reference, xs[:, None, :], data_acts[0], None
     if config.delta_scope == "last_layer" and arch.n_layers > 1 and config.free_mask is None:
         # the last layer's weights and bias close the flat vector
         last = slice(arch.layer_slices()[-1][0].start, arch.param_count())
         work = ModelParams(ArchSpec(widths=arch.widths[-2:], head=arch.head), reference.values[last])
-        test_x, x = test_acts[-2], data_acts[-2]
+        test_x, inputs = forward(reference, xs[:, None, :])[-2][..., :-1], data_acts[-2]
+    x, full_x = inputs[:, :-1], inputs.T  # the data rows, and their feature-major buffer for the full-data losses
     warch = work.arch
     n = len(x)
     batch = n if config.batch_size is None else min(config.batch_size, n)
@@ -344,9 +353,12 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
 
     k = len(searches)
     points = np.array([point for point, _, _ in searches], dtype=int)
-    ref_rows = refs[points]
     rngs = [derive_rng(config.seed, *keys) for _, _, keys in searches]
-    ws = _Workspace(warch, np.tile(work.values, (k, 1)), batch, test_x[points], ref_rows, [o for _, o, _ in searches], bound)
+    ws = _Workspace(warch, np.tile(work.values, (k, 1)), batch, test_x[points], None, [o for _, o, _ in searches], bound)
+    ref_rows = ws.reference_rows()
+    first = np.unique(points, return_index=True)[1]  # each point's first search: a finite reference's bad row at a finite input is its own fault
+    _check_rows(arch.head, ref_rows[first], "reference prediction", xs[points[first]] if np.isfinite(reference.values).all() else None)
+    ws.set_reference(ref_rows)
     bias = warch.layer_slices()[-1][1].start  # the mean-output bias
     for s, (direction, (_, o, _)) in enumerate(zip(ws.direction, searches)):
         if direction:
@@ -357,7 +369,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
             ws.values[s, mask] += config.bias_nudge * rngs[s].standard_normal(int(mask.sum()))
     base = ws.values.copy()
 
-    records = _Records(k, config.steps, refs.shape[-1])
+    records = _Records(k, config.steps, ref_rows.shape[-1])
     best_row, best_div, best_values = np.full(k, -1), np.full(k, -np.inf), np.empty((k, warch.param_count()))
     nan_abort = np.zeros(k, dtype=bool)
 
@@ -408,7 +420,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
             idx = np.stack([rng.choice(n, size=batch, replace=False) for rng in rngs])
             ws.fill(x[idx], targets[idx])
         batch_loss, adv = ws.losses()
-        mtl = batch_loss if full_batch else _full_losses(warch, ws.layers, x, targets)
+        mtl = batch_loss if full_batch else _full_losses(warch, ws.layers, full_x, data_targets)
         # a non-finite loss stops its search; its row goes on in the stack,
         # unread by the others, which go on from the same step
         nan_abort |= ~(np.isfinite(adv) & np.isfinite(batch_loss) & np.isfinite(mtl))
@@ -434,7 +446,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
     if not nan_abort.all():
         # the final updated models were visited too
         batch_loss, adv = ws.losses()
-        mtl = batch_loss if full_batch else _full_losses(warch, ws.layers, x, targets)
+        mtl = batch_loss if full_batch else _full_losses(warch, ws.layers, full_x, data_targets)
         nan_abort |= ~np.isfinite(adv)
         add_records(config.steps + 1, ~nan_abort & np.isfinite(mtl), c, adv, mtl - bound, mtl, ws.test_preds, ws.values)
 
@@ -445,7 +457,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
         if no_feasible:
             # no feasible iterate improved on the reference: return the reference
             if not columns[0].size:
-                columns = (np.zeros(1, dtype=int), *(np.array([v], dtype=float) for v in (config.c0, 0.0, -gamma, l_ref, -gamma, 0.0)), refs[point][None])
+                columns = (np.zeros(1, dtype=int), *(np.array([v], dtype=float) for v in (config.c0, 0.0, -gamma, l_ref, -gamma, 0.0)), ref_rows[s][None])
             best, best_params = 0, work.values
         else:
             best, best_params = int(records.valid[: best_row[s], s].sum()), best_values[s]
@@ -453,7 +465,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
             full = reference.values.copy()
             full[last] = best_params
             best_params = full
-        trajectories.append(SearchTrajectory(_target_tag(o), arch.head, *columns, best, ModelParams(arch, best_params), no_feasible, bool(nan_abort[s]), l_ref, gamma, refs[point]))
+        trajectories.append(SearchTrajectory(_target_tag(o), arch.head, *columns, best, ModelParams(arch, best_params), no_feasible, bool(nan_abort[s]), l_ref, gamma, ref_rows[s]))
     return trajectories
 
 

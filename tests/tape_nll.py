@@ -1,5 +1,5 @@
 """The mean-NLL graph of an MLP on the generic `Tape`: the reference that
-`models.loss_and_grad` must reproduce bit for bit.
+`models.loss_and_grad` must reproduce to rounding.
 
 Biases enter through a ones-column matmul, so that `add` keeps its
 same-shape semantics, and dropout masks enter as a tiled constant.
@@ -17,7 +17,8 @@ def tape_loss_and_grad(params: ModelParams, x, targets, masks=None):
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
     tape = Tape()
-    leaves = [(tape.leaf(w), tape.leaf(b.reshape(1, -1))) for w, b in params.layers()]
+    # each layer's (fan_in + 1, fan_out) matrix: the weight rows, then the bias row
+    leaves = [(tape.leaf(m[:-1]), tape.leaf(m[-1:])) for m in params.layers()]
     ones = tape.constant(np.ones((n, 1)))
     h = tape.constant(x)
     for li, (w, b) in enumerate(leaves):

@@ -382,8 +382,13 @@ def test_criterion_09_mixture_proposal_variance():
 
 # Criterion 7's printed numbers (Spearman QUAM / ensembles / dropout, corner
 # ratio), keyed like `test_golden.GOLDEN` by the OpenBLAS core: their bits
-# depend on the kernel that runs the GEMMs.
-PRINTED_07 = {"SkylakeX": "0.843 / 0.620 / 0.642 / 49.1x"}
+# depend on the kernel that runs the GEMMs.  Each line was printed with
+# `OPENBLAS_CORETYPE=<core>` on an AVX-512 host.
+PRINTED_07 = {
+    "SkylakeX": "0.881 / 0.738 / 0.732 / 49.1x",
+    "Haswell": "0.867 / 0.636 / 0.652 / 49.1x",
+    "Sandybridge": "0.793 / 0.530 / 0.540 / 49.1x",
+}
 
 
 def test_criterion_07_two_moons_reproduction():

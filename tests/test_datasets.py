@@ -70,6 +70,14 @@ def test_idx_round_trip(tmp_path):
     assert (tmp_path / "lab").read_bytes() == (tmp_path / "lab2").read_bytes()
 
 
+def test_save_idx_rejects_a_label_that_is_not_a_byte(tmp_path):
+    # cast to uint8, the first would be written as 44
+    ds = D.LabeledDataset(np.zeros((3, 4)), np.array([3, 300, 256]), "classification")
+    with pytest.raises(ValueError, match=r"label 300 lies outside 0\.\.255"):
+        D.save_idx(ds, tmp_path / "img", tmp_path / "lab", rows=2, cols=2)
+    assert not (tmp_path / "img").exists() and not (tmp_path / "lab").exists()
+
+
 def test_idx_pixel_scaling(tmp_path):
     import struct
 

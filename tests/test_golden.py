@@ -15,10 +15,14 @@ compared with `GOLDEN`.
 
 The bits of every output depend on the BLAS kernel that runs the GEMMs, so
 the table is keyed by the OpenBLAS core that numpy's OpenBLAS picks at run
-time.  On a core the table does not hold the test skips and names the core;
-it never passes without comparing.  A change that moves bits on purpose
-records the new table: `PYTHONPATH=src python tests/test_golden.py` prints
-the digests of this host's core.
+time.  It holds the SkylakeX, Haswell and Sandybridge kernels, each printed
+with `OPENBLAS_CORETYPE=<core>` on an AVX-512 host.  On a core the table
+does not hold the test skips and names the core; it never passes without
+comparing.  A change that moves bits on purpose records the new tables:
+`PYTHONPATH=src python tests/test_golden.py` prints the digests of the
+core this process runs, and `--all` those of every core in the table, one
+process per core.  A key other than the requested core means the CPU
+cannot run that kernel.
 """
 
 from __future__ import annotations
@@ -100,71 +104,211 @@ RUNS = [
 GOLDEN = {
     'SkylakeX': {
         'train_moons/status': 'fbf3a5d53a1b3cebae9ecfca3274ccfb283df9addd0efb0e690542b3e3bbf6d8',
-        'train_moons/model.ckpt': '04d016f1ec5d3fce6b07f5f67a99e6b537a8252c6e661cedfaccf210ee0792bb',
-        'train_moons/train_log.jsonl': 'cec1fa23cb7d1aa4fbb32943cdbac8a0428c0e7b1cf96f26ce8d939b7ceb500a',
-        'train_dropout/status': 'b7198733691aeca6007482aa9b14f82fed44a1c4b37127884713019a0d0e3d61',
-        'train_dropout/model.ckpt': 'ab847a64805ef07e630e5a3df56b3e30909b6213cfccbc7f2d4fbdd78aaf5d74',
-        'train_dropout/train_log.jsonl': 'e4b0e2c3f7482773e4dc817fe2d568e1e4e14fcbb4df4c41616d35732b8b98e1',
-        'train_sine/status': '9ba99df49727e1815bec2675de04215a294f2b841f1e78530faeb151de1c871c',
-        'train_sine/model.ckpt': '6f83881063f12a0fe0cf404cd39dbfaf9b82e33b0ae1bde1a4df7a0549fe6437',
-        'train_sine/train_log.jsonl': '55f7b7759ae97c9e398ea70e3fa10e4608ddf5cf9ddee98fcef2d709dfafdcc5',
-        'train_deep/status': '9f4d0c85a7944cab0a1548aaacd0ba23cb6cedcc978a0c5d6723e9d5bac5560c',
-        'train_deep/model.ckpt': 'c9631c3340562c5430ac52e8b491c07e86c55291115c76b0c08485523aa76e74',
-        'train_deep/train_log.jsonl': '2d8242c84b39280bd600a3fd2aae7e9a837ee9d697be929890e760610e40331e',
+        'train_moons/model.ckpt': 'b310f1966b010282be8530eea8efdf94ac4a30ccb8e6fc4e6947cbc759469b9d',
+        'train_moons/train_log.jsonl': 'f3f9855180365e4f64d0d63f27dd9ca560de75c8288887f46b84f8dcd5b2fd96',
+        'train_dropout/status': '465e91735862b48f86aa53862716fceede1addab62accdfeab68b9c5c805841e',
+        'train_dropout/model.ckpt': '10b3a6f1bc8bb1790d1b1f94441e1dd45ddb56618c3d688569f2af70b9776a3b',
+        'train_dropout/train_log.jsonl': 'aaebe68d3c7fa849fe8a1adc548ee7150ce42215cff84ccb83e1750e39c42314',
+        'train_sine/status': '8690958ccccc84d8e0a0b1fcd323017c2bb73fa5dccae97965f026f41c3c8724',
+        'train_sine/model.ckpt': 'd9d56259099cbad52f0d54f92f9ce8533c24e609ef6e7c644b9b76f1d04b0946',
+        'train_sine/train_log.jsonl': '1edab1c345899e4d7021d309e1aded524dc4b93c671e511fade0bcdfb839d143',
+        'train_deep/status': '3cd5279b3f121faad775116d46246066e622d71ab6ecb16c6d4a82aa9442da8e',
+        'train_deep/model.ckpt': 'ee1abcde8ab4e84c94645e117ed2452580633803b5d638035cea28cebe84c41a',
+        'train_deep/train_log.jsonl': '04a1a921585f704870a6496c8768824f43dc7350e72b641757457af0bf7ac871',
         'quam_full/status': '5db0b25fa9f1681ceaa4af547083077740a5dd945a6ee550cf53eb0e873a56db',
-        'quam_full/scores.jsonl': 'ff537dada20511e0600a9efe80fb30cac37c0abb2144ff91d013fe37279e144c',
-        'quam_full/trajectory_0000_class0.jsonl': 'c84c239433eebed97fd7ffc8cab8be03fec2198affaa45f7688c102687b7e8a4',
-        'quam_full/trajectory_0000_class1.jsonl': '8621d9b102cb39716dbec31b0212cec726a8b4d6b44dccc2439cf387aaf0ba8a',
-        'quam_full/trajectory_0001_class0.jsonl': '6353da3f6ecf553d90618d0bb717f313464c24fada620ad32dfec18b4c2fbf4f',
-        'quam_full/trajectory_0001_class1.jsonl': 'c6fff38052c7858483c6406cb7e2cd6f8a8be9c7d96cf67eab8568f6fe8859c4',
-        'quam_full/trajectory_0002_class0.jsonl': '6a1434e8bd3edc412e7198805154c721a7fa2cce8a5efaec2e94908f193501f2',
-        'quam_full/trajectory_0002_class1.jsonl': '10c8fb8b5a2a7ba7ddc17144ce7fab035c82ffd667f736ddad1e1cdf78e7fe45',
+        'quam_full/scores.jsonl': '9f2d3474c8d1ef25055d2d8b71d123966a412a5377d8fe7818ae30e41227b30b',
+        'quam_full/trajectory_0000_class0.jsonl': '86c646021ff8f7462e0bc2378491a6ba143c8631141ad9c90bdb1794a909ecbe',
+        'quam_full/trajectory_0000_class1.jsonl': '52b780e881796597f6ac22488fa8a76fd3e1c16c3c5fa2b00fd317bb9194ccb2',
+        'quam_full/trajectory_0001_class0.jsonl': '71732e770d119d45ac86de7146f91fcb6e71462f3523ffe59118b7539b81b2c9',
+        'quam_full/trajectory_0001_class1.jsonl': '5d32839ba738be7592404a6d7f402f0606de01c3ae6d8460769a5b2f0758a1e8',
+        'quam_full/trajectory_0002_class0.jsonl': '1f8b02fa799ee933d0cf5477dc6e4ab50f2ad8288d2b44da0bcc5666835f9e21',
+        'quam_full/trajectory_0002_class1.jsonl': '1899d9bb3a9e7a77ec94b8a394b3eeea6a0ee55aeb8b4a1feb612907a788fbb3',
         'quam_minibatch_last/status': '19c931166d60c0f2eb8dd7f4be73249d26ccdb22c2fa2583aaefb3766886b491',
-        'quam_minibatch_last/scores.jsonl': '2d06ff820415c7f5576ad76a2221f08193c08013728dc336a70504f0c322acff',
-        'quam_minibatch_last/trajectory_0000_class0.jsonl': '4d1518f065a09b53f58b1659c1658ca5850928f8e93c30e76981e3df833964e0',
-        'quam_minibatch_last/trajectory_0000_class1.jsonl': '9c8df09e2e12d951cd0fcbb3a42f52ef6a06a1fb9fa92faf775c727dc4eba47c',
-        'quam_minibatch_last/trajectory_0001_class0.jsonl': 'cc476f05c70c2875c83fd239f7709a098a20658f2876f1de7c2dd12c5c66453f',
-        'quam_minibatch_last/trajectory_0001_class1.jsonl': '5f6d073da59ec5fd87812883f144ba4756dd2abcfd385e687c6dae6d6e062962',
+        'quam_minibatch_last/scores.jsonl': 'fbab96ee62f9fe0548c420921e263db5f0fca8334dad57ead09a550ebd850e16',
+        'quam_minibatch_last/trajectory_0000_class0.jsonl': 'aab9563f78c10c9fece182cbc6ccc0013a537ee24937abb302e4a1f08a6abfd2',
+        'quam_minibatch_last/trajectory_0000_class1.jsonl': '9d90d708df87acf0e1effc9ce3d8bac52516a170b3da8327dd408adaa6bfc5f4',
+        'quam_minibatch_last/trajectory_0001_class0.jsonl': '91080d6031111e11e0d1948f6b1b0b16e1f3a9a08a084098f4ce4554f9ac7c50',
+        'quam_minibatch_last/trajectory_0001_class1.jsonl': '849bc1dc87644222fd713f7aad6c784294cacdd5cc966194ad25db0e5d20c635',
         'quam_sine/status': 'b18984aa7cca1e1523e5510a89af0f129094a49a486ac455ed593a91a45d3eab',
-        'quam_sine/scores.jsonl': 'b607a391cd798dfea59e1e2a1785c351d703e1d0309f0719030828a3c959c18b',
-        'quam_sine/trajectory_0000_direction+.jsonl': '5d920afe8412c6dbf1f13c61c0253f8355232d5b27f8dfcf509d8de2356fd3f1',
-        'quam_sine/trajectory_0000_direction-.jsonl': '5b1217e8ad9b093ccf79762edef175ed2541c6d5036e3d5896ef26498c711ff4',
-        'quam_sine/trajectory_0001_direction+.jsonl': 'dfcb4d00104c5bca92059cfd2cd5e7868e23dd4698478663a2a2119aeeadc82c',
-        'quam_sine/trajectory_0001_direction-.jsonl': '64142be8b83d1281a4608cf65c46ac36b45b7474f1ce3d5463b1487c6b6541d3',
+        'quam_sine/scores.jsonl': 'c122f1cb76e9b2befdeeda6582ee23d5bf48e670836883eb8f084c02515d3c4c',
+        'quam_sine/trajectory_0000_direction+.jsonl': '8bc9955a034ce8e87f24744f48ce86c96a8d2e47a0e02dfb532c21eec06d9337',
+        'quam_sine/trajectory_0000_direction-.jsonl': '7acd3bd7f53788aba36eb75cfcc490fbb7cc2aaea4607a9d58d141eb4182beb3',
+        'quam_sine/trajectory_0001_direction+.jsonl': 'd965cdd1eeb551d3e7413e2290b6e5df448def0c846d42abfab0a33f9fc1fcce',
+        'quam_sine/trajectory_0001_direction-.jsonl': 'a411a2bb2ca3761478500ddfc20bbce22a290c8a9341f91b85ce26c465c0d777',
         'quam_abort/status': 'a7111aa28ee0e419596d0c0704696d1f1996bd07f829e3212a7557b66f889f60',
-        'quam_abort/scores.jsonl': '919aa6dc336a24eab014411e25e556a546b8bf01d22ff2f1c04cd11157c5f892',
-        'quam_abort/trajectory_0000_class0.jsonl': 'fb1c7900a92aa2d4c2fd92d4b3affd174cb843b24a7aaa992b9615fbf1279807',
-        'quam_abort/trajectory_0000_class1.jsonl': '212127d1fb3faa81e07c773b1949d8354fbc2e52cac841536c733f18ac0dcd75',
-        'quam_abort/trajectory_0001_class0.jsonl': '2bbbce82e0fe26234dbfbd088013538f9388e913bbd01149cc9a12a171154f82',
-        'quam_abort/trajectory_0001_class1.jsonl': 'aff9f1c71f42e3526fceb2c9752deda5a7bcbac77b0a319fb5a1407f8d5d94c0',
-        'quam_abort/trajectory_0002_class0.jsonl': '14254093feafa258a46105c1aa37bb07a7fe8e883245e342e0676122774ddd45',
-        'quam_abort/trajectory_0002_class1.jsonl': '5331598c1c996af8b4b139e175553c29bfb0c5adb334e5711d256c27c18427a6',
+        'quam_abort/scores.jsonl': '5b6cad32217a0c086f6533bfafb98e57c49670e8f95eea02d64a756ccc67f405',
+        'quam_abort/trajectory_0000_class0.jsonl': '1e8f113691b97715fc4c3c69fd65dc64c240017b795c453d75c00521703a8ed7',
+        'quam_abort/trajectory_0000_class1.jsonl': '17f70b3abbd72be763e33bdafa2d97b49119e5656f6b4a6318e24bd3836d1c57',
+        'quam_abort/trajectory_0001_class0.jsonl': '18ee1fd7acbea2c3dd1adb12f9d3d105da59f9463fd4df3e5ba4650e3f544129',
+        'quam_abort/trajectory_0001_class1.jsonl': 'e27642a966a9f8250c1b895cf52d31e47eed625a5b49dbc47b3734a48d869c39',
+        'quam_abort/trajectory_0002_class0.jsonl': '1ba8a827f729726f08aa29529d3d7f0fd16626d325fadef9c070578e7629aab3',
+        'quam_abort/trajectory_0002_class1.jsonl': '2fe1693f1937ce65c10f898fef194d21f6669c270b49f0c31aab56a371dd3ded',
         'quam_abort_minibatch/status': 'c6a01cbd8b7d24fa93cf172e49992c925291057b50e62bed7c1ba1711e279cd2',
-        'quam_abort_minibatch/scores.jsonl': 'fd23e81c51133d7f186067467052c7b5165c7053d6ad51cdde6029df006f1a0d',
-        'quam_abort_minibatch/trajectory_0000_class0.jsonl': '47e3184713db2a24095ada97281cfbb647e8af678752aa2fa855471eb17d0331',
-        'quam_abort_minibatch/trajectory_0000_class1.jsonl': '243de67f8ad4679987ac6773e50bb8197f863d7d42c8ab2aede9fd9cd287c55d',
-        'quam_abort_minibatch/trajectory_0001_class0.jsonl': '3a8fea4aab5ccd2f01b26cf32b05ca85c2f98e0cb4b5218445394b438e3e21af',
-        'quam_abort_minibatch/trajectory_0001_class1.jsonl': '0ff55c52a338d4cb31cb8be60fb0f4d8be9dbcb76d4db48326db9bc9a08b895f',
-        'quam_abort_minibatch/trajectory_0002_class0.jsonl': '40a2477940d6aabf4e4f813a1091e35477d9b5a5d4dc2ce11bba2d1d09478489',
-        'quam_abort_minibatch/trajectory_0002_class1.jsonl': '231904aaf788e0415eab12a6d890c85362d5be2ceb01e0fb0578db7f304e5253',
-        'hmc/status': 'a85dfbd6fb48f0aba551e7532b56d23156363583eb21737ba092835f55e641af',
-        'hmc/scores_a.jsonl': '1498fb4de4ee586f5130e35c706ca0a69858d8b3d0092b9ddc91fa201443524d',
-        'hmc/scores_b.jsonl': 'ebca260dd637679986a3ca2f6dc2643a5d1c46f98bb1fbca26c88c1c5ebd9047',
-        'hmc_tuned/status': 'c06697b317d72bc9768537bb173cd8d9e4e0b89cad5aa15b5cd34bd5a0d37f2b',
-        'hmc_tuned/scores_a.jsonl': 'b191d0a18eefed8fc216d54cc497d9f493282498768f1946b91aad26fcb62e13',
-        'hmc_tuned/scores_b.jsonl': '067b49d19689944200bcdc28bfa4bf9ce72480639e38acd5a56000e77d65fef4',
+        'quam_abort_minibatch/scores.jsonl': 'e446bfbd1285f7303a1bb3cad01ebe0ac56b4784d5f90fb3872760f274488215',
+        'quam_abort_minibatch/trajectory_0000_class0.jsonl': '06f36c627a5ab1dbd46a3eeece5b2978f01b441d2111c35030fb0595ecd2ab73',
+        'quam_abort_minibatch/trajectory_0000_class1.jsonl': 'b76c4b26aeda125d64317f6d27e27fe7a5635ed4d597a52e07b03a8dae75036d',
+        'quam_abort_minibatch/trajectory_0001_class0.jsonl': '153f532d29d24b48b88fa144e10ce2fd648357491d52b8121d15e10bc218395c',
+        'quam_abort_minibatch/trajectory_0001_class1.jsonl': 'f2cbbe86ab46aeacf409ac229b2ab2ca570bbca495b94f9d261db15903e11899',
+        'quam_abort_minibatch/trajectory_0002_class0.jsonl': '7ae4a38b24ea9d34456ea85b17400cf8ca83a46d84f82f870ccf512ef92914dc',
+        'quam_abort_minibatch/trajectory_0002_class1.jsonl': 'f027a622a698802e269bad7cd771c29a415f763d862c70994195399b10cd51d0',
+        'hmc/status': 'eb60c53b4e04bb2c457a2d753adf7bdac6c87af0084e8ece2bca8aae26dd048f',
+        'hmc/scores_a.jsonl': '7ebafc0b5bdc5181422e0b8d7c0971bf9e1ab3327bc83a59cab4074ac2f1122a',
+        'hmc/scores_b.jsonl': '7476a2fa8a42fe1745c8de786f10c70b096b0194752ecae4346d0f55d9a6212b',
+        'hmc_tuned/status': '72ddadeef437273d0a8a1678c69ec96feba3408541ffb6b9378c88f9ef47127a',
+        'hmc_tuned/scores_a.jsonl': '1df780131645f5d3e2a620e42c77a60138ddbcc539e95eac1a5e8908bb1c7727',
+        'hmc_tuned/scores_b.jsonl': 'd456377ef622026657ffb62fd985eb07d1d0ff5067b090e3351aade0a7b92567',
         'hmc_static/status': '73e643cdc92e2e4a2e9437651a2b29e1cdfd7a48192236cbd7a13fc406e888de',
         'hmc_static/scores_a.jsonl': '0f69850d3e37f86d51b4372110a6f4c4a1535b29731f554326d03c65eecf627d',
         'hmc_static/scores_b.jsonl': 'd3d1e2b1dcd2d1cf35dc51d58a4f1806737e2a5fac96f6a68c0c9e5deb53646a',
         'mcd/status': '7637ae158fb12603f4f9b279b341ed31b3c9aeddaf91bf44e81b3b82d4f677ff',
-        'mcd/scores_a.jsonl': '5314fdee9abf05e8876b1c5022421a5170cec7f7f111858f8d04a581f9dbcd12',
-        'mcd/scores_b.jsonl': '726a28078fadcbcb74a631fecf266e21a5631d84d924b0b181a48ca253b4ba0f',
+        'mcd/scores_a.jsonl': 'ea9ae1799ba8d0aa60799dbe22a2319d494ab31c1c85e84ca41cdd8bc8a1dc2b',
+        'mcd/scores_b.jsonl': '82f526e4147e8de8f6abe5d42d6b8ab9b4247cb116f9c626929784d3a3c3e1a6',
         'csghmc/status': '3242421583d20f75109a0af83e5f765f36a8306c028217f3919fdfb4b5c5e241',
-        'csghmc/scores_a.jsonl': '23ccc1f838cb2fe59f32ef927f136a7ba73346825d1434ac081a846de455307b',
+        'csghmc/scores_a.jsonl': 'c488f38c8c64acac6ed826675f7bccc08f904ea0dcce1a8733995662ca049f95',
         'de/status': 'e390b9c909ef60f86bca5473a65e70909291e6710dbe93f2b9789158867a7d19',
-        'de/scores_a.jsonl': '5476abac5667cffc4a8f5569fb08fb3b076ae15e1ac92311f62c903154e29164',
+        'de/scores_a.jsonl': 'a91b3211ead480e8dd56269f67a87244037fc94e3b1bb829f4167b525706f233',
         'grid/status': 'b3a7a478b9d1073469d8a6e58222e05a1d59d8d061507ffc602dc49efd14058e',
-        'grid/grid.csv': 'fbf47dd914cbf48a8edf79ddca29e4727207631c5529ba50ff3165e895b61b34',
+        'grid/grid.csv': 'ace3b7d36d7e50b1f1552348126a19c01b58c836c6f3e4b754facbd6868f70e6',
+        'eval/status': 'f946f5312578ddc80678023f30561ebd90dcee9c4f62d833b163e9ab265816dc',
+        'eval/metrics.json': 'e46dba7c3c6e8ac80aa0823033884d9023851b122dcdc210a79b37e9f75a78c6',
+    },
+    'Haswell': {
+        'train_moons/status': 'fbf3a5d53a1b3cebae9ecfca3274ccfb283df9addd0efb0e690542b3e3bbf6d8',
+        'train_moons/model.ckpt': '04433ba966180957bfcb99fe6af953fa369856fcf6745eeb05c64a3ad36b7928',
+        'train_moons/train_log.jsonl': 'dff087f7c8a51a753c62a9922caa4a5dcbd0eb801b7c0daa61184130ba0e126b',
+        'train_dropout/status': 'b7198733691aeca6007482aa9b14f82fed44a1c4b37127884713019a0d0e3d61',
+        'train_dropout/model.ckpt': '43b0be9098251fb749faa18f20ae113faabd870de2e93855ecba6065b53ac4f1',
+        'train_dropout/train_log.jsonl': 'a59b240c6d6b8618c28a6856ce86600e654f11bb0091ac77619322c11ee2f073',
+        'train_sine/status': '9ba99df49727e1815bec2675de04215a294f2b841f1e78530faeb151de1c871c',
+        'train_sine/model.ckpt': '6b067694ddddb153d444f64a6153ae1cf193bf25804b2e210bbf1cf7f50e3045',
+        'train_sine/train_log.jsonl': '4832c3bbdaf2269aaab87c9cc8e2e8a024bb6b48d118041e35441bb6ff4c2b89',
+        'train_deep/status': '9139246f0e92b9390b94acd6bf836842ec6d9cc0e3e2c465216c4212c40e5812',
+        'train_deep/model.ckpt': '95c8d1bb2d00a99600c903d6fd528257a4169d43103793b1ad9b86e2b163f7ef',
+        'train_deep/train_log.jsonl': '6f91d7badff750314e27c4506c50a6819a8012a923273968d537e1a4ffd6d492',
+        'quam_full/status': '5db0b25fa9f1681ceaa4af547083077740a5dd945a6ee550cf53eb0e873a56db',
+        'quam_full/scores.jsonl': 'a72f08d46c64c67161fcac8220a82511444923b8e0a381fc0823e93cf38f8a39',
+        'quam_full/trajectory_0000_class0.jsonl': '543f7b8ccb0e250a8fab724eb0a13aa0132001ce2fbbb91f50f481770b2de4fa',
+        'quam_full/trajectory_0000_class1.jsonl': '79285eab7d0f1daec2b29ce054481fbcc5f19a1512ac45c7ae0d764194eb06e2',
+        'quam_full/trajectory_0001_class0.jsonl': '0608cdf210e83b93b3dff5a67ad1cff98f09bded5fef4c8577360a157f8e2fd1',
+        'quam_full/trajectory_0001_class1.jsonl': '2151179d9cc30817cd5538eab1378ce52c97d04e3044f82324d0acaafc4c24e8',
+        'quam_full/trajectory_0002_class0.jsonl': 'fcf0beda188da1a2abbca30a147a15dedf3c91efdb214833ba778e31fd85909d',
+        'quam_full/trajectory_0002_class1.jsonl': '25fc128f20dee2161f73b79e3894bcca10f2859cf078802232d22e9f97ef0206',
+        'quam_minibatch_last/status': '19c931166d60c0f2eb8dd7f4be73249d26ccdb22c2fa2583aaefb3766886b491',
+        'quam_minibatch_last/scores.jsonl': '9c1ea8cd7d9f221d4d76dc5f000382baae4eaa7e7184b6faaf42442acb739d30',
+        'quam_minibatch_last/trajectory_0000_class0.jsonl': 'df6f2ae93a6f1cf9264053e199b21d814338ce5a89c5360a9d154cc65d095cd3',
+        'quam_minibatch_last/trajectory_0000_class1.jsonl': 'ce48ef35032f043d2b259f96ab1aa3a12a139d1207f5b6097dcc503bb7904d8c',
+        'quam_minibatch_last/trajectory_0001_class0.jsonl': '95ff7359ba8ed4e2ea0ecf48a0945a805fa5f4dead4585461b237bb338f9321b',
+        'quam_minibatch_last/trajectory_0001_class1.jsonl': '578c649ff94e822af4ad743d7d26a49b0599c64a3a64686022fd7ce1c05d9e0f',
+        'quam_sine/status': 'b18984aa7cca1e1523e5510a89af0f129094a49a486ac455ed593a91a45d3eab',
+        'quam_sine/scores.jsonl': 'd61958e8648c65caacd988f10ec8e558c637c621d501aead9b42a4a9836bd0bd',
+        'quam_sine/trajectory_0000_direction+.jsonl': '404ffc502062ce334ee8ddc45889888aa1282d01be30d552b7acfa75448fa6ca',
+        'quam_sine/trajectory_0000_direction-.jsonl': 'f5a72b114d14decfb9c2b292f7b328abb0a65596396c82dcb555887c90e6652b',
+        'quam_sine/trajectory_0001_direction+.jsonl': '8cc0e772b713967baa2feafb1dbcc04dee6a9370dd84653aba21a2e8b351bba0',
+        'quam_sine/trajectory_0001_direction-.jsonl': 'deb799e01c78e31004c478de55b96a2cfdde5533cc2844d3a5b849313eba1104',
+        'quam_abort/status': 'a7111aa28ee0e419596d0c0704696d1f1996bd07f829e3212a7557b66f889f60',
+        'quam_abort/scores.jsonl': '61bcf618d3e070968c239dd734b483a3865966ea764b6bb92429e77224bbcbd8',
+        'quam_abort/trajectory_0000_class0.jsonl': 'ff1e123d5f1fa18565c05d0ecebef5018369eb19cd5f1a72a8545751edb0380f',
+        'quam_abort/trajectory_0000_class1.jsonl': 'e3b7c46817a13eb535c9e4cef338f56ebb19083daf2edb6b4695ae3d325a8fda',
+        'quam_abort/trajectory_0001_class0.jsonl': '91c85c339cdd951ad02ccbbe7307139639791f3746de9e3623e005e96075c1ad',
+        'quam_abort/trajectory_0001_class1.jsonl': '6facf691da30e181a0ec30cdd78f563ae74e0d32f046f63ae6d36d94708c0877',
+        'quam_abort/trajectory_0002_class0.jsonl': '84a0c71e1fc6fb4f0a7204b54d133a693b0e67555f338feb46f51ade63393b3b',
+        'quam_abort/trajectory_0002_class1.jsonl': '85c6539b24df2146bc9bcfcae48b394f517c8dfd6f075f33933f9eb018ec8eac',
+        'quam_abort_minibatch/status': 'c6a01cbd8b7d24fa93cf172e49992c925291057b50e62bed7c1ba1711e279cd2',
+        'quam_abort_minibatch/scores.jsonl': 'aa1b8d5e6ffc6571e690591f591df4b483cc544c738383bd8140064ce4fb00be',
+        'quam_abort_minibatch/trajectory_0000_class0.jsonl': '48c525bfcab9a341a9409bf70e8d7dfab645a817f83f6348af86d7b9574f63c6',
+        'quam_abort_minibatch/trajectory_0000_class1.jsonl': '005e4993fc51cef92f0c4e98416aa76cef161e5742ae9cb6fe7e8d0e1738aeb6',
+        'quam_abort_minibatch/trajectory_0001_class0.jsonl': '90127f7f710d965370a2ab11049ada0bda0c467b4f9eca6e65fd6b816888385e',
+        'quam_abort_minibatch/trajectory_0001_class1.jsonl': '15b87aab87bb3294451eec9144e5e30103a277594f395a66fcbc48daf7f681a2',
+        'quam_abort_minibatch/trajectory_0002_class0.jsonl': '907c65be899d9a4d50c985f00a03af71222c4972b890c4918e5e1ae4fb398961',
+        'quam_abort_minibatch/trajectory_0002_class1.jsonl': 'b1f769cc85eb3f23339c1e20f6485aaa40a6a4d39959ed81794ca4a7648bacf2',
+        'hmc/status': 'eb60c53b4e04bb2c457a2d753adf7bdac6c87af0084e8ece2bca8aae26dd048f',
+        'hmc/scores_a.jsonl': '9f24d8bf97cc8d7d250fab030f52aab58f0ea739d4cbe5cbd5ae025d42b77641',
+        'hmc/scores_b.jsonl': 'caf51eeada391bafe9de0acd2e275d1dbbdd61558d43162a28b0ed815e9961f9',
+        'hmc_tuned/status': '07cb1ae7663b39e0d4ea1fa55b8d6984ff48f2a9d256f5dc33bdaa240aa6e1f1',
+        'hmc_tuned/scores_a.jsonl': '3145e4cd92a10cfa3dd71034879174aad4fbc4fb539bfeae4763851c88cb0009',
+        'hmc_tuned/scores_b.jsonl': '31138575c09b1409413ecb0d4fb3a129ec6b5e46f189312e2e2e03bb7c822de0',
+        'hmc_static/status': '73e643cdc92e2e4a2e9437651a2b29e1cdfd7a48192236cbd7a13fc406e888de',
+        'hmc_static/scores_a.jsonl': '0f69850d3e37f86d51b4372110a6f4c4a1535b29731f554326d03c65eecf627d',
+        'hmc_static/scores_b.jsonl': 'c35db723ced89bdbb6200f1f39e1529a07b69c99a3cc16079dd67da330ef1f4c',
+        'mcd/status': '7637ae158fb12603f4f9b279b341ed31b3c9aeddaf91bf44e81b3b82d4f677ff',
+        'mcd/scores_a.jsonl': 'd7d5c267f0530059d1cfa7690d577caf7acc83d31335bde16c18fd8b8bee5732',
+        'mcd/scores_b.jsonl': '08757a7cf48a0103e32d7167fa4bb00b1ac1dbd22c2cb141c98df25723acfa1c',
+        'csghmc/status': '3242421583d20f75109a0af83e5f765f36a8306c028217f3919fdfb4b5c5e241',
+        'csghmc/scores_a.jsonl': '6acaf74a16a8b491475f11317772aa890ae54b5484ff2ee286923bec2238879c',
+        'de/status': 'e390b9c909ef60f86bca5473a65e70909291e6710dbe93f2b9789158867a7d19',
+        'de/scores_a.jsonl': 'd4eb375092dafa6ee4ca9de95547d607176defd48ebbf321785ffa7e8d7acadd',
+        'grid/status': 'b3a7a478b9d1073469d8a6e58222e05a1d59d8d061507ffc602dc49efd14058e',
+        'grid/grid.csv': '032b71868133d88c136135b76412b11b845bf78bdc7d12bbd327c73a55e0befb',
+        'eval/status': 'f946f5312578ddc80678023f30561ebd90dcee9c4f62d833b163e9ab265816dc',
+        'eval/metrics.json': 'e46dba7c3c6e8ac80aa0823033884d9023851b122dcdc210a79b37e9f75a78c6',
+    },
+    'Sandybridge': {
+        'train_moons/status': 'fbf3a5d53a1b3cebae9ecfca3274ccfb283df9addd0efb0e690542b3e3bbf6d8',
+        'train_moons/model.ckpt': '28a5eccd44cf7ddff3af4bd4a89c6bbe6412b2844059e1202423ad3d019e6a38',
+        'train_moons/train_log.jsonl': '63f3bed5b28000c84cd795d73fdf6fb292c7232853293d403caaa87ed448107f',
+        'train_dropout/status': 'b7198733691aeca6007482aa9b14f82fed44a1c4b37127884713019a0d0e3d61',
+        'train_dropout/model.ckpt': 'c57c77564e989ce60cf014f73ad34d7b66eaec8ee0a46929a57592cf3d869ea9',
+        'train_dropout/train_log.jsonl': '98962db9d0ccfe035b50485e1806c7607e098f9b31af80332d1ca49bc7203640',
+        'train_sine/status': '9ba99df49727e1815bec2675de04215a294f2b841f1e78530faeb151de1c871c',
+        'train_sine/model.ckpt': 'b07ae874543c248d056321d9930c0422695104d7f69d85fc04d735ce6d4a7990',
+        'train_sine/train_log.jsonl': 'a68bcc5d4c0a8b80413491aa5023ac4d78f0d9c3c706d031d11524e4a1e7a768',
+        'train_deep/status': '9f4d0c85a7944cab0a1548aaacd0ba23cb6cedcc978a0c5d6723e9d5bac5560c',
+        'train_deep/model.ckpt': 'e9710d3bbf4f27bdb5b1418b06eaf98a0eb7bfaa36dc10bc3deed4e36d061041',
+        'train_deep/train_log.jsonl': '9904b86fd9f13a8d5ebb4b2cc7f113f69b7f5e294b522f32322b62da1c93ba80',
+        'quam_full/status': '5db0b25fa9f1681ceaa4af547083077740a5dd945a6ee550cf53eb0e873a56db',
+        'quam_full/scores.jsonl': 'abc6c4669073d7743ea3c14c69ce310620a447dad8d58fd7d2c741f8a542f7c7',
+        'quam_full/trajectory_0000_class0.jsonl': '7f9fe1bb78361f8fa121d0abbb43fc2d0ed5845beda2e9ca285c754c6df18fa1',
+        'quam_full/trajectory_0000_class1.jsonl': '958fea22a433449338e25d2664c7343e008a534a362d2f012a7d2e5ae4747daa',
+        'quam_full/trajectory_0001_class0.jsonl': '1a41cf9b94e5dcf3fd29f1d6efb6ce2e9bd20d498f86855b4a545fc41447ffa8',
+        'quam_full/trajectory_0001_class1.jsonl': '2c7901fcbb46390da78684aca8401cea5b41d47a865d15db31afc052ce886b95',
+        'quam_full/trajectory_0002_class0.jsonl': 'bc6eb22160c0e5dd92e4af939a54636dbd6f8950f2cc34e0294f88cd615b75c8',
+        'quam_full/trajectory_0002_class1.jsonl': 'dfed7e54d74f1d9744b1cb879268dd5f2c35af4285c012364d225d82ab74c431',
+        'quam_minibatch_last/status': '19c931166d60c0f2eb8dd7f4be73249d26ccdb22c2fa2583aaefb3766886b491',
+        'quam_minibatch_last/scores.jsonl': '560fc8c597dcef7744da0f90bce723f64972b1f720a86e2397877833b1f6e3db',
+        'quam_minibatch_last/trajectory_0000_class0.jsonl': '70e83816e081509e8aa15bb31d4e63da6f1e7edf31401a7f71f026244238e7a2',
+        'quam_minibatch_last/trajectory_0000_class1.jsonl': 'd3c6e344f6fc373206140730f42844942b744d9ac0eef57b2538fa196a0212e2',
+        'quam_minibatch_last/trajectory_0001_class0.jsonl': '6da367131a9c044f13f5bf152b1a5bcd4273be393bef727080b9c7f08dae84e0',
+        'quam_minibatch_last/trajectory_0001_class1.jsonl': '2a59e2ac956c830c3bc731896760aab9cdb5d79676cfccf16b99406c5620d5db',
+        'quam_sine/status': 'b18984aa7cca1e1523e5510a89af0f129094a49a486ac455ed593a91a45d3eab',
+        'quam_sine/scores.jsonl': 'ad1927b5fa1362c3494919cd7333eb3cb0255c5397e552aeb24a5075791047f7',
+        'quam_sine/trajectory_0000_direction+.jsonl': 'c9309440dc1d0bd6aa8cc315cbe6eb70ea583065a6862c236e60ab2f61c3ea67',
+        'quam_sine/trajectory_0000_direction-.jsonl': 'f041288d820227bc159af33d6f8ea0eb325e601c4eb3e20f5a86d3658f0e8c3a',
+        'quam_sine/trajectory_0001_direction+.jsonl': 'e556e287bfccfc7777890b425cf5e73b9515da21b2cd68b1c397e13a6c81380f',
+        'quam_sine/trajectory_0001_direction-.jsonl': 'c9c4a760d936d4789dd06b98f3960b191161233ec51cc4c820b2923e7b7d555b',
+        'quam_abort/status': 'a7111aa28ee0e419596d0c0704696d1f1996bd07f829e3212a7557b66f889f60',
+        'quam_abort/scores.jsonl': '02ce088aeb40d1bfde52a15746ceebe11c088cc3b537af7ce4249f0db5a782f9',
+        'quam_abort/trajectory_0000_class0.jsonl': '184d188de57398b2ad168b1b59bd24559256b0caa86c6ed04594b044ced39941',
+        'quam_abort/trajectory_0000_class1.jsonl': 'cab5e65b6957c4d63443cba9e2c4461d41e324087b26c8b963bfe1d03fa8ad58',
+        'quam_abort/trajectory_0001_class0.jsonl': 'db66b51d8faadcf882bc49e2ffb0b5f2659b114b111a1261def5267f8f18e044',
+        'quam_abort/trajectory_0001_class1.jsonl': '532ce1330a61ef1024b151892bf092941aebe09fbb0045dfe21f2bb39d30a113',
+        'quam_abort/trajectory_0002_class0.jsonl': 'a660d446949549b0ab44d0af1526158a397333557f3c26cc741d19b9ee837830',
+        'quam_abort/trajectory_0002_class1.jsonl': '992b7bfd32ce5972ed2f31da60ddca6dec1e31d1bcd024e7b70732387e1219c0',
+        'quam_abort_minibatch/status': 'c6a01cbd8b7d24fa93cf172e49992c925291057b50e62bed7c1ba1711e279cd2',
+        'quam_abort_minibatch/scores.jsonl': '655d00ed5a46c0e102991811dc02fef49da7c1607e8996a6ecb5d8c3c0bd48a7',
+        'quam_abort_minibatch/trajectory_0000_class0.jsonl': 'a2aba7f14a54edc6ce58e4f15a51f071819e565a156e969a45d06a2fcf8a3ec4',
+        'quam_abort_minibatch/trajectory_0000_class1.jsonl': '00bd5179941038a817530332f2599dec770daf3edb27e7128c656901624a1eb1',
+        'quam_abort_minibatch/trajectory_0001_class0.jsonl': '46648bd98edee05e8f7af8e1e8b149695961b09a7e0bfbbf47d050089998c27a',
+        'quam_abort_minibatch/trajectory_0001_class1.jsonl': '45fdc29d90b7bda89c78e78c125c11451136431c03fc9b1a76c3ea68f8e78bcd',
+        'quam_abort_minibatch/trajectory_0002_class0.jsonl': 'daadbcbc7f9b693a6fe54f07da3eea4ea75a87cbc77337ad93b57d29c5e75211',
+        'quam_abort_minibatch/trajectory_0002_class1.jsonl': 'b4fa7e7e5959de50b9de440bb8c9a0459422bd5aa2f8a6a0b9ee92348c7c1088',
+        'hmc/status': 'cba39221b27d6d353cd37d8bc0cb2db8c89426c734bebb563f25291ded360056',
+        'hmc/scores_a.jsonl': '365ab8f4c29a5b3a290183a619d20fee9b8ec1e1d800e37c384c93336f897ec7',
+        'hmc/scores_b.jsonl': '78c798d77336c65188f45d7e421895357bebfdf407ce2be8e39c92198c768571',
+        'hmc_tuned/status': '64e1690a587092be6edadec7835a30d1a5c3b943df83193903e2f524b47b3f31',
+        'hmc_tuned/scores_a.jsonl': '3f603589fa3bb33fd976bf9836a3aa2f08bc495ec57dd59ebdf1d03bf3c8cbaa',
+        'hmc_tuned/scores_b.jsonl': 'e8698a6075fb3659cda2c6f653aa89c2fbad77588b8cdf169225b309f2c53deb',
+        'hmc_static/status': '73e643cdc92e2e4a2e9437651a2b29e1cdfd7a48192236cbd7a13fc406e888de',
+        'hmc_static/scores_a.jsonl': 'a93a2d04c2084eaacf4d2d440ed22cfea59d6506c51ce512bd51a3a52fce7e96',
+        'hmc_static/scores_b.jsonl': '6cad2e3b09e06e49ea073a823e7cf007c1267602b84222cb2b5a54fa0e3eea2d',
+        'mcd/status': '7637ae158fb12603f4f9b279b341ed31b3c9aeddaf91bf44e81b3b82d4f677ff',
+        'mcd/scores_a.jsonl': '0381193c0ee52a2c3f8c8576b94339827891ebd8de785fc7644eef74a0242c5b',
+        'mcd/scores_b.jsonl': 'bb520754a625ae199c620c599098a5f483a6f8e2c59586f6b78f73381607444a',
+        'csghmc/status': '3242421583d20f75109a0af83e5f765f36a8306c028217f3919fdfb4b5c5e241',
+        'csghmc/scores_a.jsonl': 'c5c9fe1d8ff6fc0588b4cb467ecfa08f34b2c5865e45a7befe55bfade81b07a1',
+        'de/status': 'e390b9c909ef60f86bca5473a65e70909291e6710dbe93f2b9789158867a7d19',
+        'de/scores_a.jsonl': '842d325cf0fe4ef289d8433463ff669d7b320110bcf891f8f15aaa670db2b74e',
+        'grid/status': 'b3a7a478b9d1073469d8a6e58222e05a1d59d8d061507ffc602dc49efd14058e',
+        'grid/grid.csv': 'b54c60ce6d22cc88480a11fb0469d69951e236a952d909730a8b6e6f1091813a',
         'eval/status': 'f946f5312578ddc80678023f30561ebd90dcee9c4f62d833b163e9ab265816dc',
         'eval/metrics.json': 'e46dba7c3c6e8ac80aa0823033884d9023851b122dcdc210a79b37e9f75a78c6',
     },
@@ -220,8 +364,14 @@ def test_outputs_are_the_recorded_bytes(tmp_path):
 
 
 if __name__ == "__main__":
+    import subprocess
     import tempfile
 
+    if sys.argv[1:] == ["--all"]:
+        # one process per core: OpenBLAS picks its kernel once, when it loads
+        for core in GOLDEN:
+            subprocess.run([sys.executable, __file__], env={**os.environ, "OPENBLAS_CORETYPE": core}, check=True)
+        sys.exit()
     with tempfile.TemporaryDirectory() as tmp:
         table = run_digests(tmp)
     sys.stdout.write(f"    {openblas_core()!r}: {{\n" + "".join(f"        {k!r}: {v!r},\n" for k, v in table.items()) + "    },\n")

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import quam
 from quam import models as M
@@ -232,7 +231,7 @@ def test_mean_train_loss_and_stacked_losses_are_cross_entropy_bit_for_bit(widths
     st.integers(1, 40),
     st.integers(0, 2**31),
 )
-def test_loss_and_grad_equals_the_tape_graph_bit_for_bit(widths, target, dropout, n, seed):
+def test_loss_and_grad_equals_the_tape_graph_to_rounding(widths, target, dropout, n, seed):
     # an input width, then 0-3 hidden layers
     rng = derive_rng(seed)
     if target.startswith("gaussian"):
@@ -247,9 +246,9 @@ def test_loss_and_grad_equals_the_tape_graph_bit_for_bit(widths, target, dropout
     # the Tape graph takes a Gaussian head's targets as plain values
     loss, grad = M.loss_and_grad(params, x, M.target_rows(arch, y) if target.startswith("gaussian") else y, masks)
     tape_loss, tape_grad = tape_loss_and_grad(params, x, y, masks)
-    # bytes, not ==, so that the sign of a zero counts too
-    assert struct.pack("d", loss) == struct.pack("d", tape_loss)
-    assert grad.tobytes() == tape_grad.tobytes()
+    # the bias enters through the GEMM's ones row, not a separate sum: the order of the additions differs
+    assert abs(loss - tape_loss) <= 1e-12 * abs(tape_loss)
+    assert np.abs(grad - tape_grad).max() <= 1e-12 * np.abs(tape_grad).max()
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -340,37 +339,36 @@ def test_dropout_masks_preserve_expectation():
     assert abs(np.mean(masks) - 1.0) < 0.02
 
 
-# values at which a class-axis reduction could pick or round differently, NaNs of either sign and another payload among them
-EDGE_VALUES = [0.0, -0.0, np.nan, -np.nan, struct.unpack('<d', struct.pack('<Q', 0x7FF8000000000001))[0], np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0, 1e308, -1e308]
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(
-    st.integers(2, 12),
-    st.sampled_from([(1,), (6,), (2, 5), (3, 1)]),
-    st.data(),
-)
-def test_class_axis_max_and_sum_are_numpys_bit_for_bit(k, lead, data):
-    # up to 8 classes the reductions walk the k columns; from 9 on numpy's own run
-    values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
-    a = data.draw(arrays(np.float64, lead + (k,), elements=values))
-    # also the view of all rows but the last, as the search's batch rows
-    # are, and a column-major copy, whose class axis is not contiguous
-    for view in (a, a[..., :-1, :] if a.ndim > 2 else a[:-1], np.asfortranarray(a)):
-        with np.errstate(all="ignore"):
-            assert same_bits_or_both_nan(M._class_max(view), view.max(axis=-1, keepdims=True))
-            assert same_bits_or_both_nan(M._class_sum(view), view.sum(axis=-1, keepdims=True))
-
-
-def same_bits_or_both_nan(got, expected):
-    """Every number has the expected bits, and NaN stands where NaN is expected.
-
-    A NaN's sign and payload are not compared: numpy's own choice between
-    two NaN operands depends on its loop (an in-place add keeps the second
-    operand's NaN on a one-row column and the first's on 200 rows).
-    """
-    nan = np.isnan(expected)
-    return got.shape == expected.shape and np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == expected[~nan].tobytes()
+@pytest.mark.parametrize("widths, head", [((3, 7, 5, 4), "categorical"), ((1, 6, 2), "gaussian_scalar"), ((2, 5, 4, 1), "gaussian_scalar")])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_ones_rows_stay_one_and_each_layer_is_x_at_w_plus_b(widths, head, stacked):
+    # the bias enters through each layer input's ones row: the ReLU and a
+    # dropout mask that drops units must leave that row at exactly 1.0, in
+    # a new pass and in a workspace's buffers over repeated passes
+    rng = derive_rng(15)
+    arch = M.ArchSpec(widths, head=head, dropout_prob=0.4)
+    values = rng.normal(size=(3, arch.param_count()) if stacked else arch.param_count())
+    x = rng.normal(size=(9, widths[0]))
+    masks = M.make_dropout_masks(arch, rng)
+    masks[0][0] = 0.0
+    acts = M.forward(M.ModelParams(arch, values), x, masks)
+    ws = M.Workspace(arch, values, len(x))
+    ws.fill(x, M.target_rows(arch, rng.integers(0, widths[-1], len(x)) if head == "categorical" else rng.normal(size=len(x))))
+    for _ in range(2):
+        ws.forward(masks)
+        ws.backward(dropout_masks=masks)
+    for a in acts[:-1] + ws.acts[:-1]:
+        assert (a[..., -1] == 1.0).all()
+    # plain numpy, layer by layer: x @ W + b, then the ReLU and the mask on a hidden layer
+    for k, v in enumerate(values if stacked else [values]):
+        h = x
+        for li, ((ws_, bs), o) in enumerate(zip(arch.layer_slices(), widths[1:])):
+            h = h @ v[ws_].reshape(-1, o) + v[bs]
+            if li < arch.n_layers - 1:
+                h = np.maximum(h, 0.0) * masks[li]
+            for got in (acts[li + 1], ws.acts[li + 1]):
+                got = got[k] if stacked else got
+                assert np.abs(got[:, :o] - h).max() <= 1e-13 * np.abs(h).max()
 
 
 def test_adam_in_place_step_is_the_textbook_update_bit_for_bit():

@@ -1,4 +1,5 @@
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -263,6 +264,14 @@ def test_lock_step_abort_names_the_chain_and_its_seed():
         S.hmc(logp, lambda qs: -scale * qs, np.ones((3, 1)), n_samples=300, n_leapfrog=30, step_size=1.0, seed=[7, 8, 9])
 
 
+@pytest.mark.parametrize("abort_test", [test_hmc_aborts_on_hundred_rejections, test_lock_step_abort_names_the_chain_and_its_seed])
+def test_aborting_chains_warn_nothing_from_quam(abort_test):
+    # an energy error that overflows is a rejection, not a warning; the targets' own overflows are the tests'
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", category=RuntimeWarning, module=r"quam\.")
+        abort_test()
+
+
 def test_hmc_seed_deterministic():
     _, logp, grad = correlated_gaussian()
     a = S.hmc(logp, grad, np.zeros(2), n_samples=200, n_leapfrog=10, step_size=0.3, seed=7)
@@ -278,9 +287,11 @@ def test_hmc_posterior_wraps_models(moons):
     assert "acceptance_rate" in out.diagnostics
 
 
-def test_hmc_posterior_chain_equals_a_chain_on_tape_gradients(moons):
-    # the closed-form gradient must reproduce the Tape's bits: a chain
-    # amplifies any roundoff difference until the draws decorrelate
+def test_hmc_posterior_chain_matches_a_chain_on_tape_gradients(moons):
+    # the closed-form gradient must reproduce the Tape's to rounding: a
+    # chain amplifies any larger difference until the draws decorrelate.
+    # The bias enters through the GEMM's ones row, not the Tape's separate
+    # sum, so the bits differ
     arch = M.ArchSpec((2, 6, 5, 2))
     prior = 1e-2
     out = S.hmc_posterior(moons, arch, prior_precision=prior, n_samples=20, n_leapfrog=8, step_size=2e-3, seed=4, burn_in=30)
@@ -294,8 +305,9 @@ def test_hmc_posterior_chain_equals_a_chain_on_tape_gradients(moons):
         return -len(moons) * tape_loss_and_grad(M.ModelParams(arch, v), moons.x, targets)[1] - prior * v
 
     oracle = S.hmc(stacked(logp), stacked(grad), M.init_params(arch, 4).values, 20, 8, 2e-3, seed=4, burn_in=30, auto_tune=True)
-    assert np.array_equal(np.array([p.values for p in out.params]), oracle.draws)
-    assert out.diagnostics == oracle.diagnostics
+    draws = np.array([p.values for p in out.params])
+    assert np.abs(draws - oracle.draws).max() <= 1e-12 * np.abs(oracle.draws).max()
+    assert out.diagnostics == pytest.approx(oracle.diagnostics, rel=1e-9)
 
 
 def sine_data():

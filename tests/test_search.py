@@ -53,12 +53,13 @@ def test_best_is_max_divergence_among_feasible():
 def test_record_divergence_is_kl_bit_for_bit():
     data, ref = moons_reference()
     x = np.array([-1.2, 1.2])
-    ref_probs = M.predict_batch(ref, x)[0]
     cfg = SearchConfig(steps=40, lr=2e-2, seed=2)
     for objective, keys in ((("class", 0), (0,)), (("class", 1), (1,)), ("divergence", ())):
         traj = search_batch(x, data, ref, cfg, [(0, objective, keys)])[0]
         divs = traj.divergence.tolist()
-        assert divs == [float(kl("categorical", ref_probs, pred)) for pred in traj.pred]
+        # the reference row is the search's test row at the reference: predict_batch's to rounding
+        assert np.abs(traj.reference_pred - M.predict_batch(ref, x)[0]).max() <= 1e-15
+        assert divs == [float(kl("categorical", traj.reference_pred, pred)) for pred in traj.pred]
         assert max(divs) > 0.0
 
 
