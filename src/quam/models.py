@@ -215,9 +215,13 @@ def _inputs(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x.swapaxes(-1, -2), np.ones(x.shape[:-2] + (1, x.shape[-2]))], axis=-2)
 
 
-def _class_major(rows: np.ndarray) -> np.ndarray:
-    """Row-major (..., n, k) rows as a contiguous class-major (..., k, n) array: no copy of a view of one."""
-    return np.ascontiguousarray(np.swapaxes(rows, -1, -2))
+def _transposed(rows: np.ndarray) -> np.ndarray:
+    """The feature- or class-major (..., k, n) transpose of row-major rows (..., n, k).
+
+    A view when the transpose's rows are contiguous (a view of a buffer), else a contiguous copy: a GEMM's bits depend on the layout.
+    """
+    t = np.swapaxes(rows, -1, -2)
+    return t if t.strides[-1] == t.itemsize else np.ascontiguousarray(t)
 
 
 def forward(params: ModelParams, x: np.ndarray, dropout_masks=None) -> list[np.ndarray]:
@@ -258,12 +262,6 @@ def forward_into(arch: ArchSpec, layers, bufs: list, dropout_masks=None, blocks=
     return bufs
 
 
-def _feature_major(rows: np.ndarray) -> np.ndarray:
-    """The feature-major array behind a row-major view, or a feature-major copy of a row-major copy: a GEMM's bits depend on the layout."""
-    t = rows.swapaxes(-1, -2)
-    return t if t.strides[-1] == t.itemsize else np.ascontiguousarray(t)
-
-
 class Backprop:
     """The backward pass into fixed buffers, on views built once: a caller that backpropagates at every step builds one.
 
@@ -281,11 +279,11 @@ class Backprop:
     def __init__(self, arch: ArchSpec, layers, acts: Sequence[np.ndarray], grad_out: np.ndarray, grad: np.ndarray):
         lead, slices, widths = grad.shape[:-1], arch.layer_slices(), arch.widths
         self.grad, self.steps = grad, []
-        dz = _feature_major(grad_out)
+        dz = _transposed(grad_out)
         for li in range(len(slices) - 1, -1, -1):
             fan_in, fan_out = widths[li], widths[li + 1]
             g = grad[..., slices[li][0].start : slices[li][1].stop].reshape(lead + (fan_in + 1, fan_out))
-            h = _feature_major(acts[li])
+            h = _transposed(acts[li])
             step = [h, dz.swapaxes(-1, -2), g]
             if li:
                 hidden = h[..., :fan_in, :]
@@ -343,7 +341,7 @@ class Workspace:
         self.bufs = [_buffer(lead, arch.widths[0], rows, True) if x is None else _inputs(x)]
         self.bufs += [_buffer(lead, w, rows, li < last) for li, w in enumerate(arch.widths[1:], 1)]
         self.acts = [b.swapaxes(-1, -2) for b in self.bufs]
-        self.targets = np.zeros(lead + (arch.widths[-1] if arch.head == "categorical" else 2, rows)) if targets is None else _class_major(targets)
+        self.targets = np.zeros(lead + (arch.widths[-1] if arch.head == "categorical" else 2, rows)) if targets is None else _transposed(targets)
         self.fixed = target_terms(arch, self.targets, weights)
         self.dz = np.empty(self.bufs[-1].shape)
         self.grad_out = self.dz.swapaxes(-1, -2)
@@ -364,7 +362,8 @@ class Workspace:
 
     def forward(self, dropout_masks=None) -> None:
         """The forward pass at `values` and one head pass that writes `dz`."""
-        self.terms = cross_entropy_grad(self.arch, forward_into(self.arch, self.layers, self.bufs, dropout_masks, self.blocks)[-1], self.targets, self.fixed, self.dz)
+        out = forward_into(self.arch, self.layers, self.bufs, dropout_masks, self.blocks)[-1]
+        self.terms = cross_entropy_grad(self.arch, out, self.targets, self.fixed, self.dz)
 
     def loss(self, split: Optional[int] = None):
         """The loss of the last `forward`, as `cross_entropy_loss` gives it."""
@@ -386,7 +385,7 @@ def _sum_classes(a: np.ndarray) -> np.ndarray:
 def head_predictions(arch: ArchSpec, out: np.ndarray) -> np.ndarray:
     """Row-major head outputs to (..., n, C) class probabilities, or (..., n, 2) mean/variance."""
     if arch.head == "categorical":
-        _, e, s = _nll_terms(arch, _class_major(out), None)
+        _, e, s = _nll_terms(arch, _transposed(out), None)
         return np.ascontiguousarray((e / s).swapaxes(-1, -2))
     pred = np.empty(out.shape[:-1] + (2,))
     pred[..., 0] = out[..., 0]
@@ -528,7 +527,7 @@ def cross_entropy(arch: ArchSpec, out: np.ndarray, targets: np.ndarray):
     bits: the sampler chains depend on them.  A stacked `out` of shape
     (K, n, k) gives K losses.
     """
-    out, targets = _class_major(out), _class_major(targets)
+    out, targets = _transposed(out), _transposed(targets)
     grad = np.empty(out.shape)
     terms = cross_entropy_grad(arch, out, targets, target_terms(arch, targets), grad)
     return cross_entropy_loss(arch, out, targets, terms), grad.swapaxes(-1, -2)
@@ -547,7 +546,7 @@ def loss_and_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray, masks
 
 def mean_train_loss(params: ModelParams, data) -> float:
     """Mean negative log-likelihood of the training targets."""
-    return cross_entropy_loss(params.arch, forward(params, data.x)[-1].swapaxes(-1, -2), _class_major(target_rows(params.arch, data.y)))
+    return cross_entropy_loss(params.arch, forward(params, data.x)[-1].swapaxes(-1, -2), _transposed(target_rows(params.arch, data.y)))
 
 
 def log_posterior(params: ModelParams, data, prior_precision: float) -> float:

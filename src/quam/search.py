@@ -303,7 +303,8 @@ def _full_losses(arch: ArchSpec, layers, x: np.ndarray, targets: np.ndarray) -> 
     step = max(1, _LOSS_BLOCK // targets.size)
     losses = np.empty(len(layers[0]))
     for a in range(0, len(losses), step):
-        losses[a : a + step] = cross_entropy_loss(arch, forward_into(arch, [v[a : a + step] for v in layers], [x] + [None] * arch.n_layers)[-1], targets)
+        out = forward_into(arch, [v[a : a + step] for v in layers], [x] + [None] * arch.n_layers)[-1]
+        losses[a : a + step] = cross_entropy_loss(arch, out, targets)
     return losses
 
 
