@@ -212,14 +212,13 @@ def _buffer(lead: tuple, width: int, rows: int, ones: bool) -> np.ndarray:
 
 def _inputs(x: np.ndarray) -> np.ndarray:
     """The feature-major input buffer of row-major inputs (..., n, width): (..., width + 1, n), ones row last."""
-    return np.concatenate([x.swapaxes(-1, -2), np.ones(x.shape[:-2] + (1, x.shape[-2]))], axis=-2)
+    buf = _buffer(x.shape[:-2], x.shape[-1], x.shape[-2], True)
+    buf[..., :-1, :] = x.swapaxes(-1, -2)
+    return buf
 
 
 def _transposed(rows: np.ndarray) -> np.ndarray:
-    """The feature- or class-major (..., k, n) transpose of row-major rows (..., n, k).
-
-    A view when the transpose's rows are contiguous (a view of a buffer), else a contiguous copy: a GEMM's bits depend on the layout.
-    """
+    """The class-major (..., k, n) transpose of row-major rows (..., n, k): a view when its rows are contiguous (a view of a buffer), else a contiguous copy."""
     t = np.swapaxes(rows, -1, -2)
     return t if t.strides[-1] == t.itemsize else np.ascontiguousarray(t)
 
@@ -229,7 +228,8 @@ def forward(params: ModelParams, x: np.ndarray, dropout_masks=None) -> list[np.n
 
     Rows are the second-last axis: `x` of shape (..., n, input width) runs
     each leading index as its own pass, and a stack of models broadcasts
-    against it.  `Backprop` runs through the list.
+    against it.  Swapping the last two axes back gives the feature-major
+    buffers that `Backprop` takes.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[-1] != params.arch.widths[0]:
@@ -244,7 +244,11 @@ def forward_into(arch: ArchSpec, layers, bufs: list, dropout_masks=None, blocks=
     `bufs[0]` holds the inputs, each later entry a layer's output buffer or
     None for a new one; a layer's input has a ones row last, which adds the
     bias in its one GEMM and which the ReLU and dropout leave alone.  Each
-    of `blocks`, lists of column views of the buffers, gets its own GEMM.
+    of `blocks`, (views, inputs) pairs, gets its own GEMMs: `views` are
+    its columns of the buffers, and `inputs`, when not None, contiguous
+    buffers into which each layer's input columns are copied for the GEMM
+    to read.  An OpenBLAS gemv's bits depend on the stride of its vector,
+    and a copied block of one column gets those of `forward` on its row.
     Returns `bufs`.
     """
     last = arch.n_layers - 1
@@ -252,8 +256,12 @@ def forward_into(arch: ArchSpec, layers, bufs: list, dropout_masks=None, blocks=
         fan_out = arch.widths[li + 1]
         if bufs[li + 1] is None:
             bufs[li + 1] = _buffer(np.broadcast_shapes(a.shape[:-2], bufs[li].shape[:-2]), fan_out, bufs[li].shape[-1], li < last)
-        for block in blocks or (bufs,):
-            np.matmul(a.swapaxes(-1, -2), block[li], out=block[li + 1][..., :fan_out, :])
+        for views, inputs in blocks or ((bufs, None),):
+            h = views[li]
+            if inputs is not None:
+                h = inputs[li]
+                np.copyto(h, views[li])
+            np.matmul(a.swapaxes(-1, -2), h, out=views[li + 1][..., :fan_out, :])
         if li < last:
             out = bufs[li + 1][..., :fan_out, :]
             np.maximum(out, 0.0, out=out)
@@ -263,27 +271,28 @@ def forward_into(arch: ArchSpec, layers, bufs: list, dropout_masks=None, blocks=
 
 
 class Backprop:
-    """The backward pass into fixed buffers, on views built once: a caller that backpropagates at every step builds one.
+    """The backward pass into fixed buffers, on views built once: a caller that backpropagates at every step builds one over the buffers each pass writes.
 
-    `layers` are the per-layer parameter matrices, `acts` the layer inputs
-    of a pass and `grad_out` the gradients at its head outputs, both as
-    `forward` gives them, and `grad` the flat gradients of sum_i
-    grad_out[i] . out[i], one row per model, that `run` writes.  A layer's
-    gradient is one GEMM, h_aug @ dz^T, into its (fan_in + 1, fan_out)
-    view: the input's ones row gives the bias gradient.  The ReLU mask is a
-    float 1[h > 0] buffer (multiplying by the bool array casts it inside
-    the loop, slower).  A stack's arrays have the stack as their leading
-    axis, except a shared first-layer input.
+    `layers` are the per-layer parameter matrices, `bufs` the feature-major
+    layer inputs of a pass, (..., fan_in + 1, rows) with the ones row last,
+    as `forward_into` fills them, `dz` the class-major (..., k, rows)
+    gradients at its head outputs and `grad` the flat gradients of
+    sum_i dz[:, i] . out[:, i], one row per model, that `run` writes.  It
+    keeps views of these arrays, so each `run` reads what they hold then.
+    A layer's gradient is one GEMM, h_aug @ dz^T, into its
+    (fan_in + 1, fan_out) view: the input's ones row gives the bias
+    gradient.  The ReLU mask is a float 1[h > 0] buffer (multiplying by the
+    bool array casts it inside the loop, slower).  A stack's arrays have
+    the stack as their leading axis, except a shared first-layer input.
     """
 
-    def __init__(self, arch: ArchSpec, layers, acts: Sequence[np.ndarray], grad_out: np.ndarray, grad: np.ndarray):
+    def __init__(self, arch: ArchSpec, layers, bufs: Sequence[np.ndarray], dz: np.ndarray, grad: np.ndarray):
         lead, slices, widths = grad.shape[:-1], arch.layer_slices(), arch.widths
         self.grad, self.steps = grad, []
-        dz = _transposed(grad_out)
         for li in range(len(slices) - 1, -1, -1):
             fan_in, fan_out = widths[li], widths[li + 1]
             g = grad[..., slices[li][0].start : slices[li][1].stop].reshape(lead + (fan_in + 1, fan_out))
-            h = _transposed(acts[li])
+            h = bufs[li]
             step = [h, dz.swapaxes(-1, -2), g]
             if li:
                 hidden = h[..., :fan_in, :]
@@ -292,7 +301,7 @@ class Backprop:
             self.steps.append(step)
 
     def run(self, rows: Optional[slice] = None, dropout_masks=None) -> np.ndarray:
-        """Backpropagate `grad_out` into `grad` and return it; `rows`, a slice of a stack, backpropagates those models alone, in place.
+        """Backpropagate `dz` into `grad` and return it; `rows`, a slice of a stack, backpropagates those models alone, in place.
 
         A hidden layer's gradient is multiplied by its `dropout_masks` entry, when given, then by 1[h > 0].
         """
@@ -322,10 +331,11 @@ class Workspace:
     `targets` holds the class-major cross-entropy targets, its own or the
     shared `targets` transposed; `weights` each row's weight in the loss, a
     (..., 1, rows) row (None: 1/n on each of the n rows), and `fixed` their
-    `target_terms`.  `dz` holds the gradients at the head outputs (`grad_out`
-    row-major), and `backward` writes the flat ones into `grad`.  With
-    `extra` rows, the n rows and the extra rows (the search's test rows) are
-    two blocks, each with its own GEMM and its own `Backprop`.
+    `target_terms`.  `dz` holds the class-major gradients at the head
+    outputs, and `backward` writes the flat ones into `grad`.  With `extra`
+    rows, the n rows and the extra rows (the search's test rows) are two
+    blocks, each with its own GEMMs and its own `Backprop`; the extra
+    block's GEMMs read contiguous copies of its columns (`forward_into`).
 
     A pass is `fill` (own rows), then `forward`, whose head pass keeps the
     cross-entropy terms that `loss` reduces, then `backward`.  Each result
@@ -344,13 +354,13 @@ class Workspace:
         self.targets = np.zeros(lead + (arch.widths[-1] if arch.head == "categorical" else 2, rows)) if targets is None else _transposed(targets)
         self.fixed = target_terms(arch, self.targets, weights)
         self.dz = np.empty(self.bufs[-1].shape)
-        self.grad_out = self.dz.swapaxes(-1, -2)
         self.grad = np.empty(values.shape)
-        self.backprop = Backprop(arch, self.layers, self.acts, self.grad_out, self.grad)
+        self.backprop = Backprop(arch, self.layers, self.bufs, self.dz, self.grad)
         self.blocks = self.extra_backprop = None
         if extra:
-            self.blocks = [b[..., :n] for b in self.bufs], [b[..., n:] for b in self.bufs]
-            self.extra_backprop = Backprop(arch, self.layers, [a[..., n:, :] for a in self.acts], self.grad_out[..., n:, :], self.grad)
+            views = [b[..., n:] for b in self.bufs]
+            self.blocks = ([b[..., :n] for b in self.bufs], None), (views, [np.empty(v.shape) for v in views[:-1]])
+            self.extra_backprop = Backprop(arch, self.layers, views, self.dz[..., n:], self.grad)
         self.terms = None  # the cross-entropy terms of the last `forward`
 
     def fill(self, x: np.ndarray, targets: np.ndarray) -> None:
@@ -370,7 +380,7 @@ class Workspace:
         return cross_entropy_loss(self.arch, self.bufs[-1], self.targets, self.terms, split)
 
     def backward(self, rows: Optional[slice] = None, dropout_masks=None, extra: bool = False) -> np.ndarray:
-        """`Backprop.run` of `grad_out` on all rows, or on the extra rows alone; returns `grad`."""
+        """`Backprop.run` of `dz` on all rows, or on the extra rows alone; returns `grad`."""
         return (self.extra_backprop if extra else self.backprop).run(rows, dropout_masks)
 
 

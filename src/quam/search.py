@@ -42,7 +42,6 @@ test inputs with their entropies and KL terms, its full-data loss L_ref
 and the slack gamma, the data's target rows (with their
 `models.target_terms`, in a full-batch search) and, for a last-layer
 search, the penultimate features of the data and of the test inputs.
-The reference rows are the test rows' own at the reference.
 
 A step allocates no buffer of the batch's size: its `models.Workspace`
 (`_Workspace`), built once per batch, holds the (K, P) parameter stack,
@@ -136,7 +135,7 @@ class SearchTrajectory:
     nan_abort: bool
     reference_loss: float
     gamma: float
-    reference_pred: np.ndarray  # the reference's prediction row at the test input, from the search's test row
+    reference_pred: np.ndarray  # the reference's prediction row at the test input
 
 
 def _scope_mask(arch: ArchSpec, config: SearchConfig) -> np.ndarray:
@@ -180,35 +179,24 @@ class _Workspace(Workspace):
     Its n rows are the batch rows and its one extra row is each search's
     test row, whose target is the objective's and whose weight is +1 or -1,
     the sign of its cross-entropy in L_adv; the batch rows weigh 1/n.
-    `x` holds the (K, 1, input width) test inputs, `ref` the (K, k) rows
-    at them (None: `set_reference` sets them) and `objectives` one per
-    search: "divergence" | ("class", k) | ("direction", +1 | -1).
+    `x` holds the (K, 1, input width) test inputs, `ref` the (K, k)
+    reference rows at them and `objectives` one objective per search:
+    "divergence" | ("class", k) | ("direction", +1 | -1).
     """
 
-    def __init__(self, arch: ArchSpec, values: np.ndarray, n: int, x: np.ndarray, ref: Optional[np.ndarray], objectives: Sequence, bound: float):
+    def __init__(self, arch: ArchSpec, values: np.ndarray, n: int, x: np.ndarray, ref: np.ndarray, objectives: Sequence, bound: float):
         kinds = [o[0] if isinstance(o, tuple) else o for o in objectives]
         self.is_class = np.array([kind == "class" for kind in kinds], dtype=bool)
         self.direction = np.array([int(o[1]) if kind == "direction" else 0 for o, kind in zip(objectives, kinds)], dtype=int)
-        self.classes = np.array([int(o[1]) if kind == "class" else 0 for o, kind in zip(objectives, kinds)], dtype=int)
-        self.bound = bound
+        self.ref, self.bound = ref, bound
+        self.ref_entropy = np.where(self.is_class, 0.0, entropy(arch.head, ref))  # H[ref], 0 for a class objective
         weights = np.full((len(values), 1, n + 1), 1.0 / n)
         weights[:, 0, n] = np.where(self.is_class, 1.0, -1.0)
         super().__init__(arch, np.array(values, dtype=np.float64), n, weights=weights, extra=1)
         self.acts[0][:, n:, :-1] = x
-        if ref is not None:
-            self.set_reference(ref)
-
-    def reference_rows(self) -> np.ndarray:
-        """The (K, k) prediction rows of `values` from the test rows' own GEMMs, whose bits depend on their operands' strides: at the reference, those of every unmoved iterate."""
-        forward_into(self.arch, self.layers, self.blocks[1])
-        return head_predictions(self.arch, self.test_out)[:, 0]
-
-    def set_reference(self, ref: np.ndarray) -> None:
-        """Take the (K, k) reference rows: H[ref], 0 for a class objective, and the test rows' targets, a class objective's one-hot row, else ref."""
-        self.ref = ref
-        self.ref_entropy = np.where(self.is_class, 0.0, entropy(self.arch.head, ref))
-        self.targets[:, :, self.n] = ref
-        self.targets[self.is_class, :, self.n] = np.eye(ref.shape[1])[self.classes[self.is_class]]
+        self.targets[:, :, n] = ref
+        for s in np.flatnonzero(self.is_class):
+            self.targets[s, :, n] = np.eye(ref.shape[1])[int(objectives[s][1])]
 
     @property
     def test_out(self) -> np.ndarray:
@@ -218,8 +206,9 @@ class _Workspace(Workspace):
     def losses(self) -> tuple[np.ndarray, np.ndarray]:
         """Each search's batch loss and its L_adv, from one `forward`; the test rows' prediction rows go to `test_preds`."""
         n = self.n
-        # the test rows keep their own GEMM, that of `reference_rows`: in the
-        # batch rows' GEMM their outputs can move by an ulp, and an unmoved
+        # the test rows keep their own GEMMs on contiguous copies, those of
+        # the reference rows' one-row passes: in the batch rows' GEMM, or on
+        # a strided column, their outputs can move by an ulp, and an unmoved
         # iterate would then diverge from the reference by a spurious KL > 0
         self.forward()
         self.batch_loss, ce = self.loss(split=n)
@@ -329,7 +318,11 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if not np.isfinite(xs).all():
         raise ValueError("test inputs must be finite")
-    # constants of the batch
+    # constants of the batch; each test input gets its own one-row pass
+    test_acts = forward(reference, xs[:, None, :])
+    refs = head_predictions(arch, test_acts[-1])[:, 0]
+    # a finite reference's bad row at a finite input is its own numerical fault
+    _check_rows(arch.head, refs, "reference prediction", xs if np.isfinite(reference.values).all() else None)
     targets = target_rows(arch, data.y)
     data_targets = np.ascontiguousarray(targets.T)  # class-major, as the full-data losses take them
     data_acts = forward(reference, data.x)
@@ -344,7 +337,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
         # the last layer's weights and bias close the flat vector
         last = slice(arch.layer_slices()[-1][0].start, arch.param_count())
         work = ModelParams(ArchSpec(widths=arch.widths[-2:], head=arch.head), reference.values[last])
-        test_x, inputs = forward(reference, xs[:, None, :])[-2][..., :-1], data_acts[-2]
+        test_x, inputs = test_acts[-2][..., :-1], data_acts[-2]
     x, full_x = inputs[:, :-1], inputs.T  # the data rows, and their feature-major buffer for the full-data losses
     warch = work.arch
     n = len(x)
@@ -354,12 +347,9 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
 
     k = len(searches)
     points = np.array([point for point, _, _ in searches], dtype=int)
+    ref_rows = refs[points]
     rngs = [derive_rng(config.seed, *keys) for _, _, keys in searches]
-    ws = _Workspace(warch, np.tile(work.values, (k, 1)), batch, test_x[points], None, [o for _, o, _ in searches], bound)
-    ref_rows = ws.reference_rows()
-    first = np.unique(points, return_index=True)[1]  # each point's first search: a finite reference's bad row at a finite input is its own fault
-    _check_rows(arch.head, ref_rows[first], "reference prediction", xs[points[first]] if np.isfinite(reference.values).all() else None)
-    ws.set_reference(ref_rows)
+    ws = _Workspace(warch, np.tile(work.values, (k, 1)), batch, test_x[points], ref_rows, [o for _, o, _ in searches], bound)
     bias = warch.layer_slices()[-1][1].start  # the mean-output bias
     for s, (direction, (_, o, _)) in enumerate(zip(ws.direction, searches)):
         if direction:
@@ -370,7 +360,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
             ws.values[s, mask] += config.bias_nudge * rngs[s].standard_normal(int(mask.sum()))
     base = ws.values.copy()
 
-    records = _Records(k, config.steps, ref_rows.shape[-1])
+    records = _Records(k, config.steps, refs.shape[-1])
     best_row, best_div, best_values = np.full(k, -1), np.full(k, -np.inf), np.empty((k, warch.param_count()))
     nan_abort = np.zeros(k, dtype=bool)
 
@@ -458,7 +448,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
         if no_feasible:
             # no feasible iterate improved on the reference: return the reference
             if not columns[0].size:
-                columns = (np.zeros(1, dtype=int), *(np.array([v], dtype=float) for v in (config.c0, 0.0, -gamma, l_ref, -gamma, 0.0)), ref_rows[s][None])
+                columns = (np.zeros(1, dtype=int), *(np.array([v], dtype=float) for v in (config.c0, 0.0, -gamma, l_ref, -gamma, 0.0)), refs[point][None])
             best, best_params = 0, work.values
         else:
             best, best_params = int(records.valid[: best_row[s], s].sum()), best_values[s]
@@ -466,7 +456,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
             full = reference.values.copy()
             full[last] = best_params
             best_params = full
-        trajectories.append(SearchTrajectory(_target_tag(o), arch.head, *columns, best, ModelParams(arch, best_params), no_feasible, bool(nan_abort[s]), l_ref, gamma, ref_rows[s]))
+        trajectories.append(SearchTrajectory(_target_tag(o), arch.head, *columns, best, ModelParams(arch, best_params), no_feasible, bool(nan_abort[s]), l_ref, gamma, refs[point]))
     return trajectories
 
 

@@ -39,7 +39,7 @@ def test_quam_score_flags_a_point_where_only_some_searches_found_no_adversary(mo
     assert partial.flags == ("partial_no_feasible_adversary",)
     # the flag changes nothing else: the pool keeps every search's models
     preds, w = E.pool_trajectories(suites[1], 0.1)
-    (pooled,) = decompose_b("categorical", suites[1][0].reference_pred[None], preds[:, None], w)
+    (pooled,) = decompose_b("categorical", M.predict_batch(ref, xs[1][None]), preds[:, None], w)
     assert dataclasses.replace(partial, flags=()) == pooled
 
 

@@ -116,41 +116,41 @@ GOLDEN = {
         'train_deep/model.ckpt': 'ee1abcde8ab4e84c94645e117ed2452580633803b5d638035cea28cebe84c41a',
         'train_deep/train_log.jsonl': '04a1a921585f704870a6496c8768824f43dc7350e72b641757457af0bf7ac871',
         'quam_full/status': '5db0b25fa9f1681ceaa4af547083077740a5dd945a6ee550cf53eb0e873a56db',
-        'quam_full/scores.jsonl': '9f2d3474c8d1ef25055d2d8b71d123966a412a5377d8fe7818ae30e41227b30b',
-        'quam_full/trajectory_0000_class0.jsonl': '86c646021ff8f7462e0bc2378491a6ba143c8631141ad9c90bdb1794a909ecbe',
-        'quam_full/trajectory_0000_class1.jsonl': '52b780e881796597f6ac22488fa8a76fd3e1c16c3c5fa2b00fd317bb9194ccb2',
-        'quam_full/trajectory_0001_class0.jsonl': '71732e770d119d45ac86de7146f91fcb6e71462f3523ffe59118b7539b81b2c9',
-        'quam_full/trajectory_0001_class1.jsonl': '5d32839ba738be7592404a6d7f402f0606de01c3ae6d8460769a5b2f0758a1e8',
-        'quam_full/trajectory_0002_class0.jsonl': '1f8b02fa799ee933d0cf5477dc6e4ab50f2ad8288d2b44da0bcc5666835f9e21',
-        'quam_full/trajectory_0002_class1.jsonl': '1899d9bb3a9e7a77ec94b8a394b3eeea6a0ee55aeb8b4a1feb612907a788fbb3',
+        'quam_full/scores.jsonl': '29344a1000353af93ec3d0cf5a974fe0d3880ead0cc9ae48b80f00775d15a8dc',
+        'quam_full/trajectory_0000_class0.jsonl': '49f9b2d6422c6074f50a992c8ae7bd96e7d9a99b72b027d8547ca18430b5c6dc',
+        'quam_full/trajectory_0000_class1.jsonl': '739ca96469075d8bf705660e2cc39fb0e6b18b869be37d87ec3903be70ac4879',
+        'quam_full/trajectory_0001_class0.jsonl': '76f2fb77a8bb0c95a2445aa7b4c885e2496919cea44c77827bc9863609521fa7',
+        'quam_full/trajectory_0001_class1.jsonl': 'e9184758ed22262a4ae3b5dff2583c2891ad928a5ec85c43e4bb72b59bf24ee7',
+        'quam_full/trajectory_0002_class0.jsonl': '9f77bcb5551109baabdca4f85438d5df4419b957f0d7c58835c638303202489c',
+        'quam_full/trajectory_0002_class1.jsonl': 'd7fdad398255ea607318e844fbc2f82af4bb94a1029be2f15c22d27c942e61a4',
         'quam_minibatch_last/status': '19c931166d60c0f2eb8dd7f4be73249d26ccdb22c2fa2583aaefb3766886b491',
-        'quam_minibatch_last/scores.jsonl': 'fbab96ee62f9fe0548c420921e263db5f0fca8334dad57ead09a550ebd850e16',
-        'quam_minibatch_last/trajectory_0000_class0.jsonl': 'aab9563f78c10c9fece182cbc6ccc0013a537ee24937abb302e4a1f08a6abfd2',
-        'quam_minibatch_last/trajectory_0000_class1.jsonl': '9d90d708df87acf0e1effc9ce3d8bac52516a170b3da8327dd408adaa6bfc5f4',
-        'quam_minibatch_last/trajectory_0001_class0.jsonl': '91080d6031111e11e0d1948f6b1b0b16e1f3a9a08a084098f4ce4554f9ac7c50',
-        'quam_minibatch_last/trajectory_0001_class1.jsonl': '849bc1dc87644222fd713f7aad6c784294cacdd5cc966194ad25db0e5d20c635',
+        'quam_minibatch_last/scores.jsonl': 'c879e4f97ee2fea8ebfe22cad6a6d35e4e7a83ebdbd2b5b8a7fccb9d443a99e8',
+        'quam_minibatch_last/trajectory_0000_class0.jsonl': '94ca942f215337580267a609af901831391ce4bb1c8209b73bb086d1ac6f7dab',
+        'quam_minibatch_last/trajectory_0000_class1.jsonl': 'cbb3d50e28f6424c0f3bcd46004e6f52285481d23fe918cb47c4e37503047d38',
+        'quam_minibatch_last/trajectory_0001_class0.jsonl': '597d7a6b3a8b0ea3b483b756c632fcc1c5a8f135e13aab6c182af3c982db880c',
+        'quam_minibatch_last/trajectory_0001_class1.jsonl': '870b71439a0adb88e2d55c2f037b03acf5d94a3678bc5fbb15fc577e59d7756e',
         'quam_sine/status': 'b18984aa7cca1e1523e5510a89af0f129094a49a486ac455ed593a91a45d3eab',
-        'quam_sine/scores.jsonl': 'c122f1cb76e9b2befdeeda6582ee23d5bf48e670836883eb8f084c02515d3c4c',
-        'quam_sine/trajectory_0000_direction+.jsonl': '8bc9955a034ce8e87f24744f48ce86c96a8d2e47a0e02dfb532c21eec06d9337',
-        'quam_sine/trajectory_0000_direction-.jsonl': '7acd3bd7f53788aba36eb75cfcc490fbb7cc2aaea4607a9d58d141eb4182beb3',
-        'quam_sine/trajectory_0001_direction+.jsonl': 'd965cdd1eeb551d3e7413e2290b6e5df448def0c846d42abfab0a33f9fc1fcce',
-        'quam_sine/trajectory_0001_direction-.jsonl': 'a411a2bb2ca3761478500ddfc20bbce22a290c8a9341f91b85ce26c465c0d777',
+        'quam_sine/scores.jsonl': 'c177a8b7f34b94e81103775a527933803a6ac7972c7daca142ffffaf0fe9c7fc',
+        'quam_sine/trajectory_0000_direction+.jsonl': 'c8b99ebfeb1029325d0e1e0b834730b821485c25fb8242924ea940f0814e8268',
+        'quam_sine/trajectory_0000_direction-.jsonl': '20eaa99ff0b86f9f022d1c4ec789d1d9e81405f4823db840f8620096fc4a4f78',
+        'quam_sine/trajectory_0001_direction+.jsonl': 'f075c50e2443ae5466a557a203726818cc98be81395749d6c060198c24bc1c6c',
+        'quam_sine/trajectory_0001_direction-.jsonl': '1205c9bf16c873d34f2a4c85c3084b91b4420404394870a925529d78bbc5199e',
         'quam_abort/status': 'a7111aa28ee0e419596d0c0704696d1f1996bd07f829e3212a7557b66f889f60',
-        'quam_abort/scores.jsonl': '5b6cad32217a0c086f6533bfafb98e57c49670e8f95eea02d64a756ccc67f405',
-        'quam_abort/trajectory_0000_class0.jsonl': '1e8f113691b97715fc4c3c69fd65dc64c240017b795c453d75c00521703a8ed7',
+        'quam_abort/scores.jsonl': '9d5f700cf63b2fd5715b68688f8bb9ea767aff67e2f6c7a8c45bddb5f217bb96',
+        'quam_abort/trajectory_0000_class0.jsonl': '1547802c5630a44bcce37a6ca6bbe71de7c6529aefbceae6d970d0b4e2fb6725',
         'quam_abort/trajectory_0000_class1.jsonl': '17f70b3abbd72be763e33bdafa2d97b49119e5656f6b4a6318e24bd3836d1c57',
-        'quam_abort/trajectory_0001_class0.jsonl': '18ee1fd7acbea2c3dd1adb12f9d3d105da59f9463fd4df3e5ba4650e3f544129',
-        'quam_abort/trajectory_0001_class1.jsonl': 'e27642a966a9f8250c1b895cf52d31e47eed625a5b49dbc47b3734a48d869c39',
-        'quam_abort/trajectory_0002_class0.jsonl': '1ba8a827f729726f08aa29529d3d7f0fd16626d325fadef9c070578e7629aab3',
-        'quam_abort/trajectory_0002_class1.jsonl': '2fe1693f1937ce65c10f898fef194d21f6669c270b49f0c31aab56a371dd3ded',
+        'quam_abort/trajectory_0001_class0.jsonl': '6ed12c67420a859aead1d0d2073110d184540c1083fad0c22af4a1963ed3aea1',
+        'quam_abort/trajectory_0001_class1.jsonl': '2c49ff88062769c4cd483598e1df980d832929ad73406f1a67df379565d50338',
+        'quam_abort/trajectory_0002_class0.jsonl': 'eddd830da21729316df6d5064c6df4267e837f01af0f5a7380c79f49a0b794f7',
+        'quam_abort/trajectory_0002_class1.jsonl': '8f7abb6fc2d519a5eea2a9d4aa3652bc4010fc975a7f6969153ed3fa135d898e',
         'quam_abort_minibatch/status': 'c6a01cbd8b7d24fa93cf172e49992c925291057b50e62bed7c1ba1711e279cd2',
-        'quam_abort_minibatch/scores.jsonl': 'e446bfbd1285f7303a1bb3cad01ebe0ac56b4784d5f90fb3872760f274488215',
+        'quam_abort_minibatch/scores.jsonl': '4ddd47f4f7d1ac590cf813c110840602253dc10588bb00fa3f048b2e34a22d84',
         'quam_abort_minibatch/trajectory_0000_class0.jsonl': '06f36c627a5ab1dbd46a3eeece5b2978f01b441d2111c35030fb0595ecd2ab73',
         'quam_abort_minibatch/trajectory_0000_class1.jsonl': 'b76c4b26aeda125d64317f6d27e27fe7a5635ed4d597a52e07b03a8dae75036d',
-        'quam_abort_minibatch/trajectory_0001_class0.jsonl': '153f532d29d24b48b88fa144e10ce2fd648357491d52b8121d15e10bc218395c',
-        'quam_abort_minibatch/trajectory_0001_class1.jsonl': 'f2cbbe86ab46aeacf409ac229b2ab2ca570bbca495b94f9d261db15903e11899',
-        'quam_abort_minibatch/trajectory_0002_class0.jsonl': '7ae4a38b24ea9d34456ea85b17400cf8ca83a46d84f82f870ccf512ef92914dc',
-        'quam_abort_minibatch/trajectory_0002_class1.jsonl': 'f027a622a698802e269bad7cd771c29a415f763d862c70994195399b10cd51d0',
+        'quam_abort_minibatch/trajectory_0001_class0.jsonl': '45d0a1aeab94961f6d1ac671af3cec77eada54c3153c574e88e8ce7b95b79955',
+        'quam_abort_minibatch/trajectory_0001_class1.jsonl': '0f4a3fe6f804baa0c8c41358deb5f59c60c556b1fe2e0252411dd4b8d3b98583',
+        'quam_abort_minibatch/trajectory_0002_class0.jsonl': '710c887f05b289a7324af6a424c557791ab1d94e3b982de0ce7c78b6484ca8d3',
+        'quam_abort_minibatch/trajectory_0002_class1.jsonl': '4186bedb68a6bab6182eb76745298a54cff240ec8f921632077ffba5cee7042e',
         'hmc/status': 'eb60c53b4e04bb2c457a2d753adf7bdac6c87af0084e8ece2bca8aae26dd048f',
         'hmc/scores_a.jsonl': '7ebafc0b5bdc5181422e0b8d7c0971bf9e1ab3327bc83a59cab4074ac2f1122a',
         'hmc/scores_b.jsonl': '7476a2fa8a42fe1745c8de786f10c70b096b0194752ecae4346d0f55d9a6212b',
@@ -168,7 +168,7 @@ GOLDEN = {
         'de/status': 'e390b9c909ef60f86bca5473a65e70909291e6710dbe93f2b9789158867a7d19',
         'de/scores_a.jsonl': 'a91b3211ead480e8dd56269f67a87244037fc94e3b1bb829f4167b525706f233',
         'grid/status': 'b3a7a478b9d1073469d8a6e58222e05a1d59d8d061507ffc602dc49efd14058e',
-        'grid/grid.csv': 'ace3b7d36d7e50b1f1552348126a19c01b58c836c6f3e4b754facbd6868f70e6',
+        'grid/grid.csv': 'bb79d17898d1077bfe26bb37072000f83cf8c6e3cb64f967e4dc7d1bd6e8d092',
         'eval/status': 'f946f5312578ddc80678023f30561ebd90dcee9c4f62d833b163e9ab265816dc',
         'eval/metrics.json': 'e46dba7c3c6e8ac80aa0823033884d9023851b122dcdc210a79b37e9f75a78c6',
     },
@@ -186,41 +186,41 @@ GOLDEN = {
         'train_deep/model.ckpt': '95c8d1bb2d00a99600c903d6fd528257a4169d43103793b1ad9b86e2b163f7ef',
         'train_deep/train_log.jsonl': '6f91d7badff750314e27c4506c50a6819a8012a923273968d537e1a4ffd6d492',
         'quam_full/status': '5db0b25fa9f1681ceaa4af547083077740a5dd945a6ee550cf53eb0e873a56db',
-        'quam_full/scores.jsonl': 'a72f08d46c64c67161fcac8220a82511444923b8e0a381fc0823e93cf38f8a39',
+        'quam_full/scores.jsonl': 'ac347dd0c7a7c4e8f930a0383fd6264032f87615955ad6c6112530aac4b5f1ae',
         'quam_full/trajectory_0000_class0.jsonl': '543f7b8ccb0e250a8fab724eb0a13aa0132001ce2fbbb91f50f481770b2de4fa',
-        'quam_full/trajectory_0000_class1.jsonl': '79285eab7d0f1daec2b29ce054481fbcc5f19a1512ac45c7ae0d764194eb06e2',
-        'quam_full/trajectory_0001_class0.jsonl': '0608cdf210e83b93b3dff5a67ad1cff98f09bded5fef4c8577360a157f8e2fd1',
-        'quam_full/trajectory_0001_class1.jsonl': '2151179d9cc30817cd5538eab1378ce52c97d04e3044f82324d0acaafc4c24e8',
-        'quam_full/trajectory_0002_class0.jsonl': 'fcf0beda188da1a2abbca30a147a15dedf3c91efdb214833ba778e31fd85909d',
-        'quam_full/trajectory_0002_class1.jsonl': '25fc128f20dee2161f73b79e3894bcca10f2859cf078802232d22e9f97ef0206',
+        'quam_full/trajectory_0000_class1.jsonl': 'f7cb7ef51090d6552ab392129191e6ef559e17275a89c7e6419f568cd659bee2',
+        'quam_full/trajectory_0001_class0.jsonl': '96ed1d5c7af71df5fbf71dffc0921519a4adaa8a15eec1fb2a6f83b6a81ca0aa',
+        'quam_full/trajectory_0001_class1.jsonl': '16f737367e2ccee0dde50d808d7aae15ba71ca2e0b16c52a77437f1e5ae470e4',
+        'quam_full/trajectory_0002_class0.jsonl': '6e734d9c3619cfd4c8a267c693950affffea180be72b54c53184a592fffb0564',
+        'quam_full/trajectory_0002_class1.jsonl': '75ac160321cca949663d18b305b369b67b567ed2f38bc30a43f1c9d23205b58d',
         'quam_minibatch_last/status': '19c931166d60c0f2eb8dd7f4be73249d26ccdb22c2fa2583aaefb3766886b491',
-        'quam_minibatch_last/scores.jsonl': '9c1ea8cd7d9f221d4d76dc5f000382baae4eaa7e7184b6faaf42442acb739d30',
-        'quam_minibatch_last/trajectory_0000_class0.jsonl': 'df6f2ae93a6f1cf9264053e199b21d814338ce5a89c5360a9d154cc65d095cd3',
-        'quam_minibatch_last/trajectory_0000_class1.jsonl': 'ce48ef35032f043d2b259f96ab1aa3a12a139d1207f5b6097dcc503bb7904d8c',
-        'quam_minibatch_last/trajectory_0001_class0.jsonl': '95ff7359ba8ed4e2ea0ecf48a0945a805fa5f4dead4585461b237bb338f9321b',
-        'quam_minibatch_last/trajectory_0001_class1.jsonl': '578c649ff94e822af4ad743d7d26a49b0599c64a3a64686022fd7ce1c05d9e0f',
+        'quam_minibatch_last/scores.jsonl': '11f5167041d203f7f05e021c327fb2a66705849cc902e7b30f3bf993cab6ba82',
+        'quam_minibatch_last/trajectory_0000_class0.jsonl': '77fcddbb5bf5992d95100ed19416a2ddd3afd6f55134d43e85665b2a44508faf',
+        'quam_minibatch_last/trajectory_0000_class1.jsonl': '4373919b5c7b4479188e49195ec7b1a34ba194ee240a0a778e339d4ccfebadd0',
+        'quam_minibatch_last/trajectory_0001_class0.jsonl': '874ae3a0c128495a7ed3b39ac9d5a5265d456229c5800bcba325b2a50618ed28',
+        'quam_minibatch_last/trajectory_0001_class1.jsonl': 'eb880438d2caf36db2ffdadf45c660f6ddd7f2ffc74aac81e4f6acb2713266e5',
         'quam_sine/status': 'b18984aa7cca1e1523e5510a89af0f129094a49a486ac455ed593a91a45d3eab',
-        'quam_sine/scores.jsonl': 'd61958e8648c65caacd988f10ec8e558c637c621d501aead9b42a4a9836bd0bd',
-        'quam_sine/trajectory_0000_direction+.jsonl': '404ffc502062ce334ee8ddc45889888aa1282d01be30d552b7acfa75448fa6ca',
-        'quam_sine/trajectory_0000_direction-.jsonl': 'f5a72b114d14decfb9c2b292f7b328abb0a65596396c82dcb555887c90e6652b',
-        'quam_sine/trajectory_0001_direction+.jsonl': '8cc0e772b713967baa2feafb1dbcc04dee6a9370dd84653aba21a2e8b351bba0',
-        'quam_sine/trajectory_0001_direction-.jsonl': 'deb799e01c78e31004c478de55b96a2cfdde5533cc2844d3a5b849313eba1104',
+        'quam_sine/scores.jsonl': '6eb0871679fc79b239581483456c73d177eafdd5316c76de3e4fbb1a46e96574',
+        'quam_sine/trajectory_0000_direction+.jsonl': 'e1b3c71ba0583528bb5ed8575f8a7a693973248992f29027dda2e9ac4f0a858f',
+        'quam_sine/trajectory_0000_direction-.jsonl': '71d612952035fb53c45b46cb3488f5d7b93408619afa2b3509c90478523532ea',
+        'quam_sine/trajectory_0001_direction+.jsonl': '3b1ca0acbecb05b8e16cc4d24f0886ad1b1c4e053b61dd87f5a08bb2d5fc7130',
+        'quam_sine/trajectory_0001_direction-.jsonl': '4c9498010f249906a767ddc925d2636c5e87b250fc233483225bb152136aea16',
         'quam_abort/status': 'a7111aa28ee0e419596d0c0704696d1f1996bd07f829e3212a7557b66f889f60',
-        'quam_abort/scores.jsonl': '61bcf618d3e070968c239dd734b483a3865966ea764b6bb92429e77224bbcbd8',
+        'quam_abort/scores.jsonl': 'febfcd1821595dcb9ea6713560768d0af563a74027199d7138f289c921176390',
         'quam_abort/trajectory_0000_class0.jsonl': 'ff1e123d5f1fa18565c05d0ecebef5018369eb19cd5f1a72a8545751edb0380f',
         'quam_abort/trajectory_0000_class1.jsonl': 'e3b7c46817a13eb535c9e4cef338f56ebb19083daf2edb6b4695ae3d325a8fda',
         'quam_abort/trajectory_0001_class0.jsonl': '91c85c339cdd951ad02ccbbe7307139639791f3746de9e3623e005e96075c1ad',
         'quam_abort/trajectory_0001_class1.jsonl': '6facf691da30e181a0ec30cdd78f563ae74e0d32f046f63ae6d36d94708c0877',
-        'quam_abort/trajectory_0002_class0.jsonl': '84a0c71e1fc6fb4f0a7204b54d133a693b0e67555f338feb46f51ade63393b3b',
-        'quam_abort/trajectory_0002_class1.jsonl': '85c6539b24df2146bc9bcfcae48b394f517c8dfd6f075f33933f9eb018ec8eac',
+        'quam_abort/trajectory_0002_class0.jsonl': 'afe0d43cd51571e528d2777a331094be04b823a228f58773aefe4f5349c0471f',
+        'quam_abort/trajectory_0002_class1.jsonl': '14ca196646f6ea11e95303af01ceef8ecb542fc604cc5e421d054a3061b0cbc7',
         'quam_abort_minibatch/status': 'c6a01cbd8b7d24fa93cf172e49992c925291057b50e62bed7c1ba1711e279cd2',
-        'quam_abort_minibatch/scores.jsonl': 'aa1b8d5e6ffc6571e690591f591df4b483cc544c738383bd8140064ce4fb00be',
+        'quam_abort_minibatch/scores.jsonl': '3baf209ee60d8645501b11bd725f3b32ff8136e9088bc5653b504a1d224fa13e',
         'quam_abort_minibatch/trajectory_0000_class0.jsonl': '48c525bfcab9a341a9409bf70e8d7dfab645a817f83f6348af86d7b9574f63c6',
         'quam_abort_minibatch/trajectory_0000_class1.jsonl': '005e4993fc51cef92f0c4e98416aa76cef161e5742ae9cb6fe7e8d0e1738aeb6',
         'quam_abort_minibatch/trajectory_0001_class0.jsonl': '90127f7f710d965370a2ab11049ada0bda0c467b4f9eca6e65fd6b816888385e',
         'quam_abort_minibatch/trajectory_0001_class1.jsonl': '15b87aab87bb3294451eec9144e5e30103a277594f395a66fcbc48daf7f681a2',
-        'quam_abort_minibatch/trajectory_0002_class0.jsonl': '907c65be899d9a4d50c985f00a03af71222c4972b890c4918e5e1ae4fb398961',
-        'quam_abort_minibatch/trajectory_0002_class1.jsonl': 'b1f769cc85eb3f23339c1e20f6485aaa40a6a4d39959ed81794ca4a7648bacf2',
+        'quam_abort_minibatch/trajectory_0002_class0.jsonl': '0b32ec900e60e74a1670cccb16ace8097550a2340bae3d6d3a90e32eedd050f1',
+        'quam_abort_minibatch/trajectory_0002_class1.jsonl': 'e85e8a35233d2c10cb22a93ed51b2d9c7728c9e5a5e2970a8461f2930de9a2c1',
         'hmc/status': 'eb60c53b4e04bb2c457a2d753adf7bdac6c87af0084e8ece2bca8aae26dd048f',
         'hmc/scores_a.jsonl': '9f24d8bf97cc8d7d250fab030f52aab58f0ea739d4cbe5cbd5ae025d42b77641',
         'hmc/scores_b.jsonl': 'caf51eeada391bafe9de0acd2e275d1dbbdd61558d43162a28b0ed815e9961f9',
@@ -238,7 +238,7 @@ GOLDEN = {
         'de/status': 'e390b9c909ef60f86bca5473a65e70909291e6710dbe93f2b9789158867a7d19',
         'de/scores_a.jsonl': 'd4eb375092dafa6ee4ca9de95547d607176defd48ebbf321785ffa7e8d7acadd',
         'grid/status': 'b3a7a478b9d1073469d8a6e58222e05a1d59d8d061507ffc602dc49efd14058e',
-        'grid/grid.csv': '032b71868133d88c136135b76412b11b845bf78bdc7d12bbd327c73a55e0befb',
+        'grid/grid.csv': '39bebecffea2d510c6818d24488ed566437d83467a26ebd88123516029d11a9a',
         'eval/status': 'f946f5312578ddc80678023f30561ebd90dcee9c4f62d833b163e9ab265816dc',
         'eval/metrics.json': 'e46dba7c3c6e8ac80aa0823033884d9023851b122dcdc210a79b37e9f75a78c6',
     },

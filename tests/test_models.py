@@ -108,7 +108,8 @@ def test_training_is_a_loop_of_fresh_passes_bit_for_bit(head, batch_size, dropou
             params = M.ModelParams(arch, values)
             acts = M.forward(params, data.x[idx], masks)
             grad_out = M.cross_entropy(arch, acts[-1], targets[idx])[1]
-            values = opt.step(values, M.Backprop(arch, params.layers(), acts, grad_out, np.empty(values.shape)).run(dropout_masks=masks))
+            bufs, dz = [a.swapaxes(-1, -2) for a in acts], grad_out.swapaxes(-1, -2)
+            values = opt.step(values, M.Backprop(arch, params.layers(), bufs, dz, np.empty(values.shape)).run(dropout_masks=masks))
     assert M.train(data, arch, cfg).values.tobytes() == values.tobytes()
 
 
