@@ -62,6 +62,23 @@ def test_record_divergence_is_kl_bit_for_bit():
         assert max(divs) > 0.0
 
 
+@pytest.mark.parametrize("reference, batch_size, scope", [("moons", None, "all_params"), ("moons", 50, "last_layer"), ("sine", None, "all_params")])
+def test_an_unmoved_iterate_has_the_reference_row_bit_for_bit(reference, batch_size, scope):
+    # each search's test row has its own GEMMs on contiguous copies of its
+    # columns: on a strided column a gemv can round differently from
+    # predict_batch's one-row pass, and an unmoved iterate would diverge
+    # from the reference by a spurious KL > 0
+    data, ref = moons_reference() if reference == "moons" else sine_reference()
+    xs = derive_rng(16).uniform(-2.0, 2.5, size=(8, ref.arch.widths[0]))
+    cfg = SearchConfig(steps=2, lr=0.0, batch_size=batch_size, delta_scope=scope, bias_nudge=0.0, seed=0)
+    for x, suite in zip(xs, search_suites(xs, data, ref, cfg)):
+        row = M.predict_batch(ref, x)[0]
+        for traj in suite:
+            assert traj.reference_pred.tobytes() == row.tobytes()
+            assert traj.pred.tobytes() == np.tile(row, (len(traj.pred), 1)).tobytes()
+            assert (traj.divergence == 0.0).all()
+
+
 def test_penalty_weight_strictly_increases():
     data, ref = moons_reference()
     cfg = SearchConfig(c0=2.0, eta_factor=1.5, eta_every=5, steps=30, lr=1e-2, seed=0)
