@@ -9,7 +9,10 @@ at three points, one of them (1e307, -1e307), on a full batch and on
 mini-batches, where one of that point's searches hits a non-finite loss
 mid-run and the batch's other searches go on; `baseline` hmc (short, tuned
 over a 120-iteration burn-in, and with no leapfrog steps), mcd, csghmc and
-de; a 3 x 3 `grid`; and an `eval` of two of the score files.  Every
+de; a sine head of width 1 (mean only, fixed variance) through `train`,
+`quam` on a full batch (setting a) and on mini-batches (setting b), and
+`baseline` hmc and csghmc; a 3 x 3 `grid`; and an `eval` of two of the
+score files.  Every
 output file but the config echo, and every status line, is hashed and
 compared with `GOLDEN`.
 
@@ -46,11 +49,13 @@ SINE = "[dataset]\nname = sine\nn = 60\nseed = 0\n"
 ARCH = "[arch]\nwidths = 2 8 2\n"
 DROPOUT_ARCH = "[arch]\nwidths = 2 8 8 2\ndropout_prob = 0.2\n"
 SINE_ARCH = "[arch]\nwidths = 1 16 2\nhead = gaussian_scalar\n"
+SINE1_ARCH = "[arch]\nwidths = 1 8 1\nhead = gaussian_scalar\n"
 TRAIN = "[train]\nepochs = 40\nlr = 0.01\n"
 SEARCH = "[search]\nsteps = 12\nlr = 0.01\n"
 MOONS_200 = MOONS.replace("n = 80", "n = 200")
 DEEP = MOONS_200 + "[reference]\ncheckpoint = train_deep/model.ckpt\n[test_inputs]\nfile = moons_far.csv\n[search]\nsteps = 30\nlr = 0.01\n"
 FAR = {"moons_far.csv": "x0,x1\n1e307,-1e307\n-1.2,1.2\n0.5,0.5\n"}
+SINE1 = SINE + SINE1_ARCH + "[reference]\ncheckpoint = train_sine1/model.ckpt\n[test_inputs]\nfile = sine_points.csv\n"
 HMC = MOONS + ARCH + "[reference]\ncheckpoint = train_moons/model.ckpt\n[test_inputs]\nfile = moons_points.csv\n[baseline]\nmethod = hmc\n"
 
 # (output directory, command and flags, config body, extra files): each run reads the outputs of those before it
@@ -81,6 +86,12 @@ RUNS = [
         SINE + SINE_ARCH + "[reference]\ncheckpoint = train_sine/model.ckpt\n[test_inputs]\nfile = sine_points.csv\n" + SEARCH + "[estimator]\nsetting = a\n",
         {"sine_points.csv": "x\n0.5\n4.0\n"},
     ),
+    # a width-1 Gaussian head: the mean only, at the fixed variance
+    ("train_sine1", "train", SINE + SINE1_ARCH + "[train]\nepochs = 60\nlr = 0.01\n", {}),
+    ("quam_sine1", "quam", SINE1 + SEARCH + "[estimator]\nsetting = a\n", {}),
+    ("quam_sine1_minibatch", "quam", SINE1 + SEARCH + "batch_size = 16\n[estimator]\nsetting = b\n", {}),
+    ("hmc_sine1", "baseline", SINE1 + "[baseline]\nmethod = hmc\nn_samples = 10\nburn_in = 30\nn_leapfrog = 5\n", {}),
+    ("csghmc_sine1", "baseline", SINE1 + "[baseline]\nmethod = csghmc\ncycles = 2\nsteps_per_cycle = 10\n", {}),
     # the far point's class-1 search aborts after 20 updates (13 on mini-batches); its class-0 search does not
     ("quam_abort", "quam --jobs 3", DEEP + "[estimator]\nsetting = b\n", FAR),
     ("quam_abort_minibatch", "quam --jobs 3", DEEP + "batch_size = 64\n[estimator]\nsetting = b\n", {}),
@@ -135,6 +146,27 @@ GOLDEN = {
         'quam_sine/trajectory_0000_direction-.jsonl': '20eaa99ff0b86f9f022d1c4ec789d1d9e81405f4823db840f8620096fc4a4f78',
         'quam_sine/trajectory_0001_direction+.jsonl': 'f075c50e2443ae5466a557a203726818cc98be81395749d6c060198c24bc1c6c',
         'quam_sine/trajectory_0001_direction-.jsonl': '1205c9bf16c873d34f2a4c85c3084b91b4420404394870a925529d78bbc5199e',
+        'train_sine1/status': '76dc154e3c445f13b89d7b8f15080207178a50523e1cfb203745b5422aee6ebc',
+        'train_sine1/model.ckpt': '20961243fc7ed2f122b452698714a6b9495f2e2aea9d768bb8fb47dd31d38245',
+        'train_sine1/train_log.jsonl': 'ab88bb7bbdc15652b006f0037c2926c011a033834f3a5dbff15264bd72d2f11e',
+        'quam_sine1/status': '93359a75dc37c65fbf8b597d70009528eb6fa354cd2c2c13a10be901756e912d',
+        'quam_sine1/scores.jsonl': 'decbe40179db146caa9159b00b5a34b91ca263de4a3894d50dff24550be2a22f',
+        'quam_sine1/trajectory_0000_direction+.jsonl': '4469188458795bae81824e5bd47f2661a3c5e5ef0bdc0e3a42421e9e8afaabd5',
+        'quam_sine1/trajectory_0000_direction-.jsonl': 'b9ef322439bb80a020cada97b82111da51f00e56c2ac69d23cda898ca0c49f37',
+        'quam_sine1/trajectory_0001_direction+.jsonl': '533f02446ffaf12bda47fce2fe2362df32bdd944d937962719c70c4923254cd1',
+        'quam_sine1/trajectory_0001_direction-.jsonl': 'a7da3d3489169d11726bab140df40721da24da1cdac86636e7648e5f696f2570',
+        'quam_sine1_minibatch/status': '906813723b66b3b875b78683613bc3413fa1b9cc3767b59da7267bb9b21b70e0',
+        'quam_sine1_minibatch/scores.jsonl': '3ee295094e9178838b6898312417067a162592e355b8fccfabe49b57dab905d3',
+        'quam_sine1_minibatch/trajectory_0000_direction+.jsonl': '160f2845208d6c3a65de023ac3b7fcb3a42d2a4eaea84f10c5830f280b060603',
+        'quam_sine1_minibatch/trajectory_0000_direction-.jsonl': '0db475b6b0a330e0f22389c689ae7965cd373697a7292489917eab956ee9e314',
+        'quam_sine1_minibatch/trajectory_0001_direction+.jsonl': '8ea5bb6570464845750632cd1658feeef615a844136e49bc7393eca8f78b56a4',
+        'quam_sine1_minibatch/trajectory_0001_direction-.jsonl': '7c73bdf884b42ec7c004640da968490bbcbb7da9fc4d061cc12286872a8e090a',
+        'hmc_sine1/status': '766928b397e84b2b4f24e4a54a40ff311f0a4d5e19389bf8e5e263767aa6b582',
+        'hmc_sine1/scores_a.jsonl': '9ed420d47b7dec704f16496a6599486a894c1d3b6d8c05d84755525f0379fd58',
+        'hmc_sine1/scores_b.jsonl': 'acd0e97c68c1b18ead56363f5b7cd8c081efc714e0aa4b2e6c1f9fd7dfd31d2b',
+        'csghmc_sine1/status': '4092d740743a2db2e74bdab735eb1121be3dfa3aa6b33903ee4b31a951090fc7',
+        'csghmc_sine1/scores_a.jsonl': '4e4c0f082be1906f2d8e445ef57109173f3c3aec19b236ddb5a0c0ac47bf6361',
+        'csghmc_sine1/scores_b.jsonl': 'f679e84852634ebca50ce9b2cf37598600b8d744fec58ea82f44fa2d9bfd71f1',
         'quam_abort/status': 'a7111aa28ee0e419596d0c0704696d1f1996bd07f829e3212a7557b66f889f60',
         'quam_abort/scores.jsonl': '9d5f700cf63b2fd5715b68688f8bb9ea767aff67e2f6c7a8c45bddb5f217bb96',
         'quam_abort/trajectory_0000_class0.jsonl': '1547802c5630a44bcce37a6ca6bbe71de7c6529aefbceae6d970d0b4e2fb6725',
@@ -205,6 +237,27 @@ GOLDEN = {
         'quam_sine/trajectory_0000_direction-.jsonl': '71d612952035fb53c45b46cb3488f5d7b93408619afa2b3509c90478523532ea',
         'quam_sine/trajectory_0001_direction+.jsonl': '3b1ca0acbecb05b8e16cc4d24f0886ad1b1c4e053b61dd87f5a08bb2d5fc7130',
         'quam_sine/trajectory_0001_direction-.jsonl': '4c9498010f249906a767ddc925d2636c5e87b250fc233483225bb152136aea16',
+        'train_sine1/status': '76dc154e3c445f13b89d7b8f15080207178a50523e1cfb203745b5422aee6ebc',
+        'train_sine1/model.ckpt': '30e7f6297df5c001ce56b2fc311e98832e1f0e29d1abf87d57f12536cee2f5dd',
+        'train_sine1/train_log.jsonl': '8d7d3532fb67c9dac9b858c2f549e2c3882ab16d150a2cd074f80817f399966d',
+        'quam_sine1/status': '93359a75dc37c65fbf8b597d70009528eb6fa354cd2c2c13a10be901756e912d',
+        'quam_sine1/scores.jsonl': '9ccb746f7f88fb2215133840f6bb45866a5072d44831cf2588fd69833b7020a5',
+        'quam_sine1/trajectory_0000_direction+.jsonl': '75fc87e2b1a609f446d485cca47c05320b9b9ffbc7c7df1146999e934bcc2ebe',
+        'quam_sine1/trajectory_0000_direction-.jsonl': '828c59100738e33aa7be609b6fd400fc546e601a1d1596974b068c1a6121cf34',
+        'quam_sine1/trajectory_0001_direction+.jsonl': 'dd29b79a929a20a26bd40ac897331931cd7e48428ca231dd817d7a8d539feb2c',
+        'quam_sine1/trajectory_0001_direction-.jsonl': '429c826968f9e6930bfa8044efd0dfeaefa776929a78ba672720ac58c1869194',
+        'quam_sine1_minibatch/status': '906813723b66b3b875b78683613bc3413fa1b9cc3767b59da7267bb9b21b70e0',
+        'quam_sine1_minibatch/scores.jsonl': 'f16630a072bac112d02639e00ec7cb39060cee48d90a81696e15d3a3d3bfbaab',
+        'quam_sine1_minibatch/trajectory_0000_direction+.jsonl': '4de9c8f73a23a992009103aac63c83ca8c534841486cb144f1825a52fbb47b7e',
+        'quam_sine1_minibatch/trajectory_0000_direction-.jsonl': '25ab42363eb74a8cec28ae9b346b3c403a736014af36cc904a908e72d9367d41',
+        'quam_sine1_minibatch/trajectory_0001_direction+.jsonl': '97ffe32058b7a70dca46c0179ee71d100e5a711f130aad616e6a431c42393eb1',
+        'quam_sine1_minibatch/trajectory_0001_direction-.jsonl': '992c007fd36943f0b3ca3097835ec616fd43d209c1249c9cda7b3458b9f605f7',
+        'hmc_sine1/status': '766928b397e84b2b4f24e4a54a40ff311f0a4d5e19389bf8e5e263767aa6b582',
+        'hmc_sine1/scores_a.jsonl': '919e678c17e32b7cad6d07a23882844062c413ee05adf56995a8c4f48ed036c1',
+        'hmc_sine1/scores_b.jsonl': '26cd916d24a144ed42d38fc359567476885a5febcf5d192936050b3f043a1498',
+        'csghmc_sine1/status': '4092d740743a2db2e74bdab735eb1121be3dfa3aa6b33903ee4b31a951090fc7',
+        'csghmc_sine1/scores_a.jsonl': 'de09ff5e7190ff45793f408bbf811481160e15702871ab8e653a7296c2622c65',
+        'csghmc_sine1/scores_b.jsonl': '371509fe44bca6a71a2bb4b7b36d1701d4dc1a612d6e93085b1195605ae06a0d',
         'quam_abort/status': 'a7111aa28ee0e419596d0c0704696d1f1996bd07f829e3212a7557b66f889f60',
         'quam_abort/scores.jsonl': 'febfcd1821595dcb9ea6713560768d0af563a74027199d7138f289c921176390',
         'quam_abort/trajectory_0000_class0.jsonl': 'ff1e123d5f1fa18565c05d0ecebef5018369eb19cd5f1a72a8545751edb0380f',
@@ -275,6 +328,27 @@ GOLDEN = {
         'quam_sine/trajectory_0000_direction-.jsonl': 'f041288d820227bc159af33d6f8ea0eb325e601c4eb3e20f5a86d3658f0e8c3a',
         'quam_sine/trajectory_0001_direction+.jsonl': 'e556e287bfccfc7777890b425cf5e73b9515da21b2cd68b1c397e13a6c81380f',
         'quam_sine/trajectory_0001_direction-.jsonl': 'c9c4a760d936d4789dd06b98f3960b191161233ec51cc4c820b2923e7b7d555b',
+        'train_sine1/status': '76dc154e3c445f13b89d7b8f15080207178a50523e1cfb203745b5422aee6ebc',
+        'train_sine1/model.ckpt': '91ed69802d6545a008e57c768ec0c0a7fbf4055ab7315abc52e51c013e65f630',
+        'train_sine1/train_log.jsonl': 'eef0608e5419564e7b315ddb5e2ecffc66a8f28210217e902e87aa7ef6062e35',
+        'quam_sine1/status': '93359a75dc37c65fbf8b597d70009528eb6fa354cd2c2c13a10be901756e912d',
+        'quam_sine1/scores.jsonl': '43a07ab18cf3557ba6d115f75e60dcf933817cfa547a5c2a32dc2f535904618d',
+        'quam_sine1/trajectory_0000_direction+.jsonl': '972c98def11662911e024669ff1737d751357a14daf8eda9a3f1a4483b5c5e99',
+        'quam_sine1/trajectory_0000_direction-.jsonl': '090200eeb2b5b91a7f43cbfff95db26d8668944369604414f6a54827b55cc033',
+        'quam_sine1/trajectory_0001_direction+.jsonl': 'ec70c1b5f6b77a791dba2fff7aa3d5e53f04c95d63b8e18f1ae9e95aedc3990f',
+        'quam_sine1/trajectory_0001_direction-.jsonl': 'd585b63e46c467086e933ee4cbb3f083d2a50fe8ef3a63661dcbd63808432def',
+        'quam_sine1_minibatch/status': '906813723b66b3b875b78683613bc3413fa1b9cc3767b59da7267bb9b21b70e0',
+        'quam_sine1_minibatch/scores.jsonl': '89ca8ca49420a9e1332726e0a0b86305b955e5c268d93fa7f0af6805a2e0d053',
+        'quam_sine1_minibatch/trajectory_0000_direction+.jsonl': 'ab8e09ceef3e1266cf3f5f20f94112b89f4c972a730ae9054c0d874814b10da7',
+        'quam_sine1_minibatch/trajectory_0000_direction-.jsonl': 'e38376556401c57bc2ffd20a2b15f8dca5c39bf68bc0ccbb7c5631bfd4d416b4',
+        'quam_sine1_minibatch/trajectory_0001_direction+.jsonl': 'f20657f6a2b917a787688acad7e6995a35899f931cbc567119f1423fb0666e54',
+        'quam_sine1_minibatch/trajectory_0001_direction-.jsonl': '98511ef47ea9f5d564b222cf795080cdbe8da6be4a636518e0a262262e4b895b',
+        'hmc_sine1/status': '766928b397e84b2b4f24e4a54a40ff311f0a4d5e19389bf8e5e263767aa6b582',
+        'hmc_sine1/scores_a.jsonl': '5c6a09efd2f27b5ee2844e9ee3930d30a69605aae33ced59a64dafa8c6149cd1',
+        'hmc_sine1/scores_b.jsonl': 'ce2eb7b054e6d466efdcb9e1a8172ca5563ae1b98d50a284b84c5355d666aa66',
+        'csghmc_sine1/status': '4092d740743a2db2e74bdab735eb1121be3dfa3aa6b33903ee4b31a951090fc7',
+        'csghmc_sine1/scores_a.jsonl': '4e4c0f082be1906f2d8e445ef57109173f3c3aec19b236ddb5a0c0ac47bf6361',
+        'csghmc_sine1/scores_b.jsonl': '86b93a34d6d14f064f7c62e8f725543a25a856781c3a7fb84b624dca2db6a9a2',
         'quam_abort/status': 'a7111aa28ee0e419596d0c0704696d1f1996bd07f829e3212a7557b66f889f60',
         'quam_abort/scores.jsonl': '02ce088aeb40d1bfde52a15746ceebe11c088cc3b537af7ce4249f0db5a782f9',
         'quam_abort/trajectory_0000_class0.jsonl': '184d188de57398b2ad168b1b59bd24559256b0caa86c6ed04594b044ced39941',
