@@ -66,7 +66,8 @@ __all__ = [
     "load_checkpoint",
 ]
 
-# Variance of a width-1 Gaussian head (mean-only regression).
+# Variance of a width-1 Gaussian head (mean-only regression).  The loss takes it as a
+# width-2 head's log-variance 0: its inverse is 1 and its log 0.
 FIXED_GAUSSIAN_VARIANCE = 1.0
 
 CHECKPOINT_MAGIC = b"QUAMCKPT"
@@ -434,6 +435,8 @@ def _nll_terms(arch: ArchSpec, out: np.ndarray, targets: np.ndarray) -> tuple:
 
     For a categorical head: z = the logits less their class maximum, e =
     exp(z) and s, the class sum of e; softmax is e / s, log-softmax z - log(s).
+    For a Gaussian head: the residual, the expected squared residual and the
+    inverse variance, 1 for a width-1 head.
     """
     if arch.head == "categorical":
         m = np.maximum(out[..., 0:1, :], out[..., 1:2, :])
@@ -444,9 +447,7 @@ def _nll_terms(arch: ArchSpec, out: np.ndarray, targets: np.ndarray) -> tuple:
         return z, e, _sum_classes(e)
     resid = targets[..., 0:1, :] - out[..., 0:1, :]
     sq = resid * resid + targets[..., 1:2, :]  # E[(t - mean)^2] under the target row
-    if arch.widths[-1] == 2:
-        return resid, sq, np.exp(out[..., 1:2, :] * -1.0)
-    return resid, sq
+    return resid, sq, np.exp(out[..., 1:2, :] * -1.0) if arch.widths[-1] == 2 else 1.0
 
 
 def target_terms(arch: ArchSpec, targets: np.ndarray, weights=None):
@@ -457,14 +458,13 @@ def target_terms(arch: ArchSpec, targets: np.ndarray, weights=None):
     rows, gives the mean.  A negative weight gives the gradient of the
     row's negated loss, with the bits of the negated gradient.  For a
     categorical head the terms are -weight * targets and their class sum,
-    for a Gaussian head the scale 0.5 * weight (over the fixed variance of
-    a width-1 head).  A caller that takes many gradients against the same
+    for a Gaussian head the scale 0.5 * weight.  A caller that takes many gradients against the same
     rows builds them once and passes them as `fixed`; the results keep
     their bits.
     """
     w = 1.0 / targets.shape[-1] if weights is None else weights
     if arch.head != "categorical":
-        return (0.5 / FIXED_GAUSSIAN_VARIANCE if arch.widths[-1] == 1 else 0.5) * w
+        return 0.5 * w
     g = -w * targets
     return g, _sum_classes(g)
 
@@ -475,9 +475,7 @@ def _mean_loss(arch: ArchSpec, rows: np.ndarray):
     total = rows.sum(axis=(-2, -1))
     if arch.head == "categorical":
         return total * (-1.0 / n)
-    if arch.widths[-1] == 2:
-        return total * (0.5 / n) + 0.5 * np.log(2.0 * np.pi)
-    return total * (0.5 / (n * FIXED_GAUSSIAN_VARIANCE)) + 0.5 * np.log(2.0 * np.pi * FIXED_GAUSSIAN_VARIANCE)
+    return total * (0.5 / n) + 0.5 * np.log(2.0 * np.pi)
 
 
 def cross_entropy_loss(arch: ArchSpec, out: np.ndarray, targets: np.ndarray, terms: Optional[tuple] = None, split: Optional[int] = None):
@@ -493,10 +491,10 @@ def cross_entropy_loss(arch: ArchSpec, out: np.ndarray, targets: np.ndarray, ter
         terms = _nll_terms(arch, out, targets)
     if arch.head == "categorical":
         rows = _sum_classes((terms[0] - np.log(terms[2])) * targets)
-    elif arch.widths[-1] == 2:
-        rows = out[..., 1:2, :] + terms[1] * terms[2]
     else:
-        rows = terms[1]
+        rows = terms[1] * terms[2]
+        if arch.widths[-1] == 2:
+            rows = out[..., 1:2, :] + rows
     if split is not None:
         return _mean_loss(arch, rows[..., :split]), _mean_loss(arch, rows[..., split:])
     loss = _mean_loss(arch, rows)
@@ -515,13 +513,11 @@ def cross_entropy_grad(arch: ArchSpec, out: np.ndarray, targets: np.ndarray, fix
         np.putmask(grad, grad < _NEGLIGIBLE, 0.0)
         grad *= g_sum
         np.subtract(g, grad, out=grad)
-    elif arch.widths[-1] == 2:
+    else:
         resid, sq, inv_var = terms
         grad[..., 0:1, :] = -((2.0 * resid) * (fixed * inv_var))
-        grad[..., 1:2, :] = fixed - (fixed * sq) * inv_var
-    else:
-        np.multiply(2.0 * terms[0], fixed, out=grad)
-        np.negative(grad, out=grad)
+        if arch.widths[-1] == 2:
+            grad[..., 1:2, :] = fixed - (fixed * sq) * inv_var
     return terms
 
 
