@@ -245,7 +245,8 @@ def test_csghmc_rejects_empty_cycles(moons):
 def test_hmc_aborts_on_hundred_rejections():
     # a pathological step size on a narrow target rejects everything
     def logp(q):
-        return -0.5 * 1e8 * q @ q
+        with np.errstate(over="ignore"):  # the target's own overflow at a rejected proposal
+            return -0.5 * 1e8 * q @ q
 
     def grad(q):
         return -1e8 * q
@@ -259,7 +260,8 @@ def test_lock_step_abort_names_the_chain_and_its_seed():
     scale = np.array([[1.0], [1e8], [1.0]])
 
     def logp(qs):
-        return -0.5 * (scale * qs * qs).sum(axis=1)
+        with np.errstate(over="ignore"):  # the target's own overflow at a rejected proposal
+            return -0.5 * (scale * qs * qs).sum(axis=1)
 
     with pytest.raises(S.HMCAborted, match=r"^chain 1 \(seed 8\): 100 consecutive rejections"):
         S.hmc(logp, lambda qs: -scale * qs, np.ones((3, 1)), n_samples=300, n_leapfrog=30, step_size=1.0, seed=[7, 8, 9])
