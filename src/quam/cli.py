@@ -8,7 +8,10 @@ strict JSON without NaN or Infinity.  Each subcommand is a
 creates the output directory (`--out`, else `[output] dir`) with the echo,
 and resolves the seed (`--seed`, else `[experiment] seed`, else 0) once for
 every command; `jobs` is `--jobs`, the test points per lock-step search
-batch of quam and grid.  A numeric setting outside its domain
+batch of quam and grid.  A command passes a library function only the keys
+its config sets (`ExperimentConfig.settings`), so an unset key takes the
+library default; the one default the CLI holds is grid's `[estimator]
+setting`, "a" (`cmd_grid`).  A numeric setting outside its domain
 (`config.require`) is a usage error naming its key.  Test inputs are
 finite, so a model's prediction row outside its head's domain at one of
 them (a variance that underflowed to 0) is a numerical abort naming the
@@ -50,35 +53,31 @@ def _status(command: str, status: str, **extra):
     print(json.dumps({"status": status, "command": command, **extra}, allow_nan=False))
 
 
+def _existing(path: str, what: str) -> str:
+    if not os.path.exists(path):
+        raise UsageError(f"{what} does not exist: {path}")
+    return path
+
+
 def load_dataset(cfg: ExperimentConfig) -> D.LabeledDataset:
     name = cfg.require("dataset", "name")
-    seed = cfg.get_int("dataset", "seed", 0)
+    seed = cfg.settings("dataset", seed=int)
     if name in ("two_moons", "sine"):
-        n = cfg.get_int("dataset", "n", 200)
-        require(1, **{"[dataset] n": n})
-        if name == "sine":
-            return D.gen_sine(n, seed)
-        noise = cfg.get_float("dataset", "noise", 0.1)
-        require(0, **{"[dataset] noise": noise})
-        return D.gen_two_moons(n, noise, seed)
+        kw = cfg.settings("dataset", n=int, **({"noise": float} if name == "two_moons" else {}))
+        require(1, **{"[dataset] n": kw.get("n")})
+        require(0, **{"[dataset] noise": kw.get("noise")})
+        return (D.gen_two_moons if name == "two_moons" else D.gen_sine)(**kw, **seed)
     if name == "three_gaussians":
-        return D.gen_three_gaussians(seed)
+        return D.gen_three_gaussians(**seed)
     if name == "idx":
-        images = cfg.require("dataset", "images")
-        labels = cfg.require("dataset", "labels")
-        for path in (images, labels):
-            if not os.path.exists(path):
-                raise UsageError(f"dataset file does not exist: {path}")
-        ds = D.load_idx(images, labels)
+        images = _existing(cfg.require("dataset", "images"), "dataset file")
+        ds = D.load_idx(images, _existing(cfg.require("dataset", "labels"), "dataset file"))
         limit = cfg.get_int("dataset", "limit", 0)
         if limit:
-            ds = D.subset_split(ds, [limit], seed=seed)[0]
+            ds = D.subset_split(ds, [limit], **seed)[0]
         return ds
     if name == "csv":
-        path = cfg.require("dataset", "path")
-        if not os.path.exists(path):
-            raise UsageError(f"dataset file does not exist: {path}")
-        return D.from_csv(path, cfg.get_str("dataset", "kind", "classification"))
+        return D.from_csv(_existing(cfg.require("dataset", "path"), "dataset file"), **cfg.settings("dataset", kind=str))
     raise UsageError(f"unknown dataset name {name!r}")
 
 
@@ -86,23 +85,12 @@ def load_arch(cfg: ExperimentConfig) -> M.ArchSpec:
     widths = cfg.get_ints("arch", "widths")
     if widths is None:
         raise UsageError("missing [arch] widths")
-    return M.ArchSpec(
-        widths=widths,
-        head=cfg.get_str("arch", "head", "categorical"),
-        dropout_prob=cfg.get_float("arch", "dropout_prob", 0.0),
-    )
+    return M.ArchSpec(widths, **cfg.settings("arch", head=str, dropout_prob=float))
 
 
 def load_train_config(cfg: ExperimentConfig, seed: int) -> M.TrainConfig:
     """The [train] section; every key it leaves out keeps TrainConfig's default."""
-    d = M.TrainConfig(seed=seed)
-    return M.TrainConfig(
-        lr=cfg.get_float("train", "lr", d.lr),
-        weight_decay=cfg.get_float("train", "weight_decay", d.weight_decay),
-        epochs=cfg.get_int("train", "epochs", d.epochs),
-        batch_size=cfg.get_int("train", "batch_size", d.batch_size),
-        seed=seed,
-    )
+    return M.TrainConfig(seed=seed, **cfg.settings("train", lr=float, weight_decay=float, epochs=int, batch_size=int))
 
 
 def load_search_config(cfg: ExperimentConfig, seed: int) -> SearchConfig:
@@ -112,37 +100,32 @@ def load_search_config(cfg: ExperimentConfig, seed: int) -> SearchConfig:
     criterion 5's box-constrained logistic search and the unit tests set
     them, and no experiment the CLI runs needs other values.
     """
-    d = SearchConfig(seed=seed)
-    return SearchConfig(
-        c0=cfg.get_float("search", "c0", d.c0),
-        eta_factor=cfg.get_float("search", "eta_factor", d.eta_factor),
-        eta_every=cfg.get_int("search", "eta_every", d.eta_every),
-        gamma=cfg.get_float("search", "gamma", d.gamma),
-        steps=cfg.get_int("search", "steps", d.steps),
-        lr=cfg.get_float("search", "lr", d.lr),
-        weight_decay=cfg.get_float("search", "weight_decay", d.weight_decay),
-        batch_size=cfg.get_int("search", "batch_size", d.batch_size),
-        delta_scope=cfg.get_str("search", "delta_scope", d.delta_scope),
-        seed=seed,
-    )
+    kw = cfg.settings("search", c0=float, eta_factor=float, eta_every=int, gamma=float, steps=int, lr=float, weight_decay=float, batch_size=int, delta_scope=str)
+    return SearchConfig(seed=seed, **kw)
+
+
+def _finite_row(line: str):
+    """The cells of a CSV line as floats, or None when one of them is not a finite number."""
+    try:
+        row = [float(c) for c in line.split(",")]
+    except ValueError:
+        return None
+    return row if np.isfinite(row).all() else None
 
 
 def load_test_inputs(cfg: ExperimentConfig) -> np.ndarray:
-    path = cfg.require("test_inputs", "file")
-    if not os.path.exists(path):
-        raise UsageError(f"test input file does not exist: {path}")
+    """The rows of `[test_inputs] file`: a header row, such as x0,x1, then one point per line."""
+    path = _existing(cfg.require("test_inputs", "file"), "test input file")
     rows = []
     with open(path) as f:
-        f.readline()  # header
+        header = f.readline()
+        if _finite_row(header) is not None:
+            raise UsageError(f"test input file {path}, line 1: expected a header row such as x0,x1, got the numbers {header.strip()!r}")
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
-            try:
-                row = [float(c) for c in line.split(",")]
-                ok = np.isfinite(row).all() and (not rows or len(row) == len(rows[0]))
-            except ValueError:
-                ok = False
-            if not ok:
+            row = _finite_row(line)
+            if row is None or rows and len(row) != len(rows[0]):
                 raise UsageError(f"test input file {path}, line {lineno}: every row needs the same number of finite numbers, got {line.strip()!r}")
             rows.append(row)
     if not rows:
@@ -178,20 +161,19 @@ def cmd_train(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     return EXIT_OK
 
 
-def _score(cfg: ExperimentConfig, xs: np.ndarray, seed: int, jobs: int, setting: str) -> tuple[list, list]:
+def _score(cfg: ExperimentConfig, xs: np.ndarray, seed: int, jobs: int, **defaults) -> tuple[list, list]:
     """`quam_scores` of the rows of `xs` against `[reference] checkpoint`, `jobs` points per lock-step batch: every point's breakdown and trajectories.
 
-    `setting` is the default of `[estimator] setting`.
+    `defaults` stand in for the `[estimator]` keys the config leaves out.
     """
     dataset = load_dataset(cfg)
     reference = M.load_checkpoint(cfg.require("reference", "checkpoint"))
-    temperature = cfg.get_float("estimator", "temperature", 0.1)
-    setting = cfg.get_str("estimator", "setting", setting)
+    estimator = {**defaults, **cfg.settings("estimator", temperature=float, setting=str)}
     search_cfg = load_search_config(cfg, seed)
     require(1, **{"--jobs": jobs})
     breakdowns, suites = [], []
     for start in range(0, len(xs), jobs):
-        brs, trajs = quam_scores(xs[start : start + jobs], dataset, reference, search_cfg, temperature, setting=setting)
+        brs, trajs = quam_scores(xs[start : start + jobs], dataset, reference, search_cfg, **estimator)
         breakdowns += brs
         suites += trajs
     return breakdowns, suites
@@ -210,7 +192,7 @@ def _finish_scoring(command: str, suites: list, **extra) -> int:
 def cmd_quam(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     xs = load_test_inputs(cfg)
     save_traj = cfg.get_bool("output", "trajectories", True)
-    breakdowns, suites = _score(cfg, xs, seed, jobs, "b")
+    breakdowns, suites = _score(cfg, xs, seed, jobs)
     with open(os.path.join(out, "scores.jsonl"), "w") as f:
         for i, (br, trajs) in enumerate(zip(breakdowns, suites)):
             f.write(_breakdown_row(i, br) + "\n")
@@ -230,32 +212,14 @@ def cmd_baseline(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     reference = M.load_checkpoint(ref_ckpt) if ref_ckpt else None
 
     if method == "de":
-        sampler = deep_ensemble(dataset, arch, cfg.get_int("baseline", "n_members", 5), load_train_config(cfg, seed))
+        sampler = deep_ensemble(dataset, arch, base_cfg=load_train_config(cfg, seed), **cfg.settings("baseline", n_members=int))
     elif method == "mcd":
         cfg.require("reference", "checkpoint")  # dropout samples come from the reference
-        sampler = mc_dropout(reference, cfg.get_int("baseline", "n_samples", 500), seed=seed)
+        sampler = mc_dropout(reference, seed=seed, **cfg.settings("baseline", n_samples=int))
     elif method == "csghmc":
-        sampler = csghmc(
-            dataset,
-            arch,
-            cycles=cfg.get_int("baseline", "cycles", 4),
-            steps_per_cycle=cfg.get_int("baseline", "steps_per_cycle", 200),
-            step_size=cfg.get_float("baseline", "step_size", 1e-3),
-            temperature=cfg.get_float("baseline", "temperature", 1.0),
-            seed=seed,
-            prior_precision=cfg.get_float("baseline", "prior_precision", 1.0),
-        )
+        sampler = csghmc(dataset, arch, seed=seed, **cfg.settings("baseline", cycles=int, steps_per_cycle=int, step_size=float, temperature=float, prior_precision=float))
     elif method == "hmc":
-        sampler = hmc_posterior(
-            dataset,
-            arch,
-            prior_precision=cfg.get_float("baseline", "prior_precision", 1e-3),
-            n_samples=cfg.get_int("baseline", "n_samples", 500),
-            n_leapfrog=cfg.get_int("baseline", "n_leapfrog", 25),
-            step_size=cfg.get_float("baseline", "step_size", 2e-3),
-            seed=seed,
-            burn_in=cfg.get_int("baseline", "burn_in", 500),
-        )
+        sampler = hmc_posterior(dataset, arch, seed=seed, **cfg.settings("baseline", prior_precision=float, n_samples=int, n_leapfrog=int, step_size=float, burn_in=int))
     else:
         raise UsageError(f"unknown baseline method {method!r}")
 
@@ -291,17 +255,15 @@ def cmd_eval(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
         raise UsageError("[eval] metrics names no metric")
 
     def read_scores(path):
-        if not os.path.exists(path):
-            raise UsageError(f"scores file does not exist: {path}")
         vals = []
-        with open(path) as f:
+        with open(_existing(path, "scores file")) as f:
             for line in f:
                 if line.strip():
                     row = json.loads(line)
-                    try:
-                        vals.append(float(row[field]))
-                    except (KeyError, TypeError) as e:
-                        raise UsageError(f"scores file {path} has a row without a number in the field {field!r}") from e
+                    value = row.get(field) if isinstance(row, dict) else None
+                    if type(value) not in (int, float):  # a JSON number: not a boolean, a string or null
+                        raise UsageError(f"scores file {path} has a row without a number in the field {field!r}")
+                    vals.append(float(value))
         return np.asarray(vals)
 
     id_scores = read_scores(id_path)
@@ -314,8 +276,8 @@ def cmd_eval(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
         elif m == "aupr":
             value = aupr(scored)
         elif m.startswith("fpr_at_tpr"):
-            target = float(m[len("fpr_at_tpr") :]) / 100 if len(m) > len("fpr_at_tpr") else 0.95
-            value = fpr_at_tpr(scored, target)
+            target = m[len("fpr_at_tpr") :]
+            value = fpr_at_tpr(scored, float(target) / 100) if target else fpr_at_tpr(scored)
         else:
             raise UsageError(f"unknown metric {m!r}")
         results.append({"metric": m, "value": value, "n": int(len(scored.scores)), "seed": seed})
@@ -327,6 +289,7 @@ def cmd_eval(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
 
 
 def cmd_grid(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
+    """Scores on the `[grid]` lattice.  `[estimator] setting` defaults to "a", not `quam_scores`' "b": criterion 7's maps are setting a."""
     res = cfg.get_int("grid", "resolution", 40)
     require(1, **{"[grid] resolution": res})
     x_lo, x_hi = cfg.get_floats("grid", "x_range", (-1.5, 2.5), count=2)
@@ -334,7 +297,7 @@ def cmd_grid(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     xs = np.linspace(x_lo, x_hi, res)
     ys = np.linspace(y_lo, y_hi, res)
     points = np.array([(x, y) for x in xs for y in ys])
-    breakdowns, suites = _score(cfg, points, seed, jobs, "a")
+    breakdowns, suites = _score(cfg, points, seed, jobs, setting="a")
     path = os.path.join(out, "grid.csv")
     with open(path, "w") as f:
         f.write("x,y,total,aleatoric,epistemic,flags\n")
@@ -362,14 +325,7 @@ def cmd_simplex(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     dataset = load_dataset(cfg)
     arch = load_arch(cfg)
     x = np.asarray(cfg.get_floats("simplex", "test_point", tuple(D.THREE_GAUSSIAN_TEST_POINT), count=arch.widths[0]))
-    rows = simplex_surface(
-        dataset,
-        x,
-        arch,
-        resolution=cfg.get_int("simplex", "resolution", 15),
-        repeats=cfg.get_int("simplex", "repeats", 20),
-        cfg=load_train_config(cfg, seed),
-    )
+    rows = simplex_surface(dataset, x, arch, cfg=load_train_config(cfg, seed), **cfg.settings("simplex", resolution=int, repeats=int))
     path = os.path.join(out, "simplex.csv")
     with open(path, "w") as f:
         f.write("p0,p1,p2,median_likelihood,failures\n")

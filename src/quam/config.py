@@ -19,6 +19,7 @@ import math
 __all__ = ["ConfigError", "ExperimentConfig", "require"]
 
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_KINDS = {int: "integer", float: "number", str: "text"}
 
 
 class ConfigError(ValueError):
@@ -107,14 +108,19 @@ class ExperimentConfig:
         except (KeyError, ValueError) as e:
             raise ConfigError(f"[{section}] {key}: expected {expected}, got {raw!r}") from e
 
+    def settings(self, section: str, **kinds) -> dict:
+        """The keys of `kinds` that `[section]` sets, each parsed as its kind (`int`, `float` or `str`).
+
+        A key the section leaves out is left out of the result, so a call
+        `f(**cfg.settings(...))` keeps `f`'s default for it.
+        """
+        return {key: self._get(section, key, None, kind, _KINDS[kind]) for key, kind in kinds.items() if self.has(section, key)}
+
     def get_str(self, section, key, default=None):
         return self._get(section, key, default, str, "text")
 
     def get_int(self, section, key, default=None):
         return self._get(section, key, default, int, "integer")
-
-    def get_float(self, section, key, default=None):
-        return self._get(section, key, default, float, "number")
 
     def get_bool(self, section, key, default=None):
         return self._get(section, key, default, lambda raw: _BOOLS[raw.lower()], "boolean")

@@ -86,7 +86,7 @@ class LabeledDataset:
         return LabeledDataset(self.x[idx], self.y[idx], self.kind)
 
 
-def gen_two_moons(n: int, noise: float = 0.1, seed: int = 0) -> LabeledDataset:
+def gen_two_moons(n: int = 200, noise: float = 0.1, seed: int = 0) -> LabeledDataset:
     """Two interleaving half circles with isotropic Gaussian jitter.
 
     Upper moon (cos t, sin t), lower moon (1 - cos t, 0.5 - sin t), with t
@@ -121,7 +121,7 @@ def gen_three_gaussians(seed: int = 0) -> LabeledDataset:
     return LabeledDataset(np.vstack(xs), np.concatenate(ys), "classification")
 
 
-def gen_sine(n: int, seed: int = 0) -> LabeledDataset:
+def gen_sine(n: int = 200, seed: int = 0) -> LabeledDataset:
     """x uniform on [-pi, pi]; y = sin(x) + eps with eps ~ N(0, 0.1) (variance 0.1)."""
     rng = derive_rng(seed)
     x = rng.uniform(-np.pi, np.pi, size=n)
@@ -213,7 +213,7 @@ def subset_split(data: LabeledDataset, sizes, seed: int = 0) -> list[LabeledData
     return parts
 
 
-def from_csv(path, kind: str) -> LabeledDataset:
+def from_csv(path, kind: str = "classification") -> LabeledDataset:
     """A dataset from a CSV file: a header row x0, ..., y, then one sample per line.
 
     Every cell is a finite number, and a classification row's last cell a

@@ -59,7 +59,7 @@ def quam_scores(
     data,
     reference: ModelParams,
     config: SearchConfig,
-    temperature: float,
+    temperature: float = 0.1,
     setting: str = "b",
     classes=None,
 ) -> tuple[list[UncertaintyBreakdown], list[list[SearchTrajectory]]]:

@@ -144,9 +144,9 @@ def simplex_surface(
     data: LabeledDataset,
     x,
     arch: ArchSpec,
-    resolution: int,
-    repeats: int,
-    cfg: TrainConfig,
+    resolution: int = 15,
+    repeats: int = 20,
+    cfg: TrainConfig = TrainConfig(),
 ):
     """Best achievable training likelihood when the prediction at `x` is pinned.
 

@@ -572,7 +572,7 @@ def log_posterior(params: ModelParams, data, prior_precision: float) -> float:
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr: float = 5e-3
     weight_decay: float = 1e-3

@@ -82,14 +82,14 @@ class SamplerOutput:
         return out
 
 
-def deep_ensemble(data, arch: ArchSpec, n_members: int, base_cfg: TrainConfig) -> SamplerOutput:
+def deep_ensemble(data, arch: ArchSpec, n_members: int = 5, base_cfg: TrainConfig = TrainConfig()) -> SamplerOutput:
     """Independently initialized and trained members; member i uses seed base+i."""
     require(1, n_members=n_members)
     members = [train(data, arch, replace(base_cfg, seed=base_cfg.seed + i)) for i in range(n_members)]
     return SamplerOutput(method="de", params=members, diagnostics={"n_members": n_members, "base_seed": base_cfg.seed})
 
 
-def mc_dropout(params: ModelParams, n_samples: int, seed: int = 0) -> SamplerOutput:
+def mc_dropout(params: ModelParams, n_samples: int = 500, seed: int = 0) -> SamplerOutput:
     """Stochastic forward passes with dropout active at inference: n_samples mask sets drawn once."""
     require(1, n_samples=n_samples)
     if not params.arch.dropout_prob > 0:
@@ -114,9 +114,9 @@ def cosine_step_size(step0: float, t: int, steps_per_cycle: int) -> float:
 def csghmc(
     data,
     arch: ArchSpec,
-    cycles: int,
-    steps_per_cycle: int,
-    step_size: float,
+    cycles: int = 4,
+    steps_per_cycle: int = 200,
+    step_size: float = 1e-3,
     temperature: float = 1.0,
     seed: int = 0,
     friction: float = 0.05,
@@ -340,10 +340,10 @@ class _PosteriorWorkspace(Workspace):
 def hmc_posterior(
     data,
     arch: ArchSpec,
-    prior_precision: float,
-    n_samples: int,
-    n_leapfrog: int,
-    step_size: float,
+    prior_precision: float = 1e-3,
+    n_samples: int = 500,
+    n_leapfrog: int = 25,
+    step_size: float = 2e-3,
     seed: Union[int, Sequence[int]] = 0,
     burn_in: int = 500,
     auto_tune: bool = True,

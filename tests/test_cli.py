@@ -1,13 +1,16 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from quam import data as D
 from quam import models as M
 from quam import cli
 from quam.cli import load_search_config, load_train_config, main
@@ -64,10 +67,197 @@ def test_config_errors():
         ExperimentConfig.loads("[a]\nx = notanint\n").get_int("a", "x")
 
 
-def test_search_defaults_are_the_library_defaults():
+def test_settings_returns_the_keys_a_section_sets_parsed_as_their_kinds():
+    cfg = ExperimentConfig.loads("[a]\nn = 3\nx = 0.5\nname = moons\nbad = 1.5\n")
+    assert cfg.settings("a", n=int, x=float, name=str, absent=float) == {"n": 3, "x": 0.5, "name": "moons"}
+    assert cfg.settings("b", n=int) == {}
+    with pytest.raises(ConfigError) as settings_error:
+        cfg.settings("a", bad=int)
+    with pytest.raises(ConfigError) as get_int_error:
+        cfg.get_int("a", "bad")
+    assert str(settings_error.value) == str(get_int_error.value) == "[a] bad: expected integer, got '1.5'"
+    with pytest.raises(ConfigError, match=r"^\[a\] name: expected number, got 'moons'$"):
+        cfg.settings("a", name=float)
+
+
+class _Stop(Exception):
+    """Raised by a spied library call where a command's real work would start."""
+
+
+# (command, config with only the required keys, the spied calls it makes in order)
+REQUIRED_ONLY = {
+    "train": ("train", "[dataset]\nname = two_moons\n[arch]\nwidths = 2 4 2\n", ["gen_two_moons", "ArchSpec", "TrainConfig", "train"]),
+    "train_sine": ("train", "[dataset]\nname = sine\n[arch]\nwidths = 1 4 2\n", ["gen_sine", "ArchSpec", "TrainConfig", "train"]),
+    "train_three_gaussians": ("train", "[dataset]\nname = three_gaussians\n[arch]\nwidths = 2 4 3\n", ["gen_three_gaussians", "ArchSpec", "TrainConfig", "train"]),
+    "train_csv": ("train", "[dataset]\nname = csv\npath = {csv}\n[arch]\nwidths = 1 4 2\n", ["from_csv", "ArchSpec", "TrainConfig", "train"]),
+    "train_idx": ("train", "[dataset]\nname = idx\nimages = {images}\nlabels = {labels}\nlimit = 2\n[arch]\nwidths = 4 4 2\n", ["subset_split", "ArchSpec", "TrainConfig", "train"]),
+    "quam": ("quam", "[dataset]\nname = two_moons\n{scoring}", ["gen_two_moons", "SearchConfig", "quam_scores"]),
+    "grid": ("grid", "[dataset]\nname = two_moons\n[reference]\ncheckpoint = {ckpt}\n", ["gen_two_moons", "SearchConfig", "quam_scores"]),
+    "de": ("baseline", "[baseline]\nmethod = de\n{moons}", ["gen_two_moons", "ArchSpec", "TrainConfig", "deep_ensemble"]),
+    "mcd": ("baseline", "[baseline]\nmethod = mcd\n{moons}{scoring}", ["gen_two_moons", "ArchSpec", "mc_dropout"]),
+    "csghmc": ("baseline", "[baseline]\nmethod = csghmc\n{moons}", ["gen_two_moons", "ArchSpec", "csghmc"]),
+    "hmc": ("baseline", "[baseline]\nmethod = hmc\n{moons}", ["gen_two_moons", "ArchSpec", "hmc_posterior"]),
+    "simplex": ("simplex", "[dataset]\nname = three_gaussians\n[arch]\nwidths = 2 4 3\n", ["gen_three_gaussians", "ArchSpec", "TrainConfig", "simplex_surface"]),
+}
+
+
+def test_search_defaults_are_the_library_defaults(tmp_path, monkeypatch):
     cfg = ExperimentConfig.loads("[search]\n")
     assert load_search_config(cfg, 7) == SearchConfig(seed=7)
     assert load_train_config(ExperimentConfig.loads("[train]\n"), 7) == M.TrainConfig(seed=7)
+    # every library call of every command, on a config with only the required keys, gets no
+    # keyword from the config: each setting is the callee's default
+    ckpt = str(tmp_path / "ref.ckpt")
+    M.save_checkpoint(M.init_params(M.ArchSpec((2, 4, 2)), 0), ckpt)
+    images, labels = str(tmp_path / "img"), str(tmp_path / "lab")
+    D.save_idx(D.LabeledDataset(np.full((4, 4), 0.5), np.array([0, 1, 0, 1]), "classification"), images, labels, rows=2, cols=2)
+    points = write(tmp_path / "p.csv", "x0,x1\n0.5,0.5\n")
+    files = {
+        "ckpt": ckpt,
+        "csv": write(tmp_path / "d.csv", "x0,y\n0.5,1\n-0.5,0\n"),
+        "images": images,
+        "labels": labels,
+        "scoring": f"[reference]\ncheckpoint = {ckpt}\n[test_inputs]\nfile = {points}\n",
+    }
+    files["moons"] = "[dataset]\nname = two_moons\n[arch]\nwidths = 2 4 2\n" + files["scoring"]
+    calls = []
+
+    def spy(fn, stop=False):
+        def wrapper(*args, **kwargs):
+            calls.append((fn.__name__, kwargs))
+            if stop:
+                raise _Stop
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    loaders = ("gen_two_moons", "gen_sine", "gen_three_gaussians", "from_csv", "subset_split")
+    monkeypatch.setattr(cli, "D", SimpleNamespace(**{**vars(D), **{name: spy(getattr(D, name)) for name in loaders}}))
+    monkeypatch.setattr(cli, "M", SimpleNamespace(**{**vars(M), "ArchSpec": spy(M.ArchSpec), "TrainConfig": spy(M.TrainConfig), "train": spy(M.train, stop=True)}))
+    monkeypatch.setattr(cli, "SearchConfig", spy(SearchConfig))
+    for name in ("quam_scores", "deep_ensemble", "mc_dropout", "csghmc", "hmc_posterior", "simplex_surface"):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name), stop=True))
+    for case, (command, body, expected) in REQUIRED_ONLY.items():
+        calls.clear()
+        with pytest.raises(_Stop):
+            main([command, "--config", write(tmp_path / "c.ini", body.format(**files)), "--out", str(tmp_path / "out")])
+        for name, kwargs in calls:
+            # the seed, the train config and the log are the CLI's own; grid scores in setting a
+            plumbing = {"seed", "cfg", "base_cfg", "log"} | ({"setting"} if case == "grid" else set())
+            assert set(kwargs) <= plumbing, (case, name, sorted(kwargs))
+        assert [name for name, _ in calls] == expected, case
+        assert case != "grid" or calls[-1][1]["setting"] == "a"
+
+
+def _keys(section, *keys):
+    return {(section, key) for key in keys}
+
+
+COMMON = _keys("experiment", "seed") | _keys("output", "dir")
+MOONS_KEYS = _keys("dataset", "name", "seed", "n", "noise")
+ARCH_KEYS = _keys("arch", "widths", "head", "dropout_prob")
+TRAIN_KEYS = _keys("train", "lr", "weight_decay", "epochs", "batch_size")
+SCORING_KEYS = MOONS_KEYS | _keys("reference", "checkpoint") | _keys("estimator", "temperature", "setting")
+SCORING_KEYS |= _keys("search", "c0", "eta_factor", "eta_every", "gamma", "steps", "lr", "weight_decay", "batch_size", "delta_scope")
+BASELINE_KEYS = MOONS_KEYS | ARCH_KEYS | _keys("baseline", "method") | _keys("reference", "checkpoint") | _keys("test_inputs", "file")
+# values that are names or paths: "x" is a usage error naming the value, not the key
+TEXT_KEYS = _keys("dataset", "name", "path", "kind", "images", "labels") | _keys("arch", "head") | _keys("search", "delta_scope")
+TEXT_KEYS |= _keys("estimator", "setting") | _keys("baseline", "method") | _keys("reference", "checkpoint") | _keys("test_inputs", "file")
+TEXT_KEYS |= _keys("eval", "id_scores", "positive_scores", "field", "metrics") | _keys("varstudy", "parameter") | _keys("output", "dir")
+# library parameters that no config sets
+HIDDEN_KEYS = _keys("baseline", "friction", "batch_size", "tail_fraction") | _keys("search", "adam_eps", "bias_nudge", "param_box", "free_mask")
+
+MOONS_BASE = "[dataset]\nname = two_moons\nn = 20\n"
+SCORING_BASE = MOONS_BASE + "[reference]\ncheckpoint = {ckpt}\n[search]\nsteps = 1\n"
+BASELINE_BASE = MOONS_BASE + "[arch]\nwidths = 2 4 2\n[test_inputs]\nfile = {points}\n[reference]\ncheckpoint = {ckpt}\n[baseline]\n"
+SMALL_TRAIN = "[train]\nepochs = 1\n"
+
+# case -> (command, a config that runs in a moment, every (section, key) the command reads)
+READS = {
+    "train": ("train", MOONS_BASE + "[arch]\nwidths = 2 4 2\n" + SMALL_TRAIN, MOONS_KEYS | ARCH_KEYS | TRAIN_KEYS),
+    "train_sine": (
+        "train",
+        "[dataset]\nname = sine\nn = 20\n[arch]\nwidths = 1 4 2\nhead = gaussian_scalar\n" + SMALL_TRAIN,
+        _keys("dataset", "name", "seed", "n") | ARCH_KEYS | TRAIN_KEYS,
+    ),
+    "train_three_gaussians": (
+        "train",
+        "[dataset]\nname = three_gaussians\n[arch]\nwidths = 2 4 3\n" + SMALL_TRAIN,
+        _keys("dataset", "name", "seed") | ARCH_KEYS | TRAIN_KEYS,
+    ),
+    "train_csv": ("train", "[dataset]\nname = csv\npath = {csv}\n[arch]\nwidths = 1 4 2\n" + SMALL_TRAIN, _keys("dataset", "name", "seed", "path", "kind") | ARCH_KEYS | TRAIN_KEYS),
+    "train_idx": (
+        "train",
+        "[dataset]\nname = idx\nimages = {images}\nlabels = {labels}\nlimit = 2\n[arch]\nwidths = 4 4 2\n" + SMALL_TRAIN,
+        _keys("dataset", "name", "seed", "images", "labels", "limit") | ARCH_KEYS | TRAIN_KEYS,
+    ),
+    "quam": ("quam", SCORING_BASE + "[test_inputs]\nfile = {points}\n", SCORING_KEYS | _keys("test_inputs", "file") | _keys("output", "trajectories")),
+    "grid": ("grid", SCORING_BASE + "[grid]\nresolution = 1\n", SCORING_KEYS | _keys("grid", "resolution", "x_range", "y_range")),
+    "de": ("baseline", BASELINE_BASE + "method = de\nn_members = 1\n" + SMALL_TRAIN, BASELINE_KEYS | _keys("baseline", "n_members") | TRAIN_KEYS),
+    "mcd": ("baseline", BASELINE_BASE.replace("{ckpt}", "{dropout_ckpt}") + "method = mcd\nn_samples = 1\n", BASELINE_KEYS | _keys("baseline", "n_samples")),
+    "csghmc": (
+        "baseline",
+        BASELINE_BASE + "method = csghmc\ncycles = 1\nsteps_per_cycle = 1\n",
+        BASELINE_KEYS | _keys("baseline", "cycles", "steps_per_cycle", "step_size", "temperature", "prior_precision"),
+    ),
+    "hmc": (
+        "baseline",
+        BASELINE_BASE + "method = hmc\nn_samples = 1\nburn_in = 0\nn_leapfrog = 1\n",
+        BASELINE_KEYS | _keys("baseline", "prior_precision", "n_samples", "n_leapfrog", "step_size", "burn_in"),
+    ),
+    "eval": ("eval", "[eval]\nid_scores = {scores}\npositive_scores = {scores}\n", _keys("eval", "id_scores", "positive_scores", "field", "metrics")),
+    "varstudy": ("varstudy", "[varstudy]\ncount = 1\n", _keys("varstudy", "parameter", "range", "count")),
+    "simplex": (
+        "simplex",
+        "[dataset]\nname = three_gaussians\n[arch]\nwidths = 2 4 3\n[simplex]\nresolution = 2\nrepeats = 1\n" + SMALL_TRAIN,
+        _keys("dataset", "name", "seed") | ARCH_KEYS | TRAIN_KEYS | _keys("simplex", "test_point", "resolution", "repeats"),
+    ),
+}
+
+
+def _with_values(body: str, values: dict) -> str:
+    """`body` with each (section, key) of `values` set to its value, replacing a line the body has."""
+    cfg = ExperimentConfig.loads(body)
+    for (section, key), value in values.items():
+        cfg.sections.setdefault(section, {})[key] = value
+    return cfg.dumps()
+
+
+@pytest.fixture(scope="module")
+def settings_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("settings")
+    files = {"ckpt": str(tmp / "ref.ckpt"), "dropout_ckpt": str(tmp / "dropout.ckpt"), "images": str(tmp / "img"), "labels": str(tmp / "lab")}
+    M.save_checkpoint(M.init_params(M.ArchSpec((2, 4, 2)), 0), files["ckpt"])
+    M.save_checkpoint(M.init_params(M.ArchSpec((2, 4, 2), dropout_prob=0.2), 0), files["dropout_ckpt"])
+    D.save_idx(D.LabeledDataset(np.full((4, 4), 0.5), np.array([0, 1, 0, 1]), "classification"), files["images"], files["labels"], rows=2, cols=2)
+    files["csv"] = write(tmp / "d.csv", "x0,y\n0.5,1\n-0.5,0\n")
+    files["points"] = write(tmp / "p.csv", "x0,x1\n0.5,0.5\n")
+    files["scores"] = write(tmp / "s.jsonl", '{"epistemic": 0.1}\n{"epistemic": 0.2}\n')
+    return files
+
+
+@pytest.mark.parametrize("case", sorted(READS))
+def test_each_command_reads_its_table_of_settings(tmp_path, capsys, monkeypatch, settings_files, case):
+    # every key of the table set to x is a usage error naming it, and every other key of any
+    # table, or a library parameter that no config sets, is ignored
+    command, body, reads = READS[case]
+    reads = reads | COMMON
+    monkeypatch.chdir(tmp_path)
+    base = body.format(**settings_files) + "[experiment]\nseed = 0\n[output]\ndir = out\n"
+    unread = (set().union(*(r for _, _, r in READS.values())) | HIDDEN_KEYS) - reads
+    with np.errstate(all="ignore"):
+        for values in ({}, dict.fromkeys(unread, "x")):
+            code, status = one_status_line(capsys, [command, "--config", write(tmp_path / "c.ini", _with_values(base, values))])
+            assert code == 0, (case, status)
+        for section, key in sorted(reads):
+            if (section, key) == ("output", "dir"):
+                write(tmp_path / "x", "")  # a file where the output directory would go
+            code, status = one_status_line(capsys, [command, "--config", write(tmp_path / "c.ini", _with_values(base, {(section, key): "x"}))])
+            assert code == 2 and status["status"] == "usage_error", (case, section, key, status)
+            named = re.search(r"\bx\b", status["error"]) if (section, key) in TEXT_KEYS else f"[{section}] {key}" in status["error"]
+            assert named, (case, section, key, status["error"])
+            if os.path.exists(tmp_path / "x"):
+                os.remove(tmp_path / "x")
 
 
 def _src_env():
@@ -641,6 +831,26 @@ def test_empty_test_input_file_is_a_usage_error(tmp_path, capsys):
         assert status["status"] == "usage_error" and str(pts) in status["error"]
 
 
+@pytest.mark.parametrize("first_line", ["0.5", "0.5,0.5", "1e3,-2"])
+def test_test_input_file_whose_first_line_is_numbers_is_a_usage_error(tmp_path, capsys, first_line):
+    # line 1 is the header: a file without one would lose its first point unread
+    _, s = run(capsys, "train", "--config", write(tmp_path / "t.ini", TRAIN_INI.format(out=tmp_path / "ref")))
+    pts = write(tmp_path / "points.csv", f"{first_line}\n4.0,4.0\n")
+    extra = f"[reference]\ncheckpoint = {s['checkpoint']}\n[test_inputs]\nfile = {pts}\n[search]\nsteps = 2\n"
+    code, status = one_status_line(capsys, ["quam", "--config", write(tmp_path / "q.ini", TRAIN_INI.format(out=tmp_path / "q_out") + extra)])
+    assert code == 2 and status["status"] == "usage_error"
+    assert f"{pts}, line 1:" in status["error"] and "header" in status["error"]
+
+
+@pytest.mark.parametrize("header", ["x0,x1", "x,y", "nan,0.5", ""])
+def test_test_input_header_row_may_be_any_line_that_is_not_finite_numbers(tmp_path, capsys, header):
+    _, s = run(capsys, "train", "--config", write(tmp_path / "t.ini", TRAIN_INI.format(out=tmp_path / "ref")))
+    pts = write(tmp_path / "points.csv", f"{header}\n0.5,0.5\n4.0,4.0\n")
+    extra = f"[reference]\ncheckpoint = {s['checkpoint']}\n[test_inputs]\nfile = {pts}\n[search]\nsteps = 2\n"
+    code, status = one_status_line(capsys, ["quam", "--config", write(tmp_path / "q.ini", TRAIN_INI.format(out=tmp_path / "q_out") + extra)])
+    assert code == 0 and status["n"] == 2
+
+
 def test_cmd_quam_truncated_checkpoint_exits_2(tmp_path, capsys):
     _, s = run(capsys, "train", "--config", write(tmp_path / "t.ini", TRAIN_INI.format(out=tmp_path / "ref")))
     cut = tmp_path / "cut.ckpt"
@@ -708,6 +918,22 @@ def test_cmd_eval_missing_field_is_a_usage_error(tmp_path, capsys):
         assert code == 2 and len(lines) == 1
         error = json.loads(lines[0])["error"]
         assert "'epistemic'" in error and str(pos_p) in error
+
+
+def test_cmd_eval_reads_only_json_numbers(tmp_path, capsys):
+    # a boolean or a string is not a score, even where float() would take it
+    id_p = write(tmp_path / "id.jsonl", json.dumps({"input_id": 0, "epistemic": 0.1}) + "\n")
+    for bad in (True, False, "0.2", "inf"):
+        pos_p = write(tmp_path / "pos.jsonl", json.dumps({"input_id": 0, "epistemic": bad}) + "\n")
+        cfgp = write(tmp_path / "e.ini", f"[eval]\nid_scores = {id_p}\npositive_scores = {pos_p}\nmetrics = auroc\n[output]\ndir = {tmp_path}/e_out\n")
+        code, status = one_status_line(capsys, ["eval", "--config", cfgp])
+        assert code == 2 and status["status"] == "usage_error", bad
+        assert "without a number in the field 'epistemic'" in status["error"] and str(pos_p) in status["error"]
+    for good in (1, 0.9, float("inf")):
+        pos_p = write(tmp_path / "pos.jsonl", json.dumps({"input_id": 0, "epistemic": good}) + "\n")
+        cfgp = write(tmp_path / "e.ini", f"[eval]\nid_scores = {id_p}\npositive_scores = {pos_p}\nmetrics = auroc\n[output]\ndir = {tmp_path}/e_out\n")
+        code, status = one_status_line(capsys, ["eval", "--config", cfgp])
+        assert code == 0 and status["auroc"] == 1.0, good
 
 
 def eval_config(tmp_path, id_values, positive_values, metrics):
