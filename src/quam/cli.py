@@ -63,7 +63,7 @@ def load_dataset(cfg: ExperimentConfig) -> D.LabeledDataset:
     name = cfg.require("dataset", "name")
     seed = cfg.settings("dataset", seed=int)
     if name in ("two_moons", "sine"):
-        kw = cfg.settings("dataset", n=int, **({"noise": float} if name == "two_moons" else {}))
+        kw = cfg.settings("dataset", n=int, noise=float) if name == "two_moons" else cfg.settings("dataset", n=int)
         require(1, **{"[dataset] n": kw.get("n")})
         require(0, **{"[dataset] noise": kw.get("noise")})
         return (D.gen_two_moons if name == "two_moons" else D.gen_sine)(**kw, **seed)

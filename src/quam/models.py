@@ -458,9 +458,9 @@ def target_terms(arch: ArchSpec, targets: np.ndarray, weights=None):
     rows, gives the mean.  A negative weight gives the gradient of the
     row's negated loss, with the bits of the negated gradient.  For a
     categorical head the terms are -weight * targets and their class sum,
-    for a Gaussian head the scale 0.5 * weight.  A caller that takes many gradients against the same
-    rows builds them once and passes them as `fixed`; the results keep
-    their bits.
+    for a Gaussian head the scale 0.5 * weight.  A caller that takes many
+    gradients against the same rows builds them once and passes them as
+    `fixed`; the results keep their bits.
     """
     w = 1.0 / targets.shape[-1] if weights is None else weights
     if arch.head != "categorical":

@@ -80,6 +80,19 @@ def test_settings_returns_the_keys_a_section_sets_parsed_as_their_kinds():
         cfg.settings("a", name=float)
 
 
+@pytest.fixture(scope="module")
+def settings_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("settings")
+    files = {"ckpt": str(tmp / "ref.ckpt"), "dropout_ckpt": str(tmp / "dropout.ckpt"), "images": str(tmp / "img"), "labels": str(tmp / "lab")}
+    M.save_checkpoint(M.init_params(M.ArchSpec((2, 4, 2)), 0), files["ckpt"])
+    M.save_checkpoint(M.init_params(M.ArchSpec((2, 4, 2), dropout_prob=0.2), 0), files["dropout_ckpt"])
+    D.save_idx(D.LabeledDataset(np.full((4, 4), 0.5), np.array([0, 1, 0, 1]), "classification"), files["images"], files["labels"], rows=2, cols=2)
+    files["csv"] = write(tmp / "d.csv", "x0,y\n0.5,1\n-0.5,0\n")
+    files["points"] = write(tmp / "p.csv", "x0,x1\n0.5,0.5\n")
+    files["scores"] = write(tmp / "s.jsonl", '{"epistemic": 0.1}\n{"epistemic": 0.2}\n')
+    return files
+
+
 class _Stop(Exception):
     """Raised by a spied library call where a command's real work would start."""
 
@@ -94,32 +107,21 @@ REQUIRED_ONLY = {
     "quam": ("quam", "[dataset]\nname = two_moons\n{scoring}", ["gen_two_moons", "SearchConfig", "quam_scores"]),
     "grid": ("grid", "[dataset]\nname = two_moons\n[reference]\ncheckpoint = {ckpt}\n", ["gen_two_moons", "SearchConfig", "quam_scores"]),
     "de": ("baseline", "[baseline]\nmethod = de\n{moons}", ["gen_two_moons", "ArchSpec", "TrainConfig", "deep_ensemble"]),
-    "mcd": ("baseline", "[baseline]\nmethod = mcd\n{moons}{scoring}", ["gen_two_moons", "ArchSpec", "mc_dropout"]),
+    "mcd": ("baseline", "[baseline]\nmethod = mcd\n{moons}", ["gen_two_moons", "ArchSpec", "mc_dropout"]),
     "csghmc": ("baseline", "[baseline]\nmethod = csghmc\n{moons}", ["gen_two_moons", "ArchSpec", "csghmc"]),
     "hmc": ("baseline", "[baseline]\nmethod = hmc\n{moons}", ["gen_two_moons", "ArchSpec", "hmc_posterior"]),
     "simplex": ("simplex", "[dataset]\nname = three_gaussians\n[arch]\nwidths = 2 4 3\n", ["gen_three_gaussians", "ArchSpec", "TrainConfig", "simplex_surface"]),
 }
 
 
-def test_search_defaults_are_the_library_defaults(tmp_path, monkeypatch):
+def test_search_defaults_are_the_library_defaults(tmp_path, monkeypatch, settings_files):
     cfg = ExperimentConfig.loads("[search]\n")
     assert load_search_config(cfg, 7) == SearchConfig(seed=7)
     assert load_train_config(ExperimentConfig.loads("[train]\n"), 7) == M.TrainConfig(seed=7)
     # every library call of every command, on a config with only the required keys, gets no
     # keyword from the config: each setting is the callee's default
-    ckpt = str(tmp_path / "ref.ckpt")
-    M.save_checkpoint(M.init_params(M.ArchSpec((2, 4, 2)), 0), ckpt)
-    images, labels = str(tmp_path / "img"), str(tmp_path / "lab")
-    D.save_idx(D.LabeledDataset(np.full((4, 4), 0.5), np.array([0, 1, 0, 1]), "classification"), images, labels, rows=2, cols=2)
-    points = write(tmp_path / "p.csv", "x0,x1\n0.5,0.5\n")
-    files = {
-        "ckpt": ckpt,
-        "csv": write(tmp_path / "d.csv", "x0,y\n0.5,1\n-0.5,0\n"),
-        "images": images,
-        "labels": labels,
-        "scoring": f"[reference]\ncheckpoint = {ckpt}\n[test_inputs]\nfile = {points}\n",
-    }
-    files["moons"] = "[dataset]\nname = two_moons\n[arch]\nwidths = 2 4 2\n" + files["scoring"]
+    scoring = f"[reference]\ncheckpoint = {settings_files['ckpt']}\n[test_inputs]\nfile = {settings_files['points']}\n"
+    files = {**settings_files, "scoring": scoring, "moons": "[dataset]\nname = two_moons\n[arch]\nwidths = 2 4 2\n" + scoring}
     calls = []
 
     def spy(fn, stop=False):
@@ -221,19 +223,6 @@ def _with_values(body: str, values: dict) -> str:
     for (section, key), value in values.items():
         cfg.sections.setdefault(section, {})[key] = value
     return cfg.dumps()
-
-
-@pytest.fixture(scope="module")
-def settings_files(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("settings")
-    files = {"ckpt": str(tmp / "ref.ckpt"), "dropout_ckpt": str(tmp / "dropout.ckpt"), "images": str(tmp / "img"), "labels": str(tmp / "lab")}
-    M.save_checkpoint(M.init_params(M.ArchSpec((2, 4, 2)), 0), files["ckpt"])
-    M.save_checkpoint(M.init_params(M.ArchSpec((2, 4, 2), dropout_prob=0.2), 0), files["dropout_ckpt"])
-    D.save_idx(D.LabeledDataset(np.full((4, 4), 0.5), np.array([0, 1, 0, 1]), "classification"), files["images"], files["labels"], rows=2, cols=2)
-    files["csv"] = write(tmp / "d.csv", "x0,y\n0.5,1\n-0.5,0\n")
-    files["points"] = write(tmp / "p.csv", "x0,x1\n0.5,0.5\n")
-    files["scores"] = write(tmp / "s.jsonl", '{"epistemic": 0.1}\n{"epistemic": 0.2}\n')
-    return files
 
 
 @pytest.mark.parametrize("case", sorted(READS))
