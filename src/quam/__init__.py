@@ -13,7 +13,7 @@ models      ReLU MLPs, closed-form loss gradients, training, checkpoints
 data        synthetic generators, IDX ingestion, splits, CSV
 measures    entropy and KL kernels over prediction rows, uncertainty splits
 search      lock-step adversarial model searches: search_batch runs any
-            searches, search_suites each point's per-class/direction suite
+            searches, search_suites each point's suite in batches it sizes
 estimator   pooled scores (quam_scores), importance sampling, variance study
 samplers    deep ensembles, MC dropout, cyclical SG-HMC, HMC
 metrics     AUROC/AUPR/FPR, ECE, simplex study

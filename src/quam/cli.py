@@ -4,11 +4,10 @@ Subcommands: train, quam, baseline, eval, grid, varstudy, simplex.  Every
 run takes a --config file, writes a canonical config echo plus its outputs
 to the output directory, and ends with one machine-parsable status line,
 strict JSON without NaN or Infinity.  Each subcommand is a
-`cmd_<name>(cfg, out, seed, jobs) -> exit code`: `main` loads the config,
+`cmd_<name>(cfg, out, seed) -> exit code`: `main` loads the config,
 creates the output directory (`--out`, else `[output] dir`) with the echo,
 and resolves the seed (`--seed`, else `[experiment] seed`, else 0) once for
-every command; `jobs` is `--jobs`, the test points per lock-step search
-batch of quam and grid.  A command passes a library function only the keys
+every command.  A command passes a library function only the keys
 its config sets (`ExperimentConfig.settings`), so an unset key takes the
 library default; the one default the CLI holds is grid's `[estimator]
 setting`, "a" (`cmd_grid`).  A numeric setting outside its domain
@@ -61,20 +60,19 @@ def _existing(path: str, what: str) -> str:
 
 def load_dataset(cfg: ExperimentConfig) -> D.LabeledDataset:
     name = cfg.require("dataset", "name")
-    seed = cfg.settings("dataset", seed=int)
     if name in ("two_moons", "sine"):
-        kw = cfg.settings("dataset", n=int, noise=float) if name == "two_moons" else cfg.settings("dataset", n=int)
+        kw = cfg.settings("dataset", n=int, noise=float, seed=int) if name == "two_moons" else cfg.settings("dataset", n=int, seed=int)
         require(1, **{"[dataset] n": kw.get("n")})
         require(0, **{"[dataset] noise": kw.get("noise")})
-        return (D.gen_two_moons if name == "two_moons" else D.gen_sine)(**kw, **seed)
+        return (D.gen_two_moons if name == "two_moons" else D.gen_sine)(**kw)
     if name == "three_gaussians":
-        return D.gen_three_gaussians(**seed)
+        return D.gen_three_gaussians(**cfg.settings("dataset", seed=int))
     if name == "idx":
         images = _existing(cfg.require("dataset", "images"), "dataset file")
         ds = D.load_idx(images, _existing(cfg.require("dataset", "labels"), "dataset file"))
         limit = cfg.get_int("dataset", "limit", 0)
         if limit:
-            ds = D.subset_split(ds, [limit], **seed)[0]
+            ds = D.subset_split(ds, [limit], **cfg.settings("dataset", seed=int))[0]
         return ds
     if name == "csv":
         return D.from_csv(_existing(cfg.require("dataset", "path"), "dataset file"), **cfg.settings("dataset", kind=str))
@@ -147,7 +145,7 @@ def _breakdown_row(i, br) -> str:
     return json.dumps({"input_id": i, "aleatoric": br.aleatoric, "epistemic": br.epistemic, "total": br.total, "setting": br.setting, "flags": list(br.flags)})
 
 
-def cmd_train(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
+def cmd_train(cfg: ExperimentConfig, out: str, seed: int) -> int:
     dataset = load_dataset(cfg)
     arch = load_arch(cfg)
     log: list = []
@@ -161,22 +159,11 @@ def cmd_train(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     return EXIT_OK
 
 
-def _score(cfg: ExperimentConfig, xs: np.ndarray, seed: int, jobs: int, **defaults) -> tuple[list, list]:
-    """`quam_scores` of the rows of `xs` against `[reference] checkpoint`, `jobs` points per lock-step batch: every point's breakdown and trajectories.
-
-    `defaults` stand in for the `[estimator]` keys the config leaves out.
-    """
+def _score(cfg: ExperimentConfig, xs: np.ndarray, seed: int, **defaults) -> tuple[list, list]:
+    """`quam_scores` of the rows of `xs` against `[reference] checkpoint`, `defaults` standing in for the `[estimator]` keys the config leaves out."""
     dataset = load_dataset(cfg)
     reference = M.load_checkpoint(cfg.require("reference", "checkpoint"))
-    estimator = {**defaults, **cfg.settings("estimator", temperature=float, setting=str)}
-    search_cfg = load_search_config(cfg, seed)
-    require(1, **{"--jobs": jobs})
-    breakdowns, suites = [], []
-    for start in range(0, len(xs), jobs):
-        brs, trajs = quam_scores(xs[start : start + jobs], dataset, reference, search_cfg, **estimator)
-        breakdowns += brs
-        suites += trajs
-    return breakdowns, suites
+    return quam_scores(xs, dataset, reference, load_search_config(cfg, seed), **{**defaults, **cfg.settings("estimator", temperature=float, setting=str)})
 
 
 def _finish_scoring(command: str, suites: list, **extra) -> int:
@@ -189,10 +176,10 @@ def _finish_scoring(command: str, suites: list, **extra) -> int:
     return EXIT_OK
 
 
-def cmd_quam(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
+def cmd_quam(cfg: ExperimentConfig, out: str, seed: int) -> int:
     xs = load_test_inputs(cfg)
     save_traj = cfg.get_bool("output", "trajectories", True)
-    breakdowns, suites = _score(cfg, xs, seed, jobs)
+    breakdowns, suites = _score(cfg, xs, seed)
     with open(os.path.join(out, "scores.jsonl"), "w") as f:
         for i, (br, trajs) in enumerate(zip(breakdowns, suites)):
             f.write(_breakdown_row(i, br) + "\n")
@@ -202,24 +189,23 @@ def cmd_quam(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     return _finish_scoring("quam", suites, n=len(xs), out=out)
 
 
-def cmd_baseline(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
+def cmd_baseline(cfg: ExperimentConfig, out: str, seed: int) -> int:
     method = cfg.require("baseline", "method")
     dataset = load_dataset(cfg)
     xs = load_test_inputs(cfg)
-    arch = load_arch(cfg)
 
     ref_ckpt = cfg.get_str("reference", "checkpoint", None)
     reference = M.load_checkpoint(ref_ckpt) if ref_ckpt else None
 
     if method == "de":
-        sampler = deep_ensemble(dataset, arch, base_cfg=load_train_config(cfg, seed), **cfg.settings("baseline", n_members=int))
+        sampler = deep_ensemble(dataset, load_arch(cfg), base_cfg=load_train_config(cfg, seed), **cfg.settings("baseline", n_members=int))
     elif method == "mcd":
         cfg.require("reference", "checkpoint")  # dropout samples come from the reference
         sampler = mc_dropout(reference, seed=seed, **cfg.settings("baseline", n_samples=int))
     elif method == "csghmc":
-        sampler = csghmc(dataset, arch, seed=seed, **cfg.settings("baseline", cycles=int, steps_per_cycle=int, step_size=float, temperature=float, prior_precision=float))
+        sampler = csghmc(dataset, load_arch(cfg), seed=seed, **cfg.settings("baseline", cycles=int, steps_per_cycle=int, step_size=float, temperature=float, prior_precision=float))
     elif method == "hmc":
-        sampler = hmc_posterior(dataset, arch, seed=seed, **cfg.settings("baseline", prior_precision=float, n_samples=int, n_leapfrog=int, step_size=float, burn_in=int))
+        sampler = hmc_posterior(dataset, load_arch(cfg), seed=seed, **cfg.settings("baseline", prior_precision=float, n_samples=int, n_leapfrog=int, step_size=float, burn_in=int))
     else:
         raise UsageError(f"unknown baseline method {method!r}")
 
@@ -246,7 +232,7 @@ def cmd_baseline(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     return EXIT_OK
 
 
-def cmd_eval(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
+def cmd_eval(cfg: ExperimentConfig, out: str, seed: int) -> int:
     id_path = cfg.require("eval", "id_scores")
     pos_path = cfg.require("eval", "positive_scores")
     field = cfg.get_str("eval", "field", "epistemic")
@@ -288,7 +274,7 @@ def cmd_eval(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     return EXIT_OK
 
 
-def cmd_grid(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
+def cmd_grid(cfg: ExperimentConfig, out: str, seed: int) -> int:
     """Scores on the `[grid]` lattice.  `[estimator] setting` defaults to "a", not `quam_scores`' "b": criterion 7's maps are setting a."""
     res = cfg.get_int("grid", "resolution", 40)
     require(1, **{"[grid] resolution": res})
@@ -297,7 +283,7 @@ def cmd_grid(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     xs = np.linspace(x_lo, x_hi, res)
     ys = np.linspace(y_lo, y_hi, res)
     points = np.array([(x, y) for x in xs for y in ys])
-    breakdowns, suites = _score(cfg, points, seed, jobs, setting="a")
+    breakdowns, suites = _score(cfg, points, seed, setting="a")
     path = os.path.join(out, "grid.csv")
     with open(path, "w") as f:
         f.write("x,y,total,aleatoric,epistemic,flags\n")
@@ -306,7 +292,7 @@ def cmd_grid(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     return _finish_scoring("grid", suites, rows=len(points), out=path)
 
 
-def cmd_varstudy(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
+def cmd_varstudy(cfg: ExperimentConfig, out: str, seed: int) -> int:
     parameter = cfg.get_str("varstudy", "parameter", "sigma_p2")
     lo, hi = cfg.get_floats("varstudy", "range", (1.0, 3.0), count=2)
     count = cfg.get_int("varstudy", "count", 9)
@@ -321,7 +307,7 @@ def cmd_varstudy(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
     return EXIT_OK
 
 
-def cmd_simplex(cfg: ExperimentConfig, out: str, seed: int, jobs: int) -> int:
+def cmd_simplex(cfg: ExperimentConfig, out: str, seed: int) -> int:
     dataset = load_dataset(cfg)
     arch = load_arch(cfg)
     x = np.asarray(cfg.get_floats("simplex", "test_point", tuple(D.THREE_GAUSSIAN_TEST_POINT), count=arch.widths[0]))
@@ -367,7 +353,7 @@ def _parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--jobs", type=int, default=1, help="test points per lock-step search batch (quam, grid)")
+        p.add_argument("--jobs", type=int, help="ignored, and parsed so that command lines that pass it still run; the library sizes the lock-step search batches")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
     return parser
@@ -384,7 +370,7 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.load(args.config)
         out = _prepare_out(args.out, cfg)
         seed = args.seed if args.seed is not None else cfg.get_int("experiment", "seed", 0)
-        return COMMANDS[args.command](cfg, out, seed, args.jobs)
+        return COMMANDS[args.command](cfg, out, seed)
     except (ConfigError, UsageError, OSError, ValueError) as e:
         _status(args.command, "usage_error", error=str(e))
         return EXIT_USAGE

@@ -65,7 +65,7 @@ def quam_scores(
 ) -> tuple[list[UncertaintyBreakdown], list[list[SearchTrajectory]]]:
     """Adversarial-search epistemic uncertainty at each row of `xs`: `(breakdowns, suites)`.
 
-    Runs every point's searches as one lock-step batch: the targeted
+    Runs every point's searches in lock-step batches: the targeted
     per-class suite (categorical head; per point, the classes in its entry
     of `classes` when given) or the two-sided regression pair (gaussian
     head).  Each point pools the models its own searches visited and gets
@@ -84,7 +84,6 @@ def quam_scores(
     # checked before any search: a point whose searches find no adversary never pools
     require(0, above=True, temperature=temperature)
     head = reference.arch.head
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     suites = search_suites(xs, data, reference, config, classes)
     breakdowns = []
     for trajectories in suites:

@@ -33,7 +33,8 @@ parameters, Adam moments and gradients are (K, P) stacks, and the records
 and best-iterate choice are vectorized across the K searches.  Each
 search's slice of every stacked operation has the bits of the same
 operation run for that search alone, so a search's records and best
-iterate do not depend on what else is in its batch.  A search that hits a
+iterate do not depend on what else is in its batch, and `search_suites`
+sizes its batches for cost alone (`_BATCH_BLOCK`).  A search that hits a
 non-finite loss stops: a mask takes it out of the records and the
 best-iterate choice, while its row stays in the stack, where no other
 search reads it, and the others go on.  What the reference fixes is
@@ -85,6 +86,8 @@ __all__ = [
 
 # elements of one (searches, rows, k) block of a stacked full-data loss
 _LOSS_BLOCK = 1 << 20
+# elements of one lock-step batch's activations: searches x (batch rows + 1) x sum(fan_in + 1)
+_BATCH_BLOCK = 1 << 18
 
 
 @dataclass
@@ -151,6 +154,12 @@ def _scope_mask(arch: ArchSpec, config: SearchConfig) -> np.ndarray:
     for _, bs in arch.layer_slices():
         mask[bs] = True
     return mask
+
+
+def _last_layer(arch: ArchSpec, config: SearchConfig) -> Optional[slice]:
+    """The last layer's weights and bias, which close the flat vector, when the search runs on that layer alone; else None."""
+    last = config.delta_scope == "last_layer" and arch.n_layers > 1 and config.free_mask is None
+    return slice(arch.layer_slices()[-1][0].start, arch.param_count()) if last else None
 
 
 def _target_tag(objective) -> str:
@@ -332,10 +341,8 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
 
     # Last-layer searches run on cached penultimate features: the frozen
     # layers never change, so the data only has to flow through them once.
-    work, test_x, inputs, last = reference, xs[:, None, :], data_acts[0], None
-    if config.delta_scope == "last_layer" and arch.n_layers > 1 and config.free_mask is None:
-        # the last layer's weights and bias close the flat vector
-        last = slice(arch.layer_slices()[-1][0].start, arch.param_count())
+    work, test_x, inputs, last = reference, xs[:, None, :], data_acts[0], _last_layer(arch, config)
+    if last is not None:
         work = ModelParams(ArchSpec(widths=arch.widths[-2:], head=arch.head), reference.values[last])
         test_x, inputs = test_acts[-2][..., :-1], data_acts[-2]
     x, full_x = inputs[:, :-1], inputs.T  # the data rows, and their feature-major buffer for the full-data losses
@@ -468,22 +475,29 @@ def _suite(arch: ArchSpec, classes) -> list[tuple]:
 
 
 def search_suites(xs, data, reference: ModelParams, config: SearchConfig, classes=None) -> list[list[SearchTrajectory]]:
-    """Every test point's searches, all run as one lock-step batch.
+    """Every test point's searches, run in lock-step batches of consecutive points.
 
     A categorical reference gets one targeted search per class, or per
     entry of that point's list in `classes`, one list per row of `xs`; a
-    Gaussian reference gets an upward and a downward search.  Returns the
-    trajectories of each point.
+    Gaussian reference gets an upward and a downward search.  A batch
+    holds the points whose searches' activations fit in `_BATCH_BLOCK`
+    elements, and at least one.  Returns the trajectories of each point.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    suites = [_suite(reference.arch, None if classes is None else classes[i]) for i in range(len(xs))]
+    arch = reference.arch
+    suites = [_suite(arch, None if classes is None else classes[i]) for i in range(len(xs))]
     if not all(suites):
         raise ValueError("every test point needs at least one class to search")
-    flat = search_batch(xs, data, reference, config, [(i, o, keys) for i, suite in enumerate(suites) for o, keys in suite])
-    out, pos = [], 0
-    for suite in suites:
-        out.append(flat[pos : pos + len(suite)])
-        pos += len(suite)
+    fan_ins = arch.widths[-2:-1] if _last_layer(arch, config) else arch.widths[:-1]
+    per_search = (min(config.batch_size or len(data.x), len(data.x)) + 1) * sum(w + 1 for w in fan_ins)
+    ends = np.cumsum([0] + [len(suite) * per_search for suite in suites])  # ends[i]: the elements of points 0..i-1
+    out, start = [], 0
+    while start < len(suites):
+        # the most points from `start` on whose searches fit in the block, and at least one
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] + _BATCH_BLOCK, side="right")) - 1)
+        flat = iter(search_batch(xs[start:stop], data, reference, config, [(i, o, keys) for i, suite in enumerate(suites[start:stop]) for o, keys in suite]))
+        out += [[next(flat) for _ in suite] for suite in suites[start:stop]]
+        start = stop
     return out
 
 

@@ -425,8 +425,7 @@ def test_criterion_07_two_moons_reproduction():
     mcd_map = epistemic_map(mcd_probs)
 
     cfg = SearchConfig(c0=1.0, eta_factor=1.5, eta_every=10, steps=100, lr=1e-2, seed=0)
-    # 16 points per lock-step batch; a point's score does not depend on its batch
-    quam_map = np.array([br.epistemic for a in range(0, len(points), 16) for br in E.quam_scores(points[a : a + 16], moons, ref, cfg, temperature=0.1, setting="a")[0]])
+    quam_map = np.array([br.epistemic for br in E.quam_scores(points, moons, ref, cfg, temperature=0.1, setting="a")[0]])
 
     rho_quam = spearmanr(quam_map, hmc_map).statistic
     rho_de = spearmanr(de_map, hmc_map).statistic
@@ -519,8 +518,8 @@ MNIST_SKIP = (
     "train-labels-idx1-ubyte, t10k-images-idx3-ubyte and t10k-labels-idx1-ubyte of MNIST under mnist/, "
     "and t10k-images-idx3-ubyte and t10k-labels-idx1-ubyte of FashionMNIST under fmnist/, "
     "in $QUAM_DATA_DIR or data/ at the repository root; on a 2-core host without a GPU the QUAM searches take about "
-    "0.9 s per scored point (10,000 x 784 synthetic stand-in, 16 points per lock-step batch), so the 12,000 points of "
-    "the three seeds take about 3 hours"
+    "0.65 s per scored point (10,000 x 784 synthetic stand-in, 7 points per lock-step batch), so the 12,000 points of "
+    "the three seeds take about 2 hours"
 )
 
 
@@ -546,17 +545,11 @@ def mnist_pipeline(train_full, id_full, ood_full, seeds, n_train, n_test):
         )
 
         def quam_scores_and_bma(points):
-            scores, bma = [], []
-            for a in range(0, len(points), 16):
-                chunk = points[a : a + 16]
-                # search budget: each point's top-4 classes
-                top = [sorted(int(c) for c in np.argsort(-row)[:4]) for row in M.predict_batch(ref, chunk[:, None, :])[:, 0]]
-                breakdowns, suites = E.quam_scores(chunk, train, ref, search_cfg, 1e-3, setting="b", classes=top)
-                scores += [br.epistemic for br in breakdowns]
-                for trajs in suites:
-                    preds, w = E.pool_trajectories(trajs, 1e-3)
-                    bma.append(w @ preds)
-            return np.array(scores), np.array(bma)
+            # search budget: each point's top-4 classes
+            top = [sorted(int(c) for c in np.argsort(-row)[:4]) for row in M.predict_batch(ref, points[:, None, :])[:, 0]]
+            breakdowns, suites = E.quam_scores(points, train, ref, search_cfg, 1e-3, setting="b", classes=top)
+            bma = [w @ preds for preds, w in (E.pool_trajectories(trajs, 1e-3) for trajs in suites)]
+            return np.array([br.epistemic for br in breakdowns]), np.array(bma)
 
         quam_id, bma_id = quam_scores_and_bma(id_test.x)
         quam_ood, _ = quam_scores_and_bma(ood_test.x)

@@ -107,7 +107,7 @@ REQUIRED_ONLY = {
     "quam": ("quam", "[dataset]\nname = two_moons\n{scoring}", ["gen_two_moons", "SearchConfig", "quam_scores"]),
     "grid": ("grid", "[dataset]\nname = two_moons\n[reference]\ncheckpoint = {ckpt}\n", ["gen_two_moons", "SearchConfig", "quam_scores"]),
     "de": ("baseline", "[baseline]\nmethod = de\n{moons}", ["gen_two_moons", "ArchSpec", "TrainConfig", "deep_ensemble"]),
-    "mcd": ("baseline", "[baseline]\nmethod = mcd\n{moons}", ["gen_two_moons", "ArchSpec", "mc_dropout"]),
+    "mcd": ("baseline", "[baseline]\nmethod = mcd\n{moons}", ["gen_two_moons", "mc_dropout"]),
     "csghmc": ("baseline", "[baseline]\nmethod = csghmc\n{moons}", ["gen_two_moons", "ArchSpec", "csghmc"]),
     "hmc": ("baseline", "[baseline]\nmethod = hmc\n{moons}", ["gen_two_moons", "ArchSpec", "hmc_posterior"]),
     "simplex": ("simplex", "[dataset]\nname = three_gaussians\n[arch]\nwidths = 2 4 3\n", ["gen_three_gaussians", "ArchSpec", "TrainConfig", "simplex_surface"]),
@@ -187,7 +187,7 @@ READS = {
         "[dataset]\nname = three_gaussians\n[arch]\nwidths = 2 4 3\n" + SMALL_TRAIN,
         _keys("dataset", "name", "seed") | ARCH_KEYS | TRAIN_KEYS,
     ),
-    "train_csv": ("train", "[dataset]\nname = csv\npath = {csv}\n[arch]\nwidths = 1 4 2\n" + SMALL_TRAIN, _keys("dataset", "name", "seed", "path", "kind") | ARCH_KEYS | TRAIN_KEYS),
+    "train_csv": ("train", "[dataset]\nname = csv\npath = {csv}\n[arch]\nwidths = 1 4 2\n" + SMALL_TRAIN, _keys("dataset", "name", "path", "kind") | ARCH_KEYS | TRAIN_KEYS),
     "train_idx": (
         "train",
         "[dataset]\nname = idx\nimages = {images}\nlabels = {labels}\nlimit = 2\n[arch]\nwidths = 4 4 2\n" + SMALL_TRAIN,
@@ -196,7 +196,7 @@ READS = {
     "quam": ("quam", SCORING_BASE + "[test_inputs]\nfile = {points}\n", SCORING_KEYS | _keys("test_inputs", "file") | _keys("output", "trajectories")),
     "grid": ("grid", SCORING_BASE + "[grid]\nresolution = 1\n", SCORING_KEYS | _keys("grid", "resolution", "x_range", "y_range")),
     "de": ("baseline", BASELINE_BASE + "method = de\nn_members = 1\n" + SMALL_TRAIN, BASELINE_KEYS | _keys("baseline", "n_members") | TRAIN_KEYS),
-    "mcd": ("baseline", BASELINE_BASE.replace("{ckpt}", "{dropout_ckpt}") + "method = mcd\nn_samples = 1\n", BASELINE_KEYS | _keys("baseline", "n_samples")),
+    "mcd": ("baseline", BASELINE_BASE.replace("{ckpt}", "{dropout_ckpt}") + "method = mcd\nn_samples = 1\n", BASELINE_KEYS - ARCH_KEYS | _keys("baseline", "n_samples")),
     "csghmc": (
         "baseline",
         BASELINE_BASE + "method = csghmc\ncycles = 1\nsteps_per_cycle = 1\n",
@@ -343,21 +343,28 @@ def test_cmd_train_that_diverges_in_its_last_update_exits_3_with_one_valid_json_
     assert not os.path.exists(tmp_path / "ref" / "model.ckpt")
 
 
-def test_cmd_quam_jobs_parallel_identical(tmp_path, capsys):
-    cfgp = write(tmp_path / "t.ini", TRAIN_INI.format(out=tmp_path / "ref"))
-    _, s = run(capsys, "train", "--config", cfgp)
-    pts = tmp_path / "points.csv"
-    write(pts, "x0,x1\n-1.2,1.2\n0.5,0.5\n")
-    qcfg = write(
-        tmp_path / "q.ini",
-        TRAIN_INI.format(out=tmp_path / "qa")
-        + f"[reference]\ncheckpoint = {s['checkpoint']}\n[test_inputs]\nfile = {pts}\n[search]\nsteps = 10\n[estimator]\nsetting = a\n",
-    )
-    _, _ = run(capsys, "quam", "--config", qcfg)
-    _, _ = run(capsys, "quam", "--config", qcfg, "--jobs", "3", "--out", str(tmp_path / "qb"))
-    a = open(tmp_path / "qa" / "scores.jsonl").read()
-    b = open(tmp_path / "qb" / "scores.jsonl").read()
-    assert a == b
+def test_cmd_quam_on_three_points_writes_the_bytes_of_three_one_point_commands(tmp_path, capsys):
+    # the library sizes the lock-step batches, and a point's rows and
+    # trajectories do not depend on its batch; --jobs is parsed and ignored
+    _, s = run(capsys, "train", "--config", write(tmp_path / "t.ini", TRAIN_INI.format(out=tmp_path / "ref")))
+    points = ["-1.2,1.2", "0.5,0.5", "1.9,-0.7"]
+
+    def quam(name, rows, *flags):
+        pts = write(tmp_path / f"{name}.csv", "x0,x1\n" + "".join(row + "\n" for row in rows))
+        body = f"[reference]\ncheckpoint = {s['checkpoint']}\n[test_inputs]\nfile = {pts}\n[search]\nsteps = 10\n[estimator]\nsetting = a\n"
+        code, _ = run(capsys, "quam", "--config", write(tmp_path / f"{name}.ini", TRAIN_INI.format(out=tmp_path / name) + body), *flags)
+        assert code == 0
+        return {f: (tmp_path / name / f).read_bytes() for f in sorted(os.listdir(tmp_path / name)) if f != "config_echo.ini"}
+
+    three = quam("three", points)
+    assert quam("jobs1", points, "--jobs", "1") == three == quam("jobs7", points, "--jobs", "7")
+    rows = [json.loads(line) for line in three["scores.jsonl"].splitlines()]
+    for i, point in enumerate(points):
+        one = quam(f"one{i}", [point])
+        (row,) = [json.loads(line) for line in one.pop("scores.jsonl").splitlines()]
+        assert row["input_id"] == 0 and rows[i]["input_id"] == i
+        assert {**row, "input_id": i} == rows[i]
+        assert {f.replace("_0000_", f"_{i:04d}_"): b for f, b in one.items()} == {f: b for f, b in three.items() if f.startswith(f"trajectory_{i:04d}_")}
 
 
 def test_cmd_baseline_de_singleton_zero_epistemic(tmp_path, capsys):

@@ -66,7 +66,7 @@ RUNS = [
     ("train_deep", "train", MOONS_200 + "[arch]\nwidths = 2 16 16 2\n[train]\nepochs = 300\n", {}),
     (
         "quam_full",
-        "quam --jobs 3",
+        "quam",
         MOONS + ARCH + "[reference]\ncheckpoint = train_moons/model.ckpt\n[test_inputs]\nfile = moons_points.csv\n" + SEARCH + "[estimator]\nsetting = b\n",
         {"moons_points.csv": "x0,x1\n0.5,0.25\n-1.0,1.0\n2.0,-0.5\n"},
     ),
@@ -93,8 +93,8 @@ RUNS = [
     ("hmc_sine1", "baseline", SINE1 + "[baseline]\nmethod = hmc\nn_samples = 10\nburn_in = 30\nn_leapfrog = 5\n", {}),
     ("csghmc_sine1", "baseline", SINE1 + "[baseline]\nmethod = csghmc\ncycles = 2\nsteps_per_cycle = 10\n", {}),
     # the far point's class-1 search aborts after 20 updates (13 on mini-batches); its class-0 search does not
-    ("quam_abort", "quam --jobs 3", DEEP + "[estimator]\nsetting = b\n", FAR),
-    ("quam_abort_minibatch", "quam --jobs 3", DEEP + "batch_size = 64\n[estimator]\nsetting = b\n", {}),
+    ("quam_abort", "quam", DEEP + "[estimator]\nsetting = b\n", FAR),
+    ("quam_abort_minibatch", "quam", DEEP + "batch_size = 64\n[estimator]\nsetting = b\n", {}),
     ("hmc", "baseline", HMC + "n_samples = 10\nburn_in = 30\nn_leapfrog = 5\n", {}),
     # tuned at iterations 24, 49, 74 and 99: two doublings, then the last stretch's halvings, with rejections
     ("hmc_tuned", "baseline", HMC + "n_samples = 10\nburn_in = 120\nn_leapfrog = 5\nstep_size = 0.03\n", {}),

@@ -1,8 +1,11 @@
-"""No module of the package or its tests imports a name it never uses.
+"""No module of the package or its tests imports a name it never uses, and
+no function of the package takes a parameter it never reads.
 
-A stdlib `ast` pass: an imported name counts as used when the module reads
+Stdlib `ast` passes.  An imported name counts as used when the module reads
 it anywhere, when the module's `__all__` lists it, or when its import line
-carries `# noqa`.
+carries `# noqa`.  A parameter counts as read when its function's body,
+nested functions included, loads the name; `UNREAD_PARAMETERS` lists the
+ones a caller's fixed signature requires.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import os
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 DIRS = ("src/quam", "tests")
+# main calls every command as (cfg, out, seed), and varstudy draws nothing
+UNREAD_PARAMETERS = {"cli.py:cmd_varstudy(seed)"}
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -44,3 +49,31 @@ def test_no_module_imports_a_name_it_never_uses():
                 with open(os.path.join(ROOT, d, name)) as f:
                     found += [f"{d}/{name}:{line} {imp}" for line, imp in unused_imports(f.read())]
     assert not found, found
+
+
+def unread_parameters(source: str) -> list[str]:
+    """`function(parameter)` of every parameter that a function of `source` never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "lambda")
+            found += [f"{name}({p.arg})" for p in params if p.arg not in read]
+    return found
+
+
+def test_unread_parameters_are_found():
+    source = "def f(a, b, *c, d=1, **e):\n    return a + d\n\ng = lambda x, y: x\n\ndef h(k):\n    def inner():\n        return k\n    return inner\n"
+    assert unread_parameters(source) == ["f(b)", "f(c)", "f(e)", "lambda(y)"]
+
+
+def test_no_function_of_the_package_takes_a_parameter_it_never_reads():
+    found = set()
+    for name in sorted(os.listdir(os.path.join(ROOT, "src/quam"))):
+        if name.endswith(".py"):
+            with open(os.path.join(ROOT, "src/quam", name)) as f:
+                found |= {f"{name}:{fn}" for fn in unread_parameters(f.read())}
+    assert found == UNREAD_PARAMETERS

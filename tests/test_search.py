@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from quam import estimator as E
 from quam import models as M
-from quam.data import gen_sine, gen_two_moons
+from quam import search as S
+from quam.data import LabeledDataset, gen_sine, gen_two_moons
 from quam.measures import kl
 from quam.rng import derive_rng
 from quam.search import SearchConfig, SearchTrajectory, _Workspace, search_batch, search_suites, trajectory_to_jsonl
@@ -364,6 +365,35 @@ def test_batch_minibatch_last_layer_searches_match_their_single_runs():
     cfg = SearchConfig(steps=30, lr=2e-2, seed=4, batch_size=64, delta_scope="last_layer", gamma=0.05, eta_every=5)
     searches = [(0, ("class", 1), (1,)), (1, ("class", 0), (0,)), (1, "divergence", (3,)), (0, ("class", 0), (0,))]
     assert_batch_independent(xs, data, ref, cfg, searches)
+
+
+@pytest.mark.parametrize("scope, batches", [("all_params", [5, 5, 1]), ("last_layer", [5, 6])])
+def test_search_suites_splits_its_points_into_batches_that_move_no_bit(monkeypatch, scope, batches):
+    # a search holds (300 + 1) rows x sum(fan_in + 1) elements: 3 + 17 + 129 = 149 over every
+    # layer fits 5 searches in 2^18, and 129 over the last layer 6, so the suites of 1, 4, 2, 3
+    # and 1 classes run as points 0-1, 2-3 and 4, or as points 0-1 and 2-4
+    rng = derive_rng(5)
+    data = LabeledDataset(rng.standard_normal((300, 2)), rng.integers(0, 4, 300), "classification")
+    ref = M.train(data, M.ArchSpec((2, 16, 128, 4)), M.TrainConfig(epochs=5, seed=0))
+    xs = rng.standard_normal((5, 2))
+    classes = [[2], [0, 1, 2, 3], [1, 3], [0, 2, 3], [1]]
+    cfg = SearchConfig(steps=8, lr=1e-2, seed=0, delta_scope=scope)
+    calls = []
+
+    def spy(xs, data, reference, config, searches):
+        calls.append(len(searches))
+        return search_batch(xs, data, reference, config, searches)
+
+    monkeypatch.setattr(S, "search_batch", spy)
+    runs = []
+    for block, expected in ((1, [len(c) for c in classes]), (S._BATCH_BLOCK, batches), (1 << 30, [11])):
+        monkeypatch.setattr(S, "_BATCH_BLOCK", block)
+        calls.clear()
+        suites = search_suites(xs, data, ref, cfg, classes)
+        assert calls == expected, block
+        assert [[t.target for t in suite] for suite in suites] == [[f"class:{c}" for c in cs] for cs in classes]
+        runs.append([[trajectory_bits(t) for t in suite] for suite in suites])
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_batch_search_that_overflows_aborts_alone():
