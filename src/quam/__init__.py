@@ -10,7 +10,7 @@ Modules
 -------
 autodiff    reverse-mode AD on a generic tape; serves only grad_check
 models      ReLU MLPs, closed-form loss gradients, training, checkpoints
-data        synthetic generators, IDX ingestion, splits, CSV
+data        synthetic generators, IDX ingestion, subsets, CSV
 measures    entropy and KL kernels over prediction rows, uncertainty splits
 search      lock-step adversarial model searches: search_batch runs any
             searches, search_suites each point's suite in batches it sizes

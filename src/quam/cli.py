@@ -72,7 +72,7 @@ def load_dataset(cfg: ExperimentConfig) -> D.LabeledDataset:
         ds = D.load_idx(images, _existing(cfg.require("dataset", "labels"), "dataset file"))
         limit = cfg.get_int("dataset", "limit", 0)
         if limit:
-            ds = D.subset_split(ds, [limit], **cfg.settings("dataset", seed=int))[0]
+            ds = D.subsample(ds, limit, **cfg.settings("dataset", seed=int))
         return ds
     if name == "csv":
         return D.from_csv(_existing(cfg.require("dataset", "path"), "dataset file"), **cfg.settings("dataset", kind=str))
@@ -178,34 +178,31 @@ def _finish_scoring(command: str, suites: list, **extra) -> int:
 
 def cmd_quam(cfg: ExperimentConfig, out: str, seed: int) -> int:
     xs = load_test_inputs(cfg)
-    save_traj = cfg.get_bool("output", "trajectories", True)
     breakdowns, suites = _score(cfg, xs, seed)
     with open(os.path.join(out, "scores.jsonl"), "w") as f:
         for i, (br, trajs) in enumerate(zip(breakdowns, suites)):
             f.write(_breakdown_row(i, br) + "\n")
-            if save_traj:
-                for t in trajs:
-                    trajectory_to_jsonl(t, os.path.join(out, f"trajectory_{i:04d}_{t.target.replace(':', '')}.jsonl"))
+            for t in trajs:
+                trajectory_to_jsonl(t, os.path.join(out, f"trajectory_{i:04d}_{t.target.replace(':', '')}.jsonl"))
     return _finish_scoring("quam", suites, n=len(xs), out=out)
 
 
 def cmd_baseline(cfg: ExperimentConfig, out: str, seed: int) -> int:
     method = cfg.require("baseline", "method")
-    dataset = load_dataset(cfg)
     xs = load_test_inputs(cfg)
 
     ref_ckpt = cfg.get_str("reference", "checkpoint", None)
     reference = M.load_checkpoint(ref_ckpt) if ref_ckpt else None
 
     if method == "de":
-        sampler = deep_ensemble(dataset, load_arch(cfg), base_cfg=load_train_config(cfg, seed), **cfg.settings("baseline", n_members=int))
+        sampler = deep_ensemble(load_dataset(cfg), load_arch(cfg), base_cfg=load_train_config(cfg, seed), **cfg.settings("baseline", n_members=int))
     elif method == "mcd":
         cfg.require("reference", "checkpoint")  # dropout samples come from the reference
         sampler = mc_dropout(reference, seed=seed, **cfg.settings("baseline", n_samples=int))
     elif method == "csghmc":
-        sampler = csghmc(dataset, load_arch(cfg), seed=seed, **cfg.settings("baseline", cycles=int, steps_per_cycle=int, step_size=float, temperature=float, prior_precision=float))
+        sampler = csghmc(load_dataset(cfg), load_arch(cfg), seed=seed, **cfg.settings("baseline", cycles=int, steps_per_cycle=int, step_size=float, temperature=float, prior_precision=float))
     elif method == "hmc":
-        sampler = hmc_posterior(dataset, load_arch(cfg), seed=seed, **cfg.settings("baseline", prior_precision=float, n_samples=int, n_leapfrog=int, step_size=float, burn_in=int))
+        sampler = hmc_posterior(load_dataset(cfg), load_arch(cfg), seed=seed, **cfg.settings("baseline", prior_precision=float, n_samples=int, n_leapfrog=int, step_size=float, burn_in=int))
     else:
         raise UsageError(f"unknown baseline method {method!r}")
 

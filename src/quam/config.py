@@ -18,7 +18,6 @@ import math
 
 __all__ = ["ConfigError", "ExperimentConfig", "require"]
 
-_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 _KINDS = {int: "integer", float: "number", str: "text"}
 
 
@@ -105,7 +104,7 @@ class ExperimentConfig:
         raw = self.sections[section][key]
         try:
             return parse(raw)
-        except (KeyError, ValueError) as e:
+        except ValueError as e:
             raise ConfigError(f"[{section}] {key}: expected {expected}, got {raw!r}") from e
 
     def settings(self, section: str, **kinds) -> dict:
@@ -122,19 +121,16 @@ class ExperimentConfig:
     def get_int(self, section, key, default=None):
         return self._get(section, key, default, int, "integer")
 
-    def get_bool(self, section, key, default=None):
-        return self._get(section, key, default, lambda raw: _BOOLS[raw.lower()], "boolean")
-
     def get_ints(self, section, key, default=None):
         return self._get(section, key, default, lambda raw: tuple(int(p) for p in raw.replace(",", " ").split()), "integers")
 
-    def get_floats(self, section, key, default=None, count=None):
-        """Numbers separated by spaces or commas; with `count`, exactly that many finite ones."""
+    def get_floats(self, section, key, default, count):
+        """Exactly `count` finite numbers, separated by spaces or commas."""
 
         def parse(raw):
             values = tuple(float(p) for p in raw.replace(",", " ").split())
-            if count is not None and (len(values) != count or not all(map(math.isfinite, values))):
+            if len(values) != count or not all(map(math.isfinite, values)):
                 raise ValueError(raw)
             return values
 
-        return self._get(section, key, default, parse, "numbers" if count is None else f"{count} finite numbers")
+        return self._get(section, key, default, parse, f"{count} finite numbers")

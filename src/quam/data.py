@@ -1,4 +1,4 @@
-"""Synthetic dataset generators, IDX image files and the CSV dataset reader.
+"""Synthetic dataset generators, IDX image files, seeded subsets and the CSV dataset reader.
 
 All generators are pure functions of their arguments and seed; datasets
 are immutable after construction.
@@ -22,7 +22,7 @@ __all__ = [
     "gen_sine",
     "load_idx",
     "save_idx",
-    "subset_split",
+    "subsample",
     "from_csv",
     "THREE_GAUSSIAN_TEST_POINT",
 ]
@@ -183,34 +183,15 @@ def save_idx(data: LabeledDataset, images_path, labels_path, rows: int, cols: in
 
 
 # --------------------------------------------------------------------------
-# splits and CSV files
+# subsets and CSV files
 # --------------------------------------------------------------------------
 
 
-def subset_split(data: LabeledDataset, sizes, seed: int = 0) -> list[LabeledDataset]:
-    """Disjoint random partitions by counts (ints) or fractions (floats).
-
-    Fractions must sum to 1 (the split is then exhaustive); counts may sum
-    to less than the dataset size.
-    """
-    n = len(data)
-    sizes = list(sizes)
-    if all(isinstance(s, float) for s in sizes):
-        if abs(sum(sizes) - 1.0) > 1e-9:
-            raise ValueError(f"fractions must sum to 1, got {sum(sizes)}")
-        counts = [int(round(s * n)) for s in sizes]
-        counts[-1] = n - sum(counts[:-1])
-    else:
-        counts = [int(s) for s in sizes]
-    if any(c < 0 for c in counts) or sum(counts) > n:
-        raise ValueError(f"requested sizes {counts} infeasible for dataset of {n}")
-    order = derive_rng(seed).permutation(n)
-    parts = []
-    pos = 0
-    for c in counts:
-        parts.append(data.take(np.sort(order[pos : pos + c])))
-        pos += c
-    return parts
+def subsample(data: LabeledDataset, n: int, seed: int = 0) -> LabeledDataset:
+    """`n` rows drawn without replacement by the seeded permutation, kept in the dataset's order."""
+    if not 0 <= n <= len(data):
+        raise ValueError(f"cannot draw {n} rows from a dataset of {len(data)}")
+    return data.take(np.sort(derive_rng(seed).permutation(len(data))[:n]))
 
 
 def from_csv(path, kind: str = "classification") -> LabeledDataset:

@@ -29,7 +29,6 @@ __all__ = [
     "aupr",
     "fpr_at_tpr",
     "ece",
-    "calibration_bins",
     "simplex_grid",
     "simplex_surface",
 ]
@@ -97,30 +96,22 @@ def fpr_at_tpr(s: ScoredLabels, tpr_target: float = 0.95) -> float:
     return float((ends[first] - tp[first]) / (ends[-1] - tp[-1]))
 
 
-def calibration_bins(pred_probs, labels, n_bins: int = 10):
-    """Per-bin (count, mean confidence, accuracy) on equal-width bins."""
+def ece(pred_probs, labels, n_bins: int = 10) -> float:
+    """Expected calibration error: sum over equal-width confidence bins of (n_b/n)|acc_b - conf_b|."""
     probs = np.asarray(pred_probs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     conf = probs.max(axis=1)
-    pred = probs.argmax(axis=1)
+    hit = probs.argmax(axis=1) == y
     edges = np.linspace(0.0, 1.0, n_bins + 1)
-    rows = []
+    counts, gaps = [], []
     for b in range(n_bins):
         lo, hi = edges[b], edges[b + 1]
         mask = (conf >= lo) & (conf < hi) if b < n_bins - 1 else (conf >= lo) & (conf <= hi)
-        count = int(mask.sum())
-        if count:
-            rows.append((count, float(conf[mask].mean()), float((pred[mask] == y[mask]).mean())))
-        else:
-            rows.append((0, 0.0, 0.0))
-    return rows
-
-
-def ece(pred_probs, labels, n_bins: int = 10) -> float:
-    """Expected calibration error: sum over bins of (n_b/n)|acc_b - conf_b|."""
-    rows = calibration_bins(pred_probs, labels, n_bins)
-    n = sum(c for c, _, _ in rows)
-    return float(sum(c / n * abs(acc - conf) for c, conf, acc in rows if c))
+        if mask.any():
+            counts.append(int(mask.sum()))
+            gaps.append(abs(float(hit[mask].mean()) - float(conf[mask].mean())))
+    n = sum(counts)  # the binned rows: a confidence above 1 falls in no bin
+    return float(sum(c / n * gap for c, gap in zip(counts, gaps)))
 
 
 # --------------------------------------------------------------------------

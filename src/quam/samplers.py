@@ -54,7 +54,6 @@ class SamplerOutput:
     `draws` is set.
     """
 
-    method: str
     params: Optional[list[ModelParams]] = None
     draws: Optional[np.ndarray] = None
     masks: Optional[list[list[np.ndarray]]] = None
@@ -86,7 +85,7 @@ def deep_ensemble(data, arch: ArchSpec, n_members: int = 5, base_cfg: TrainConfi
     """Independently initialized and trained members; member i uses seed base+i."""
     require(1, n_members=n_members)
     members = [train(data, arch, replace(base_cfg, seed=base_cfg.seed + i)) for i in range(n_members)]
-    return SamplerOutput(method="de", params=members, diagnostics={"n_members": n_members, "base_seed": base_cfg.seed})
+    return SamplerOutput(params=members, diagnostics={"n_members": n_members, "base_seed": base_cfg.seed})
 
 
 def mc_dropout(params: ModelParams, n_samples: int = 500, seed: int = 0) -> SamplerOutput:
@@ -96,7 +95,7 @@ def mc_dropout(params: ModelParams, n_samples: int = 500, seed: int = 0) -> Samp
         raise ValueError("mc_dropout needs a model with dropout_prob > 0")
     rng = derive_rng(seed)
     masks = [make_dropout_masks(params.arch, rng) for _ in range(n_samples)]
-    return SamplerOutput(method="mcd", params=[params] * n_samples, masks=masks, diagnostics={"n_samples": n_samples, "dropout_prob": params.arch.dropout_prob})
+    return SamplerOutput(params=[params] * n_samples, masks=masks, diagnostics={"n_samples": n_samples, "dropout_prob": params.arch.dropout_prob})
 
 
 # --------------------------------------------------------------------------
@@ -161,7 +160,6 @@ def csghmc(
             if t >= int(np.ceil(steps_per_cycle * (1.0 - tail_fraction))):
                 draws.append(values.copy())
     return SamplerOutput(
-        method="csghmc",
         params=[ModelParams(arch, d) for d in draws or [values]],
         diagnostics={"cycles": cycles, "steps_per_cycle": steps_per_cycle, "step_sizes": step_log, "friction": friction, "temperature": temperature},
     )
@@ -293,7 +291,6 @@ def hmc(
 
     outs = [
         SamplerOutput(
-            method="hmc",
             draws=draws[c],
             diagnostics={
                 "acceptance_rate": int(accepted[c]) / total,
@@ -365,5 +362,5 @@ def hmc_posterior(
     ws = _PosteriorWorkspace(data, arch, prior_precision, len(seeds))
     # an int seed reaches `hmc` as an int: bench/tracer.py reads the one SamplerOutput it then returns
     raw = hmc(ws.log_density, ws.grad_log_density, start[0] if single else start, n_samples, n_leapfrog, step_size, seed=seed, burn_in=burn_in, auto_tune=auto_tune, thin=thin)
-    outs = [SamplerOutput(method="hmc", params=[ModelParams(arch, d) for d in r.draws], diagnostics=r.diagnostics) for r in ([raw] if single else raw)]
+    outs = [SamplerOutput(params=[ModelParams(arch, d) for d in r.draws], diagnostics=r.diagnostics) for r in ([raw] if single else raw)]
     return outs[0] if single else outs

@@ -23,7 +23,9 @@ class's probability (targeted); untargeted divergence maximization tends
 to rediscover one solution.  Regression runs an upward and a downward
 search, seeded by nudging the output bias; a direction search also pays
 c * relu(violation) while its mean sits on the wrong side of the
-reference mean.
+reference mean.  A search moves every parameter of the reference
+(`delta_scope = "all_params"`) or those of its last layer alone
+("last_layer"); an explicit `free_mask` overrides both.
 
 Searches run in lock-step (`search_batch`).  The searches of one batch
 share the training data, the reference and the `SearchConfig`; each has
@@ -103,7 +105,7 @@ class SearchConfig:
     weight_decay: float = 1e-3
     adam_eps: float = 1e-8  # lower it when saturated objectives must keep moving
     batch_size: Optional[int] = None  # None -> full training set
-    delta_scope: str = "all_params"  # all_params | last_layer | bias_only
+    delta_scope: str = "all_params"  # all_params | last_layer
     seed: int = 0
     bias_nudge: float = 1e-2  # regression head offset before searching
     param_box: Optional[tuple[float, float]] = None  # clamp free params
@@ -114,7 +116,7 @@ class SearchConfig:
         require(1, steps=self.steps, eta_every=self.eta_every, batch_size=self.batch_size)
         require(0, above=True, c0=self.c0)
         require(0, gamma=self.gamma, lr=self.lr, weight_decay=self.weight_decay)
-        if self.delta_scope not in ("all_params", "last_layer", "bias_only"):
+        if self.delta_scope not in ("all_params", "last_layer"):
             raise ValueError(f"unknown delta_scope {self.delta_scope!r}")
 
 
@@ -147,13 +149,8 @@ def _scope_mask(arch: ArchSpec, config: SearchConfig) -> np.ndarray:
         if mask.shape != (arch.param_count(),):
             raise ValueError("free_mask length does not match parameter count")
         return mask
-    if config.delta_scope != "bias_only":
-        # a last-layer search runs on the last layer alone, every parameter of which is free
-        return np.ones(arch.param_count(), dtype=bool)
-    mask = np.zeros(arch.param_count(), dtype=bool)
-    for _, bs in arch.layer_slices():
-        mask[bs] = True
-    return mask
+    # a last-layer search runs on the last layer alone, every parameter of which is free
+    return np.ones(arch.param_count(), dtype=bool)
 
 
 def _last_layer(arch: ArchSpec, config: SearchConfig) -> Optional[slice]:

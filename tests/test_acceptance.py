@@ -18,7 +18,7 @@ from quam import metrics as X
 from quam import models as M
 from quam import samplers as S
 from quam.autodiff import grad_check
-from quam.data import LabeledDataset, gen_three_gaussians, gen_two_moons, load_idx, save_idx, subset_split
+from quam.data import LabeledDataset, gen_three_gaussians, gen_two_moons, load_idx, save_idx, subsample
 from quam.measures import decompose_a, decompose_b, entropy, kl
 from quam.rng import derive_rng
 from quam.search import SearchConfig, _Workspace, search_batch, search_suites
@@ -523,6 +523,11 @@ MNIST_SKIP = (
 )
 
 
+# test points per quam_scores call in criterion 10: each last-layer trajectory carries the full
+# 784-64-10 best_params (50,890 values, 407 kB), so a call holds about 1.6 MB per point
+QUAM_CHUNK = 64
+
+
 def mnist_pipeline(train_full, id_full, ood_full, seeds, n_train, n_test):
     """Criteria 10 and 11's runs: QUAM, ensembles and MC dropout on 784-64-10 MLPs, one run per seed.
 
@@ -532,9 +537,9 @@ def mnist_pipeline(train_full, id_full, ood_full, seeds, n_train, n_test):
     """
     runs = []
     for seed in seeds:
-        train = subset_split(train_full, [n_train], seed=seed)[0]
-        id_test = subset_split(id_full, [n_test], seed=seed)[0]
-        ood_test = subset_split(ood_full, [n_test], seed=seed)[0]
+        train = subsample(train_full, n_train, seed=seed)
+        id_test = subsample(id_full, n_test, seed=seed)
+        ood_test = subsample(ood_full, n_test, seed=seed)
 
         arch = M.ArchSpec((784, 64, 10), dropout_prob=0.2)
         ref = M.train(train, arch, M.TrainConfig(lr=5e-3, weight_decay=1e-3, epochs=12, batch_size=128, seed=seed))
@@ -545,11 +550,16 @@ def mnist_pipeline(train_full, id_full, ood_full, seeds, n_train, n_test):
         )
 
         def quam_scores_and_bma(points):
-            # search budget: each point's top-4 classes
+            # search budget: each point's top-4 classes.  A chunk's trajectories are dropped
+            # before the next chunk runs; no score depends on the split
             top = [sorted(int(c) for c in np.argsort(-row)[:4]) for row in M.predict_batch(ref, points[:, None, :])[:, 0]]
-            breakdowns, suites = E.quam_scores(points, train, ref, search_cfg, 1e-3, setting="b", classes=top)
-            bma = [w @ preds for preds, w in (E.pool_trajectories(trajs, 1e-3) for trajs in suites)]
-            return np.array([br.epistemic for br in breakdowns]), np.array(bma)
+            epistemic, bma = [], []
+            for start in range(0, len(points), QUAM_CHUNK):
+                chunk = slice(start, start + QUAM_CHUNK)
+                breakdowns, suites = E.quam_scores(points[chunk], train, ref, search_cfg, 1e-3, setting="b", classes=top[chunk])
+                epistemic += [br.epistemic for br in breakdowns]
+                bma += [w @ preds for preds, w in (E.pool_trajectories(trajs, 1e-3) for trajs in suites)]
+            return np.array(epistemic), np.array(bma)
 
         quam_id, bma_id = quam_scores_and_bma(id_test.x)
         quam_ood, _ = quam_scores_and_bma(ood_test.x)

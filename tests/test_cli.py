@@ -103,11 +103,11 @@ REQUIRED_ONLY = {
     "train_sine": ("train", "[dataset]\nname = sine\n[arch]\nwidths = 1 4 2\n", ["gen_sine", "ArchSpec", "TrainConfig", "train"]),
     "train_three_gaussians": ("train", "[dataset]\nname = three_gaussians\n[arch]\nwidths = 2 4 3\n", ["gen_three_gaussians", "ArchSpec", "TrainConfig", "train"]),
     "train_csv": ("train", "[dataset]\nname = csv\npath = {csv}\n[arch]\nwidths = 1 4 2\n", ["from_csv", "ArchSpec", "TrainConfig", "train"]),
-    "train_idx": ("train", "[dataset]\nname = idx\nimages = {images}\nlabels = {labels}\nlimit = 2\n[arch]\nwidths = 4 4 2\n", ["subset_split", "ArchSpec", "TrainConfig", "train"]),
+    "train_idx": ("train", "[dataset]\nname = idx\nimages = {images}\nlabels = {labels}\nlimit = 2\n[arch]\nwidths = 4 4 2\n", ["subsample", "ArchSpec", "TrainConfig", "train"]),
     "quam": ("quam", "[dataset]\nname = two_moons\n{scoring}", ["gen_two_moons", "SearchConfig", "quam_scores"]),
     "grid": ("grid", "[dataset]\nname = two_moons\n[reference]\ncheckpoint = {ckpt}\n", ["gen_two_moons", "SearchConfig", "quam_scores"]),
     "de": ("baseline", "[baseline]\nmethod = de\n{moons}", ["gen_two_moons", "ArchSpec", "TrainConfig", "deep_ensemble"]),
-    "mcd": ("baseline", "[baseline]\nmethod = mcd\n{moons}", ["gen_two_moons", "mc_dropout"]),
+    "mcd": ("baseline", "[baseline]\nmethod = mcd\n{moons}", ["mc_dropout"]),
     "csghmc": ("baseline", "[baseline]\nmethod = csghmc\n{moons}", ["gen_two_moons", "ArchSpec", "csghmc"]),
     "hmc": ("baseline", "[baseline]\nmethod = hmc\n{moons}", ["gen_two_moons", "ArchSpec", "hmc_posterior"]),
     "simplex": ("simplex", "[dataset]\nname = three_gaussians\n[arch]\nwidths = 2 4 3\n", ["gen_three_gaussians", "ArchSpec", "TrainConfig", "simplex_surface"]),
@@ -133,7 +133,7 @@ def test_search_defaults_are_the_library_defaults(tmp_path, monkeypatch, setting
 
         return wrapper
 
-    loaders = ("gen_two_moons", "gen_sine", "gen_three_gaussians", "from_csv", "subset_split")
+    loaders = ("gen_two_moons", "gen_sine", "gen_three_gaussians", "from_csv", "subsample")
     monkeypatch.setattr(cli, "D", SimpleNamespace(**{**vars(D), **{name: spy(getattr(D, name)) for name in loaders}}))
     monkeypatch.setattr(cli, "M", SimpleNamespace(**{**vars(M), "ArchSpec": spy(M.ArchSpec), "TrainConfig": spy(M.TrainConfig), "train": spy(M.train, stop=True)}))
     monkeypatch.setattr(cli, "SearchConfig", spy(SearchConfig))
@@ -193,10 +193,10 @@ READS = {
         "[dataset]\nname = idx\nimages = {images}\nlabels = {labels}\nlimit = 2\n[arch]\nwidths = 4 4 2\n" + SMALL_TRAIN,
         _keys("dataset", "name", "seed", "images", "labels", "limit") | ARCH_KEYS | TRAIN_KEYS,
     ),
-    "quam": ("quam", SCORING_BASE + "[test_inputs]\nfile = {points}\n", SCORING_KEYS | _keys("test_inputs", "file") | _keys("output", "trajectories")),
+    "quam": ("quam", SCORING_BASE + "[test_inputs]\nfile = {points}\n", SCORING_KEYS | _keys("test_inputs", "file")),
     "grid": ("grid", SCORING_BASE + "[grid]\nresolution = 1\n", SCORING_KEYS | _keys("grid", "resolution", "x_range", "y_range")),
     "de": ("baseline", BASELINE_BASE + "method = de\nn_members = 1\n" + SMALL_TRAIN, BASELINE_KEYS | _keys("baseline", "n_members") | TRAIN_KEYS),
-    "mcd": ("baseline", BASELINE_BASE.replace("{ckpt}", "{dropout_ckpt}") + "method = mcd\nn_samples = 1\n", BASELINE_KEYS - ARCH_KEYS | _keys("baseline", "n_samples")),
+    "mcd": ("baseline", BASELINE_BASE.replace("{ckpt}", "{dropout_ckpt}") + "method = mcd\nn_samples = 1\n", BASELINE_KEYS - ARCH_KEYS - MOONS_KEYS | _keys("baseline", "n_samples")),
     "csghmc": (
         "baseline",
         BASELINE_BASE + "method = csghmc\ncycles = 1\nsteps_per_cycle = 1\n",
@@ -307,11 +307,8 @@ def test_cmd_quam_records(tmp_path, capsys):
     _, s = run(capsys, "train", "--config", cfgp)
     pts = tmp_path / "points.csv"
     write(pts, "x0,x1\n-1.2,1.2\n0.5,0.5\n1.9,-0.7\n")
-    qcfg = write(
-        tmp_path / "q.ini",
-        TRAIN_INI.format(out=tmp_path / "q_out")
-        + f"[reference]\ncheckpoint = {s['checkpoint']}\n[test_inputs]\nfile = {pts}\n[search]\nsteps = 20\nlr = 0.01\n[estimator]\ntemperature = 0.1\nsetting = b\n",
-    )
+    scoring = f"[reference]\ncheckpoint = {s['checkpoint']}\n[test_inputs]\nfile = {pts}\n[search]\nsteps = 20\nlr = 0.01\n[estimator]\ntemperature = 0.1\nsetting = b\n"
+    qcfg = write(tmp_path / "q.ini", TRAIN_INI.format(out=tmp_path / "q_out") + scoring)
     code, status = run(capsys, "quam", "--config", qcfg)
     assert code == 0 and status["n"] == 3
     rows = [json.loads(l) for l in open(tmp_path / "q_out" / "scores.jsonl")]
@@ -321,10 +318,12 @@ def test_cmd_quam_records(tmp_path, capsys):
     trajs = [f for f in os.listdir(tmp_path / "q_out") if f.startswith("trajectory_")]
     assert len(trajs) == 6
 
-    # rerun reproduces identical records
-    code2, _ = run(capsys, "quam", "--config", qcfg, "--out", str(tmp_path / "q2"))
+    # rerun reproduces identical records; an [output] trajectories key is ignored, as every unread key is
+    q2cfg = write(tmp_path / "q2.ini", TRAIN_INI.format(out=tmp_path / "q2") + "trajectories = false\n" + scoring)
+    code2, _ = run(capsys, "quam", "--config", q2cfg)
     rows2 = [json.loads(l) for l in open(tmp_path / "q2" / "scores.jsonl")]
-    assert rows == rows2
+    assert code2 == 0 and rows == rows2
+    assert sorted(f for f in os.listdir(tmp_path / "q2") if f.startswith("trajectory_")) == sorted(trajs)
 
 
 def test_cmd_train_that_diverges_in_its_last_update_exits_3_with_one_valid_json_line(tmp_path, capsys):
@@ -644,6 +643,7 @@ def one_status_line(capsys, argv):
         ("quam", "[dataset]\nname = sine\nn = 0\n"),
         ("train", "[dataset]\nname = sine\nn = -2\n"),
         ("baseline", "[baseline]\nmethod = mcd\nn_samples = 0\n"),
+        ("quam", "[search]\ndelta_scope = bias_only\n"),
     ],
     ids=[
         "hmc_n_leapfrog",
@@ -688,6 +688,7 @@ def one_status_line(capsys, argv):
         "sine_n_zero",
         "sine_n_negative",
         "mcd_n_samples_zero",
+        "search_delta_scope_bias_only",
     ],
 )
 def test_settings_that_do_no_work_are_usage_errors(tmp_path, capsys, command, section):

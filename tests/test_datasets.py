@@ -125,27 +125,19 @@ def test_idx_truncated_rejected(tmp_path):
         D.load_idx(tmp_path / "img", tmp_path / "lab")
 
 
-def test_subset_split_counts_disjoint_exhaustive():
-    ds = D.gen_two_moons(100, 0.1, seed=0)
-    a, b = D.subset_split(ds, [70, 30], seed=1)
-    assert len(a) == 70 and len(b) == 30
-    merged = np.vstack([a.x, b.x])
-    assert np.array_equal(np.sort(merged, axis=0), np.sort(ds.x, axis=0))
+def test_subsample_draws_the_rows_of_the_seeded_permutation_in_order():
+    # the rows that subset_split(ds, [7], seed=3)[0] drew before subsample replaced it
+    ds = D.gen_two_moons(20, 0.1, seed=0)
+    sub = D.subsample(ds, 7, seed=3)
+    rows = [3, 8, 12, 13, 15, 16, 18]
+    assert sub.x.tobytes() == ds.x[rows].tobytes() and sub.y.tolist() == ds.y[rows].tolist()
+    assert len(D.subsample(ds, 0, seed=3)) == 0 and D.subsample(ds, 20, seed=3).x.tobytes() == ds.x.tobytes()
 
 
-def test_subset_split_seeded():
-    ds = D.gen_two_moons(60, 0.1, seed=0)
-    a1, _ = D.subset_split(ds, [40, 20], seed=5)
-    a2, _ = D.subset_split(ds, [40, 20], seed=5)
-    assert np.array_equal(a1.x, a2.x)
-
-
-def test_subset_split_fractions_and_infeasible():
-    ds = D.gen_two_moons(50, 0.1, seed=0)
-    a, b = D.subset_split(ds, [0.8, 0.2], seed=0)
-    assert len(a) == 40 and len(b) == 10
-    with pytest.raises(ValueError):
-        D.subset_split(ds, [60], seed=0)
+@pytest.mark.parametrize("n", [-1, 21])
+def test_subsample_of_a_count_outside_0_to_the_dataset_size_raises(n):
+    with pytest.raises(ValueError, match=f"cannot draw {n} rows from a dataset of 20"):
+        D.subsample(D.gen_two_moons(20, 0.1, seed=0), n)
 
 
 def test_csv_round_trip(tmp_path):

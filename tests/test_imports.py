@@ -1,11 +1,14 @@
-"""No module of the package or its tests imports a name it never uses, and
-no function of the package takes a parameter it never reads.
+"""No module of the package or its tests imports a name it never uses, no
+function of the package takes a parameter it never reads, and no dataclass
+of the package has a field that nothing reads.
 
 Stdlib `ast` passes.  An imported name counts as used when the module reads
 it anywhere, when the module's `__all__` lists it, or when its import line
 carries `# noqa`.  A parameter counts as read when its function's body,
 nested functions included, loads the name; `UNREAD_PARAMETERS` lists the
-ones a caller's fixed signature requires.
+ones a caller's fixed signature requires.  A dataclass field counts as read
+when some module of the package, the benchmark or the tests loads an
+attribute of its name.
 """
 
 from __future__ import annotations
@@ -77,3 +80,41 @@ def test_no_function_of_the_package_takes_a_parameter_it_never_reads():
             with open(os.path.join(ROOT, "src/quam", name)) as f:
                 found |= {f"{name}:{fn}" for fn in unread_parameters(f.read())}
     assert found == UNREAD_PARAMETERS
+
+
+def dataclass_fields(source: str) -> list[str]:
+    """`Class.field` of every annotated field of every `@dataclass` class in `source`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                found += [f"{node.name}.{stmt.target.id}" for stmt in node.body if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return found
+
+
+def attributes_read(source: str) -> set[str]:
+    """The name of every attribute that `source` loads."""
+    return {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_unread_fields_are_found():
+    source = "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n\n@dataclass\nclass B:\n    z: int\n\nclass C:\n    w: int\n\ndef f(a, b):\n    a.y = b.x\n"
+    fields = dataclass_fields(source)
+    assert fields == ["A.x", "A.y", "B.z"]
+    assert [f for f in fields if f.split(".")[1] not in attributes_read(source)] == ["A.y", "B.z"]
+
+
+def test_every_dataclass_field_of_the_package_is_read():
+    fields, read = [], set()
+    for d in ("src/quam", "bench", "tests"):
+        for root, _, names in os.walk(os.path.join(ROOT, d)):
+            for name in sorted(names):
+                if name.endswith(".py"):
+                    with open(os.path.join(root, name)) as f:
+                        source = f.read()
+                    if d == "src/quam":
+                        fields += [f"{name}:{field}" for field in dataclass_fields(source)]
+                    read |= attributes_read(source)
+    unread = [field for field in fields if field.rsplit(".", 1)[1] not in read]
+    assert fields and not unread, unread

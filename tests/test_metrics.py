@@ -170,6 +170,15 @@ def test_ece_trivial_cases():
     assert X.ece(half, labels) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_ece_worked_example_weights_each_bin_by_its_binned_rows():
+    # bin [0, 0.5): confidence 0.4, accuracy 1; bin [0.5, 1]: confidence 0.8, accuracy 1/2
+    probs = np.array([[0.4, 0.3, 0.3], [0.9, 0.1, 0.0], [0.7, 0.3, 0.0]])
+    labels = np.array([0, 0, 1])
+    assert X.ece(probs, labels, n_bins=2) == pytest.approx(1 / 3 * 0.6 + 2 / 3 * 0.3, abs=1e-15)
+    # a confidence above 1 falls in no bin and leaves the weights alone
+    assert X.ece(np.vstack([probs, [1.5, 0.0, 0.0]]), np.append(labels, 0), n_bins=2) == X.ece(probs, labels, n_bins=2)
+
+
 def test_ece_calibrated_generator_small():
     rng = derive_rng(8)
     n = 10_000

@@ -141,16 +141,6 @@ def test_last_layer_scope_only_touches_last_layer():
     assert last.best_params.values.tobytes() == every.best_params.values.tobytes()
 
 
-def test_bias_only_scope():
-    data, ref = moons_reference()
-    cfg = SearchConfig(steps=20, lr=2e-2, seed=0, delta_scope="bias_only")
-    traj = search_batch(np.array([-1.2, 1.2]), data, ref, cfg, [(0, ("class", 1), (1,))])[0]
-    weight_mask = np.zeros(ref.arch.param_count(), dtype=bool)
-    for ws, _ in ref.arch.layer_slices():
-        weight_mask[ws] = True
-    assert np.array_equal(traj.best_params.values[weight_mask], ref.values[weight_mask])
-
-
 def test_search_deterministic():
     data, ref = moons_reference()
     cfg = SearchConfig(steps=40, lr=1e-2, seed=2, batch_size=64)
