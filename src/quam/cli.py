@@ -102,33 +102,13 @@ def load_search_config(cfg: ExperimentConfig, seed: int) -> SearchConfig:
     return SearchConfig(seed=seed, **kw)
 
 
-def _finite_row(line: str):
-    """The cells of a CSV line as floats, or None when one of them is not a finite number."""
-    try:
-        row = [float(c) for c in line.split(",")]
-    except ValueError:
-        return None
-    return row if np.isfinite(row).all() else None
-
-
 def load_test_inputs(cfg: ExperimentConfig) -> np.ndarray:
-    """The rows of `[test_inputs] file`: a header row, such as x0,x1, then one point per line."""
+    """The rows of `[test_inputs] file`, one point per line under a header row such as x0,x1 (`data.read_csv`)."""
     path = _existing(cfg.require("test_inputs", "file"), "test input file")
-    rows = []
-    with open(path) as f:
-        header = f.readline()
-        if _finite_row(header) is not None:
-            raise UsageError(f"test input file {path}, line 1: expected a header row such as x0,x1, got the numbers {header.strip()!r}")
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            row = _finite_row(line)
-            if row is None or rows and len(row) != len(rows[0]):
-                raise UsageError(f"test input file {path}, line {lineno}: every row needs the same number of finite numbers, got {line.strip()!r}")
-            rows.append(row)
-    if not rows:
-        raise UsageError(f"test input file has no rows: {path}")
-    return np.asarray(rows)
+    try:
+        return D.read_csv(path)
+    except ValueError as e:
+        raise UsageError(f"test input file {e}") from e
 
 
 def _prepare_out(out, cfg: ExperimentConfig) -> str:
@@ -246,7 +226,10 @@ def cmd_eval(cfg: ExperimentConfig, out: str, seed: int) -> int:
                     value = row.get(field) if isinstance(row, dict) else None
                     if type(value) not in (int, float):  # a JSON number: not a boolean, a string or null
                         raise UsageError(f"scores file {path} has a row without a number in the field {field!r}")
-                    vals.append(float(value))
+                    try:
+                        vals.append(float(value))
+                    except OverflowError:  # an integer past float range; 1e400, a float literal, reads as inf
+                        raise UsageError(f"scores file {path} has a row whose field {field!r} is an integer beyond float range") from None
         return np.asarray(vals)
 
     id_scores = read_scores(id_path)

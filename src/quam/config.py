@@ -121,8 +121,8 @@ class ExperimentConfig:
     def get_int(self, section, key, default=None):
         return self._get(section, key, default, int, "integer")
 
-    def get_ints(self, section, key, default=None):
-        return self._get(section, key, default, lambda raw: tuple(int(p) for p in raw.replace(",", " ").split()), "integers")
+    def get_ints(self, section, key):
+        return self._get(section, key, None, lambda raw: tuple(int(p) for p in raw.replace(",", " ").split()), "integers")
 
     def get_floats(self, section, key, default, count):
         """Exactly `count` finite numbers, separated by spaces or commas."""

@@ -1,7 +1,8 @@
-"""Synthetic dataset generators, IDX image files, seeded subsets and the CSV dataset reader.
+"""Synthetic dataset generators, IDX image files, seeded subsets and CSV files of numbers.
 
 All generators are pure functions of their arguments and seed; datasets
-are immutable after construction.
+are immutable after construction.  `read_csv` holds the one CSV grammar:
+`from_csv` reads dataset files through it, and the CLI its test inputs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "load_idx",
     "save_idx",
     "subsample",
+    "read_csv",
     "from_csv",
     "THREE_GAUSSIAN_TEST_POINT",
 ]
@@ -75,12 +77,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return len(self.x)
-
-    @property
-    def n_classes(self) -> int:
-        if self.kind != "classification":
-            raise ValueError("n_classes only defined for classification datasets")
-        return int(self.y.max()) + 1 if len(self.y) else 0
 
     def take(self, idx) -> "LabeledDataset":
         return LabeledDataset(self.x[idx], self.y[idx], self.kind)
@@ -194,34 +190,44 @@ def subsample(data: LabeledDataset, n: int, seed: int = 0) -> LabeledDataset:
     return data.take(np.sort(derive_rng(seed).permutation(len(data))[:n]))
 
 
-def from_csv(path, kind: str = "classification") -> LabeledDataset:
-    """A dataset from a CSV file: a header row x0, ..., y, then one sample per line.
+def read_csv(path) -> np.ndarray:
+    """The (rows, width) array of the numbers in a CSV file under a header.
 
-    Every cell is a finite number, and a classification row's last cell a
-    nonnegative integer class label.  Blank lines are skipped.  A malformed
-    file raises ValueError naming the file and line.
+    Line 1, the header, is any line that is not all finite numbers.  Every
+    later row holds as many finite numbers as the first; blank lines are
+    skipped.  A bad file raises ValueError naming the file and the line.
     """
     rows = []
     with open(path) as f:
-        header = f.readline()
-        width = len(header.split(","))
-        if not header.startswith("x0") or width < 2:
-            raise ValueError(f"{path}: expected a header row of x0, ..., y")
+        if _finite_row(header := f.readline()) is not None:
+            raise ValueError(f"{path}, line 1: expected a header row such as x0,x1, got the numbers {header.strip()!r}")
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
-            try:
-                row = [float(c) for c in line.split(",")]
-            except ValueError:
-                row = []
-            ok = len(row) == width and np.isfinite(row).all()
-            if ok and kind == "classification":
-                ok = row[-1] >= 0 and row[-1] == int(row[-1])
-            if not ok:
-                labels = ", the last a nonnegative integer class label" if kind == "classification" else ""
-                raise ValueError(f"{path}, line {lineno}: every row needs {width} finite numbers{labels}, got {line.strip()!r}")
+            row = _finite_row(line)
+            if row is None or rows and len(row) != len(rows[0]):
+                raise ValueError(f"{path}, line {lineno}: every row needs the same number of finite numbers, got {line.strip()!r}")
             rows.append(row)
     if not rows:
-        raise ValueError(f"{path}: dataset file has no rows")
-    arr = np.asarray(rows)
-    return LabeledDataset(arr[:, :-1], arr[:, -1], kind)
+        raise ValueError(f"{path}: the file has no rows")
+    return np.asarray(rows)
+
+
+def _finite_row(line: str):
+    """The cells of a CSV line as floats, or None when one of them is not a finite number."""
+    try:
+        row = [float(c) for c in line.split(",")]
+    except ValueError:
+        return None
+    return row if np.isfinite(row).all() else None
+
+
+def from_csv(path, kind: str = "classification") -> LabeledDataset:
+    """A dataset from a CSV file (`read_csv`), the label or target in its last column; a label the dataset rejects raises ValueError naming the file."""
+    rows = read_csv(path)
+    if rows.shape[1] < 2:
+        raise ValueError(f"{path}: a dataset row needs at least one input and a label, got one number per row")
+    try:
+        return LabeledDataset(rows[:, :-1], rows[:, -1], kind)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e

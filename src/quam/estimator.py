@@ -128,20 +128,15 @@ def _gauss_logpdf(x, mu, var):
     return -0.5 * (x - mu) ** 2 / var - 0.5 * np.log(2.0 * np.pi * var)
 
 
-def analytic_variance_study(
-    target: tuple[tuple[float, float, float], tuple[float, float, float]],
-    proposal: tuple[float, float],
-    lo: float = -50.0,
-    hi: float = 50.0,
-    tol: float = 1e-10,
-) -> float:
+def analytic_variance_study(target: tuple[tuple[float, float, float], tuple[float, float, float]], proposal: tuple[float, float]) -> float:
     """Asymptotic ratio variance  int (p/q)^2 q dx - 1  by adaptive quadrature.
 
     `target` is ((weight1, mean1, var1), (weight2, mean2, var2)); `proposal`
-    is (mean, var).  The integral is evaluated on [lo, hi]; past the
-    integrability threshold (unmatched component wider than twice the
-    proposal) the truncated value is still finite and still monotone in the
-    sweeps, which is what the study reports.  A quadrature that misses its
+    is (mean, var).  The integral is evaluated on [-50, 50] to an absolute
+    tolerance of 1e-10; past the integrability threshold (unmatched
+    component wider than twice the proposal) the truncated value is still
+    finite and still monotone in the sweeps, which is what the study
+    reports.  A quadrature that misses its
     tolerance says so with scipy's `IntegrationWarning`.
     """
     (w1, m1, v1), (w2, m2, v2) = target
@@ -157,7 +152,7 @@ def analytic_variance_study(
             log_p = np.logaddexp(np.log(w1) + _gauss_logpdf(x, m1, v1), np.log(w2) + _gauss_logpdf(x, m2, v2))
         return np.exp(2.0 * log_p - _gauss_logpdf(x, mq, vq))
 
-    value, _ = quad(integrand, lo, hi, points=[m1, m2, mq], limit=400, epsabs=tol, epsrel=1e-12)
+    value, _ = quad(integrand, -50.0, 50.0, points=[m1, m2, mq], limit=400, epsabs=1e-10, epsrel=1e-12)
     return float(value - 1.0)
 
 

@@ -14,9 +14,10 @@ the head pass runs on contiguous class rows.  One forward loop
 (`forward_into`), one backward loop (`Backprop`) and one loss, the
 cross-entropy against target rows, serve training, the samplers, the
 search penalty and the search objectives; their buffers live in a
-`Workspace` over a fixed number of rows.  Training and cSG-HMC keep one
-per batch size, HMC one over the data rows, a search batch one with its
-test rows as a second block, and `loss_and_grad` is a single pass of one.
+`Workspace` over a fixed number of rows, whose inputs `fill` writes.
+Training keeps one per batch size, cSG-HMC and HMC one over the data rows,
+a search batch one with its test rows as a second block, and
+`loss_and_grad` is a single pass of one.
 
 The log-posterior used as a sampling weight is the negative total training
 loss plus an isotropic Gaussian log-prior whose precision equals the
@@ -327,10 +328,9 @@ class Workspace:
     `values` is the caller's parameter vector or (K, P) stack, read through
     its per-layer matrices `layers`, so writes to it show through.  `bufs`
     are `forward_into`'s feature-major buffers and `acts` their row-major
-    views.  The input rows are the workspace's own, which `fill` writes, or
-    the read-only `x`, shared by every model of a stack (HMC's data rows).
-    `targets` holds the class-major cross-entropy targets, its own or the
-    shared `targets` transposed; `weights` each row's weight in the loss, a
+    views.  The input rows are the workspace's own, one set per model of a
+    stack, which `fill` writes.  `targets` holds the class-major
+    cross-entropy targets; `weights` each row's weight in the loss, a
     (..., 1, rows) row (None: 1/n on each of the n rows), and `fixed` their
     `target_terms`.  `dz` holds the class-major gradients at the head
     outputs, and `backward` writes the flat ones into `grad`.  With `extra`
@@ -338,21 +338,18 @@ class Workspace:
     blocks, each with its own GEMMs and its own `Backprop`; the extra
     block's GEMMs read contiguous copies of its columns (`forward_into`).
 
-    A pass is `fill` (own rows), then `forward`, whose head pass keeps the
-    cross-entropy terms that `loss` reduces, then `backward`.  Each result
-    has the bits of `forward`, `cross_entropy` and a new `Backprop` on the
-    same rows.
+    A pass is `fill`, then `forward`, whose head pass keeps the cross-entropy
+    terms that `loss` reduces, then `backward`.  Each result has the bits of
+    `forward`, `cross_entropy` and a new `Backprop` on the same rows.
     """
 
-    def __init__(self, arch: ArchSpec, values: np.ndarray, n: int, x=None, targets=None, weights=None, extra: int = 0):
+    def __init__(self, arch: ArchSpec, values: np.ndarray, n: int, weights=None, extra: int = 0):
         self.arch, self.values, self.n, self.weights = arch, values, n, weights
         self.layers = layer_views(arch, values)
-        lead = values.shape[:-1] if x is None else np.broadcast_shapes(values.shape[:-1], x.shape[:-2])
-        rows, last = n + extra, arch.n_layers
-        self.bufs = [_buffer(lead, arch.widths[0], rows, True) if x is None else _inputs(x)]
-        self.bufs += [_buffer(lead, w, rows, li < last) for li, w in enumerate(arch.widths[1:], 1)]
+        lead, rows, last = values.shape[:-1], n + extra, arch.n_layers
+        self.bufs = [_buffer(lead, w, rows, li < last) for li, w in enumerate(arch.widths)]
         self.acts = [b.swapaxes(-1, -2) for b in self.bufs]
-        self.targets = np.zeros(lead + (arch.widths[-1] if arch.head == "categorical" else 2, rows)) if targets is None else _transposed(targets)
+        self.targets = np.zeros(lead + (arch.widths[-1] if arch.head == "categorical" else 2, rows))
         self.fixed = target_terms(arch, self.targets, weights)
         self.dz = np.empty(self.bufs[-1].shape)
         self.grad = np.empty(values.shape)
@@ -545,7 +542,8 @@ def loss_and_grad(params: ModelParams, x: np.ndarray, targets: np.ndarray, masks
     `masks` are hidden-layer dropout masks.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    ws = Workspace(params.arch, params.values, x.shape[-2], x=x, targets=targets)
+    ws = Workspace(params.arch, params.values, x.shape[-2])
+    ws.fill(x, targets)
     ws.forward(masks)
     return ws.loss(), ws.backward(dropout_masks=masks)
 
@@ -602,8 +600,8 @@ class Adam:
         self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, values: np.ndarray, grad: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The updated values, written into `out` when given (it may be `values`); `m` and `v` change in place.
+    def step(self, values: np.ndarray, grad: np.ndarray) -> None:
+        """One update of `values` in place; `m` and `v` change in place too.
 
         Each line keeps the operations, and their order, of the textbook
         update m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g * g,
@@ -625,7 +623,7 @@ class Adam:
         den += self.eps
         mhat *= self.lr
         mhat /= den
-        return np.subtract(values, mhat, out=out)
+        values -= mhat
 
     def reset(self) -> None:
         """Zero the moments and the step count in place: the next step is a fresh Adam's first."""
@@ -673,7 +671,7 @@ def train(data, arch: ArchSpec, cfg: TrainConfig, log=None, extra_loss=None) -> 
                 loss, grad = loss + extra, grad + extra_grad
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bi}", epoch=epoch, batch=bi)
-            opt.step(values, grad, out=values)
+            opt.step(values, grad)
         if log is not None:
             log.append({"epoch": epoch, "loss": mean_train_loss(ModelParams(arch, values), data)})
     params = ModelParams(arch, values)

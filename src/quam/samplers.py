@@ -11,9 +11,10 @@ HMC runs K chains in lock-step on (K, P) position and momentum stacks,
 one seed per chain, and its callbacks are stacked: the log densities and
 gradients of K positions at once.  Each chain's draws and diagnostics are
 those of its own single-chain run, bit for bit.  `hmc_posterior` takes
-its gradients from one `models.Workspace` per call, over the data rows,
-and the log-posterior at a trajectory's end, its one log-softmax, from
-the last gradient's head pass; `csghmc` keeps one for its batch size.
+its gradients from one `models.Workspace` per call, filled once with a
+copy of the data rows per chain, and the log-posterior at a trajectory's
+end, its one log-softmax, from the last gradient's head pass; `csghmc`
+takes its full-batch gradients from one workspace too.
 """
 
 from __future__ import annotations
@@ -103,6 +104,12 @@ def mc_dropout(params: ModelParams, n_samples: int = 500, seed: int = 0) -> Samp
 # --------------------------------------------------------------------------
 
 
+# cSG-HMC's friction, declared here rather than inherited from any particular reference
+# implementation, and the fraction of each cycle's last steps whose positions are the draws
+CSGHMC_FRICTION = 0.05
+CSGHMC_TAIL = 0.25
+
+
 def cosine_step_size(step0: float, t: int, steps_per_cycle: int) -> float:
     """Cosine decay within a cycle: step0 at t=0, exactly 0 at the last step."""
     if steps_per_cycle <= 1:
@@ -118,16 +125,13 @@ def csghmc(
     step_size: float = 1e-3,
     temperature: float = 1.0,
     seed: int = 0,
-    friction: float = 0.05,
-    batch_size: Optional[int] = None,
     prior_precision: float = 1.0,
-    tail_fraction: float = 0.25,
 ) -> SamplerOutput:
-    """Stochastic-gradient HMC with a cosine step-size schedule per cycle.
+    """Cyclical SG-HMC on the full batch, with a cosine step-size schedule per cycle.
 
-    Samples are collected in the low-step-size tail of each cycle.  The
-    friction/temperature constants are declared here rather than inherited
-    from any particular reference implementation.
+    Every step takes the gradient of all the data rows, from one workspace
+    filled once.  The draws are the positions of the last `CSGHMC_TAIL` of
+    each cycle's steps, where the step size is small.
     """
     require(1, cycles=cycles, steps_per_cycle=steps_per_cycle)
     require(0, step_size=step_size, temperature=temperature, prior_precision=prior_precision)
@@ -135,10 +139,9 @@ def csghmc(
     values = init_params(arch, seed).values.copy()  # each step updates it in place
     velocity = np.zeros_like(values)
     n = len(data)
-    batch = n if batch_size is None else min(batch_size, n)
-    ws = Workspace(arch, values, batch)
-    targets = target_rows(arch, data.y)
-    ws.fill(data.x[:batch], targets[:batch])  # a full batch's rows never change
+    ws = Workspace(arch, values, n)
+    ws.fill(data.x, target_rows(arch, data.y))
+    first_draw = int(np.ceil(steps_per_cycle * (1.0 - CSGHMC_TAIL)))
     draws: list[np.ndarray] = []
     step_log: list[float] = []
 
@@ -146,22 +149,19 @@ def csghmc(
         for t in range(steps_per_cycle):
             lr = cosine_step_size(step_size, t, steps_per_cycle)
             step_log.append(lr)
-            if batch < n:
-                idx = rng.choice(n, size=batch, replace=False)
-                ws.fill(data.x[idx], targets[idx])
             ws.forward()
             if not np.isfinite(ws.loss()):
                 raise TrainingDiverged(f"cSG-HMC diverged in cycle {cycle}", epoch=cycle, batch=t)
             # grad of U = n * mean-loss + prior quadratic
             grad_u = n * ws.backward() + prior_precision * values
-            noise_scale = np.sqrt(2.0 * friction * lr * temperature) if lr > 0 else 0.0
-            velocity = (1.0 - friction) * velocity - lr * grad_u + noise_scale * rng.standard_normal(values.size)
+            noise_scale = np.sqrt(2.0 * CSGHMC_FRICTION * lr * temperature) if lr > 0 else 0.0
+            velocity = (1.0 - CSGHMC_FRICTION) * velocity - lr * grad_u + noise_scale * rng.standard_normal(values.size)
             values += velocity
-            if t >= int(np.ceil(steps_per_cycle * (1.0 - tail_fraction))):
+            if t >= first_draw:
                 draws.append(values.copy())
     return SamplerOutput(
         params=[ModelParams(arch, d) for d in draws or [values]],
-        diagnostics={"cycles": cycles, "steps_per_cycle": steps_per_cycle, "step_sizes": step_log, "friction": friction, "temperature": temperature},
+        diagnostics={"cycles": cycles, "steps_per_cycle": steps_per_cycle, "step_sizes": step_log, "friction": CSGHMC_FRICTION, "temperature": temperature},
     )
 
 
@@ -305,7 +305,7 @@ def hmc(
 
 
 class _PosteriorWorkspace(Workspace):
-    """K lock-step chains' log-posterior gradients and log densities, on one `models.Workspace` over the data rows.
+    """K lock-step chains' log-posterior gradients and log densities, on one `models.Workspace` filled once with the data rows.
 
     The log density at the position of the last gradient, a trajectory's
     end, reads that gradient's head pass.  Both keep the bits of
@@ -315,7 +315,8 @@ class _PosteriorWorkspace(Workspace):
     def __init__(self, data, arch: ArchSpec, prior_precision: float, k: int):
         if len(data) == 0:
             raise ValueError("hmc_posterior needs a nonempty dataset")
-        super().__init__(arch, np.empty((k, arch.param_count())), len(data), x=np.asarray(data.x, dtype=np.float64), targets=target_rows(arch, data.y))
+        super().__init__(arch, np.empty((k, arch.param_count())), len(data))
+        self.fill(data.x, target_rows(arch, data.y))  # every chain holds its own copy of the rows
         self.prior = prior_precision
 
     def grad_log_density(self, q: np.ndarray) -> np.ndarray:

@@ -426,7 +426,7 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
         g = ws.gradient(c)
         if frozen.size:
             g[:, frozen] = 0.0
-        opt.step(ws.values, g, out=ws.values)
+        opt.step(ws.values, g)
         if frozen.size:
             ws.values[:, frozen] = kept
         if lo is not None:

@@ -167,7 +167,7 @@ TEXT_KEYS = _keys("dataset", "name", "path", "kind", "images", "labels") | _keys
 TEXT_KEYS |= _keys("estimator", "setting") | _keys("baseline", "method") | _keys("reference", "checkpoint") | _keys("test_inputs", "file")
 TEXT_KEYS |= _keys("eval", "id_scores", "positive_scores", "field", "metrics") | _keys("varstudy", "parameter") | _keys("output", "dir")
 # library parameters that no config sets
-HIDDEN_KEYS = _keys("baseline", "friction", "batch_size", "tail_fraction") | _keys("search", "adam_eps", "bias_nudge", "param_box", "free_mask")
+HIDDEN_KEYS = _keys("search", "adam_eps", "bias_nudge", "param_box", "free_mask")
 
 MOONS_BASE = "[dataset]\nname = two_moons\nn = 20\n"
 SCORING_BASE = MOONS_BASE + "[reference]\ncheckpoint = {ckpt}\n[search]\nsteps = 1\n"
@@ -846,6 +846,39 @@ def test_test_input_header_row_may_be_any_line_that_is_not_finite_numbers(tmp_pa
     extra = f"[reference]\ncheckpoint = {s['checkpoint']}\n[test_inputs]\nfile = {pts}\n[search]\nsteps = 2\n"
     code, status = one_status_line(capsys, ["quam", "--config", write(tmp_path / "q.ini", TRAIN_INI.format(out=tmp_path / "q_out") + extra)])
     assert code == 0 and status["n"] == 2
+
+
+# file -> the line its usage error names (0: the file, no line), or None when it reads
+CSV_FILES = {
+    "x0_header": ("x0,x1\n0.5,0.5\n-1,2\n", None),
+    "text_header_and_a_blank_line": ("input,target\n0.5,0.5\n\n-1,2\n", None),
+    "nan_header": ("nan,0.5\n0.5,0.5\n", None),
+    "blank_header": ("\n0.5,0.5\n", None),
+    "first_row_sets_the_width": ("x0,x1,x2\n0.5,0.5\n", None),
+    "numbers_header": ("0.5,0.5\n-1,2\n", 1),
+    "ragged_row": ("x0,x1\n0.5,0.5\n-1\n", 3),
+    "nan_cell": ("x0,x1\n0.5,nan\n", 2),
+    "no_rows": ("x0,x1\n\n", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_FILES))
+def test_a_csv_file_reads_alike_as_test_inputs_and_as_a_regression_dataset(tmp_path, capsys, case):
+    text, bad_line = CSV_FILES[case]
+    path = write(tmp_path / "f.csv", text)
+    ckpt = str(tmp_path / "ref.ckpt")
+    M.save_checkpoint(M.init_params(M.ArchSpec((2, 4, 2), dropout_prob=0.5), 0), ckpt)
+    configs = {
+        "train": f"[dataset]\nname = csv\npath = {path}\nkind = regression\n[arch]\nwidths = 1 4 2\nhead = gaussian_scalar\n[train]\nepochs = 1\n",
+        "baseline": f"[reference]\ncheckpoint = {ckpt}\n[test_inputs]\nfile = {path}\n[baseline]\nmethod = mcd\nn_samples = 2\n",
+    }
+    for command, body in configs.items():
+        cfgp = write(tmp_path / f"{command}.ini", body + f"[output]\ndir = {tmp_path / command}\n")
+        code, status = one_status_line(capsys, [command, "--config", cfgp])
+        if bad_line is None:
+            assert code == 0, (command, status)
+        else:
+            assert code == 2 and (f"{path}, line {bad_line}:" if bad_line else path) in status["error"], (command, status)
 
 
 def test_cmd_quam_truncated_checkpoint_exits_2(tmp_path, capsys):

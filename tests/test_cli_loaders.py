@@ -186,6 +186,7 @@ SCORE_LINES = st.one_of(
 @FUZZ
 @given(st.lists(SCORE_LINES, max_size=4), st.lists(SCORE_LINES, max_size=4))
 @example([json.dumps({"epistemic": 0.1})], [json.dumps({"epistemic": 0.9})])  # usable
+@example([json.dumps({"epistemic": 10**400})], [json.dumps({"epistemic": 0.9})])  # an integer beyond float range
 def test_fuzzed_score_files(tmp_path, capsys, id_lines, positive_lines):
     id_p = write(tmp_path / "id.jsonl", "\n".join(id_lines) + "\n")
     pos_p = write(tmp_path / "pos.jsonl", "\n".join(positive_lines) + "\n")

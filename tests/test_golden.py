@@ -25,7 +25,9 @@ comparing.  A change that moves bits on purpose records the new tables:
 `PYTHONPATH=src python tests/test_golden.py` prints the digests of the
 core this process runs, and `--all` those of every core in the table, one
 process per core.  A key other than the requested core means the CPU
-cannot run that kernel.
+cannot run that kernel.  Tier-1 compares every recorded core that the CPU
+can run: the runtime one in process, each other one in a process of its
+own, which skips and names the core when the CPU cannot run it.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ import contextlib
 import ctypes
 import glob
 import hashlib
+import ast
 import io
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -427,18 +431,32 @@ def run_digests(workdir) -> dict:
     return digests
 
 
-def test_outputs_are_the_recorded_bytes(tmp_path):
-    core = openblas_core()
-    if core not in GOLDEN:
-        pytest.skip(f"no golden digests recorded for OpenBLAS core {core!r}")
-    digests = run_digests(tmp_path)
+def assert_recorded(core, digests):
     expected = GOLDEN[core]
     changed = sorted(name for name in expected.keys() | digests.keys() if expected.get(name) != digests.get(name))
     assert not changed, f"outputs differ from the digests recorded for OpenBLAS core {core!r}: {changed}"
 
 
+def test_outputs_are_the_recorded_bytes(tmp_path):
+    core = openblas_core()
+    if core not in GOLDEN:
+        pytest.skip(f"no golden digests recorded for OpenBLAS core {core!r}")
+    assert_recorded(core, run_digests(tmp_path))
+
+
+@pytest.mark.parametrize("core", [core for core in GOLDEN if core != openblas_core()])
+def test_outputs_are_the_recorded_bytes_on_every_other_recorded_core(core):
+    # one process per core: OpenBLAS picks its kernel once, when it loads
+    package = os.path.dirname(os.path.dirname(sys.modules["quam"].__file__))
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))}
+    printed = subprocess.run([sys.executable, __file__], env=env, check=True, capture_output=True, text=True).stdout
+    ((ran, digests),) = ast.literal_eval("{" + printed + "}").items()
+    if ran != core:
+        pytest.skip(f"this CPU cannot run OpenBLAS core {core!r}: OpenBLAS ran {ran!r}")
+    assert_recorded(core, digests)
+
+
 if __name__ == "__main__":
-    import subprocess
     import tempfile
 
     if sys.argv[1:] == ["--all"]:

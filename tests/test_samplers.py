@@ -112,7 +112,7 @@ def test_csghmc_conjugate_gaussian_posterior_mean():
     lam = 1.0
     post_mean = y.sum() / (n + lam)
     post_var = 1.0 / (n + lam)
-    out = S.csghmc(data, arch, cycles=6, steps_per_cycle=400, step_size=2e-4, seed=1, friction=0.1, prior_precision=lam, tail_fraction=0.5)
+    out = S.csghmc(data, arch, cycles=6, steps_per_cycle=400, step_size=2e-4, seed=1, prior_precision=lam)
     bias_draws = np.array([p.values[1] for p in out.params])
     stderr = np.sqrt(post_var) / np.sqrt(len(bias_draws) / 10.0)  # conservative autocorrelation discount
     assert abs(bias_draws.mean() - post_mean) < 3 * max(stderr, np.sqrt(post_var) / 3)
@@ -125,26 +125,24 @@ def test_csghmc_diagnostics_present(moons):
     assert out.diagnostics["step_sizes"][0] == pytest.approx(1e-4)
 
 
-@pytest.mark.parametrize("batch_size", [None, 50])
-def test_csghmc_is_a_loop_of_fresh_passes_bit_for_bit(moons, batch_size):
+def test_csghmc_is_a_loop_of_fresh_passes_bit_for_bit(moons):
     # the update `csghmc` runs, written with a new forward pass, loss and `Backprop` at every step
     arch = M.ArchSpec((2, 6, 5, 2))
     steps, step0, friction, temperature, prior = 8, 1e-3, 0.05, 0.7, 2.0
-    out = S.csghmc(moons, arch, cycles=2, steps_per_cycle=steps, step_size=step0, temperature=temperature, seed=7, batch_size=batch_size, prior_precision=prior)
+    out = S.csghmc(moons, arch, cycles=2, steps_per_cycle=steps, step_size=step0, temperature=temperature, seed=7, prior_precision=prior)
+    assert S.CSGHMC_FRICTION == out.diagnostics["friction"] == friction
     rng = derive_rng(7)
     values = M.init_params(arch, 7).values
     velocity = np.zeros_like(values)
     n = len(moons)
-    batch = n if batch_size is None else batch_size
     targets = M.target_rows(arch, moons.y)
     draws = []
     for _ in range(2):
         for t in range(steps):
             lr = S.cosine_step_size(step0, t, steps)
-            idx = rng.choice(n, size=batch, replace=False) if batch < n else np.arange(n)
             params = M.ModelParams(arch, values)
-            acts = M.forward(params, moons.x[idx])
-            grad_out = M.cross_entropy(arch, acts[-1], targets[idx])[1]
+            acts = M.forward(params, moons.x)
+            grad_out = M.cross_entropy(arch, acts[-1], targets)[1]
             bufs, dz = [a.swapaxes(-1, -2) for a in acts], grad_out.swapaxes(-1, -2)
             grad_u = n * M.Backprop(arch, params.layers(), bufs, dz, np.empty(values.shape)).run() + prior * values
             noise_scale = np.sqrt(2.0 * friction * lr * temperature) if lr > 0 else 0.0
