@@ -60,6 +60,8 @@ def _existing(path: str, what: str) -> str:
 
 def load_dataset(cfg: ExperimentConfig) -> D.LabeledDataset:
     name = cfg.require("dataset", "name")
+    if name != "csv":  # the generators and idx's subsample draw from [dataset] seed
+        require(0, **{"[dataset] seed": cfg.get_int("dataset", "seed")})
     if name in ("two_moons", "sine"):
         kw = cfg.settings("dataset", n=int, noise=float, seed=int) if name == "two_moons" else cfg.settings("dataset", n=int, seed=int)
         require(1, **{"[dataset] n": kw.get("n")})
@@ -80,10 +82,7 @@ def load_dataset(cfg: ExperimentConfig) -> D.LabeledDataset:
 
 
 def load_arch(cfg: ExperimentConfig) -> M.ArchSpec:
-    widths = cfg.get_ints("arch", "widths")
-    if widths is None:
-        raise UsageError("missing [arch] widths")
-    return M.ArchSpec(widths, **cfg.settings("arch", head=str, dropout_prob=float))
+    return M.ArchSpec(cfg.get_ints("arch", "widths"), **cfg.settings("arch", head=str, dropout_prob=float))
 
 
 def load_train_config(cfg: ExperimentConfig, seed: int) -> M.TrainConfig:
@@ -94,9 +93,9 @@ def load_train_config(cfg: ExperimentConfig, seed: int) -> M.TrainConfig:
 def load_search_config(cfg: ExperimentConfig, seed: int) -> SearchConfig:
     """The [search] section; every key it leaves out keeps SearchConfig's default.
 
-    `adam_eps`, `bias_nudge`, `param_box` and `free_mask` have no key: only
-    criterion 5's box-constrained logistic search and the unit tests set
-    them, and no experiment the CLI runs needs other values.
+    `adam_eps`, `param_box` and `free_mask` have no key: criterion 5's
+    box-constrained logistic search alone sets them, and no experiment the
+    CLI runs needs other values.  The nudge is `search.BIAS_NUDGE`.
     """
     kw = cfg.settings("search", c0=float, eta_factor=float, eta_every=int, gamma=float, steps=int, lr=float, weight_decay=float, batch_size=int, delta_scope=str)
     return SearchConfig(seed=seed, **kw)
@@ -350,6 +349,7 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.load(args.config)
         out = _prepare_out(args.out, cfg)
         seed = args.seed if args.seed is not None else cfg.get_int("experiment", "seed", 0)
+        require(0, **{"--seed" if args.seed is not None else "[experiment] seed": seed})
         return COMMANDS[args.command](cfg, out, seed)
     except (ConfigError, UsageError, OSError, ValueError) as e:
         _status(args.command, "usage_error", error=str(e))

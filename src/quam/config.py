@@ -122,6 +122,7 @@ class ExperimentConfig:
         return self._get(section, key, default, int, "integer")
 
     def get_ints(self, section, key):
+        self.require(section, key)
         return self._get(section, key, None, lambda raw: tuple(int(p) for p in raw.replace(",", " ").split()), "integers")
 
     def get_floats(self, section, key, default, count):

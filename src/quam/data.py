@@ -49,7 +49,7 @@ def class_indices(labels) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Uniform-shape inputs with class indices or real targets."""
+    """(rows, features) inputs with class indices or real targets; any other shape of inputs is a ValueError."""
 
     x: np.ndarray
     y: np.ndarray
@@ -58,8 +58,8 @@ class LabeledDataset:
     def __post_init__(self):
         # private copies: freezing must never touch the caller's buffers
         x = np.array(self.x, dtype=np.float64, order="C")
-        if x.ndim == 1:
-            x = x.reshape(-1, 1)
+        if x.ndim != 2:
+            raise ValueError(f"inputs must be a (rows, features) array, got shape {x.shape}")
         if self.kind == "classification":
             y = class_indices(self.y)
         elif self.kind == "regression":

@@ -33,6 +33,8 @@ __all__ = [
     "simplex_surface",
 ]
 
+ECE_BINS = 10  # `ece`'s equal-width confidence bins on [0, 1]
+
 
 @dataclass(frozen=True)
 class ScoredLabels:
@@ -96,21 +98,21 @@ def fpr_at_tpr(s: ScoredLabels, tpr_target: float = 0.95) -> float:
     return float((ends[first] - tp[first]) / (ends[-1] - tp[-1]))
 
 
-def ece(pred_probs, labels, n_bins: int = 10) -> float:
-    """Expected calibration error: sum over equal-width confidence bins of (n_b/n)|acc_b - conf_b|."""
+def ece(pred_probs, labels) -> float:
+    """Expected calibration error: sum over `ECE_BINS` bins of (n_b/n)|acc_b - conf_b|; a confidence above 1 falls in no bin, and n counts the binned rows."""
     probs = np.asarray(pred_probs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     conf = probs.max(axis=1)
     hit = probs.argmax(axis=1) == y
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    edges = np.linspace(0.0, 1.0, ECE_BINS + 1)
     counts, gaps = [], []
-    for b in range(n_bins):
+    for b in range(ECE_BINS):
         lo, hi = edges[b], edges[b + 1]
-        mask = (conf >= lo) & (conf < hi) if b < n_bins - 1 else (conf >= lo) & (conf <= hi)
+        mask = (conf >= lo) & (conf < hi) if b < ECE_BINS - 1 else (conf >= lo) & (conf <= hi)
         if mask.any():
             counts.append(int(mask.sum()))
             gaps.append(abs(float(hit[mask].mean()) - float(conf[mask].mean())))
-    n = sum(counts)  # the binned rows: a confidence above 1 falls in no bin
+    n = sum(counts)
     return float(sum(c / n * gap for c, gap in zip(counts, gaps)))
 
 

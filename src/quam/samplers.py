@@ -9,8 +9,9 @@ of `measures.decompose_a` and `decompose_b`.
 
 HMC runs K chains in lock-step on (K, P) position and momentum stacks,
 one seed per chain, and its callbacks are stacked: the log densities and
-gradients of K positions at once.  Each chain's draws and diagnostics are
-those of its own single-chain run, bit for bit.  `hmc_posterior` takes
+gradients of K positions at once.  `hmc` returns each chain's raw draws
+and diagnostics as an `HMCChain`, those of its own single-chain run, bit
+for bit, and `hmc_posterior` wraps them as models.  `hmc_posterior` takes
 its gradients from one `models.Workspace` per call, filled once with a
 copy of the data rows per chain, and the log-posterior at a trajectory's
 end, its one log-softmax, from the last gradient's head pass; `csghmc`
@@ -20,7 +21,7 @@ takes its full-batch gradients from one workspace too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "mc_dropout",
     "csghmc",
     "hmc",
+    "HMCChain",
     "hmc_posterior",
     "cosine_step_size",
     "HMCAborted",
@@ -46,32 +48,24 @@ class HMCAborted(RuntimeError):
 
 @dataclass
 class SamplerOutput:
-    """Equally weighted posterior samples plus per-method diagnostics.
+    """Equally weighted posterior model draws (ensembles, MC dropout, posterior MCMC) plus per-method diagnostics.
 
-    `params` holds model draws (ensembles, posterior MCMC); `masks`, when
-    set, holds one set of hidden-layer dropout masks per entry of `params`
-    (MC dropout, where every entry is the same model).  `draws` holds raw
-    vectors (HMC on a generic density).  Exactly one of `params` and
-    `draws` is set.
+    `masks`, when set, holds one set of hidden-layer dropout masks per
+    entry of `params` (MC dropout, where every entry is the same model).
     """
 
-    params: Optional[list[ModelParams]] = None
-    draws: Optional[np.ndarray] = None
+    params: list[ModelParams]
     masks: Optional[list[list[np.ndarray]]] = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if (self.params is None) == (self.draws is None):
-            raise ValueError("exactly one of params/draws must be provided")
-        if self.params is not None and not self.params or self.draws is not None and not len(self.draws):
+        if not self.params:
             raise ValueError("sampler output must be nonempty")
-        if self.masks is not None and (self.params is None or len(self.masks) != len(self.params)):
+        if self.masks is not None and len(self.masks) != len(self.params):
             raise ValueError("dropout masks need one set per model")
 
     def predictions(self, xs) -> np.ndarray:
         """(S, N, k) predictions of the S samples at the N rows of `xs`, as `models.predict_batch` gives them."""
-        if self.params is None:
-            raise ValueError("raw draws are not models and have no predictions")
         xs = np.atleast_2d(xs)
         out = None
         for i, (p, m) in enumerate(zip(self.params, self.masks or [None] * len(self.params))):
@@ -143,15 +137,13 @@ def csghmc(
     ws.fill(data.x, target_rows(arch, data.y))
     first_draw = int(np.ceil(steps_per_cycle * (1.0 - CSGHMC_TAIL)))
     draws: list[np.ndarray] = []
-    step_log: list[float] = []
 
     for cycle in range(cycles):
         for t in range(steps_per_cycle):
             lr = cosine_step_size(step_size, t, steps_per_cycle)
-            step_log.append(lr)
             ws.forward()
             if not np.isfinite(ws.loss()):
-                raise TrainingDiverged(f"cSG-HMC diverged in cycle {cycle}", epoch=cycle, batch=t)
+                raise TrainingDiverged(f"cSG-HMC diverged in cycle {cycle}, step {t}")
             # grad of U = n * mean-loss + prior quadratic
             grad_u = n * ws.backward() + prior_precision * values
             noise_scale = np.sqrt(2.0 * CSGHMC_FRICTION * lr * temperature) if lr > 0 else 0.0
@@ -161,7 +153,7 @@ def csghmc(
                 draws.append(values.copy())
     return SamplerOutput(
         params=[ModelParams(arch, d) for d in draws or [values]],
-        diagnostics={"cycles": cycles, "steps_per_cycle": steps_per_cycle, "step_sizes": step_log, "friction": CSGHMC_FRICTION, "temperature": temperature},
+        diagnostics={"cycles": cycles, "steps_per_cycle": steps_per_cycle, "friction": CSGHMC_FRICTION, "temperature": temperature},
     )
 
 
@@ -197,6 +189,13 @@ def _leapfrog(q, p, g, grad_fn, step, n_steps: int):
     return g
 
 
+class HMCChain(NamedTuple):
+    """One `hmc` chain's (n_samples, P) raw draws and its diagnostics."""
+
+    draws: np.ndarray
+    diagnostics: dict
+
+
 def hmc(
     log_density: Callable[[np.ndarray], np.ndarray],
     grad_log_density: Callable[[np.ndarray], np.ndarray],
@@ -218,7 +217,7 @@ def hmc(
     keeps its own `derive_rng(seed)` stream, step size, acceptance counts
     and rejection run, and its own `p @ p`, so its draws and diagnostics
     are those of its own single-chain run, bit for bit.  Returns one
-    `SamplerOutput` for an int seed, else one per chain.
+    `HMCChain` for an int seed, else one per chain.
 
     During burn-in, `auto_tune` looks at each chain's acceptances over a
     window of 25 iterations that all chains share: it doubles a chain's
@@ -290,9 +289,9 @@ def hmc(
             draws[:, (it - burn_in) // thin] = q
 
     outs = [
-        SamplerOutput(
-            draws=draws[c],
-            diagnostics={
+        HMCChain(
+            draws[c],
+            {
                 "acceptance_rate": int(accepted[c]) / total,
                 "sampling_acceptance_rate": int(accepted_sampling[c]) / (n_samples * thin),
                 "step_size": float(steps[c, 0]),
@@ -361,7 +360,7 @@ def hmc_posterior(
     seeds = [seed] if single else list(seed)
     start = np.array([(init if init is not None else init_params(arch, s)).values for s in seeds])
     ws = _PosteriorWorkspace(data, arch, prior_precision, len(seeds))
-    # an int seed reaches `hmc` as an int: bench/tracer.py reads the one SamplerOutput it then returns
+    # an int seed reaches `hmc` as an int: bench/tracer.py reads the diagnostics of the one HMCChain it then returns
     raw = hmc(ws.log_density, ws.grad_log_density, start[0] if single else start, n_samples, n_leapfrog, step_size, seed=seed, burn_in=burn_in, auto_tune=auto_tune, thin=thin)
     outs = [SamplerOutput(params=[ModelParams(arch, d) for d in r.draws], diagnostics=r.diagnostics) for r in ([raw] if single else raw)]
     return outs[0] if single else outs

@@ -90,11 +90,13 @@ __all__ = [
 _LOSS_BLOCK = 1 << 20
 # elements of one lock-step batch's activations: searches x (batch rows + 1) x sum(fan_in + 1)
 _BATCH_BLOCK = 1 << 18
+# a direction search's mean-output bias offset, and a divergence search's perturbation scale, before the first step
+BIAS_NUDGE = 1e-2
 
 
 @dataclass
 class SearchConfig:
-    """Penalty schedule, optimizer and scope of the search."""
+    """Penalty schedule, optimizer and scope of the search; the nudge before the first step is `BIAS_NUDGE`."""
 
     c0: float = 1.0
     eta_factor: float = 1.5
@@ -107,7 +109,6 @@ class SearchConfig:
     batch_size: Optional[int] = None  # None -> full training set
     delta_scope: str = "all_params"  # all_params | last_layer
     seed: int = 0
-    bias_nudge: float = 1e-2  # regression head offset before searching
     param_box: Optional[tuple[float, float]] = None  # clamp free params
     free_mask: Optional[np.ndarray] = None  # explicit override of delta_scope
 
@@ -131,7 +132,6 @@ class SearchTrajectory:
     adv_loss: np.ndarray  # the minimized objective term (negated divergence / target CE)
     pen_loss: np.ndarray  # mini-batch penalty at each iterate
     mean_train_loss: np.ndarray  # full-training-set mean loss
-    full_pen: np.ndarray  # mean_train_loss - (L_ref + gamma)
     divergence: np.ndarray  # divergence of each model's prediction from the reference
     pred: np.ndarray  # (records, k) prediction rows at the test input: class probabilities or (mean, variance)
     best_index: int  # the best iterate's record
@@ -141,6 +141,11 @@ class SearchTrajectory:
     reference_loss: float
     gamma: float
     reference_pred: np.ndarray  # the reference's prediction row at the test input
+
+    @property
+    def full_pen(self) -> np.ndarray:
+        """Each model's full-data penalty, mean_train_loss - (L_ref + gamma): the records' own bits, with no column of its own."""
+        return self.mean_train_loss - (self.reference_loss + self.gamma)
 
 
 def _scope_mask(arch: ArchSpec, config: SearchConfig) -> np.ndarray:
@@ -282,15 +287,10 @@ class _Records:
         self.div[row, at] = div
         self.pred[row, at] = pred
 
-    def columns(self, s: int, step0: int, bound: float, full: bool) -> tuple:
-        """Search s's record columns, in `SearchTrajectory`'s order.
-
-        Row m is step m - 1 + step0, and full_pen is each loss less `bound`,
-        the penalty itself in a full-batch search.
-        """
+    def columns(self, s: int, step0: int) -> tuple:
+        """Search s's record columns, in `SearchTrajectory`'s order; row m is step m - 1 + step0."""
         rows = np.flatnonzero(self.valid[:, s])
-        loss, pen = self.loss[rows, s], self.pen[rows, s]
-        return rows - 1 + step0, self.c[rows], self.adv[rows, s], pen, loss, pen if full else loss - bound, self.div[rows, s], self.pred[rows, s]
+        return rows - 1 + step0, self.c[rows], self.adv[rows, s], self.pen[rows, s], self.loss[rows, s], self.div[rows, s], self.pred[rows, s]
 
 
 def _full_losses(arch: ArchSpec, layers, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -357,11 +357,11 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
     bias = warch.layer_slices()[-1][1].start  # the mean-output bias
     for s, (direction, (_, o, _)) in enumerate(zip(ws.direction, searches)):
         if direction:
-            ws.values[s, bias] += direction * config.bias_nudge
-        elif o == "divergence" and config.bias_nudge:
+            ws.values[s, bias] += direction * BIAS_NUDGE
+        elif o == "divergence":
             # the divergence gradient vanishes at the exact reference; a tiny
             # seeded perturbation of the free parameters provides the first step
-            ws.values[s, mask] += config.bias_nudge * rngs[s].standard_normal(int(mask.sum()))
+            ws.values[s, mask] += BIAS_NUDGE * rngs[s].standard_normal(int(mask.sum()))
     base = ws.values.copy()
 
     records = _Records(k, config.steps, refs.shape[-1])
@@ -383,12 +383,11 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
         slots = np.flatnonzero(keep)
         at = slice(None) if len(slots) == k else slots  # every search, or some
         adv, pen, mtl, preds, values = adv[at], pen[at], mtl[at], preds[at, 0], values[at]
-        full_pen = pen if full_batch else mtl - bound
         # KL(reference row || prediction row); the reference rows are checked
         # once per batch, candidate rows by the split
         div = kl(arch.head, ref_rows[at], preds, None if ref_terms is None else (ref_terms[0][at], ref_terms[1][at]))
         records.add(row, at, c, adv, pen, mtl, div, preds)
-        better = (full_pen <= 0.0) & (div > best_div[at]) & (undirected[at] | (ws.direction[at] * (preds[:, 0] - ref_means[at]) > 0.0))
+        better = (mtl - bound <= 0.0) & (div > best_div[at]) & (undirected[at] | (ws.direction[at] * (preds[:, 0] - ref_means[at]) > 0.0))
         if better.any():
             won = slots[better]
             best_row[won] = row
@@ -447,12 +446,12 @@ def search_batch(xs: np.ndarray, data, reference: ModelParams, config: SearchCon
 
     trajectories = []
     for s, (point, o, _) in enumerate(searches):
-        columns = records.columns(s, int(nudged[s]), bound, full_batch)
+        columns = records.columns(s, int(nudged[s]))
         no_feasible = bool(best_row[s] < 0 or best_div[s] <= 0.0)
         if no_feasible:
             # no feasible iterate improved on the reference: return the reference
             if not columns[0].size:
-                columns = (np.zeros(1, dtype=int), *(np.array([v], dtype=float) for v in (config.c0, 0.0, -gamma, l_ref, -gamma, 0.0)), refs[point][None])
+                columns = (np.zeros(1, dtype=int), *(np.array([v], dtype=float) for v in (config.c0, 0.0, -gamma, l_ref, 0.0)), refs[point][None])
             best, best_params = 0, work.values
         else:
             best, best_params = int(records.valid[: best_row[s], s].sum()), best_values[s]

@@ -589,8 +589,8 @@ def mnist_pipeline(train_full, id_full, ood_full, seeds, n_train, n_test):
                 "auroc_quam": auroc_of(quam_id, quam_ood),
                 "auroc_de": auroc_of(de_scores(id_test.x), de_scores(ood_test.x)),
                 "auroc_mcd": auroc_of(epistemic(ref_id, mcd_stack_id), epistemic(ref_ood, mcd_stack_ood)),
-                "ece_ref": X.ece(ref_id, id_test.y, n_bins=10),
-                "ece_quam": X.ece(bma_id, id_test.y, n_bins=10),
+                "ece_ref": X.ece(ref_id, id_test.y),
+                "ece_quam": X.ece(bma_id, id_test.y),
             }
         )
     return runs

@@ -167,7 +167,7 @@ TEXT_KEYS = _keys("dataset", "name", "path", "kind", "images", "labels") | _keys
 TEXT_KEYS |= _keys("estimator", "setting") | _keys("baseline", "method") | _keys("reference", "checkpoint") | _keys("test_inputs", "file")
 TEXT_KEYS |= _keys("eval", "id_scores", "positive_scores", "field", "metrics") | _keys("varstudy", "parameter") | _keys("output", "dir")
 # library parameters that no config sets
-HIDDEN_KEYS = _keys("search", "adam_eps", "bias_nudge", "param_box", "free_mask")
+HIDDEN_KEYS = _keys("search", "adam_eps", "param_box", "free_mask")
 
 MOONS_BASE = "[dataset]\nname = two_moons\nn = 20\n"
 SCORING_BASE = MOONS_BASE + "[reference]\ncheckpoint = {ckpt}\n[search]\nsteps = 1\n"
@@ -300,6 +300,12 @@ def test_cmd_train_missing_dataset_exits_2(tmp_path, capsys):
     code, status = run(capsys, "train", "--config", cfgp, "--out", str(tmp_path / "out"))
     assert code == 2
     assert "/does/not/exist" in status["error"]
+
+
+def test_cmd_train_without_arch_widths_names_the_key(tmp_path, capsys):
+    cfgp = write(tmp_path / "bad.ini", TRAIN_INI.format(out=tmp_path / "out").replace("widths = 2 8 2\n", ""))
+    code, status = run(capsys, "train", "--config", cfgp)
+    assert (code, status["status"], status["error"]) == (2, "usage_error", "missing required config value [arch] widths")
 
 
 def test_cmd_quam_records(tmp_path, capsys):
@@ -1043,7 +1049,7 @@ def test_benchmark_tracer_installs_on_the_cli():
 
 def test_benchmark_tracer_runs_an_hmc_baseline(tmp_path):
     # the tracer's hook on samplers.hmc reads the diagnostics of the one
-    # SamplerOutput that an int-seed hmc_posterior's call returns
+    # HMCChain that an int-seed hmc_posterior's call returns
     bench = os.path.join(os.path.dirname(__file__), "..", "bench")
     pts = write(tmp_path / "p.csv", "x0,x1\n0.5,0.5\n")
     section = f"[test_inputs]\nfile = {pts}\n[baseline]\nmethod = hmc\nn_samples = 3\nburn_in = 5\nn_leapfrog = 2\n"

@@ -36,11 +36,11 @@ def write(path, content):
     return str(path)
 
 
-def status_of(capsys, tmp_path, command, config):
-    """Run one command on `config`; assert the contract and return (exit code, status)."""
+def status_of(capsys, tmp_path, command, config, *flags):
+    """Run one command on `config`, with `flags` after the config's; assert the contract and return (exit code, status)."""
     cfgp = write(tmp_path / "fuzz.ini", config)
     with np.errstate(all="ignore"):
-        code = main([command, "--config", cfgp, "--out", str(tmp_path / "out")])
+        code = main([command, "--config", cfgp, "--out", str(tmp_path / "out"), *flags])
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1, lines
     status = json.loads(lines[0])
@@ -96,18 +96,26 @@ def test_malformed_dataset_file_is_a_usage_error(tmp_path, capsys, kind, content
         ("train", "train", "epochs", "-1"),
         ("train", "train", "batch_size", "-3"),
         ("train", "train", "batch_size", "0"),
+        ("train", "experiment", "seed", "-1"),
+        ("train", None, "--seed", "-5"),
+        ("train", "dataset", "seed", "-2"),
     ],
 )
 def test_search_and_train_settings_that_cannot_run_are_usage_errors(tmp_path, capsys, checkpoint, command, section, key, value):
     # these once died in a ZeroDivisionError, got numpy's message, or reported
-    # ok after searching with c growing every step or not training at all
+    # ok after searching with c growing every step or not training at all; a
+    # row without a section sets a command-line flag
     config = MOONS
     if command == "quam":
         ckpt = write(tmp_path / "model.ckpt", checkpoint)
         points = write(tmp_path / "points.csv", "x0,x1\n0.5,0.5\n")
         config += f"[reference]\ncheckpoint = {ckpt}\n[test_inputs]\nfile = {points}\n[search]\nsteps = 2\n"
-    code, status = status_of(capsys, tmp_path, command, config + f"[{section}]\n{key} = {value}\n")
+    if section is None:
+        code, status = status_of(capsys, tmp_path, command, config, key, value)
+    else:
+        code, status = status_of(capsys, tmp_path, command, config + f"[{section}]\n{key} = {value}\n")
     assert code == 2 and key in status["error"], status
+    assert key != "seed" or f"[{section}] seed" in status["error"], status  # the CLI's seed keys name their section
 
 
 CONFIG_KEYS = [("dataset", k) for k in ("name", "n", "noise", "seed", "kind")] + [("arch", k) for k in ("widths", "head", "dropout_prob")] + [("train", k) for k in ("epochs", "batch_size")]

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -157,6 +158,12 @@ def test_classification_labels_must_be_integers(label):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"class labels must be integers, got {label:g}"):
             D.LabeledDataset(np.zeros((3, 1)), [1.0, label, 0.0], "classification")
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 1, 1)])
+def test_inputs_must_be_rows_of_features(shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        D.LabeledDataset(np.zeros(shape), [0, 1, 0], "classification")
 
 
 def test_integral_float_labels_are_class_indices():

@@ -22,7 +22,7 @@ def moons_setup():
 
 def test_quam_score_zero_lr_gives_zero_epistemic(moons_setup):
     data, ref = moons_setup
-    cfg = SearchConfig(steps=2, lr=0.0, seed=0, bias_nudge=0.0)
+    cfg = SearchConfig(steps=2, lr=0.0, seed=0)
     (br,), _ = E.quam_scores(np.array([-1.0, 1.0]), data, ref, cfg, temperature=0.1)
     assert br.epistemic == pytest.approx(0.0, abs=1e-12)
     assert "no_feasible_adversary" in br.flags

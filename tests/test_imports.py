@@ -1,18 +1,20 @@
 """No module of the package or its tests imports a name it never uses, no
-function of the package takes a parameter it never reads, no dataclass
-of the package has a field that nothing reads, and no optional parameter
-of the package is one that no caller passes.
+function of the package takes a parameter it never reads, no class of the
+package holds state that no real caller reads, and no optional parameter
+of the package is one that no real caller passes.
 
 Stdlib `ast` passes.  An imported name counts as used when the module reads
 it anywhere, when the module's `__all__` lists it, or when its import line
 carries `# noqa`.  A parameter counts as read when its function's body,
 nested functions included, loads the name; `UNREAD_PARAMETERS` lists the
-ones a caller's fixed signature requires.  A dataclass field counts as read
-when some module of the package, the benchmark or the tests loads an
-attribute of its name.  An optional parameter, of a function, a method or
-a dataclass constructor, counts as passed when some call of its name in
-the package, the benchmark, the golden runs or the acceptance tests
-passes it, by keyword or by position (see `calls`).
+ones a caller's fixed signature requires.  The real callers are the
+package, the benchmark, the golden runs and the acceptance tests
+(`real_callers`); the unit tests are not among them.  A dataclass field,
+or an attribute that a method sets on `self`, counts as read when some real
+caller loads an attribute of its name.  An optional parameter, of a
+function, a method or a dataclass constructor, counts as passed when some
+call of its name in a real caller passes it, by keyword or by position
+(see `calls`).
 """
 
 from __future__ import annotations
@@ -87,15 +89,33 @@ def test_no_function_of_the_package_takes_a_parameter_it_never_reads():
     assert found == UNREAD_PARAMETERS
 
 
-def dataclass_fields(source: str) -> list[str]:
-    """`Class.field` of every annotated field of every `@dataclass` class in `source`."""
-    found = []
+@functools.lru_cache(maxsize=None)
+def real_callers() -> tuple[str, ...]:
+    """The sources of every module of the package and the benchmark, and of the golden runs and the acceptance tests."""
+    paths = [os.path.join(ROOT, "tests", name) for name in ("test_golden.py", "test_acceptance.py")]
+    for d in ("src/quam", "bench"):
+        paths += [os.path.join(root, name) for root, _, names in os.walk(os.path.join(ROOT, d)) for name in sorted(names) if name.endswith(".py")]
+    sources = []
+    for path in paths:
+        with open(path) as f:
+            sources.append(f.read())
+    return tuple(sources)
+
+
+def class_state(source: str) -> list[str]:
+    """`Class.name` of every annotated field of every `@dataclass` class in `source`, then of every attribute that a method of a class sets on `self`."""
+    fields, attributes = [], []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ClassDef):
             decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
             if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
-                found += [f"{node.name}.{stmt.target.id}" for stmt in node.body if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
-    return found
+                fields += [f"{node.name}.{stmt.target.id}" for stmt in node.body if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for n in ast.walk(method):
+                        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name) and n.value.id == "self":
+                            attributes.append(f"{node.name}.{n.attr}")
+    return fields + list(dict.fromkeys(attributes))
 
 
 def attributes_read(source: str) -> set[str]:
@@ -103,26 +123,31 @@ def attributes_read(source: str) -> set[str]:
     return {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
+def unread_state(definitions: str, callers) -> list[str]:
+    """`Class.name` of every field and `self` attribute in `definitions` (`class_state`) that no source of `callers` loads."""
+    read = set().union(*map(attributes_read, callers))
+    return [name for name in class_state(definitions) if name.rsplit(".", 1)[1] not in read]
+
+
 def test_unread_fields_are_found():
-    source = "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n\n@dataclass\nclass B:\n    z: int\n\nclass C:\n    w: int\n\ndef f(a, b):\n    a.y = b.x\n"
-    fields = dataclass_fields(source)
-    assert fields == ["A.x", "A.y", "B.z"]
-    assert [f for f in fields if f.split(".")[1] not in attributes_read(source)] == ["A.y", "B.z"]
+    source = (
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n\n@dataclass\nclass B:\n    z: int\n\n"
+        "class C:\n    w: int\n\n    def __init__(self, v):\n        self.v = v\n        self.u = self.s = v\n        self.t[0] = v\n        self.v += 1\n\n"
+        "def f(a, b):\n    a.y = b.x\n"
+    )
+    assert class_state(source) == ["A.x", "A.y", "B.z", "C.v", "C.u", "C.s"]
+    # a subscript store reads its attribute; only the real callers' reads count
+    assert unread_state(source, [source, "print(c.u)\n"]) == ["A.y", "B.z", "C.v", "C.s"]
+    assert unread_state(source, [source]) == ["A.y", "B.z", "C.v", "C.u", "C.s"]
 
 
-def test_every_dataclass_field_of_the_package_is_read():
-    fields, read = [], set()
-    for d in ("src/quam", "bench", "tests"):
-        for root, _, names in os.walk(os.path.join(ROOT, d)):
-            for name in sorted(names):
-                if name.endswith(".py"):
-                    with open(os.path.join(root, name)) as f:
-                        source = f.read()
-                    if d == "src/quam":
-                        fields += [f"{name}:{field}" for field in dataclass_fields(source)]
-                    read |= attributes_read(source)
-    unread = [field for field in fields if field.rsplit(".", 1)[1] not in read]
-    assert fields and not unread, unread
+def test_every_field_and_attribute_of_the_package_is_read():
+    found = []
+    for name in sorted(os.listdir(os.path.join(ROOT, "src/quam"))):
+        if name.endswith(".py"):
+            with open(os.path.join(ROOT, "src/quam", name)) as f:
+                found += [f"{name}:{state}" for state in unread_state(f.read(), real_callers())]
+    assert not found, found
 
 
 def optional_parameters(source: str) -> list[tuple[str, str, list[str], list[str]]]:
@@ -161,17 +186,35 @@ def optional_parameters(source: str) -> list[tuple[str, str, list[str], list[str
 EVERY_KEYWORD = None
 
 
+def settings_keys(node, scope) -> set | None:
+    """The keys that `**node` passes when `node` is a `<cfg>.settings(section, key=kind, ...)` call, an if-expression of two such, or a name that the function `scope` binds to such alone; else None."""
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "settings":
+        return {kw.arg for kw in node.keywords}
+    if isinstance(node, ast.IfExp):
+        a, b = settings_keys(node.body, scope), settings_keys(node.orelse, scope)
+        return None if a is None or b is None else a | b
+    if isinstance(node, ast.Name) and scope is not None:
+        # every binding of the name in the function is an assignment of such, and none is a parameter
+        stores = [n for n in ast.walk(scope) if isinstance(n, ast.arg) and n.arg == node.id or isinstance(n, ast.Name) and n.id == node.id and not isinstance(n.ctx, ast.Load)]
+        values = [a.value for a in ast.walk(scope) if isinstance(a, ast.Assign) and [ast.unparse(t) for t in a.targets] == [node.id]]
+        keys = [settings_keys(v, None) for v in values]
+        if stores and len(values) == len(stores) and None not in keys:
+            return set().union(*keys)
+    return None
+
+
 @functools.lru_cache(maxsize=None)  # each caller's source is scanned once for every module it is checked against
 def calls(source: str) -> list[tuple[str, float, set]]:
     """(name, positional count, keyword names) of every call in `source`.
 
-    `super().__init__` calls the first base class.  `**cfg.settings(section,
-    key=kind, ...)` passes its keys; any other `**mapping` passes every
-    keyword (`EVERY_KEYWORD`), and `*args` every position.
+    `super().__init__` calls the first base class.  `**mapping` passes the
+    keys of `settings_keys` when it finds them in the enclosing function;
+    any other `**mapping` passes every keyword (`EVERY_KEYWORD`), and
+    `*args` every position.
     """
     found = []
 
-    def visit(node, cls):
+    def visit(node, cls, fn):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 f = child.func
@@ -183,16 +226,16 @@ def calls(source: str) -> list[tuple[str, float, set]]:
                 for k in child.keywords:
                     if k.arg is not None:
                         keywords.add(k.arg)
-                    elif isinstance(k.value, ast.Call) and getattr(k.value.func, "attr", None) == "settings":
-                        keywords |= {kw.arg for kw in k.value.keywords}
+                    elif (keys := settings_keys(k.value, fn)) is not None:
+                        keywords |= keys
                     else:
                         keywords = EVERY_KEYWORD
                         break
                 if name is not None:
                     found.append((name, positional, keywords))
-            visit(child, child if isinstance(child, ast.ClassDef) else cls)
+            visit(child, child if isinstance(child, ast.ClassDef) else cls, child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) else fn)
 
-    visit(ast.parse(source), None)
+    visit(ast.parse(source), None, None)
     return found
 
 
@@ -220,20 +263,22 @@ def test_unpassed_parameters_are_found():
     )
     callers = [definitions, "f(0, 1, d=2)\nA(0).m()\nC(0, **opts)\nB(**cfg.settings('b', w=int))\n"]
     assert unpassed_parameters(definitions, callers) == ["f(c)", "f(e)", "A.m(z)"]
+    # a name bound to settings calls alone passes their keys; a dict display, a parameter or a rebound name passes every keyword
+    resolved = (
+        "def g(cfg, flag, opts):\n"
+        "    kw = cfg.settings('s', d=int) if flag else cfg.settings('s', b=int)\n"
+        "    f(0, **kw)\n    C(0, **{'t': 1})\n    A(0).m(**opts)\n"
+        "    kv = cfg.settings('s', x=int)\n    kv = dict(kv, y=0)\n    B(**kv)\n"
+    )
+    assert unpassed_parameters(definitions, [definitions, resolved]) == ["f(c)", "f(e)"]
+    assert unpassed_parameters(definitions, [definitions, resolved.replace("f(0, **kw)", "f(0, e=1, **kw)")]) == ["f(c)"]
 
 
 def test_every_optional_parameter_of_the_package_is_passed_by_some_caller():
     # quam.autodiff is left out: the generic Tape is due to be deleted
-    paths = [os.path.join(ROOT, "tests", name) for name in ("test_golden.py", "test_acceptance.py")]
-    for d in ("src/quam", "bench"):
-        paths += [os.path.join(root, name) for root, _, names in os.walk(os.path.join(ROOT, d)) for name in sorted(names) if name.endswith(".py")]
-    callers = []
-    for path in paths:
-        with open(path) as f:
-            callers.append(f.read())
     found = []
     for name in sorted(os.listdir(os.path.join(ROOT, "src/quam"))):
         if name.endswith(".py") and name != "autodiff.py":
             with open(os.path.join(ROOT, "src/quam", name)) as f:
-                found += [f"{name}:{p}" for p in unpassed_parameters(f.read(), callers)]
+                found += [f"{name}:{p}" for p in unpassed_parameters(f.read(), real_callers())]
     assert not found, found

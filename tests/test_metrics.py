@@ -171,12 +171,14 @@ def test_ece_trivial_cases():
 
 
 def test_ece_worked_example_weights_each_bin_by_its_binned_rows():
-    # bin [0, 0.5): confidence 0.4, accuracy 1; bin [0.5, 1]: confidence 0.8, accuracy 1/2
-    probs = np.array([[0.4, 0.3, 0.3], [0.9, 0.1, 0.0], [0.7, 0.3, 0.0]])
-    labels = np.array([0, 0, 1])
-    assert X.ece(probs, labels, n_bins=2) == pytest.approx(1 / 3 * 0.6 + 2 / 3 * 0.3, abs=1e-15)
+    # ten bins: [0.4, 0.5) holds confidence 0.44 with accuracy 1, [0.5, 0.6)
+    # 0.56 with accuracy 0, [0.6, 0.7) 0.66 with accuracy 1, and [0.8, 0.9)
+    # 0.86 and 0.84 with accuracy 1/2 (two bins would read 0.296, five 0.208)
+    probs = np.array([[0.44, 0.30, 0.26], [0.56, 0.44, 0.0], [0.66, 0.34, 0.0], [0.86, 0.14, 0.0], [0.84, 0.16, 0.0]])
+    labels = np.array([0, 1, 0, 0, 1])
+    assert X.ece(probs, labels) == pytest.approx(1 / 5 * 0.56 + 1 / 5 * 0.56 + 1 / 5 * 0.34 + 2 / 5 * 0.35, abs=1e-15)
     # a confidence above 1 falls in no bin and leaves the weights alone
-    assert X.ece(np.vstack([probs, [1.5, 0.0, 0.0]]), np.append(labels, 0), n_bins=2) == X.ece(probs, labels, n_bins=2)
+    assert X.ece(np.vstack([probs, [1.5, 0.0, 0.0]]), np.append(labels, 0)) == X.ece(probs, labels)
 
 
 def test_ece_calibrated_generator_small():
@@ -185,7 +187,7 @@ def test_ece_calibrated_generator_small():
     p1 = rng.uniform(size=n)
     probs = np.column_stack([1 - p1, p1])
     labels = (rng.uniform(size=n) < p1).astype(int)
-    assert X.ece(probs, labels, n_bins=10) <= 0.02
+    assert X.ece(probs, labels) <= 0.02
 
 
 def test_simplex_grid_counts():

@@ -124,9 +124,8 @@ def test_training_reduces_loss():
 def test_nan_loss_aborts_with_location():
     data = blobs(40)
     arch = M.ArchSpec((2, 4, 2))
-    with np.errstate(all="ignore"), pytest.raises(M.TrainingDiverged) as err:
+    with np.errstate(all="ignore"), pytest.raises(M.TrainingDiverged, match=r"^non-finite loss at epoch \d+, batch \d+$"):
         M.train(data, arch, M.TrainConfig(lr=1e200, epochs=3, seed=0))
-    assert err.value.epoch >= 0 and err.value.batch >= 0
 
 
 def test_log_posterior_equal_params_equal_values():

@@ -120,9 +120,8 @@ def test_csghmc_conjugate_gaussian_posterior_mean():
 
 def test_csghmc_diagnostics_present(moons):
     out = S.csghmc(moons, M.ArchSpec((2, 4, 2)), cycles=2, steps_per_cycle=30, step_size=1e-4, seed=0)
-    assert out.diagnostics["cycles"] == 2
-    assert len(out.diagnostics["step_sizes"]) == 60
-    assert out.diagnostics["step_sizes"][0] == pytest.approx(1e-4)
+    # the cosine-schedule tests pin the step sizes
+    assert out.diagnostics == {"cycles": 2, "steps_per_cycle": 30, "friction": S.CSGHMC_FRICTION, "temperature": 1.0}
 
 
 def test_csghmc_is_a_loop_of_fresh_passes_bit_for_bit(moons):

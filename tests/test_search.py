@@ -20,7 +20,7 @@ def moons_reference():
 
 def test_zero_lr_single_step_returns_reference():
     data, ref = moons_reference()
-    cfg = SearchConfig(c0=1.0, eta_factor=1.5, steps=1, lr=0.0, gamma=0.0, seed=0, bias_nudge=0.0)
+    cfg = SearchConfig(c0=1.0, eta_factor=1.5, steps=1, lr=0.0, gamma=0.0, seed=0)
     traj = search_batch(np.array([0.0, 2.0]), data, ref, cfg, [(0, "divergence", ())])[0]
     assert traj.no_feasible
     assert traj.divergence[traj.best_index] == 0.0
@@ -68,16 +68,24 @@ def test_an_unmoved_iterate_has_the_reference_row_bit_for_bit(reference, batch_s
     # each search's test row has its own GEMMs on contiguous copies of its
     # columns: on a strided column a gemv can round differently from
     # predict_batch's one-row pass, and an unmoved iterate would diverge
-    # from the reference by a spurious KL > 0
+    # from the reference by a spurious KL > 0.  A class search is never
+    # nudged, so every record is unmoved; a direction or a divergence search
+    # is, and its record at step 0 is the exact reference, taken through the
+    # same test-row GEMMs
     data, ref = moons_reference() if reference == "moons" else sine_reference()
     xs = derive_rng(16).uniform(-2.0, 2.5, size=(8, ref.arch.widths[0]))
-    cfg = SearchConfig(steps=2, lr=0.0, batch_size=batch_size, delta_scope=scope, bias_nudge=0.0, seed=0)
-    for x, suite in zip(xs, search_suites(xs, data, ref, cfg)):
+    cfg = SearchConfig(steps=2, lr=0.0, batch_size=batch_size, delta_scope=scope, seed=0)
+    suites = search_suites(xs, data, ref, cfg)
+    if reference == "moons":
+        divergence = search_batch(xs, data, ref, cfg, [(i, "divergence", ()) for i in range(len(xs))])
+        suites = [suite + [traj] for suite, traj in zip(suites, divergence)]
+    for x, suite in zip(xs, suites):
         row = M.predict_batch(ref, x)[0]
         for traj in suite:
-            assert traj.reference_pred.tobytes() == row.tobytes()
-            assert traj.pred.tobytes() == np.tile(row, (len(traj.pred), 1)).tobytes()
-            assert (traj.divergence == 0.0).all()
+            unmoved = len(traj.pred) if traj.target.startswith("class") else 1
+            assert traj.step[0] == 0 and traj.reference_pred.tobytes() == row.tobytes()
+            assert traj.pred[:unmoved].tobytes() == np.tile(row, (unmoved, 1)).tobytes()
+            assert (traj.divergence[:unmoved] == 0.0).all()
 
 
 def test_penalty_weight_strictly_increases():
@@ -204,11 +212,11 @@ FLOATS = st.one_of(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 
 
 
 @settings(derandomize=True, deadline=None, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(["categorical", "gaussian_scalar"]), st.lists(st.tuples(st.integers(0, 10**6), st.lists(FLOATS, min_size=6, max_size=6)), max_size=5), st.data())
+@given(st.sampled_from(["categorical", "gaussian_scalar"]), st.lists(st.tuples(st.integers(0, 10**6), st.lists(FLOATS, min_size=5, max_size=5)), max_size=5), st.data())
 def test_trajectory_lines_are_json_dumps_byte_for_byte(tmp_path, head, rows, data):
     width = 2 if head == "gaussian_scalar" else data.draw(st.integers(2, 5))
     preds = [data.draw(st.lists(FLOATS, min_size=width, max_size=width)) for _ in rows]
-    floats = np.array([values for _, values in rows], dtype=float).reshape(len(rows), 6)
+    floats = np.array([values for _, values in rows], dtype=float).reshape(len(rows), 5)
     steps = np.array([step for step, _ in rows], dtype=int)
     traj = SearchTrajectory("class:0", head, steps, *floats.T, np.array(preds, dtype=float).reshape(len(rows), width), 0, None, False, False, 0.0, 0.0, np.zeros(width))
     path = tmp_path / "traj.jsonl"
@@ -245,7 +253,7 @@ def sine_reference():
 
 def test_regression_pair_zero_movement():
     data, ref = sine_reference()
-    cfg = SearchConfig(steps=1, lr=0.0, gamma=0.0, bias_nudge=0.0, seed=0)
+    cfg = SearchConfig(steps=1, lr=0.0, gamma=0.0, seed=0)
     up, down = search_suites(np.array([0.3]), data, ref, cfg)[0]
     for traj in (up, down):
         assert traj.no_feasible
